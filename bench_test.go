@@ -586,6 +586,52 @@ func BenchmarkAggregateInject(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelHandoff measures one park/resume round trip between two
+// processes — the kernel-handoff rung of the per-op layer ledger: they
+// ping-pong a pair of sim.Semaphores, so each iteration blocks and
+// resumes each side once. The steady state is allocation-free
+// (bench_gate.sh guards 0 allocs/op).
+func BenchmarkKernelHandoff(b *testing.B) {
+	k := sim.New(1)
+	ping, pong := sim.NewSemaphore(k, "ping", 0), sim.NewSemaphore(k, "pong", 0)
+	k.Spawn("ping", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping.Release(1)
+			pong.Acquire(p, 1)
+		}
+	})
+	k.Spawn("pong", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Acquire(p, 1)
+			pong.Release(1)
+		}
+	})
+	b.ReportAllocs()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkKernelSpawn measures one short process lifetime: a parent
+// spawns a child and joins it. Finished bodies hand their carrier to the
+// next process, so the steady state starts no goroutine (bench_gate.sh
+// caps it at 3 allocs/op).
+func BenchmarkKernelSpawn(b *testing.B) {
+	k := sim.New(1)
+	child := func(q *sim.Proc) { q.Sleep(time.Microsecond) }
+	k.Spawn("parent", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Join(p.Spawn("child", child))
+		}
+	})
+	b.ReportAllocs()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkNamespaceCreate measures the raw data-structure cost.
 func BenchmarkNamespaceCreate(b *testing.B) {
 	ns := namespace.New()

@@ -56,8 +56,56 @@ type StageRunner struct {
 	Prepare func(c *Ctx) error
 	// Aux, when set, is sampled at every interval boundary; the
 	// per-interval delta lands in IntervalStat.Aux. The experiments
-	// pass a closure over the FS's injected-background counter.
+	// pass a closure over the FS's injected-background counter. Under
+	// a domain group every reading is taken at a sync point (see
+	// auxReader), so the interval must be at least the lookahead.
 	Aux func() int64
+}
+
+// auxReader samples StageRunner.Aux for the stage master. On a plain
+// kernel it reads on the spot. Under a domain group the counter is
+// bumped by injector lanes that run on other domains' worker threads in
+// the middle of a window, so a reading taken there would depend on
+// thread timing; each reading is instead taken inside a sync point,
+// where every domain is parked at exactly the same instant. The master
+// arms the reading for an interval boundary before sleeping there and
+// collects the delta once it wakes.
+type auxReader struct {
+	aux         func() int64
+	g           *sim.DomainGroup
+	prev, delta int64
+}
+
+// start takes the stage's baseline reading: now on a plain kernel, at
+// the earliest sync point (one lookahead on) under a domain group.
+func (a *auxReader) start(p *sim.Proc) {
+	if a.g == nil {
+		a.sample()
+		return
+	}
+	a.g.AtSync(p, p.Now()+a.g.SyncDelay(), a.sample)
+}
+
+// arm schedules the domained reading for the boundary at; a no-op on a
+// plain kernel.
+func (a *auxReader) arm(p *sim.Proc, at time.Duration) {
+	if a.g != nil {
+		a.g.AtSync(p, at, a.sample)
+	}
+}
+
+// take returns the counter's growth over the interval ending now.
+func (a *auxReader) take() int64 {
+	if a.g == nil {
+		a.sample()
+	}
+	return a.delta
+}
+
+func (a *auxReader) sample() {
+	v := a.aux()
+	a.delta = v - a.prev
+	a.prev = v
 }
 
 // defaultProbeFiles is the size of the default probe's stat ring.
@@ -131,6 +179,14 @@ func (r *StageRunner) Start(k *sim.Kernel) (*results.Set, error) {
 	prepare := r.Prepare
 	if prepare == nil {
 		prepare = defaultPrepare
+	}
+	var aux *auxReader
+	if r.Aux != nil {
+		aux = &auxReader{aux: r.Aux, g: k.Group()}
+		if aux.g != nil && interval < aux.g.Lookahead() {
+			return nil, fmt.Errorf("stagerunner: interval %v is shorter than the domain lookahead %v",
+				interval, aux.g.Lookahead())
+		}
 	}
 
 	set := results.NewSet(r.Label, r.FS.Name(), interval)
@@ -218,13 +274,15 @@ func (r *StageRunner) Start(k *sim.Kernel) (*results.Set, error) {
 			shared.agg = &results.Histogram{}
 			shared.cur = &results.Histogram{}
 			shared.recording = true
-			var prevAux int64
-			if r.Aux != nil {
-				prevAux = r.Aux()
+			if aux != nil {
+				aux.start(mp)
 			}
 			copy(prev, base)
 			barrier.Wait(mp) // stage start: probes run from here
 			for t := 0; t < nIv; t++ {
+				if aux != nil {
+					aux.arm(mp, mp.Now()+interval)
+				}
 				mp.Sleep(interval)
 				var ops int64
 				for i, ctx := range ctxs {
@@ -241,10 +299,8 @@ func (r *StageRunner) Start(k *sim.Kernel) (*results.Set, error) {
 					Throughput: float64(ops) / interval.Seconds(),
 				}
 				_, st.COV = stddevCOV(rates)
-				if r.Aux != nil {
-					aux := r.Aux()
-					st.Aux = aux - prevAux
-					prevAux = aux
+				if aux != nil {
+					st.Aux = aux.take()
 				}
 				st.FillPercentiles(shared.cur)
 				series = append(series, st)

@@ -12,7 +12,7 @@ import (
 // replaced boxed one interface{} per push and per pop).
 func TestScheduleAllocFree(t *testing.T) {
 	k := New(1)
-	p := &Proc{k: k, name: "probe", resume: make(chan struct{})}
+	p := &Proc{k: k, name: "probe"}
 	// Warm the heap storage well past the test's working set.
 	for i := 0; i < 64; i++ {
 		k.schedule(p, Time(i))

@@ -1,0 +1,113 @@
+package sim
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestCarrierPanicSurfacesFromRun checks that a panic in a process body
+// is raised again from Kernel.Run on the caller's goroutine, where the
+// caller can recover it, instead of killing the program from the
+// carrier.
+func TestCarrierPanicSurfacesFromRun(t *testing.T) {
+	k := New(1)
+	k.Spawn("bystander", func(p *Proc) { p.Sleep(time.Second) })
+	k.Spawn("faulty", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("model bug")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = k.Run()
+	}()
+	if got != "model bug" {
+		t.Fatalf("Run raised %v, want the body's panic value", got)
+	}
+}
+
+// TestCarrierReuseSpawnJoin runs 10k sequential spawn+join cycles. A
+// finished body hands its carrier to the next process, so the goroutine
+// count stays bounded by the peak number of live processes (the parent
+// and one child), a cycle stays within 3 allocations, and the run
+// leaves no idle carrier behind.
+func TestCarrierReuseSpawnJoin(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New(1)
+	peak := 0
+	var allocs float64
+	child := func(q *Proc) { q.Sleep(time.Microsecond) }
+	k.Spawn("parent", func(p *Proc) {
+		for i := 0; i < 10_000; i++ {
+			p.Join(p.Spawn("child", child))
+			peak = max(peak, runtime.NumGoroutine()-base)
+		}
+		allocs = testing.AllocsPerRun(1000, func() {
+			p.Join(p.Spawn("child", child))
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if peak > 2 {
+		t.Errorf("spawn+join cycles grew the goroutine count by %d, want <= 2 live procs", peak)
+	}
+	if allocs > 3 {
+		t.Errorf("spawn+join allocated %.1f objects per cycle, want <= 3", allocs)
+	}
+	if n := runtime.NumGoroutine() - base; n > 0 {
+		t.Errorf("%d goroutine(s) left behind after Run", n)
+	}
+}
+
+// TestHandoffSemaphorePingPongAllocFree pins the blocking path: two
+// processes ping-pong a pair of semaphores, so every round trip parks
+// and resumes each side once, and must allocate nothing.
+func TestHandoffSemaphorePingPongAllocFree(t *testing.T) {
+	k := New(1)
+	ping, pong := NewSemaphore(k, "ping", 0), NewSemaphore(k, "pong", 0)
+	var allocs float64
+	k.Spawn("ping", func(p *Proc) {
+		roundTrip := func() {
+			ping.Release(1)
+			pong.Acquire(p, 1)
+		}
+		for i := 0; i < 100; i++ {
+			roundTrip() // grow the heap and wait-queue storage
+		}
+		allocs = testing.AllocsPerRun(1000, roundTrip)
+	})
+	k.SpawnDaemon("pong", func(p *Proc) {
+		for {
+			ping.Acquire(p, 1)
+			pong.Release(1)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("semaphore round trip allocated %.2f objects, want 0", allocs)
+	}
+}
+
+// TestSpawnDeadlockReportNamesJoinTarget checks that a process blocked
+// in Join is still reported with the name of the process it waits for,
+// although Join no longer builds that label when it parks.
+func TestSpawnDeadlockReportNamesJoinTarget(t *testing.T) {
+	k := New(1)
+	stuck := NewSemaphore(k, "never", 0)
+	child := k.Spawn("child", func(p *Proc) { stuck.Acquire(p, 1) })
+	k.Spawn("parent", func(p *Proc) { p.Join(child) })
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	got := strings.Join(de.Blocked, ", ")
+	if !strings.Contains(got, "child (sem:never)") || !strings.Contains(got, "parent (join:child)") {
+		t.Fatalf("deadlock report %q does not name both blocking reasons", got)
+	}
+}

@@ -210,7 +210,7 @@ func Post(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
 		delay = 0
 	}
 	if dst == src || src.dom == nil || dst.dom == nil {
-		dst.spawnAt(name, dst.now+delay, fn)
+		dst.spawn(name, dst.now+delay, fn, false)
 		return
 	}
 	g := src.dom.g
@@ -268,7 +268,7 @@ func Call(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
 		k.dom.sendSeq++
 		k.dom.send(src.dom, m)
 	})
-	p.block(name)
+	p.park(name)
 }
 
 func (d *Domain) label() string { return fmt.Sprintf("domain %d", d.id) }
@@ -333,7 +333,6 @@ func (g *DomainGroup) deliver() {
 			}
 			seq := msgSeqBase + m.seq*nd + int64(m.src)
 			if m.wake != nil {
-				d.k.blocked--
 				d.k.scheduleSeq(m.wake, m.at, seq)
 				continue
 			}
@@ -452,6 +451,11 @@ func (g *DomainGroup) RunFor(t Time) error { return g.run(t) }
 // messages carry window-structure-independent sequence numbers
 // (msgSeqBase) — adaptive merely reaches it in fewer, fuller windows.
 func (g *DomainGroup) run(horizon Time) error {
+	defer func() {
+		for _, d := range g.domains {
+			d.k.releaseCarriers()
+		}
+	}()
 	for {
 		g.deliver()
 		live, daemons := g.totals()
@@ -575,7 +579,7 @@ func (g *DomainGroup) blockedProcNames() []string {
 	for _, d := range g.domains {
 		for _, p := range d.k.procs {
 			if !p.done && !p.daemon && p.blockedOn != "" {
-				names = append(names, fmt.Sprintf("%s [%s] (%s)", p.name, d.label(), p.blockedOn))
+				names = append(names, fmt.Sprintf("%s [%s] (%s)", p.name, d.label(), d.k.reason(p)))
 			}
 		}
 	}
@@ -593,12 +597,8 @@ func (g *DomainGroup) blockedProcNames() []string {
 // at group level.
 func (k *Kernel) runWindow(end Time) {
 	k.horizon = end - 1
-	for {
-		if k.queue.len() == 0 || k.queue.e[0].at > k.horizon {
-			return
-		}
-		k.dispatchNext()
-		<-k.parked
+	for k.queue.len() > 0 && k.queue.e[0].at <= k.horizon {
+		k.dispatch()
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package sim implements a deterministic, cooperative discrete-event
 // simulation kernel.
 //
-// A Kernel owns a virtual clock and a set of processes. Each process is a
-// goroutine, but exactly one process executes at a time: a process runs
-// until it blocks (Sleep, semaphore wait, barrier, queue receive ...) and
-// the kernel then resumes the process with the earliest pending event.
-// Ties are broken by event sequence number, so runs are fully
-// deterministic: the same program produces the same event order and the
-// same virtual timings on every run.
+// A Kernel owns a virtual clock and a set of processes. Exactly one
+// process executes at a time: a process runs until it blocks (Sleep,
+// semaphore wait, barrier, queue receive ...) and the kernel then resumes
+// the process with the earliest pending event. Ties are broken by event
+// sequence number, so runs are fully deterministic: the same program
+// produces the same event order and the same virtual timings on every
+// run.
 //
 // The kernel is the substrate for every simulated subsystem in this
 // repository: cluster nodes, networks, storage devices and the file system
@@ -18,18 +18,20 @@
 // given seed.
 //
 // Scheduling is built for throughput: the event queue is a concrete-typed
-// binary heap (no interface boxing, storage reused across events), a
-// parking process hands control directly to the next runnable process
-// without a round trip through the kernel goroutine, and a process whose
-// wake-up would be the next event anyway (a Sleep with no earlier pending
-// event) simply advances the clock and keeps running — no heap traffic
-// and no channel handshake at all.
+// binary heap (no interface boxing, storage reused across events); process
+// bodies run on pooled coroutines that the dispatch loop switches into and
+// a blocking process switches out of, bypassing the Go scheduler (see
+// carrier); and a process whose wake-up would be the next event anyway (a
+// Sleep with no earlier pending event) simply advances the clock and keeps
+// running — no heap traffic and no switch at all.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -121,13 +123,10 @@ type Kernel struct {
 	now     Time
 	seq     int64
 	queue   eventHeap
-	parked  chan *Proc // handshake: control returns to Run/RunFor
-	live    int        // procs started and not yet finished
-	daemons int        // live daemon procs (ignored for termination)
-	blocked int        // procs waiting on a condition (not in queue)
+	live    int // procs started and not yet finished
+	daemons int // live daemon procs (ignored for termination)
 	rng     *rand.Rand
 	procSeq int
-	halted  bool
 	horizon Time    // events beyond this virtual time stay queued
 	procs   []*Proc // all spawned procs, for deadlock diagnostics
 	// dispatched counts events executed by this kernel — in a domain
@@ -139,16 +138,15 @@ type Kernel struct {
 	// termination is decided at group level.
 	dom *Domain
 	// free holds idle pooled trampoline procs for cross-domain message
-	// delivery (spawnMsgAt): one goroutine + Proc + channel is reused
-	// across messages instead of being created per message. Only ever
-	// touched while holding the kernel's single execution token.
+	// delivery (spawnMsgAt): one Proc is reused across messages instead
+	// of being created per message.
 	free []*Proc
+	idle []*carrier // carriers between bodies, for the next first dispatch
 }
 
 // New returns a kernel whose random source is seeded with seed.
 func New(seed int64) *Kernel {
 	return &Kernel{
-		parked:  make(chan *Proc),
 		rng:     rand.New(rand.NewSource(seed)),
 		horizon: forever,
 	}
@@ -198,31 +196,66 @@ func (k *Kernel) runsBefore(at Time) bool {
 	return h.at < at || (h.at == at && h.seq < msgSeqBase)
 }
 
-// dispatchNext pops the earliest runnable event and hands control to its
-// process. It reports false when nothing may run: the queue is empty,
-// only daemons remain live, or the next event lies beyond the run
-// horizon — in those cases the caller must return control to the kernel
-// goroutine instead.
-func (k *Kernel) dispatchNext() bool {
-	if k.queue.len() == 0 || k.queue.e[0].at > k.horizon {
-		return false
-	}
-	if k.live <= k.daemons && k.dom == nil {
-		// Only daemons left: a plain kernel terminates, but a domain
-		// kernel keeps its daemons on the window grid — the group
-		// decides termination from the global live count.
-		return false
-	}
+// dispatch pops the earliest event and runs its process until it parks
+// or its body ends; the callers decide whether the event may run at all.
+func (k *Kernel) dispatch() {
 	ev := k.queue.pop()
-	if ev.p.done {
-		panic(fmt.Sprintf("sim: stale event at %v (seq %d) for finished proc %q", ev.at, ev.seq, ev.p.name))
+	p := ev.p
+	if p.done {
+		panic(fmt.Sprintf("sim: stale event at %v (seq %d) for finished proc %q", ev.at, ev.seq, p.name))
 	}
 	if ev.at > k.now {
 		k.now = ev.at
 	}
 	k.dispatched++
-	ev.p.resume <- struct{}{}
-	return true
+	if p.c == nil {
+		p.c = k.carrier()
+		p.c.p = p
+	}
+	p.c.next()
+}
+
+// carrier is a pooled iter.Pull coroutine that runs process bodies: the
+// dispatch loop resumes a process with next, the process parks with
+// yield, and a carrier whose body ended waits in the kernel's idle pool
+// for the next process. Calls into one carrier never overlap, as a
+// kernel (or domain window) runs on one goroutine at a time.
+type carrier struct {
+	p     *Proc // the process being carried; nil while idle
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// carrier takes an idle carrier, or starts one when none is left.
+func (k *Kernel) carrier() *carrier {
+	if n := len(k.idle); n > 0 {
+		c := k.idle[n-1]
+		k.idle = k.idle[:n-1]
+		return c
+	}
+	c := new(carrier)
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			p := c.p
+			p.fn(p)
+			p.k.exit(p)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// releaseCarriers ends the idle carriers when a run returns, so only
+// parked processes keep a goroutine past the run.
+func (k *Kernel) releaseCarriers() {
+	for _, c := range k.idle {
+		c.stop()
+	}
+	k.idle = nil
 }
 
 // Dispatched returns the number of events this kernel has executed. In a
@@ -232,17 +265,16 @@ func (k *Kernel) Dispatched() int64 { return k.dispatched }
 
 // Proc is a simulated process. Procs are created with Kernel.Spawn or
 // Proc.Spawn and must only call kernel methods while running (i.e. from
-// their own goroutine, between resumptions).
+// their own body, between resumptions).
 type Proc struct {
 	k      *Kernel
 	id     int
 	name   string
-	resume chan struct{}
 	done   bool
 	daemon bool
-	// fn is the pending body of a pooled trampoline proc (spawnMsgAt);
-	// always nil for ordinary procs.
-	fn func(p *Proc)
+	msg    bool          // pooled trampoline (spawnMsgAt), back to k.free at exit
+	fn     func(p *Proc) // the body; dropped when it returns
+	c      *carrier      // runs the body from its first dispatch to its end
 	// slot is this proc's index in k.procs; finished procs are
 	// swap-removed so the diagnostics slice never pins dead procs (the
 	// domained substrate spawns one short-lived proc per cross-domain
@@ -274,7 +306,7 @@ func (p *Proc) Now() Time { return p.k.now }
 // virtual time. It may be called before Run (to create initial processes)
 // or from a running process.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, fn, false)
+	return k.spawn(name, k.now, fn, false)
 }
 
 // SpawnDaemon starts fn as a daemon process: Run and RunFor terminate as
@@ -282,114 +314,78 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // daemon events. Background services (consistency-point writers, journal
 // committers, cache flushers) are daemons.
 func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, fn, true)
+	return k.spawn(name, k.now, fn, true)
 }
 
-// spawnAt is spawn with the first scheduling at a future time instead of
-// now — the delivery primitive for cross-domain messages.
-func (k *Kernel) spawnAt(name string, at Time, fn func(p *Proc)) *Proc {
-	p := k.spawnProc(name, fn, false)
+// spawn starts fn as a new process first scheduled at time at; a future
+// at is the delivery primitive for same-kernel messages (Post).
+func (k *Kernel) spawn(name string, at Time, fn func(p *Proc), daemon bool) *Proc {
+	p := &Proc{k: k, daemon: daemon}
+	k.start(p, name, fn)
 	k.schedule(p, at)
 	return p
 }
 
-func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := k.spawnProc(name, fn, daemon)
-	k.schedule(p, k.now)
-	return p
+// spawnMsgAt schedules fn like spawn but on a pooled trampoline proc,
+// under the caller-provided event sequence number: cross-domain delivery
+// creates one short-lived proc per message, and recycling the Proc keeps
+// that off the allocator and the GC scan set. Pooled procs are invisible
+// outside the kernel — deliver() never hands the *Proc to callers, so
+// the reuse can never confuse a Join (which is the reason plain Spawn
+// does not pool).
+func (k *Kernel) spawnMsgAt(name string, at Time, seq int64, fn func(p *Proc)) {
+	var p *Proc
+	if n := len(k.free); n > 0 {
+		p = k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+	} else {
+		p = &Proc{k: k, msg: true}
+	}
+	k.start(p, name, fn)
+	k.scheduleSeq(p, at, seq)
 }
 
-func (k *Kernel) spawnProc(name string, fn func(p *Proc), daemon bool) *Proc {
+// start registers p as a live process with body fn.
+func (k *Kernel) start(p *Proc, name string, fn func(p *Proc)) {
 	k.procSeq++
-	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{}), daemon: daemon}
+	p.id = k.procSeq
+	p.name = name
+	p.fn = fn
+	p.done = false
 	k.live++
-	if daemon {
+	if p.daemon {
 		k.daemons++
 	}
 	p.slot = len(k.procs)
 	k.procs = append(k.procs, p)
-	go func() {
-		<-p.resume // wait for first scheduling
-		fn(p)
-		p.done = true
-		k.removeProc(p)
-		k.live--
-		if p.daemon {
-			k.daemons--
-		}
-		for _, w := range p.waiters {
-			w.blockedOn = ""
-			k.blocked--
-			k.schedule(w, k.now)
-		}
-		p.waiters = nil
-		// Hand control to the next runnable process; wake the kernel
-		// goroutine only when nothing may run.
-		if !k.dispatchNext() {
-			k.parked <- p
-		}
-	}()
-	return p
 }
 
-// spawnMsgAt schedules fn like spawnAt but on a pooled trampoline proc,
-// under the caller-provided event sequence number: cross-domain delivery
-// creates one short-lived proc per message, and recycling the goroutine,
-// Proc and resume channel keeps that off the allocator and the GC scan
-// set. Pooled procs are invisible outside the kernel — deliver() never
-// hands the *Proc to callers, so the reuse can never confuse a Join
-// (which is the reason plain Spawn does not pool).
-func (k *Kernel) spawnMsgAt(name string, at Time, seq int64, fn func(p *Proc)) {
-	if n := len(k.free); n > 0 {
-		p := k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		k.procSeq++
-		p.id = k.procSeq
-		p.name = name
-		p.fn = fn
-		p.done = false
-		p.slot = len(k.procs)
-		k.procs = append(k.procs, p)
-		k.live++
-		k.scheduleSeq(p, at, seq)
-		return
+// exit retires p once its body has returned: it wakes p's joiners and
+// returns p's carrier to the idle pool, and a trampoline proc to k.free.
+func (k *Kernel) exit(p *Proc) {
+	p.fn = nil
+	p.done = true
+	k.removeProc(p)
+	k.live--
+	if p.daemon {
+		k.daemons--
 	}
-	k.procSeq++
-	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{}), fn: fn}
-	k.live++
-	p.slot = len(k.procs)
-	k.procs = append(k.procs, p)
-	go func() {
-		for {
-			<-p.resume // wait for (re)scheduling
-			p.fn(p)
-			p.fn = nil
-			p.done = true
-			k.removeProc(p)
-			k.live--
-			for _, w := range p.waiters {
-				w.blockedOn = ""
-				k.blocked--
-				k.schedule(w, k.now)
-			}
-			p.waiters = nil
-			p.Ctx = nil
-			k.free = append(k.free, p)
-			// Hand control to the next runnable process; wake the kernel
-			// goroutine only when nothing may run.
-			if !k.dispatchNext() {
-				k.parked <- p
-			}
-		}
-	}()
-	k.scheduleSeq(p, at, seq)
+	for _, w := range p.waiters {
+		w.blockedOn = ""
+		k.schedule(w, k.now)
+	}
+	p.waiters = nil
+	p.c.p = nil
+	k.idle = append(k.idle, p.c)
+	p.c = nil
+	if p.msg {
+		p.Ctx = nil
+		k.free = append(k.free, p)
+	}
 }
 
 // removeProc swap-removes a finished proc from the diagnostics slice.
-// It runs on the exiting proc's goroutine, which holds the kernel's
-// single execution token, so no other proc or the kernel goroutine can
-// touch k.procs concurrently.
 func (k *Kernel) removeProc(p *Proc) {
 	last := len(k.procs) - 1
 	if p.slot < 0 || p.slot > last || k.procs[p.slot] != p {
@@ -421,14 +417,12 @@ func (k *Kernel) AfterFunc(name string, d Time, fn func(p *Proc)) *Proc {
 	})
 }
 
-// park transfers control to the next runnable process (or, when nothing
-// may run, back to the kernel goroutine) and waits to be resumed.
+// park switches back to the dispatch loop and returns once the loop
+// dispatches p again. Sleep schedules that wake-up before parking; a
+// synchronization primitive leaves it to whoever calls k.wake(p).
 func (p *Proc) park(reason string) {
 	p.blockedOn = reason
-	if !p.k.dispatchNext() {
-		p.k.parked <- p
-	}
-	<-p.resume
+	p.c.yield(struct{}{})
 	p.blockedOn = ""
 }
 
@@ -436,9 +430,6 @@ func (p *Proc) park(reason string) {
 // sleep zero time (yield).
 func (p *Proc) Sleep(d Time) {
 	k := p.k
-	if k.halted {
-		panic(ErrHalted)
-	}
 	if d < 0 {
 		d = 0
 	}
@@ -450,7 +441,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	// Fast path: if no pending event precedes this wake-up, the scheduler
 	// would hand control straight back to this process — advance the
-	// clock in place and skip the heap and channel round trip entirely.
+	// clock in place and skip the heap and the carrier switch entirely.
 	// Ties go to a queued local event (its sequence number is older), but
 	// a delivered cross-domain message carries an intrinsic sequence at or
 	// above msgSeqBase and loses the tie to a local wake-up — exactly as
@@ -469,16 +460,8 @@ func (p *Proc) Sleep(d Time) {
 // processes scheduled for the same instant run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// block suspends the process without scheduling a wake-up; some other
-// process must call k.wake(p). Used by synchronization primitives.
-func (p *Proc) block(reason string) {
-	p.k.blocked++
-	p.park(reason)
-}
-
 // wake schedules a blocked process to resume at the current time.
 func (k *Kernel) wake(p *Proc) {
-	k.blocked--
 	k.schedule(p, k.now)
 }
 
@@ -488,12 +471,19 @@ func (p *Proc) Join(q *Proc) {
 		return
 	}
 	q.waiters = append(q.waiters, p)
-	p.block("join:" + q.name)
+	p.park("join")
 }
 
-// ErrHalted is the panic value raised in processes that call Sleep after
-// the kernel stopped.
-var ErrHalted = fmt.Errorf("sim: kernel halted")
+// reason describes why p is blocked, for deadlock reports. Join parks
+// under a bare "join"; its target is the live proc whose waiters hold p.
+func (k *Kernel) reason(p *Proc) string {
+	for _, q := range k.procs {
+		if slices.Contains(q.waiters, p) {
+			return "join:" + q.name
+		}
+	}
+	return p.blockedOn
+}
 
 // DeadlockError reports the simulation stopping with live, blocked
 // processes and no pending events.
@@ -509,7 +499,9 @@ func (e *DeadlockError) Error() string {
 // *DeadlockError if live processes remain blocked with an empty event
 // queue, and nil otherwise. On a kernel that belongs to a DomainGroup,
 // Run drives the whole group's window loop — callers need not know
-// whether the simulation was partitioned.
+// whether the simulation was partitioned. A panic in a process body is
+// raised again from Run on the caller's goroutine (from a worker's, when
+// a group runs on several workers).
 func (k *Kernel) Run() error {
 	if k.dom != nil {
 		return k.dom.g.Run()
@@ -521,7 +513,7 @@ func (k *Kernel) blockedProcNames() []string {
 	var names []string
 	for _, p := range k.procs {
 		if !p.done && !p.daemon && p.blockedOn != "" {
-			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.blockedOn))
+			names = append(names, fmt.Sprintf("%s (%s)", p.name, k.reason(p)))
 		}
 	}
 	if len(names) == 0 {
@@ -540,14 +532,12 @@ func (k *Kernel) RunFor(t Time) error {
 	return k.run(t)
 }
 
-// run drives the simulation with the given horizon. Control stays inside
-// the web of process goroutines (direct handoff in park) and only comes
-// back here — via the parked channel — when no process may run; the loop
-// then decides between termination, horizon stop and deadlock. The
-// switch cases mirror dispatchNext's gating conditions one to one, which
-// is what lets it delegate the actual handoff.
+// run is the dispatch loop of a plain kernel: it runs the next event
+// until only daemons are left, the queue is empty (a deadlock if
+// processes are still blocked) or the next event lies beyond horizon.
 func (k *Kernel) run(horizon Time) error {
 	k.horizon = horizon
+	defer k.releaseCarriers()
 	for {
 		switch {
 		case k.live <= k.daemons:
@@ -558,7 +548,6 @@ func (k *Kernel) run(horizon Time) error {
 			k.now = horizon
 			return nil
 		}
-		k.dispatchNext()
-		<-k.parked
+		k.dispatch()
 	}
 }

@@ -25,14 +25,14 @@ type waitQueue = minHeap[waiter]
 // modelling byte-counted resources such as NVRAM space.
 type Semaphore struct {
 	k     *Kernel
-	name  string
+	label string // blocking reason, built once so that a wait allocates nothing
 	units int64
 	q     waitQueue
 }
 
 // NewSemaphore returns a semaphore holding units units.
 func NewSemaphore(k *Kernel, name string, units int64) *Semaphore {
-	return &Semaphore{k: k, name: name, units: units}
+	return &Semaphore{k: k, label: "sem:" + name, units: units}
 }
 
 // Available returns the number of free units.
@@ -61,7 +61,7 @@ func (s *Semaphore) AcquirePri(p *Proc, n int64, pri int) {
 		return
 	}
 	s.q.push(waiter{p: p, pri: pri, seq: p.k.nextSeq(), n: n})
-	p.block("sem:" + s.name)
+	p.park(s.label)
 }
 
 // Release returns n units and wakes as many waiters as can now be served.
@@ -88,7 +88,7 @@ type Mutex struct{ s Semaphore }
 
 // NewMutex returns an unlocked mutex.
 func NewMutex(k *Kernel, name string) *Mutex {
-	return &Mutex{s: Semaphore{k: k, name: name, units: 1}}
+	return &Mutex{s: Semaphore{k: k, label: "sem:" + name, units: 1}}
 }
 
 // Lock acquires the mutex for p.
@@ -102,14 +102,14 @@ func (m *Mutex) Unlock() { m.s.Release(1) }
 // MPI_Barrier semantics used between benchmark phases.
 type Barrier struct {
 	k       *Kernel
-	name    string
+	label   string // blocking reason, built once
 	parties int
 	arrived []*Proc
 }
 
 // NewBarrier returns a barrier for parties processes.
 func NewBarrier(k *Kernel, name string, parties int) *Barrier {
-	return &Barrier{k: k, name: name, parties: parties}
+	return &Barrier{k: k, label: "barrier:" + name, parties: parties}
 }
 
 // Wait blocks p until all parties have called Wait.
@@ -125,24 +125,24 @@ func (b *Barrier) Wait(p *Proc) {
 		return
 	}
 	b.arrived = append(b.arrived, p)
-	p.block("barrier:" + b.name)
+	p.park(b.label)
 }
 
 // Cond is a waitable condition with explicit Signal/Broadcast, for
 // building primitives whose wake-ups are data-dependent.
 type Cond struct {
-	k    *Kernel
-	name string
-	q    []*Proc
+	k     *Kernel
+	label string // blocking reason, built once
+	q     []*Proc
 }
 
 // NewCond returns an empty condition.
-func NewCond(k *Kernel, name string) *Cond { return &Cond{k: k, name: name} }
+func NewCond(k *Kernel, name string) *Cond { return &Cond{k: k, label: "cond:" + name} }
 
 // Wait blocks p until a Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
 	c.q = append(c.q, p)
-	p.block("cond:" + c.name)
+	p.park(c.label)
 }
 
 // Signal wakes the oldest waiter, if any.
@@ -176,7 +176,7 @@ type Queue struct {
 
 // NewQueue returns an empty queue.
 func NewQueue(k *Kernel, name string) *Queue {
-	return &Queue{k: k, name: name, recv: Cond{k: k, name: "q:" + name}}
+	return &Queue{k: k, name: name, recv: Cond{k: k, label: "cond:q:" + name}}
 }
 
 // Put appends v and wakes one receiver.

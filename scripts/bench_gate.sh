@@ -4,18 +4,20 @@
 # Runs the substrate benchmarks into a fresh snapshot (bench-out/ by
 # default), compares BenchmarkSimulatedCreate, BenchmarkCachedGetattr,
 # BenchmarkSplitCreate, BenchmarkBackendCreate, BenchmarkDomainCreate,
-# BenchmarkNFSDomainCreate and BenchmarkAggregateInject ns/op against
-# the newest committed BENCH_*.json in the repo root, and for each
-# gated benchmark
+# BenchmarkNFSDomainCreate, BenchmarkAggregateInject,
+# BenchmarkKernelHandoff and BenchmarkKernelSpawn ns/op against the
+# newest committed BENCH_*.json in the repo root, and for each gated
+# benchmark
 #
 #   - fails (exit 1) on a regression worse than 2x,
 #   - warns on any regression above 15%,
 #   - passes otherwise.
 #
-# Absolute allocation guards ride along: BenchmarkAggregateInject's
-# steady state must report 0 allocs/op, and the hot create paths carry
-# allocs/op ceilings (alloc creep fails the build before it becomes a
-# ns/op regression). When the host fingerprint (CPU model/cores,
+# Absolute allocation guards ride along: BenchmarkAggregateInject's and
+# BenchmarkKernelHandoff's steady states must report 0 allocs/op, and
+# the hot create paths and BenchmarkKernelSpawn carry allocs/op
+# ceilings (alloc creep fails the build before it becomes a ns/op
+# regression). When the host fingerprint (CPU model/cores,
 # recorded by bench.sh) differs between baseline and candidate, the
 # gate prints a loud warning — cross-hardware ratios are advisory.
 #
@@ -89,7 +91,7 @@ if [ "$base_fp" != "$new_fp" ]; then
 fi
 
 status=0
-for bench in BenchmarkSimulatedCreate BenchmarkCachedGetattr BenchmarkSplitCreate BenchmarkBackendCreate BenchmarkDomainCreate BenchmarkNFSDomainCreate BenchmarkAggregateInject; do
+for bench in BenchmarkSimulatedCreate BenchmarkCachedGetattr BenchmarkSplitCreate BenchmarkBackendCreate BenchmarkDomainCreate BenchmarkNFSDomainCreate BenchmarkAggregateInject BenchmarkKernelHandoff BenchmarkKernelSpawn; do
 	base_ns=$(extract "$baseline" "$bench" ns_per_op)
 	new_ns=$(extract "$fresh" "$bench" ns_per_op)
 	if [ -z "$new_ns" ]; then
@@ -116,27 +118,31 @@ for bench in BenchmarkSimulatedCreate BenchmarkCachedGetattr BenchmarkSplitCreat
 	}' || status=1
 done
 
-# Allocation guard: the aggregate-injection steady state must stay
-# allocation-free (its per-op cost is the whole point of the model).
-# This is an absolute bound, not a baseline comparison, so it holds
-# from the first snapshot on.
-inject_allocs=$(extract "$fresh" BenchmarkAggregateInject allocs_per_op)
-if [ -z "$inject_allocs" ]; then
-	echo "bench_gate: BenchmarkAggregateInject allocs/op missing from $fresh" >&2
-	status=1
-elif awk -v a="$inject_allocs" 'BEGIN { exit !(a > 0) }'; then
-	echo "bench_gate: FAIL — BenchmarkAggregateInject allocates ($inject_allocs allocs/op, want 0)" >&2
-	status=1
-else
-	echo "bench_gate: BenchmarkAggregateInject allocs/op 0 — ok"
-fi
+# Allocation guards: the aggregate-injection steady state (its per-op
+# cost is the whole point of the model) and the kernel's park/resume
+# round trip must stay allocation-free. These are absolute bounds, not
+# baseline comparisons, so they hold from the first snapshot on.
+for bench in BenchmarkAggregateInject BenchmarkKernelHandoff; do
+	a=$(extract "$fresh" "$bench" allocs_per_op)
+	if [ -z "$a" ]; then
+		echo "bench_gate: $bench allocs/op missing from $fresh" >&2
+		status=1
+	elif awk -v a="$a" 'BEGIN { exit !(a > 0) }'; then
+		echo "bench_gate: FAIL — $bench allocates ($a allocs/op, want 0)" >&2
+		status=1
+	else
+		echo "bench_gate: $bench allocs/op 0 — ok"
+	fi
+done
 
 # Allocation-creep guards: absolute allocs/op ceilings on the hot
 # simulated-create paths, sized with headroom above the measured
-# steady state (ShardedCreate 7, DomainCreate 17, NFSDomainCreate 13).
-# Closure escapes on these paths creep in silently with refactors;
-# the ceiling turns the creep into a red build instead of a slow one.
-for guard in "BenchmarkShardedCreate 8" "BenchmarkDomainCreate 25" "BenchmarkNFSDomainCreate 20"; do
+# steady state (ShardedCreate 7, DomainCreate 17, NFSDomainCreate 13),
+# and on a process lifetime (KernelSpawn 2: the Proc and its joiner
+# list). Closure escapes on these paths creep in silently with
+# refactors; the ceiling turns the creep into a red build instead of a
+# slow one.
+for guard in "BenchmarkShardedCreate 8" "BenchmarkDomainCreate 25" "BenchmarkNFSDomainCreate 20" "BenchmarkKernelSpawn 3"; do
 	bench=${guard% *}
 	limit=${guard#* }
 	a=$(extract "$fresh" "$bench" allocs_per_op)
