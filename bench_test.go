@@ -338,8 +338,8 @@ func BenchmarkShardedCreate(b *testing.B) {
 // create on the domained sharded MDS (8 shards partitioned into 9
 // event-kernel domains, 8 concurrent client processes): the
 // conservative-lookahead substrate — window barriers, cross-domain
-// mailboxes, rendezvous RPCs — on top of the BenchmarkShardedCreate
-// path, gated alongside it.
+// mailboxes, RPCs that migrate the caller into the shard's domain and
+// back — on top of the BenchmarkShardedCreate path, gated alongside it.
 func BenchmarkDomainCreate(b *testing.B) {
 	k := sim.New(1)
 	cl := cluster.New(k, cluster.DefaultConfig(8))
@@ -439,9 +439,9 @@ func BenchmarkDomainedCell(b *testing.B) {
 // BenchmarkNFSDomainCreate measures the real-time cost of one simulated
 // create on the domained NFS filer (client domain + filer domain via
 // the shared service runtime, 4 concurrent client processes): the
-// cross-domain RPC path — CallDom rendezvous, reply-leg cache fills —
-// on top of the BenchmarkSimulatedCreate path, gated alongside
-// BenchmarkDomainCreate.
+// cross-domain RPC path — the caller's migration to the filer's domain
+// and back, reply cache fills — on top of the BenchmarkSimulatedCreate
+// path, gated alongside BenchmarkDomainCreate.
 func BenchmarkNFSDomainCreate(b *testing.B) {
 	k := sim.New(1)
 	cl := cluster.New(k, cluster.DefaultConfig(4))

@@ -59,9 +59,9 @@ type Config struct {
 	// service runtime (internal/service): domain 0 runs the clients (and
 	// the write-back flushers), and the MDS — namespace, journal,
 	// directory locks, prealloc pools — plus the OSS fan out round-robin
-	// over domains 1..D-1. RPCs and refills become timestamped
-	// cross-domain messages. With Domains <= 1 the model runs its exact
-	// legacy single-kernel code path, byte for byte.
+	// over domains 1..D-1. RPCs and refills carry the calling process
+	// into the server's domain and back. With Domains <= 1 the model
+	// runs its exact legacy single-kernel schedule, byte for byte.
 	Domains int
 }
 
@@ -276,17 +276,9 @@ func (f *FS) allocObject(sp *sim.Proc) {
 	f.nextOSS = (f.nextOSS + 1) % len(f.pool)
 	if f.pool[idx] == 0 {
 		f.RefillCount++
-		// The refill runs from an MDS-domain proc; the OSS may live in
-		// another domain, so the synchronous RPC goes through CallDom.
-		if f.domained() {
-			f.ossConn[idx].CallDom(sp, 200, 200, func(op *sim.Proc) {
-				op.Sleep(f.cfg.OSSRefillService)
-			})
-		} else {
-			f.ossConn[idx].Call(sp, 200, 200, func(op *sim.Proc) {
-				op.Sleep(f.cfg.OSSRefillService)
-			})
-		}
+		f.ossConn[idx].Call(sp, 200, 200, func(op *sim.Proc) {
+			op.Sleep(f.cfg.OSSRefillService)
+		})
 		f.pool[idx] = f.cfg.PreallocBatch
 	}
 	f.pool[idx]--
@@ -331,21 +323,14 @@ func (f *FS) lockParent(p string) *sim.Mutex {
 // flushLoop drains the write-back log of one node to the MDS.
 func (f *FS) flushLoop(p *sim.Proc, n *cluster.Node, s *wbState) {
 	conn := f.conn(n)
-	dom := f.domained()
 	for {
 		item := s.queue.Get(p).(string)
 		// Errors at replay (e.g. a conflicting create from another
 		// node) are dropped; the benchmark namespace is partitioned
 		// per process so conflicts cannot occur in our workloads.
-		if dom {
-			conn.CallDom(p, 200, 160, func(sp *sim.Proc) {
-				_ = f.mdsCreate(sp, item)
-			})
-		} else {
-			conn.Call(p, 200, 160, func(sp *sim.Proc) {
-				_ = f.mdsCreate(sp, item)
-			})
-		}
+		conn.Call(p, 200, 160, func(sp *sim.Proc) {
+			_ = f.mdsCreate(sp, item)
+		})
 		delete(s.pending, item)
 		s.window.Release(1)
 		s.flushed.Broadcast()
@@ -404,39 +389,23 @@ func (c *client) Create(p string) error {
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
-	// Separate literals per branch: CallDom's service parameter escapes
-	// (the cross-domain path stores it in a message), so a shared
-	// literal — and everything it captures — would heap-allocate on
-	// every undomained create too. The legacy literal only ever flows
-	// into Call and stays on the stack.
-	if c.fsys.domained() {
-		// Cross-domain the reply carries the fresh attributes: the
-		// namespace may not be read from the client's domain, so the
-		// cache fill is captured here and applied via Defer.
-		var err error
-		c.cn().CallDom(c.p, 220, 180, func(sp *sim.Proc) {
-			err = c.fsys.mdsCreate(sp, p)
-			if err == nil {
-				if a, serr := c.fsys.ns.Stat(p); serr == nil {
-					simnet.Defer(sp, func() {
-						st.attrs.Put(p, a)
-						st.dentries.PutPositive(p, a.Ino)
-					})
-				}
-			}
-		})
-		return err
-	}
-	var err error
+	// The reply carries the new file's attributes, copied out at the
+	// commit instant; the client caches them once the call returns.
+	var err, serr error
+	var a fs.Attr
 	c.cn().Call(c.p, 220, 180, func(sp *sim.Proc) {
 		err = c.fsys.mdsCreate(sp, p)
+		if err == nil {
+			a, serr = c.fsys.ns.Stat(p)
+		}
 	})
 	if err != nil {
 		return err
 	}
-	a, _ := c.fsys.ns.Stat(p)
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
+	if serr == nil {
+		st.attrs.Put(p, a)
+		st.dentries.PutPositive(p, a.Ino)
+	}
 	return nil
 }
 
@@ -460,20 +429,16 @@ func (c *client) pathExists(p string) (bool, error) {
 	}
 	cfg := c.cfg()
 	exists := false
-	c.cn().CallDom(c.p, 150, 170, func(sp *sim.Proc) {
+	c.cn().Call(c.p, 150, 170, func(sp *sim.Proc) {
 		sp.Sleep(cfg.GetattrService)
 		c.fsys.rpcs++
 		a, err := c.fsys.ns.Stat(p)
-		ok := err == nil
-		exists = ok
-		simnet.Defer(sp, func() {
-			if ok {
-				st.attrs.Put(p, a)
-				st.dentries.PutPositive(p, a.Ino)
-			} else {
-				st.dentries.PutNegative(p)
-			}
-		})
+		exists = err == nil
+		if exists {
+			simnet.Defer(sp, clientcache.PositiveFill(st.attrs, st.dentries, p, a))
+		} else {
+			simnet.Defer(sp, clientcache.NegativeFill(st.dentries, p))
+		}
 	})
 	return exists, nil
 }
@@ -503,11 +468,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	a, ok := st.attrs.Get(p)
 	if !ok {
 		var err error
-		if c.fsys.domained() {
-			a, err = c.statRPCDom(p, cfg)
-		} else {
-			a, err = c.statRPC(p, cfg)
-		}
+		a, err = c.statRPC(p, cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -518,28 +479,12 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	return c.nextFH, nil
 }
 
-// statRPC issues one GETATTR RPC on the single-kernel path. Its twin
-// statRPCDom carries a separate closure literal on purpose: CallDom's
-// service parameter escapes (the cross-domain path stores it in a
-// message), so one shared literal — and the Config and result slots it
-// captures — would heap-allocate on every undomained GETATTR too.
+// statRPC issues one GETATTR RPC; the body only copies the attributes
+// out, never touching client state.
 func (c *client) statRPC(p string, cfg Config) (fs.Attr, error) {
 	var a fs.Attr
 	var err error
 	c.cn().Call(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(cfg.GetattrService)
-		c.fsys.rpcs++
-		a, err = c.fsys.ns.Stat(p)
-	})
-	return a, err
-}
-
-// statRPCDom is statRPC against the domained MDS: the body only copies
-// the attr out through the rendezvous, never touching client state.
-func (c *client) statRPCDom(p string, cfg Config) (fs.Attr, error) {
-	var a fs.Attr
-	var err error
-	c.cn().CallDom(c.p, 150, 170, func(sp *sim.Proc) {
 		sp.Sleep(cfg.GetattrService)
 		c.fsys.rpcs++
 		a, err = c.fsys.ns.Stat(p)
@@ -595,15 +540,9 @@ func (c *client) flushData(of *openFile) {
 		idx = int(of.written) % n
 	}
 	conn := simnet.NewConn(c.fsys.k, c.fsys.oss[idx], cfg.OneWayLatency, 0)
-	if c.fsys.domained() {
-		conn.CallDom(c.p, 150+of.written, 150, func(sp *sim.Proc) {
-			sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.written)/65536)))
-		})
-	} else {
-		conn.Call(c.p, 150+of.written, 150, func(sp *sim.Proc) {
-			sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.written)/65536)))
-		})
-	}
+	conn.Call(c.p, 150+of.written, 150, func(sp *sim.Proc) {
+		sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.written)/65536)))
+	})
 	st := c.st()
 	written := of.written
 	if a, ok := st.pending[of.path]; ok {
@@ -726,29 +665,8 @@ func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc)
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
-	// The domained twin lives in its own method so its escaping CallDom
-	// closure never heap-boxes the Config on undomained mutations.
-	if c.fsys.domained() {
-		return c.modifyRPCDom(p, svc, cfg, apply)
-	}
 	var err error
 	c.cn().Call(c.p, 200, 160, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		t := float64(svc) * cfg.DirIndex.EntryCost(c.fsys.parentEntries(p))
-		sp.Sleep(time.Duration(t))
-		c.fsys.rpcs++
-		err = apply(sp)
-	})
-	return err
-}
-
-func (c *client) modifyRPCDom(p string, svc time.Duration, cfg Config, apply func(sp *sim.Proc) error) error {
-	var err error
-	c.cn().CallDom(c.p, 200, 160, func(sp *sim.Proc) {
 		lock := c.fsys.lockParent(p)
 		if lock != nil {
 			lock.Lock(sp)
@@ -774,13 +692,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if a, ok := st.attrs.Get(p); ok {
 		return a, nil
 	}
-	var a fs.Attr
-	var err error
-	if c.fsys.domained() {
-		a, err = c.statRPCDom(p, cfg)
-	} else {
-		a, err = c.statRPC(p, cfg)
-	}
+	a, err := c.statRPC(p, cfg)
 	if err != nil {
 		return fs.Attr{}, err
 	}
@@ -793,33 +705,9 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	cfg := c.cfg()
 	c.node.Syscall(c.p)
-	if c.fsys.domained() {
-		return c.readDirDom(p, cfg)
-	}
 	var ents []fs.DirEntry
 	var err error
 	c.cn().Call(c.p, 150, 300, func(sp *sim.Proc) {
-		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
-		pages := 1
-		if err == nil {
-			pages = (len(ents) + 1023) / 1024
-			if pages < 1 {
-				pages = 1
-			}
-		}
-		sp.Sleep(time.Duration(pages)*cfg.ReaddirService +
-			time.Duration(len(ents))*cfg.ReaddirPerEntry)
-		c.fsys.rpcs++
-	})
-	return ents, err
-}
-
-// readDirDom is ReadDir against the domained MDS: the entry slice is
-// built server-side and copied out through the rendezvous.
-func (c *client) readDirDom(p string, cfg Config) ([]fs.DirEntry, error) {
-	var ents []fs.DirEntry
-	var err error
-	c.cn().CallDom(c.p, 150, 300, func(sp *sim.Proc) {
 		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
 		pages := 1
 		if err == nil {

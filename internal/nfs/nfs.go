@@ -59,9 +59,9 @@ type Config struct {
 	// Domains > 1 partitions the cell into kernel domains via the shared
 	// service runtime (internal/service): domain 0 runs the clients,
 	// domain 1 the filer — its thread pool, WAFL, namespace and
-	// directory locks — and every RPC becomes a timestamped
-	// cross-domain message. With Domains <= 1 the model runs its exact
-	// legacy single-kernel code path, byte for byte.
+	// directory locks — and every RPC carries the calling process into
+	// the filer's domain and back. With Domains <= 1 the model runs its
+	// exact legacy single-kernel schedule, byte for byte.
 	Domains int
 }
 
@@ -303,18 +303,10 @@ func (c *client) cn() *simnet.Conn { return c.fsys.conn(c.node) }
 // cache, issuing one LOOKUP RPC per missing component — the POSIX
 // requirement that every path component is checked (§2.3.1). With warm
 // dentries (30 s TTL) the walk is free; after a cache drop a deep path
-// costs one round trip per level.
+// costs one round trip per level. The dentry fill rides the reply
+// (simnet.Defer).
 func (c *client) resolveParents(p string) error {
 	cfg := c.cfg()
-	// The domained walk lives in its own method on purpose: CallDom's
-	// service parameter escapes (the cross-domain path stores it in a
-	// message), so everything its closure captures — including the large
-	// Config, which is captured by reference — would be heap-boxed at
-	// entry of *this* function even on undomained runs. The legacy
-	// literal below only ever flows into Call and stays on the stack.
-	if c.fsys.domained() {
-		return c.resolveParentsDom(p, cfg)
-	}
 	st := c.st()
 	for i := 1; i < len(p); i++ {
 		if p[i] != '/' {
@@ -333,10 +325,9 @@ func (c *client) resolveParents(p string) error {
 			var a fs.Attr
 			a, err = c.fsys.ns.Stat(prefix)
 			if err == nil {
-				st.dentries.PutPositive(prefix, a.Ino)
-				st.attrs.Put(prefix, a)
+				simnet.Defer(sp, clientcache.PositiveFill(st.attrs, st.dentries, prefix, a))
 			} else {
-				st.dentries.PutNegative(prefix)
+				simnet.Defer(sp, clientcache.NegativeFill(st.dentries, prefix))
 			}
 		})
 		if err != nil {
@@ -346,61 +337,37 @@ func (c *client) resolveParents(p string) error {
 	return nil
 }
 
-// resolveParentsDom is resolveParents against the domained filer: cache
-// fills are client state, so cross-domain they ride the reply (Defer)
-// back to the client's domain.
-func (c *client) resolveParentsDom(p string, cfg Config) error {
-	st := c.st()
-	for i := 1; i < len(p); i++ {
-		if p[i] != '/' {
-			continue
-		}
-		prefix := p[:i]
-		if _, neg, ok := st.dentries.Lookup(prefix); ok {
-			if neg {
-				return fs.NewError("lookup", prefix, fs.ENOENT)
-			}
-			continue
-		}
-		var err error
-		c.cn().CallDom(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.LookupService, -1)
-			var a fs.Attr
-			a, err = c.fsys.ns.Stat(prefix)
-			simnet.Defer(sp, func() {
-				if err == nil {
-					st.dentries.PutPositive(prefix, a.Ino)
-					st.attrs.Put(prefix, a)
-				} else {
-					st.dentries.PutNegative(prefix)
-				}
-			})
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// remember caches a as p's attributes and positive dentry.
+func (st *nodeState) remember(p string, a fs.Attr) {
+	st.dentries.PutPositive(p, a.Ino)
+	st.attrs.Put(p, a)
+}
+
+// stat copies p's attributes out of the filer's namespace, reporting
+// whether p resolves. Service bodies call it at the commit instant; the
+// reply carries the copy to the client.
+func (f *FS) stat(p string) (fs.Attr, bool) {
+	a, err := f.ns.Stat(p)
+	return a, err == nil
 }
 
 // Create performs open(O_CREAT|O_EXCL)+close: one synchronous CREATE RPC
 // under the client-side parent i_mutex and the server-side directory
-// lock.
+// lock. The reply carries the file's attributes (also on EEXIST), which
+// the client caches once the call returns.
 func (c *client) Create(p string) error {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)
 	if err := c.resolveParents(p); err != nil {
 		return err
 	}
-	if c.fsys.domained() {
-		return c.createDom(p, cfg)
-	}
-	parent := fs.ParentDir(p)
-	imutex := c.node.DirLock(parent)
+	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
 
 	var err error
+	var a fs.Attr
+	found := false
 	c.cn().Call(c.p, 160, 160, func(sp *sim.Proc) {
 		lock := c.fsys.lockParent(p)
 		if lock != nil {
@@ -413,70 +380,35 @@ func (c *client) Create(p string) error {
 		if err == nil {
 			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
 		}
-	})
-	if err != nil {
-		if fs.IsExist(err) {
-			if a, serr := c.fsys.ns.Stat(p); serr == nil {
-				c.st().attrs.Put(p, a)
-				c.st().dentries.PutPositive(p, a.Ino)
-			}
-		}
-		return err
-	}
-	a, _ := c.fsys.ns.Stat(p)
-	c.st().attrs.Put(p, a)
-	c.st().dentries.PutPositive(p, a.Ino)
-	return nil
-}
-
-// createDom is Create against the domained filer. Cross-domain the
-// reply carries the fresh attributes: the namespace may not be read
-// from the client's domain, so the cache fill is captured in the
-// service body and applied via Defer. Split from Create so the escaping
-// CallDom closure never heap-boxes state shared with the legacy path.
-func (c *client) createDom(p string, cfg Config) error {
-	imutex := c.node.DirLock(fs.ParentDir(p))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-
-	var err error
-	c.cn().CallDom(c.p, 160, 160, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		entries := c.fsys.parentEntries(p)
-		c.fsys.service(sp, cfg.CreateService, entries)
-		_, err = c.fsys.ns.Create(p, 0o644, sp.Now())
-		if err == nil {
-			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
-		}
 		if err == nil || fs.IsExist(err) {
-			if a, serr := c.fsys.ns.Stat(p); serr == nil {
-				simnet.Defer(sp, func() {
-					c.st().attrs.Put(p, a)
-					c.st().dentries.PutPositive(p, a.Ino)
-				})
-			}
+			a, found = c.fsys.stat(p)
 		}
 	})
+	if found {
+		c.st().remember(p, a)
+	}
 	return err
 }
 
 // Open resolves the path (dentry cache, else LOOKUP RPC) and returns a
 // handle. Close-to-open: a fresh GETATTR piggybacks on the lookup.
+//
+// The single-kernel client reads the file size for free from the
+// filer's namespace. A domained client may not: the size rides the
+// LOOKUP reply, comes from a fresh attribute cache entry (the
+// close-to-open GETATTR that populated it still applies), or costs a
+// real GETATTR revalidation — the round trip an actual NFS client
+// issues at open time.
 func (c *client) Open(p string) (fs.Handle, error) {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)
 	if err := c.resolveParents(p); err != nil {
 		return 0, err
 	}
-	if c.fsys.domained() {
-		return c.openDom(p, cfg)
-	}
 	st := c.st()
 	ino, neg, ok := st.dentries.Lookup(p)
+	var size int64
+	sized := false
 	if !ok {
 		var err error
 		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
@@ -484,56 +416,10 @@ func (c *client) Open(p string) (fs.Handle, error) {
 			var a fs.Attr
 			a, err = c.fsys.ns.Stat(p)
 			if err == nil {
-				ino = a.Ino
-				st.attrs.Put(p, a)
-				st.dentries.PutPositive(p, a.Ino)
-			} else {
-				st.dentries.PutNegative(p)
-			}
-		})
-		if err != nil {
-			return 0, err
-		}
-	} else if neg {
-		return 0, fs.NewError("open", p, fs.ENOENT)
-	}
-	node := c.fsys.ns.Get(ino)
-	if node == nil {
-		st.dentries.Invalidate(p)
-		return 0, fs.NewError("open", p, fs.ESTALE)
-	}
-	c.nextFH++
-	h := c.nextFH
-	c.handles[h] = &openFile{path: p, ino: ino, size: node.Size}
-	return h, nil
-}
-
-// openDom is Open against the domained filer. The namespace lives in
-// the filer's domain, so the legacy free read of node.Size is off
-// limits: the size rides the LOOKUP reply, comes from a fresh attribute
-// cache entry (the close-to-open GETATTR that populated it still
-// applies), or costs a real GETATTR revalidation — the round trip an
-// actual NFS client issues at open time. Split from Open so its
-// escaping CallDom closures never tax the undomained path.
-func (c *client) openDom(p string, cfg Config) (fs.Handle, error) {
-	st := c.st()
-	ino, neg, ok := st.dentries.Lookup(p)
-	var size int64
-	sized := false
-	if !ok {
-		var err error
-		c.cn().CallDom(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.LookupService, c.fsys.parentEntries(p))
-			var a fs.Attr
-			a, err = c.fsys.ns.Stat(p)
-			if err == nil {
 				ino, size, sized = a.Ino, a.Size, true
-				simnet.Defer(sp, func() {
-					st.attrs.Put(p, a)
-					st.dentries.PutPositive(p, a.Ino)
-				})
+				simnet.Defer(sp, clientcache.PositiveFill(st.attrs, st.dentries, p, a))
 			} else {
-				simnet.Defer(sp, func() { st.dentries.PutNegative(p) })
+				simnet.Defer(sp, clientcache.NegativeFill(st.dentries, p))
 			}
 		})
 		if err != nil {
@@ -542,23 +428,27 @@ func (c *client) openDom(p string, cfg Config) (fs.Handle, error) {
 	} else if neg {
 		return 0, fs.NewError("open", p, fs.ENOENT)
 	}
-	if !sized {
-		if a, ok := st.attrs.Get(p); ok {
-			size, sized = a.Size, true
+	switch {
+	case !c.fsys.domained():
+		node := c.fsys.ns.Get(ino)
+		if node == nil {
+			st.dentries.Invalidate(p)
+			return 0, fs.NewError("open", p, fs.ESTALE)
 		}
-	}
-	if !sized {
+		size = node.Size
+	case !sized:
+		if a, ok := st.attrs.Get(p); ok {
+			size = a.Size
+			break
+		}
 		var err error
-		c.cn().CallDom(c.p, 120, 140, func(sp *sim.Proc) {
+		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
 			c.fsys.service(sp, cfg.GetattrService, -1)
 			var a fs.Attr
 			a, err = c.fsys.ns.Stat(p)
 			if err == nil {
-				ino, size, sized = a.Ino, a.Size, true
-				simnet.Defer(sp, func() {
-					st.attrs.Put(p, a)
-					st.dentries.PutPositive(p, a.Ino)
-				})
+				ino, size = a.Ino, a.Size
+				simnet.Defer(sp, clientcache.PositiveFill(st.attrs, st.dentries, p, a))
 			}
 		})
 		if err != nil {
@@ -613,13 +503,13 @@ func (c *client) Fsync(h fs.Handle) error {
 	return nil
 }
 
+// flush writes the dirty bytes back; the reply carries the post-write
+// attributes, which refresh the client's attribute cache.
 func (c *client) flush(of *openFile) {
 	cfg := c.cfg()
-	if c.fsys.domained() {
-		c.flushDom(of, cfg)
-		return
-	}
 	newSize := of.size + of.written
+	var a fs.Attr
+	found := false
 	c.cn().Call(c.p, 120+of.written, 140, func(sp *sim.Proc) {
 		t := time.Duration(float64(cfg.WriteServicePerKB) * float64(of.written) / 1024)
 		if of.size <= cfg.InodeInlineBytes && newSize > cfg.InodeInlineBytes {
@@ -629,83 +519,39 @@ func (c *client) flush(of *openFile) {
 		c.fsys.service(sp, t, -1)
 		c.fsys.ns.SetSize(of.ino, newSize, sp.Now())
 		c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes+of.written)
+		a, found = c.fsys.stat(of.path)
 	})
 	of.size = newSize
 	of.written = 0
 	of.dirty = false
-	if a, err := c.fsys.ns.Stat(of.path); err == nil {
+	if found {
 		c.st().attrs.Put(of.path, a)
 	}
 }
 
-// flushDom is flush against the domained filer: the post-write
-// attribute refresh is captured server-side and Defer'd back.
-func (c *client) flushDom(of *openFile, cfg Config) {
-	newSize := of.size + of.written
-	c.cn().CallDom(c.p, 120+of.written, 140, func(sp *sim.Proc) {
-		t := time.Duration(float64(cfg.WriteServicePerKB) * float64(of.written) / 1024)
-		if of.size <= cfg.InodeInlineBytes && newSize > cfg.InodeInlineBytes {
-			// Crossing the inline threshold allocates the first block.
-			t += cfg.BlockAllocService
-		}
-		c.fsys.service(sp, t, -1)
-		c.fsys.ns.SetSize(of.ino, newSize, sp.Now())
-		c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes+of.written)
-		if a, err := c.fsys.ns.Stat(of.path); err == nil {
-			simnet.Defer(sp, func() { c.st().attrs.Put(of.path, a) })
-		}
-	})
-	of.size = newSize
-	of.written = 0
-	of.dirty = false
-}
-
-// Mkdir issues a synchronous MKDIR RPC.
+// Mkdir issues a synchronous MKDIR RPC. The reply's attributes (also on
+// EEXIST) replace any negative dentry an earlier failed lookup left.
 func (c *client) Mkdir(p string) error {
-	if c.fsys.domained() {
-		return c.modifyRPCDom("mkdir", p, c.cfg().MkdirService, func(sp *sim.Proc) error {
-			_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
-			if err == nil || fs.IsExist(err) {
-				c.captureFill(sp, p)
-			}
-			return err
-		})
-	}
+	var a fs.Attr
+	found := false
 	err := c.modifyRPC("mkdir", p, c.cfg().MkdirService, func(sp *sim.Proc) error {
 		_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
-		return err
-	})
-	if err != nil {
-		if fs.IsExist(err) {
-			if a, serr := c.fsys.ns.Stat(p); serr == nil {
-				st := c.st()
-				st.dentries.PutPositive(p, a.Ino)
-				st.attrs.Put(p, a)
-			}
+		if err == nil || fs.IsExist(err) {
+			a, found = c.fsys.stat(p)
 		}
 		return err
+	})
+	if found {
+		c.st().remember(p, a)
 	}
-	// Replace any negative dentry left by an earlier failed lookup.
-	if a, serr := c.fsys.ns.Stat(p); serr == nil {
-		st := c.st()
-		st.dentries.PutPositive(p, a.Ino)
-		st.attrs.Put(p, a)
-	}
-	return nil
+	return err
 }
 
 // Rmdir issues a synchronous RMDIR RPC.
 func (c *client) Rmdir(p string) error {
-	var err error
-	if c.fsys.domained() {
-		err = c.modifyRPCDom("rmdir", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-			return c.fsys.ns.Rmdir(p, sp.Now())
-		})
-	} else {
-		err = c.modifyRPC("rmdir", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-			return c.fsys.ns.Rmdir(p, sp.Now())
-		})
-	}
+	err := c.modifyRPC("rmdir", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
+		return c.fsys.ns.Rmdir(p, sp.Now())
+	})
 	if err == nil {
 		c.st().attrs.Invalidate(p)
 		c.st().dentries.Invalidate(p)
@@ -715,16 +561,9 @@ func (c *client) Rmdir(p string) error {
 
 // Unlink issues a synchronous REMOVE RPC.
 func (c *client) Unlink(p string) error {
-	var err error
-	if c.fsys.domained() {
-		err = c.modifyRPCDom("unlink", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-			return c.fsys.ns.Unlink(p, sp.Now())
-		})
-	} else {
-		err = c.modifyRPC("unlink", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-			return c.fsys.ns.Unlink(p, sp.Now())
-		})
-	}
+	err := c.modifyRPC("unlink", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
+		return c.fsys.ns.Unlink(p, sp.Now())
+	})
 	if err == nil {
 		c.st().attrs.Invalidate(p)
 		c.st().dentries.Invalidate(p)
@@ -734,35 +573,21 @@ func (c *client) Unlink(p string) error {
 
 // Rename issues a synchronous RENAME RPC (atomic at the server).
 func (c *client) Rename(oldPath, newPath string) error {
-	if c.fsys.domained() {
-		err := c.modifyRPCDom("rename", oldPath, c.cfg().RenameService, func(sp *sim.Proc) error {
-			err := c.fsys.ns.Rename(oldPath, newPath, sp.Now())
-			if err == nil && !c.captureFill(sp, newPath) {
-				simnet.Defer(sp, func() {
-					st := c.st()
-					st.attrs.Invalidate(newPath)
-					st.dentries.Invalidate(newPath)
-				})
-			}
-			return err
-		})
+	var a fs.Attr
+	found := false
+	err := c.modifyRPC("rename", oldPath, c.cfg().RenameService, func(sp *sim.Proc) error {
+		err := c.fsys.ns.Rename(oldPath, newPath, sp.Now())
 		if err == nil {
-			st := c.st()
-			st.attrs.Invalidate(oldPath)
-			st.dentries.Invalidate(oldPath)
+			a, found = c.fsys.stat(newPath)
 		}
 		return err
-	}
-	err := c.modifyRPC("rename", oldPath, c.cfg().RenameService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Rename(oldPath, newPath, sp.Now())
 	})
 	if err == nil {
 		st := c.st()
 		st.attrs.Invalidate(oldPath)
 		st.dentries.Invalidate(oldPath)
-		if a, serr := c.fsys.ns.Stat(newPath); serr == nil {
-			st.dentries.PutPositive(newPath, a.Ino)
-			st.attrs.Put(newPath, a)
+		if found {
+			st.remember(newPath, a)
 		} else {
 			st.attrs.Invalidate(newPath)
 			st.dentries.Invalidate(newPath)
@@ -773,60 +598,42 @@ func (c *client) Rename(oldPath, newPath string) error {
 
 // Link issues a synchronous LINK RPC.
 func (c *client) Link(oldPath, newPath string) error {
-	if c.fsys.domained() {
-		return c.modifyRPCDom("link", newPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-			err := c.fsys.ns.Link(oldPath, newPath, sp.Now())
-			if err == nil {
-				c.captureFill(sp, newPath)
-			}
-			return err
-		})
-	}
+	var a fs.Attr
+	found := false
 	err := c.modifyRPC("link", newPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
-	})
-	if err != nil {
+		err := c.fsys.ns.Link(oldPath, newPath, sp.Now())
+		if err == nil {
+			a, found = c.fsys.stat(newPath)
+		}
 		return err
+	})
+	if found {
+		c.st().remember(newPath, a)
 	}
-	if a, serr := c.fsys.ns.Stat(newPath); serr == nil {
-		st := c.st()
-		st.dentries.PutPositive(newPath, a.Ino)
-		st.attrs.Put(newPath, a)
-	}
-	return nil
+	return err
 }
 
 // Symlink issues a synchronous SYMLINK RPC.
 func (c *client) Symlink(target, linkPath string) error {
-	if c.fsys.domained() {
-		return c.modifyRPCDom("symlink", linkPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-			_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-			if e == nil {
-				c.captureFill(sp, linkPath)
-			}
-			return e
-		})
-	}
+	var a fs.Attr
+	found := false
 	err := c.modifyRPC("symlink", linkPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-		return e
-	})
-	if err != nil {
+		_, err := c.fsys.ns.Symlink(target, linkPath, sp.Now())
+		if err == nil {
+			a, found = c.fsys.stat(linkPath)
+		}
 		return err
+	})
+	if found {
+		c.st().remember(linkPath, a)
 	}
-	if a, serr := c.fsys.ns.Stat(linkPath); serr == nil {
-		st := c.st()
-		st.dentries.PutPositive(linkPath, a.Ino)
-		st.attrs.Put(linkPath, a)
-	}
-	return nil
+	return err
 }
 
-// modifyRPC is the common path of the namespace-changing operations on
-// the legacy single-kernel filer. Its apply parameter only ever flows
-// into Conn.Call, so caller literals stay on the stack; domained
-// callers go through modifyRPCDom instead — a separate method for the
-// same closure-escape reason CallDom is separate from Call.
+// modifyRPC is the common path of the namespace-changing operations.
+// apply runs in the service body, on the filer's kernel domain: it may
+// read the namespace and copy out reply attributes, but must not touch
+// client state.
 func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.Proc) error) error {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)
@@ -852,54 +659,6 @@ func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.P
 	return err
 }
 
-// modifyRPCDom is modifyRPC for the domained filer: the service body
-// (and the caller's apply closure inside it) executes in the filer's
-// kernel domain, so apply may read the namespace and register cache
-// fills with simnet.Defer, but must not touch client state directly.
-func (c *client) modifyRPCDom(op, p string, svc time.Duration, apply func(sp *sim.Proc) error) error {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
-	if err := c.resolveParents(p); err != nil {
-		return err
-	}
-	imutex := c.node.DirLock(fs.ParentDir(p))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-	var err error
-	c.cn().CallDom(c.p, 150, 140, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		c.fsys.service(sp, svc, c.fsys.parentEntries(p))
-		err = apply(sp)
-		if err == nil {
-			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
-		}
-	})
-	return err
-}
-
-// captureFill snapshots path's server-side attributes from within a
-// cross-domain service body (after the mutation applied) and registers
-// the client cache fill for reply time. It reports whether the path
-// resolved. Callers use it where the legacy code reads the namespace
-// after the call returns — off limits once the namespace lives in the
-// filer's domain.
-func (c *client) captureFill(sp *sim.Proc, path string) bool {
-	a, err := c.fsys.ns.Stat(path)
-	if err != nil {
-		return false
-	}
-	simnet.Defer(sp, func() {
-		st := c.st()
-		st.dentries.PutPositive(path, a.Ino)
-		st.attrs.Put(path, a)
-	})
-	return true
-}
-
 // Stat serves from the attribute cache when fresh, else issues GETATTR.
 func (c *client) Stat(p string) (fs.Attr, error) {
 	cfg := c.cfg()
@@ -910,9 +669,6 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	}
 	if err := c.resolveParents(p); err != nil {
 		return fs.Attr{}, err
-	}
-	if c.fsys.domained() {
-		return c.statDom(p, cfg)
 	}
 	var a fs.Attr
 	var err error
@@ -928,57 +684,13 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	return a, nil
 }
 
-// statDom is the GETATTR miss path against the domained filer. The body
-// only copies the attr out; the client-side cache puts read that copy
-// after the rendezvous, never the namespace.
-func (c *client) statDom(p string, cfg Config) (fs.Attr, error) {
-	st := c.st()
-	var a fs.Attr
-	var err error
-	c.cn().CallDom(c.p, 120, 140, func(sp *sim.Proc) {
-		c.fsys.service(sp, cfg.GetattrService, -1)
-		a, err = c.fsys.ns.Stat(p)
-	})
-	if err != nil {
-		return fs.Attr{}, err
-	}
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
-	return a, nil
-}
-
 // ReadDir pages through the directory in 512-entry READDIR RPCs.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	cfg := c.cfg()
 	c.node.Syscall(c.p)
-	if c.fsys.domained() {
-		return c.readDirDom(p, cfg)
-	}
 	var ents []fs.DirEntry
 	var err error
 	c.cn().Call(c.p, 130, 260, func(sp *sim.Proc) {
-		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
-		if err != nil {
-			c.fsys.service(sp, cfg.ReaddirService, -1)
-			return
-		}
-		pages := (len(ents) + 511) / 512
-		if pages < 1 {
-			pages = 1
-		}
-		t := time.Duration(pages)*cfg.ReaddirService +
-			time.Duration(len(ents))*cfg.ReaddirPerEntry
-		c.fsys.service(sp, t, -1)
-	})
-	return ents, err
-}
-
-// readDirDom is ReadDir against the domained filer: the entry slice is
-// built server-side and copied out through the rendezvous.
-func (c *client) readDirDom(p string, cfg Config) ([]fs.DirEntry, error) {
-	var ents []fs.DirEntry
-	var err error
-	c.cn().CallDom(c.p, 130, 260, func(sp *sim.Proc) {
 		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
 		if err != nil {
 			c.fsys.service(sp, cfg.ReaddirService, -1)

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"dmetabench/internal/clientcache"
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/sim"
@@ -154,7 +155,7 @@ func (f *FS) cbDeliver(p *sim.Proc, st *nodeState, inval func()) {
 	if !f.domained() {
 		apply = nil
 	}
-	st.cbConn.CallDom(p, 90, 60, func(q *sim.Proc) {
+	st.cbConn.Call(p, 90, 60, func(q *sim.Proc) {
 		if apply != nil {
 			apply()
 		}
@@ -209,12 +210,7 @@ func (f *FS) grantAt(q *sim.Proc, st *nodeState, path string, a fs.Attr, slice i
 		t.read[path] = append(grants, leaseGrant{st: st, expiry: exp})
 	}
 	addI64(&f.LeaseGrants, 1)
-	if f.domained() {
-		ep := f.epochs[slice]
-		simnet.Defer(q, func() { st.leases.Put(path, a, exp, slice, ep) })
-		return
-	}
-	st.leases.Put(path, a, exp, slice, f.epochs[slice])
+	simnet.Defer(q, clientcache.LeaseFill(st.leases, path, a, exp, slice, f.epochs[slice]))
 }
 
 // revokePath drops every read lease on path: one callback per holder
@@ -241,12 +237,7 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 	for _, g := range grants {
 		switch {
 		case g.st == mutator:
-			if dom {
-				st := g.st
-				simnet.Defer(p, func() { st.leases.Invalidate(path) })
-			} else {
-				g.st.leases.Invalidate(path)
-			}
+			simnet.Defer(p, clientcache.LeaseDropFill(g.st.leases, path))
 		case g.expiry < now:
 		default:
 			if !dom {
@@ -453,25 +444,18 @@ func (c *client) cachedAttr(p string) (fs.Attr, bool) {
 // fillEntry caches the attributes of p on the client under the
 // configured mode — a plain TTL put, or a server-recorded lease grant.
 // The client-side cache writes go through simnet.Defer: immediate on
-// the single-kernel path (and from client-side callers), at reply
-// delivery when the fill happens inside a cross-domain service body.
+// the single-kernel path (and from client-side callers), once the
+// caller is home when the fill happens inside a cross-domain service
+// body.
 func (c *client) fillEntry(p2 *sim.Proc, p string, a fs.Attr) {
 	st := c.st()
-	if simnet.Deferred(p2) {
-		simnet.Defer(p2, func() { st.dentries.PutPositive(p, a.Ino) })
-	} else {
-		st.dentries.PutPositive(p, a.Ino)
+	attrs := st.attrs
+	if c.cfg().CacheMode != CacheTTL {
+		attrs = nil
 	}
-	switch c.cfg().CacheMode {
-	case CacheNone:
-	case CacheLease:
+	simnet.Defer(p2, clientcache.PositiveFill(attrs, st.dentries, p, a))
+	if c.cfg().CacheMode == CacheLease {
 		c.fsys.grant(p2, st, p, a)
-	default:
-		if simnet.Deferred(p2) {
-			simnet.Defer(p2, func() { st.attrs.Put(p, a) })
-		} else {
-			st.attrs.Put(p, a)
-		}
 	}
 }
 

@@ -68,27 +68,17 @@ func (f *FS) atSync(p *sim.Proc, fn func()) { f.rt.AtSync(p, fn) }
 
 // peerLeg runs body on ps's peer pool across the interconnect:
 // coordination CPU on the caller, the round trip, and the body holding
-// one peer thread. When ps lives in another domain the leg is a
-// cross-domain rendezvous — the one-way latencies ride the message
-// timestamps and the body runs in ps's domain while the caller blocks;
-// the virtual-time cost is identical to the inline path.
+// one peer thread. When ps lives in another domain the caller migrates
+// there for the body (sim.Call) and the one-way latencies ride the
+// migration; the virtual-time cost is identical to the inline path.
 func (f *FS) peerLeg(sp *sim.Proc, ps *shardSrv, name string, body func(q *sim.Proc)) {
 	sp.Sleep(f.cfg.CrossShardOverhead)
-	if dk := f.kFor(ps.index); f.domained() && dk != sp.Kernel() {
-		sim.Call(sp, dk, f.cfg.CrossShardLatency, name, func(q *sim.Proc) {
-			ps.peer.Threads.Acquire(q)
-			q.Sleep(f.cfg.CrossShardOverhead)
-			body(q)
-			ps.peer.Threads.Release()
-		})
-		return
-	}
-	sp.Sleep(f.cfg.CrossShardLatency)
-	ps.peer.Do(sp, func(q *sim.Proc) {
+	sim.Call(sp, f.kFor(ps.index), f.cfg.CrossShardLatency, name, func(q *sim.Proc) {
+		ps.peer.Threads.Acquire(q)
 		q.Sleep(f.cfg.CrossShardOverhead)
 		body(q)
+		ps.peer.Threads.Release()
 	})
-	sp.Sleep(f.cfg.CrossShardLatency)
 }
 
 // applyState runs fn against slice state at the commit instant. When

@@ -912,8 +912,8 @@ func scanInfo() opInfo { return opInfo{cls: opScan, dirSize: -1} }
 // coordination CPU on the caller, the interconnect round trip, and body
 // running on the destination's peer pool (never its client pool, so
 // forwarded work cannot deadlock against incoming requests). When the
-// destination lives in another kernel domain, peerLeg turns the round
-// trip into a cross-domain rendezvous with identical virtual-time cost.
+// destination lives in another kernel domain, peerLeg moves the caller
+// there for the body, at identical virtual-time cost.
 func (f *FS) hop(sp *sim.Proc, dst *shardSrv, body func(q *sim.Proc)) {
 	addI64(&f.CrossCount, 1)
 	f.peerLeg(sp, dst, "hop:"+strconv.Itoa(dst.index), body)
@@ -1115,10 +1115,8 @@ type client struct {
 }
 
 // cfg returns the FS config by pointer: the config is immutable after
-// New, and a pointer keeps the 500-byte struct out of every escaping
-// service closure (a by-reference capture of the value would heap-box
-// it once per client op, even on cache-hit paths that never issue the
-// RPC).
+// New, and service closures capture the pointer instead of the
+// 500-byte struct.
 func (c *client) cfg() *Config   { return &c.fsys.cfg }
 func (c *client) st() *nodeState { return c.state }
 
@@ -1154,7 +1152,7 @@ func (c *client) call(op string, path string, slice int, reqBytes, respBytes int
 	state := f.shards[slice]
 	return c.callRetry(op, path, func() bool {
 		srv := f.srvFor(slice)
-		return f.conn(c.node, srv).TryCallDom(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
+		return f.conn(c.node, srv).TryCall(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
 			service(sp, state, srv)
 		}) != nil
 	})
@@ -1179,7 +1177,7 @@ func (c *client) callEntry(op, p string, reqBytes, respBytes int64,
 	return c.callRetry(op, p, func() bool {
 		s := f.ownerSlice(p)
 		srv := f.srvFor(s)
-		return f.conn(c.node, srv).TryCallDom(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
+		return f.conn(c.node, srv).TryCall(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
 			state := f.shards[f.ownerSlice(p)]
 			if f.domained() {
 				// Pin the route chosen at attempt time: the body starts
@@ -1234,7 +1232,7 @@ func (c *client) resolveParents(p string) error {
 				// The negative dentry is client-side state: it rides the
 				// reply home (immediate when client and shard share a
 				// kernel).
-				simnet.Defer(sp, func() { st.dentries.PutNegative(prefix) })
+				simnet.Defer(sp, clientcache.NegativeFill(st.dentries, prefix))
 			}
 		})
 		if cerr != nil {
@@ -1710,7 +1708,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 				}
 				return false
 			}
-			terr := f.conn(c.node, srv).TryCallDom(c.p, 150, 140, func(sp *sim.Proc) {
+			terr := f.conn(c.node, srv).TryCall(c.p, 150, 140, func(sp *sim.Proc) {
 				// Re-resolve both ends at service time, like callEntry: a
 				// split landing while this request queued may have
 				// re-homed either entry.
@@ -2051,7 +2049,7 @@ func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) 
 						ino, size = a.Ino, a.Size
 						c.fillEntry(q, p, a)
 					} else {
-						simnet.Defer(q, func() { st.dentries.PutNegative(p) })
+						simnet.Defer(q, clientcache.NegativeFill(st.dentries, p))
 					}
 				})
 			})

@@ -7,24 +7,82 @@ import (
 	"time"
 )
 
+// faultyBody is a process body with a model bug.
+func faultyBody(p *Proc) {
+	p.Sleep(time.Millisecond)
+	panic("model bug")
+}
+
+// recoverRun runs k and returns what it panicked with.
+func recoverRun(k *Kernel) (got any) {
+	defer func() { got = recover() }()
+	_ = k.Run()
+	return nil
+}
+
+// checkPanic asserts that got is a *PanicError wrapping value, raised
+// by the process named proc, whose stack names fn.
+func checkPanic(t *testing.T, got any, value any, proc, fn string) {
+	t.Helper()
+	pe, ok := got.(*PanicError)
+	if !ok {
+		t.Fatalf("Run raised %T %v, want *PanicError", got, got)
+	}
+	if pe.Value != value {
+		t.Errorf("panic value %v, want %v", pe.Value, value)
+	}
+	if pe.Proc != proc {
+		t.Errorf("panic names process %q, want %q", pe.Proc, proc)
+	}
+	if !strings.Contains(string(pe.Stack), fn) {
+		t.Errorf("panic stack does not name %s:\n%s", fn, pe.Stack)
+	}
+	if msg := pe.Error(); !strings.Contains(msg, fn) || !strings.Contains(msg, proc) {
+		t.Errorf("Error() = %q, want the process name and the stack", msg)
+	}
+}
+
 // TestCarrierPanicSurfacesFromRun checks that a panic in a process body
 // is raised again from Kernel.Run on the caller's goroutine, where the
 // caller can recover it, instead of killing the program from the
-// carrier.
+// carrier — wrapped with the process name and the body's own frames,
+// which the coroutine's re-raise would otherwise lose.
 func TestCarrierPanicSurfacesFromRun(t *testing.T) {
 	k := New(1)
 	k.Spawn("bystander", func(p *Proc) { p.Sleep(time.Second) })
-	k.Spawn("faulty", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		panic("model bug")
+	k.Spawn("faulty", faultyBody)
+	checkPanic(t, recoverRun(k), "model bug", "faulty", "sim.faultyBody")
+}
+
+// crossBody is a service body with a model bug, run through Call.
+func crossBody(q *Proc) {
+	q.Sleep(time.Microsecond)
+	var m map[string]int
+	m["x"]++
+}
+
+// TestCarrierPanicInCrossDomainCall checks that a panic in the body of
+// a cross-domain Call — which runs on the caller's carrier inside the
+// server's domain — still surfaces from Run with the caller's name and
+// the body's frames.
+func TestCarrierPanicInCrossDomainCall(t *testing.T) {
+	k := New(1)
+	g := AddDomains(k, 1, 100*time.Microsecond)
+	g.Workers = 1
+	k.Spawn("client", func(p *Proc) {
+		Call(p, g.Kernel(1), 100*time.Microsecond, "rpc", crossBody)
 	})
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		_ = k.Run()
-	}()
-	if got != "model bug" {
-		t.Fatalf("Run raised %v, want the body's panic value", got)
+	got := recoverRun(k)
+	pe, ok := got.(*PanicError)
+	if !ok {
+		t.Fatalf("Run raised %T %v, want *PanicError", got, got)
+	}
+	if _, isRuntime := pe.Value.(runtime.Error); !isRuntime {
+		t.Errorf("panic value %T %v, want the nil-map runtime error", pe.Value, pe.Value)
+	}
+	checkPanic(t, got, pe.Value, "client", "sim.crossBody")
+	if !strings.Contains(string(pe.Stack), "sim.Call") {
+		t.Errorf("panic stack does not show the Call frame:\n%s", pe.Stack)
 	}
 }
 

@@ -68,10 +68,9 @@ type Domain struct {
 }
 
 // message is one cross-domain event in flight. Exactly one of fn and
-// wake is set: fn runs as a fresh (pooled) process at the arrival time,
-// wake resumes an existing blocked process (the reply leg of Call, which
-// needs no body of its own — carrying the target directly saves the
-// closure and the trampoline dispatch).
+// wake is set: fn runs as a fresh (pooled) process at the arrival time
+// (Post), wake resumes a parked process on the destination kernel — a
+// process migrating for Call, on either leg.
 type message struct {
 	at   Time
 	src  int   // sender domain id
@@ -243,31 +242,49 @@ func (src *Domain) send(dst *Domain, m message) {
 	}
 }
 
-// Call is the cross-domain RPC rendezvous: it blocks p, runs fn in dst's
-// domain (in a fresh process, after the one-way delay), and resumes p
-// after the reply delay. Timing is identical to sleeping the two delays
-// around an inline call; execution placement is what changes. Within a
-// single domain — or on a plain kernel — it degrades to exactly that
-// inline form, which is the legacy path the Domains<=1 contract pins.
+// Call is the cross-domain RPC rendezvous: p migrates to dst's domain,
+// arriving after delay, runs fn there on its own stack, and migrates
+// back, arriving after the same delay. Timing is identical to sleeping
+// the two delays around an inline call; only the domain fn executes in
+// changes. Within a single domain — or on a plain kernel — it degrades
+// to exactly that inline form, which is the legacy path the Domains<=1
+// contract pins. fn is only ever called, never stored, so a caller's
+// closure stays on its stack on both paths.
 func Call(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
-	if dst == p.k || p.k.dom == nil || dst.dom == nil {
+	home := p.k
+	if dst == home || home.dom == nil || dst.dom == nil {
 		p.Sleep(delay)
 		fn(p)
 		p.Sleep(delay)
 		return
 	}
+	p.migrate(dst, delay, name)
+	fn(p)
+	p.migrate(home, delay, name)
+}
+
+// migrate parks p and sends it to dst's domain as a wake message
+// stamped delay ahead, so it resumes on dst's kernel at the arrival
+// time. The send is checked and clamped like Post's. p keeps its
+// carrier, its Ctx and its registration (live count, diagnostics) on
+// the kernel it was spawned on; Call always brings it back there.
+func (p *Proc) migrate(dst *Kernel, delay Time, name string) {
 	src := p.k
-	Post(p, dst, delay, name, func(q *Proc) {
-		q.Ctx = p.Ctx
-		fn(q)
-		// Reply leg: a wake message resuming p directly at arrival time.
-		// Carrying the target proc instead of a closure saves the closure
-		// allocation and the trampoline dispatch on every cross-domain RPC.
-		k := q.k
-		m := message{at: k.now + delay, src: k.dom.id, seq: k.dom.sendSeq, name: "xcall-reply", wake: p}
-		k.dom.sendSeq++
-		k.dom.send(src.dom, m)
-	})
+	if delay < 0 {
+		delay = 0
+	}
+	g := src.dom.g
+	if g != dst.dom.g {
+		panic("sim: Call across unrelated domain groups")
+	}
+	if g.CheckCausality && delay < g.lookahead {
+		panic(fmt.Sprintf("sim: causality violation: %s calls %s with delay %v < lookahead %v",
+			src.dom.label(), name, delay, g.lookahead))
+	}
+	m := message{at: src.now + delay, src: src.dom.id, seq: src.dom.sendSeq, name: name, wake: p}
+	src.dom.sendSeq++
+	src.dom.send(dst.dom, m)
+	p.k = dst
 	p.park(name)
 }
 

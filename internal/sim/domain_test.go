@@ -102,6 +102,54 @@ func TestDomainCallTiming(t *testing.T) {
 	}
 }
 
+// TestDomainCallMigratesCaller checks how a cross-domain Call runs its
+// body: as the calling process itself, moved onto the destination
+// kernel — where it queues on that kernel's resources and may call
+// onward — and moved back to its home kernel afterwards, with its Ctx
+// and identity intact and no trampoline process spawned anywhere.
+func TestDomainCallMigratesCaller(t *testing.T) {
+	k := New(1)
+	g := AddDomains(k, 1, 100*time.Microsecond)
+	dst := g.Kernel(1)
+	pool := NewResource(dst, "pool", 1)
+	dst.Spawn("holder", func(q *Proc) { pool.Use(q, time.Millisecond) })
+	var caller *Proc
+	var inBody, inNested, afterNested, after *Kernel
+	var queuedUntil time.Duration
+	k.Spawn("caller", func(p *Proc) {
+		caller = p
+		p.Ctx = "ctx"
+		Call(p, dst, 100*time.Microsecond, "rpc", func(q *Proc) {
+			if q != p || q.Ctx != "ctx" {
+				t.Errorf("body runs as %q (ctx %v), want the caller itself", q.Name(), q.Ctx)
+			}
+			inBody = q.Kernel()
+			pool.Acquire(q) // held by dst's own process until 1ms
+			queuedUntil = q.Now()
+			pool.Release()
+			Call(q, k, 100*time.Microsecond, "back", func(r *Proc) { inNested = r.Kernel() })
+			afterNested = q.Kernel()
+		})
+		after = p.Kernel()
+	})
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if inBody != dst || inNested != k || afterNested != dst || after != k {
+		t.Errorf("kernels body/nested/after-nested/after = d%d/d%d/d%d/d%d, want d1/d0/d1/d0",
+			inBody.DomainID(), inNested.DomainID(), afterNested.DomainID(), after.DomainID())
+	}
+	if queuedUntil != time.Millisecond {
+		t.Errorf("body got dst's pool at %v, want 1ms behind its holder", queuedUntil)
+	}
+	if caller.ID() != 1 || k.live != 0 || dst.live != 0 {
+		t.Errorf("caller id %d, live %d/%d after the run, want 1 and 0/0", caller.ID(), k.live, dst.live)
+	}
+	if dst.procSeq != 1 || len(dst.free) != 0 {
+		t.Errorf("dst spawned %d procs (%d pooled), want only its holder", dst.procSeq, len(dst.free))
+	}
+}
+
 // TestDomainSyncPoint checks that AtSync functions run at exactly the
 // registered virtual time with every domain's clock at that instant.
 func TestDomainSyncPoint(t *testing.T) {

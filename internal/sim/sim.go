@@ -31,6 +31,7 @@ import (
 	"iter"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"time"
 )
@@ -137,7 +138,7 @@ type Kernel struct {
 	// (domain.go); scheduling then runs in lookahead windows and
 	// termination is decided at group level.
 	dom *Domain
-	// free holds idle pooled trampoline procs for cross-domain message
+	// free holds idle pooled trampoline procs for cross-domain Post
 	// delivery (spawnMsgAt): one Proc is reused across messages instead
 	// of being created per message.
 	free []*Proc
@@ -237,8 +238,18 @@ func (k *Kernel) carrier() *carrier {
 	c := new(carrier)
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
+		var p *Proc
+		// iter.Pull raises a body's panic again from the dispatcher's
+		// next call, whose stack no longer shows the body's frames, so
+		// the panic is caught here first and raised again as a
+		// *PanicError carrying p's name and the body's stack.
+		defer func() {
+			if r := recover(); r != nil {
+				panic(&PanicError{Value: r, Proc: p.name, Stack: debug.Stack()})
+			}
+		}()
 		for {
-			p := c.p
+			p = c.p
 			p.fn(p)
 			p.k.exit(p)
 			if !yield(struct{}{}) {
@@ -247,6 +258,20 @@ func (k *Kernel) carrier() *carrier {
 		}
 	})
 	return c
+}
+
+// PanicError is the value Run raises when a process body panics: the
+// original panic value, the name of the process and the stack of the
+// body at the panic. Error includes the stack, so an unrecovered crash
+// prints the model line that failed.
+type PanicError struct {
+	Value any
+	Proc  string
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", e.Proc, e.Value, e.Stack)
 }
 
 // releaseCarriers ends the idle carriers when a run returns, so only
@@ -277,16 +302,19 @@ type Proc struct {
 	c      *carrier      // runs the body from its first dispatch to its end
 	// slot is this proc's index in k.procs; finished procs are
 	// swap-removed so the diagnostics slice never pins dead procs (the
-	// domained substrate spawns one short-lived proc per cross-domain
-	// message, and a growing graveyard is pure GC scan load).
+	// domained substrate spawns one short-lived proc per posted
+	// cross-domain message, and a growing graveyard is pure GC scan
+	// load).
 	slot int
 	// waiters are procs blocked in Join on this proc.
 	waiters []*Proc
 	// blockedOn is a short description of the current blocking reason,
 	// used in deadlock reports.
 	blockedOn string
-	// Ctx is a free slot for harness layers (internal/simnet threads its
-	// cross-domain call context through it); the kernel never touches it.
+	// Ctx is a free slot for harness layers (internal/simnet keeps its
+	// cross-domain call context in it); it travels with the process when
+	// Call migrates it, and the kernel only clears it on a pooled
+	// trampoline.
 	Ctx any
 }
 
@@ -501,7 +529,7 @@ func (e *DeadlockError) Error() string {
 // Run drives the whole group's window loop — callers need not know
 // whether the simulation was partitioned. A panic in a process body is
 // raised again from Run on the caller's goroutine (from a worker's, when
-// a group runs on several workers).
+// a group runs on several workers) as a *PanicError.
 func (k *Kernel) Run() error {
 	if k.dom != nil {
 		return k.dom.g.Run()

@@ -20,12 +20,20 @@
 // revocation and delegation-recall callbacks, with a per-node callback
 // thread pool so coherence traffic cannot deadlock against the MDS
 // client/peer pools.
+//
+// Under a kernel DomainGroup a server's state lives in one domain while
+// its callers may run in others. Call and TryCall then move the calling
+// process into the server's domain for the service body and back
+// (sim.Call), and the client-cache updates a body queues with Defer
+// apply once the caller is home. The same two methods serve the inline
+// and the cross-domain case, so every model has one RPC path.
 package simnet
 
 import (
 	"errors"
 	"time"
 
+	"dmetabench/internal/clientcache"
 	"dmetabench/internal/sim"
 )
 
@@ -43,17 +51,19 @@ type Server struct {
 	Name    string
 	Threads *sim.Resource
 
-	k     *sim.Kernel
-	down  bool
-	downs int64
+	k       *sim.Kernel
+	rpcName string // "rpc:"+Name, the name of a cross-domain call
+	down    bool
+	downs   int64
 }
 
 // NewServer returns a server with the given number of worker threads.
 // The kernel is where the server's state lives: when it belongs to a
-// domain group, RPCs from other domains run their service bodies in
-// that domain via the cross-domain rendezvous.
+// domain group, callers from other domains migrate to it to run their
+// service bodies there (Call).
 func NewServer(k *sim.Kernel, name string, threads int) *Server {
-	return &Server{Name: name, k: k, Threads: sim.NewResource(k, "srv:"+name, threads)}
+	return &Server{Name: name, k: k, rpcName: "rpc:" + name,
+		Threads: sim.NewResource(k, "srv:"+name, threads)}
 }
 
 // Kernel returns the kernel (and therefore the domain) the server's
@@ -79,17 +89,6 @@ func (s *Server) IsDown() bool { return s.down }
 
 // Downs returns the number of times the server has gone down.
 func (s *Server) Downs() int64 { return s.downs }
-
-// Do runs service while holding one of the server's worker threads,
-// without a network path: the execution-context half of Call. Servers
-// that forward work to a peer service (clustered metadata servers) use
-// it to charge the remote thread occupancy after paying the hop latency
-// themselves.
-func (s *Server) Do(p *sim.Proc, service func(p *sim.Proc)) {
-	s.Threads.Acquire(p)
-	service(p)
-	s.Threads.Release()
-}
 
 // Conn is a client's path to a server: one-way latency plus a bandwidth
 // limit shared by all users of the connection.
@@ -136,41 +135,31 @@ func (c *Conn) send(p *sim.Proc, n int64) {
 	p.Sleep(c.Latency)
 }
 
-// callCtx is the per-RPC context the cross-domain path threads through
-// sim.Proc.Ctx: service bodies register reply work on it via Defer.
+// callCtx is the cross-domain call state simnet keeps in sim.Proc.Ctx:
+// the reply fills queued by the service bodies of the calls p has in
+// progress, innermost last, and how many such calls there are. It is
+// made once per process and reused by every later call.
 type callCtx struct {
-	thunks []func()
+	fills []clientcache.Fill
+	depth int
 }
 
-// Defer registers fn as reply-time work for the RPC whose service body
-// is running on p: state the protocol conceptually ships back to the
-// client (cache fills, lease grants) must mutate client-side structures
-// in the client's domain, not the server's. On the inline (same-kernel)
-// path fn runs immediately — the legacy zero-copy semantics; on the
-// cross-domain path it runs in the client's process right after the
-// reply arrives, which is both deterministic and race-free (the client
-// resumes only after a window barrier). Outside any RPC, fn runs
-// immediately.
-func Defer(p *sim.Proc, fn func()) {
-	if cc, ok := p.Ctx.(*callCtx); ok && cc != nil {
-		cc.thunks = append(cc.thunks, fn)
+// Defer applies fill for the RPC whose service body is running on p:
+// state the protocol ships back to the client (cache fills, lease
+// grants) must change client-side structures in the client's domain,
+// not the server's. On the inline (same-kernel) path, and outside any
+// RPC, it applies on the spot — the legacy semantics; in a cross-domain
+// service body it applies right after p has migrated back home, which
+// is both deterministic and race-free.
+func Defer(p *sim.Proc, fill clientcache.Fill) {
+	if cc, ok := p.Ctx.(*callCtx); ok && cc.depth > 0 {
+		cc.fills = append(cc.fills, fill)
 		return
 	}
-	fn()
+	fill.Apply()
 }
 
-// Deferred reports whether Defer(p, fn) would queue fn for reply
-// delivery rather than run it inline — i.e. whether p is a cross-domain
-// service body. Hot paths branch on it so the inline (single-kernel)
-// case performs the work directly instead of allocating a closure that
-// Defer would only call on the spot.
-func Deferred(p *sim.Proc) bool {
-	cc, ok := p.Ctx.(*callCtx)
-	return ok && cc != nil
-}
-
-// cross reports whether an RPC from p to the server must rendezvous
-// across domains.
+// cross reports whether an RPC from p to the server crosses domains.
 func (c *Conn) cross(p *sim.Proc) bool {
 	return c.srv.k != p.Kernel() && p.Kernel().Group() != nil &&
 		p.Kernel().Group() == c.srv.k.Group()
@@ -179,10 +168,16 @@ func (c *Conn) cross(p *sim.Proc) bool {
 // Call performs a synchronous RPC: request transfer and propagation,
 // queueing for a server thread, the caller-supplied service body, then
 // the reply path. service runs while holding a server thread; it charges
-// whatever virtual time the operation costs at the server. The caller
-// must share a kernel with the server — callers that may live in
-// another domain of a DomainGroup use CallDom.
+// whatever virtual time the operation costs at the server. When the
+// caller runs in another domain of the server's DomainGroup, the caller
+// migrates to the server's domain for the body (sim.Call) and the
+// one-way latencies ride the migration; virtual-time cost is identical
+// to the inline path.
 func (c *Conn) Call(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) {
+	if c.cross(p) {
+		c.callCross(p, reqBytes, respBytes, false, service)
+		return
+	}
 	c.send(p, reqBytes)
 	c.srv.Threads.Acquire(p)
 	service(p)
@@ -190,49 +185,48 @@ func (c *Conn) Call(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.
 	c.send(p, respBytes)
 }
 
-// CallDom is Call for callers that may run in a different kernel domain
-// than the server (internal/shard under Config.Domains). When they do,
-// the body executes in the server's domain (a fresh process created by
-// the message delivery) while the caller blocks; the one-way latency is
-// carried by the message timestamps instead of caller sleeps, and
-// Defer'd reply work runs in the caller's domain after it resumes.
-// Virtual-time cost is identical to the inline path.
-//
-// It is a separate method, not a branch inside Call, for an allocation
-// reason: the cross-domain path stores service in a message, which
-// makes the parameter escape — and Go decides escape per function, so
-// folding the branch into Call would heap-allocate the service closure
-// of every single-kernel RPC in every FS model. Callers that can never
-// be domained use Call and keep their closures on the stack.
-func (c *Conn) CallDom(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) {
-	if c.cross(p) {
-		c.callCross(p, reqBytes, respBytes, service)
-		return
-	}
-	c.Call(p, reqBytes, respBytes, service)
-}
-
-// callCross is the cross-domain rendezvous half of Call.
-func (c *Conn) callCross(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) {
+// callCross is the cross-domain half of Call and TryCall: the body runs
+// in the server's domain, and the fills it queued with Defer apply once
+// p is home again. With checkDown, a crash landing while the request
+// is queued is detected in the server's domain; the client then waits
+// out its RPC timer after the (wasted) round trip.
+func (c *Conn) callCross(p *sim.Proc, reqBytes, respBytes int64, checkDown bool, service func(p *sim.Proc)) error {
 	if c.wire != nil && reqBytes > 0 {
 		c.wire.Use(p, c.transferTime(reqBytes))
 	}
-	cc := &callCtx{}
-	saved := p.Ctx
-	p.Ctx = cc
+	cc, _ := p.Ctx.(*callCtx)
+	if cc == nil {
+		cc = new(callCtx)
+		p.Ctx = cc
+	}
+	mark := len(cc.fills)
+	cc.depth++
 	srv := c.srv
-	sim.Call(p, srv.k, c.Latency, "rpc:"+srv.Name, func(q *sim.Proc) {
+	crashed := false
+	sim.Call(p, srv.k, c.Latency, srv.rpcName, func(q *sim.Proc) {
 		srv.Threads.Acquire(q)
+		if checkDown && srv.down {
+			srv.Threads.Release()
+			crashed = true
+			return
+		}
 		service(q)
 		srv.Threads.Release()
 	})
-	p.Ctx = saved
-	for _, fn := range cc.thunks {
-		fn()
+	cc.depth--
+	for i := mark; i < len(cc.fills); i++ {
+		cc.fills[i].Apply()
+	}
+	clear(cc.fills[mark:])
+	cc.fills = cc.fills[:mark]
+	if crashed {
+		p.Sleep(c.failTimeout())
+		return ErrDown
 	}
 	if c.wire != nil && respBytes > 0 {
 		c.wire.Use(p, c.transferTime(respBytes))
 	}
+	return nil
 }
 
 // failTimeout returns the effective client RPC timeout.
@@ -249,10 +243,17 @@ func (c *Conn) failTimeout() time.Duration {
 // request that was already queued for a worker thread when the server
 // crashed fails the same way once dequeued. Fault-tolerant clients wrap
 // TryCall in a retry loop with deterministic backoff (internal/shard).
+//
+// The down flag is safe to read from any domain: under a domain group
+// it only flips at sync points, where every domain is parked (the
+// window barrier is the happens-before edge).
 func (c *Conn) TryCall(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) error {
 	if c.srv.down {
 		p.Sleep(c.failTimeout())
 		return ErrDown
+	}
+	if c.cross(p) {
+		return c.callCross(p, reqBytes, respBytes, true, service)
 	}
 	c.send(p, reqBytes)
 	c.srv.Threads.Acquire(p)
@@ -266,60 +267,6 @@ func (c *Conn) TryCall(p *sim.Proc, reqBytes, respBytes int64, service func(p *s
 	service(p)
 	c.srv.Threads.Release()
 	c.send(p, respBytes)
-	return nil
-}
-
-// TryCallDom is TryCall for callers that may run in a different kernel
-// domain than the server — split out of TryCall for the same
-// closure-escape reason as CallDom.
-func (c *Conn) TryCallDom(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) error {
-	// The down flag is safe to read from any domain: under a domain
-	// group it only flips at sync points, where every domain is parked
-	// (the window barrier is the happens-before edge).
-	if c.cross(p) {
-		if c.srv.down {
-			p.Sleep(c.failTimeout())
-			return ErrDown
-		}
-		return c.tryCallCross(p, reqBytes, respBytes, service)
-	}
-	return c.TryCall(p, reqBytes, respBytes, service)
-}
-
-// tryCallCross is the cross-domain rendezvous half of TryCall. A crash
-// landing while the request is queued is detected in the server's
-// domain; the client then waits out its RPC timer after the (wasted)
-// round trip.
-func (c *Conn) tryCallCross(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) error {
-	if c.wire != nil && reqBytes > 0 {
-		c.wire.Use(p, c.transferTime(reqBytes))
-	}
-	cc := &callCtx{}
-	saved := p.Ctx
-	p.Ctx = cc
-	srv := c.srv
-	crashed := false
-	sim.Call(p, srv.k, c.Latency, "rpc:"+srv.Name, func(q *sim.Proc) {
-		srv.Threads.Acquire(q)
-		if srv.down {
-			srv.Threads.Release()
-			crashed = true
-			return
-		}
-		service(q)
-		srv.Threads.Release()
-	})
-	p.Ctx = saved
-	if crashed {
-		p.Sleep(c.failTimeout())
-		return ErrDown
-	}
-	for _, fn := range cc.thunks {
-		fn()
-	}
-	if c.wire != nil && respBytes > 0 {
-		c.wire.Use(p, c.transferTime(respBytes))
-	}
 	return nil
 }
 

@@ -161,26 +161,3 @@ func TestTryCallQueuedAtCrash(t *testing.T) {
 		t.Fatalf("queued call: err=%v served=%v, want ErrDown/false", queuedErr, queuedServed)
 	}
 }
-
-func TestServerDoHoldsThread(t *testing.T) {
-	k := sim.New(1)
-	srv := NewServer(k, "s", 1)
-	// Two direct service executions on a single-thread server must
-	// serialize, and Do must charge no network latency of its own.
-	var done [2]time.Duration
-	k.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			i := i
-			p.Spawn("d", func(q *sim.Proc) {
-				srv.Do(q, func(sp *sim.Proc) { sp.Sleep(time.Millisecond) })
-				done[i] = q.Now()
-			})
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done[0] != time.Millisecond || done[1] != 2*time.Millisecond {
-		t.Fatalf("Do completions = %v, %v; want 1ms, 2ms", done[0], done[1])
-	}
-}

@@ -136,13 +136,12 @@ for bench in BenchmarkAggregateInject BenchmarkKernelHandoff; do
 done
 
 # Allocation-creep guards: absolute allocs/op ceilings on the hot
-# simulated-create paths, sized with headroom above the measured
-# steady state (ShardedCreate 7, DomainCreate 17, NFSDomainCreate 13),
-# and on a process lifetime (KernelSpawn 2: the Proc and its joiner
-# list). Closure escapes on these paths creep in silently with
-# refactors; the ceiling turns the creep into a red build instead of a
-# slow one.
-for guard in "BenchmarkShardedCreate 8" "BenchmarkDomainCreate 25" "BenchmarkNFSDomainCreate 20" "BenchmarkKernelSpawn 3"; do
+# simulated-create paths, set to their measured steady state (the
+# single-kernel creates 3, DomainCreate 7, NFSDomainCreate 6), and on a
+# process lifetime (KernelSpawn 2: the Proc and its joiner list).
+# Closure escapes on these paths creep in silently with refactors; the
+# ceiling turns the creep into a red build instead of a slow one.
+for guard in "BenchmarkSimulatedCreate 3" "BenchmarkShardedCreate 3" "BenchmarkBackendCreate 3" "BenchmarkSplitCreate 3" "BenchmarkDomainCreate 7" "BenchmarkNFSDomainCreate 6" "BenchmarkKernelSpawn 3"; do
 	bench=${guard% *}
 	limit=${guard#* }
 	a=$(extract "$fresh" "$bench" allocs_per_op)
