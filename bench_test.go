@@ -561,10 +561,12 @@ func BenchmarkSplitCreate(b *testing.B) {
 
 // BenchmarkAggregateInject measures the real-time cost per injected
 // background operation of the aggregate arrival path (E31-E33): source
-// draw, batch pricing and the Acquire/Sleep/Release hold, across 4
-// shards x 4 injector lanes. The per-iteration work is one modeled
-// operation, not one simulated client — that is the point of the
-// aggregate model — and the steady-state loop is allocation-free
+// draw, batch pricing and the pool hold, across 4 shards x 4 injector
+// lanes. Each lane is a sim task, so its wake-ups at the tick boundary,
+// on a granted thread and at the end of a hold are direct calls from
+// the dispatch loop, not coroutine switches. The per-iteration work is
+// one modeled operation, not one simulated client — that is the point
+// of the aggregate model — and the steady-state loop is allocation-free
 // (bench_gate.sh fails the build if allocs/op ever leaves 0).
 func BenchmarkAggregateInject(b *testing.B) {
 	k := sim.New(1)

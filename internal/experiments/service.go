@@ -235,7 +235,7 @@ func (c *e35Cell) shedFrac() float64 {
 // background arrivals (diurnal-modulated) injected into the filer's
 // thread pool, four fully-simulated probes measuring the foreground
 // tail. Domains is pinned to 2 (client domain + filer domain), so the
-// injector lanes run as daemons on the filer's own kernel.
+// injector lanes run as daemon tasks on the filer's own kernel.
 func runE35Cell(seed int64, clients int, period, interval time.Duration, label string) e35Cell {
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(4))

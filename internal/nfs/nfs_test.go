@@ -1,11 +1,13 @@
 package nfs
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 )
 
@@ -269,4 +271,62 @@ func TestHandleErrors(t *testing.T) {
 			t.Errorf("open missing: %v", err)
 		}
 	})
+}
+
+// createLoad creates n files from one client and then idles for a
+// second of virtual time, so the filer's daemons keep running.
+func createLoad(t *testing.T, k *sim.Kernel, cl *cluster.Cluster, f *FS, n int) {
+	t.Helper()
+	inProc(t, k, func(p *sim.Proc) {
+		c := f.NewClient(cl.Nodes[0], p)
+		for i := 0; i < n; i++ {
+			if err := c.Create("/f" + itoa(i)); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+		}
+		p.Sleep(time.Second)
+	})
+}
+
+// TestAggregateLeavesNoGoroutines checks that a filer under aggregate
+// load holds no goroutine once Run returns: the injector lanes and the
+// WAFL consistency-point loop are tasks, which have no carrier to stay
+// parked, and the idle carriers of the finished processes are released.
+func TestAggregateLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k, cl, f := env(t, 1, DefaultConfig())
+	f.AttachAggregate(10*time.Millisecond, func(_, lane, tick int) service.Demand {
+		return service.Demand{Getattr: int64(1 + (lane+tick)%3)}
+	})
+	createLoad(t, k, cl, f, 20)
+	if ops, _, _ := f.AggCounts(); ops == 0 {
+		t.Fatal("the aggregate load injected nothing")
+	}
+	if n := runtime.NumGoroutine() - base; n != 0 {
+		t.Errorf("%d goroutine(s) left behind after Run", n)
+	}
+}
+
+// TestZeroCPIntervalMeansNoTimer checks that CPInterval 0 turns the CP
+// timer off instead of spinning: with the default NVRAM half a small
+// create load runs no consistency point, and with a tiny half the same
+// load still runs them when the half fills.
+func TestZeroCPIntervalMeansNoTimer(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		nvram int64
+		cps   bool
+	}{
+		{"default NVRAM", DefaultConfig().WAFL.NVRAMBytes, false},
+		{"tiny NVRAM", 4 << 10, true},
+	} {
+		cfg := DefaultConfig()
+		cfg.WAFL.CPInterval = 0
+		cfg.WAFL.NVRAMBytes = c.nvram
+		k, cl, f := env(t, 1, cfg)
+		createLoad(t, k, cl, f, 100)
+		if n := f.WAFL().NumCPs(); (n > 0) != c.cps {
+			t.Errorf("%s: %d consistency points, want some: %v", c.name, n, c.cps)
+		}
+	}
 }

@@ -21,13 +21,14 @@
 //   - Aggregate background injection (AttachAggregate): analytically
 //     modeled load (internal/agg) enters a server as batched
 //     virtual-time demand instead of per-client processes. Injector
-//     lanes run as daemons on the server's own kernel domain; each tick
-//     every lane draws its slice of the server's arrival batch, prices
-//     it through the model's hook, then occupies one server thread for
-//     that long. Foreground clients queue FIFO behind the injected
-//     holds, so they observe genuine contention — queueing delay,
-//     diurnal swell, flash-crowd saturation — from a load that costs no
-//     per-client state.
+//     lanes run as daemon tasks (sim.Kernel.SpawnTask: no carrier, the
+//     dispatch loop calls each wake-up directly) on the server's own
+//     kernel domain; each tick every lane draws its slice of the
+//     server's arrival batch, prices it through the model's hook, then
+//     occupies one server thread for that long. Foreground clients
+//     queue FIFO behind the injected holds, so they observe genuine
+//     contention — queueing delay, diurnal swell, flash-crowd
+//     saturation — from a load that costs no per-client state.
 //
 // The correctness discipline mirrors internal/shard/domain.go: state
 // belongs to the domain of the server serving it, rare global
@@ -177,11 +178,12 @@ type AggregateConfig struct {
 	Ops, Shed, Busy *int64
 }
 
-// AttachAggregate starts the background injector: Lanes daemon lanes
+// AttachAggregate starts the background injector: Lanes injector lanes
 // per server, each drawing its (server, lane) stream tick by tick and
 // occupying one pool thread for the priced duration. Call before the
-// kernel runs; the lanes are daemons, so they never keep a finished
-// simulation alive.
+// kernel runs. The lanes are daemon tasks (sim.Kernel.SpawnTask), so
+// they never keep a finished simulation alive and hold no goroutine
+// once Run returns.
 //
 // Overload is open-loop: a lane that cannot finish a tick's hold before
 // later ticks begin shedding the ticks it slept through (Shed). The
@@ -203,56 +205,117 @@ func AttachAggregate(cfg AggregateConfig) {
 		lanes = 1
 	}
 	for i := 0; i < cfg.Servers; i++ {
-		srv := i
-		k := cfg.Kernel(srv)
+		k := cfg.Kernel(i)
 		for l := 0; l < lanes; l++ {
-			lane := l
-			name := "agginject:" + strconv.Itoa(srv) + ":" + strconv.Itoa(lane)
-			k.SpawnDaemon(name, func(p *sim.Proc) {
-				aggLane(p, &cfg, srv, lane, tick)
-			})
+			ln := &lane{cfg: &cfg, pool: cfg.Pool(i), srv: i, lane: l, tick: tick}
+			k.SpawnTask("agginject:"+strconv.Itoa(i)+":"+strconv.Itoa(l), ln.step)
 		}
 	}
 }
 
-// aggLane is one injector lane's loop. All per-iteration state lives in
-// locals and the hold path is Acquire/Sleep/Release on a preallocated
-// resource, so the steady state allocates nothing
-// (BenchmarkAggregateInject's alloc guard pins this).
-func aggLane(p *sim.Proc, cfg *AggregateConfig, srv, lane int, tick time.Duration) {
-	pool := cfg.Pool(srv)
-	next := 0 // next tick index this lane owes
+// laneState is where an injector lane resumes at its next wake-up.
+type laneState uint8
+
+const (
+	laneTop     laneState = iota // first wake-up: the top of the loop
+	laneWoken                    // woken at the boundary of tick next
+	laneGranted                  // granted a pool thread for the hold
+	laneHeld                     // the hold is over
+)
+
+// lane is one injector lane: a task whose loop state lives here between
+// wake-ups. The loop is the one a process would run — sleep to the
+// owed tick, shed, draw, price, count, then Acquire, hold and Release a
+// pool thread — and it makes the same scheduling calls in the same
+// order, so it draws the same events and sequence numbers. The steady
+// state allocates nothing (BenchmarkAggregateInject's alloc guard pins
+// this).
+type lane struct {
+	cfg       *AggregateConfig
+	pool      *sim.Resource
+	srv, lane int
+	tick      time.Duration
+	next      int           // next tick index this lane owes
+	cost      time.Duration // the priced hold being served
+	state     laneState
+}
+
+// step runs the lane from where its last wake-up left it to the next
+// wait that schedules an event.
+func (l *lane) step(p *sim.Proc) {
+	switch l.state {
+	case laneWoken:
+		if l.inject(p, l.next) {
+			return
+		}
+	case laneGranted:
+		if l.hold(p) {
+			return
+		}
+	case laneHeld:
+		l.pool.Release()
+	}
 	for {
-		i := int(p.Now() / tick)
-		if i < next {
-			// Our tick's work is done; park until the next boundary.
-			p.Sleep(time.Duration(next)*tick - p.Now())
-			i = next
-		}
-		// Ticks the lane slept through entirely are shed: draw them to
-		// keep the source stream index-pure, count them, do not hold.
-		for next < i {
-			d := cfg.Source(srv, lane, next)
-			if n := d.Total(); n > 0 {
-				AddI64(cfg.Shed, n)
+		i := int(p.Now() / l.tick)
+		if i < l.next {
+			// Our tick's work is done; wait for the next boundary.
+			if p.Wake(time.Duration(l.next)*l.tick - p.Now()) {
+				l.state = laneWoken
+				return
 			}
-			next++
+			i = l.next
 		}
-		d := cfg.Source(srv, lane, i)
-		next = i + 1
-		n := d.Total()
-		if n == 0 {
-			continue
-		}
-		cost := cfg.Price(srv, d)
-		AddI64(cfg.Ops, n)
-		AddI64(cfg.Busy, int64(cost))
-		if cost > 0 {
-			pool.Acquire(p)
-			p.Sleep(cost)
-			pool.Release()
+		if l.inject(p, i) {
+			return
 		}
 	}
+}
+
+// inject serves tick i: it sheds the ticks the lane slept through,
+// draws, prices and counts tick i, and holds a pool thread for the
+// price. It reports whether the lane waits, for the thread or for the
+// end of the hold.
+func (l *lane) inject(p *sim.Proc, i int) bool {
+	cfg := l.cfg
+	// Ticks the lane slept through entirely are shed: draw them to keep
+	// the source stream index-pure, count them, do not hold.
+	for l.next < i {
+		d := cfg.Source(l.srv, l.lane, l.next)
+		if n := d.Total(); n > 0 {
+			AddI64(cfg.Shed, n)
+		}
+		l.next++
+	}
+	d := cfg.Source(l.srv, l.lane, i)
+	l.next = i + 1
+	n := d.Total()
+	if n == 0 {
+		return false
+	}
+	cost := cfg.Price(l.srv, d)
+	AddI64(cfg.Ops, n)
+	AddI64(cfg.Busy, int64(cost))
+	if cost <= 0 {
+		return false
+	}
+	l.cost = cost
+	if l.pool.AcquireTask(p) {
+		l.state = laneGranted
+		return true
+	}
+	return l.hold(p)
+}
+
+// hold occupies the granted pool thread for the priced cost and reports
+// whether the lane waits for the end of the hold; a hold that ends
+// inline releases the thread at once.
+func (l *lane) hold(p *sim.Proc) bool {
+	if p.Wake(l.cost) {
+		l.state = laneHeld
+		return true
+	}
+	l.pool.Release()
+	return false
 }
 
 // AddI64 bumps a counter that service bodies increment from several

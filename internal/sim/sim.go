@@ -18,12 +18,28 @@
 // given seed.
 //
 // Scheduling is built for throughput: the event queue is a concrete-typed
-// binary heap (no interface boxing, storage reused across events); process
-// bodies run on pooled coroutines that the dispatch loop switches into and
-// a blocking process switches out of, bypassing the Go scheduler (see
-// carrier); and a process whose wake-up would be the next event anyway (a
-// Sleep with no earlier pending event) simply advances the clock and keeps
-// running — no heap traffic and no switch at all.
+// binary heap (no interface boxing, storage reused across events), and a
+// wake-up takes one of three paths, cheapest first:
+//
+//   - The Sleep fast path: a process whose wake-up would be the next
+//     event anyway (a Sleep with no earlier pending event) simply
+//     advances the clock and keeps running — no heap traffic and no
+//     switch at all.
+//   - Carriers: process bodies run on pooled coroutines that the
+//     dispatch loop switches into and a blocking process switches out
+//     of, bypassing the Go scheduler (see carrier). Each wake-up costs
+//     two coroutine switches.
+//   - Tasks (SpawnTask): a daemon with no coroutine, whose step function
+//     the dispatch loop calls directly at each wake-up. The step never
+//     parks: it waits through the non-parking halves of Sleep and
+//     Acquire (Proc.Wake, Resource.AcquireTask), which schedule the
+//     same events a process would, and returns.
+//
+// A daemon may be a task when every wait in its loop is a sleep or a
+// resource acquire and it calls no code that may park — no RPC, no
+// caller-supplied body — and when its wake-ups are frequent enough to
+// pay for writing its loop as an explicit state machine. Everything else
+// stays a process.
 package sim
 
 import (
@@ -209,6 +225,10 @@ func (k *Kernel) dispatch() {
 		k.now = ev.at
 	}
 	k.dispatched++
+	if p.step != nil {
+		p.step(p)
+		return
+	}
 	if p.c == nil {
 		p.c = k.carrier()
 		p.c.p = p
@@ -275,7 +295,7 @@ func (e *PanicError) Error() string {
 }
 
 // releaseCarriers ends the idle carriers when a run returns, so only
-// parked processes keep a goroutine past the run.
+// parked processes keep a goroutine past the run; a task has none.
 func (k *Kernel) releaseCarriers() {
 	for _, c := range k.idle {
 		c.stop()
@@ -289,8 +309,9 @@ func (k *Kernel) releaseCarriers() {
 func (k *Kernel) Dispatched() int64 { return k.dispatched }
 
 // Proc is a simulated process. Procs are created with Kernel.Spawn or
-// Proc.Spawn and must only call kernel methods while running (i.e. from
-// their own body, between resumptions).
+// Proc.Spawn (or as tasks with Kernel.SpawnTask) and must only call
+// kernel methods while running (i.e. from their own body or step,
+// between resumptions).
 type Proc struct {
 	k      *Kernel
 	id     int
@@ -300,6 +321,7 @@ type Proc struct {
 	msg    bool          // pooled trampoline (spawnMsgAt), back to k.free at exit
 	fn     func(p *Proc) // the body; dropped when it returns
 	c      *carrier      // runs the body from its first dispatch to its end
+	step   func(p *Proc) // a task's step, called at each wake-up; nil for a body
 	// slot is this proc's index in k.procs; finished procs are
 	// swap-removed so the diagnostics slice never pins dead procs (the
 	// domained substrate spawns one short-lived proc per posted
@@ -343,6 +365,30 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // committers, cache flushers) are daemons.
 func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return k.spawn(name, k.now, fn, true)
+}
+
+// SpawnTask starts a daemon task: a process with no coroutine, whose
+// step the dispatch loop calls directly at each of its wake-ups,
+// starting at the current virtual time. A step never parks. It
+// continues inline or schedules its next wake-up through Proc.Wake or
+// Resource.AcquireTask, keeps its loop state outside the call, and
+// returns; a step that reaches a parking primitive (Sleep, Acquire,
+// Join ...) panics. A panic in a step leaves Run as it was raised: the
+// step runs on the dispatch loop's own stack, so the trace already
+// shows its frames. Like SpawnDaemon's processes, a task never keeps a
+// finished simulation alive; it lives as long as its kernel and has no
+// exit path.
+func (k *Kernel) SpawnTask(name string, step func(p *Proc)) *Proc {
+	p := &Proc{k: k, daemon: true, step: step}
+	// A task's carrier is a stub that the dispatch loop never resumes.
+	// Its yield, which park calls, panics with the task's name, so the
+	// check costs a parking process nothing.
+	p.c = &carrier{p: p, yield: func(struct{}) bool {
+		panic(fmt.Sprintf("sim: task %q cannot park (%s): a task step schedules its wake-up and returns", p.name, p.blockedOn))
+	}}
+	k.start(p, name, nil)
+	k.schedule(p, k.now)
+	return p
 }
 
 // spawn starts fn as a new process first scheduled at time at; a future
@@ -447,7 +493,8 @@ func (k *Kernel) AfterFunc(name string, d Time, fn func(p *Proc)) *Proc {
 
 // park switches back to the dispatch loop and returns once the loop
 // dispatches p again. Sleep schedules that wake-up before parking; a
-// synchronization primitive leaves it to whoever calls k.wake(p).
+// synchronization primitive leaves it to whoever calls k.wake(p). A task
+// has no coroutine to switch out of; its stub carrier's yield panics.
 func (p *Proc) park(reason string) {
 	p.blockedOn = reason
 	p.c.yield(struct{}{})
@@ -457,6 +504,17 @@ func (p *Proc) park(reason string) {
 // Sleep suspends the process for d of virtual time. Negative durations
 // sleep zero time (yield).
 func (p *Proc) Sleep(d Time) {
+	if p.Wake(d) {
+		p.park("sleep")
+	}
+}
+
+// Wake is the non-parking half of Sleep, for a task's step: it schedules
+// p's wake-up d ahead and reports true, and the step then returns to the
+// dispatch loop; or it takes Sleep's fast path, advancing the clock in
+// place with no event and no sequence number, and reports false, and the
+// step continues inline. Negative durations count as zero.
+func (p *Proc) Wake(d Time) bool {
 	k := p.k
 	if d < 0 {
 		d = 0
@@ -478,10 +536,10 @@ func (p *Proc) Sleep(d Time) {
 	// local sequence sorts below msgSeqBase) and self-deadlock on resume.
 	if at <= k.horizon && !k.runsBefore(at) {
 		k.now = at
-		return
+		return false
 	}
 	k.schedule(p, at)
-	p.park("sleep")
+	return true
 }
 
 // Yield reschedules the process at the current time, letting other

@@ -56,12 +56,20 @@ func (s *Semaphore) Acquire(p *Proc, n int64) { s.AcquirePri(p, n, 0) }
 // locks), and each domain must only ever touch its own event queue.
 // With a single kernel both are the same object.
 func (s *Semaphore) AcquirePri(p *Proc, n int64, pri int) {
-	if s.q.len() == 0 && s.units >= n {
-		s.units -= n
-		return
+	if s.queue(p, n, pri) {
+		p.park(s.label)
+	}
+}
+
+// queue is the non-parking half of AcquirePri: it takes n units and
+// reports false, or queues p behind the waiters and reports true, and
+// Release then wakes p already holding the units.
+func (s *Semaphore) queue(p *Proc, n int64, pri int) bool {
+	if s.TryAcquire(n) {
+		return false
 	}
 	s.q.push(waiter{p: p, pri: pri, seq: p.k.nextSeq(), n: n})
-	p.park(s.label)
+	return true
 }
 
 // Release returns n units and wakes as many waiters as can now be served.
@@ -230,6 +238,12 @@ func (r *Resource) UsePri(p *Proc, d Time, pri int) {
 func (r *Resource) Acquire(p *Proc)             { r.sem.Acquire(p, 1) }
 func (r *Resource) AcquirePri(p *Proc, pri int) { r.sem.AcquirePri(p, 1, pri) }
 func (r *Resource) Release()                    { r.sem.Release(1) }
+
+// AcquireTask is the non-parking half of Acquire, for a task's step: it
+// takes a server and reports false, and the step continues inline; or it
+// queues the task and reports true, and the step returns. Release then
+// wakes the task already holding the server.
+func (r *Resource) AcquireTask(p *Proc) bool { return r.sem.queue(p, 1, 0) }
 
 // QueueLen returns the number of waiting processes.
 func (r *Resource) QueueLen() int { return r.sem.QueueLen() }

@@ -56,7 +56,9 @@ type WAFLConfig struct {
 	// while the previous half drains in a consistency point).
 	NVRAMBytes int64
 	// CPInterval forces a consistency point at most this long after the
-	// previous one (Data ONTAP uses 10 s).
+	// previous one (Data ONTAP uses 10 s). Zero or less means no timer:
+	// a consistency point then starts only when the NVRAM half fills,
+	// which is still checked every 100 ms.
 	CPInterval time.Duration
 	// CPSlowdown multiplies service times while a CP is active.
 	CPSlowdown float64
@@ -87,10 +89,9 @@ type WAFL struct {
 	cpDone    *sim.Cond
 	numCPs    int
 	snapUntil time.Duration // snapshot jitter window end
-	stopped   bool
 }
 
-// NewWAFL creates the store and starts its consistency-point process.
+// NewWAFL creates the store and starts its consistency-point task.
 func NewWAFL(k *sim.Kernel, name string, cfg WAFLConfig) *WAFL {
 	if cfg.CPSlowdown < 1 {
 		cfg.CPSlowdown = 1
@@ -99,45 +100,64 @@ func NewWAFL(k *sim.Kernel, name string, cfg WAFLConfig) *WAFL {
 		k: k, cfg: cfg,
 		cpDone: sim.NewCond(k, "wafl-cpdone:"+name),
 	}
-	k.SpawnDaemon("wafl-cp:"+name, w.cpLoop)
+	k.SpawnTask("wafl-cp:"+name, w.cpStep)
 	return w
 }
 
-// cpLoop triggers consistency points on the NVRAM-half-full condition or
-// the CP timer, whichever comes first.
-func (w *WAFL) cpLoop(p *sim.Proc) {
-	for !w.stopped {
-		// Wait until the timer expires or a kick (half-full) arrives.
-		deadline := w.lastCP + w.cfg.CPInterval
-		for w.k.Now() < deadline && w.dirty < w.cfg.NVRAMBytes && !w.stopped {
-			remain := deadline - w.k.Now()
-			// Sleep in short steps so half-full kicks are honoured
-			// promptly without needing interruptible sleeps.
-			step := remain
-			if step > 100*time.Millisecond {
-				step = 100 * time.Millisecond
+// cpPoll is the longest sleep of the wait for the next consistency
+// point: polling this often honours half-full kicks promptly without
+// needing interruptible sleeps.
+const cpPoll = 100 * time.Millisecond
+
+// cpStep is one wake-up of the consistency-point task
+// (sim.Kernel.SpawnTask). Its loop triggers a consistency point on the
+// NVRAM-half-full condition or the CP timer, whichever comes first, and
+// drains it; a wake-up resumes the drain when cpActive is set, else the
+// wait. It makes the same sleeps in the same order as a process running
+// the loop, so it draws the same events.
+func (w *WAFL) cpStep(p *sim.Proc) {
+	if w.cpActive {
+		w.endCP()
+	}
+	for {
+		// Wait until the timer expires or the NVRAM half fills.
+		for w.dirty < w.cfg.NVRAMBytes {
+			step := cpPoll
+			if w.cfg.CPInterval > 0 {
+				remain := w.lastCP + w.cfg.CPInterval - w.k.Now()
+				if remain <= 0 {
+					break
+				}
+				step = min(step, remain)
 			}
-			p.Sleep(step)
-		}
-		if w.stopped {
-			return
+			if p.Wake(step) {
+				return
+			}
 		}
 		if w.dirty == 0 {
 			w.lastCP = w.k.Now()
 			continue
 		}
-		w.runCP(p)
+		if p.Wake(w.startCP()) {
+			return
+		}
+		w.endCP()
 	}
 }
 
-// runCP drains the dirty data at the configured rate.
-func (w *WAFL) runCP(p *sim.Proc) {
+// startCP begins a consistency point and returns how long draining the
+// dirty data takes at the configured rate.
+func (w *WAFL) startCP() time.Duration {
 	w.cpActive = true
 	w.numCPs++
 	drainable := w.dirty
 	w.dirty = 0 // new writes log into the other NVRAM half
-	dur := time.Duration(float64(drainable) / float64(w.cfg.DrainRate) * float64(time.Second))
-	p.Sleep(dur)
+	return time.Duration(float64(drainable) / float64(w.cfg.DrainRate) * float64(time.Second))
+}
+
+// endCP ends the drain of a consistency point and wakes the writers
+// waiting for the NVRAM half it frees.
+func (w *WAFL) endCP() {
 	w.cpActive = false
 	w.lastCP = w.k.Now()
 	w.cpDone.Broadcast()
@@ -186,9 +206,6 @@ func (w *WAFL) NumCPs() int { return w.numCPs }
 func (w *WAFL) TriggerSnapshots(d time.Duration) {
 	w.snapUntil = w.k.Now() + d
 }
-
-// Stop terminates the background CP process after its current wait.
-func (w *WAFL) Stop() { w.stopped = true }
 
 // Journal models a journaling local file system (ldiskfs/ext3-style) used
 // by metadata servers: metadata updates append to a journal with a group
