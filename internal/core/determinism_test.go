@@ -12,13 +12,14 @@ import (
 	"dmetabench/internal/fault"
 	"dmetabench/internal/lustre"
 	"dmetabench/internal/nfs"
+	"dmetabench/internal/results"
 	"dmetabench/internal/service"
 	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/workload"
 )
 
-// runAndSave executes one canonical Runner experiment with the given seed
+// runAndSave executes one canonical experiment with the given seed
 // and returns the serialized result set as a map of file name to content.
 // domains > 1 partitions the shard-mode simulations into that many kernel
 // domains with the given worker-pool size; both are ignored for the
@@ -27,7 +28,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 	t.Helper()
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(2))
-	var r *Runner
+	var r interface{ Run() (*results.Set, error) }
 	var grouped interface{ Group() *sim.DomainGroup }
 	switch mode {
 	case "shard-hash", "shard-subtree":
@@ -218,7 +219,6 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 				ZipfDirFiles{Projects: 4, SubdirsPerProject: 3, Skew: 1.2, MkdirEvery: 20},
 				MakeFiles{}, RenameFiles{}, StatFiles{},
 			},
-			CollectLatencies: true,
 		}
 	case "lustre-agg":
 		// Domained Lustre write-back client under a million-client
@@ -257,6 +257,49 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 			SlotsPerNode: 2,
 			Plugins:      []Plugin{MakeFiles{}, StatFiles{}},
 		}
+	case "stage":
+		// The long-horizon stage harness on a plain kernel: three probes
+		// on two nodes watch one NFS filer loaded by aggregate background
+		// lanes whose counter feeds Aux. Stage one runs the default
+		// prepare and stat probe, stage two a custom create probe; the
+		// series (throughput, COV, Aux, percentiles) and the per-stage
+		// traces must land identically across identically-seeded runs.
+		cfg := nfs.DefaultConfig()
+		fsys := nfs.New(k, "home", cfg)
+		const tick = 5 * time.Millisecond
+		model := agg.Model{
+			Clients:      100_000,
+			OpsPerClient: 0.5,
+			Mix:          workload.DefaultMetaMix(),
+			Zipf:         agg.ZipfPop{S: 1.1, V: 1, N: 64},
+			Diurnal:      agg.Diurnal{Amplitude: 0.5, Period: time.Second},
+			Tick:         tick,
+			Seed:         seed,
+		}
+		sources := agg.NewSources(model, 1, cfg.ServerThreads, func(int) int { return 0 })
+		fsys.AttachAggregate(tick, func(_, lane, i int) service.Demand {
+			d := sources[lane].Tick(int64(i))
+			return service.Demand{Getattr: d.Getattr, Lookup: d.Lookup,
+				Readdir: d.Readdir, Create: d.Create}
+		})
+		r = &StageRunner{
+			Cluster:  cl,
+			FS:       fsys,
+			Probes:   3,
+			Interval: 25 * time.Millisecond,
+			Think:    time.Millisecond,
+			Label:    "stage",
+			Stages: []Stage{
+				{Name: "stat", Duration: 250 * time.Millisecond},
+				{Name: "create", Duration: 250 * time.Millisecond, Op: func(c *Ctx, i int) error {
+					return c.FS.Create(fileName(c.Dir, defaultProbeFiles+i))
+				}},
+			},
+			Aux: func() int64 {
+				ops, _, _ := fsys.AggCounts()
+				return ops
+			},
+		}
 	case "lustre-writeback":
 		cfg := lustre.DefaultConfig()
 		cfg.Writeback = true
@@ -273,9 +316,8 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 			FS:      nfs.New(k, "home", nfs.DefaultConfig()),
 			Params: Params{ProblemSize: 300, WorkDir: "/bench",
 				TimeLimit: time.Second, Interval: 100 * time.Millisecond},
-			SlotsPerNode:     2,
-			Plugins:          []Plugin{MakeFiles{}, StatFiles{}, DeleteFiles{}},
-			CollectLatencies: true,
+			SlotsPerNode: 2,
+			Plugins:      []Plugin{MakeFiles{}, StatFiles{}, DeleteFiles{}},
 		}
 	}
 	if grouped != nil && grouped.Group() != nil && workers > 0 {
@@ -317,12 +359,13 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 // client cache under fault injection (grants, revocation callbacks,
 // delegations, crash-time epoch invalidation), and giant-directory
 // splitting racing a crash/takeover (migrations, bounce routing,
-// bitmap revocations).
+// bitmap revocations), and the stage harness (per-stage traces, the
+// interval series and its Aux readings).
 func TestRunnerDeterministic(t *testing.T) {
 	for _, mode := range []string{
 		"nfs-timed", "lustre-writeback", "shard-hash", "shard-subtree",
 		"shard-failover", "shard-coherent", "shard-split", "shard-lsm",
-		"shard-agg", "nfs-domains", "lustre-agg",
+		"shard-agg", "nfs-domains", "lustre-agg", "stage",
 	} {
 		t.Run(mode, func(t *testing.T) {
 			diffSets(t,

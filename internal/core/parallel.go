@@ -90,19 +90,15 @@ func (pr *ParallelRunner) Run() (*results.Set, error) {
 // runCell executes one measurement on a fresh, identically-seeded
 // kernel and returns it.
 func (pr *ParallelRunner) runCell(c planCell) (*results.Measurement, error) {
-	k := sim.New(pr.Seed)
-	r := pr.New(k)
+	r := pr.New(sim.New(pr.Seed))
 	r.Plugins = []Plugin{c.plugin}
 	nodes, ppn := c.combo.Nodes, c.combo.PPN
 	r.Filter = func(cc Combo) bool { return cc.Nodes == nodes && cc.PPN == ppn }
 	// Pre-run load profiling samples the whole run's environment once in
 	// the serial master; a per-cell repeat would misreport it.
 	r.ProfileLoad = 0
-	cellSet, err := r.Start(k)
+	cellSet, err := r.Run()
 	if err != nil {
-		return nil, err
-	}
-	if err := k.Run(); err != nil {
 		return nil, err
 	}
 	m := cellSet.Find(c.plugin.Name(), nodes, ppn)

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"time"
 
 	"dmetabench/internal/cluster"
@@ -49,23 +49,6 @@ type Runner struct {
 	// Filter, when set, selects which plan combos run (in addition to
 	// the NodeStep/PPNStep thinning).
 	Filter func(Combo) bool
-	// CollectLatencies wraps every client to record per-operation
-	// latency histograms during the doBench phase.
-	CollectLatencies bool
-}
-
-// Run performs the full benchmark run and drives the simulation kernel
-// until completion.
-func (r *Runner) Run() (*results.Set, error) {
-	k := r.Cluster.Kernel()
-	set, err := r.Start(k)
-	if err != nil {
-		return nil, err
-	}
-	if err := k.Run(); err != nil {
-		return nil, err
-	}
-	return set, nil
 }
 
 // plan performs placement discovery for this runner's cluster/slot
@@ -106,10 +89,9 @@ func (r *Runner) plan() ([]Combo, error) {
 	return plan, nil
 }
 
-// Start spawns the master process and returns the result set it will
-// fill; the caller must drive the kernel (Run or RunFor). Use Run unless
-// the experiment interleaves other simulation activity.
-func (r *Runner) Start(k *sim.Kernel) (*results.Set, error) {
+// Run performs the full benchmark run: it spawns the master process and
+// drives the simulation kernel until completion.
+func (r *Runner) Run() (*results.Set, error) {
 	plan, err := r.plan()
 	if err != nil {
 		return nil, err
@@ -117,6 +99,7 @@ func (r *Runner) Start(k *sim.Kernel) (*results.Set, error) {
 	set := results.NewSet(r.Params.Label, r.FS.Name(), r.Params.interval())
 	r.profileStatic(set)
 
+	k := r.Cluster.Kernel()
 	k.Spawn("dmetabench-master", func(mp *sim.Proc) {
 		if r.ProfileLoad > 0 {
 			r.profileLoad(mp, set)
@@ -128,6 +111,9 @@ func (r *Runner) Start(k *sim.Kernel) (*results.Set, error) {
 			}
 		}
 	})
+	if err := k.Run(); err != nil {
+		return nil, err
+	}
 	return set, nil
 }
 
@@ -176,180 +162,73 @@ func (r *Runner) runMeasurement(mp *sim.Proc, combo Combo, plugin Plugin) *resul
 	interval := r.Params.interval()
 	barrier := sim.NewBarrier(k, "phase", procs+1)
 
-	ctxs := make([]*Ctx, procs)
-	done := make([]bool, procs)
-	benchActive := false
-	var latencies map[fs.OpKind]*results.Histogram
-	if r.CollectLatencies {
-		latencies = make(map[fs.OpKind]*results.Histogram)
-	}
-	finishedAt := make([]time.Duration, procs)
-	errs := make([]string, procs)
-	dirs := make([]string, procs)
-	for rank := range combo.Workers {
-		base := r.Params.WorkDir
-		if len(r.Params.PathList) > 0 {
-			base = r.Params.PathList[rank%len(r.Params.PathList)]
-		}
-		dirs[rank] = workerDir(base, plugin.Name(), combo.Nodes, procs, rank)
-	}
-
+	nodeOf := make([]int, procs)
+	nodes := make([]*cluster.Node, procs)
 	for rank, slot := range combo.Workers {
-		rank, slot := rank, slot
-		node := r.Cluster.Nodes[slot.NodeIndex]
-		k.Spawn("worker-"+strconv.Itoa(rank), func(p *sim.Proc) {
-			ctx := &Ctx{
-				Rank:     rank,
-				Workers:  procs,
-				Node:     node.Name,
-				NodeRank: slot.SlotOnNode,
-				Dir:      dirs[rank],
-				PeerDir:  dirs[peerRank(rank, combo)],
-				Params:   r.Params,
-			}
-			phaseStart := p.Now()
-			ctx.Now = func() time.Duration { return p.Now() - phaseStart }
-			ctx.FS = r.FS.NewClient(node, p)
-			if r.CollectLatencies {
-				// The simulator runs one process at a time, so the
-				// shared histogram map needs no locking.
-				ctx.FS = fs.NewLatencyClient(ctx.FS,
-					func() time.Duration { return p.Now() },
-					func(kind fs.OpKind, d time.Duration) {
-						if !benchActive {
-							return
-						}
-						h := latencies[kind]
-						if h == nil {
-							h = &results.Histogram{}
-							latencies[kind] = h
-						}
-						h.Add(d)
-					})
-			}
-			ctxs[rank] = ctx
-
-			if err := plugin.Prepare(ctx); err != nil {
-				errs[rank] = fmt.Sprintf("prepare: %v", err)
-			}
-			barrier.Wait(p)
-
-			benchStart := p.Now()
-			ctx.Now = func() time.Duration { return p.Now() - benchStart }
-			ctx.Deadline = r.Params.TimeLimit
-			if errs[rank] == "" {
-				if err := plugin.DoBench(ctx); err != nil {
-					errs[rank] = fmt.Sprintf("dobench: %v", err)
-				}
-			}
-			finishedAt[rank] = p.Now() - benchStart
-			done[rank] = true
-			barrier.Wait(p)
-
-			if err := plugin.Cleanup(ctx); err != nil && errs[rank] == "" {
-				errs[rank] = fmt.Sprintf("cleanup: %v", err)
-			}
-			barrier.Wait(p)
-		})
+		nodeOf[rank] = slot.NodeIndex
+		nodes[rank] = r.Cluster.Nodes[slot.NodeIndex]
 	}
+	dirs, peers := WorkerDirs(r.Params, plugin.Name(), combo.Nodes, nodeOf)
+	ctxs := make([]*Ctx, procs)
+	for rank, slot := range combo.Workers {
+		ctxs[rank] = &Ctx{
+			Rank:     rank,
+			Workers:  procs,
+			Node:     slot.Node,
+			NodeRank: slot.SlotOnNode,
+			Dir:      dirs[rank],
+			PeerDir:  peers[rank],
+			Params:   r.Params,
+		}
+	}
+	rs := newRankSet(ctxs)
+	done := make([]bool, procs)
+	finishedAt := make([]time.Duration, procs)
+
+	rs.spawn(k, r.FS, "worker-", nodes, func(p *sim.Proc, ctx *Ctx) {
+		rank := ctx.Rank
+		if err := plugin.Prepare(ctx); err != nil {
+			rs.errs[rank] = fmt.Sprintf("prepare: %v", err)
+		}
+		barrier.Wait(p)
+
+		ctx.Now = clockFrom(p)
+		ctx.Deadline = r.Params.TimeLimit
+		if rs.errs[rank] == "" {
+			if err := plugin.DoBench(ctx); err != nil {
+				rs.errs[rank] = fmt.Sprintf("dobench: %v", err)
+			}
+		}
+		finishedAt[rank] = ctx.Now()
+		done[rank] = true
+		barrier.Wait(p)
+
+		if err := plugin.Cleanup(ctx); err != nil && rs.errs[rank] == "" {
+			rs.errs[rank] = fmt.Sprintf("cleanup: %v", err)
+		}
+		barrier.Wait(p)
+	})
 
 	// Master: wait out prepare, then supervise the bench phase.
 	barrier.Wait(mp)
-	benchActive = true
 	if r.BenchStartHook != nil {
 		r.BenchStartHook(mp, MeasurementInfo{Op: plugin.Name(), Nodes: combo.Nodes, PPN: combo.PPN})
 	}
-	// Preallocate the per-process trace slices: with a time limit the
-	// sample count is known up front; otherwise start with a page worth
-	// of samples instead of growing from nil.
+	// With a time limit the sample count is known up front; otherwise
+	// start with a page worth of samples instead of growing from nil.
 	sampleCap := 64
 	if r.Params.TimeLimit > 0 {
 		sampleCap = int(r.Params.TimeLimit/interval) + 2
 	}
-	traces := make([][]int64, procs)
-	for i := range traces {
-		traces[i] = make([]int64, 0, sampleCap)
-	}
-	for {
+	rs.startLog(sampleCap)
+	for allDone := false; !allDone; {
 		mp.Sleep(interval)
-		allDone := true
-		for i, ctx := range ctxs {
-			traces[i] = append(traces[i], ctx.Progress())
-			if !done[i] {
-				allDone = false
-			}
-		}
-		if allDone {
-			break
-		}
+		rs.sample()
+		allDone = !slices.Contains(done, false)
 	}
 	barrier.Wait(mp) // bench end
-	benchActive = false
 	barrier.Wait(mp) // cleanup end
 
-	m := &results.Measurement{
-		Op:       plugin.Name(),
-		Nodes:    combo.Nodes,
-		PPN:      combo.PPN,
-		Interval: interval,
-		Errors:   errs,
-	}
-	if r.CollectLatencies {
-		m.Latencies = make(map[string]*results.Histogram, len(latencies))
-		for kind, h := range latencies {
-			m.Latencies[kind.String()] = h
-		}
-	}
-	for rank, slot := range combo.Workers {
-		m.Traces = append(m.Traces, results.Trace{
-			Host:       slot.Node,
-			Op:         plugin.Name(),
-			Proc:       rank,
-			Done:       traces[rank],
-			Final:      ctxs[rank].Progress(),
-			FinishedAt: finishedAt[rank],
-		})
-	}
-	return m
-}
-
-// workerDir builds "<base>/<op>-n<nodes>-p<procs>/p<rank padded to 3>"
-// with a single sized allocation (the fmt.Sprintf it replaces showed up
-// in measurement-setup profiles).
-func workerDir(base, op string, nodes, procs, rank int) string {
-	b := make([]byte, 0, len(base)+len(op)+32)
-	b = append(b, base...)
-	b = append(b, '/')
-	b = append(b, op...)
-	b = append(b, "-n"...)
-	b = strconv.AppendInt(b, int64(nodes), 10)
-	b = append(b, "-p"...)
-	b = strconv.AppendInt(b, int64(procs), 10)
-	b = append(b, "/p"...)
-	if rank < 100 {
-		b = append(b, '0')
-	}
-	if rank < 10 {
-		b = append(b, '0')
-	}
-	b = strconv.AppendInt(b, int64(rank), 10)
-	return string(b)
-}
-
-// peerRank pairs every worker with a partner on another node when
-// possible (StatMultinodeFiles); with a single node the partner is simply
-// the next process.
-func peerRank(rank int, combo Combo) int {
-	n := combo.Procs()
-	if n == 1 {
-		return 0
-	}
-	own := combo.Workers[rank].NodeIndex
-	for off := 1; off < n; off++ {
-		cand := (rank + off) % n
-		if combo.Workers[cand].NodeIndex != own {
-			return cand
-		}
-	}
-	return (rank + 1) % n
+	return rs.measurement(plugin.Name(), combo.Nodes, combo.PPN, interval,
+		func(rank int) time.Duration { return finishedAt[rank] })
 }

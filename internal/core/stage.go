@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
@@ -128,23 +127,9 @@ func defaultOp(c *Ctx, i int) error {
 	return err
 }
 
-// Run performs the staged run and drives the kernel to completion.
-func (r *StageRunner) Run() (*results.Set, error) {
-	k := r.Cluster.Kernel()
-	set, err := r.Start(k)
-	if err != nil {
-		return nil, err
-	}
-	if err := k.Run(); err != nil {
-		return nil, err
-	}
-	return set, nil
-}
-
 // stageShared is the master↔probe channel: the simulator runs one
 // process at a time per kernel, and master and probes all live in the
-// client domain, so plain fields need no locking (same discipline as
-// Runner's latency map).
+// client domain, so plain fields need no locking.
 type stageShared struct {
 	recording bool
 	cur       *results.Histogram // current interval
@@ -159,11 +144,13 @@ func (s *stageShared) record(d time.Duration) {
 	s.agg.Add(d)
 }
 
-// Start spawns the probes and master; the caller drives the kernel.
-func (r *StageRunner) Start(k *sim.Kernel) (*results.Set, error) {
+// Run spawns the probes and the master, then drives the kernel to
+// completion.
+func (r *StageRunner) Run() (*results.Set, error) {
 	if len(r.Stages) == 0 {
 		return nil, fmt.Errorf("stagerunner: no stages")
 	}
+	k := r.Cluster.Kernel()
 	probes := r.Probes
 	if probes < 1 {
 		probes = 1
@@ -201,161 +188,99 @@ func (r *StageRunner) Start(k *sim.Kernel) (*results.Set, error) {
 	set.Environment["stages"] = strconv.Itoa(len(r.Stages))
 	set.Environment["period"] = total.String()
 
-	nodesUsed := probes
-	if n := len(r.Cluster.Nodes); nodesUsed > n {
-		nodesUsed = n
-	}
+	nodesUsed := min(probes, len(r.Cluster.Nodes))
 	ppn := (probes + nodesUsed - 1) / nodesUsed
 
+	nodes := make([]*cluster.Node, probes)
+	ctxs := make([]*Ctx, probes)
+	for rank := range ctxs {
+		nodes[rank] = r.Cluster.Nodes[rank%len(r.Cluster.Nodes)]
+		ctxs[rank] = &Ctx{
+			Rank:     rank,
+			Workers:  probes,
+			Node:     nodes[rank].Name,
+			NodeRank: rank / len(r.Cluster.Nodes),
+			Dir:      "/probe/p" + strconv.Itoa(rank),
+			Params:   Params{WorkDir: "/probe", Interval: interval, Label: r.Label},
+		}
+	}
+	rs := newRankSet(ctxs)
 	// Start/end barrier pair per stage; the master joins as one party.
 	barrier := sim.NewBarrier(k, "stage", probes+1)
-	ctxs := make([]*Ctx, probes)
-	errs := make([]string, probes)
 	shared := &stageShared{}
 
-	for rank := 0; rank < probes; rank++ {
-		rank := rank
-		node := r.Cluster.Nodes[rank%len(r.Cluster.Nodes)]
-		k.Spawn("probe-"+strconv.Itoa(rank), func(p *sim.Proc) {
-			ctx := &Ctx{
-				Rank:     rank,
-				Workers:  probes,
-				Node:     node.Name,
-				NodeRank: rank / len(r.Cluster.Nodes),
-				Dir:      "/probe/p" + strconv.Itoa(rank),
-				Params: Params{WorkDir: "/probe", Interval: interval,
-					Label: r.Label},
+	rs.spawn(k, r.FS, "probe-", nodes, func(p *sim.Proc, ctx *Ctx) {
+		rank := ctx.Rank
+		if err := prepare(ctx); err != nil {
+			rs.errs[rank] = fmt.Sprintf("prepare: %v", err)
+		}
+		for _, stage := range r.Stages {
+			op := stage.Op
+			if op == nil {
+				op = defaultOp
 			}
-			phaseStart := p.Now()
-			ctx.Now = func() time.Duration { return p.Now() - phaseStart }
-			ctx.FS = r.FS.NewClient(node, p)
-			ctxs[rank] = ctx
-			if err := prepare(ctx); err != nil {
-				errs[rank] = fmt.Sprintf("prepare: %v", err)
-			}
-			for _, stage := range r.Stages {
-				op := stage.Op
-				if op == nil {
-					op = defaultOp
+			barrier.Wait(p) // stage start
+			ctx.Now = clockFrom(p)
+			end := p.Now() + stage.Duration
+			for i := 0; rs.errs[rank] == "" && p.Now() < end; i++ {
+				t0 := p.Now()
+				if err := op(ctx, i); err != nil {
+					rs.errs[rank] = fmt.Sprintf("%s: %v", stage.Name, err)
+					break
 				}
-				barrier.Wait(p) // stage start
-				start := p.Now()
-				ctx.Now = func() time.Duration { return p.Now() - start }
-				end := start + stage.Duration
-				for i := 0; errs[rank] == "" && p.Now() < end; i++ {
-					t0 := p.Now()
-					if err := op(ctx, i); err != nil {
-						errs[rank] = fmt.Sprintf("%s: %v", stage.Name, err)
-						break
-					}
-					shared.record(p.Now() - t0)
-					ctx.Tick()
-					p.Sleep(think)
-				}
-				barrier.Wait(p) // stage end
+				shared.record(p.Now() - t0)
+				ctx.Tick()
+				p.Sleep(think)
 			}
-		})
-	}
+			barrier.Wait(p) // stage end
+		}
+	})
 
 	k.Spawn("stage-master", func(mp *sim.Proc) {
-		base := make([]int64, probes)
-		prev := make([]int64, probes)
-		rates := make([]float64, probes)
 		for _, stage := range r.Stages {
-			nIv := int(stage.Duration / interval)
-			if nIv < 1 {
-				nIv = 1
-			}
-			series := make([]results.IntervalStat, 0, nIv)
-			traces := make([][]int64, probes)
-			for i := range traces {
-				traces[i] = make([]int64, 0, nIv)
-			}
+			nIv := max(int(stage.Duration/interval), 1)
+			// The master fills in what only it sees per interval (the aux
+			// reading and the latency percentiles); the rest of each row
+			// comes from the stage's traces.
+			series := make([]results.IntervalStat, nIv)
+			rs.startLog(nIv)
 			shared.agg = &results.Histogram{}
 			shared.cur = &results.Histogram{}
 			shared.recording = true
 			if aux != nil {
 				aux.start(mp)
 			}
-			copy(prev, base)
 			barrier.Wait(mp) // stage start: probes run from here
-			for t := 0; t < nIv; t++ {
+			for t := range series {
 				if aux != nil {
 					aux.arm(mp, mp.Now()+interval)
 				}
 				mp.Sleep(interval)
-				var ops int64
-				for i, ctx := range ctxs {
-					cum := ctx.Progress() - base[i]
-					traces[i] = append(traces[i], cum)
-					done := ctx.Progress() - prev[i]
-					prev[i] = ctx.Progress()
-					ops += done
-					rates[i] = float64(done) / interval.Seconds()
-				}
-				st := results.IntervalStat{
-					T:          time.Duration(t+1) * interval,
-					Ops:        ops,
-					Throughput: float64(ops) / interval.Seconds(),
-				}
-				_, st.COV = stddevCOV(rates)
+				rs.sample()
 				if aux != nil {
-					st.Aux = aux.take()
+					series[t].Aux = aux.take()
 				}
-				st.FillPercentiles(shared.cur)
-				series = append(series, st)
+				series[t].FillPercentiles(shared.cur)
 				shared.cur = &results.Histogram{}
 			}
 			shared.recording = false
 			barrier.Wait(mp) // stage end: probes are now idle
-			m := &results.Measurement{
-				Op:       stage.Name,
-				Nodes:    nodesUsed,
-				PPN:      ppn,
-				Interval: interval,
-				Errors:   append([]string(nil), errs...),
-				Series:   series,
-				Latencies: map[string]*results.Histogram{
-					"probe": shared.agg,
-				},
+			m := rs.measurement(stage.Name, nodesUsed, ppn, interval,
+				func(int) time.Duration { return time.Duration(nIv) * interval })
+			m.Latencies = map[string]*results.Histogram{"probe": shared.agg}
+			var prev int64
+			for t, row := range m.Summary() {
+				series[t].T, series[t].Throughput, series[t].COV = row.T, row.Throughput, row.COV
+				series[t].Ops = row.TotalDone - prev
+				prev = row.TotalDone
 			}
-			for i := range ctxs {
-				final := ctxs[i].Progress() - base[i]
-				m.Traces = append(m.Traces, results.Trace{
-					Host:       ctxs[i].Node,
-					Op:         stage.Name,
-					Proc:       i,
-					Done:       traces[i],
-					Final:      final,
-					FinishedAt: time.Duration(nIv) * interval,
-				})
-				base[i] = ctxs[i].Progress()
-			}
+			m.Series = series
+			rs.rebase()
 			set.Add(m)
 		}
 	})
+	if err := k.Run(); err != nil {
+		return nil, err
+	}
 	return set, nil
-}
-
-// stddevCOV mirrors results.stddevCOV (package-private there) for the
-// master's per-interval probe-rate spread.
-func stddevCOV(xs []float64) (sd, cov float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	sd = math.Sqrt(ss / float64(len(xs)))
-	if mean > 0 {
-		cov = sd / mean
-	}
-	return sd, cov
 }

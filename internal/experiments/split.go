@@ -32,28 +32,6 @@ func e25Cfg(n, threshold int) shard.Config {
 	return cfg
 }
 
-// runWide executes a WideDirFiles run — every process hammering one
-// shared directory — on a 16-node x 4-process cluster (64 workers) and
-// returns the result set plus the FS for counter readout.
-func runWide(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*results.Set, *shard.FS) {
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(16))
-	fsys := newShardFS(k, "meta", cfg)
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: problem, WorkDir: "/"},
-		SlotsPerNode: 4,
-		Plugins:      []core.Plugin{plugin},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 16 && c.PPN == 4 },
-	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, fsys
-	}
-	return set, fsys
-}
-
 // E25SplitScaling sweeps the shard count under the mdtest
 // shared-directory pattern with splitting off and on: without it, every
 // create of the one shared directory serializes on the directory's home
@@ -84,7 +62,7 @@ func E25SplitScaling() *Report {
 		if i%2 == 1 {
 			threshold = 512
 		}
-		set, fsys := runWide(2500, e25Cfg(shardsSwept[i/2], threshold), plugin, problem)
+		set, fsys := runSharded(2500, e25Cfg(shardsSwept[i/2], threshold), plugin, problem)
 		if set == nil {
 			return e25cell{}
 		}

@@ -131,10 +131,13 @@ type wbState struct {
 	dentries *clientcache.DentryCache
 
 	pending map[string]fs.Attr // locally completed, not yet at the MDS
-	queue   *sim.Queue
-	window  *sim.Semaphore
-	flusher *sim.Proc
-	flushed *sim.Cond
+	// pendingIn counts the pending creates per parent directory, so a
+	// reader or remover of a directory waits for exactly its own.
+	pendingIn map[string]int
+	queue     *sim.Queue
+	window    *sim.Semaphore
+	flusher   *sim.Proc
+	flushed   *sim.Cond
 }
 
 // New creates a Lustre file system on kernel k.
@@ -241,9 +244,10 @@ func (f *FS) nodeState(n *cluster.Node) *wbState {
 	s, ok := f.nodes[n]
 	if !ok {
 		s = &wbState{
-			attrs:    clientcache.NewAttrCache(f.cfg.AttrTTL, f.k.Now),
-			dentries: clientcache.NewDentryCache(f.cfg.DentryTTL, f.k.Now),
-			pending:  make(map[string]fs.Attr),
+			attrs:     clientcache.NewAttrCache(f.cfg.AttrTTL, f.k.Now),
+			dentries:  clientcache.NewDentryCache(f.cfg.DentryTTL, f.k.Now),
+			pending:   make(map[string]fs.Attr),
+			pendingIn: make(map[string]int),
 		}
 		if f.cfg.Writeback {
 			s.queue = sim.NewQueue(f.k, "wb:"+n.Name)
@@ -332,6 +336,10 @@ func (f *FS) flushLoop(p *sim.Proc, n *cluster.Node, s *wbState) {
 			_ = f.mdsCreate(sp, item)
 		})
 		delete(s.pending, item)
+		dir := fs.ParentDir(item)
+		if s.pendingIn[dir]--; s.pendingIn[dir] == 0 {
+			delete(s.pendingIn, dir)
+		}
 		s.window.Release(1)
 		s.flushed.Broadcast()
 	}
@@ -381,6 +389,7 @@ func (c *client) Create(p string) error {
 		a := fs.Attr{Type: fs.TypeRegular, Nlink: 1, Mode: 0o644,
 			Mtime: c.p.Now(), Ctime: c.p.Now(), Atime: c.p.Now()}
 		st.pending[p] = a
+		st.pendingIn[fs.ParentDir(p)]++
 		st.queue.Put(p)
 		// Local bookkeeping cost of the cached operation.
 		c.node.ExecNice(c.p, 4*time.Microsecond, cfg.ClientNice)
@@ -451,6 +460,16 @@ func (c *client) waitNotPending(p string) {
 		if _, ok := st.pending[p]; !ok {
 			return
 		}
+		st.flushed.Wait(c.p)
+	}
+}
+
+// waitDirFlushed blocks until none of the node's creates in directory
+// dir is pending (write-back mode ordering barrier for reading or
+// removing a directory after cached creates into it).
+func (c *client) waitDirFlushed(dir string) {
+	st := c.st()
+	for st.pendingIn[dir] > 0 {
 		st.flushed.Wait(c.p)
 	}
 }
@@ -584,8 +603,12 @@ func (c *client) Mkdir(p string) error {
 	})
 }
 
-// Rmdir issues a synchronous RPC.
+// Rmdir issues a synchronous RPC; in write-back mode it first waits for
+// the node's pending creates in the directory to drain.
 func (c *client) Rmdir(p string) error {
+	if c.cfg().Writeback {
+		c.waitDirFlushed(p)
+	}
 	return c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc) error {
 		err := c.fsys.ns.Rmdir(p, sp.Now())
 		if err == nil {
@@ -701,9 +724,14 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	return a, nil
 }
 
-// ReadDir issues READDIR RPCs to the MDS.
+// ReadDir issues READDIR RPCs to the MDS; in write-back mode it first
+// waits for the node's pending creates in the directory to drain, so the
+// listing includes them.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	cfg := c.cfg()
+	if cfg.Writeback {
+		c.waitDirFlushed(p)
+	}
 	c.node.Syscall(c.p)
 	var ents []fs.DirEntry
 	var err error

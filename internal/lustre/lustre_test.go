@@ -149,6 +149,39 @@ func TestWritebackUnlinkWaitsForFlush(t *testing.T) {
 	})
 }
 
+// TestWritebackDirSeesPendingCreates empties a directory right after
+// cached creates into it, as core.RemoveAll does in a cleanup phase: the
+// listing must include every pending create and the rmdir must succeed.
+func TestWritebackDirSeesPendingCreates(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Writeback = true
+	k, cl, f := env(t, 1, cfg)
+	inProc(t, k, func(p *sim.Proc) {
+		c := f.NewClient(cl.Nodes[0], p)
+		if err := c.Mkdir("/d"); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		const n = 200
+		for i := 0; i < n; i++ {
+			if err := c.Create(fmt.Sprintf("/d/f%d", i)); err != nil {
+				t.Fatalf("create %d: %v", i, err)
+			}
+		}
+		ents, err := c.ReadDir("/d")
+		if err != nil || len(ents) != n {
+			t.Fatalf("readdir lists %d of %d entries: %v", len(ents), n, err)
+		}
+		for _, e := range ents {
+			if err := c.Unlink("/d/" + e.Name); err != nil {
+				t.Fatalf("unlink %s: %v", e.Name, err)
+			}
+		}
+		if err := c.Rmdir("/d"); err != nil {
+			t.Fatalf("rmdir of emptied directory: %v", err)
+		}
+	})
+}
+
 func TestSharedDirSerializesAtMDS(t *testing.T) {
 	// Creates from two nodes into one directory serialize on the MDS
 	// directory lock; separate directories proceed in parallel.

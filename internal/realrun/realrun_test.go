@@ -1,7 +1,9 @@
 package realrun
 
 import (
+	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,21 +108,135 @@ func TestRealRunnerLocal(t *testing.T) {
 	}
 }
 
-func TestRPCMasterWorker(t *testing.T) {
-	root := t.TempDir()
+// failingPrepare fails its prepare phase and counts doBench calls.
+type failingPrepare struct{ benched *atomic.Int32 }
+
+func (failingPrepare) Name() string              { return "FailingPrepare" }
+func (failingPrepare) Prepare(*core.Ctx) error   { return errors.New("no space") }
+func (p failingPrepare) DoBench(*core.Ctx) error { p.benched.Add(1); return nil }
+func (failingPrepare) Cleanup(*core.Ctx) error   { return nil }
+
+// TestRealRunnerPlugins runs plugins that PluginByName cannot build, a
+// parameterised one and a custom one: the in-process workers must run
+// the given values, and skip doBench after a failed prepare.
+func TestRealRunnerPlugins(t *testing.T) {
+	failing := failingPrepare{benched: new(atomic.Int32)}
+	r := &Runner{
+		Root:    t.TempDir(),
+		Workers: 2,
+		Params: core.Params{
+			ProblemSize: 20,
+			WorkDir:     "/bench",
+			Interval:    5 * time.Millisecond,
+		},
+		Plugins: []core.Plugin{core.MakeFilesSized{Bytes: 100}, failing},
+	}
+	set, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := set.Measurements[0]
+	if m.Failed() || m.Op != "MakeFiles100byte" || m.TotalOps() != 40 {
+		t.Fatalf("%s: ops = %d, errors %v", m.Op, m.TotalOps(), m.Errors)
+	}
+	if m.Nodes != 1 || m.PPN != 2 || m.Traces[0].Host != "localhost" {
+		t.Fatalf("shape: nodes %d ppn %d host %q", m.Nodes, m.PPN, m.Traces[0].Host)
+	}
+	m = set.Measurements[1]
+	for rank, e := range m.Errors {
+		if e != "prepare: no space" {
+			t.Errorf("rank %d error = %q", rank, e)
+		}
+	}
+	if n := failing.benched.Load(); n != 0 {
+		t.Errorf("doBench ran %d times after a failed prepare", n)
+	}
+}
+
+// TestRealRunnerPathListPeers runs StatMultinodeFiles with a path list:
+// every rank stats the files its peer prepared, so the peer directories
+// must follow the path list as the ranks' own directories do.
+func TestRealRunnerPathListPeers(t *testing.T) {
+	r := &Runner{
+		Root:    t.TempDir(),
+		Workers: 2,
+		Params: core.Params{
+			ProblemSize: 50,
+			WorkDir:     "/bench",
+			PathList:    []string{"/vol0", "/vol1"},
+			Interval:    5 * time.Millisecond,
+		},
+		Plugins: []core.Plugin{core.StatMultinodeFiles{}},
+	}
+	set, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := set.Measurements[0]
+	if m.Failed() {
+		t.Fatalf("%s failed: %v", m.Op, m.Errors)
+	}
+	if m.TotalOps() != 100 {
+		t.Fatalf("%s ops = %d", m.Op, m.TotalOps())
+	}
+}
+
+// serveWorkers starts n dmetaworker services on loopback listeners and
+// returns their addresses.
+func serveWorkers(t *testing.T, n int) []string {
+	t.Helper()
 	var addrs []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer l.Close()
+		t.Cleanup(func() { l.Close() })
 		addrs = append(addrs, l.Addr().String())
 		go Serve(l, "worker")
 	}
+	return addrs
+}
+
+// TestRPCMasterPathList gives a distributed run a path list: the ranks
+// must work under its entries, not under WorkDir (§3.3.6).
+func TestRPCMasterPathList(t *testing.T) {
+	root := t.TempDir()
 	m := &Master{
 		Root:  root,
-		Addrs: addrs,
+		Addrs: serveWorkers(t, 2),
+		Params: core.Params{
+			ProblemSize: 50,
+			WorkDir:     "/bench",
+			PathList:    []string{"/vol0", "/vol1"},
+			Interval:    5 * time.Millisecond,
+		},
+		Plugins: []core.Plugin{core.MakeFiles{}},
+	}
+	set, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meas := set.Measurements[0]; meas.Failed() || meas.TotalOps() != 100 {
+		t.Fatalf("ops = %d, errors %v", meas.TotalOps(), meas.Errors)
+	}
+	// Cleanup removes each rank's directory, not its parent.
+	c := NewOSClient(root)
+	for _, vol := range []string{"/vol0", "/vol1"} {
+		if _, err := c.Stat(vol + "/MakeFiles-n2-p2"); err != nil {
+			t.Errorf("path-list entry %s unused: %v", vol, err)
+		}
+	}
+	if _, err := c.Stat("/bench"); !fs.IsNotExist(err) {
+		t.Errorf("WorkDir used despite the path list: %v", err)
+	}
+}
+
+func TestRPCMasterWorker(t *testing.T) {
+	root := t.TempDir()
+	m := &Master{
+		Root:  root,
+		Addrs: serveWorkers(t, 2),
 		Params: core.Params{
 			ProblemSize: 200,
 			WorkDir:     "/bench",

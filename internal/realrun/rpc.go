@@ -11,9 +11,10 @@ import (
 	"dmetabench/internal/results"
 )
 
-// The net/rpc master/worker protocol replaces MPI for distributed real
-// runs: dmetaworker daemons register a Worker service, the master assigns
-// every daemon a rank, drives the three phases, and polls the progress
+// The net/rpc master/worker protocol replaces MPI for real runs:
+// dmetaworker daemons (or Runner's in-process workers) register a Worker
+// service, the master assigns every worker a rank and its directories
+// (core.WorkerDirs), drives the three phases, and polls the progress
 // counters on the interval grid.
 
 // SetupArgs configures a worker for one measurement.
@@ -44,24 +45,39 @@ type ProgressReply struct {
 	Done int64
 }
 
-// Worker is the RPC service run by dmetaworker.
+// Worker is the RPC service run by dmetaworker, and in-process by
+// Runner.
 type Worker struct {
 	Hostname string
+	// plugins, when set, are looked up by name before PluginByName.
+	plugins []core.Plugin
 
-	mu     sync.Mutex
-	ctx    *core.Ctx
-	plugin core.Plugin
+	mu       sync.Mutex
+	ctx      *core.Ctx
+	plugin   core.Plugin
+	prepared bool
+}
+
+// lookup resolves an operation name to a plugin.
+func (w *Worker) lookup(op string) (core.Plugin, error) {
+	for _, p := range w.plugins {
+		if p.Name() == op {
+			return p, nil
+		}
+	}
+	return core.PluginByName(op)
 }
 
 // Setup prepares the worker state for one measurement.
 func (w *Worker) Setup(args *SetupArgs, _ *struct{}) error {
-	plugin, err := core.PluginByName(args.Op)
+	plugin, err := w.lookup(args.Op)
 	if err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.plugin = plugin
+	w.prepared = false
 	w.ctx = &core.Ctx{
 		FS:      NewOSClient(args.Root),
 		Rank:    args.Rank,
@@ -74,10 +90,11 @@ func (w *Worker) Setup(args *SetupArgs, _ *struct{}) error {
 	return nil
 }
 
-// RunPhase executes one phase synchronously.
+// RunPhase executes one phase synchronously. doBench is skipped after
+// a failed prepare, as in the simulator.
 func (w *Worker) RunPhase(args *PhaseArgs, reply *PhaseReply) error {
 	w.mu.Lock()
-	ctx, plugin := w.ctx, w.plugin
+	ctx, plugin, prepared := w.ctx, w.plugin, w.prepared
 	w.mu.Unlock()
 	if ctx == nil {
 		return fmt.Errorf("worker: RunPhase before Setup")
@@ -88,7 +105,13 @@ func (w *Worker) RunPhase(args *PhaseArgs, reply *PhaseReply) error {
 	switch args.Phase {
 	case "prepare":
 		err = plugin.Prepare(ctx)
+		w.mu.Lock()
+		w.prepared = err == nil
+		w.mu.Unlock()
 	case "dobench":
+		if !prepared {
+			return nil
+		}
 		ctx.Deadline = ctx.Params.TimeLimit
 		err = plugin.DoBench(ctx)
 		reply.FinishedAt = time.Since(start)
@@ -140,12 +163,8 @@ type Master struct {
 	Plugins []core.Plugin
 }
 
-// Run executes every plugin across all workers.
+// Run executes every plugin across all workers, one node per address.
 func (m *Master) Run() (*results.Set, error) {
-	interval := m.Params.Interval
-	if interval <= 0 {
-		interval = core.DefaultInterval
-	}
 	clients := make([]*rpc.Client, len(m.Addrs))
 	for i, addr := range m.Addrs {
 		c, err := rpc.Dial("tcp", addr)
@@ -155,9 +174,20 @@ func (m *Master) Run() (*results.Set, error) {
 		defer c.Close()
 		clients[i] = c
 	}
-	set := results.NewSet(m.Params.Label, "os-cluster:"+m.Root, interval)
+	return m.run(clients, len(clients), m.Addrs, "os-cluster:"+m.Root)
+}
+
+// run drives every plugin across the connected workers, which spread
+// over the given number of nodes (rank i on node i mod nodes, the
+// simulator's round-robin order); hosts[i] labels rank i's trace.
+func (m *Master) run(clients []*rpc.Client, nodes int, hosts []string, fsName string) (*results.Set, error) {
+	interval := m.Params.Interval
+	if interval <= 0 {
+		interval = core.DefaultInterval
+	}
+	set := results.NewSet(m.Params.Label, fsName, interval)
 	for _, plugin := range m.Plugins {
-		meas, err := m.runOne(clients, plugin, interval)
+		meas, err := m.runOne(clients, plugin, interval, nodes, hosts)
 		if err != nil {
 			return nil, err
 		}
@@ -166,16 +196,18 @@ func (m *Master) Run() (*results.Set, error) {
 	return set, nil
 }
 
-func (m *Master) runOne(clients []*rpc.Client, plugin core.Plugin, interval time.Duration) (*results.Measurement, error) {
+func (m *Master) runOne(clients []*rpc.Client, plugin core.Plugin, interval time.Duration,
+	nodes int, hosts []string) (*results.Measurement, error) {
 	n := len(clients)
-	dirs := make([]string, n)
-	for rank := range clients {
-		dirs[rank] = fmt.Sprintf("%s/%s-w%d/p%03d", m.Params.WorkDir, plugin.Name(), n, rank)
+	nodeOf := make([]int, n)
+	for rank := range nodeOf {
+		nodeOf[rank] = rank % nodes
 	}
+	dirs, peers := core.WorkerDirs(m.Params, plugin.Name(), nodes, nodeOf)
 	for rank, c := range clients {
 		args := &SetupArgs{
 			Root: m.Root, Op: plugin.Name(), Rank: rank, Workers: n,
-			Dir: dirs[rank], PeerDir: dirs[(rank+1)%n], Params: m.Params,
+			Dir: dirs[rank], PeerDir: peers[rank], Params: m.Params,
 		}
 		if err := c.Call("Worker.Setup", args, &struct{}{}); err != nil {
 			return nil, fmt.Errorf("setup rank %d: %w", rank, err)
@@ -183,14 +215,36 @@ func (m *Master) runOne(clients []*rpc.Client, plugin core.Plugin, interval time
 	}
 
 	errs := make([]string, n)
-	phase := func(name string) ([]PhaseReply, error) {
+	traces := make([][]int64, n)
+	// phase runs one phase on every rank and waits for all of them,
+	// polling the progress counters on the interval grid if sample.
+	phase := func(name string, sample bool) ([]PhaseReply, error) {
 		replies := make([]PhaseReply, n)
 		calls := make([]*rpc.Call, n)
+		finished := make(chan *rpc.Call, n)
 		for rank, c := range clients {
-			calls[rank] = c.Go("Worker.RunPhase", &PhaseArgs{Phase: name}, &replies[rank], nil)
+			calls[rank] = c.Go("Worker.RunPhase", &PhaseArgs{Phase: name}, &replies[rank], finished)
+		}
+		var tick <-chan time.Time
+		if sample {
+			ticker := time.NewTicker(interval)
+			defer ticker.Stop()
+			tick = ticker.C
+		}
+		for left := n; left > 0; {
+			select {
+			case <-tick:
+				for rank, c := range clients {
+					var pr ProgressReply
+					if err := c.Call("Worker.Progress", &struct{}{}, &pr); err == nil {
+						traces[rank] = append(traces[rank], pr.Done)
+					}
+				}
+			case <-finished:
+				left--
+			}
 		}
 		for rank, call := range calls {
-			<-call.Done
 			if call.Error != nil {
 				return nil, fmt.Errorf("%s rank %d: %w", name, rank, call.Error)
 			}
@@ -201,62 +255,19 @@ func (m *Master) runOne(clients []*rpc.Client, plugin core.Plugin, interval time
 		return replies, nil
 	}
 
-	if _, err := phase("prepare"); err != nil {
+	if _, err := phase("prepare", false); err != nil {
 		return nil, err
 	}
-
-	// doBench: issue async calls, poll progress until they all return.
-	replies := make([]PhaseReply, n)
-	calls := make([]*rpc.Call, n)
-	for rank, c := range clients {
-		calls[rank] = c.Go("Worker.RunPhase", &PhaseArgs{Phase: "dobench"}, &replies[rank], nil)
+	replies, err := phase("dobench", true)
+	if err != nil {
+		return nil, err
 	}
-	allDone := make(chan struct{})
-	var wg sync.WaitGroup
-	for rank := range calls {
-		rank := rank
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-calls[rank].Done
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(allDone)
-	}()
-	traces := make([][]int64, n)
-	ticker := time.NewTicker(interval)
-sampling:
-	for {
-		select {
-		case <-ticker.C:
-			for rank, c := range clients {
-				var pr ProgressReply
-				if err := c.Call("Worker.Progress", &struct{}{}, &pr); err == nil {
-					traces[rank] = append(traces[rank], pr.Done)
-				}
-			}
-		case <-allDone:
-			break sampling
-		}
-	}
-	ticker.Stop()
-	for rank := range clients {
-		if calls[rank].Error != nil {
-			return nil, fmt.Errorf("dobench rank %d: %w", rank, calls[rank].Error)
-		}
-		if replies[rank].Err != "" && errs[rank] == "" {
-			errs[rank] = "dobench: " + replies[rank].Err
-		}
-	}
-
-	if _, err := phase("cleanup"); err != nil {
+	if _, err := phase("cleanup", false); err != nil {
 		return nil, err
 	}
 
 	meas := &results.Measurement{
-		Op: plugin.Name(), Nodes: n, PPN: 1, Interval: interval, Errors: errs,
+		Op: plugin.Name(), Nodes: nodes, PPN: n / nodes, Interval: interval, Errors: errs,
 	}
 	for rank := range clients {
 		done := traces[rank]
@@ -264,7 +275,7 @@ sampling:
 			done = append(done, replies[rank].Final)
 		}
 		meas.Traces = append(meas.Traces, results.Trace{
-			Host: m.Addrs[rank], Op: plugin.Name(), Proc: rank,
+			Host: hosts[rank], Op: plugin.Name(), Proc: rank,
 			Done:       done,
 			Final:      replies[rank].Final,
 			FinishedAt: replies[rank].FinishedAt,

@@ -1,17 +1,18 @@
 package realrun
 
 import (
-	"fmt"
+	"net"
+	"net/rpc"
 	"sync"
-	"time"
 
 	"dmetabench/internal/core"
 	"dmetabench/internal/results"
 )
 
 // Runner executes plugins with real worker goroutines against a real file
-// system (intra-node mode). Nodes is always 1; Workers maps to the
-// processes-per-node dimension.
+// system (intra-node mode): the RPC master drives Workers in-process
+// Worker services, each connected over an in-memory pipe. Nodes is
+// always 1; Workers maps to the processes-per-node dimension.
 type Runner struct {
 	// Root is the directory the virtual namespace is rooted at.
 	Root string
@@ -32,131 +33,29 @@ func (r *Runner) Run() (*results.Set, error) {
 	if host == "" {
 		host = "localhost"
 	}
-	interval := r.Params.Interval
-	if interval <= 0 {
-		interval = core.DefaultInterval
-	}
-	set := results.NewSet(r.Params.Label, "os:"+r.Root, interval)
-	for _, plugin := range r.Plugins {
-		m, err := r.runOne(plugin, host, interval)
-		if err != nil {
+	clients := make([]*rpc.Client, r.Workers)
+	hosts := make([]string, r.Workers)
+	// Closing a client ends its server's ServeConn; the deferred closes
+	// run before the deferred wait.
+	var served sync.WaitGroup
+	defer served.Wait()
+	for i := range clients {
+		srv := rpc.NewServer()
+		// The in-process workers run the given plugin values, so
+		// parameterised plugins work here, not only PluginByName's.
+		if err := srv.RegisterName("Worker", &Worker{Hostname: host, plugins: r.Plugins}); err != nil {
 			return nil, err
 		}
-		set.Add(m)
-	}
-	return set, nil
-}
-
-func (r *Runner) runOne(plugin core.Plugin, host string, interval time.Duration) (*results.Measurement, error) {
-	n := r.Workers
-	ctxs := make([]*core.Ctx, n)
-	errs := make([]string, n)
-	finished := make([]time.Duration, n)
-	doneFlags := make([]bool, n)
-	var mu sync.Mutex
-
-	for rank := 0; rank < n; rank++ {
-		dir := fmt.Sprintf("%s/%s-p%d/p%03d", r.Params.WorkDir, plugin.Name(), n, rank)
-		if len(r.Params.PathList) > 0 {
-			dir = fmt.Sprintf("%s/p%03d", r.Params.PathList[rank%len(r.Params.PathList)], rank)
-		}
-		peer := fmt.Sprintf("%s/%s-p%d/p%03d", r.Params.WorkDir, plugin.Name(), n, (rank+1)%n)
-		ctxs[rank] = &core.Ctx{
-			FS:      NewOSClient(r.Root),
-			Rank:    rank,
-			Workers: n,
-			Node:    host,
-			Dir:     dir,
-			PeerDir: peer,
-			Params:  r.Params,
-		}
-	}
-
-	phase := func(name string, fn func(c *core.Ctx) error) {
-		var wg sync.WaitGroup
-		for rank := 0; rank < n; rank++ {
-			rank := rank
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				start := time.Now()
-				ctxs[rank].Now = func() time.Duration { return time.Since(start) }
-				if errs[rank] != "" && name != "cleanup" {
-					return
-				}
-				if err := fn(ctxs[rank]); err != nil {
-					mu.Lock()
-					if errs[rank] == "" {
-						errs[rank] = fmt.Sprintf("%s: %v", name, err)
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	phase("prepare", plugin.Prepare)
-
-	// doBench with the interval supervisor.
-	traces := make([][]int64, n)
-	benchStart := time.Now()
-	var wg sync.WaitGroup
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		ctxs[rank].Now = func() time.Duration { return time.Since(benchStart) }
-		ctxs[rank].Deadline = r.Params.TimeLimit
-		wg.Add(1)
+		conn, peer := net.Pipe()
+		served.Add(1)
 		go func() {
-			defer wg.Done()
-			if errs[rank] != "" {
-				mu.Lock()
-				doneFlags[rank] = true
-				mu.Unlock()
-				return
-			}
-			if err := plugin.DoBench(ctxs[rank]); err != nil {
-				mu.Lock()
-				errs[rank] = fmt.Sprintf("dobench: %v", err)
-				mu.Unlock()
-			}
-			mu.Lock()
-			finished[rank] = time.Since(benchStart)
-			doneFlags[rank] = true
-			mu.Unlock()
+			defer served.Done()
+			srv.ServeConn(peer)
 		}()
+		clients[i] = rpc.NewClient(conn)
+		defer clients[i].Close()
+		hosts[i] = host
 	}
-	ticker := time.NewTicker(interval)
-	for {
-		<-ticker.C
-		mu.Lock()
-		all := true
-		for i := range ctxs {
-			traces[i] = append(traces[i], ctxs[i].Progress())
-			if !doneFlags[i] {
-				all = false
-			}
-		}
-		mu.Unlock()
-		if all {
-			break
-		}
-	}
-	ticker.Stop()
-	wg.Wait()
-
-	phase("cleanup", plugin.Cleanup)
-
-	m := &results.Measurement{
-		Op: plugin.Name(), Nodes: 1, PPN: n, Interval: interval, Errors: errs,
-	}
-	for rank := 0; rank < n; rank++ {
-		m.Traces = append(m.Traces, results.Trace{
-			Host: host, Op: plugin.Name(), Proc: rank,
-			Done:       traces[rank],
-			Final:      ctxs[rank].Progress(),
-			FinishedAt: finished[rank],
-		})
-	}
-	return m, nil
+	m := &Master{Root: r.Root, Params: r.Params, Plugins: r.Plugins}
+	return m.run(clients, 1, hosts, "os:"+r.Root)
 }

@@ -37,9 +37,9 @@ type Measurement struct {
 	Traces   []Trace
 	// Errors records per-process failures ("" = ok), indexed by rank.
 	Errors []string
-	// Latencies, when latency collection is enabled, holds one
-	// histogram per client operation kind observed during the doBench
-	// phase, aggregated over all processes.
+	// Latencies, when set, holds named latency histograms: a stage
+	// measurement (core.StageRunner) keeps its probes' operation
+	// latencies over the whole stage under "probe".
 	Latencies map[string]*Histogram
 	// Series, when set, is the long-horizon per-interval series of a
 	// stage measurement (series.go): throughput, COV and latency
