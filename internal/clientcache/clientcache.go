@@ -5,7 +5,9 @@
 //     for a fixed TTL after they were fetched, like the NFS client
 //     attribute cache (acregmin/acregmax) and the Linux dcache with
 //     d_revalidate (§2.1.2). Remote mutations are invisible until the
-//     timeout lapses — cheap, but stale by design.
+//     timeout lapses — cheap, but stale by design. NameCache
+//     (namecache.go) is the unbounded pair in one map, one entry per
+//     path.
 //   - LeaseCache (lease.go) is the client half of an explicit coherence
 //     protocol: entries are trusted until the server-granted lease
 //     expires, the server revokes them with a callback, or the granting
@@ -13,10 +15,11 @@
 //     metadata server crashes and a backup takes over its slice
 //     (internal/shard wires the server half; E22–E24 measure it).
 //
-// All caches are optionally capacity-bounded (Cap): when full, insertion
-// evicts strictly by expiry then insertion order — the oldest expired
-// entry if one exists, else the oldest-inserted entry, never skewed by
-// entry kind, so negative dentries cannot pin out positive ones.
+// All caches but NameCache are optionally capacity-bounded (Cap): when
+// full, insertion evicts strictly by expiry then insertion order — the
+// oldest expired entry if one exists, else the oldest-inserted entry,
+// never skewed by entry kind, so negative dentries cannot pin out
+// positive ones.
 package clientcache
 
 import (

@@ -11,6 +11,7 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fault"
 	"dmetabench/internal/lustre"
+	"dmetabench/internal/namespace"
 	"dmetabench/internal/nfs"
 	"dmetabench/internal/results"
 	"dmetabench/internal/service"
@@ -23,13 +24,21 @@ import (
 // and returns the serialized result set as a map of file name to content.
 // domains > 1 partitions the shard-mode simulations into that many kernel
 // domains with the given worker-pool size; both are ignored for the
-// non-shard modes.
+// non-shard modes. Every server namespace must pass fsck (Check) after
+// the run.
 func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map[string]string {
 	t.Helper()
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(2))
 	var r interface{ Run() (*results.Set, error) }
 	var grouped interface{ Group() *sim.DomainGroup }
+	var servers []*namespace.Namespace
+	sharded := func(fsys *shard.FS) {
+		grouped = fsys
+		for i := 0; i < fsys.NumShards(); i++ {
+			servers = append(servers, fsys.Namespace(i))
+		}
+	}
 	switch mode {
 	case "shard-hash", "shard-subtree":
 		cfg := shard.DefaultConfig(4)
@@ -38,7 +47,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 			cfg.Placement = shard.PlaceSubtree
 		}
 		fsys := shard.New(k, "meta", cfg)
-		grouped = fsys
+		sharded(fsys)
 		r = &Runner{
 			Cluster:      cl,
 			FS:           fsys,
@@ -61,7 +70,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
-		grouped = fsys
+		sharded(fsys)
 		plan := (&fault.Plan{}).Outage(200*time.Millisecond, 700*time.Millisecond, 1)
 		r = &Runner{
 			Cluster: cl,
@@ -88,7 +97,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
-		grouped = fsys
+		sharded(fsys)
 		plan := (&fault.Plan{}).Outage(300*time.Millisecond, 900*time.Millisecond, 1)
 		r = &Runner{
 			Cluster: cl,
@@ -118,7 +127,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
-		grouped = fsys
+		sharded(fsys)
 		plan := (&fault.Plan{}).Outage(150*time.Millisecond, 800*time.Millisecond, 1)
 		r = &Runner{
 			Cluster: cl,
@@ -145,7 +154,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
-		grouped = fsys
+		sharded(fsys)
 		plan := (&fault.Plan{}).Outage(200*time.Millisecond, 700*time.Millisecond, 1)
 		r = &Runner{
 			Cluster: cl,
@@ -170,7 +179,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.CacheMode = shard.CacheLease
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
-		grouped = fsys
+		sharded(fsys)
 		lanes := cfg.ShardThreads
 		model := agg.Model{
 			Clients:      1_000_000,
@@ -209,6 +218,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.Domains = domains
 		fsys := nfs.New(k, "home", cfg)
 		grouped = fsys
+		servers = append(servers, fsys.Namespace())
 		r = &Runner{
 			Cluster: cl,
 			FS:      fsys,
@@ -232,6 +242,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.Domains = domains
 		fsys := lustre.New(k, "scratch", cfg)
 		grouped = fsys
+		servers = append(servers, fsys.Namespace())
 		lanes := cfg.MDSThreads
 		model := agg.Model{
 			Clients:      1_000_000,
@@ -266,6 +277,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		// traces must land identically across identically-seeded runs.
 		cfg := nfs.DefaultConfig()
 		fsys := nfs.New(k, "home", cfg)
+		servers = append(servers, fsys.Namespace())
 		const tick = 5 * time.Millisecond
 		model := agg.Model{
 			Clients:      100_000,
@@ -303,17 +315,21 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 	case "lustre-writeback":
 		cfg := lustre.DefaultConfig()
 		cfg.Writeback = true
+		fsys := lustre.New(k, "scratch", cfg)
+		servers = append(servers, fsys.Namespace())
 		r = &Runner{
 			Cluster:      cl,
-			FS:           lustre.New(k, "scratch", cfg),
+			FS:           fsys,
 			Params:       Params{ProblemSize: 400, WorkDir: "/bench"},
 			SlotsPerNode: 2,
 			Plugins:      []Plugin{MakeFiles{}},
 		}
 	default:
+		fsys := nfs.New(k, "home", nfs.DefaultConfig())
+		servers = append(servers, fsys.Namespace())
 		r = &Runner{
 			Cluster: cl,
-			FS:      nfs.New(k, "home", nfs.DefaultConfig()),
+			FS:      fsys,
 			Params: Params{ProblemSize: 300, WorkDir: "/bench",
 				TimeLimit: time.Second, Interval: 100 * time.Millisecond},
 			SlotsPerNode: 2,
@@ -326,6 +342,14 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 	set, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(servers) == 0 {
+		t.Fatalf("mode %s names no server namespace", mode)
+	}
+	for i, ns := range servers {
+		if problems := ns.Check(); len(problems) != 0 {
+			t.Errorf("%s: server namespace %d fails fsck: %v", mode, i, problems)
+		}
 	}
 	dir := t.TempDir()
 	if err := set.Save(dir); err != nil {

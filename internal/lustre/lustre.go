@@ -125,10 +125,10 @@ type FS struct {
 	aggBusy int64
 }
 
-// wbState is per-node client state: caches plus the write-back log.
+// wbState is per-node client state: the name cache plus the write-back
+// log.
 type wbState struct {
-	attrs    *clientcache.AttrCache
-	dentries *clientcache.DentryCache
+	names *clientcache.NameCache
 
 	pending map[string]fs.Attr // locally completed, not yet at the MDS
 	// pendingIn counts the pending creates per parent directory, so a
@@ -244,8 +244,7 @@ func (f *FS) nodeState(n *cluster.Node) *wbState {
 	s, ok := f.nodes[n]
 	if !ok {
 		s = &wbState{
-			attrs:     clientcache.NewAttrCache(f.cfg.AttrTTL, f.k.Now),
-			dentries:  clientcache.NewDentryCache(f.cfg.DentryTTL, f.k.Now),
+			names:     clientcache.NewNameCache(f.cfg.AttrTTL, f.cfg.DentryTTL, f.k.Now),
 			pending:   make(map[string]fs.Attr),
 			pendingIn: make(map[string]int),
 		}
@@ -288,40 +287,24 @@ func (f *FS) allocObject(sp *sim.Proc) {
 	f.pool[idx]--
 }
 
-// mdsCreate runs the server side of one create while holding an MDS
-// thread: directory lock, service time, object allocation, journal.
-func (f *FS) mdsCreate(sp *sim.Proc, p string) error {
-	lock := f.lockParent(p)
-	if lock != nil {
+// mdsCreate runs the server side of one create, through the body's
+// handle on the path, while holding an MDS thread: directory lock,
+// service time, object allocation, journal.
+func (f *FS) mdsCreate(sp *sim.Proc, h *namespace.Parent) error {
+	if dir := h.Dir(); dir != nil {
+		lock := f.dirLock(dir.Ino)
 		lock.Lock(sp)
 		defer lock.Unlock()
 	}
-	entries := f.parentEntries(p)
-	t := float64(f.cfg.CreateService) * f.cfg.DirIndex.EntryCost(entries)
+	t := float64(f.cfg.CreateService) * f.cfg.DirIndex.EntryCost(h.Entries())
 	sp.Sleep(time.Duration(t))
 	f.rpcs++
-	if _, err := f.ns.Create(p, 0o644, sp.Now()); err != nil {
+	if _, err := h.Create(0o644, sp.Now()); err != nil {
 		return err
 	}
 	f.allocObject(sp)
 	f.journal.Log(512)
 	return nil
-}
-
-func (f *FS) parentEntries(p string) int {
-	dir, err := f.ns.Lookup(fs.ParentDir(p))
-	if err != nil {
-		return 0
-	}
-	return dir.NumChildren()
-}
-
-func (f *FS) lockParent(p string) *sim.Mutex {
-	dir, err := f.ns.Lookup(fs.ParentDir(p))
-	if err != nil {
-		return nil
-	}
-	return f.dirLock(dir.Ino)
 }
 
 // flushLoop drains the write-back log of one node to the MDS.
@@ -333,7 +316,8 @@ func (f *FS) flushLoop(p *sim.Proc, n *cluster.Node, s *wbState) {
 		// node) are dropped; the benchmark namespace is partitioned
 		// per process so conflicts cannot occur in our workloads.
 		conn.Call(p, 200, 160, func(sp *sim.Proc) {
-			_ = f.mdsCreate(sp, item)
+			h := f.ns.Parent(item)
+			_ = f.mdsCreate(sp, &h)
 		})
 		delete(s.pending, item)
 		dir := fs.ParentDir(item)
@@ -361,13 +345,34 @@ type client struct {
 	fsys    *FS
 	node    *cluster.Node
 	p       *sim.Proc
+	state   *wbState
+	conn    *simnet.Conn
 	nextFH  fs.Handle
 	handles map[fs.Handle]*openFile
 }
 
-func (c *client) cfg() Config      { return c.fsys.cfg }
-func (c *client) st() *wbState     { return c.fsys.nodeState(c.node) }
-func (c *client) cn() *simnet.Conn { return c.fsys.conn(c.node) }
+// cfg returns the FS config by pointer: the config is immutable after
+// New, and service closures capture the pointer instead of the struct.
+func (c *client) cfg() *Config { return &c.fsys.cfg }
+
+// st returns the node's state, looked up on the client's first use and
+// kept. It cannot be bound in NewClient: creating a write-back node's
+// state spawns its flusher, which must happen at the first use.
+func (c *client) st() *wbState {
+	if c.state == nil {
+		c.state = c.fsys.nodeState(c.node)
+	}
+	return c.state
+}
+
+// cn returns the node's MDS connection, looked up on the client's first
+// use and kept.
+func (c *client) cn() *simnet.Conn {
+	if c.conn == nil {
+		c.conn = c.fsys.conn(c.node)
+	}
+	return c.conn
+}
 
 // Create either performs a synchronous intent-create RPC, or — in
 // write-back mode — completes locally and enqueues the operation for the
@@ -403,17 +408,17 @@ func (c *client) Create(p string) error {
 	var err, serr error
 	var a fs.Attr
 	c.cn().Call(c.p, 220, 180, func(sp *sim.Proc) {
-		err = c.fsys.mdsCreate(sp, p)
+		h := c.fsys.ns.Parent(p)
+		err = c.fsys.mdsCreate(sp, &h)
 		if err == nil {
-			a, serr = c.fsys.ns.Stat(p)
+			a, serr = h.Stat()
 		}
 	})
 	if err != nil {
 		return err
 	}
 	if serr == nil {
-		st.attrs.Put(p, a)
-		st.dentries.PutPositive(p, a.Ino)
+		st.names.Put(p, a)
 	}
 	return nil
 }
@@ -430,10 +435,10 @@ func (c *client) pathExists(p string) (bool, error) {
 		return err == nil, nil
 	}
 	st := c.st()
-	if _, ok := st.attrs.Get(p); ok {
+	if _, ok := st.names.Attr(p); ok {
 		return true, nil
 	}
-	if _, neg, ok := st.dentries.Lookup(p); ok {
+	if _, neg, ok := st.names.Dentry(p); ok {
 		return !neg, nil
 	}
 	cfg := c.cfg()
@@ -444,9 +449,9 @@ func (c *client) pathExists(p string) (bool, error) {
 		a, err := c.fsys.ns.Stat(p)
 		exists = err == nil
 		if exists {
-			simnet.Defer(sp, clientcache.PositiveFill(st.attrs, st.dentries, p, a))
+			simnet.Defer(sp, clientcache.NameFill(st.names, p, a))
 		} else {
-			simnet.Defer(sp, clientcache.NegativeFill(st.dentries, p))
+			simnet.Defer(sp, clientcache.NameNegativeFill(st.names, p))
 		}
 	})
 	return exists, nil
@@ -484,14 +489,14 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		c.handles[c.nextFH] = &openFile{path: p}
 		return c.nextFH, nil
 	}
-	a, ok := st.attrs.Get(p)
+	a, ok := st.names.Attr(p)
 	if !ok {
 		var err error
 		a, err = c.statRPC(p, cfg)
 		if err != nil {
 			return 0, err
 		}
-		st.attrs.Put(p, a)
+		st.names.PutAttr(p, a)
 	}
 	c.nextFH++
 	c.handles[c.nextFH] = &openFile{path: p, size: a.Size}
@@ -500,7 +505,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 
 // statRPC issues one GETATTR RPC; the body only copies the attributes
 // out, never touching client state.
-func (c *client) statRPC(p string, cfg Config) (fs.Attr, error) {
+func (c *client) statRPC(p string, cfg *Config) (fs.Attr, error) {
 	var a fs.Attr
 	var err error
 	c.cn().Call(c.p, 150, 170, func(sp *sim.Proc) {
@@ -584,7 +589,7 @@ func (c *client) flushData(of *openFile) {
 		// The writing client holds the object lock and knows the new
 		// size; refresh its attribute cache so local stats see it.
 		if a, err := c.fsys.ns.Stat(of.path); err == nil {
-			st.attrs.Put(of.path, a)
+			st.names.PutAttr(of.path, a)
 		}
 	}
 	of.size += of.written
@@ -594,7 +599,7 @@ func (c *client) flushData(of *openFile) {
 
 // Mkdir issues a synchronous MKDIR RPC to the MDS.
 func (c *client) Mkdir(p string) error {
-	return c.modifyRPC(p, c.cfg().MkdirService, func(sp *sim.Proc) error {
+	return c.modifyRPC(p, c.cfg().MkdirService, func(sp *sim.Proc, _ namespace.Parent) error {
 		_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
 		if err == nil {
 			c.fsys.journal.Log(512)
@@ -609,7 +614,7 @@ func (c *client) Rmdir(p string) error {
 	if c.cfg().Writeback {
 		c.waitDirFlushed(p)
 	}
-	return c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc) error {
+	return c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc, _ namespace.Parent) error {
 		err := c.fsys.ns.Rmdir(p, sp.Now())
 		if err == nil {
 			c.fsys.journal.Log(256)
@@ -624,17 +629,15 @@ func (c *client) Unlink(p string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(p)
 	}
-	err := c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-		err := c.fsys.ns.Unlink(p, sp.Now())
+	err := c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc, h namespace.Parent) error {
+		err := h.Unlink(sp.Now())
 		if err == nil {
 			c.fsys.journal.Log(256)
 		}
 		return err
 	})
 	if err == nil {
-		st := c.st()
-		st.attrs.Invalidate(p)
-		st.dentries.Invalidate(p)
+		c.st().names.Invalidate(p)
 	}
 	return err
 }
@@ -644,7 +647,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(oldPath)
 	}
-	err := c.modifyRPC(oldPath, c.cfg().RenameService, func(sp *sim.Proc) error {
+	err := c.modifyRPC(oldPath, c.cfg().RenameService, func(sp *sim.Proc, _ namespace.Parent) error {
 		err := c.fsys.ns.Rename(oldPath, newPath, sp.Now())
 		if err == nil {
 			c.fsys.journal.Log(512)
@@ -653,10 +656,8 @@ func (c *client) Rename(oldPath, newPath string) error {
 	})
 	if err == nil {
 		st := c.st()
-		st.attrs.Invalidate(oldPath)
-		st.dentries.Invalidate(oldPath)
-		st.attrs.Invalidate(newPath)
-		st.dentries.Invalidate(newPath)
+		st.names.Invalidate(oldPath)
+		st.names.Invalidate(newPath)
 	}
 	return err
 }
@@ -666,14 +667,14 @@ func (c *client) Link(oldPath, newPath string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(oldPath)
 	}
-	return c.modifyRPC(newPath, c.cfg().CreateService, func(sp *sim.Proc) error {
+	return c.modifyRPC(newPath, c.cfg().CreateService, func(sp *sim.Proc, _ namespace.Parent) error {
 		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
 	})
 }
 
 // Symlink issues a synchronous RPC to the MDS.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.modifyRPC(linkPath, c.cfg().CreateService, func(sp *sim.Proc) error {
+	return c.modifyRPC(linkPath, c.cfg().CreateService, func(sp *sim.Proc, _ namespace.Parent) error {
 		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
 		if e == nil {
 			c.fsys.journal.Log(384)
@@ -682,7 +683,10 @@ func (c *client) Symlink(target, linkPath string) error {
 	})
 }
 
-func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc) error) error {
+// modifyRPC is the common path of the namespace-changing operations.
+// apply runs in the service body and receives the body's handle on p by
+// value, so the handle stays on the body's stack.
+func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc, h namespace.Parent) error) error {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)
 	imutex := c.node.DirLock(fs.ParentDir(p))
@@ -690,15 +694,16 @@ func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc)
 	defer imutex.Unlock()
 	var err error
 	c.cn().Call(c.p, 200, 160, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
+		h := c.fsys.ns.Parent(p)
+		if dir := h.Dir(); dir != nil {
+			lock := c.fsys.dirLock(dir.Ino)
 			lock.Lock(sp)
 			defer lock.Unlock()
 		}
-		t := float64(svc) * cfg.DirIndex.EntryCost(c.fsys.parentEntries(p))
+		t := float64(svc) * cfg.DirIndex.EntryCost(h.Entries())
 		sp.Sleep(time.Duration(t))
 		c.fsys.rpcs++
-		err = apply(sp)
+		err = apply(sp, h)
 	})
 	return err
 }
@@ -712,15 +717,14 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if a, ok := st.pending[p]; ok {
 		return a, nil
 	}
-	if a, ok := st.attrs.Get(p); ok {
+	if a, ok := st.names.Attr(p); ok {
 		return a, nil
 	}
 	a, err := c.statRPC(p, cfg)
 	if err != nil {
 		return fs.Attr{}, err
 	}
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
+	st.names.Put(p, a)
 	return a, nil
 }
 
@@ -755,7 +759,5 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 // not discarded — it holds unflushed modifications).
 func (c *client) DropCaches() {
 	c.node.Syscall(c.p)
-	st := c.st()
-	st.attrs.Clear()
-	st.dentries.Clear()
+	c.st().names.Clear()
 }

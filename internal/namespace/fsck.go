@@ -31,48 +31,43 @@ func (ns *Namespace) Check() []Problem {
 
 	reachableFiles := make(map[fs.Ino]uint32) // ino -> observed link count
 	reachableDirs := make(map[fs.Ino]bool)
-	var walk func(ino fs.Ino)
-	walk = func(ino fs.Ino) {
-		n := ns.inodes[ino]
-		if n == nil {
-			report(ino, "dangling", "referenced directory inode missing")
-			return
-		}
+	var walk func(n *Inode)
+	walk = func(n *Inode) {
+		ino := n.Ino
 		if reachableDirs[ino] {
 			report(ino, "dir-loop", "directory reachable twice")
 			return
 		}
 		reachableDirs[ino] = true
 		wantNlink := uint32(2)
-		for name, child := range n.children {
-			c := ns.inodes[child]
-			if c == nil {
-				report(child, "dangling", "entry %q in dir %d points nowhere", name, ino)
+		for name, c := range n.children {
+			if ns.inodes[c.Ino] != c {
+				report(c.Ino, "dangling", "entry %q in dir %d points at no live inode", name, ino)
 				continue
 			}
 			switch c.Type {
 			case fs.TypeDirectory:
 				wantNlink++
 				if c.parent != ino {
-					report(child, "bad-parent", "parent is %d, expected %d", c.parent, ino)
+					report(c.Ino, "bad-parent", "parent is %d, expected %d", c.parent, ino)
 				}
-				walk(child)
+				walk(c)
 			default:
-				reachableFiles[child]++
+				reachableFiles[c.Ino]++
 			}
 		}
 		if n.Nlink != wantNlink {
 			report(ino, "bad-nlink", "dir nlink %d, expected %d", n.Nlink, wantNlink)
 		}
 	}
-	root := ns.inodes[ns.root]
-	if root == nil {
-		return []Problem{{Ino: ns.root, Kind: "no-root", Note: "root inode missing"}}
+	root := ns.inodes[ns.root.Ino]
+	if root != ns.root {
+		return []Problem{{Ino: ns.root.Ino, Kind: "no-root", Note: "root inode missing"}}
 	}
-	if root.parent != ns.root {
-		report(ns.root, "bad-parent", "root dot-dot must point at itself")
+	if root.parent != root.Ino {
+		report(root.Ino, "bad-parent", "root dot-dot must point at itself")
 	}
-	walk(ns.root)
+	walk(root)
 
 	for ino, links := range reachableFiles {
 		if n := ns.inodes[ino]; n.Nlink != links {

@@ -37,7 +37,8 @@ func TestCheckDetectsDanglingEntry(t *testing.T) {
 	ns := New()
 	ns.Create("/f", 0o644, 0)
 	root := ns.Get(ns.Root())
-	root.children["ghost"] = 9999 // corrupt
+	// corrupt: an entry whose inode is not in the inode table
+	root.children["ghost"] = &Inode{Ino: 9999, Type: fs.TypeRegular, Nlink: 1}
 	found := false
 	for _, p := range ns.Check() {
 		if p.Kind == "dangling" {

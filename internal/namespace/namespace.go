@@ -25,12 +25,15 @@ import (
 type Namespace struct {
 	inodes  map[fs.Ino]*Inode
 	nextIno fs.Ino
-	root    fs.Ino
+	root    *Inode
 
 	// dirCache memoizes directory path resolution (span text -> inode),
 	// so repeated deep-path operations hash one string instead of one
 	// string per component. See resolve for the invalidation contract.
 	dirCache map[string]dirCacheEnt
+	// gen counts the invalidations of dirCache: a directory resolution
+	// made at generation g still holds while gen == g (see Parent).
+	gen uint64
 
 	// Totals maintained incrementally for profiling and charts.
 	files int
@@ -39,7 +42,7 @@ type Namespace struct {
 
 // dirCacheEnt is one memoized directory resolution.
 type dirCacheEnt struct {
-	ino   fs.Ino
+	node  *Inode
 	depth int32
 }
 
@@ -59,8 +62,10 @@ type Inode struct {
 	Mtime    time.Duration
 	Ctime    time.Duration
 
-	// children is non-nil for directories and maps entry name to inode.
-	children map[string]fs.Ino
+	// children is non-nil for directories and maps entry name to inode,
+	// so a walk step is one map probe. The inode table holds the same
+	// pointers for lookups by number.
+	children map[string]*Inode
 	// parent is the containing directory (for directories; ".." link).
 	parent fs.Ino
 	// Target holds the symlink target for symlinks.
@@ -76,17 +81,17 @@ func New() *Namespace {
 	}
 	root := &Inode{
 		Ino: 1, Type: fs.TypeDirectory, Mode: 0o755, Nlink: 2,
-		children: make(map[string]fs.Ino),
+		children: make(map[string]*Inode),
 	}
 	root.parent = root.Ino
 	ns.inodes[root.Ino] = root
-	ns.root = root.Ino
+	ns.root = root
 	ns.dirs = 1
 	return ns
 }
 
 // Root returns the root inode number.
-func (ns *Namespace) Root() fs.Ino { return ns.root }
+func (ns *Namespace) Root() fs.Ino { return ns.root.Ino }
 
 // NumFiles returns the number of regular files and symlinks.
 func (ns *Namespace) NumFiles() int { return ns.files }
@@ -104,22 +109,22 @@ func (ns *Namespace) Get(ino fs.Ino) *Inode { return ns.inodes[ino] }
 // symlinks (metadata benchmarks act on the link itself). Runs of slashes
 // collapse as POSIX requires.
 func (ns *Namespace) Lookup(path string) (*Inode, error) {
-	ino, _, errno := ns.resolvePath(path)
+	node, _, errno := ns.resolvePath(path)
 	if errno != fs.OK {
 		return nil, fs.NewError("walk", path, errno)
 	}
-	return ns.inodes[ino], nil
+	return node, nil
 }
 
 // LookupDepth resolves path and additionally reports the number of
 // directory components traversed, which callers use to charge path-walk
 // costs (POSIX requires a permission check on every component, §2.3.1).
 func (ns *Namespace) LookupDepth(path string) (*Inode, int, error) {
-	ino, depth, errno := ns.resolvePath(path)
+	node, depth, errno := ns.resolvePath(path)
 	if errno != fs.OK {
 		return nil, depth, fs.NewError("walk", path, errno)
 	}
-	return ns.inodes[ino], depth, nil
+	return node, depth, nil
 }
 
 // pathSpan returns the index range of p with leading and trailing
@@ -136,7 +141,7 @@ func pathSpan(p string) (start, end int) {
 }
 
 // resolvePath resolves a whole path string.
-func (ns *Namespace) resolvePath(p string) (fs.Ino, int, fs.Errno) {
+func (ns *Namespace) resolvePath(p string) (*Inode, int, fs.Errno) {
 	start, end := pathSpan(p)
 	return ns.resolve(p, start, end)
 }
@@ -149,12 +154,12 @@ func (ns *Namespace) resolvePath(p string) (fs.Ino, int, fs.Errno) {
 // of one per component. Creating entries never changes the meaning of a
 // span that already resolves, so the cache is only invalidated —
 // wholesale — when a directory is removed, replaced or moved (Rmdir and
-// directory-affecting Rename).
+// directory-affecting Rename). The same rule keeps Parent handles valid.
 //
 // depth counts traversed components (including "." and "..") and is also
 // reported on failure, matching the path-walk charging contract of
 // LookupDepth.
-func (ns *Namespace) resolve(p string, start, end int) (fs.Ino, int, fs.Errno) {
+func (ns *Namespace) resolve(p string, start, end int) (*Inode, int, fs.Errno) {
 	for end > start && p[end-1] == '/' {
 		end--
 	}
@@ -162,71 +167,53 @@ func (ns *Namespace) resolve(p string, start, end int) (fs.Ino, int, fs.Errno) {
 		return ns.root, 0, fs.OK
 	}
 	if c, ok := ns.dirCache[p[start:end]]; ok {
-		return c.ino, int(c.depth), fs.OK
+		return c.node, int(c.depth), fs.OK
 	}
 	j := end
 	for j > start && p[j-1] != '/' {
 		j--
 	}
-	parent, depth, errno := ns.resolve(p, start, j)
+	node, depth, errno := ns.resolve(p, start, j)
 	if errno != fs.OK {
-		return 0, depth, errno
+		return nil, depth, errno
 	}
-	node := ns.inodes[parent]
 	if node.Type != fs.TypeDirectory {
-		return 0, depth, fs.ENOTDIR
+		return nil, depth, fs.ENOTDIR
 	}
 	depth++
 	switch name := p[j:end]; name {
 	case ".":
-		return parent, depth, fs.OK
+		return node, depth, fs.OK
 	case "..":
-		return node.parent, depth, fs.OK
+		return ns.inodes[node.parent], depth, fs.OK
 	default:
 		next, ok := node.children[name]
 		if !ok {
-			return 0, depth, fs.ENOENT
+			return nil, depth, fs.ENOENT
 		}
-		if ns.inodes[next].Type == fs.TypeDirectory {
+		if next.Type == fs.TypeDirectory {
 			if len(ns.dirCache) >= dirCacheMax {
 				clear(ns.dirCache)
 			}
-			ns.dirCache[p[start:end]] = dirCacheEnt{ino: next, depth: int32(depth)}
+			ns.dirCache[p[start:end]] = dirCacheEnt{node: next, depth: int32(depth)}
 		}
 		return next, depth, fs.OK
 	}
 }
 
-// invalidateDirCache drops all memoized resolutions; called whenever a
-// directory is unlinked from or moved within the tree.
+// invalidateDirCache drops all memoized resolutions and starts a new
+// generation; called whenever a directory is unlinked from, replaced in
+// or moved within the tree.
 func (ns *Namespace) invalidateDirCache() {
 	clear(ns.dirCache)
+	ns.gen++
 }
 
 // parentAndName resolves the parent directory of path and returns it with
 // the final component.
 func (ns *Namespace) parentAndName(op, path string) (*Inode, string, error) {
-	start, end := pathSpan(path)
-	if start >= end {
-		return nil, "", fs.NewError(op, path, fs.EINVAL)
-	}
-	j := end
-	for j > start && path[j-1] != '/' {
-		j--
-	}
-	name := path[j:end]
-	if name == "." || name == ".." {
-		return nil, "", fs.NewError(op, path, fs.EINVAL)
-	}
-	ino, _, errno := ns.resolve(path, start, j)
-	if errno != fs.OK {
-		return nil, "", fs.NewError("walk", path, errno)
-	}
-	dir := ns.inodes[ino]
-	if dir.Type != fs.TypeDirectory {
-		return nil, "", fs.NewError(op, path, fs.ENOTDIR)
-	}
-	return dir, name, nil
+	h := ns.Parent(path)
+	return h.dirAndName(op)
 }
 
 func (ns *Namespace) alloc(t fs.FileType, mode uint32, now time.Duration) *Inode {
@@ -236,7 +223,7 @@ func (ns *Namespace) alloc(t fs.FileType, mode uint32, now time.Duration) *Inode
 		Atime: now, Mtime: now, Ctime: now,
 	}
 	if t == fs.TypeDirectory {
-		ino.children = make(map[string]fs.Ino)
+		ino.children = make(map[string]*Inode)
 		ino.Nlink = 2
 	} else {
 		ino.Nlink = 1
@@ -248,18 +235,8 @@ func (ns *Namespace) alloc(t fs.FileType, mode uint32, now time.Duration) *Inode
 // Create makes a regular file at path. It fails with EEXIST if any entry
 // with that name exists (uniqueness guarantee, §2.6.3).
 func (ns *Namespace) Create(path string, mode uint32, now time.Duration) (*Inode, error) {
-	dir, name, err := ns.parentAndName("create", path)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := dir.children[name]; ok {
-		return nil, fs.NewError("create", path, fs.EEXIST)
-	}
-	ino := ns.alloc(fs.TypeRegular, mode, now)
-	dir.children[name] = ino.Ino
-	dir.Mtime, dir.Ctime = now, now
-	ns.files++
-	return ino, nil
+	h := ns.Parent(path)
+	return h.Create(mode, now)
 }
 
 // Mkdir makes a directory at path.
@@ -273,7 +250,7 @@ func (ns *Namespace) Mkdir(path string, mode uint32, now time.Duration) (*Inode,
 	}
 	ino := ns.alloc(fs.TypeDirectory, mode, now)
 	ino.parent = dir.Ino
-	dir.children[name] = ino.Ino
+	dir.children[name] = ino
 	dir.Nlink++ // child's ".."
 	dir.Mtime, dir.Ctime = now, now
 	ns.dirs++
@@ -292,7 +269,7 @@ func (ns *Namespace) Symlink(target, path string, now time.Duration) (*Inode, er
 	ino := ns.alloc(fs.TypeSymlink, 0o777, now)
 	ino.Target = target
 	ino.Size = int64(len(target))
-	dir.children[name] = ino.Ino
+	dir.children[name] = ino
 	dir.Mtime, dir.Ctime = now, now
 	ns.files++
 	return ino, nil
@@ -315,7 +292,7 @@ func (ns *Namespace) Link(oldPath, newPath string, now time.Duration) error {
 	if _, ok := dir.children[name]; ok {
 		return fs.NewError("link", newPath, fs.EEXIST)
 	}
-	dir.children[name] = target.Ino
+	dir.children[name] = target
 	target.Nlink++
 	target.Ctime = now
 	dir.Mtime, dir.Ctime = now, now
@@ -325,27 +302,8 @@ func (ns *Namespace) Link(oldPath, newPath string, now time.Duration) error {
 // Unlink removes the directory entry for a file. The inode is freed when
 // its last link goes (open-file retention is a client concern, §2.3.1).
 func (ns *Namespace) Unlink(path string, now time.Duration) error {
-	dir, name, err := ns.parentAndName("unlink", path)
-	if err != nil {
-		return err
-	}
-	childIno, ok := dir.children[name]
-	if !ok {
-		return fs.NewError("unlink", path, fs.ENOENT)
-	}
-	child := ns.inodes[childIno]
-	if child.Type == fs.TypeDirectory {
-		return fs.NewError("unlink", path, fs.EISDIR)
-	}
-	delete(dir.children, name)
-	dir.Mtime, dir.Ctime = now, now
-	child.Nlink--
-	child.Ctime = now
-	if child.Nlink == 0 {
-		delete(ns.inodes, childIno)
-		ns.files--
-	}
-	return nil
+	h := ns.Parent(path)
+	return h.Unlink(now)
 }
 
 // Rmdir removes an empty directory.
@@ -354,11 +312,10 @@ func (ns *Namespace) Rmdir(path string, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	childIno, ok := dir.children[name]
+	child, ok := dir.children[name]
 	if !ok {
 		return fs.NewError("rmdir", path, fs.ENOENT)
 	}
-	child := ns.inodes[childIno]
 	if child.Type != fs.TypeDirectory {
 		return fs.NewError("rmdir", path, fs.ENOTDIR)
 	}
@@ -366,7 +323,7 @@ func (ns *Namespace) Rmdir(path string, now time.Duration) error {
 		return fs.NewError("rmdir", path, fs.ENOTEMPTY)
 	}
 	delete(dir.children, name)
-	delete(ns.inodes, childIno)
+	delete(ns.inodes, child.Ino)
 	dir.Nlink--
 	dir.Mtime, dir.Ctime = now, now
 	ns.dirs--
@@ -382,11 +339,10 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	srcIno, ok := odir.children[oname]
+	src, ok := odir.children[oname]
 	if !ok {
 		return fs.NewError("rename", oldPath, fs.ENOENT)
 	}
-	src := ns.inodes[srcIno]
 	ndir, nname, err := ns.parentAndName("rename", newPath)
 	if err != nil {
 		return err
@@ -394,20 +350,19 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 	if src.Type == fs.TypeDirectory {
 		// Disallow moving a directory into its own subtree.
 		for d := ndir; ; {
-			if d.Ino == srcIno {
+			if d == src {
 				return fs.NewError("rename", newPath, fs.EINVAL)
 			}
-			if d.Ino == ns.root {
+			if d == ns.root {
 				break
 			}
 			d = ns.inodes[d.parent]
 		}
 	}
-	if dstIno, ok := ndir.children[nname]; ok {
-		if dstIno == srcIno {
+	if dst, ok := ndir.children[nname]; ok {
+		if dst == src {
 			return nil // same object; POSIX no-op
 		}
-		dst := ns.inodes[dstIno]
 		switch {
 		case dst.Type == fs.TypeDirectory && src.Type != fs.TypeDirectory:
 			return fs.NewError("rename", newPath, fs.EISDIR)
@@ -417,20 +372,20 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 			if len(dst.children) != 0 {
 				return fs.NewError("rename", newPath, fs.ENOTEMPTY)
 			}
-			delete(ns.inodes, dstIno)
+			delete(ns.inodes, dst.Ino)
 			ndir.Nlink--
 			ns.dirs--
 			ns.invalidateDirCache() // a directory was replaced
 		default:
 			dst.Nlink--
 			if dst.Nlink == 0 {
-				delete(ns.inodes, dstIno)
+				delete(ns.inodes, dst.Ino)
 				ns.files--
 			}
 		}
 	}
 	delete(odir.children, oname)
-	ndir.children[nname] = srcIno
+	ndir.children[nname] = src
 	if src.Type == fs.TypeDirectory {
 		// Moving a directory changes what every span below its old name
 		// resolves to; file moves cannot affect directory resolution.
@@ -449,11 +404,8 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 
 // Stat returns the attributes of the object at path.
 func (ns *Namespace) Stat(path string) (fs.Attr, error) {
-	node, err := ns.Lookup(path)
-	if err != nil {
-		return fs.Attr{}, err
-	}
-	return node.Attr(), nil
+	h := ns.Parent(path)
+	return h.Stat()
 }
 
 // Attr converts the inode to the public attribute struct.
@@ -481,8 +433,8 @@ func (ns *Namespace) ReadDir(path string, now time.Duration) ([]fs.DirEntry, err
 	}
 	node.Atime = now
 	ents := make([]fs.DirEntry, 0, len(node.children))
-	for name, ino := range node.children {
-		ents = append(ents, fs.DirEntry{Name: name, Ino: ino, Type: ns.inodes[ino].Type})
+	for name, child := range node.children {
+		ents = append(ents, fs.DirEntry{Name: name, Ino: child.Ino, Type: child.Type})
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })
 	return ents, nil

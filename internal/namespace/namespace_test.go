@@ -261,15 +261,15 @@ func invariantCheck(t *testing.T, ns *Namespace) {
 			dirs++
 			wantNlink := uint32(2)
 			for _, c := range n.children {
-				child := ns.Get(c)
-				if child == nil {
-					t.Fatalf("directory %d has dangling child %d", ino, c)
+				child := ns.Get(c.Ino)
+				if child != c {
+					t.Fatalf("directory %d has dangling child %d", ino, c.Ino)
 				}
 				if child.Type == fs.TypeDirectory {
 					wantNlink++
-					walk(c)
+					walk(c.Ino)
 				} else {
-					seen[c]++
+					seen[c.Ino]++
 				}
 			}
 			if n.Nlink != wantNlink {

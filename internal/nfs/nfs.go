@@ -107,8 +107,8 @@ type FS struct {
 	// dirLocks serialize same-directory modifications at the server.
 	dirLocks map[fs.Ino]*sim.Mutex
 
-	// nodes holds per-OS-instance client cache state.
-	nodes map[*cluster.Node]*nodeState
+	// nodes holds per-OS-instance client name caches.
+	nodes map[*cluster.Node]*clientcache.NameCache
 
 	rpcs int64
 
@@ -117,11 +117,6 @@ type FS struct {
 	aggOps  int64
 	aggShed int64
 	aggBusy int64
-}
-
-type nodeState struct {
-	attrs    *clientcache.AttrCache
-	dentries *clientcache.DentryCache
 }
 
 // New creates an NFS file system on kernel k.
@@ -137,7 +132,7 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		ns:       namespace.New(),
 		conns:    make(map[*cluster.Node]*simnet.Conn),
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
-		nodes:    make(map[*cluster.Node]*nodeState),
+		nodes:    make(map[*cluster.Node]*clientcache.NameCache),
 	}
 	return f
 }
@@ -171,13 +166,10 @@ func (f *FS) conn(n *cluster.Node) *simnet.Conn {
 	return c
 }
 
-func (f *FS) nodeState(n *cluster.Node) *nodeState {
+func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
 	if !ok {
-		s = &nodeState{
-			attrs:    clientcache.NewAttrCache(f.cfg.AttrTTL, f.k.Now),
-			dentries: clientcache.NewDentryCache(f.cfg.DentryTTL, f.k.Now),
-		}
+		s = clientcache.NewNameCache(f.cfg.AttrTTL, f.cfg.DentryTTL, f.k.Now)
 		f.nodes[n] = s
 	}
 	return s
@@ -252,26 +244,6 @@ func (f *FS) service(p *sim.Proc, base time.Duration, dirEntries int) {
 	f.rpcs++
 }
 
-// parentEntries returns the entry count of path's parent directory, if it
-// resolves; otherwise 0.
-func (f *FS) parentEntries(p string) int {
-	dir, err := f.ns.Lookup(fs.ParentDir(p))
-	if err != nil {
-		return 0
-	}
-	return dir.NumChildren()
-}
-
-// lockParent returns the server-side lock of path's parent directory (or
-// nil if the parent does not resolve).
-func (f *FS) lockParent(p string) *sim.Mutex {
-	dir, err := f.ns.Lookup(fs.ParentDir(p))
-	if err != nil {
-		return nil
-	}
-	return f.dirLock(dir.Ino)
-}
-
 // NewClient binds a client for one process on one node. It satisfies the
 // benchmark framework's FileSystem interface.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
@@ -291,13 +263,33 @@ type client struct {
 	fsys    *FS
 	node    *cluster.Node
 	p       *sim.Proc
+	cache   *clientcache.NameCache
+	conn    *simnet.Conn
 	nextFH  fs.Handle
 	handles map[fs.Handle]*openFile
 }
 
-func (c *client) cfg() Config      { return c.fsys.cfg }
-func (c *client) st() *nodeState   { return c.fsys.nodeState(c.node) }
-func (c *client) cn() *simnet.Conn { return c.fsys.conn(c.node) }
+// cfg returns the FS config by pointer: the config is immutable after
+// New, and service closures capture the pointer instead of the struct.
+func (c *client) cfg() *Config { return &c.fsys.cfg }
+
+// names returns the node's name cache, looked up on the client's first
+// use and kept.
+func (c *client) names() *clientcache.NameCache {
+	if c.cache == nil {
+		c.cache = c.fsys.nodeCache(c.node)
+	}
+	return c.cache
+}
+
+// cn returns the node's connection, looked up on the client's first use
+// and kept.
+func (c *client) cn() *simnet.Conn {
+	if c.conn == nil {
+		c.conn = c.fsys.conn(c.node)
+	}
+	return c.conn
+}
 
 // resolveParents walks the strict ancestors of p through the dentry
 // cache, issuing one LOOKUP RPC per missing component — the POSIX
@@ -307,13 +299,13 @@ func (c *client) cn() *simnet.Conn { return c.fsys.conn(c.node) }
 // (simnet.Defer).
 func (c *client) resolveParents(p string) error {
 	cfg := c.cfg()
-	st := c.st()
+	names := c.names()
 	for i := 1; i < len(p); i++ {
 		if p[i] != '/' {
 			continue
 		}
 		prefix := p[:i]
-		if _, neg, ok := st.dentries.Lookup(prefix); ok {
+		if _, neg, ok := names.Dentry(prefix); ok {
 			if neg {
 				return fs.NewError("lookup", prefix, fs.ENOENT)
 			}
@@ -325,9 +317,9 @@ func (c *client) resolveParents(p string) error {
 			var a fs.Attr
 			a, err = c.fsys.ns.Stat(prefix)
 			if err == nil {
-				simnet.Defer(sp, clientcache.PositiveFill(st.attrs, st.dentries, prefix, a))
+				simnet.Defer(sp, clientcache.NameFill(names, prefix, a))
 			} else {
-				simnet.Defer(sp, clientcache.NegativeFill(st.dentries, prefix))
+				simnet.Defer(sp, clientcache.NameNegativeFill(names, prefix))
 			}
 		})
 		if err != nil {
@@ -337,24 +329,12 @@ func (c *client) resolveParents(p string) error {
 	return nil
 }
 
-// remember caches a as p's attributes and positive dentry.
-func (st *nodeState) remember(p string, a fs.Attr) {
-	st.dentries.PutPositive(p, a.Ino)
-	st.attrs.Put(p, a)
-}
-
-// stat copies p's attributes out of the filer's namespace, reporting
-// whether p resolves. Service bodies call it at the commit instant; the
-// reply carries the copy to the client.
-func (f *FS) stat(p string) (fs.Attr, bool) {
-	a, err := f.ns.Stat(p)
-	return a, err == nil
-}
-
 // Create performs open(O_CREAT|O_EXCL)+close: one synchronous CREATE RPC
 // under the client-side parent i_mutex and the server-side directory
-// lock. The reply carries the file's attributes (also on EEXIST), which
-// the client caches once the call returns.
+// lock. The reply carries the file's attributes (also on EEXIST), copied
+// out after the NVRAM log, which the client caches once the call
+// returns. The service body resolves the parent once, through a
+// namespace.Parent handle.
 func (c *client) Create(p string) error {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)
@@ -369,26 +349,30 @@ func (c *client) Create(p string) error {
 	var a fs.Attr
 	found := false
 	c.cn().Call(c.p, 160, 160, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
+		h := c.fsys.ns.Parent(p)
+		if dir := h.Dir(); dir != nil {
+			lock := c.fsys.dirLock(dir.Ino)
 			lock.Lock(sp)
 			defer lock.Unlock()
 		}
-		entries := c.fsys.parentEntries(p)
-		c.fsys.service(sp, cfg.CreateService, entries)
-		_, err = c.fsys.ns.Create(p, 0o644, sp.Now())
+		c.fsys.service(sp, cfg.CreateService, h.Entries())
+		_, err = h.Create(0o644, sp.Now())
 		if err == nil {
 			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
 		}
 		if err == nil || fs.IsExist(err) {
-			a, found = c.fsys.stat(p)
+			a, found = reply(h.Stat())
 		}
 	})
 	if found {
-		c.st().remember(p, a)
+		c.names().Put(p, a)
 	}
 	return err
 }
+
+// reply turns a commit-instant Stat into the attributes an RPC reply
+// carries, reporting whether it carries any.
+func reply(a fs.Attr, err error) (fs.Attr, bool) { return a, err == nil }
 
 // Open resolves the path (dentry cache, else LOOKUP RPC) and returns a
 // handle. Close-to-open: a fresh GETATTR piggybacks on the lookup.
@@ -405,21 +389,22 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	if err := c.resolveParents(p); err != nil {
 		return 0, err
 	}
-	st := c.st()
-	ino, neg, ok := st.dentries.Lookup(p)
+	names := c.names()
+	ino, neg, ok := names.Dentry(p)
 	var size int64
 	sized := false
 	if !ok {
 		var err error
 		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.LookupService, c.fsys.parentEntries(p))
+			h := c.fsys.ns.Parent(p)
+			c.fsys.service(sp, cfg.LookupService, h.Entries())
 			var a fs.Attr
-			a, err = c.fsys.ns.Stat(p)
+			a, err = h.Stat()
 			if err == nil {
 				ino, size, sized = a.Ino, a.Size, true
-				simnet.Defer(sp, clientcache.PositiveFill(st.attrs, st.dentries, p, a))
+				simnet.Defer(sp, clientcache.NameFill(names, p, a))
 			} else {
-				simnet.Defer(sp, clientcache.NegativeFill(st.dentries, p))
+				simnet.Defer(sp, clientcache.NameNegativeFill(names, p))
 			}
 		})
 		if err != nil {
@@ -432,12 +417,12 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	case !c.fsys.domained():
 		node := c.fsys.ns.Get(ino)
 		if node == nil {
-			st.dentries.Invalidate(p)
+			names.InvalidateDentry(p)
 			return 0, fs.NewError("open", p, fs.ESTALE)
 		}
 		size = node.Size
 	case !sized:
-		if a, ok := st.attrs.Get(p); ok {
+		if a, ok := names.Attr(p); ok {
 			size = a.Size
 			break
 		}
@@ -448,11 +433,11 @@ func (c *client) Open(p string) (fs.Handle, error) {
 			a, err = c.fsys.ns.Stat(p)
 			if err == nil {
 				ino, size = a.Ino, a.Size
-				simnet.Defer(sp, clientcache.PositiveFill(st.attrs, st.dentries, p, a))
+				simnet.Defer(sp, clientcache.NameFill(names, p, a))
 			}
 		})
 		if err != nil {
-			st.dentries.Invalidate(p)
+			names.InvalidateDentry(p)
 			return 0, fs.NewError("open", p, fs.ESTALE)
 		}
 	}
@@ -519,13 +504,13 @@ func (c *client) flush(of *openFile) {
 		c.fsys.service(sp, t, -1)
 		c.fsys.ns.SetSize(of.ino, newSize, sp.Now())
 		c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes+of.written)
-		a, found = c.fsys.stat(of.path)
+		a, found = reply(c.fsys.ns.Stat(of.path))
 	})
 	of.size = newSize
 	of.written = 0
 	of.dirty = false
 	if found {
-		c.st().attrs.Put(of.path, a)
+		c.names().PutAttr(of.path, a)
 	}
 }
 
@@ -534,39 +519,37 @@ func (c *client) flush(of *openFile) {
 func (c *client) Mkdir(p string) error {
 	var a fs.Attr
 	found := false
-	err := c.modifyRPC("mkdir", p, c.cfg().MkdirService, func(sp *sim.Proc) error {
+	err := c.modifyRPC("mkdir", p, c.cfg().MkdirService, func(sp *sim.Proc, h namespace.Parent) error {
 		_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
 		if err == nil || fs.IsExist(err) {
-			a, found = c.fsys.stat(p)
+			a, found = reply(h.Stat())
 		}
 		return err
 	})
 	if found {
-		c.st().remember(p, a)
+		c.names().Put(p, a)
 	}
 	return err
 }
 
 // Rmdir issues a synchronous RMDIR RPC.
 func (c *client) Rmdir(p string) error {
-	err := c.modifyRPC("rmdir", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
+	err := c.modifyRPC("rmdir", p, c.cfg().RemoveService, func(sp *sim.Proc, _ namespace.Parent) error {
 		return c.fsys.ns.Rmdir(p, sp.Now())
 	})
 	if err == nil {
-		c.st().attrs.Invalidate(p)
-		c.st().dentries.Invalidate(p)
+		c.names().Invalidate(p)
 	}
 	return err
 }
 
 // Unlink issues a synchronous REMOVE RPC.
 func (c *client) Unlink(p string) error {
-	err := c.modifyRPC("unlink", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Unlink(p, sp.Now())
+	err := c.modifyRPC("unlink", p, c.cfg().RemoveService, func(sp *sim.Proc, h namespace.Parent) error {
+		return h.Unlink(sp.Now())
 	})
 	if err == nil {
-		c.st().attrs.Invalidate(p)
-		c.st().dentries.Invalidate(p)
+		c.names().Invalidate(p)
 	}
 	return err
 }
@@ -575,22 +558,20 @@ func (c *client) Unlink(p string) error {
 func (c *client) Rename(oldPath, newPath string) error {
 	var a fs.Attr
 	found := false
-	err := c.modifyRPC("rename", oldPath, c.cfg().RenameService, func(sp *sim.Proc) error {
+	err := c.modifyRPC("rename", oldPath, c.cfg().RenameService, func(sp *sim.Proc, _ namespace.Parent) error {
 		err := c.fsys.ns.Rename(oldPath, newPath, sp.Now())
 		if err == nil {
-			a, found = c.fsys.stat(newPath)
+			a, found = reply(c.fsys.ns.Stat(newPath))
 		}
 		return err
 	})
 	if err == nil {
-		st := c.st()
-		st.attrs.Invalidate(oldPath)
-		st.dentries.Invalidate(oldPath)
+		names := c.names()
+		names.Invalidate(oldPath)
 		if found {
-			st.remember(newPath, a)
+			names.Put(newPath, a)
 		} else {
-			st.attrs.Invalidate(newPath)
-			st.dentries.Invalidate(newPath)
+			names.Invalidate(newPath)
 		}
 	}
 	return err
@@ -600,15 +581,15 @@ func (c *client) Rename(oldPath, newPath string) error {
 func (c *client) Link(oldPath, newPath string) error {
 	var a fs.Attr
 	found := false
-	err := c.modifyRPC("link", newPath, c.cfg().CreateService, func(sp *sim.Proc) error {
+	err := c.modifyRPC("link", newPath, c.cfg().CreateService, func(sp *sim.Proc, h namespace.Parent) error {
 		err := c.fsys.ns.Link(oldPath, newPath, sp.Now())
 		if err == nil {
-			a, found = c.fsys.stat(newPath)
+			a, found = reply(h.Stat())
 		}
 		return err
 	})
 	if found {
-		c.st().remember(newPath, a)
+		c.names().Put(newPath, a)
 	}
 	return err
 }
@@ -617,15 +598,15 @@ func (c *client) Link(oldPath, newPath string) error {
 func (c *client) Symlink(target, linkPath string) error {
 	var a fs.Attr
 	found := false
-	err := c.modifyRPC("symlink", linkPath, c.cfg().CreateService, func(sp *sim.Proc) error {
+	err := c.modifyRPC("symlink", linkPath, c.cfg().CreateService, func(sp *sim.Proc, h namespace.Parent) error {
 		_, err := c.fsys.ns.Symlink(target, linkPath, sp.Now())
 		if err == nil {
-			a, found = c.fsys.stat(linkPath)
+			a, found = reply(h.Stat())
 		}
 		return err
 	})
 	if found {
-		c.st().remember(linkPath, a)
+		c.names().Put(linkPath, a)
 	}
 	return err
 }
@@ -633,8 +614,9 @@ func (c *client) Symlink(target, linkPath string) error {
 // modifyRPC is the common path of the namespace-changing operations.
 // apply runs in the service body, on the filer's kernel domain: it may
 // read the namespace and copy out reply attributes, but must not touch
-// client state.
-func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.Proc) error) error {
+// client state. It receives the body's handle on p by value, so the
+// handle stays on the body's stack.
+func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.Proc, h namespace.Parent) error) error {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)
 	if err := c.resolveParents(p); err != nil {
@@ -645,13 +627,14 @@ func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.P
 	defer imutex.Unlock()
 	var err error
 	c.cn().Call(c.p, 150, 140, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
+		h := c.fsys.ns.Parent(p)
+		if dir := h.Dir(); dir != nil {
+			lock := c.fsys.dirLock(dir.Ino)
 			lock.Lock(sp)
 			defer lock.Unlock()
 		}
-		c.fsys.service(sp, svc, c.fsys.parentEntries(p))
-		err = apply(sp)
+		c.fsys.service(sp, svc, h.Entries())
+		err = apply(sp, h)
 		if err == nil {
 			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
 		}
@@ -663,8 +646,8 @@ func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.P
 func (c *client) Stat(p string) (fs.Attr, error) {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)
-	st := c.st()
-	if a, ok := st.attrs.Get(p); ok {
+	names := c.names()
+	if a, ok := names.Attr(p); ok {
 		return a, nil
 	}
 	if err := c.resolveParents(p); err != nil {
@@ -679,8 +662,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if err != nil {
 		return fs.Attr{}, err
 	}
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
+	names.Put(p, a)
 	return a, nil
 }
 
@@ -710,7 +692,5 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 // DropCaches clears the node's attribute and dentry caches.
 func (c *client) DropCaches() {
 	c.node.Syscall(c.p)
-	st := c.st()
-	st.attrs.Clear()
-	st.dentries.Clear()
+	c.names().Clear()
 }

@@ -79,7 +79,7 @@ type FS struct {
 	filers  []*filer
 	volumes map[string]*volume // VLDB: volume name -> owner
 	conns   map[connKey]*simnet.Conn
-	nodes   map[*cluster.Node]*nodeState
+	nodes   map[*cluster.Node]*clientcache.NameCache
 	mounts  map[*cluster.Node]int // node -> filer index it mounts through
 	rpcs    int64
 	// ForwardCount counts requests that crossed the cluster interconnect.
@@ -104,11 +104,6 @@ type connKey struct {
 	filer int
 }
 
-type nodeState struct {
-	attrs    *clientcache.AttrCache
-	dentries *clientcache.DentryCache
-}
-
 // New creates a GX cluster with the given number of filers.
 func New(k *sim.Kernel, name string, filers int, cfg Config) *FS {
 	f := &FS{
@@ -116,7 +111,7 @@ func New(k *sim.Kernel, name string, filers int, cfg Config) *FS {
 		cfg:     cfg,
 		volumes: make(map[string]*volume),
 		conns:   make(map[connKey]*simnet.Conn),
-		nodes:   make(map[*cluster.Node]*nodeState),
+		nodes:   make(map[*cluster.Node]*clientcache.NameCache),
 		mounts:  make(map[*cluster.Node]int),
 	}
 	for i := 0; i < filers; i++ {
@@ -186,13 +181,10 @@ func (f *FS) conn(n *cluster.Node, filerIdx int) *simnet.Conn {
 	return c
 }
 
-func (f *FS) nodeState(n *cluster.Node) *nodeState {
+func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
 	if !ok {
-		s = &nodeState{
-			attrs:    clientcache.NewAttrCache(f.cfg.AttrTTL, f.k.Now),
-			dentries: clientcache.NewDentryCache(f.cfg.DentryTTL, f.k.Now),
-		}
+		s = clientcache.NewNameCache(f.cfg.AttrTTL, f.cfg.DentryTTL, f.k.Now)
 		f.nodes[n] = s
 	}
 	return s
@@ -314,9 +306,7 @@ func (c *client) Create(p string) error {
 	}
 	if v, sub, e := c.fsys.resolve("create", p); e == nil {
 		if a, e2 := v.ns.Stat(sub); e2 == nil {
-			st := c.fsys.nodeState(c.node)
-			st.attrs.Put(p, a)
-			st.dentries.PutPositive(p, a.Ino)
+			c.fsys.nodeCache(c.node).Put(p, a)
 		}
 	}
 	return nil
@@ -412,9 +402,7 @@ func (c *client) Unlink(p string) error {
 		return v.ns.Unlink(sub, sp.Now())
 	})
 	if err == nil {
-		st := c.fsys.nodeState(c.node)
-		st.attrs.Invalidate(p)
-		st.dentries.Invalidate(p)
+		c.fsys.nodeCache(c.node).Invalidate(p)
 	}
 	return err
 }
@@ -438,11 +426,9 @@ func (c *client) Rename(oldPath, newPath string) error {
 		return v.ns.Rename(subOld, subNew, sp.Now())
 	})
 	if err == nil {
-		st := f.nodeState(c.node)
-		st.attrs.Invalidate(oldPath)
-		st.dentries.Invalidate(oldPath)
-		st.attrs.Invalidate(newPath)
-		st.dentries.Invalidate(newPath)
+		names := f.nodeCache(c.node)
+		names.Invalidate(oldPath)
+		names.Invalidate(newPath)
 	}
 	return err
 }
@@ -479,8 +465,8 @@ func (c *client) Symlink(target, linkPath string) error {
 func (c *client) Stat(p string) (fs.Attr, error) {
 	f := c.fsys
 	c.node.Syscall(c.p)
-	st := f.nodeState(c.node)
-	if a, ok := st.attrs.Get(p); ok {
+	names := f.nodeCache(c.node)
+	if a, ok := names.Attr(p); ok {
 		return a, nil
 	}
 	v, sub, err := f.resolve("stat", p)
@@ -496,8 +482,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if err != nil {
 		return fs.Attr{}, err
 	}
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
+	names.Put(p, a)
 	return a, nil
 }
 
@@ -529,7 +514,5 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 // DropCaches clears the node's caches.
 func (c *client) DropCaches() {
 	c.node.Syscall(c.p)
-	st := c.fsys.nodeState(c.node)
-	st.attrs.Clear()
-	st.dentries.Clear()
+	c.fsys.nodeCache(c.node).Clear()
 }

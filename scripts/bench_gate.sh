@@ -141,7 +141,7 @@ done
 # process lifetime (KernelSpawn 2: the Proc and its joiner list).
 # Closure escapes on these paths creep in silently with refactors; the
 # ceiling turns the creep into a red build instead of a slow one.
-for guard in "BenchmarkSimulatedCreate 3" "BenchmarkShardedCreate 3" "BenchmarkBackendCreate 3" "BenchmarkSplitCreate 3" "BenchmarkDomainCreate 7" "BenchmarkNFSDomainCreate 6" "BenchmarkKernelSpawn 3"; do
+for guard in "BenchmarkSimulatedCreate 3" "BenchmarkShardedCreate 3" "BenchmarkBackendCreate 3" "BenchmarkSplitCreate 3" "BenchmarkDomainCreate 7" "BenchmarkNFSDomainCreate 6" "BenchmarkKernelSpawn 2"; do
 	bench=${guard% *}
 	limit=${guard#* }
 	a=$(extract "$fresh" "$bench" allocs_per_op)
