@@ -262,19 +262,9 @@ func BenchmarkE33CapacityPressure(b *testing.B) {
 		"1M    clients  server lease entries", "1M    clients  modeled per-client table")
 }
 
-func BenchmarkE34DomainedServers(b *testing.B) {
-	runExperiment(b, experiments.E34DomainedServers,
-		"nfs    domained creates/s", "lustre parallelism headroom")
-}
-
 func BenchmarkE35FilerAtScale(b *testing.B) {
 	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E35FilerAtScale),
 		"shed fraction", "loaded  foreground p99")
-}
-
-func BenchmarkE36AdaptiveLookahead(b *testing.B) {
-	runExperiment(b, experiments.E36AdaptiveLookahead,
-		"sparse adaptive windows", "sparse byte-identical")
 }
 
 func BenchmarkA01AveragingMethods(b *testing.B) {
@@ -434,39 +424,6 @@ func BenchmarkDomainedCell(b *testing.B) {
 		}
 		b.ReportMetric(headroom(f), "headroomx")
 	})
-}
-
-// BenchmarkNFSDomainCreate measures the real-time cost of one simulated
-// create on the domained NFS filer (client domain + filer domain via
-// the shared service runtime, 4 concurrent client processes): the
-// cross-domain RPC path — the caller's migration to the filer's domain
-// and back, reply cache fills — on top of the BenchmarkSimulatedCreate
-// path, gated alongside BenchmarkDomainCreate.
-func BenchmarkNFSDomainCreate(b *testing.B) {
-	k := sim.New(1)
-	cl := cluster.New(k, cluster.DefaultConfig(4))
-	cfg := nfs.DefaultConfig()
-	cfg.Domains = 2
-	fsys := nfs.New(k, "bench", cfg)
-	per := b.N/4 + 1
-	for c := 0; c < 4; c++ {
-		c := c
-		k.Spawn(fmt.Sprintf("creator-%d", c), func(p *sim.Proc) {
-			cli := fsys.NewClient(cl.Nodes[c], p)
-			cli.Mkdir(fmt.Sprintf("/d%d", c))
-			for i := 0; i < per; i++ {
-				if i%5000 == 0 {
-					cli.Mkdir(fmt.Sprintf("/d%d/s%d", c, i/5000))
-				}
-				cli.Create(fmt.Sprintf("/d%d/s%d/%d", c, i/5000, i))
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkCachedGetattr measures the real-time cost of one coherent

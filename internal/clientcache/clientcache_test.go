@@ -151,122 +151,6 @@ func TestAttrCacheClearResetsStats(t *testing.T) {
 	}
 }
 
-// Regression: capacity eviction must go strictly by expiry then
-// insertion order. The historical hazard is a dentry cache that scans
-// positive entries first, leaving expired negative dentries pinned in a
-// full cache while fresh positive entries are thrown out.
-func TestDentryCacheCapEvictsExpiredNegativesFirst(t *testing.T) {
-	clk := &fakeClock{}
-	d := NewDentryCache(5*time.Second, clk.now)
-	d.Cap = 3
-	d.PutNegative("/n0")
-	d.PutNegative("/n1")
-	clk.t = 4 * time.Second
-	d.PutPositive("/p0", 1)
-	clk.t = 6 * time.Second // /n0 and /n1 are now expired, /p0 is fresh
-	d.PutPositive("/p1", 2)
-	if _, _, ok := d.Lookup("/n0"); ok {
-		t.Fatal("expired negative dentry survived capacity eviction")
-	}
-	if ino, _, ok := d.Lookup("/p0"); !ok || ino != 1 {
-		t.Fatal("fresh positive entry evicted while expired negatives were cached")
-	}
-	if ino, _, ok := d.Lookup("/p1"); !ok || ino != 2 {
-		t.Fatal("newly inserted entry missing")
-	}
-	if d.Len() != 3 {
-		t.Fatalf("len = %d, want 3", d.Len())
-	}
-}
-
-func TestDentryCacheCapFallsBackToInsertionOrder(t *testing.T) {
-	// With nothing expired, the oldest-inserted entry goes — even when
-	// it is positive and newer negative entries exist.
-	clk := &fakeClock{}
-	d := NewDentryCache(time.Minute, clk.now)
-	d.Cap = 2
-	d.PutPositive("/old", 1)
-	d.PutNegative("/neg")
-	d.PutPositive("/new", 2)
-	if _, _, ok := d.Lookup("/old"); ok {
-		t.Fatal("oldest-inserted entry survived eviction")
-	}
-	if _, neg, ok := d.Lookup("/neg"); !ok || !neg {
-		t.Fatal("newer negative entry wrongly evicted")
-	}
-	if _, _, ok := d.Lookup("/new"); !ok {
-		t.Fatal("newly inserted entry missing")
-	}
-}
-
-func TestDentryCacheCapReinsertMovesToBack(t *testing.T) {
-	// Invalidate + re-insert restarts a key's insertion order; the stale
-	// first-insertion slot must not make it evict early.
-	clk := &fakeClock{}
-	d := NewDentryCache(time.Minute, clk.now)
-	d.Cap = 2
-	d.PutPositive("/a", 1)
-	d.PutPositive("/b", 2)
-	d.Invalidate("/a")
-	d.PutPositive("/a", 3) // re-inserted: now newer than /b
-	d.PutPositive("/c", 4) // evicts /b, not the re-inserted /a
-	if _, _, ok := d.Lookup("/b"); ok {
-		t.Fatal("/b survived; re-inserted /a was evicted on its stale slot")
-	}
-	if ino, _, ok := d.Lookup("/a"); !ok || ino != 3 {
-		t.Fatal("re-inserted entry evicted by its stale insertion slot")
-	}
-}
-
-func TestAttrCacheCapEviction(t *testing.T) {
-	clk := &fakeClock{}
-	c := NewAttrCache(5*time.Second, clk.now)
-	c.Cap = 2
-	c.Put("/a", fs.Attr{Ino: 1})
-	clk.t = 4 * time.Second
-	c.Put("/b", fs.Attr{Ino: 2})
-	clk.t = 6 * time.Second // /a expired, /b fresh
-	c.Put("/c", fs.Attr{Ino: 3})
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	if _, ok := c.Get("/a"); ok {
-		t.Fatal("expired entry survived eviction")
-	}
-	if a, ok := c.Get("/b"); !ok || a.Ino != 2 {
-		t.Fatal("fresh entry evicted while an expired one was cached")
-	}
-	// Refreshing /b does not move it to the back: it is still the
-	// oldest-inserted entry and goes next when nothing is expired.
-	c.Put("/b", fs.Attr{Ino: 2})
-	c.Put("/d", fs.Attr{Ino: 4})
-	if _, ok := c.Get("/b"); ok {
-		t.Fatal("refresh reordered eviction; oldest insert survived")
-	}
-	if _, ok := c.Get("/c"); !ok {
-		t.Fatal("newer entry evicted before the oldest insert")
-	}
-}
-
-// Churn below capacity must not grow the insertion-order list without
-// bound: invalidate+reinsert cycles leave dead slots that only
-// compaction can reclaim, because full-cache eviction never runs.
-func TestEvictorCompactsBelowCapacity(t *testing.T) {
-	clk := &fakeClock{}
-	c := NewAttrCache(time.Minute, clk.now)
-	c.Cap = 100
-	for i := 0; i < 10000; i++ {
-		c.Invalidate("/hot")
-		c.Put("/hot", fs.Attr{Ino: fs.Ino(i)})
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
-	}
-	if n := len(c.ev.order); n > 2*c.Cap+16 {
-		t.Fatalf("order list grew to %d slots under churn (cap %d)", n, c.Cap)
-	}
-}
-
 // Property: a Put followed by Get within TTL always returns the stored
 // attributes, for arbitrary paths and inode numbers.
 func TestAttrCacheRoundTrip(t *testing.T) {

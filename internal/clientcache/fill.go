@@ -16,7 +16,6 @@ type Fill struct {
 	attr      fs.Attr
 	attrs     *AttrCache
 	dentries  *DentryCache
-	names     *NameCache
 	leases    *LeaseCache
 	expiry    time.Duration
 	authority int
@@ -28,8 +27,6 @@ type fillKind uint8
 const (
 	fillPositive fillKind = iota
 	fillNegative
-	fillName
-	fillNameNegative
 	fillLease
 	fillLeaseDrop
 )
@@ -43,16 +40,6 @@ func PositiveFill(attrs *AttrCache, dentries *DentryCache, path string, a fs.Att
 // NegativeFill records in dentries that path does not exist.
 func NegativeFill(dentries *DentryCache, path string) Fill {
 	return Fill{kind: fillNegative, path: path, dentries: dentries}
-}
-
-// NameFill is NameCache.Put as a fill.
-func NameFill(names *NameCache, path string, a fs.Attr) Fill {
-	return Fill{kind: fillName, path: path, attr: a, names: names}
-}
-
-// NameNegativeFill is NameCache.PutNegative as a fill.
-func NameNegativeFill(names *NameCache, path string) Fill {
-	return Fill{kind: fillNameNegative, path: path, names: names}
 }
 
 // LeaseFill is LeaseCache.Put as a fill.
@@ -76,10 +63,6 @@ func (f *Fill) Apply() {
 		}
 	case fillNegative:
 		f.dentries.PutNegative(f.path)
-	case fillName:
-		f.names.Put(f.path, f.attr)
-	case fillNameNegative:
-		f.names.PutNegative(f.path)
 	case fillLease:
 		f.leases.Put(f.path, f.attr, f.expiry, f.authority, f.epoch)
 	case fillLeaseDrop:

@@ -25,15 +25,10 @@ import (
 // leases across failovers, which is exactly the stale-read window
 // experiment E24 measures.
 type LeaseCache struct {
-	// Cap bounds the entry count (0 = unbounded). When full, Put evicts
-	// strictly by expiry then insertion order.
-	Cap int
-
 	now     func() time.Duration
 	epochOf func(authority int) uint64
 
 	entries map[string]leaseEntry
-	ev      evictor
 
 	hits, misses, revoked, epochDrops int64
 }
@@ -43,7 +38,6 @@ type leaseEntry struct {
 	expiry    time.Duration
 	authority int
 	epoch     uint64
-	seq       uint64
 }
 
 // NewLeaseCache returns a lease cache using now as its clock. epochOf
@@ -79,44 +73,9 @@ func (c *LeaseCache) Get(path string) (fs.Attr, bool) {
 }
 
 // Put records a lease on path granted by authority at the given epoch,
-// valid through expiry (inclusive). A re-grant over a live lease keeps
-// the entry's insertion order.
+// valid through expiry (inclusive), replacing any lease held on path.
 func (c *LeaseCache) Put(path string, a fs.Attr, expiry time.Duration, authority int, epoch uint64) {
-	if e, ok := c.entries[path]; ok {
-		e.attr, e.expiry, e.authority, e.epoch = a, expiry, authority, epoch
-		c.entries[path] = e
-		return
-	}
-	if c.Cap > 0 {
-		state := c.slotState(c.now())
-		if len(c.entries) >= c.Cap {
-			if victim, ok := c.ev.pick(state); ok {
-				delete(c.entries, victim)
-			}
-		}
-		c.ev.maybeCompact(c.Cap, state)
-	}
-	var seq uint64
-	if c.Cap > 0 {
-		seq = c.ev.note(path)
-	}
-	c.entries[path] = leaseEntry{attr: a, expiry: expiry, authority: authority, epoch: epoch, seq: seq}
-}
-
-// slotState classifies one tracked slot for eviction at time now: a
-// lease past expiry or behind its authority's epoch is as good as gone.
-func (c *LeaseCache) slotState(now time.Duration) func(key string, seq uint64) slotState {
-	return func(key string, seq uint64) slotState {
-		e, ok := c.entries[key]
-		switch {
-		case !ok || e.seq != seq:
-			return slotDead
-		case now > e.expiry || (c.epochOf != nil && c.epochOf(e.authority) != e.epoch):
-			return slotExpired
-		default:
-			return slotLive
-		}
-	}
+	c.entries[path] = leaseEntry{attr: a, expiry: expiry, authority: authority, epoch: epoch}
 }
 
 // Revoke drops the lease on path in response to a server callback and
@@ -140,7 +99,6 @@ func (c *LeaseCache) Invalidate(path string) { delete(c.entries, path) }
 // like AttrCache.Clear).
 func (c *LeaseCache) Clear() {
 	c.entries = make(map[string]leaseEntry)
-	c.ev.reset()
 	c.hits, c.misses, c.revoked, c.epochDrops = 0, 0, 0, 0
 }
 

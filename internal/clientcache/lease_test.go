@@ -152,31 +152,6 @@ func TestLeaseCacheRevokeExpiredLease(t *testing.T) {
 	}
 }
 
-func TestLeaseCacheCapEviction(t *testing.T) {
-	// Capacity eviction prefers lapsed leases (expired or epoch-dead)
-	// over live ones, then insertion order.
-	c, _, epochs := leaseEnv(true)
-	c.Cap = 3
-	c.Put("/dead", fs.Attr{Ino: 1}, time.Minute, 3, epochs[3])
-	c.Put("/live1", fs.Attr{Ino: 2}, time.Minute, 0, epochs[0])
-	c.Put("/live2", fs.Attr{Ino: 3}, time.Minute, 0, epochs[0])
-	epochs[3]++ // /dead's authority failed over
-	c.Put("/new", fs.Attr{Ino: 4}, time.Minute, 0, epochs[0])
-	if _, ok := c.entries["/dead"]; ok {
-		t.Fatal("epoch-dead lease survived capacity eviction")
-	}
-	for _, p := range []string{"/live1", "/live2", "/new"} {
-		if _, ok := c.Get(p); !ok {
-			t.Fatalf("%s evicted while a dead lease was cached", p)
-		}
-	}
-	// Nothing lapsed: strictly oldest-inserted goes.
-	c.Put("/newer", fs.Attr{Ino: 5}, time.Minute, 0, epochs[0])
-	if _, ok := c.Get("/live1"); ok {
-		t.Fatal("oldest live lease survived full-cache insertion")
-	}
-}
-
 func TestLeaseCacheClearResetsStats(t *testing.T) {
 	c, _, _ := leaseEnv(true)
 	c.Put("/a", fs.Attr{}, time.Minute, 0, 0)

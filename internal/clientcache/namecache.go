@@ -6,16 +6,13 @@ import (
 	"dmetabench/internal/fs"
 )
 
-// NameCache is an unbounded timeout cache that keeps one entry per path
+// NameCache is a timeout cache that keeps one entry per path
 // holding both the dentry (positive or negative) and the attributes, as
 // a Linux dentry points at the inode that carries NFS's cached
-// attributes. It behaves exactly like an unbounded AttrCache and
-// DentryCache used side by side — each half has its own TTL and fetch
-// time, and either half can be refreshed or dropped alone — but a reply
-// fill, an invalidation or a stat hit touches one map instead of two.
-//
-// Capacity-bounded caches stay a pair: a bound evicts each kind in its
-// own insertion order, which one shared entry cannot reproduce.
+// attributes. It behaves exactly like an AttrCache and a DentryCache
+// used side by side — each half has its own TTL and fetch time, and
+// either half can be refreshed or dropped alone — but a reply fill, an
+// invalidation or a stat hit touches one map instead of two.
 type NameCache struct {
 	attrTTL   time.Duration
 	dentryTTL time.Duration

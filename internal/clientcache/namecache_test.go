@@ -44,12 +44,12 @@ func TestNameCacheMatchesPair(t *testing.T) {
 			names.InvalidateDentry(p)
 			dentries.Invalidate(p)
 		case 5:
-			f, g := NameFill(names, p, a), PositiveFill(attrs, dentries, p, a)
-			f.Apply()
+			names.Put(p, a)
+			g := PositiveFill(attrs, dentries, p, a)
 			g.Apply()
 		case 6:
-			f, g := NameNegativeFill(names, p), NegativeFill(dentries, p)
-			f.Apply()
+			names.PutNegative(p)
+			g := NegativeFill(dentries, p)
 			g.Apply()
 		case 7:
 			if rng.Intn(20) == 0 {

@@ -24,7 +24,7 @@ import (
 // and returns the serialized result set as a map of file name to content.
 // domains > 1 partitions the shard-mode simulations into that many kernel
 // domains with the given worker-pool size; both are ignored for the
-// non-shard modes. Every server namespace must pass fsck (Check) after
+// NFS, Lustre and stage modes. Every server namespace must pass fsck (Check) after
 // the run.
 func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map[string]string {
 	t.Helper()
@@ -207,17 +207,12 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 			SlotsPerNode: 2,
 			Plugins:      []Plugin{StatMutateFiles{Files: 32, MutateEvery: 4}, MakeFiles{}},
 		}
-	case "nfs-domains":
-		// The single filer in its own kernel domain through the shared
-		// service runtime: every RPC is a timestamped cross-domain
-		// message, cache fills ride the reply legs, and mkdir/rename
-		// paths capture attributes in-body. Must be byte-identical at
-		// any worker count, and with Domains<=1 must match the legacy
-		// synchronous model exactly.
-		cfg := nfs.DefaultConfig()
-		cfg.Domains = domains
-		fsys := nfs.New(k, "home", cfg)
-		grouped = fsys
+	case "nfs-zipf":
+		// The single filer under skewed directory traffic: mkdirs,
+		// creates, renames and stats across a Zipf-weighted project
+		// tree, with the dentry and attribute fills the LOOKUP, CREATE,
+		// MKDIR and RENAME replies carry.
+		fsys := nfs.New(k, "home", nfs.DefaultConfig())
 		servers = append(servers, fsys.Namespace())
 		r = &Runner{
 			Cluster: cl,
@@ -231,17 +226,14 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 			},
 		}
 	case "lustre-agg":
-		// Domained Lustre write-back client under a million-client
-		// aggregate background on the MDS: injector lanes run as daemons
-		// on the MDS's domain while flush daemons, writeback windows and
-		// OSS legs cross domains; the queueing the background imposes on
-		// the foreground must land at identical virtual times at any
-		// domain/worker split.
+		// The Lustre write-back client under a million-client aggregate
+		// background on the MDS: injector lanes run as daemon tasks next
+		// to the flush daemons, writeback windows and OSS legs, and the
+		// queueing the background imposes on the foreground must land
+		// at identical virtual times across identically-seeded runs.
 		cfg := lustre.DefaultConfig()
 		cfg.Writeback = true
-		cfg.Domains = domains
 		fsys := lustre.New(k, "scratch", cfg)
-		grouped = fsys
 		servers = append(servers, fsys.Namespace())
 		lanes := cfg.MDSThreads
 		model := agg.Model{
@@ -389,7 +381,7 @@ func TestRunnerDeterministic(t *testing.T) {
 	for _, mode := range []string{
 		"nfs-timed", "lustre-writeback", "shard-hash", "shard-subtree",
 		"shard-failover", "shard-coherent", "shard-split", "shard-lsm",
-		"shard-agg", "nfs-domains", "lustre-agg", "stage",
+		"shard-agg", "nfs-zipf", "lustre-agg", "stage",
 	} {
 		t.Run(mode, func(t *testing.T) {
 			diffSets(t,
@@ -420,16 +412,11 @@ func diffSets(t *testing.T, a, b map[string]string, what string) {
 }
 
 // shardModes are the TestRunnerDeterministic modes that run on the
-// sharded MDS model; domainModes additionally cover the NFS and Lustre
-// models wired through the shared service runtime — every mode that
-// supports kernel domains.
+// sharded MDS model — every mode that supports kernel domains.
 var shardModes = []string{
 	"shard-hash", "shard-subtree", "shard-failover",
 	"shard-coherent", "shard-split", "shard-lsm", "shard-agg",
 }
-
-var domainModes = append(append([]string{}, shardModes...),
-	"nfs-domains", "lustre-agg")
 
 // TestRunnerDeterministicDomains is the parallel-DES determinism matrix:
 // every shard mode of TestRunnerDeterministic is run partitioned into 5
@@ -438,7 +425,7 @@ var domainModes = append(append([]string{}, shardModes...),
 // revocations, splits and LSM compactions must all land at identical
 // virtual times no matter how the domains are scheduled onto OS threads.
 func TestRunnerDeterministicDomains(t *testing.T) {
-	for _, mode := range domainModes {
+	for _, mode := range shardModes {
 		t.Run(mode, func(t *testing.T) {
 			diffSets(t,
 				runAndSave(t, 77, mode, 5, 1),
@@ -452,7 +439,7 @@ func TestRunnerDeterministicDomains(t *testing.T) {
 // Domains<=1 must be byte-identical to the single-heap kernel, so the
 // committed experiment corpus stays reproducible with the feature off.
 func TestRunnerDomainsDisabledIsLegacy(t *testing.T) {
-	for _, mode := range domainModes {
+	for _, mode := range shardModes {
 		t.Run(mode, func(t *testing.T) {
 			diffSets(t,
 				runAndSave(t, 77, mode, 0, 0),

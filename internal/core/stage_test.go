@@ -7,22 +7,21 @@ import (
 
 	"dmetabench/internal/agg"
 	"dmetabench/internal/cluster"
-	"dmetabench/internal/nfs"
-	"dmetabench/internal/service"
+	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/workload"
 )
 
-// stageAuxSeries runs a short StageRunner over an NFS filer in its own
-// kernel domain, loaded by aggregate background lanes, on the given
+// stageAuxSeries runs a short StageRunner over a one-shard MDS in its
+// own kernel domain, loaded by aggregate background lanes, on the given
 // number of domain workers, and returns the per-interval Aux deltas.
 func stageAuxSeries(t *testing.T, seed int64, workers int) []int64 {
 	t.Helper()
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(2))
-	cfg := nfs.DefaultConfig()
+	cfg := shard.DefaultConfig(1)
 	cfg.Domains = 2
-	fsys := nfs.New(k, "home", cfg)
+	fsys := shard.New(k, "meta", cfg)
 	fsys.Group().Workers = workers
 	const tick = 5 * time.Millisecond
 	model := agg.Model{
@@ -34,10 +33,10 @@ func stageAuxSeries(t *testing.T, seed int64, workers int) []int64 {
 		Tick:         tick,
 		Seed:         seed,
 	}
-	sources := agg.NewSources(model, 1, cfg.ServerThreads, func(int) int { return 0 })
-	fsys.AttachAggregate(tick, func(_, lane, i int) service.Demand {
+	sources := agg.NewSources(model, 1, cfg.ShardThreads, func(int) int { return 0 })
+	fsys.AttachAggregate(tick, func(_, lane, i int) shard.AggregateDemand {
 		d := sources[lane].Tick(int64(i))
-		return service.Demand{Getattr: d.Getattr, Lookup: d.Lookup,
+		return shard.AggregateDemand{Getattr: d.Getattr, Lookup: d.Lookup,
 			Readdir: d.Readdir, Create: d.Create}
 	})
 	r := &StageRunner{
@@ -67,7 +66,7 @@ func stageAuxSeries(t *testing.T, seed int64, workers int) []int64 {
 }
 
 // TestStageAuxWorkerInvariant pins the stage master's background
-// readings under a domain group: the injector lanes run on the filer's
+// readings under a domain group: the injector lanes run on the shard's
 // domain, concurrently with the master on the client domain, and the
 // Aux series must not depend on the worker count. A reading taken in
 // the middle of a window varies with thread timing, so the comparison

@@ -21,7 +21,7 @@ func A01AveragingMethods() *Report {
 		PaperRef: "§3.2.5, Fig. 3.2"}
 	k := sim.New(2001)
 	cl := cluster.New(k, cluster.DefaultConfig(4))
-	fsys := newNFSFS(k, "home", nfs.DefaultConfig())
+	fsys := nfs.New(k, "home", nfs.DefaultConfig())
 	run := &core.Runner{
 		Cluster:      cl,
 		FS:           fsys,
@@ -82,7 +82,7 @@ func A02WritebackWindow() *Report {
 		cfg := lustre.DefaultConfig()
 		cfg.Writeback = true
 		cfg.WritebackWindow = w
-		fsys := newLustreFS(k, "scratch", cfg)
+		fsys := lustre.New(k, "scratch", cfg)
 		run := &core.Runner{
 			Cluster: cl,
 			FS:      fsys,

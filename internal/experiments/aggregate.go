@@ -220,11 +220,11 @@ func E14AFS() *Report {
 			return e14cell{set: s, cell: c}
 		case 4:
 			return e14cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
-				return newNFSFS(k, "home", nfs.DefaultConfig())
+				return nfs.New(k, "home", nfs.DefaultConfig())
 			}, core.StatFiles{}, problem, 1405)}
 		default:
 			return e14cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
-				return newNFSFS(k, "home", nfs.DefaultConfig())
+				return nfs.New(k, "home", nfs.DefaultConfig())
 			}, core.StatNocacheFiles{}, problem, 1406)}
 		}
 	})

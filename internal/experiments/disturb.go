@@ -19,7 +19,7 @@ func nfsMakeFilesRun(seed int64, nodes int, window time.Duration,
 
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(nodes+1))
-	fsys := newNFSFS(k, "home", nfs.DefaultConfig())
+	fsys := nfs.New(k, "home", nfs.DefaultConfig())
 	r := &core.Runner{
 		Cluster: cl,
 		FS:      fsys,

@@ -11,46 +11,27 @@ import (
 	"time"
 
 	"dmetabench/internal/charts"
-	"dmetabench/internal/lustre"
-	"dmetabench/internal/nfs"
 	"dmetabench/internal/results"
 	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 )
 
-// Domains, when > 0, overrides Config.Domains for every file-system
-// model in the suite — sharded, NFS and Lustre alike (the -domains flag
-// of cmd/experiments): each simulation is partitioned into that many
-// event-kernel domains running under the conservative-lookahead
-// protocol through the shared service runtime. 0 keeps each
-// experiment's own setting — the single-heap kernel, which the
-// committed EXPERIMENTS.md corpus was generated with.
+// Domains, when > 0, overrides shard.Config.Domains for every sharded
+// MDS in the suite (the -domains flag of cmd/experiments): each such
+// simulation is partitioned into that many event-kernel domains running
+// under the conservative-lookahead protocol. 0 keeps each experiment's
+// own setting — the single-heap kernel, which the committed
+// EXPERIMENTS.md corpus was generated with.
 var Domains int
 
-// newShardFS, newNFSFS and newLustreFS are the construction points for
-// the three file-system models in this package; they apply the
-// package-wide Domains override so one flag domains every experiment.
-// E34–E36 bypass them deliberately — those experiments pin their own
-// Domains so their reports are byte-identical at any -domains value.
+// newShardFS is the construction point for the sharded MDS in this
+// package; it applies the package-wide Domains override so one flag
+// domains every sharded experiment.
 func newShardFS(k *sim.Kernel, name string, cfg shard.Config) *shard.FS {
 	if Domains > 0 {
 		cfg.Domains = Domains
 	}
 	return shard.New(k, name, cfg)
-}
-
-func newNFSFS(k *sim.Kernel, name string, cfg nfs.Config) *nfs.FS {
-	if Domains > 0 {
-		cfg.Domains = Domains
-	}
-	return nfs.New(k, name, cfg)
-}
-
-func newLustreFS(k *sim.Kernel, name string, cfg lustre.Config) *lustre.FS {
-	if Domains > 0 {
-		cfg.Domains = Domains
-	}
-	return lustre.New(k, name, cfg)
 }
 
 // Row is one reported metric.
@@ -159,9 +140,7 @@ func All() []Experiment {
 		{"E31", E31AggregateDay, 2},
 		{"E32", E32ForegroundTail, 3},
 		{"E33", E33CapacityPressure, 3},
-		{"E34", E34DomainedServers, 6},   // 2 file systems x (legacy, dom-w1, dom-w8)
-		{"E35", E35FilerAtScale, 2},      // quiet + loaded day
-		{"E36", E36AdaptiveLookahead, 6}, // 3 cells x (adaptive, fixed)
+		{"E35", E35FilerAtScale, 2}, // quiet + loaded day
 	}
 }
 

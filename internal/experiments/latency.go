@@ -88,7 +88,7 @@ func E12LatencySweep() *Report {
 		nfsMk := func(k *sim.Kernel) core.FileSystem {
 			cfg := nfs.DefaultConfig()
 			cfg.OneWayLatency = lat
-			return newNFSFS(k, "home", cfg)
+			return nfs.New(k, "home", cfg)
 		}
 		switch i % perLat {
 		case 0:
@@ -100,7 +100,7 @@ func E12LatencySweep() *Report {
 				cfg := lustre.DefaultConfig()
 				cfg.OneWayLatency = lat
 				cfg.Writeback = true
-				return newLustreFS(k, "scratch", cfg)
+				return lustre.New(k, "scratch", cfg)
 			}, core.MakeFiles{}, time.Second, seed+2)
 		}
 	})

@@ -116,7 +116,7 @@ func E11SMPScaling() *Report {
 	sets := parCells("E11", []string{"nfs", "cxfs"}, func(i int) *results.Set {
 		if i == 0 {
 			return runSMP(func(k *sim.Kernel) core.FileSystem {
-				return newNFSFS(k, "home", nfs.DefaultConfig())
+				return nfs.New(k, "home", nfs.DefaultConfig())
 			}, 1111, "E11/nfs")
 		}
 		return runSMP(func(k *sim.Kernel) core.FileSystem {

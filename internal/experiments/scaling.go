@@ -59,11 +59,11 @@ func E07CreateScaling() *Report {
 	sets := parCells("E07", []string{"nfs", "lustre"}, func(i int) *results.Set {
 		if i == 0 {
 			return runCreateScaling(func(k *sim.Kernel) core.FileSystem {
-				return newNFSFS(k, "home", nfs.DefaultConfig())
+				return nfs.New(k, "home", nfs.DefaultConfig())
 			}, 707, "E07/nfs")
 		}
 		return runCreateScaling(func(k *sim.Kernel) core.FileSystem {
-			return newLustreFS(k, "scratch", lustre.DefaultConfig())
+			return lustre.New(k, "scratch", lustre.DefaultConfig())
 		}, 708, "E07/lustre")
 	})
 	nfsSet, lusSet := sets[0], sets[1]
@@ -148,7 +148,7 @@ func E08LargeDirectories() *Report {
 			core.FileSystem
 			Namespace() *namespace.Namespace
 		} {
-			return newNFSFS(k, "home", nfs.DefaultConfig())
+			return nfs.New(k, "home", nfs.DefaultConfig())
 		}},
 		{"NFS (linear dirs)", func(k *sim.Kernel) interface {
 			core.FileSystem
@@ -156,13 +156,13 @@ func E08LargeDirectories() *Report {
 		} {
 			cfg := nfs.DefaultConfig()
 			cfg.DirIndex = namespace.IndexLinear
-			return newNFSFS(k, "home", cfg)
+			return nfs.New(k, "home", cfg)
 		}},
 		{"Lustre (htree dirs)", func(k *sim.Kernel) interface {
 			core.FileSystem
 			Namespace() *namespace.Namespace
 		} {
-			return newLustreFS(k, "scratch", lustre.DefaultConfig())
+			return lustre.New(k, "scratch", lustre.DefaultConfig())
 		}},
 	}
 	// Parallel part: shared directory vs per-process directories on
@@ -171,7 +171,7 @@ func E08LargeDirectories() *Report {
 	sharedVsOwn := func(plugin core.Plugin, problem int) float64 {
 		k := sim.New(881)
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newLustreFS(k, "scratch", lustre.DefaultConfig())
+		fsys := lustre.New(k, "scratch", lustre.DefaultConfig())
 		run := &core.Runner{
 			Cluster:      cl,
 			FS:           fsys,
@@ -247,7 +247,7 @@ func E09AllocationBursts() *Report {
 	cfg.NumOSS = 2
 	cfg.PreallocBatch = 256
 	cfg.OSSRefillService = 40 * time.Millisecond
-	fsys := newLustreFS(k, "scratch", cfg)
+	fsys := lustre.New(k, "scratch", cfg)
 	run := &core.Runner{
 		Cluster:      cl,
 		FS:           fsys,

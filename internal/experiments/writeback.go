@@ -35,14 +35,14 @@ func E15WritebackCaching() *Report {
 		if i == 1 {
 			// Synchronous reference: the same hardware without write-back.
 			return e15cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
-				return newLustreFS(k, "scratch", lustre.DefaultConfig())
+				return lustre.New(k, "scratch", lustre.DefaultConfig())
 			}, core.MakeFiles{}, 800, 1502)}
 		}
 		k := sim.New(1501)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		run := &core.Runner{
 			Cluster: cl,
-			FS:      newLustreFS(k, "scratch", cfg),
+			FS:      lustre.New(k, "scratch", cfg),
 			Params: core.Params{
 				ProblemSize: 50000, // one directory; no rotation inside the window
 				TimeLimit:   window,

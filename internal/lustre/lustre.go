@@ -52,17 +52,11 @@ type Config struct {
 	AttrTTL   time.Duration
 	DentryTTL time.Duration
 	DirIndex  namespace.DirIndex
-	// JournalCommit is the MDS journal group-commit interval.
+	// JournalCommit is the MDS journal group-commit interval. Zero or
+	// less means no group commit: journal records then accumulate
+	// without ever being written to the MDT.
 	JournalCommit time.Duration
 	ClientNice    int
-	// Domains > 1 partitions the cell into kernel domains via the shared
-	// service runtime (internal/service): domain 0 runs the clients (and
-	// the write-back flushers), and the MDS — namespace, journal,
-	// directory locks, prealloc pools — plus the OSS fan out round-robin
-	// over domains 1..D-1. RPCs and refills carry the calling process
-	// into the server's domain and back. With Domains <= 1 the model
-	// runs its exact legacy single-kernel schedule, byte for byte.
-	Domains int
 }
 
 // DefaultConfig approximates the LRZ Lustre 1.6 system: one MDS, twelve
@@ -95,11 +89,6 @@ func DefaultConfig() Config {
 type FS struct {
 	k   *sim.Kernel
 	cfg Config
-
-	// rt is the shared service runtime (domain placement): server 0 is
-	// the MDS, servers 1..NumOSS the object servers. With Domains > 1
-	// all MDS-side state below lives on rt.KernelFor(0).
-	rt *service.Runtime
 
 	mds     *simnet.Server
 	oss     []*simnet.Server
@@ -142,15 +131,12 @@ type wbState struct {
 
 // New creates a Lustre file system on kernel k.
 func New(k *sim.Kernel, name string, cfg Config) *FS {
-	rt := service.New(k, 1+cfg.NumOSS, cfg.Domains, cfg.OneWayLatency)
-	mk := rt.KernelFor(0) // the MDS and everything it owns
-	disk := storage.NewDisk(mk, "mdt:"+name, 4, 4*time.Millisecond, 80<<20)
+	disk := storage.NewDisk(k, "mdt:"+name, 4, 4*time.Millisecond, 80<<20)
 	f := &FS{
 		k:        k,
 		cfg:      cfg,
-		rt:       rt,
-		mds:      simnet.NewServer(mk, "mds:"+name, cfg.MDSThreads),
-		journal:  storage.NewJournal(mk, "mds:"+name, disk, cfg.JournalCommit),
+		mds:      simnet.NewServer(k, "mds:"+name, cfg.MDSThreads),
+		journal:  storage.NewJournal(k, "mds:"+name, disk, cfg.JournalCommit),
 		ns:       namespace.New(),
 		conns:    make(map[*cluster.Node]*simnet.Conn),
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
@@ -158,25 +144,15 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		pool:     make([]int, cfg.NumOSS),
 	}
 	for i := 0; i < cfg.NumOSS; i++ {
-		ok := rt.KernelFor(1 + i)
-		srv := simnet.NewServer(ok, fmt.Sprintf("oss%d:%s", i, name), 2)
+		srv := simnet.NewServer(k, fmt.Sprintf("oss%d:%s", i, name), 2)
 		f.oss = append(f.oss, srv)
-		// Refill connections originate at the MDS, so their wire state
-		// (unused here: bandwidth 0) belongs to the MDS kernel.
-		f.ossConn = append(f.ossConn, simnet.NewConn(mk, srv, cfg.OneWayLatency, 0))
+		f.ossConn = append(f.ossConn, simnet.NewConn(k, srv, cfg.OneWayLatency, 0))
 	}
 	return f
 }
 
-// Group exposes the FS's domain group (nil when Domains <= 1); tests
-// pin worker-count invariance through it.
-func (f *FS) Group() *sim.DomainGroup { return f.rt.Group() }
-
-// domained reports whether the MDS runs in its own kernel domain.
-func (f *FS) domained() bool { return f.rt.Domained() }
-
 // AttachAggregate starts the background injector (internal/service):
-// MDSThreads daemon lanes on the MDS kernel domain, each drawing
+// MDSThreads daemon lanes on the MDS's kernel, each drawing
 // src(0, lane, tick) in strict tick order and occupying one MDS thread
 // for the priced duration — analytically modeled client populations
 // (internal/agg) loading the single MDS without per-client state. Call
@@ -186,7 +162,7 @@ func (f *FS) AttachAggregate(tick time.Duration, src func(server, lane, tick int
 		Servers: 1,
 		Lanes:   f.cfg.MDSThreads,
 		Tick:    tick,
-		Kernel:  func(int) *sim.Kernel { return f.mds.Kernel() },
+		Kernel:  func(int) *sim.Kernel { return f.k },
 		Pool:    func(int) *sim.Resource { return f.mds.Threads },
 		Source:  src,
 		Price:   func(_ int, d service.Demand) time.Duration { return f.priceAggregate(d) },
@@ -197,7 +173,7 @@ func (f *FS) AttachAggregate(tick time.Duration, src func(server, lane, tick int
 }
 
 // AggCounts returns injected / shed operation counts and cumulative
-// injected service time; safe mid-run from any domain.
+// injected service time.
 func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) {
 	return service.LoadI64(&f.aggOps), service.LoadI64(&f.aggShed),
 		time.Duration(service.LoadI64(&f.aggBusy))
@@ -264,9 +240,7 @@ func (f *FS) nodeState(n *cluster.Node) *wbState {
 func (f *FS) dirLock(ino fs.Ino) *sim.Mutex {
 	m, ok := f.dirLocks[ino]
 	if !ok {
-		// MDS-side lock: it lives (and is only ever locked) on the MDS
-		// kernel domain.
-		m = sim.NewMutex(f.mds.Kernel(), "mdsdir:"+strconv.FormatUint(uint64(ino), 10))
+		m = sim.NewMutex(f.k, "mdsdir:"+strconv.FormatUint(uint64(ino), 10))
 		f.dirLocks[ino] = m
 	}
 	return m
@@ -385,9 +359,9 @@ func (c *client) Create(p string) error {
 		if _, dup := st.pending[p]; dup {
 			return fs.NewError("create", p, fs.EEXIST)
 		}
-		if exists, err := c.pathExists(p); err != nil {
-			return err
-		} else if exists {
+		// The existence check is a free read of the MDS namespace: a
+		// write-back client holds the directory under lease (§4.8).
+		if _, err := c.fsys.ns.Stat(p); err == nil {
 			return fs.NewError("create", p, fs.EEXIST)
 		}
 		st.window.Acquire(c.p, 1) // blocks when the window is exhausted
@@ -421,40 +395,6 @@ func (c *client) Create(p string) error {
 		st.names.Put(p, a)
 	}
 	return nil
-}
-
-// pathExists answers the write-back create's existence check. Legacy
-// (single-kernel) it is a free namespace read. Under domains the MDS
-// namespace may not be read from the client: pending entries and the
-// client caches answer locally (a write-back client holds the directory
-// under lease, §4.8), and an unknown path pays a real GETATTR intent to
-// the MDS.
-func (c *client) pathExists(p string) (bool, error) {
-	if !c.fsys.domained() {
-		_, err := c.fsys.ns.Stat(p)
-		return err == nil, nil
-	}
-	st := c.st()
-	if _, ok := st.names.Attr(p); ok {
-		return true, nil
-	}
-	if _, neg, ok := st.names.Dentry(p); ok {
-		return !neg, nil
-	}
-	cfg := c.cfg()
-	exists := false
-	c.cn().Call(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(cfg.GetattrService)
-		c.fsys.rpcs++
-		a, err := c.fsys.ns.Stat(p)
-		exists = err == nil
-		if exists {
-			simnet.Defer(sp, clientcache.NameFill(st.names, p, a))
-		} else {
-			simnet.Defer(sp, clientcache.NameNegativeFill(st.names, p))
-		}
-	})
-	return exists, nil
 }
 
 // waitNotPending blocks until p has been flushed to the MDS (write-back
@@ -568,22 +508,9 @@ func (c *client) flushData(of *openFile) {
 		sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.written)/65536)))
 	})
 	st := c.st()
-	written := of.written
 	if a, ok := st.pending[of.path]; ok {
-		a.Size += written
+		a.Size += of.written
 		st.pending[of.path] = a
-	} else if c.fsys.domained() {
-		// The MDS namespace may not be touched from the client's domain:
-		// the size update travels as a fire-and-forget size-on-close
-		// message to the MDS (the asynchronous MDS_SIZE update a Lustre
-		// client issues), and the local attribute refresh rides on the
-		// open handle's own bookkeeping instead of a namespace read.
-		path := of.path
-		c.cn().OneWay(c.p, 120, func(sp *sim.Proc) {
-			if node, err := c.fsys.ns.Lookup(path); err == nil {
-				c.fsys.ns.SetSize(node.Ino, node.Size+written, sp.Now())
-			}
-		})
 	} else if node, err := c.fsys.ns.Lookup(of.path); err == nil {
 		c.fsys.ns.SetSize(node.Ino, node.Size+of.written, c.p.Now())
 		// The writing client holds the object lock and knows the new

@@ -242,3 +242,34 @@ func TestDataGoesToOSS(t *testing.T) {
 		}
 	})
 }
+
+// TestZeroJournalCommitStartsNoCommitter checks that a JournalCommit of
+// 0 starts no group committer instead of one that sleeps zero time
+// forever: a create load finishes and the journal never commits.
+func TestZeroJournalCommitStartsNoCommitter(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.JournalCommit = 0
+	k, cl, f := env(t, 1, cfg)
+	k.Spawn("creator", func(p *sim.Proc) {
+		c := f.NewClient(cl.Nodes[0], p)
+		for i := 0; i < 100; i++ {
+			if err := c.Create(fmt.Sprintf("/f%d", i)); err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+		}
+	})
+	done := make(chan error, 1)
+	go func() { done <- k.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(8 * time.Second):
+		t.Fatal("Run did not return within 8s of real time")
+	}
+	if n := f.journal.Commits(); n != 0 {
+		t.Errorf("%d journal commits, want 0", n)
+	}
+}

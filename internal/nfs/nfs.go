@@ -56,13 +56,6 @@ type Config struct {
 	MetaLogBytes int64
 	// ClientNice is the niceness benchmark processes run at (see §4.4).
 	ClientNice int
-	// Domains > 1 partitions the cell into kernel domains via the shared
-	// service runtime (internal/service): domain 0 runs the clients,
-	// domain 1 the filer — its thread pool, WAFL, namespace and
-	// directory locks — and every RPC carries the calling process into
-	// the filer's domain and back. With Domains <= 1 the model runs its
-	// exact legacy single-kernel schedule, byte for byte.
-	Domains int
 }
 
 // DefaultConfig returns the FAS3050-like parameter set.
@@ -95,10 +88,6 @@ type FS struct {
 	k   *sim.Kernel
 	cfg Config
 
-	// rt is the shared service runtime (domain placement); with
-	// Domains > 1 the filer's state below lives on rt.KernelFor(0).
-	rt *service.Runtime
-
 	srv   *simnet.Server
 	wafl  *storage.WAFL
 	ns    *namespace.Namespace
@@ -121,14 +110,11 @@ type FS struct {
 
 // New creates an NFS file system on kernel k.
 func New(k *sim.Kernel, name string, cfg Config) *FS {
-	rt := service.New(k, 1, cfg.Domains, cfg.OneWayLatency)
-	sk := rt.KernelFor(0)
 	f := &FS{
 		k:        k,
 		cfg:      cfg,
-		rt:       rt,
-		srv:      simnet.NewServer(sk, "nfs:"+name, cfg.ServerThreads),
-		wafl:     storage.NewWAFL(sk, name, cfg.WAFL),
+		srv:      simnet.NewServer(k, "nfs:"+name, cfg.ServerThreads),
+		wafl:     storage.NewWAFL(k, name, cfg.WAFL),
 		ns:       namespace.New(),
 		conns:    make(map[*cluster.Node]*simnet.Conn),
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
@@ -136,13 +122,6 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 	}
 	return f
 }
-
-// Group exposes the FS's domain group (nil when Domains <= 1); tests
-// pin worker-count invariance through it.
-func (f *FS) Group() *sim.DomainGroup { return f.rt.Group() }
-
-// domained reports whether the filer runs in its own kernel domain.
-func (f *FS) domained() bool { return f.rt.Domained() }
 
 // Name identifies the model in results and charts.
 func (f *FS) Name() string { return "nfs" }
@@ -178,16 +157,14 @@ func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 func (f *FS) dirLock(ino fs.Ino) *sim.Mutex {
 	m, ok := f.dirLocks[ino]
 	if !ok {
-		// Server-side lock: it lives (and is only ever locked) on the
-		// filer's kernel domain.
-		m = sim.NewMutex(f.srv.Kernel(), "nfsdir:"+strconv.FormatUint(uint64(ino), 10))
+		m = sim.NewMutex(f.k, "nfsdir:"+strconv.FormatUint(uint64(ino), 10))
 		f.dirLocks[ino] = m
 	}
 	return m
 }
 
 // AttachAggregate starts the background injector (internal/service):
-// ServerThreads daemon lanes on the filer's kernel domain, each drawing
+// ServerThreads daemon lanes on the filer's kernel, each drawing
 // src(0, lane, tick) in strict tick order and occupying one server
 // thread for the priced duration — analytically modeled client
 // populations (internal/agg) saturating the single filer without
@@ -197,7 +174,7 @@ func (f *FS) AttachAggregate(tick time.Duration, src func(server, lane, tick int
 		Servers: 1,
 		Lanes:   f.cfg.ServerThreads,
 		Tick:    tick,
-		Kernel:  func(int) *sim.Kernel { return f.srv.Kernel() },
+		Kernel:  func(int) *sim.Kernel { return f.k },
 		Pool:    func(int) *sim.Resource { return f.srv.Threads },
 		Source:  src,
 		Price:   func(_ int, d service.Demand) time.Duration { return f.priceAggregate(d) },
@@ -208,7 +185,7 @@ func (f *FS) AttachAggregate(tick time.Duration, src func(server, lane, tick int
 }
 
 // AggCounts returns injected / shed operation counts and cumulative
-// injected service time; safe mid-run from any domain.
+// injected service time.
 func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) {
 	return service.LoadI64(&f.aggOps), service.LoadI64(&f.aggShed),
 		time.Duration(service.LoadI64(&f.aggBusy))
@@ -295,8 +272,8 @@ func (c *client) cn() *simnet.Conn {
 // cache, issuing one LOOKUP RPC per missing component — the POSIX
 // requirement that every path component is checked (§2.3.1). With warm
 // dentries (30 s TTL) the walk is free; after a cache drop a deep path
-// costs one round trip per level. The dentry fill rides the reply
-// (simnet.Defer).
+// costs one round trip per level. The service body fills the dentry
+// cache at the reply's commit instant.
 func (c *client) resolveParents(p string) error {
 	cfg := c.cfg()
 	names := c.names()
@@ -317,9 +294,9 @@ func (c *client) resolveParents(p string) error {
 			var a fs.Attr
 			a, err = c.fsys.ns.Stat(prefix)
 			if err == nil {
-				simnet.Defer(sp, clientcache.NameFill(names, prefix, a))
+				names.Put(prefix, a)
 			} else {
-				simnet.Defer(sp, clientcache.NameNegativeFill(names, prefix))
+				names.PutNegative(prefix)
 			}
 		})
 		if err != nil {
@@ -375,14 +352,8 @@ func (c *client) Create(p string) error {
 func reply(a fs.Attr, err error) (fs.Attr, bool) { return a, err == nil }
 
 // Open resolves the path (dentry cache, else LOOKUP RPC) and returns a
-// handle. Close-to-open: a fresh GETATTR piggybacks on the lookup.
-//
-// The single-kernel client reads the file size for free from the
-// filer's namespace. A domained client may not: the size rides the
-// LOOKUP reply, comes from a fresh attribute cache entry (the
-// close-to-open GETATTR that populated it still applies), or costs a
-// real GETATTR revalidation — the round trip an actual NFS client
-// issues at open time.
+// handle. Close-to-open: a fresh GETATTR piggybacks on the lookup. The
+// file size is read from the filer's namespace.
 func (c *client) Open(p string) (fs.Handle, error) {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)
@@ -391,8 +362,6 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	}
 	names := c.names()
 	ino, neg, ok := names.Dentry(p)
-	var size int64
-	sized := false
 	if !ok {
 		var err error
 		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
@@ -401,10 +370,10 @@ func (c *client) Open(p string) (fs.Handle, error) {
 			var a fs.Attr
 			a, err = h.Stat()
 			if err == nil {
-				ino, size, sized = a.Ino, a.Size, true
-				simnet.Defer(sp, clientcache.NameFill(names, p, a))
+				ino = a.Ino
+				names.Put(p, a)
 			} else {
-				simnet.Defer(sp, clientcache.NameNegativeFill(names, p))
+				names.PutNegative(p)
 			}
 		})
 		if err != nil {
@@ -413,37 +382,14 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	} else if neg {
 		return 0, fs.NewError("open", p, fs.ENOENT)
 	}
-	switch {
-	case !c.fsys.domained():
-		node := c.fsys.ns.Get(ino)
-		if node == nil {
-			names.InvalidateDentry(p)
-			return 0, fs.NewError("open", p, fs.ESTALE)
-		}
-		size = node.Size
-	case !sized:
-		if a, ok := names.Attr(p); ok {
-			size = a.Size
-			break
-		}
-		var err error
-		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.GetattrService, -1)
-			var a fs.Attr
-			a, err = c.fsys.ns.Stat(p)
-			if err == nil {
-				ino, size = a.Ino, a.Size
-				simnet.Defer(sp, clientcache.NameFill(names, p, a))
-			}
-		})
-		if err != nil {
-			names.InvalidateDentry(p)
-			return 0, fs.NewError("open", p, fs.ESTALE)
-		}
+	node := c.fsys.ns.Get(ino)
+	if node == nil {
+		names.InvalidateDentry(p)
+		return 0, fs.NewError("open", p, fs.ESTALE)
 	}
 	c.nextFH++
 	h := c.nextFH
-	c.handles[h] = &openFile{path: p, ino: ino, size: size}
+	c.handles[h] = &openFile{path: p, ino: ino, size: node.Size}
 	return h, nil
 }
 
@@ -612,10 +558,9 @@ func (c *client) Symlink(target, linkPath string) error {
 }
 
 // modifyRPC is the common path of the namespace-changing operations.
-// apply runs in the service body, on the filer's kernel domain: it may
-// read the namespace and copy out reply attributes, but must not touch
-// client state. It receives the body's handle on p by value, so the
-// handle stays on the body's stack.
+// apply runs in the service body: it may read the namespace and copy
+// out reply attributes. It receives the body's handle on p by value, so
+// the handle stays on the body's stack.
 func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.Proc, h namespace.Parent) error) error {
 	cfg := c.cfg()
 	c.node.SyscallNice(c.p, cfg.ClientNice)

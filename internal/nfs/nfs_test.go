@@ -330,3 +330,54 @@ func TestZeroCPIntervalMeansNoTimer(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroNVRAMMeansTimerOnly checks that NVRAMBytes 0 turns the
+// half-full trigger off instead of spinning: a create load finishes,
+// consistency points run on the CP timer alone, and with no timer
+// either none runs.
+func TestZeroNVRAMMeansTimerOnly(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		interval time.Duration
+		cps      bool
+	}{
+		{"100ms timer", 100 * time.Millisecond, true},
+		{"no timer", 0, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.WAFL.NVRAMBytes = 0
+		cfg.WAFL.CPInterval = c.interval
+		k, cl, f := env(t, 1, cfg)
+		k.Spawn("creator", func(p *sim.Proc) {
+			cli := f.NewClient(cl.Nodes[0], p)
+			for i := 0; i < 100; i++ {
+				if err := cli.Create("/f" + itoa(i)); err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+			}
+			p.Sleep(time.Second)
+		})
+		runWithin(t, k, 8*time.Second)
+		if n := f.WAFL().NumCPs(); (n > 0) != c.cps {
+			t.Errorf("%s: %d consistency points, want some: %v", c.name, n, c.cps)
+		}
+	}
+}
+
+// runWithin runs k and fails the test if Run has not returned after d
+// of real time: the guard against a simulation that spins without
+// advancing virtual time.
+func runWithin(t *testing.T, k *sim.Kernel, d time.Duration) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- k.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(d):
+		t.Fatalf("Run did not return within %v of real time", d)
+	}
+}

@@ -1,17 +1,5 @@
-// Package service is the shared metadata-service runtime: the
-// server-side substrate every FS model (shard, nfs, lustre) runs on.
-// It owns the three scale capabilities that used to be hard-wired into
-// internal/shard and unreachable from the models that reproduce the
-// paper itself:
-//
-//   - Domain placement (Runtime): with Domains > 1 the cell's event
-//     processing partitions into conservative-lookahead kernel domains
-//     (internal/sim) — domain 0 runs the clients (workers, measurement
-//     master, fault injectors) and domains 1..D-1 each run a subset of
-//     the servers, round-robin. Every server's thread pools, storage
-//     model and namespace state live on its own kernel, and RPCs become
-//     timestamped cross-domain messages. With Domains <= 1 every helper
-//     degrades to the exact single-kernel code path, byte for byte.
+// Package service holds the server-side pieces the FS models (shard,
+// nfs, lustre) share:
 //
 //   - Per-class op pricing (PriceTable): the base service times the
 //     cost models charge per operation class, shared between foreground
@@ -23,17 +11,17 @@
 //     virtual-time demand instead of per-client processes. Injector
 //     lanes run as daemon tasks (sim.Kernel.SpawnTask: no carrier, the
 //     dispatch loop calls each wake-up directly) on the server's own
-//     kernel domain; each tick every lane draws its slice of the
-//     server's arrival batch, prices it through the model's hook, then
-//     occupies one server thread for that long. Foreground clients
-//     queue FIFO behind the injected holds, so they observe genuine
-//     contention — queueing delay, diurnal swell, flash-crowd
-//     saturation — from a load that costs no per-client state.
+//     kernel; each tick every lane draws its slice of the server's
+//     arrival batch, prices it through the model's hook, then occupies
+//     one server thread for that long. Foreground clients queue FIFO
+//     behind the injected holds, so they observe genuine contention —
+//     queueing delay, diurnal swell, flash-crowd saturation — from a
+//     load that costs no per-client state.
 //
-// The correctness discipline mirrors internal/shard/domain.go: state
-// belongs to the domain of the server serving it, rare global
-// transitions run at sync points (Runtime.AtSync), and counters shared
-// across domains are atomics whose sums are order-independent.
+// The sharded MDS can run its shards in separate kernel domains
+// (internal/shard domain.go), so injector lanes of different servers
+// may run concurrently: the counters they bump are atomics (AddI64,
+// LoadI64) whose sums are order-independent.
 package service
 
 import (
@@ -43,74 +31,6 @@ import (
 
 	"dmetabench/internal/sim"
 )
-
-// Runtime is the domain-placement substrate for one FS model: a client
-// kernel (domain 0) plus one kernel per server, assigned round-robin
-// over domains 1..D-1. With Domains <= 1 it is inert — every accessor
-// returns the base kernel and the model runs exactly its legacy
-// single-heap code path.
-type Runtime struct {
-	k       *sim.Kernel
-	g       *sim.DomainGroup
-	kernels []*sim.Kernel // per-server kernels; nil when undomained
-}
-
-// New builds the runtime for a model with the given server count.
-// domains is the requested domain count (Config.Domains); it is clamped
-// to servers+1 (one client domain plus at most one domain per server).
-// lookahead must be the model's latency floor — the smallest one-way
-// delay any cross-domain interaction pays. A kernel already owned by a
-// domain group (k.Group() != nil) stays undomained from this runtime's
-// point of view: the model embeds into the existing group's kernel.
-func New(k *sim.Kernel, servers, domains int, lookahead time.Duration) *Runtime {
-	rt := &Runtime{k: k}
-	if domains > 1 && k.Group() == nil {
-		nd := domains
-		if nd > servers+1 {
-			nd = servers + 1
-		}
-		if nd > 1 {
-			rt.g = sim.AddDomains(k, nd-1, lookahead)
-			rt.kernels = make([]*sim.Kernel, servers)
-			for i := range rt.kernels {
-				rt.kernels[i] = rt.g.Kernel(1 + i%(nd-1))
-			}
-		}
-	}
-	return rt
-}
-
-// Domained reports whether the runtime runs on a multi-domain group.
-func (rt *Runtime) Domained() bool { return rt.g != nil }
-
-// Group exposes the domain group (nil when Domains <= 1).
-func (rt *Runtime) Group() *sim.DomainGroup { return rt.g }
-
-// Client returns the client-side kernel (domain 0, or the base kernel
-// when undomained): workers, measurement masters and fault injectors
-// spawn here.
-func (rt *Runtime) Client() *sim.Kernel { return rt.k }
-
-// KernelFor returns the kernel server i lives on (the base kernel when
-// undomained).
-func (rt *Runtime) KernelFor(i int) *sim.Kernel {
-	if rt.kernels == nil {
-		return rt.k
-	}
-	return rt.kernels[i]
-}
-
-// AtSync runs fn at the next safe global instant: immediately when
-// undomained (the single kernel is always globally quiescent between
-// events), else at a sync point one lookahead window ahead, with every
-// domain parked at exactly that time.
-func (rt *Runtime) AtSync(p *sim.Proc, fn func()) {
-	if rt.g == nil {
-		fn()
-		return
-	}
-	rt.g.AtSync(p, p.Now(), fn)
-}
 
 // Demand is one tick's background arrivals for one injector lane, by
 // operation class. The classes map onto the priced service kinds of the
@@ -156,8 +76,7 @@ type AggregateConfig struct {
 	// Tick is the batching interval (defaults to one second).
 	Tick time.Duration
 	// Kernel returns the kernel server i's lanes spawn on — the
-	// server's own domain (Runtime.KernelFor, or a model-specific
-	// placement).
+	// kernel (under domains, the domain) server i's state lives on.
 	Kernel func(server int) *sim.Kernel
 	// Pool returns server i's client-facing thread pool; each batch
 	// occupies one thread for its priced duration.

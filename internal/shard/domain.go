@@ -41,19 +41,45 @@ package shard
 import (
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"dmetabench/internal/fs"
 	"dmetabench/internal/sim"
 )
 
+// placeShards partitions k into kernel domains for the given shard
+// count. The domain count is clamped to one client domain plus one per
+// shard; domain 0 (k itself) keeps the clients, and shard i lives on
+// domain 1 + i mod (D-1). It returns no group — every shard stays on k
+// — when domains <= 1, and when k already belongs to a group: the FS
+// then embeds into that group's kernel. lookahead must be the smallest
+// one-way delay any cross-domain interaction pays.
+func placeShards(k *sim.Kernel, shards, domains int, lookahead time.Duration) (*sim.DomainGroup, []*sim.Kernel) {
+	nd := min(domains, shards+1)
+	if nd <= 1 || k.Group() != nil {
+		return nil, nil
+	}
+	g := sim.AddDomains(k, nd-1, lookahead)
+	kernels := make([]*sim.Kernel, shards)
+	for i := range kernels {
+		kernels[i] = g.Kernel(1 + i%(nd-1))
+	}
+	return g, kernels
+}
+
 // domained reports whether the FS runs on a multi-domain group.
-func (f *FS) domained() bool { return f.rt.Domained() }
+func (f *FS) domained() bool { return f.g != nil }
 
 // Group exposes the FS's domain group (nil when Domains <= 1).
-func (f *FS) Group() *sim.DomainGroup { return f.rt.Group() }
+func (f *FS) Group() *sim.DomainGroup { return f.g }
 
 // kFor returns the kernel server i lives on (f.k when undomained).
-func (f *FS) kFor(i int) *sim.Kernel { return f.rt.KernelFor(i) }
+func (f *FS) kFor(i int) *sim.Kernel {
+	if f.kernels == nil {
+		return f.k
+	}
+	return f.kernels[i]
+}
 
 // sliceKernel returns the kernel owning slice s's state — the kernel of
 // the server currently serving it. serving[] changes only at sync
@@ -64,7 +90,13 @@ func (f *FS) sliceKernel(s int) *sim.Kernel { return f.kFor(f.serving[s]) }
 // undomained (the single kernel is always globally quiescent between
 // events), else at a sync point one lookahead window ahead, with every
 // domain parked at exactly that time.
-func (f *FS) atSync(p *sim.Proc, fn func()) { f.rt.AtSync(p, fn) }
+func (f *FS) atSync(p *sim.Proc, fn func()) {
+	if f.g == nil {
+		fn()
+		return
+	}
+	f.g.AtSync(p, p.Now(), fn)
+}
 
 // peerLeg runs body on ps's peer pool across the interconnect:
 // coordination CPU on the caller, the round trip, and the body holding

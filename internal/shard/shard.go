@@ -76,7 +76,6 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/namespace"
-	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/simnet"
 	"dmetabench/internal/storage"
@@ -231,10 +230,6 @@ type Config struct {
 	// the bitmap to the directory's lease (LeaseTTL, revocation, epoch)
 	// instead.
 	SplitBitmapTTL time.Duration
-	// AttrCacheCap bounds each node's client cache entry counts — the
-	// attribute/lease cache and the dentry cache alike (0 = unbounded);
-	// eviction goes by expiry then insertion order.
-	AttrCacheCap int
 
 	// Backend selects the metadata storage backend cost model
 	// (backend.go, E28–E30). The zero value, BackendMemJournal, is the
@@ -363,13 +358,13 @@ type FS struct {
 	k   *sim.Kernel
 	cfg Config
 
-	// rt carries the kernel-domain decomposition (the shared service
-	// runtime, internal/service): Group() is nil with Domains <= 1,
-	// KernelFor(i) is the kernel server i's state lives on. evMu
-	// guards the Compactions slice, the one result collection bodies
-	// append to from several domains.
-	rt   *service.Runtime
-	evMu sync.Mutex
+	// g is the kernel-domain group (domain.go), nil with Domains <= 1;
+	// kernels[i] is the kernel shard i's state lives on (nil when
+	// undomained). evMu guards the Compactions slice, the one result
+	// collection bodies append to from several domains.
+	g       *sim.DomainGroup
+	kernels []*sim.Kernel
+	evMu    sync.Mutex
 
 	shards []*shardSrv
 	// serving maps each namespace slice to the index of the server
@@ -491,7 +486,7 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 	if cfg.OneWayLatency < la {
 		la = cfg.OneWayLatency
 	}
-	f.rt = service.New(k, cfg.NumShards, cfg.Domains, la)
+	f.g, f.kernels = placeShards(k, cfg.NumShards, cfg.Domains, la)
 	for i := 0; i < cfg.NumShards; i++ {
 		id := name + "-" + strconv.Itoa(i)
 		sk := f.kFor(i)
@@ -625,7 +620,7 @@ func (f *FS) Crash(p *sim.Proc, i int) {
 // TakeoverDetect later, and the promotion lands after the replay time —
 // with the journal length read while its shard's domain is parked.
 func (f *FS) crashDomained(p *sim.Proc, i int) {
-	g := f.rt.Group()
+	g := f.g
 	g.AtSync(p, p.Now(), func() {
 		sh := f.shards[i]
 		if !sh.up {
@@ -670,7 +665,7 @@ func (f *FS) Restart(p *sim.Proc, i int) {
 	if f.domained() {
 		// Same sync-point discipline as crashDomained: the journal is
 		// read and the failback committed with every domain parked.
-		g := f.rt.Group()
+		g := f.g
 		g.AtSync(p, p.Now(), func() {
 			sh := f.shards[i]
 			if sh.up {
@@ -809,18 +804,15 @@ func (f *FS) nodeState(n *cluster.Node) *nodeState {
 		s = &nodeState{
 			dentries: clientcache.NewDentryCache(f.cfg.DentryTTL, f.k.Now),
 		}
-		s.dentries.Cap = f.cfg.AttrCacheCap
 		if f.cfg.CacheMode == CacheLease {
 			var epochOf func(int) uint64
 			if f.cfg.CrashInvalidate {
 				epochOf = func(slice int) uint64 { return f.epochs[slice] }
 			}
 			s.leases = clientcache.NewLeaseCache(f.k.Now, epochOf)
-			s.leases.Cap = f.cfg.AttrCacheCap
 			f.cbServer(s, n)
 		} else {
 			s.attrs = clientcache.NewAttrCache(f.cfg.AttrTTL, f.k.Now)
-			s.attrs.Cap = f.cfg.AttrCacheCap
 		}
 		f.nodes[n] = s
 	}

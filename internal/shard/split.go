@@ -192,7 +192,7 @@ func (f *FS) splitDomained(sp *sim.Proc, dir string, mutator *nodeState) {
 	var batches []splitBatch
 	var victims []*nodeState
 	var ds *dirSplit
-	f.rt.Group().AtSync(sp, sp.Now(), func() {
+	f.g.AtSync(sp, sp.Now(), func() {
 		d, ok := f.splitDirs[dir]
 		if ok && (d.migrating || 1<<d.level >= len(f.shards)) {
 			return // a concurrent trigger won the race to this instant
@@ -205,12 +205,12 @@ func (f *FS) splitDomained(sp *sim.Proc, dir string, mutator *nodeState) {
 		ds.migrating = true
 		batches, victims = f.splitApply(dir, ds, mutator, f.k.Now())
 	})
-	sp.Sleep(f.rt.Group().SyncDelay())
+	sp.Sleep(f.g.SyncDelay())
 	if ds == nil {
 		return // lost the race; the winner pays the traffic
 	}
 	f.splitPay(sp, batches, victims)
-	f.rt.Group().AtSync(sp, sp.Now(), func() { ds.migrating = false })
+	f.g.AtSync(sp, sp.Now(), func() { ds.migrating = false })
 }
 
 // splitApply is phase 1 — atomic at now: move the entries, journal both

@@ -8,10 +8,11 @@ import (
 )
 
 // fuzzTrace runs one fuzz scenario — domain count, lookahead and an op
-// script all decoded from data — with the given worker count, and
-// returns the per-domain execution traces. It fails the test on
-// deadlock or on a non-monotone timestamp within a domain.
-func fuzzTrace(t *testing.T, data []byte, workers int) map[int][]string {
+// script all decoded from data — with the given worker count and
+// window rule (adaptive or fixed), and returns the per-domain execution
+// traces. It fails the test on deadlock or on a non-monotone timestamp
+// within a domain.
+func fuzzTrace(t *testing.T, data []byte, workers int, adaptive bool) map[int][]string {
 	t.Helper()
 	if len(data) < 4 {
 		return nil
@@ -26,6 +27,7 @@ func fuzzTrace(t *testing.T, data []byte, workers int) map[int][]string {
 	k := New(int64(data[2]) + 1)
 	g := AddDomains(k, nd-1, lookahead)
 	g.Workers = workers
+	g.Adaptive = adaptive
 
 	traces := make(map[int][]string)
 	lastAt := make(map[int]Time)
@@ -86,21 +88,29 @@ func fuzzTrace(t *testing.T, data []byte, workers int) map[int][]string {
 // scheduler must terminate (no deadlock), never execute events out of
 // timestamp order within a domain (checked in record, plus the built-in
 // causality panics), and produce per-domain traces that are identical
-// on one worker thread and on a full pool.
+// on one worker thread and on a full pool, and under adaptive and fixed
+// windows alike.
 func FuzzLookahead(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3})
 	f.Add([]byte{3, 50, 200, 100, 50, 25, 12, 6, 3, 1})
 	f.Add([]byte{7, 199, 255, 254, 253, 0, 1, 2, 127, 128, 64, 32})
 	f.Add([]byte{1, 10, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a := fuzzTrace(t, data, 1)
-		b := fuzzTrace(t, data, 4)
-		if len(a) != len(b) {
-			t.Fatalf("trace domain counts differ: %d vs %d", len(a), len(b))
-		}
-		for d, as := range a {
-			if fmt.Sprint(as) != fmt.Sprint(b[d]) {
-				t.Errorf("domain %d trace differs between 1 and 4 workers:\n%v\n%v", d, as, b[d])
+		a := fuzzTrace(t, data, 1, true)
+		for _, run := range []struct {
+			what     string
+			workers  int
+			adaptive bool
+		}{{"4 adaptive workers", 4, true}, {"1 fixed-window worker", 1, false}, {"4 fixed-window workers", 4, false}} {
+			b := fuzzTrace(t, data, run.workers, run.adaptive)
+			if len(a) != len(b) {
+				t.Fatalf("trace domain counts differ with %s: %d vs %d", run.what, len(a), len(b))
+			}
+			for d, as := range a {
+				if fmt.Sprint(as) != fmt.Sprint(b[d]) {
+					t.Errorf("domain %d trace differs between 1 adaptive worker and %s:\n%v\n%v",
+						d, run.what, as, b[d])
+				}
 			}
 		}
 	})

@@ -51,9 +51,9 @@ func TestCrossDomainCallTiming(t *testing.T) {
 		if call != want || try != want || err != nil {
 			t.Errorf("cross=%v: Call %v, TryCall %v (err %v), want %v each", cross, call, try, err, want)
 		}
-		if ran != srv.Kernel() {
+		if ran != srv.k {
 			t.Errorf("cross=%v: body ran on domain %d, want the server's %d",
-				cross, ran.DomainID(), srv.Kernel().DomainID())
+				cross, ran.DomainID(), srv.k.DomainID())
 		}
 	}
 }
@@ -67,7 +67,7 @@ func TestCrossDomainTryCallQueuedAtCrash(t *testing.T) {
 	k, g, srv := cell(true, lat, 1)
 	conn := NewConn(k, srv, lat, 0)
 	conn.FailTimeout = 50 * time.Millisecond
-	srv.Kernel().Spawn("holder", func(q *sim.Proc) {
+	srv.k.Spawn("holder", func(q *sim.Proc) {
 		srv.Threads.Acquire(q)
 		q.Sleep(10 * time.Millisecond)
 		srv.Threads.Release()

@@ -66,10 +66,6 @@ func NewServer(k *sim.Kernel, name string, threads int) *Server {
 		Threads: sim.NewResource(k, "srv:"+name, threads)}
 }
 
-// Kernel returns the kernel (and therefore the domain) the server's
-// state lives on.
-func (s *Server) Kernel() *sim.Kernel { return s.k }
-
 // SetDown marks the server crashed: subsequent (and already queued)
 // TryCall requests fail with ErrDown until SetUp. State changes take
 // effect between operations — the simulator runs one process at a time,
@@ -268,31 +264,6 @@ func (c *Conn) TryCall(p *sim.Proc, reqBytes, respBytes int64, service func(p *s
 	c.srv.Threads.Release()
 	c.send(p, respBytes)
 	return nil
-}
-
-// OneWay models a fire-and-forget message (used for asynchronous
-// write-back flushes): the sender pays the transfer cost and the service
-// body runs in a spawned process after the propagation delay.
-func (c *Conn) OneWay(p *sim.Proc, reqBytes int64, service func(p *sim.Proc)) {
-	if c.wire != nil && reqBytes > 0 {
-		c.wire.Use(p, c.transferTime(reqBytes))
-	}
-	lat := c.Latency
-	srv := c.srv
-	if c.cross(p) {
-		sim.Post(p, srv.k, lat, "oneway:"+srv.Name, func(q *sim.Proc) {
-			srv.Threads.Acquire(q)
-			service(q)
-			srv.Threads.Release()
-		})
-		return
-	}
-	p.Spawn("oneway:"+srv.Name, func(q *sim.Proc) {
-		q.Sleep(lat)
-		srv.Threads.Acquire(q)
-		service(q)
-		srv.Threads.Release()
-	})
 }
 
 // RTT returns the request/response round-trip latency of the connection

@@ -64,34 +64,6 @@ func TestBandwidthTransfer(t *testing.T) {
 	}
 }
 
-func TestOneWayDoesNotBlockSender(t *testing.T) {
-	k := sim.New(1)
-	srv := NewServer(k, "s", 1)
-	conn := NewConn(k, srv, time.Millisecond, 0)
-	served := false
-	var sendElapsed time.Duration
-	k.Spawn("client", func(p *sim.Proc) {
-		start := p.Now()
-		conn.OneWay(p, 100, func(sp *sim.Proc) {
-			sp.Sleep(10 * time.Millisecond)
-			served = true
-		})
-		sendElapsed = p.Now() - start
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sendElapsed != 0 {
-		t.Fatalf("one-way send blocked for %v", sendElapsed)
-	}
-	if !served {
-		t.Fatal("one-way service never ran")
-	}
-	if k.Now() != 11*time.Millisecond {
-		t.Fatalf("completion at %v, want 11ms", k.Now())
-	}
-}
-
 func TestRTT(t *testing.T) {
 	k := sim.New(1)
 	srv := NewServer(k, "s", 1)

@@ -53,7 +53,11 @@ func (d *Disk) IO(p *sim.Proc, n int64) {
 // WAFLConfig parameterizes a WAFL-style store.
 type WAFLConfig struct {
 	// NVRAMBytes is the size of one NVRAM half (the log fills one half
-	// while the previous half drains in a consistency point).
+	// while the previous half drains in a consistency point). Zero or
+	// less means no half-full trigger: consistency points then run on
+	// the CPInterval timer alone, and LogMetadata never waits for a
+	// free half. With neither a size nor a timer no consistency point
+	// ever runs.
 	NVRAMBytes int64
 	// CPInterval forces a consistency point at most this long after the
 	// previous one (Data ONTAP uses 10 s). Zero or less means no timer:
@@ -121,7 +125,7 @@ func (w *WAFL) cpStep(p *sim.Proc) {
 	}
 	for {
 		// Wait until the timer expires or the NVRAM half fills.
-		for w.dirty < w.cfg.NVRAMBytes {
+		for !w.halfFull() {
 			step := cpPoll
 			if w.cfg.CPInterval > 0 {
 				remain := w.lastCP + w.cfg.CPInterval - w.k.Now()
@@ -143,6 +147,12 @@ func (w *WAFL) cpStep(p *sim.Proc) {
 		}
 		w.endCP()
 	}
+}
+
+// halfFull reports whether the NVRAM half being logged into is full;
+// never when NVRAMBytes sets no size.
+func (w *WAFL) halfFull() bool {
+	return w.cfg.NVRAMBytes > 0 && w.dirty >= w.cfg.NVRAMBytes
 }
 
 // startCP begins a consistency point and returns how long draining the
@@ -167,7 +177,7 @@ func (w *WAFL) endCP() {
 // incoming half is itself full (back-to-back CP), the caller blocks until
 // the active CP finishes.
 func (w *WAFL) LogMetadata(p *sim.Proc, n int64) {
-	for w.cpActive && w.dirty >= w.cfg.NVRAMBytes {
+	for w.cpActive && w.halfFull() {
 		w.cpDone.Wait(p)
 	}
 	w.dirty += n
@@ -218,10 +228,14 @@ type Journal struct {
 	commits        int
 }
 
-// NewJournal returns a journal flushing to disk every interval.
+// NewJournal returns a journal flushing to disk every interval. An
+// interval of zero or less starts no committer: records then accumulate
+// without ever being written.
 func NewJournal(k *sim.Kernel, name string, disk *Disk, interval time.Duration) *Journal {
 	j := &Journal{k: k, disk: disk, CommitInterval: interval}
-	k.SpawnDaemon("journal:"+name, j.commitLoop)
+	if interval > 0 {
+		k.SpawnDaemon("journal:"+name, j.commitLoop)
+	}
 	return j
 }
 

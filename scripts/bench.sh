@@ -32,7 +32,7 @@ cd "$(dirname "$0")/.."
 outdir="."
 count=1
 suite=1
-substrate='BenchmarkSimulatedCreate$|BenchmarkShardedCreate$|BenchmarkDomainCreate$|BenchmarkNFSDomainCreate$|BenchmarkCachedGetattr$|BenchmarkSplitCreate$|BenchmarkBackendCreate$|BenchmarkAggregateInject$|BenchmarkKernelHandoff$|BenchmarkKernelSpawn$|BenchmarkNamespaceCreate$|BenchmarkRunnerMeasurement$'
+substrate='BenchmarkSimulatedCreate$|BenchmarkShardedCreate$|BenchmarkDomainCreate$|BenchmarkCachedGetattr$|BenchmarkSplitCreate$|BenchmarkBackendCreate$|BenchmarkAggregateInject$|BenchmarkKernelHandoff$|BenchmarkKernelSpawn$|BenchmarkNamespaceCreate$|BenchmarkRunnerMeasurement$'
 failover='BenchmarkE19Failover$|BenchmarkE20ReplicationOverhead$|BenchmarkE21RecoveryScaling$'
 coherence='BenchmarkE22LeaseTTL$|BenchmarkE23CacheModes$|BenchmarkE24FailoverCachedLoad$'
 split='BenchmarkE25SplitScaling$|BenchmarkE26SplitStorm$|BenchmarkE27SplitRouting$'
@@ -41,10 +41,10 @@ backend='BenchmarkE28BackendProfile$|BenchmarkE29CompactionTimeline$|BenchmarkE3
 # reduced -period inside their benchmarks; their row metrics carry
 # spaces and slashes, which the unit-label column scan below tolerates.
 scale='BenchmarkE31AggregateDay$|BenchmarkE32ForegroundTail$|BenchmarkE33CapacityPressure$'
-# The service-runtime experiments (E34-E36); E35 runs at a reduced
-# -period inside its benchmark like the E31-E33 group.
-runtime='BenchmarkE34DomainedServers$|BenchmarkE35FilerAtScale$|BenchmarkE36AdaptiveLookahead$'
-pattern="$substrate|$failover|$coherence|$split|$backend|$scale|$runtime"
+# The filer-at-scale experiment (E35) runs at a reduced -period inside
+# its benchmark like the E31-E33 group.
+filer='BenchmarkE35FilerAtScale$'
+pattern="$substrate|$failover|$coherence|$split|$backend|$scale|$filer"
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-count)

@@ -4,8 +4,8 @@
 # Runs the substrate benchmarks into a fresh snapshot (bench-out/ by
 # default), compares BenchmarkSimulatedCreate, BenchmarkCachedGetattr,
 # BenchmarkSplitCreate, BenchmarkBackendCreate, BenchmarkDomainCreate,
-# BenchmarkNFSDomainCreate, BenchmarkAggregateInject,
-# BenchmarkKernelHandoff and BenchmarkKernelSpawn ns/op against the
+# BenchmarkAggregateInject, BenchmarkKernelHandoff and
+# BenchmarkKernelSpawn ns/op against the
 # newest committed BENCH_*.json in the repo root, and for each gated
 # benchmark
 #
@@ -91,7 +91,7 @@ if [ "$base_fp" != "$new_fp" ]; then
 fi
 
 status=0
-for bench in BenchmarkSimulatedCreate BenchmarkCachedGetattr BenchmarkSplitCreate BenchmarkBackendCreate BenchmarkDomainCreate BenchmarkNFSDomainCreate BenchmarkAggregateInject BenchmarkKernelHandoff BenchmarkKernelSpawn; do
+for bench in BenchmarkSimulatedCreate BenchmarkCachedGetattr BenchmarkSplitCreate BenchmarkBackendCreate BenchmarkDomainCreate BenchmarkAggregateInject BenchmarkKernelHandoff BenchmarkKernelSpawn; do
 	base_ns=$(extract "$baseline" "$bench" ns_per_op)
 	new_ns=$(extract "$fresh" "$bench" ns_per_op)
 	if [ -z "$new_ns" ]; then
@@ -137,11 +137,11 @@ done
 
 # Allocation-creep guards: absolute allocs/op ceilings on the hot
 # simulated-create paths, set to their measured steady state (the
-# single-kernel creates 3, DomainCreate 7, NFSDomainCreate 6), and on a
+# single-kernel creates 3, DomainCreate 7), and on a
 # process lifetime (KernelSpawn 2: the Proc and its joiner list).
 # Closure escapes on these paths creep in silently with refactors; the
 # ceiling turns the creep into a red build instead of a slow one.
-for guard in "BenchmarkSimulatedCreate 3" "BenchmarkShardedCreate 3" "BenchmarkBackendCreate 3" "BenchmarkSplitCreate 3" "BenchmarkDomainCreate 7" "BenchmarkNFSDomainCreate 6" "BenchmarkKernelSpawn 2"; do
+for guard in "BenchmarkSimulatedCreate 3" "BenchmarkShardedCreate 3" "BenchmarkBackendCreate 3" "BenchmarkSplitCreate 3" "BenchmarkDomainCreate 7" "BenchmarkKernelSpawn 2"; do
 	bench=${guard% *}
 	limit=${guard#* }
 	a=$(extract "$fresh" "$bench" allocs_per_op)
