@@ -29,6 +29,7 @@ import (
 	"dmetabench/internal/nfs"
 	"dmetabench/internal/par"
 	"dmetabench/internal/realrun"
+	"dmetabench/internal/service"
 	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 )
@@ -53,6 +54,9 @@ func runExperiment(b *testing.B, run func() *experiments.Report, metrics ...stri
 	if rep == nil {
 		b.Fatal("experiment returned nil")
 	}
+	if rep.Err != nil {
+		b.Fatalf("%s failed: %v", rep.ID, rep.Err)
+	}
 	want := make(map[string]bool, len(metrics))
 	for _, m := range metrics {
 		want[m] = true
@@ -67,7 +71,7 @@ func runExperiment(b *testing.B, run func() *experiments.Report, metrics ...stri
 		}
 	}
 	if len(rep.Findings) == 0 {
-		b.Fatalf("%s produced no findings (run failed?)", rep.ID)
+		b.Fatalf("%s produced no findings", rep.ID)
 	}
 	b.Logf("%s: %s", rep.ID, rep.Findings[0])
 }
@@ -530,8 +534,8 @@ func BenchmarkAggregateInject(b *testing.B) {
 	fsys := shard.New(k, "bench", shard.DefaultConfig(4))
 	const perTick = 64 // per lane per tick: 2.56ms priced vs a 10ms tick
 	const tick = 10 * time.Millisecond
-	fsys.AttachAggregate(tick, func(_, _, _ int) shard.AggregateDemand {
-		return shard.AggregateDemand{Getattr: perTick}
+	fsys.AttachAggregate(tick, func(_, _, _ int) service.Demand {
+		return service.Demand{Getattr: perTick}
 	})
 	lanes := 4 * 4
 	ticks := b.N/(lanes*perTick) + 1

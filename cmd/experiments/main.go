@@ -14,6 +14,9 @@
 //	experiments -md EXPERIMENTS.md
 //	experiments -cells           # per-cell wall-clock timing report
 //	experiments -cpuprofile cpu.pprof -run E05
+//
+// The command exits 1 if any report failed (a kernel error, a failed
+// rank or a failed probe) and names each failed report on stderr.
 package main
 
 import (
@@ -33,7 +36,12 @@ import (
 	"dmetabench/internal/par"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run runs the selected experiments and returns the exit code: 1 for a
+// bad flag, an unwritable output file or any failed report, else 0.
+// main exits only after run returns, so the profile writers flush.
+func run() int {
 	var (
 		runPat     = flag.String("run", "", "experiment filter: comma-separated ids or anchored regexes (default: all)")
 		mdOut      = flag.String("md", "", "write a markdown report to this file")
@@ -54,13 +62,13 @@ func main() {
 
 	if *list {
 		listExperiments(suite)
-		return
+		return 0
 	}
 
 	match, err := compileFilter(*runPat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: bad -run pattern %q: %v\n", *runPat, err)
-		os.Exit(1)
+		return 1
 	}
 	var selected []experiments.Experiment
 	for _, e := range suite {
@@ -70,19 +78,19 @@ func main() {
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "experiments: no experiment matches -run %q\n", *runPat)
-		os.Exit(1)
+		return 1
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -90,12 +98,12 @@ func main() {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := trace.Start(f); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer trace.Stop()
 	}
@@ -166,7 +174,7 @@ func main() {
 	if *mdOut != "" {
 		if err := os.WriteFile(*mdOut, []byte(md.String()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println("wrote", *mdOut)
 	}
@@ -175,15 +183,24 @@ func main() {
 		f, err := os.Create(*memProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+
+	code := 0
+	for _, o := range outs {
+		if o.rep.Err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", o.rep.ID, o.rep.Err)
+			code = 1
+		}
+	}
+	return code
 }
 
 // compileFilter turns the -run argument into an id predicate. Each

@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"time"
 
+	"dmetabench/internal/service"
 	"dmetabench/internal/workload"
 )
 
@@ -50,17 +51,6 @@ type Model struct {
 	// Seed roots every PRNG below.
 	Seed int64
 }
-
-// Demand is one tick's arrivals for one Source, by operation class.
-type Demand struct {
-	Getattr int64
-	Lookup  int64
-	Readdir int64
-	Create  int64
-}
-
-// Total sums the classes.
-func (d Demand) Total() int64 { return d.Getattr + d.Lookup + d.Readdir + d.Create }
 
 // Source is the arrival process of one (shard, lane): an independent
 // PRNG stream carrying weight/lanes of the shard's Zipf mass. It is not
@@ -122,14 +112,14 @@ func NewSources(m Model, shards, lanes int, route func(obj int) int) []*Source {
 // i*Model.Tick). Indices must be requested in nondecreasing order;
 // skipped indices are drawn and discarded so the stream stays a pure
 // function of the index regardless of the caller's pacing.
-func (s *Source) Tick(i int64) Demand {
-	var d Demand
+func (s *Source) Tick(i int64) service.Demand {
+	var d service.Demand
 	for s.next <= i {
 		t := time.Duration(s.next) * s.step
 		active := s.pop.at(s.next)
 		rate := float64(active) * s.perSec * s.diur.At(t) * s.spikes.at(t)
 		mean := rate * s.tick * s.weight
-		d = Demand{
+		d = service.Demand{
 			Getattr: poisson(s.rng, mean*s.mix.Getattr),
 			Lookup:  poisson(s.rng, mean*s.mix.Lookup),
 			Readdir: poisson(s.rng, mean*s.mix.Readdir),

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dmetabench/internal/service"
 	"dmetabench/internal/workload"
 )
 
@@ -96,7 +97,8 @@ func TestSourceDrawSequence(t *testing.T) {
 	if len(srcs) != 4 {
 		t.Fatalf("NewSources built %d sources, want 4", len(srcs))
 	}
-	want := map[int][]Demand{
+	// Per tick: Getattr, Lookup, Readdir, Create.
+	want := map[int][][4]int64{
 		0: {
 			{4411, 2121, 726, 467},
 			{4691, 2151, 732, 512},
@@ -116,9 +118,9 @@ func TestSourceDrawSequence(t *testing.T) {
 	}
 	for _, idx := range []int{0, 3} {
 		for i, w := range want[idx] {
-			got := srcs[idx].Tick(int64(i))
-			if got != w {
-				t.Errorf("source %d tick %d = %+v, want %+v", idx, i, got, w)
+			d := srcs[idx].Tick(int64(i))
+			if got := [4]int64{d.Getattr, d.Lookup, d.Readdir, d.Create}; got != w {
+				t.Errorf("source %d tick %d = %v, want %v", idx, i, got, w)
 			}
 		}
 	}
@@ -133,7 +135,7 @@ func TestSourceTickSkipPurity(t *testing.T) {
 		return NewSources(pinModel(), 2, 2, func(obj int) int { return obj % 2 })
 	}
 	stepped := mk()
-	var at7 Demand
+	var at7 service.Demand
 	for i := int64(0); i <= 7; i++ {
 		at7 = stepped[1].Tick(i)
 	}
@@ -142,7 +144,7 @@ func TestSourceTickSkipPurity(t *testing.T) {
 		t.Errorf("Tick(7) after skip = %+v, want stepped value %+v", got, at7)
 	}
 	// A stale index draws nothing: the stream only moves forward.
-	if got := jumped[1].Tick(3); got != (Demand{}) {
+	if got := jumped[1].Tick(3); got != (service.Demand{}) {
 		t.Errorf("stale Tick(3) = %+v, want zero demand", got)
 	}
 }
@@ -201,12 +203,12 @@ func TestSourceSeedSensitivity(t *testing.T) {
 
 // TestDemandTotal covers the class sum used by shed accounting.
 func TestDemandTotal(t *testing.T) {
-	d := Demand{Getattr: 1, Lookup: 2, Readdir: 3, Create: 4}
+	d := service.Demand{Getattr: 1, Lookup: 2, Readdir: 3, Create: 4}
 	if d.Total() != 10 {
 		t.Errorf("Total = %d, want 10", d.Total())
 	}
-	if (Demand{}).Total() != 0 {
-		t.Errorf("zero demand Total = %d", (Demand{}).Total())
+	if (service.Demand{}).Total() != 0 {
+		t.Errorf("zero demand Total = %d", (service.Demand{}).Total())
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dmetabench/internal/service"
 	"dmetabench/internal/workload"
 )
 
@@ -232,7 +233,7 @@ func TestSourceMeanRate(t *testing.T) {
 	}
 	srcs := NewSources(m, 1, 1, func(int) int { return 0 })
 	const ticks = 3000
-	var total Demand
+	var total service.Demand
 	for i := int64(0); i < ticks; i++ {
 		d := srcs[0].Tick(i)
 		total.Getattr += d.Getattr

@@ -194,10 +194,8 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		}
 		sources := agg.NewSources(model, cfg.NumShards, lanes,
 			func(obj int) int { return obj % cfg.NumShards })
-		fsys.AttachAggregate(model.Tick, func(si, lane, tick int) shard.AggregateDemand {
-			d := sources[si*lanes+lane].Tick(int64(tick))
-			return shard.AggregateDemand{Getattr: d.Getattr, Lookup: d.Lookup,
-				Readdir: d.Readdir, Create: d.Create}
+		fsys.AttachAggregate(model.Tick, func(si, lane, tick int) service.Demand {
+			return sources[si*lanes+lane].Tick(int64(tick))
 		})
 		r = &Runner{
 			Cluster: cl,
@@ -225,41 +223,6 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 				MakeFiles{}, RenameFiles{}, StatFiles{},
 			},
 		}
-	case "lustre-agg":
-		// The Lustre write-back client under a million-client aggregate
-		// background on the MDS: injector lanes run as daemon tasks next
-		// to the flush daemons, writeback windows and OSS legs, and the
-		// queueing the background imposes on the foreground must land
-		// at identical virtual times across identically-seeded runs.
-		cfg := lustre.DefaultConfig()
-		cfg.Writeback = true
-		fsys := lustre.New(k, "scratch", cfg)
-		servers = append(servers, fsys.Namespace())
-		lanes := cfg.MDSThreads
-		model := agg.Model{
-			Clients:      1_000_000,
-			OpsPerClient: 0.05,
-			Mix:          workload.DefaultMetaMix(),
-			Zipf:         agg.ZipfPop{S: 1.2, V: 1, N: 128},
-			Diurnal:      agg.Diurnal{Amplitude: 0.5, Period: 800 * time.Millisecond},
-			Churn:        agg.Churn{ActiveFrac: 0.5, SessionMean: 500 * time.Millisecond, Tick: 10 * time.Millisecond},
-			Tick:         10 * time.Millisecond,
-			Seed:         seed,
-		}
-		sources := agg.NewSources(model, 1, lanes, func(int) int { return 0 })
-		fsys.AttachAggregate(model.Tick, func(_, lane, tick int) service.Demand {
-			d := sources[lane].Tick(int64(tick))
-			return service.Demand{Getattr: d.Getattr, Lookup: d.Lookup,
-				Readdir: d.Readdir, Create: d.Create}
-		})
-		r = &Runner{
-			Cluster: cl,
-			FS:      fsys,
-			Params: Params{ProblemSize: 300, WorkDir: "/bench",
-				TimeLimit: 1200 * time.Millisecond, Interval: 100 * time.Millisecond},
-			SlotsPerNode: 2,
-			Plugins:      []Plugin{MakeFiles{}, StatFiles{}},
-		}
 	case "stage":
 		// The long-horizon stage harness on a plain kernel: three probes
 		// on two nodes watch one NFS filer loaded by aggregate background
@@ -282,9 +245,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		}
 		sources := agg.NewSources(model, 1, cfg.ServerThreads, func(int) int { return 0 })
 		fsys.AttachAggregate(tick, func(_, lane, i int) service.Demand {
-			d := sources[lane].Tick(int64(i))
-			return service.Demand{Getattr: d.Getattr, Lookup: d.Lookup,
-				Readdir: d.Readdir, Create: d.Create}
+			return sources[lane].Tick(int64(i))
 		})
 		r = &StageRunner{
 			Cluster:  cl,
@@ -381,7 +342,7 @@ func TestRunnerDeterministic(t *testing.T) {
 	for _, mode := range []string{
 		"nfs-timed", "lustre-writeback", "shard-hash", "shard-subtree",
 		"shard-failover", "shard-coherent", "shard-split", "shard-lsm",
-		"shard-agg", "nfs-zipf", "lustre-agg", "stage",
+		"shard-agg", "nfs-zipf", "stage",
 	} {
 		t.Run(mode, func(t *testing.T) {
 			diffSets(t,

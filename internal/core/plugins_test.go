@@ -158,7 +158,7 @@ func TestStatMultinodePeerExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := set.Find("StatMultinodeFiles", 2, 1)
-	if m == nil || m.Failed() {
+	if m == nil || m.Err() != nil {
 		t.Fatalf("measurement failed: %+v", m.Errors)
 	}
 	if m.TotalOps() != 200 {

@@ -30,7 +30,7 @@ func TestRunnerNFSSmoke(t *testing.T) {
 		t.Fatalf("measurements = %d, want 12", len(set.Measurements))
 	}
 	for _, m := range set.Measurements {
-		if m.Failed() {
+		if m.Err() != nil {
 			t.Fatalf("measurement %s %d/%d failed: %v", m.Op, m.Nodes, m.PPN, m.Errors)
 		}
 		if m.TotalOps() != int64(200*m.Procs()) {
@@ -71,7 +71,7 @@ func TestRunnerTimedMakeFiles(t *testing.T) {
 	if m == nil {
 		t.Fatal("no 2-node measurement")
 	}
-	if m.Failed() {
+	if m.Err() != nil {
 		t.Fatalf("errors: %v", m.Errors)
 	}
 	for _, tr := range m.Traces {
@@ -104,7 +104,7 @@ func TestRunnerLocalFS(t *testing.T) {
 		t.Fatalf("measurements = %d, want 8 (4 ppn x 2 ops)", len(set.Measurements))
 	}
 	for _, m := range set.Measurements {
-		if m.Failed() {
+		if m.Err() != nil {
 			t.Fatalf("%s %d/%d: %v", m.Op, m.Nodes, m.PPN, m.Errors)
 		}
 	}

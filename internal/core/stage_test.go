@@ -7,6 +7,7 @@ import (
 
 	"dmetabench/internal/agg"
 	"dmetabench/internal/cluster"
+	"dmetabench/internal/service"
 	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/workload"
@@ -34,10 +35,8 @@ func stageAuxSeries(t *testing.T, seed int64, workers int) []int64 {
 		Seed:         seed,
 	}
 	sources := agg.NewSources(model, 1, cfg.ShardThreads, func(int) int { return 0 })
-	fsys.AttachAggregate(tick, func(_, lane, i int) shard.AggregateDemand {
-		d := sources[lane].Tick(int64(i))
-		return shard.AggregateDemand{Getattr: d.Getattr, Lookup: d.Lookup,
-			Readdir: d.Readdir, Create: d.Create}
+	fsys.AttachAggregate(tick, func(_, lane, i int) service.Demand {
+		return sources[lane].Tick(int64(i))
 	})
 	r := &StageRunner{
 		Cluster:  cl,

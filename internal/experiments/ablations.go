@@ -21,30 +21,15 @@ func A01AveragingMethods() *Report {
 		PaperRef: "§3.2.5, Fig. 3.2"}
 	k := sim.New(2001)
 	cl := cluster.New(k, cluster.DefaultConfig(4))
-	fsys := nfs.New(k, "home", nfs.DefaultConfig())
-	run := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: 6000, WorkDir: "/bench"},
-		SlotsPerNode: 1,
-		Plugins:      []core.Plugin{core.MakeFiles{}},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 4 && c.PPN == 1 },
-		BenchStartHook: func(mp *sim.Proc, _ core.MeasurementInfo) {
+	m, err := measure(cl, nfs.New(k, "home", nfs.DefaultConfig()), 4, 1,
+		core.Params{ProblemSize: 6000, WorkDir: "/bench"}, core.MakeFiles{},
+		func(mp *sim.Proc, _ core.MeasurementInfo) {
 			// One node runs at half speed for the whole bench: the
 			// P3-lags-P1/P2 scenario of Fig. 3.2(b).
 			cl.Nodes[2].StartCPUHog(24, 0, mp.Now(), 60*time.Second)
-		},
-	}
-	set, err := run.Run()
+		})
 	if err != nil {
-		r.finding("run failed: %v", err)
-		return r
-	}
-	r.Sets = append(r.Sets, set)
-	m := set.Find("MakeFiles", 4, 1)
-	if m == nil {
-		r.finding("measurement missing")
-		return r
+		return r.fail(err)
 	}
 	a := m.Averages(6000, 12000)
 	r.row("wall-clock average", a.WallClock, "ops/s", "total ops / last finisher")
@@ -67,49 +52,36 @@ func A02WritebackWindow() *Report {
 	const window = 4 * time.Second
 	// One cell per write-back window size.
 	windows := []int{256, 1024, 4096, 16384}
-	type a02cell struct {
-		burst, sustained float64
-		err              error
-	}
+	type a02cell struct{ burst, sustained float64 }
 	names := make([]string, len(windows))
 	for i, w := range windows {
 		names[i] = fmt.Sprintf("window%d", w)
 	}
-	cells := parCells("A02", names, func(i int) a02cell {
+	cells, err := parCells("A02", names, func(i int) (a02cell, error) {
 		w := windows[i]
 		k := sim.New(int64(2100 + w))
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		cfg := lustre.DefaultConfig()
 		cfg.Writeback = true
 		cfg.WritebackWindow = w
-		fsys := lustre.New(k, "scratch", cfg)
-		run := &core.Runner{
-			Cluster: cl,
-			FS:      fsys,
-			Params: core.Params{
-				ProblemSize: 1 << 20,
-				TimeLimit:   window,
-				WorkDir:     "/bench",
-			},
-			SlotsPerNode: 1,
-			Plugins:      []core.Plugin{core.MakeFiles{}},
-		}
-		set, err := run.Run()
+		m, err := measure(cl, lustre.New(k, "scratch", cfg), 1, 1, core.Params{
+			ProblemSize: 1 << 20,
+			TimeLimit:   window,
+			WorkDir:     "/bench",
+		}, core.MakeFiles{}, nil)
 		if err != nil {
-			return a02cell{err: err}
+			return a02cell{}, err
 		}
-		m := set.Find("MakeFiles", 1, 1)
 		return a02cell{
 			burst:     windowThroughput(m, 0, 100*time.Millisecond),
 			sustained: windowThroughput(m, 2*time.Second, window),
-		}
+		}, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var prevSustained float64
 	for i, w := range windows {
-		if cells[i].err != nil {
-			r.finding("run failed: %v", cells[i].err)
-			return r
-		}
 		r.row(fmt.Sprintf("window %5d: burst", w), cells[i].burst, "ops/s", "first 100ms")
 		r.row(fmt.Sprintf("window %5d: sustained", w), cells[i].sustained, "ops/s", "2..4s")
 		prevSustained = cells[i].sustained

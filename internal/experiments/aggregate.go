@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"dmetabench/internal/afs"
 	"dmetabench/internal/charts"
@@ -29,9 +28,8 @@ func E13NamespaceAggregation() *Report {
 	type e13a struct {
 		local, remote float64
 		forwards      int64
-		err           error
 	}
-	probeLocalRemote := func() e13a {
+	probeLocalRemote := func() (e13a, error) {
 		k := sim.New(1313)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := ontapgx.New(k, "gx", filers, ontapgx.DefaultConfig())
@@ -39,91 +37,78 @@ func E13NamespaceAggregation() *Report {
 			fsys.AddVolume(fmt.Sprintf("vol%d", i), i)
 		}
 		fsys.MountThrough(cl.Nodes[0], 0)
-		var local, remote float64
-		k.Spawn("probe", func(p *sim.Proc) {
+		var a e13a
+		err := runProbe(k, "probe", func(p *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], p)
-			rate := func(dir string) float64 {
+			rate := func(dir string) (float64, error) {
 				if err := core.MkdirAll(c, dir); err != nil {
-					return 0
+					return 0, err
 				}
 				start := p.Now()
 				const n = 500
 				for i := 0; i < n; i++ {
 					if err := c.Create(fmt.Sprintf("%s/%d", dir, i)); err != nil {
-						return 0
+						return 0, err
 					}
 				}
-				return n / (p.Now() - start).Seconds()
+				return n / (p.Now() - start).Seconds(), nil
 			}
-			local = rate("/vol0/bench")  // owned by the mount filer
-			remote = rate("/vol3/bench") // owned by filer 3: forwarded
+			var err error
+			if a.local, err = rate("/vol0/bench"); err != nil { // owned by the mount filer
+				return err
+			}
+			a.remote, err = rate("/vol3/bench") // owned by filer 3: forwarded
+			return err
 		})
-		if err := k.Run(); err != nil {
-			return e13a{err: err}
-		}
-		return e13a{local: local, remote: remote, forwards: fsys.ForwardCount}
+		a.forwards = fsys.ForwardCount
+		return a, err
 	}
 
 	// Part (b): multi-node scaling, per-node local volumes vs one shared
-	// volume — one ParallelRunner cell per (nodes, ppn) sweep point.
-	scale := func(oneVolume bool, seed int64, label string) *results.Set {
-		pr := &core.ParallelRunner{
-			New: func(k *sim.Kernel) *core.Runner {
-				cl := cluster.New(k, cluster.DefaultConfig(filers))
-				fsys := ontapgx.New(k, "gx", filers, ontapgx.DefaultConfig())
-				var paths []string
-				for i := 0; i < filers; i++ {
-					fsys.AddVolume(fmt.Sprintf("vol%d", i), i)
-					fsys.MountThrough(cl.Nodes[i], i)
-					if oneVolume {
-						paths = append(paths, "/vol0")
-					} else {
-						paths = append(paths, fmt.Sprintf("/vol%d", i))
-					}
-				}
-				return &core.Runner{
-					Cluster:      cl,
-					FS:           fsys,
-					Params:       core.Params{ProblemSize: 1200, PathList: paths, WorkDir: "/vol0"},
-					SlotsPerNode: 4,
-					Plugins:      []core.Plugin{core.MakeFiles{}},
-					Filter: func(c core.Combo) bool {
-						okNodes := c.Nodes == 1 || c.Nodes == 2 || c.Nodes == 4 || c.Nodes == filers
-						return okNodes && (c.PPN == 1 || c.PPN == 4)
-					},
-				}
-			},
-			Seed:  seed,
-			Label: label,
+	// volume — one cell per (volume layout, nodes, ppn) sweep point, each
+	// on a fresh kernel seeded with its layout's seed.
+	points := []combo{{1, 1}, {2, 1}, {4, 1}, {8, 1}, {1, 4}, {2, 4}, {4, 4}, {8, 4}}
+	scale := func(oneVolume bool, seed int64, pt combo) (*results.Measurement, error) {
+		k := sim.New(seed)
+		cl := cluster.New(k, cluster.DefaultConfig(filers))
+		fsys := ontapgx.New(k, "gx", filers, ontapgx.DefaultConfig())
+		var paths []string
+		for i := 0; i < filers; i++ {
+			fsys.AddVolume(fmt.Sprintf("vol%d", i), i)
+			fsys.MountThrough(cl.Nodes[i], i)
+			if oneVolume {
+				paths = append(paths, "/vol0")
+			} else {
+				paths = append(paths, fmt.Sprintf("/vol%d", i))
+			}
 		}
-		set, err := pr.Run()
-		if err != nil {
-			return nil
-		}
-		return set
+		return measure(cl, fsys, pt.nodes, pt.ppn,
+			core.Params{ProblemSize: 1200, PathList: paths, WorkDir: "/vol0"}, core.MakeFiles{}, nil)
 	}
 
-	// Three top-level cells (the probe plus two nested 8-cell sweeps).
-	type e13cell struct {
-		a   e13a
-		set *results.Set
+	// 17 cells: the probe plus the two 8-point sweeps. a is written
+	// only by the probe cell; parCells has joined every cell before it
+	// is read below.
+	names := []string{"local-vs-remote"}
+	for _, layout := range []string{"per-node-volumes", "one-volume"} {
+		for _, pt := range points {
+			names = append(names, layout+"-"+pt.String())
+		}
 	}
-	cells := parCells("E13", []string{"local-vs-remote", "per-node-volumes", "one-volume"},
-		func(i int) e13cell {
-			switch i {
-			case 0:
-				return e13cell{a: probeLocalRemote()}
-			case 1:
-				return e13cell{set: scale(false, 1314, "E13/per-node-volumes")}
-			default:
-				return e13cell{set: scale(true, 1315, "E13/one-volume")}
-			}
-		})
-	a := cells[0].a
-	if a.err != nil {
-		r.finding("run failed: %v", a.err)
-		return r
+	var a e13a
+	ms, err := parCells("E13", names, func(i int) (m *results.Measurement, err error) {
+		if i == 0 {
+			a, err = probeLocalRemote()
+			return nil, err
+		}
+		sweep := (i - 1) / len(points)
+		return scale(sweep == 1, int64(1314+sweep), points[(i-1)%len(points)])
+	})
+	if err != nil {
+		return r.fail(err)
 	}
+	perVol := &results.Set{Measurements: ms[1 : 1+len(points)]}
+	oneVol := &results.Set{Measurements: ms[1+len(points):]}
 	r.row("creates/s in local volume", a.local, "ops/s", "volume on mount filer")
 	r.row("creates/s in forwarded volume", a.remote, "ops/s", "via cluster interconnect")
 	r.row("remote efficiency", 100*a.remote/a.local, "%", "[ECK+07] claims ~75%")
@@ -131,12 +116,6 @@ func E13NamespaceAggregation() *Report {
 	r.finding("paper/[ECK+07]: forwarding costs ~25%%; here remote volume "+
 		"runs at %.0f%% of local", 100*a.remote/a.local)
 
-	perVol, oneVol := cells[1].set, cells[2].set
-	if perVol == nil || oneVol == nil {
-		r.finding("scaling run failed")
-		return r
-	}
-	r.Sets = append(r.Sets, perVol, oneVol)
 	for _, n := range []int{1, 4, 8} {
 		r.row(fmt.Sprintf("per-node volumes @ %d nodes x1", n), stoneOf(perVol, "MakeFiles", n, 1), "ops/s", "")
 		r.row(fmt.Sprintf("single volume @ %d nodes x1", n), stoneOf(oneVol, "MakeFiles", n, 1), "ops/s", "")
@@ -157,9 +136,10 @@ func E13NamespaceAggregation() *Report {
 	return r
 }
 
-// afsEnv builds a 4-node cluster with a 2-server AFS cell and one volume
-// per node.
-func afsEnv(seed int64) (*sim.Kernel, *cluster.Cluster, *afs.FS, []string) {
+// afsRun measures plugin at nodes x 1 on a 4-node cluster with a
+// 2-server AFS cell and one volume per node, and returns the wall-clock
+// rate and the cell for counter readout.
+func afsRun(plugin core.Plugin, nodes, problem int, seed int64) (float64, *afs.FS, error) {
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(4))
 	cell := afs.New(k, "cell", 2, afs.DefaultConfig())
@@ -168,24 +148,12 @@ func afsEnv(seed int64) (*sim.Kernel, *cluster.Cluster, *afs.FS, []string) {
 		cell.AddVolume(fmt.Sprintf("vol%d", i), -1)
 		paths = append(paths, fmt.Sprintf("/vol%d", i))
 	}
-	return k, cl, cell, paths
-}
-
-func afsRun(plugin core.Plugin, nodes, problem int, seed int64) (*results.Set, *afs.FS) {
-	_, cl, cell, paths := afsEnv(seed)
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           cell,
-		Params:       core.Params{ProblemSize: problem, PathList: paths, WorkDir: "/vol0"},
-		SlotsPerNode: 1,
-		Plugins:      []core.Plugin{plugin},
-		Filter:       func(c core.Combo) bool { return c.Nodes == nodes && c.PPN == 1 },
-	}
-	set, err := r.Run()
+	m, err := measure(cl, cell, nodes, 1,
+		core.Params{ProblemSize: problem, PathList: paths, WorkDir: "/vol0"}, plugin, nil)
 	if err != nil {
-		return nil, nil
+		return 0, nil, err
 	}
-	return set, cell
+	return wallOf(m), cell, nil
 }
 
 // E14AFS reproduces §4.7.3: AFS serves cached attribute reads from its
@@ -199,50 +167,38 @@ func E14AFS() *Report {
 	// Six cells: four AFS runs plus the two NFS contrast probes, each on
 	// its own kernel with the serial loop's seeds.
 	type e14cell struct {
-		set  *results.Set
-		cell *afs.FS
 		rate float64
+		cell *afs.FS
 	}
-	cells := parCells("E14", []string{"afs-warm", "afs-nocache", "afs-multinode",
-		"afs-creates", "nfs-warm", "nfs-nocache"}, func(i int) e14cell {
+	nfsMk := func(k *sim.Kernel) core.FileSystem { return nfs.New(k, "home", nfs.DefaultConfig()) }
+	nfsParams := core.Params{ProblemSize: problem, WorkDir: "/bench"}
+	cells, err := parCells("E14", []string{"afs-warm", "afs-nocache", "afs-multinode",
+		"afs-creates", "nfs-warm", "nfs-nocache"}, func(i int) (c e14cell, err error) {
 		switch i {
 		case 0:
-			s, c := afsRun(core.StatFiles{}, 1, problem, 1401)
-			return e14cell{set: s, cell: c}
+			c.rate, c.cell, err = afsRun(core.StatFiles{}, 1, problem, 1401)
 		case 1:
-			s, c := afsRun(core.StatNocacheFiles{}, 1, problem, 1402)
-			return e14cell{set: s, cell: c}
+			c.rate, c.cell, err = afsRun(core.StatNocacheFiles{}, 1, problem, 1402)
 		case 2:
-			s, c := afsRun(core.StatMultinodeFiles{}, 2, problem, 1403)
-			return e14cell{set: s, cell: c}
+			c.rate, c.cell, err = afsRun(core.StatMultinodeFiles{}, 2, problem, 1403)
 		case 3:
-			s, c := afsRun(core.MakeFiles{}, 4, 600, 1404)
-			return e14cell{set: s, cell: c}
+			c.rate, c.cell, err = afsRun(core.MakeFiles{}, 4, 600, 1404)
 		case 4:
-			return e14cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
-				return nfs.New(k, "home", nfs.DefaultConfig())
-			}, core.StatFiles{}, problem, 1405)}
+			c.rate, err = singleProc(nfsMk, core.StatFiles{}, nfsParams, 1405)
 		default:
-			return e14cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
-				return nfs.New(k, "home", nfs.DefaultConfig())
-			}, core.StatNocacheFiles{}, problem, 1406)}
+			c.rate, err = singleProc(nfsMk, core.StatNocacheFiles{}, nfsParams, 1406)
 		}
+		return c, err
 	})
-	warm, nocache, multi, creates := cells[0].set, cells[1].set, cells[2].set, cells[3].set
-	cell := cells[1].cell
-	if warm == nil || nocache == nil || multi == nil || creates == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, warm, nocache, multi, creates)
+	aWarm, aNo, aMulti, aCreate := cells[0].rate, cells[1].rate, cells[2].rate, cells[3].rate
+	cell := cells[1].cell
 
 	// NFS contrast: dropping caches forces RPCs.
 	nfsWarm, nfsNoCache := cells[4].rate, cells[5].rate
 
-	aWarm := wallOf(warm, "StatFiles", 1, 1)
-	aNo := wallOf(nocache, "StatNocacheFiles", 1, 1)
-	aMulti := wallOf(multi, "StatMultinodeFiles", 2, 1)
-	aCreate := wallOf(creates, "MakeFiles", 4, 1)
 	hits, misses := cell.CacheStats()
 	r.row("AFS StatFiles (warm cache)", aWarm, "ops/s", "")
 	r.row("AFS StatNocacheFiles", aNo, "ops/s", "persistent cache survives drop_caches")
@@ -256,6 +212,5 @@ func E14AFS() *Report {
 		"StatNocacheFiles stays near the warm rate (here %.1f%%) while NFS falls "+
 		"to %.1f%% of warm; cross-node stats drop to %.1f%% on AFS",
 		100*aNo/aWarm, 100*nfsNoCache/nfsWarm, 100*aMulti/aWarm)
-	_ = time.Second
 	return r
 }

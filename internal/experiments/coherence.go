@@ -34,26 +34,15 @@ func e22Load(skew float64) core.StatMutateFiles {
 	return core.StatMutateFiles{Files: 640, MutateEvery: 16, Skew: skew}
 }
 
-// runCoherence executes a fixed-size StatMutateFiles run on an 8-node x
-// 2-process cluster and returns the result set plus the FS for counter
+// runCoherence measures a fixed-size StatMutateFiles run on an 8-node x
+// 2-process cluster and returns the measurement plus the FS for counter
 // readout.
-func runCoherence(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*results.Set, *shard.FS) {
+func runCoherence(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*results.Measurement, *shard.FS, error) {
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(8))
 	fsys := newShardFS(k, "meta", cfg)
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: problem, WorkDir: "/bench"},
-		SlotsPerNode: 2,
-		Plugins:      []core.Plugin{plugin},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 2 },
-	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, fsys
-	}
-	return set, fsys
+	m, err := measure(cl, fsys, 8, 2, core.Params{ProblemSize: problem, WorkDir: "/bench"}, plugin, nil)
+	return m, fsys, err
 }
 
 // hitRate returns hits/(hits+misses) as a percentage.
@@ -78,7 +67,6 @@ func E22LeaseTTL() *Report {
 	// One cell per lease TTL, all with the same seed (the E16 sweep
 	// discipline: TTL is the only variable).
 	type e22cell struct {
-		set         *results.Set
 		hr, rate    float64
 		revocations int64
 		grants      int64
@@ -88,30 +76,27 @@ func E22LeaseTTL() *Report {
 	for i, ttl := range ttls {
 		names[i] = ttl.String()
 	}
-	cells := parCells("E22", names, func(i int) e22cell {
+	cells, err := parCells("E22", names, func(i int) (e22cell, error) {
 		cfg := shard.DefaultConfig(4)
 		cfg.CacheMode = shard.CacheLease
 		cfg.LeaseTTL = ttls[i]
 		cfg.TrackStaleness = true
-		set, fsys := runCoherence(2200, cfg, plugin, 8000)
-		if set == nil {
-			return e22cell{}
+		m, fsys, err := runCoherence(2200, cfg, plugin, 8000)
+		if err != nil {
+			return e22cell{}, err
 		}
 		hits, misses, _, _ := fsys.CacheStats()
-		return e22cell{set: set, hr: hitRate(hits, misses),
-			rate:        wallOf(set, plugin.Name(), 8, 2),
+		return e22cell{hr: hitRate(hits, misses), rate: wallOf(m),
 			revocations: fsys.Revocations, grants: fsys.LeaseGrants,
-			stale: fsys.StaleReads}
+			stale: fsys.StaleReads}, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, ys []float64
 	var firstHit, lastHit, firstRev, lastRev float64
 	for i, ttl := range ttls {
 		c := cells[i]
-		if c.set == nil {
-			r.finding("run failed at TTL %v", ttl)
-			return r
-		}
-		r.Sets = append(r.Sets, c.set)
 		xs = append(xs, ttl.Seconds())
 		ys = append(ys, c.hr)
 		if len(xs) == 1 {
@@ -151,11 +136,9 @@ func E23CacheModes() *Report {
 	type cell struct {
 		rate, hit float64
 		stale     int64
-		set       *results.Set
 	}
-	// measure is one cell on its own kernel; sets are collected in cell
-	// order by the merge below.
-	measure := func(n int, mode shard.CacheMode, attrTTL time.Duration, seed int64) cell {
+	// run is one cell on its own kernel.
+	run := func(n int, mode shard.CacheMode, attrTTL time.Duration, seed int64) (cell, error) {
 		cfg := shard.DefaultConfig(n)
 		cfg.CacheMode = mode
 		cfg.TrackStaleness = true
@@ -165,17 +148,12 @@ func E23CacheModes() *Report {
 		if mode == shard.CacheLease {
 			cfg.LeaseTTL = 30 * time.Second
 		}
-		set, fsys := runCoherence(seed, cfg, plugin, 2000)
-		if set == nil {
-			return cell{}
+		m, fsys, err := runCoherence(seed, cfg, plugin, 2000)
+		if err != nil {
+			return cell{}, err
 		}
 		hits, misses, _, _ := fsys.CacheStats()
-		return cell{
-			rate:  wallOf(set, plugin.Name(), 8, 2),
-			hit:   hitRate(hits, misses),
-			stale: fsys.StaleReads,
-			set:   set,
-		}
+		return cell{rate: wallOf(m), hit: hitRate(hits, misses), stale: fsys.StaleReads}, nil
 	}
 	shardCounts := []int{1, 2, 4, 8}
 	// 13 cells: (lease, ttl, none) per shard count plus the
@@ -191,26 +169,20 @@ func E23CacheModes() *Report {
 		}
 	}
 	names = append(names, "4shards-ttl2ms")
-	cells := parCells("E23", names, func(i int) cell {
+	cells, err := parCells("E23", names, func(i int) (cell, error) {
 		if i == len(names)-1 {
-			return measure(4, shard.CacheTTL, 2*time.Millisecond, 2340)
+			return run(4, shard.CacheTTL, 2*time.Millisecond, 2340)
 		}
 		si, mi := i/len(modes), i%len(modes)
-		return measure(shardCounts[si], modes[mi].mode, 0, int64(2300+10*si+mi))
+		return run(shardCounts[si], modes[mi].mode, 0, int64(2300+10*si+mi))
 	})
-	for _, c := range cells {
-		if c.set != nil {
-			r.Sets = append(r.Sets, c.set)
-		}
+	if err != nil {
+		return r.fail(err)
 	}
 	var xs, leaseY, ttlY, noneY []float64
 	var lease4, ttl4 cell
 	for i, n := range shardCounts {
 		lease, ttl, none := cells[3*i], cells[3*i+1], cells[3*i+2]
-		if lease.rate == 0 || ttl.rate == 0 || none.rate == 0 {
-			r.finding("run failed at %d shards", n)
-			return r
-		}
 		xs = append(xs, float64(n))
 		leaseY = append(leaseY, lease.rate)
 		ttlY = append(ttlY, ttl.rate)
@@ -229,10 +201,6 @@ func E23CacheModes() *Report {
 	// still serves stale hits, because hot files are revisited faster
 	// than they are mutated.
 	matched := cells[len(cells)-1]
-	if matched.rate == 0 {
-		r.finding("run failed for the hit-rate-matched TTL cell")
-		return r
-	}
 	r.row("4 shards: lease 30s hit rate", lease4.hit, "%",
 		fmt.Sprintf("%d stale reads", lease4.stale))
 	r.row("4 shards: ttl 3s hit rate", ttl4.hit, "%",
@@ -274,10 +242,14 @@ func E24FailoverCachedLoad() *Report {
 	)
 	plan := (&fault.Plan{}).Outage(crashAt, restartAt, 0)
 	if err := plan.Validate(); err != nil {
-		r.finding("bad plan: %v", err)
-		return r
+		return r.fail(err)
 	}
-	run := func(seed int64, invalidate bool) (*results.Measurement, *results.Set, *shard.FS) {
+	// Two cells: with and without crash-time lease invalidation.
+	type e24cell struct {
+		m  *results.Measurement
+		fs *shard.FS
+	}
+	run := func(seed int64, invalidate bool) (e24cell, error) {
 		cfg := shard.DefaultConfig(2)
 		cfg.Replicate = true
 		cfg.CacheMode = shard.CacheLease
@@ -286,42 +258,24 @@ func E24FailoverCachedLoad() *Report {
 		cfg.CrashInvalidate = invalidate
 		k := sim.New(seed)
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newShardFS(k, "meta", cfg)
-		rn := &core.Runner{
-			Cluster: cl,
-			FS:      fsys,
-			Params: core.Params{ProblemSize: 1 << 20, TimeLimit: window,
-				WorkDir: "/bench"},
-			SlotsPerNode: 2,
-			Plugins:      []core.Plugin{e22Load(0)},
-			Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 2 },
-			BenchStartHook: func(mp *sim.Proc, _ core.MeasurementInfo) {
-				plan.Start(mp, fsys)
-			},
+		c := e24cell{fs: newShardFS(k, "meta", cfg)}
+		var err error
+		c.m, err = measure(cl, c.fs, 8, 2,
+			core.Params{ProblemSize: 1 << 20, TimeLimit: window, WorkDir: "/bench"}, e22Load(0),
+			func(mp *sim.Proc, _ core.MeasurementInfo) { plan.Start(mp, c.fs) })
+		if err == nil && len(c.fs.Takeovers) == 0 {
+			err = fmt.Errorf("no takeover")
 		}
-		set, err := rn.Run()
-		if err != nil {
-			return nil, nil, fsys
-		}
-		return set.Find("StatMutateFiles", 8, 2), set, fsys
+		return c, err
 	}
-	// Two cells: with and without crash-time lease invalidation.
-	type e24cell struct {
-		m   *results.Measurement
-		set *results.Set
-		fs  *shard.FS
-	}
-	cells := parCells("E24", []string{"invalidate", "no-invalidate"}, func(i int) e24cell {
-		m, set, fsys := run(int64(2400+i), i == 0)
-		return e24cell{m, set, fsys}
+	cells, err := parCells("E24", []string{"invalidate", "no-invalidate"}, func(i int) (e24cell, error) {
+		return run(int64(2400+i), i == 0)
 	})
-	inval, iset, ifs := cells[0].m, cells[0].set, cells[0].fs
-	stale, sset, sfs := cells[1].m, cells[1].set, cells[1].fs
-	if inval == nil || stale == nil || len(ifs.Takeovers) == 0 || len(sfs.Takeovers) == 0 {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, iset, sset)
+	inval, ifs := cells[0].m, cells[0].fs
+	stale, sfs := cells[1].m, cells[1].fs
 	staleWindow := func(f *shard.FS) time.Duration {
 		w := f.LastStaleAt - f.Takeovers[0].CrashAt
 		if f.StaleReads == 0 || w < 0 {

@@ -11,53 +11,27 @@ import (
 	"dmetabench/internal/sim"
 )
 
-// nfsMakeFilesRun executes a timed MakeFiles run on an NFS filer with the
-// given node count and an optional bench-start hook, returning the single
-// measurement.
-func nfsMakeFilesRun(seed int64, nodes int, window time.Duration,
-	hook func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc)) (*results.Measurement, *results.Set) {
+// nfsCells runs one timed MakeFiles measurement on an NFS filer per
+// hook (nil hook = clean run) as parallel cells, all with the same seed,
+// nodes and window. Every disturbance experiment pairs a clean cell with
+// a disturbed cell; the two runs share a seed but nothing else, so they
+// fan out independently.
+func nfsCells(expID string, seed int64, nodes int, window time.Duration,
+	names []string, hooks []func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc)) ([]*results.Measurement, error) {
 
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(nodes+1))
-	fsys := nfs.New(k, "home", nfs.DefaultConfig())
-	r := &core.Runner{
-		Cluster: cl,
-		FS:      fsys,
-		Params: core.Params{
+	return parCells(expID, names, func(i int) (*results.Measurement, error) {
+		k := sim.New(seed)
+		cl := cluster.New(k, cluster.DefaultConfig(nodes+1))
+		fsys := nfs.New(k, "home", nfs.DefaultConfig())
+		var hook func(*sim.Proc, core.MeasurementInfo)
+		if hooks[i] != nil {
+			hook = func(mp *sim.Proc, _ core.MeasurementInfo) { hooks[i](cl, fsys, mp) }
+		}
+		return measure(cl, fsys, nodes, 1, core.Params{
 			ProblemSize: 5000,
 			TimeLimit:   window,
 			WorkDir:     "/bench",
-		},
-		SlotsPerNode: 1,
-		Plugins:      []core.Plugin{core.MakeFiles{}},
-		Filter:       func(c core.Combo) bool { return c.Nodes == nodes && c.PPN == 1 },
-	}
-	if hook != nil {
-		r.BenchStartHook = func(mp *sim.Proc, _ core.MeasurementInfo) { hook(cl, fsys, mp) }
-	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, nil
-	}
-	return set.Find("MakeFiles", nodes, 1), set
-}
-
-// nfsRun is one nfsMakeFilesRun cell's result. Every disturbance
-// experiment pairs a clean cell with a disturbed cell; the two runs
-// share a seed but nothing else, so they fan out independently.
-type nfsRun struct {
-	m   *results.Measurement
-	set *results.Set
-}
-
-// nfsCells runs one nfsMakeFilesRun per hook (nil hook = clean run) as
-// parallel cells, all with the same seed, nodes and window.
-func nfsCells(expID string, seed int64, nodes int, window time.Duration,
-	names []string, hooks []func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc)) []nfsRun {
-
-	return parCells(expID, names, func(i int) nfsRun {
-		m, set := nfsMakeFilesRun(seed, nodes, window, hooks[i])
-		return nfsRun{m, set}
+		}, core.MakeFiles{}, hook)
 	})
 }
 
@@ -70,19 +44,17 @@ func E03CPUHogCOV() *Report {
 	const window = 30 * time.Second
 	hogFrom, hogTo := 10*time.Second, 16*time.Second
 
-	runs := nfsCells("E03", 101, 4, window, []string{"clean", "hogged"},
+	runs, err := nfsCells("E03", 101, 4, window, []string{"clean", "hogged"},
 		[]func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc){
 			nil,
 			func(cl *cluster.Cluster, _ *nfs.FS, mp *sim.Proc) {
 				cl.Nodes[2].StartCPUHog(24, 0, mp.Now()+hogFrom, hogTo-hogFrom)
 			},
 		})
-	clean, hogged, set := runs[0].m, runs[1].m, runs[1].set
-	if clean == nil || hogged == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, set)
+	clean, hogged := runs[0], runs[1]
 
 	before := windowThroughput(hogged, 2*time.Second, hogFrom)
 	during := windowThroughput(hogged, hogFrom, hogTo)
@@ -110,7 +82,7 @@ func E04SnapshotNoise() *Report {
 	const window = 30 * time.Second
 	snapAt, snapLen := 9*time.Second, 10*time.Second
 
-	runs := nfsCells("E04", 202, 4, window, []string{"clean", "snapshots"},
+	runs, err := nfsCells("E04", 202, 4, window, []string{"clean", "snapshots"},
 		[]func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc){
 			nil,
 			func(_ *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc) {
@@ -120,12 +92,10 @@ func E04SnapshotNoise() *Report {
 				})
 			},
 		})
-	clean, snappy, set := runs[0].m, runs[1].m, runs[1].set
-	if clean == nil || snappy == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, set)
+	clean, snappy := runs[0], runs[1]
 
 	baseline := windowThroughput(snappy, 2*time.Second, snapAt)
 	during := windowThroughput(snappy, snapAt, snapAt+snapLen)
@@ -154,7 +124,7 @@ func E05ConsistencyPoints() *Report {
 	// cps is written only by the clean cell; parCells has joined every
 	// cell before it is read below.
 	var cps int
-	runs := nfsCells("E05", 303, 20, window, []string{"clean", "hogged"},
+	runs, err := nfsCells("E05", 303, 20, window, []string{"clean", "hogged"},
 		[]func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc){
 			func(_ *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc) {
 				mp.Spawn("cp-counter", func(p *sim.Proc) {
@@ -166,12 +136,10 @@ func E05ConsistencyPoints() *Report {
 				cl.Nodes[5].StartCPUHog(24, 0, mp.Now()+4*time.Second, 6*time.Second)
 			},
 		})
-	clean, hogged, set := runs[0].m, runs[1].m, runs[0].set
-	if clean == nil || hogged == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, set)
+	clean, hogged := runs[0], runs[1]
 
 	// Sawtooth: peak vs trough of interval throughput after warmup.
 	var peak, trough float64
@@ -213,7 +181,7 @@ func E06WriteInterference() *Report {
 		PaperRef: "Fig. 4.7"}
 	const window = 20 * time.Second
 
-	runs := nfsCells("E06", 404, 20, window, []string{"clean", "bulk-write"},
+	runs, err := nfsCells("E06", 404, 20, window, []string{"clean", "bulk-write"},
 		[]func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc){
 			nil,
 			func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc) {
@@ -239,12 +207,10 @@ func E06WriteInterference() *Report {
 				})
 			},
 		})
-	clean, disturbed, set := runs[0].m, runs[1].m, runs[1].set
-	if clean == nil || disturbed == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, set)
+	clean, disturbed := runs[0], runs[1]
 
 	base := windowThroughput(disturbed, 1*time.Second, 5*time.Second)
 	during := windowThroughput(disturbed, 5*time.Second, 11*time.Second)

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"dmetabench/internal/charts"
 	"dmetabench/internal/results"
 	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
@@ -52,8 +51,9 @@ type Report struct {
 	Charts []string
 	// Findings summarizes the shape comparison against the paper.
 	Findings []string
-	// Sets holds the raw result sets for further processing.
-	Sets []*results.Set
+	// Err, when set, is why the run failed: a kernel error, a failed
+	// rank or a failed probe (see fail).
+	Err error
 	// Volatile marks a report whose values are real-time measurements
 	// of the host machine (E02) rather than deterministic virtual-time
 	// results. The committed EXPERIMENTS.md replaces volatile values
@@ -68,6 +68,14 @@ func (r *Report) row(name string, value float64, unit, note string) {
 
 func (r *Report) finding(format string, args ...interface{}) {
 	r.Findings = append(r.Findings, fmt.Sprintf(format, args...))
+}
+
+// fail records err as the reason the run failed, adds it as a finding
+// and returns the report.
+func (r *Report) fail(err error) *Report {
+	r.Err = err
+	r.finding("run failed: %v", err)
+	return r
 }
 
 // String renders the report as text.
@@ -144,12 +152,6 @@ func All() []Experiment {
 	}
 }
 
-// scaleChart renders a perf-vs-procs comparison for the report.
-func scaleChart(title string, inputs []charts.LabeledSeries) string {
-	c := charts.VsProcesses(inputs, 64, 10)
-	return title + "\n" + c
-}
-
 const (
 	chartW = 68
 	chartH = 9
@@ -168,13 +170,7 @@ func stoneOf(set *results.Set, op string, nodes, ppn int) float64 {
 // wallOf returns the wall-clock throughput, which uses exact completion
 // times and is therefore meaningful even for runs shorter than one
 // sampling interval (where the stonewall average floors at the grid).
-func wallOf(set *results.Set, op string, nodes, ppn int) float64 {
-	m := set.Find(op, nodes, ppn)
-	if m == nil {
-		return 0
-	}
-	return m.Averages().WallClock
-}
+func wallOf(m *results.Measurement) float64 { return m.Averages().WallClock }
 
 // windowThroughput averages the per-interval throughput of a measurement
 // between from and to.

@@ -23,37 +23,6 @@ import (
 // prices the replication that bounds it, and E21 scales the recovery
 // itself.
 
-// shardTimedRun executes a timed MakeFiles run on a sharded FS (8 nodes
-// x 2 processes) with an optional bench-start hook, returning the
-// measurement, the set and the FS for counter readout.
-func shardTimedRun(seed int64, cfg shard.Config, window time.Duration,
-	hook func(fsys *shard.FS, mp *sim.Proc)) (*results.Measurement, *results.Set, *shard.FS) {
-
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(8))
-	fsys := newShardFS(k, "meta", cfg)
-	r := &core.Runner{
-		Cluster: cl,
-		FS:      fsys,
-		Params: core.Params{
-			ProblemSize: 1000,
-			TimeLimit:   window,
-			WorkDir:     "/bench",
-		},
-		SlotsPerNode: 2,
-		Plugins:      []core.Plugin{core.MakeFiles{}},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 2 },
-	}
-	if hook != nil {
-		r.BenchStartHook = func(mp *sim.Proc, _ core.MeasurementInfo) { hook(fsys, mp) }
-	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, nil, fsys
-	}
-	return set.Find("MakeFiles", 8, 2), set, fsys
-}
-
 // outageSeconds sums the sampling intervals between from and to whose
 // throughput fell below frac of baseline — the measured service-outage
 // window.
@@ -84,34 +53,30 @@ func E19FailoverTimeline() *Report {
 	)
 	plan := (&fault.Plan{}).Outage(crashAt, restartAt, 0)
 	if err := plan.Validate(); err != nil {
-		r.finding("bad plan: %v", err)
-		return r
-	}
-	run := func(seed int64, replicate bool) (*results.Measurement, *results.Set, *shard.FS) {
-		cfg := shard.DefaultConfig(2)
-		cfg.Replicate = replicate
-		return shardTimedRun(seed, cfg, window, func(fsys *shard.FS, mp *sim.Proc) {
-			plan.Start(mp, fsys)
-		})
+		return r.fail(err)
 	}
 	// Two cells: the unreplicated and the replicated run, each with its
 	// own kernel and fault-plan instance.
 	type e19cell struct {
-		m   *results.Measurement
-		set *results.Set
-		fs  *shard.FS
+		m  *results.Measurement
+		fs *shard.FS
 	}
-	cells := parCells("E19", []string{"single", "replicated"}, func(i int) e19cell {
-		m, set, fsys := run(int64(1900+i), i == 1)
-		return e19cell{m, set, fsys}
+	cells, err := parCells("E19", []string{"single", "replicated"}, func(i int) (e19cell, error) {
+		cfg := shard.DefaultConfig(2)
+		cfg.Replicate = i == 1
+		k := sim.New(int64(1900 + i))
+		cl := cluster.New(k, cluster.DefaultConfig(8))
+		c := e19cell{fs: newShardFS(k, "meta", cfg)}
+		var err error
+		c.m, err = measure(cl, c.fs, 8, 2,
+			core.Params{ProblemSize: 1000, TimeLimit: window, WorkDir: "/bench"}, core.MakeFiles{},
+			func(mp *sim.Proc, _ core.MeasurementInfo) { plan.Start(mp, c.fs) })
+		return c, err
 	})
-	single, sset := cells[0].m, cells[0].set
-	repl, rset, rfs := cells[1].m, cells[1].set, cells[1].fs
-	if single == nil || repl == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, sset, rset)
+	single, repl, rfs := cells[0].m, cells[1].m, cells[1].fs
 
 	base := windowThroughput(single, 2*time.Second, crashAt)
 	baseR := windowThroughput(repl, 2*time.Second, crashAt)
@@ -163,7 +128,6 @@ func E20ReplicationOverhead() *Report {
 	shardCounts := []int{2, 4, 8}
 	// One cell per (shard count, replication) pair — 6 independent runs.
 	type e20cell struct {
-		set     *results.Set
 		rate    float64
 		mirrors int64
 	}
@@ -171,23 +135,21 @@ func E20ReplicationOverhead() *Report {
 	for _, n := range shardCounts {
 		names = append(names, fmt.Sprintf("%dshards-plain", n), fmt.Sprintf("%dshards-repl", n))
 	}
-	cells := parCells("E20", names, func(i int) e20cell {
+	cells, err := parCells("E20", names, func(i int) (e20cell, error) {
 		cfg := shard.DefaultConfig(shardCounts[i/2])
 		cfg.Replicate = i%2 == 1
-		set, fsys := runSharded(2000, cfg, plugin, 400)
-		if set == nil {
-			return e20cell{}
+		m, fsys, err := runSharded(2000, cfg, plugin, 400)
+		if err != nil {
+			return e20cell{}, err
 		}
-		return e20cell{set: set, rate: wallOf(set, plugin.Name(), 16, 4), mirrors: fsys.MirrorCount}
+		return e20cell{rate: wallOf(m), mirrors: fsys.MirrorCount}, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, plainY, replY []float64
 	for i, n := range shardCounts {
 		plain, repl := cells[2*i], cells[2*i+1]
-		if plain.set == nil || repl.set == nil {
-			r.finding("run failed at %d shards", n)
-			return r
-		}
-		r.Sets = append(r.Sets, plain.set, repl.set)
 		xs = append(xs, float64(n))
 		plainY = append(plainY, plain.rate)
 		replY = append(replY, repl.rate)
@@ -219,7 +181,12 @@ func E20ReplicationOverhead() *Report {
 func E21RecoveryScaling() *Report {
 	r := &Report{ID: "E21", Title: "Recovery-time scaling: takeover latency vs. journal length",
 		PaperRef: "beyond §4.8 (journal replay on failover)"}
-	probe := func(files int) (shard.Takeover, time.Duration, bool) {
+	// One probe cell per journal length.
+	type e21cell struct {
+		to       shard.Takeover
+		observed time.Duration
+	}
+	probe := func(files int) (e21cell, error) {
 		cfg := shard.DefaultConfig(2)
 		cfg.Replicate = true
 		cfg.JournalCap = 1 << 20                   // uncapped for the sweep: the journal is the variable
@@ -236,56 +203,54 @@ func E21RecoveryScaling() *Report {
 				break
 			}
 		}
-		var observed time.Duration
-		ok := false
-		k.Spawn("probe", func(p *sim.Proc) {
+		if dir == "" {
+			return e21cell{}, fmt.Errorf("no directory on shard 0")
+		}
+		var res e21cell
+		err := runProbe(k, "probe", func(p *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], p)
-			if dir == "" || c.Mkdir(dir) != nil {
-				return
+			if err := c.Mkdir(dir); err != nil {
+				return err
 			}
 			for i := 0; i < files; i++ {
-				if c.Create(fmt.Sprintf("%s/f%d", dir, i)) != nil {
-					return
+				if err := c.Create(fmt.Sprintf("%s/f%d", dir, i)); err != nil {
+					return err
 				}
 			}
 			fsys.Crash(p, 0)
 			start := p.Now()
-			if c.Create(dir+"/after-crash") != nil {
-				return
+			if err := c.Create(dir + "/after-crash"); err != nil {
+				return err
 			}
-			observed = p.Now() - start
-			ok = true
+			res.observed = p.Now() - start
+			return nil
 		})
-		if err := k.Run(); err != nil || !ok || len(fsys.Takeovers) != 1 {
-			return shard.Takeover{}, 0, false
+		if err == nil && len(fsys.Takeovers) != 1 {
+			err = fmt.Errorf("%d takeovers, want 1", len(fsys.Takeovers))
 		}
-		return fsys.Takeovers[0], observed, true
+		if err != nil {
+			return e21cell{}, err
+		}
+		res.to = fsys.Takeovers[0]
+		return res, nil
 	}
 
-	// One probe cell per journal length.
 	fileCounts := []int{0, 1000, 4000, 16000}
-	type e21cell struct {
-		to       shard.Takeover
-		observed time.Duration
-		ok       bool
-	}
 	names := make([]string, len(fileCounts))
 	for i, files := range fileCounts {
 		names[i] = fmt.Sprintf("%dfiles", files)
 	}
-	cells := parCells("E21", names, func(i int) e21cell {
-		to, observed, ok := probe(fileCounts[i])
-		return e21cell{to, observed, ok}
+	cells, err := parCells("E21", names, func(i int) (e21cell, error) {
+		return probe(fileCounts[i])
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 
 	var xs, ys []float64
 	var floor, top time.Duration
 	for i, files := range fileCounts {
-		to, observed, ok := cells[i].to, cells[i].observed, cells[i].ok
-		if !ok {
-			r.finding("probe failed at %d files", files)
-			return r
-		}
+		to, observed := cells[i].to, cells[i].observed
 		if files == 0 {
 			floor = to.Total()
 		}

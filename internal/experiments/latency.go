@@ -21,47 +21,16 @@ var e12Latencies = []time.Duration{
 	5 * time.Millisecond,
 }
 
-// singleProcWall runs one plugin at 1 node x 1 process and returns the
+// singleProc runs one plugin at 1 node x 1 process and returns the
 // wall-clock throughput (robust for sub-interval runs).
-func singleProcWall(mk func(k *sim.Kernel) core.FileSystem, plugin core.Plugin, problem int, seed int64) float64 {
+func singleProc(mk func(k *sim.Kernel) core.FileSystem, plugin core.Plugin, params core.Params, seed int64) (float64, error) {
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           mk(k),
-		Params:       core.Params{ProblemSize: problem, WorkDir: "/bench"},
-		SlotsPerNode: 1,
-		Plugins:      []core.Plugin{plugin},
-	}
-	set, err := r.Run()
+	m, err := measure(cl, mk(k), 1, 1, params, plugin, nil)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	return wallOf(set, plugin.Name(), 1, 1)
-}
-
-// singleProcTimed runs a timed 1x1 measurement, which amortizes per-run
-// constants (like the one synchronous mkdir at bench start) that would
-// otherwise dominate very fast cached operations.
-func singleProcTimed(mk func(k *sim.Kernel) core.FileSystem, plugin core.Plugin, window time.Duration, seed int64) float64 {
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(1))
-	r := &core.Runner{
-		Cluster: cl,
-		FS:      mk(k),
-		Params: core.Params{
-			ProblemSize: 1 << 20, // no subdirectory rotation inside the window
-			TimeLimit:   window,
-			WorkDir:     "/bench",
-		},
-		SlotsPerNode: 1,
-		Plugins:      []core.Plugin{plugin},
-	}
-	set, err := r.Run()
-	if err != nil {
-		return 0
-	}
-	return wallOf(set, plugin.Name(), 1, 1)
+	return wallOf(m), nil
 }
 
 // E12LatencySweep reproduces §4.6: synchronous metadata operations
@@ -82,7 +51,7 @@ func E12LatencySweep() *Report {
 			fmt.Sprintf("rtt%.1fms-nfs-statnc", rtt),
 			fmt.Sprintf("rtt%.1fms-wb-create", rtt))
 	}
-	vals := parCells("E12", names, func(i int) float64 {
+	vals, err := parCells("E12", names, func(i int) (float64, error) {
 		lat := e12Latencies[i/perLat]
 		seed := int64(1200 + 10*(i/perLat))
 		nfsMk := func(k *sim.Kernel) core.FileSystem {
@@ -90,20 +59,31 @@ func E12LatencySweep() *Report {
 			cfg.OneWayLatency = lat
 			return nfs.New(k, "home", cfg)
 		}
+		nfsParams := core.Params{ProblemSize: 500, WorkDir: "/bench"}
 		switch i % perLat {
 		case 0:
-			return singleProcWall(nfsMk, core.MakeFiles{}, 500, seed)
+			return singleProc(nfsMk, core.MakeFiles{}, nfsParams, seed)
 		case 1:
-			return singleProcWall(nfsMk, core.StatNocacheFiles{}, 500, seed+1)
+			return singleProc(nfsMk, core.StatNocacheFiles{}, nfsParams, seed+1)
 		default:
-			return singleProcTimed(func(k *sim.Kernel) core.FileSystem {
+			// A timed run amortizes per-run constants (like the one
+			// synchronous mkdir at bench start) that would otherwise
+			// dominate cached creates.
+			return singleProc(func(k *sim.Kernel) core.FileSystem {
 				cfg := lustre.DefaultConfig()
 				cfg.OneWayLatency = lat
 				cfg.Writeback = true
 				return lustre.New(k, "scratch", cfg)
-			}, core.MakeFiles{}, time.Second, seed+2)
+			}, core.MakeFiles{}, core.Params{
+				ProblemSize: 1 << 20, // no subdirectory rotation inside the window
+				TimeLimit:   time.Second,
+				WorkDir:     "/bench",
+			}, seed+2)
 		}
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, nfsCreate, nfsStatNC, wbCreate []float64
 	for i, lat := range e12Latencies {
 		rtt := (2 * lat).Seconds() * 1000
@@ -116,13 +96,11 @@ func E12LatencySweep() *Report {
 		r.row(fmt.Sprintf("RTT %.1fms: NFS stat (no cache)", rtt), s, "ops/s", "")
 		r.row(fmt.Sprintf("RTT %.1fms: write-back creates", rtt), w, "ops/s", "")
 	}
-	if nfsCreate[0] > 0 && wbCreate[len(wbCreate)-1] > 0 {
-		nfsDrop := nfsCreate[0] / nfsCreate[len(nfsCreate)-1]
-		wbDrop := wbCreate[0] / wbCreate[len(wbCreate)-1]
-		r.finding("paper: synchronous metadata rates fall with added latency "+
-			"while caching hides it; here 50x more RTT costs NFS creates %.1fx "+
-			"and write-back creates only %.1fx", nfsDrop, wbDrop)
-	}
+	nfsDrop := nfsCreate[0] / nfsCreate[len(nfsCreate)-1]
+	wbDrop := wbCreate[0] / wbCreate[len(wbCreate)-1]
+	r.finding("paper: synchronous metadata rates fall with added latency "+
+		"while caching hides it; here 50x more RTT costs NFS creates %.1fx "+
+		"and write-back creates only %.1fx", nfsDrop, wbDrop)
 	r.Charts = append(r.Charts, charts.Render(
 		"Throughput vs network RTT", "RTT ms", "ops/s", chartW, chartH,
 		[]charts.Series{

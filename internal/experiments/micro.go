@@ -98,29 +98,20 @@ func E01SyscallCounts() *Report {
 
 	// Two independent cells, one per API style, each over its own
 	// namespace and counter.
-	type countRun struct {
-		c   *fs.CountingClient
-		err error
-	}
 	create := []func(fs.Client, string) error{fs.CreateHighLevel, fs.CreateDirect}
-	cells := parCells("E01", []string{"high-level", "direct"}, func(i int) countRun {
+	cells, err := parCells("E01", []string{"high-level", "direct"}, func(i int) (*fs.CountingClient, error) {
 		c := fs.NewCountingClient(newNullClient())
 		for j := 0; j < n; j++ {
 			if err := create[i](c, fmt.Sprintf("/f%d", j)); err != nil {
-				return countRun{c, err}
+				return nil, err
 			}
 		}
-		return countRun{c, nil}
+		return c, nil
 	})
-	naive, direct := cells[0].c, cells[1].c
-	if cells[0].err != nil {
-		r.finding("high-level create failed: %v", cells[0].err)
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
-	if cells[1].err != nil {
-		r.finding("direct create failed: %v", cells[1].err)
-		return r
-	}
+	naive, direct := cells[0], cells[1]
 	r.row("high-level: stat ops", float64(naive.N.Get(fs.OpStat)), "calls", "extra stat per file, like Python file objects")
 	r.row("high-level: open ops", float64(naive.N.Get(fs.OpOpen)), "calls", "")
 	r.row("high-level: create ops", float64(naive.N.Get(fs.OpCreate)), "calls", "")
@@ -156,8 +147,7 @@ func E02HarnessOverhead() *Report {
 	for i := 0; i < n; i++ {
 		name := "/" + strconv.Itoa(i)
 		if err := rawClient.Create(name); err != nil {
-			r.finding("raw loop failed: %v", err)
-			return r
+			return r.fail(fmt.Errorf("raw loop: %w", err))
 		}
 	}
 	rawDur := time.Since(start)
@@ -174,13 +164,11 @@ func E02HarnessOverhead() *Report {
 	}
 	plugin := core.MakeFiles{}
 	if err := plugin.Prepare(ctx); err != nil {
-		r.finding("prepare failed: %v", err)
-		return r
+		return r.fail(fmt.Errorf("prepare: %w", err))
 	}
 	start = time.Now()
 	if err := plugin.DoBench(ctx); err != nil {
-		r.finding("dobench failed: %v", err)
-		return r
+		return r.fail(fmt.Errorf("dobench: %w", err))
 	}
 	harnessDur := time.Since(start)
 

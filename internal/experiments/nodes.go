@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"dmetabench/internal/cxfs"
 	"dmetabench/internal/localfs"
 	"dmetabench/internal/nfs"
-	"dmetabench/internal/results"
 	"dmetabench/internal/sim"
 )
 
@@ -35,15 +35,16 @@ func E10PriorityScheduling() *Report {
 		total      int64
 		during     int64
 		atHogStart int64
+		err        error
 	}
 	run := func(name string, nice int, out *res) {
 		k.Spawn(name, func(p *sim.Proc) {
 			c := fsys.NewClient(node, p)
-			if err := c.Create("/" + name); err != nil {
+			if out.err = c.Create("/" + name); out.err != nil {
 				return
 			}
 			for p.Now() < window {
-				if _, err := c.Stat("/" + name); err != nil {
+				if _, out.err = c.Stat("/" + name); out.err != nil {
 					return
 				}
 				node.ExecNice(p, 2*time.Microsecond, nice)
@@ -61,8 +62,10 @@ func E10PriorityScheduling() *Report {
 	run("nice0", 0, &hi)
 	run("nice10", 10, &lo)
 	if err := k.Run(); err != nil {
-		r.finding("run failed: %v", err)
-		return r
+		return r.fail(err)
+	}
+	if err := errors.Join(hi.err, lo.err); err != nil {
+		return r.fail(err)
 	}
 	hogSecs := (hogTo - hogFrom).Seconds()
 	r.row("nice 0 total ops", float64(hi.total), "ops", "6s window")
@@ -78,57 +81,22 @@ func E10PriorityScheduling() *Report {
 	return r
 }
 
-// e11PPNs are the intra-node process counts of the SMP sweep.
-var e11PPNs = map[int]bool{1: true, 2: true, 4: true, 8: true, 16: true, 32: true}
-
-// runSMP sweeps intra-node process counts with one cell per PPN point,
-// each on its own identically-seeded kernel (core.ParallelRunner).
-func runSMP(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) *results.Set {
-	pr := &core.ParallelRunner{
-		New: func(k *sim.Kernel) *core.Runner {
-			return &core.Runner{
-				Cluster:      cluster.NewSMP(k, 64),
-				FS:           mk(k),
-				Params:       core.Params{ProblemSize: 1200, WorkDir: "/bench"},
-				SlotsPerNode: 32,
-				Plugins:      []core.Plugin{core.MakeFiles{}},
-				Filter: func(c core.Combo) bool {
-					return c.Nodes == 1 && e11PPNs[c.PPN]
-				},
-			}
-		},
-		Seed:  seed,
-		Label: label,
-	}
-	set, err := pr.Run()
-	if err != nil {
-		return nil
-	}
-	return set
-}
-
 // E11SMPScaling reproduces §4.5.3: file creation on a large SMP partition
 // scales with intra-node process count on NFS but not on CXFS, whose
 // client-side metadata path serializes on the node token.
 func E11SMPScaling() *Report {
 	r := &Report{ID: "E11", Title: "Large-SMP intra-node scaling: CXFS vs NFS",
 		PaperRef: "§4.5.3"}
-	sets := parCells("E11", []string{"nfs", "cxfs"}, func(i int) *results.Set {
-		if i == 0 {
-			return runSMP(func(k *sim.Kernel) core.FileSystem {
-				return nfs.New(k, "home", nfs.DefaultConfig())
-			}, 1111, "E11/nfs")
-		}
-		return runSMP(func(k *sim.Kernel) core.FileSystem {
-			return cxfs.New(k, "cxfs", cxfs.DefaultConfig())
-		}, 1112, "E11/cxfs")
-	})
-	nfsSet, cxSet := sets[0], sets[1]
-	if nfsSet == nil || cxSet == nil {
-		r.finding("run failed")
-		return r
+	sets, err := createSweep("E11", []sweepFS{
+		{"nfs", 1111, func(k *sim.Kernel) core.FileSystem { return nfs.New(k, "home", nfs.DefaultConfig()) }},
+		{"cxfs", 1112, func(k *sim.Kernel) core.FileSystem { return cxfs.New(k, "cxfs", cxfs.DefaultConfig()) }},
+	}, []combo{{1, 1}, {1, 2}, {1, 4}, {1, 8}, {1, 16}, {1, 32}},
+		func(k *sim.Kernel) *cluster.Cluster { return cluster.NewSMP(k, 64) },
+		core.Params{ProblemSize: 1200, WorkDir: "/bench"})
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, nfsSet, cxSet)
+	nfsSet, cxSet := sets[0], sets[1]
 	for _, ppn := range []int{1, 8, 32} {
 		r.row(fmt.Sprintf("NFS creates/s @ ppn %d", ppn), stoneOf(nfsSet, "MakeFiles", 1, ppn), "ops/s", "")
 		r.row(fmt.Sprintf("CXFS creates/s @ ppn %d", ppn), stoneOf(cxSet, "MakeFiles", 1, ppn), "ops/s", "")

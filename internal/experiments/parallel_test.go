@@ -9,8 +9,9 @@ import (
 
 // cheapIDs is a fast cross-section of the suite used by the parallel
 // tests: plain parCells fan-out (E01), probe pairs (E18), a sweep with
-// shared state analyzed at merge time (E21) and a ParallelRunner sweep
-// (E11 is too slow here; E16 covers the per-cell-kernel discipline).
+// shared state analyzed at merge time (E21) and a sweep whose cells each
+// measure on a fresh, identically seeded kernel (E16; the E07, E11 and
+// E13 scaling sweeps are too slow here).
 var cheapIDs = map[string]bool{"E01": true, "E18": true, "E21": true, "E16": true}
 
 func cheapExperiments(t *testing.T) []Experiment {

@@ -10,6 +10,7 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/core"
 	"dmetabench/internal/results"
+	"dmetabench/internal/service"
 	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/workload"
@@ -69,7 +70,7 @@ type stageSpec struct {
 
 // stageCell is the outcome of one cell, counters read post-run.
 type stageCell struct {
-	set     *results.Set
+	stages  []*results.Measurement
 	aggOps  int64
 	aggShed int64
 	aggBusy time.Duration
@@ -77,7 +78,6 @@ type stageCell struct {
 	revokes int64
 	stale   int64
 	caps    shard.CapacityStats
-	err     string
 }
 
 // sheddedFrac is the fraction of background arrivals dropped by the
@@ -94,7 +94,7 @@ func (c *stageCell) shedFrac() float64 {
 // background attached and drives the staged probes over it. Everything
 // stochastic is seeded from spec.seed, so a cell is a pure function of
 // its spec — the byte-identity unit of the E31–E33 determinism tests.
-func runStageCell(sp stageSpec) stageCell {
+func runStageCell(sp stageSpec) (stageCell, error) {
 	k := sim.New(sp.seed)
 	cl := cluster.New(k, cluster.DefaultConfig(4))
 	fsys := newShardFS(k, "meta", sp.cfg)
@@ -128,10 +128,8 @@ func runStageCell(sp stageSpec) stageCell {
 		return fsys.ShardOfDir("/h" + strconv.Itoa(obj))
 	}
 	sources := agg.NewSources(model, sp.cfg.NumShards, lanes, route)
-	fsys.AttachAggregate(model.Tick, func(si, lane, tick int) shard.AggregateDemand {
-		d := sources[si*lanes+lane].Tick(int64(tick))
-		return shard.AggregateDemand{Getattr: d.Getattr, Lookup: d.Lookup,
-			Readdir: d.Readdir, Create: d.Create}
+	fsys.AttachAggregate(model.Tick, func(si, lane, tick int) service.Demand {
+		return sources[si*lanes+lane].Tick(int64(tick))
 	})
 	r := &core.StageRunner{
 		Cluster:  cl,
@@ -147,24 +145,35 @@ func runStageCell(sp stageSpec) stageCell {
 			return ops
 		},
 	}
-	set, err := r.Run()
-	c := stageCell{set: set}
+	stages, err := runStages(r)
 	if err != nil {
-		c.err = err.Error()
-		return c
+		return stageCell{}, err
 	}
+	c := stageCell{stages: stages}
 	c.aggOps, c.aggShed, c.aggBusy = fsys.AggCounts()
 	c.grants, c.revokes, c.stale = fsys.LeaseGrants, fsys.Revocations, fsys.StaleReads
 	c.caps = fsys.CapacityStats()
-	return c
+	return c, nil
+}
+
+// runStages runs r and returns its stage measurements, or the kernel's
+// error or the first rank error of any stage.
+func runStages(r *core.StageRunner) ([]*results.Measurement, error) {
+	set, err := r.Run()
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range set.Measurements {
+		if err := m.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return set.Measurements, nil
 }
 
 // stageMeasurement returns the cell's measurement for a stage name.
 func (c *stageCell) stageMeasurement(name string) *results.Measurement {
-	if c.set == nil {
-		return nil
-	}
-	for _, m := range c.set.Measurements {
+	for _, m := range c.stages {
 		if m.Op == name {
 			return m
 		}
@@ -215,26 +224,23 @@ func E31AggregateDay() *Report {
 			label:        "E31-" + label,
 		}
 	}
-	cells := parCells("E31", []string{"diurnal", "flash"}, func(i int) stageCell {
+	cells, err := parCells("E31", []string{"diurnal", "flash"}, func(i int) (stageCell, error) {
 		if i == 0 {
 			return runStageCell(mk(3101, false, "diurnal"))
 		}
 		return runStageCell(mk(3102, true, "flash"))
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	names := []string{"diurnal", "diurnal+flash"}
 	var series []charts.Series
 	for i := range cells {
 		c := &cells[i]
-		if c.err != "" || c.set == nil {
-			r.finding("cell %s failed: %s", names[i], c.err)
-			return r
-		}
-		r.Sets = append(r.Sets, c.set)
 		m := c.stageMeasurement("day")
 		w, ok := m.Window(0, period)
 		if !ok {
-			r.finding("cell %s produced no intervals", names[i])
-			return r
+			return r.fail(fmt.Errorf("cell %s produced no intervals", names[i]))
 		}
 		r.row(fmt.Sprintf("%-14s mean background", names[i]), w.MeanAuxRate/1000,
 			"kops/s", fmt.Sprintf("%d clients", clients))
@@ -333,7 +339,7 @@ func E32ForegroundTail() *Report {
 	interval := stageInterval(period, 60)
 	pops := []int{10_000, 100_000, 1_000_000}
 	names := []string{"10k", "100k", "1M"}
-	cells := parCells("E32", names, func(i int) stageCell {
+	cells, err := parCells("E32", names, func(i int) (stageCell, error) {
 		cfg := shard.DefaultConfig(8)
 		cfg.CacheMode = shard.CacheLease
 		cfg.TrackStaleness = true
@@ -354,14 +360,12 @@ func E32ForegroundTail() *Report {
 			label:   "E32-" + names[i],
 		})
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var p99s []float64
 	for i := range cells {
 		c := &cells[i]
-		if c.err != "" || c.set == nil {
-			r.finding("cell %s failed: %s", names[i], c.err)
-			return r
-		}
-		r.Sets = append(r.Sets, c.set)
 		priv, sh := c.stageMeasurement("private"), c.stageMeasurement("shared")
 		p99 := probeP99(sh)
 		p99s = append(p99s, p99)
@@ -414,7 +418,7 @@ func E33CapacityPressure() *Report {
 		_, err := c.FS.Stat(e32SharedFile(c.Rank, i%8))
 		return err
 	}
-	cells := parCells("E33", names, func(i int) stageCell {
+	cells, err := parCells("E33", names, func(i int) (stageCell, error) {
 		cfg := shard.DefaultConfig(8)
 		cfg.CacheMode = shard.CacheLease
 		cfg.SplitThreshold = 512
@@ -432,13 +436,11 @@ func E33CapacityPressure() *Report {
 			label:        "E33-" + names[i],
 		})
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	for i := range cells {
 		c := &cells[i]
-		if c.err != "" || c.set == nil {
-			r.finding("cell %s failed: %s", names[i], c.err)
-			return r
-		}
-		r.Sets = append(r.Sets, c.set)
 		st := c.caps
 		clientEntries := st.ClientAttrs + st.ClientDentries + st.ClientLeases +
 			st.ClientSplitDirs

@@ -10,43 +10,8 @@ import (
 	"dmetabench/internal/lustre"
 	"dmetabench/internal/namespace"
 	"dmetabench/internal/nfs"
-	"dmetabench/internal/results"
 	"dmetabench/internal/sim"
 )
-
-// e07Nodes are the node counts of the create-scaling sweep.
-var e07Nodes = map[int]bool{1: true, 2: true, 4: true, 8: true, 12: true, 16: true}
-
-// runCreateScaling sweeps the create-scaling plan with one cell per
-// (nodes, ppn) point: every cell gets a fresh, identically-seeded
-// kernel (core.ParallelRunner), so sweep points are independent and
-// fan out across the worker pool.
-func runCreateScaling(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) *results.Set {
-	pr := &core.ParallelRunner{
-		New: func(k *sim.Kernel) *core.Runner {
-			return &core.Runner{
-				Cluster:      cluster.New(k, cluster.DefaultConfig(16)),
-				FS:           mk(k),
-				Params:       core.Params{ProblemSize: 2000, WorkDir: "/bench"},
-				SlotsPerNode: 4,
-				Plugins:      []core.Plugin{core.MakeFiles{}},
-				Filter: func(c core.Combo) bool {
-					if c.PPN == 1 {
-						return e07Nodes[c.Nodes]
-					}
-					return c.Nodes == 16 && (c.PPN == 2 || c.PPN == 4)
-				},
-			}
-		},
-		Seed:  seed,
-		Label: label,
-	}
-	set, err := pr.Run()
-	if err != nil {
-		return nil
-	}
-	return set
-}
 
 // E07CreateScaling reproduces §4.3.2: file creation scaling of NFS vs
 // Lustre over node counts. The filer wins on absolute rate; both settle
@@ -54,24 +19,16 @@ func runCreateScaling(mk func(k *sim.Kernel) core.FileSystem, seed int64, label 
 func E07CreateScaling() *Report {
 	r := &Report{ID: "E07", Title: "NFS vs Lustre file creation scaling",
 		PaperRef: "§4.3.2"}
-	// Two nested fan-outs (one per file system), 8 sweep cells each; the
-	// pool interleaves all 16 cells freely.
-	sets := parCells("E07", []string{"nfs", "lustre"}, func(i int) *results.Set {
-		if i == 0 {
-			return runCreateScaling(func(k *sim.Kernel) core.FileSystem {
-				return nfs.New(k, "home", nfs.DefaultConfig())
-			}, 707, "E07/nfs")
-		}
-		return runCreateScaling(func(k *sim.Kernel) core.FileSystem {
-			return lustre.New(k, "scratch", lustre.DefaultConfig())
-		}, 708, "E07/lustre")
-	})
-	nfsSet, lusSet := sets[0], sets[1]
-	if nfsSet == nil || lusSet == nil {
-		r.finding("run failed")
-		return r
+	sets, err := createSweep("E07", []sweepFS{
+		{"nfs", 707, func(k *sim.Kernel) core.FileSystem { return nfs.New(k, "home", nfs.DefaultConfig()) }},
+		{"lustre", 708, func(k *sim.Kernel) core.FileSystem { return lustre.New(k, "scratch", lustre.DefaultConfig()) }},
+	}, []combo{{1, 1}, {2, 1}, {4, 1}, {8, 1}, {12, 1}, {16, 1}, {16, 2}, {16, 4}},
+		func(k *sim.Kernel) *cluster.Cluster { return cluster.New(k, cluster.DefaultConfig(16)) },
+		core.Params{ProblemSize: 2000, WorkDir: "/bench"})
+	if err != nil {
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, nfsSet, lusSet)
+	nfsSet, lusSet := sets[0], sets[1]
 	for _, n := range []int{1, 4, 16} {
 		r.row(fmt.Sprintf("NFS creates/s @ %d nodes x1", n), stoneOf(nfsSet, "MakeFiles", n, 1), "ops/s", "")
 		r.row(fmt.Sprintf("Lustre creates/s @ %d nodes x1", n), stoneOf(lusSet, "MakeFiles", n, 1), "ops/s", "")
@@ -96,34 +53,32 @@ func E07CreateScaling() *Report {
 func prefillRate(mk func(k *sim.Kernel) interface {
 	core.FileSystem
 	Namespace() *namespace.Namespace
-}, prefill, probe int) float64 {
+}, prefill, probe int) (float64, error) {
 	k := sim.New(int64(9000 + prefill))
 	cl := cluster.New(k, cluster.DefaultConfig(1))
 	fsys := mk(k)
 	ns := fsys.Namespace()
 	if _, err := ns.Mkdir("/big", 0o755, 0); err != nil {
-		return 0
+		return 0, err
 	}
 	for i := 0; i < prefill; i++ {
 		if _, err := ns.Create(fmt.Sprintf("/big/pre%d", i), 0o644, 0); err != nil {
-			return 0
+			return 0, err
 		}
 	}
 	var rate float64
-	k.Spawn("probe", func(p *sim.Proc) {
+	err := runProbe(k, "probe", func(p *sim.Proc) error {
 		c := fsys.NewClient(cl.Nodes[0], p)
 		start := p.Now()
 		for i := 0; i < probe; i++ {
 			if err := c.Create(fmt.Sprintf("/big/new%d", i)); err != nil {
-				return
+				return err
 			}
 		}
 		rate = float64(probe) / (p.Now() - start).Seconds()
+		return nil
 	})
-	if err := k.Run(); err != nil {
-		return 0
-	}
-	return rate
+	return rate, err
 }
 
 // E08LargeDirectories reproduces §4.3.3: sequential create rates degrade
@@ -168,23 +123,15 @@ func E08LargeDirectories() *Report {
 	// Parallel part: shared directory vs per-process directories on
 	// Lustre, 8 nodes x 1 process. Self-contained (own kernel, seed 881)
 	// so it runs as a cell alongside the prefill sweep.
-	sharedVsOwn := func(plugin core.Plugin, problem int) float64 {
+	sharedVsOwn := func(plugin core.Plugin, problem int) (float64, error) {
 		k := sim.New(881)
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := lustre.New(k, "scratch", lustre.DefaultConfig())
-		run := &core.Runner{
-			Cluster:      cl,
-			FS:           fsys,
-			Params:       core.Params{ProblemSize: problem, WorkDir: "/bench"},
-			SlotsPerNode: 1,
-			Plugins:      []core.Plugin{plugin},
-			Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 1 },
-		}
-		set, err := run.Run()
+		m, err := measure(cl, lustre.New(k, "scratch", lustre.DefaultConfig()), 8, 1,
+			core.Params{ProblemSize: problem, WorkDir: "/bench"}, plugin, nil)
 		if err != nil {
-			return 0
+			return 0, err
 		}
-		return stoneOf(set, plugin.Name(), 8, 1)
+		return m.Averages().Stonewall, nil
 	}
 
 	// One cell per (variant, size) prefill probe plus the two
@@ -197,7 +144,7 @@ func E08LargeDirectories() *Report {
 		}
 	}
 	names = append(names, "shared-dir", "own-dirs")
-	vals := parCells("E08", names, func(i int) float64 {
+	vals, err := parCells("E08", names, func(i int) (float64, error) {
 		switch {
 		case i < nProbe:
 			return prefillRate(variants[i/len(sizes)].mk, sizes[i%len(sizes)], probe)
@@ -207,6 +154,9 @@ func E08LargeDirectories() *Report {
 			return sharedVsOwn(core.MakeFiles{}, 1000) // 1000 per proc, own dirs
 		}
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	rates := make(map[string][]float64)
 	for vi, v := range variants {
 		for si, s := range sizes {
@@ -217,20 +167,16 @@ func E08LargeDirectories() *Report {
 	}
 	lin := rates["NFS (linear dirs)"]
 	hash := rates["NFS/WAFL (hash dirs)"]
-	if len(lin) == 3 && len(hash) == 3 && lin[2] > 0 {
-		r.finding("paper: hashed/tree directory indexes keep large directories "+
-			"usable while linear scans collapse; here the linear variant loses "+
-			"%.0fx from 1k to 100k entries while the hash variant loses %.1f%%",
-			lin[0]/lin[2], 100*(1-hash[2]/hash[0]))
-	}
+	r.finding("paper: hashed/tree directory indexes keep large directories "+
+		"usable while linear scans collapse; here the linear variant loses "+
+		"%.0fx from 1k to 100k entries while the hash variant loses %.1f%%",
+		lin[0]/lin[2], 100*(1-hash[2]/hash[0]))
 
 	shared, own := vals[nProbe], vals[nProbe+1]
 	r.row("Lustre 8x1, one shared directory", shared, "ops/s", "MakeOnedirFiles")
 	r.row("Lustre 8x1, per-process directories", own, "ops/s", "MakeFiles")
-	if shared > 0 {
-		r.finding("paper: parallel creates in one directory serialize on the "+
-			"directory lock; here per-process directories are %.1fx faster", own/shared)
-	}
+	r.finding("paper: parallel creates in one directory serialize on the "+
+		"directory lock; here per-process directories are %.1fx faster", own/shared)
 	return r
 }
 
@@ -248,23 +194,9 @@ func E09AllocationBursts() *Report {
 	cfg.PreallocBatch = 256
 	cfg.OSSRefillService = 40 * time.Millisecond
 	fsys := lustre.New(k, "scratch", cfg)
-	run := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: 3000, WorkDir: "/bench"},
-		SlotsPerNode: 1,
-		Plugins:      []core.Plugin{core.MakeFiles{}},
-	}
-	set, err := run.Run()
+	m, err := measure(cl, fsys, 1, 1, core.Params{ProblemSize: 3000, WorkDir: "/bench"}, core.MakeFiles{}, nil)
 	if err != nil {
-		r.finding("run failed: %v", err)
-		return r
-	}
-	r.Sets = append(r.Sets, set)
-	m := set.Find("MakeFiles", 1, 1)
-	if m == nil {
-		r.finding("measurement missing")
-		return r
+		return r.fail(err)
 	}
 	var sum, min float64
 	min = 1e18

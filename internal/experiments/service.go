@@ -23,10 +23,9 @@ import (
 // e35Cell is one E35 run: the filer under an aggregate background
 // population, probed by the stage harness.
 type e35Cell struct {
-	set     *results.Set
+	day     *results.Measurement
 	aggOps  int64
 	aggShed int64
-	err     string
 }
 
 func (c *e35Cell) shedFrac() float64 {
@@ -41,7 +40,7 @@ func (c *e35Cell) shedFrac() float64 {
 // background arrivals (diurnal-modulated) injected into the filer's
 // thread pool, four fully-simulated probes measuring the foreground
 // tail. The injector lanes run as daemon tasks on the filer's kernel.
-func runE35Cell(seed int64, clients int, period, interval time.Duration, label string) e35Cell {
+func runE35Cell(seed int64, clients int, period, interval time.Duration, label string) (e35Cell, error) {
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(4))
 	cfg := nfs.DefaultConfig()
@@ -61,9 +60,7 @@ func runE35Cell(seed int64, clients int, period, interval time.Duration, label s
 		}
 		sources := agg.NewSources(model, 1, lanes, func(int) int { return 0 })
 		fsys.AttachAggregate(model.Tick, func(_, lane, tick int) service.Demand {
-			d := sources[lane].Tick(int64(tick))
-			return service.Demand{Getattr: d.Getattr, Lookup: d.Lookup,
-				Readdir: d.Readdir, Create: d.Create}
+			return sources[lane].Tick(int64(tick))
 		})
 	}
 	r := &core.StageRunner{
@@ -79,14 +76,13 @@ func runE35Cell(seed int64, clients int, period, interval time.Duration, label s
 			return ops
 		},
 	}
-	set, err := r.Run()
-	c := e35Cell{set: set}
+	stages, err := runStages(r)
 	if err != nil {
-		c.err = err.Error()
-		return c
+		return e35Cell{}, err
 	}
+	c := e35Cell{day: stages[0]}
 	c.aggOps, c.aggShed, _ = fsys.AggCounts()
-	return c
+	return c, nil
 }
 
 // E35FilerAtScale puts the paper's workhorse — one NFS filer — under a
@@ -103,26 +99,20 @@ func E35FilerAtScale() *Report {
 	period := periodOr(3 * time.Hour)
 	interval := stageInterval(period, 180)
 	const clients = 1_000_000
-	cells := parCells("E35", []string{"quiet", "loaded"}, func(i int) e35Cell {
+	cells, err := parCells("E35", []string{"quiet", "loaded"}, func(i int) (e35Cell, error) {
 		if i == 0 {
 			return runE35Cell(3501, 0, period, interval, "E35-quiet")
 		}
 		return runE35Cell(3502, clients, period, interval, "E35-loaded")
 	})
-	q, l := &cells[0], &cells[1]
-	for i, c := range cells {
-		if c.err != "" || c.set == nil {
-			r.finding("cell %d failed: %s", i, c.err)
-			return r
-		}
-		r.Sets = append(r.Sets, c.set)
+	if err != nil {
+		return r.fail(err)
 	}
-	qm, lm := q.set.Measurements[0], l.set.Measurements[0]
+	l, lm, qm := &cells[1], cells[1].day, cells[0].day
 	lw, ok := lm.Window(0, period)
 	qw, qok := qm.Window(0, period)
 	if !ok || !qok {
-		r.finding("day produced no intervals")
-		return r
+		return r.fail(fmt.Errorf("day produced no intervals"))
 	}
 	r.row("offered background", float64(clients)*0.1*0.5/1000, "kops/s",
 		fmt.Sprintf("%d clients x 0.1 ops/s x 50%% active", clients))

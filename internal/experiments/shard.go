@@ -37,26 +37,15 @@ func e16SubtreeAssign(n int) map[string]int {
 	return m
 }
 
-// runSharded executes the shard workload on a 16-node x 4-process
+// runSharded measures the shard workload on a 16-node x 4-process
 // cluster (64 workers: enough demand to oversubscribe a small shard
-// count) and returns the result set plus the FS for counter readout.
-func runSharded(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*results.Set, *shard.FS) {
+// count) and returns the measurement plus the FS for counter readout.
+func runSharded(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*results.Measurement, *shard.FS, error) {
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(16))
 	fsys := newShardFS(k, "meta", cfg)
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: problem, WorkDir: "/"},
-		SlotsPerNode: 4,
-		Plugins:      []core.Plugin{plugin},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 16 && c.PPN == 4 },
-	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, fsys
-	}
-	return set, fsys
+	m, err := measure(cl, fsys, 16, 4, core.Params{ProblemSize: problem, WorkDir: "/"}, plugin, nil)
+	return m, fsys, err
 }
 
 // E16ShardScaling sweeps the shard count 1→16 under a fixed 32-process
@@ -73,7 +62,6 @@ func E16ShardScaling() *Report {
 	// variable between cells is the shard count, not the storage service
 	// jitter.
 	type e16cell struct {
-		set   *results.Set
 		rate  float64
 		cross int64
 	}
@@ -81,23 +69,21 @@ func E16ShardScaling() *Report {
 	for i, n := range shardsSwept {
 		names[i] = fmt.Sprintf("%dshards", n)
 	}
-	cells := parCells("E16", names, func(i int) e16cell {
-		set, fsys := runSharded(1600, shard.DefaultConfig(shardsSwept[i]), plugin, 500)
-		if set == nil {
-			return e16cell{}
+	cells, err := parCells("E16", names, func(i int) (e16cell, error) {
+		m, fsys, err := runSharded(1600, shard.DefaultConfig(shardsSwept[i]), plugin, 500)
+		if err != nil {
+			return e16cell{}, err
 		}
-		return e16cell{set: set, rate: wallOf(set, plugin.Name(), 16, 4), cross: fsys.CrossCount}
+		return e16cell{rate: wallOf(m), cross: fsys.CrossCount}, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, ys []float64
 	var rates []float64
 	var crosses []int64
 	for i, n := range shardsSwept {
 		c := cells[i]
-		if c.set == nil {
-			r.finding("run failed at %d shards", n)
-			return r
-		}
-		r.Sets = append(r.Sets, c.set)
 		rates = append(rates, c.rate)
 		crosses = append(crosses, c.cross)
 		xs = append(xs, float64(n))
@@ -145,14 +131,13 @@ func E17ShardSkew() *Report {
 	type cell struct {
 		rate      float64
 		imbalance float64
-		set       *results.Set
 	}
-	// measure is one cell: it runs on its own kernel and touches nothing
-	// shared — sets are collected by the merge loop below, in cell order.
-	measure := func(p shard.Policy, skew float64, seed int64) cell {
-		set, fsys := runSharded(seed, mkCfg(p), e16Workload(skew), 400)
-		if set == nil {
-			return cell{}
+	// run is one cell: it runs on its own kernel and touches nothing
+	// shared.
+	run := func(p shard.Policy, skew float64, seed int64) (cell, error) {
+		m, fsys, err := runSharded(seed, mkCfg(p), e16Workload(skew), 400)
+		if err != nil {
+			return cell{}, err
 		}
 		ops := fsys.ShardOps()
 		var max, sum int64
@@ -162,29 +147,27 @@ func E17ShardSkew() *Report {
 				max = n
 			}
 		}
-		c := cell{rate: wallOf(set, "ZipfDirFiles", 16, 4), set: set}
+		c := cell{rate: wallOf(m)}
 		if sum > 0 {
 			c.imbalance = float64(max) * float64(len(ops)) / float64(sum)
 		}
-		return c
+		return c, nil
 	}
-	cells := parCells("E17", []string{"hash-uniform", "subtree-uniform",
-		"hash-zipf", "subtree-zipf"}, func(i int) cell {
+	cells, err := parCells("E17", []string{"hash-uniform", "subtree-uniform",
+		"hash-zipf", "subtree-zipf"}, func(i int) (cell, error) {
 		switch i {
 		case 0:
-			return measure(shard.PlaceHashDir, 0, 1701)
+			return run(shard.PlaceHashDir, 0, 1701)
 		case 1:
-			return measure(shard.PlaceSubtree, 0, 1702)
+			return run(shard.PlaceSubtree, 0, 1702)
 		case 2:
-			return measure(shard.PlaceHashDir, 2.0, 1703)
+			return run(shard.PlaceHashDir, 2.0, 1703)
 		default:
-			return measure(shard.PlaceSubtree, 2.0, 1704)
+			return run(shard.PlaceSubtree, 2.0, 1704)
 		}
 	})
-	for _, c := range cells {
-		if c.set != nil {
-			r.Sets = append(r.Sets, c.set)
-		}
+	if err != nil {
+		return r.fail(err)
 	}
 	hashU, subU, hashZ, subZ := cells[0], cells[1], cells[2], cells[3]
 	r.row("hash placement, uniform", hashU.rate, "ops/s",
@@ -195,18 +178,14 @@ func E17ShardSkew() *Report {
 		fmt.Sprintf("hottest shard %.1fx mean", hashZ.imbalance))
 	r.row("subtree placement, Zipf 2.0", subZ.rate, "ops/s",
 		fmt.Sprintf("hottest shard %.1fx mean", subZ.imbalance))
-	if subZ.rate > 0 && hashU.rate > 0 {
-		r.row("hash advantage under skew", hashZ.rate/subZ.rate, "x", "")
-		r.row("subtree advantage under uniform", subU.rate/hashU.rate, "x", "")
-		r.finding("related work: hash partitioning absorbs popularity skew that "+
-			"subtree placement concentrates (hottest shard %.1fx mean vs %.1fx); "+
-			"here hash wins %.2fx under Zipf skew while subtree wins %.2fx under "+
-			"uniform load by avoiding replicated directory mutations",
-			hashZ.imbalance, subZ.imbalance,
-			hashZ.rate/subZ.rate, subU.rate/hashU.rate)
-	} else {
-		r.finding("run failed")
-	}
+	r.row("hash advantage under skew", hashZ.rate/subZ.rate, "x", "")
+	r.row("subtree advantage under uniform", subU.rate/hashU.rate, "x", "")
+	r.finding("related work: hash partitioning absorbs popularity skew that "+
+		"subtree placement concentrates (hottest shard %.1fx mean vs %.1fx); "+
+		"here hash wins %.2fx under Zipf skew while subtree wins %.2fx under "+
+		"uniform load by avoiding replicated directory mutations",
+		hashZ.imbalance, subZ.imbalance,
+		hashZ.rate/subZ.rate, subU.rate/hashU.rate)
 	return r
 }
 
@@ -220,12 +199,9 @@ func E18CrossShard() *Report {
 	const ops = 200
 
 	// Part 1 cell: same-shard vs. cross-shard rename on hash placement.
-	type renameProbe struct {
-		sameAvg, crossAvg time.Duration
-		crossings         int64
-		err               error
-	}
-	probeRename := func() renameProbe {
+	var sameAvg, crossAvg time.Duration
+	var crossings int64
+	probeRename := func() error {
 		k := sim.New(1801)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := newShardFS(k, "meta", shard.DefaultConfig(8))
@@ -243,109 +219,93 @@ func E18CrossShard() *Report {
 				remote = cand
 			}
 		}
-		var sameAvg, crossAvg time.Duration
-		k.Spawn("probe", func(p *sim.Proc) {
+		err := runProbe(k, "probe", func(p *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], p)
 			for _, d := range []string{base, local, remote} {
 				if err := c.Mkdir(d); err != nil {
-					return
+					return err
 				}
 			}
 			for i := 0; i < ops; i++ {
 				if err := c.Create(fmt.Sprintf("%s/f%d", base, i)); err != nil {
-					return
+					return err
 				}
 			}
 			start := p.Now()
 			for i := 0; i < ops; i++ {
 				if err := c.Rename(fmt.Sprintf("%s/f%d", base, i), fmt.Sprintf("%s/f%d", local, i)); err != nil {
-					return
+					return err
 				}
 			}
 			sameAvg = (p.Now() - start) / ops
 			start = p.Now()
 			for i := 0; i < ops; i++ {
 				if err := c.Rename(fmt.Sprintf("%s/f%d", local, i), fmt.Sprintf("%s/f%d", remote, i)); err != nil {
-					return
+					return err
 				}
 			}
 			crossAvg = (p.Now() - start) / ops
+			return nil
 		})
-		err := k.Run()
-		return renameProbe{sameAvg, crossAvg, fsys.CrossCount, err}
+		crossings = fsys.CrossCount
+		return err
 	}
 
 	// Part 2 cell: root readdir under subtree placement merges all
 	// shards; a subtree-local listing stays on one.
-	type readdirProbe struct {
-		rootAvg, localAvg time.Duration
-		err               error
-	}
-	probeReaddir := func() readdirProbe {
-		k2 := sim.New(1802)
-		cl2 := cluster.New(k2, cluster.DefaultConfig(1))
+	var rootAvg, localAvg time.Duration
+	probeReaddir := func() error {
+		k := sim.New(1802)
+		cl := cluster.New(k, cluster.DefaultConfig(1))
 		cfg := shard.DefaultConfig(8)
 		cfg.Placement = shard.PlaceSubtree
 		cfg.SubtreeAssign = e16SubtreeAssign(8)
-		fsys2 := newShardFS(k2, "meta", cfg)
-		var rootAvg, localAvg time.Duration
-		k2.Spawn("readdir", func(p *sim.Proc) {
-			c := fsys2.NewClient(cl2.Nodes[0], p)
+		fsys := newShardFS(k, "meta", cfg)
+		return runProbe(k, "readdir", func(p *sim.Proc) error {
+			c := fsys.NewClient(cl.Nodes[0], p)
 			for j := 0; j < 24; j++ {
 				if err := c.Mkdir(fmt.Sprintf("/zp%d", j)); err != nil {
-					return
+					return err
 				}
 			}
 			for i := 0; i < 32; i++ {
 				if err := c.Create(fmt.Sprintf("/zp0/f%d", i)); err != nil {
-					return
+					return err
 				}
 			}
 			start := p.Now()
 			for i := 0; i < ops; i++ {
 				if _, err := c.ReadDir("/"); err != nil {
-					return
+					return err
 				}
 			}
 			rootAvg = (p.Now() - start) / ops
 			start = p.Now()
 			for i := 0; i < ops; i++ {
 				if _, err := c.ReadDir("/zp0"); err != nil {
-					return
+					return err
 				}
 			}
 			localAvg = (p.Now() - start) / ops
+			return nil
 		})
-		err := k2.Run()
-		return readdirProbe{rootAvg, localAvg, err}
 	}
 
-	// Both probes write only their own slot; merge in declaration order.
-	var ren renameProbe
-	var rd readdirProbe
-	parCells("E18", []string{"rename", "readdir"}, func(i int) struct{} {
+	// Each probe writes only its own variables; parCells has joined both
+	// before they are read below.
+	if _, err := parCells("E18", []string{"rename", "readdir"}, func(i int) (struct{}, error) {
 		if i == 0 {
-			ren = probeRename()
-		} else {
-			rd = probeReaddir()
+			return struct{}{}, probeRename()
 		}
-		return struct{}{}
-	})
-	sameAvg, crossAvg := ren.sameAvg, ren.crossAvg
-	if ren.err != nil || sameAvg == 0 || crossAvg == 0 {
-		r.finding("rename probe failed (err=%v)", ren.err)
-		return r
+		return struct{}{}, probeReaddir()
+	}); err != nil {
+		return r.fail(err)
 	}
 	r.row("same-shard rename", float64(sameAvg.Microseconds()), "us", "hash placement, 8 shards")
 	r.row("cross-shard rename", float64(crossAvg.Microseconds()), "us", "migrate + interconnect hop")
 	r.row("cross-shard rename penalty", float64(crossAvg)/float64(sameAvg), "x", "")
-	r.row("interconnect crossings", float64(ren.crossings), "", "")
+	r.row("interconnect crossings", float64(crossings), "", "")
 
-	rootAvg, localAvg := rd.rootAvg, rd.localAvg
-	if rd.err != nil || rootAvg == 0 || localAvg == 0 {
-		r.finding("readdir probe failed (err=%v)", rd.err)
-		return r
-	}
 	r.row("root readdir (8-shard merge)", float64(rootAvg.Microseconds()), "us", "subtree placement")
 	r.row("subtree-local readdir", float64(localAvg.Microseconds()), "us", "")
 	r.row("merge penalty", float64(rootAvg)/float64(localAvg), "x", "")

@@ -27,45 +27,30 @@ func E15WritebackCaching() *Report {
 
 	// Two cells: the write-back run and its synchronous reference.
 	type e15cell struct {
-		set  *results.Set
-		err  error
+		m    *results.Measurement
 		rate float64
 	}
-	cells := parCells("E15", []string{"writeback", "sync-ref"}, func(i int) e15cell {
+	cells, err := parCells("E15", []string{"writeback", "sync-ref"}, func(i int) (e15cell, error) {
 		if i == 1 {
 			// Synchronous reference: the same hardware without write-back.
-			return e15cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
+			rate, err := singleProc(func(k *sim.Kernel) core.FileSystem {
 				return lustre.New(k, "scratch", lustre.DefaultConfig())
-			}, core.MakeFiles{}, 800, 1502)}
+			}, core.MakeFiles{}, core.Params{ProblemSize: 800, WorkDir: "/bench"}, 1502)
+			return e15cell{rate: rate}, err
 		}
 		k := sim.New(1501)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		run := &core.Runner{
-			Cluster: cl,
-			FS:      lustre.New(k, "scratch", cfg),
-			Params: core.Params{
-				ProblemSize: 50000, // one directory; no rotation inside the window
-				TimeLimit:   window,
-				WorkDir:     "/bench",
-			},
-			SlotsPerNode: 1,
-			Plugins:      []core.Plugin{core.MakeFiles{}},
-		}
-		set, err := run.Run()
-		return e15cell{set: set, err: err}
+		m, err := measure(cl, lustre.New(k, "scratch", cfg), 1, 1, core.Params{
+			ProblemSize: 50000, // one directory; no rotation inside the window
+			TimeLimit:   window,
+			WorkDir:     "/bench",
+		}, core.MakeFiles{}, nil)
+		return e15cell{m: m}, err
 	})
-	set, err := cells[0].set, cells[0].err
-	syncRate := cells[1].rate
 	if err != nil {
-		r.finding("run failed: %v", err)
-		return r
+		return r.fail(err)
 	}
-	r.Sets = append(r.Sets, set)
-	m := set.Find("MakeFiles", 1, 1)
-	if m == nil {
-		r.finding("measurement missing")
-		return r
-	}
+	m, syncRate := cells[0].m, cells[1].rate
 	burst := windowThroughput(m, 0, 200*time.Millisecond)
 	sustained := windowThroughput(m, 4*time.Second, window)
 

@@ -16,7 +16,6 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/namespace"
-	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/simnet"
 	"dmetabench/internal/storage"
@@ -106,12 +105,6 @@ type FS struct {
 	// RefillCount counts synchronous OSS refill RPCs (test observability).
 	RefillCount int
 	rpcs        int64
-
-	// aggOps/aggShed/aggBusy count background demand injected through
-	// AttachAggregate (operations, shed operations, busy nanoseconds).
-	aggOps  int64
-	aggShed int64
-	aggBusy int64
 }
 
 // wbState is per-node client state: the name cache plus the write-back
@@ -149,48 +142,6 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		f.ossConn = append(f.ossConn, simnet.NewConn(k, srv, cfg.OneWayLatency, 0))
 	}
 	return f
-}
-
-// AttachAggregate starts the background injector (internal/service):
-// MDSThreads daemon lanes on the MDS's kernel, each drawing
-// src(0, lane, tick) in strict tick order and occupying one MDS thread
-// for the priced duration — analytically modeled client populations
-// (internal/agg) loading the single MDS without per-client state. Call
-// before the kernel runs.
-func (f *FS) AttachAggregate(tick time.Duration, src func(server, lane, tick int) service.Demand) {
-	service.AttachAggregate(service.AggregateConfig{
-		Servers: 1,
-		Lanes:   f.cfg.MDSThreads,
-		Tick:    tick,
-		Kernel:  func(int) *sim.Kernel { return f.k },
-		Pool:    func(int) *sim.Resource { return f.mds.Threads },
-		Source:  src,
-		Price:   func(_ int, d service.Demand) time.Duration { return f.priceAggregate(d) },
-		Ops:     &f.aggOps,
-		Shed:    &f.aggShed,
-		Busy:    &f.aggBusy,
-	})
-}
-
-// AggCounts returns injected / shed operation counts and cumulative
-// injected service time.
-func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) {
-	return service.LoadI64(&f.aggOps), service.LoadI64(&f.aggShed),
-		time.Duration(service.LoadI64(&f.aggBusy))
-}
-
-// priceAggregate prices one demand batch at the MDS's base per-class
-// RPC costs (the model has no Lustre LOOKUP class; lookups price as
-// GETATTRs). Directory-index and journal factors are not applied — the
-// analytic stream has no concrete directories — which prices the
-// background conservatively.
-func (f *FS) priceAggregate(d service.Demand) time.Duration {
-	return service.PriceTable{
-		Getattr: f.cfg.GetattrService,
-		Lookup:  f.cfg.GetattrService,
-		Readdir: f.cfg.ReaddirService,
-		Create:  f.cfg.CreateService,
-	}.Price(d)
 }
 
 // Name identifies the model.

@@ -9,9 +9,9 @@
 // SetWorkers, from cmd/experiments -j). Do is safe to nest: when every
 // token is taken, a cell simply runs inline on the calling goroutine
 // instead of waiting for a token that an enclosing Do may be holding,
-// so nested fan-outs (an experiment whose cells are themselves
-// core.ParallelRunner plans) cannot deadlock and total concurrency
-// stays bounded by the worker count.
+// so nested fan-outs (the suite's experiments, each fanning out its own
+// cells) cannot deadlock and total concurrency stays bounded by the
+// worker count.
 package par
 
 import (

@@ -96,7 +96,7 @@ func TestRealRunnerLocal(t *testing.T) {
 		t.Fatalf("measurements = %d", len(set.Measurements))
 	}
 	for _, m := range set.Measurements {
-		if m.Failed() {
+		if m.Err() != nil {
 			t.Fatalf("%s failed: %v", m.Op, m.Errors)
 		}
 		if m.TotalOps() != int64(300*3) {
@@ -136,7 +136,7 @@ func TestRealRunnerPlugins(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := set.Measurements[0]
-	if m.Failed() || m.Op != "MakeFiles100byte" || m.TotalOps() != 40 {
+	if m.Err() != nil || m.Op != "MakeFiles100byte" || m.TotalOps() != 40 {
 		t.Fatalf("%s: ops = %d, errors %v", m.Op, m.TotalOps(), m.Errors)
 	}
 	if m.Nodes != 1 || m.PPN != 2 || m.Traces[0].Host != "localhost" {
@@ -173,7 +173,7 @@ func TestRealRunnerPathListPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := set.Measurements[0]
-	if m.Failed() {
+	if m.Err() != nil {
 		t.Fatalf("%s failed: %v", m.Op, m.Errors)
 	}
 	if m.TotalOps() != 100 {
@@ -217,7 +217,7 @@ func TestRPCMasterPathList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meas := set.Measurements[0]; meas.Failed() || meas.TotalOps() != 100 {
+	if meas := set.Measurements[0]; meas.Err() != nil || meas.TotalOps() != 100 {
 		t.Fatalf("ops = %d, errors %v", meas.TotalOps(), meas.Errors)
 	}
 	// Cleanup removes each rank's directory, not its parent.
@@ -249,7 +249,7 @@ func TestRPCMasterWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, meas := range set.Measurements {
-		if meas.Failed() {
+		if meas.Err() != nil {
 			t.Fatalf("%s failed: %v", meas.Op, meas.Errors)
 		}
 		if meas.Nodes != 2 {

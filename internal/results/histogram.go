@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 	"time"
 )
 
@@ -104,29 +103,4 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50<=%v p99<=%v max=%v",
 		h.count, h.Mean(), h.Percentile(0.50), h.Percentile(0.99), h.Max())
-}
-
-// Bars renders an ASCII histogram of the populated buckets.
-func (h *Histogram) Bars(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	var peak int64
-	for _, n := range h.buckets {
-		if n > peak {
-			peak = n
-		}
-	}
-	if peak == 0 {
-		return "(empty)\n"
-	}
-	var b strings.Builder
-	for i, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		bar := int(float64(n) / float64(peak) * float64(width))
-		fmt.Fprintf(&b, "%10v |%-*s %d\n", bucketUpper(i), width, strings.Repeat("#", bar), n)
-	}
-	return b.String()
 }

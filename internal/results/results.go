@@ -71,14 +71,15 @@ func (m *Measurement) TotalOps() int64 {
 	return n
 }
 
-// Failed reports whether any process recorded an error.
-func (m *Measurement) Failed() bool {
-	for _, e := range m.Errors {
+// Err returns nil, or the first rank's error, naming the operation,
+// the nodes x ppn combination and the rank.
+func (m *Measurement) Err() error {
+	for rank, e := range m.Errors {
 		if e != "" {
-			return true
+			return fmt.Errorf("%s %dx%d: rank %d: %s", m.Op, m.Nodes, m.PPN, rank, e)
 		}
 	}
-	return false
+	return nil
 }
 
 // doneAt returns trace t's cumulative count at tick i (clamped).
@@ -244,20 +245,6 @@ func NewSet(label, fsName string, interval time.Duration) *Set {
 
 // Add appends a measurement.
 func (s *Set) Add(m *Measurement) { s.Measurements = append(s.Measurements, m) }
-
-// Merge appends measurements in slice order, skipping nil slots. This
-// is the deterministic-merge step of parallel cell execution: cells
-// complete in arbitrary real-time order but deposit into
-// index-addressed slots, and the slot order — the serial plan order —
-// is what defines the set, so the merged set is identical at any
-// worker count.
-func (s *Set) Merge(ms []*Measurement) {
-	for _, m := range ms {
-		if m != nil {
-			s.Measurements = append(s.Measurements, m)
-		}
-	}
-}
 
 // Find returns the measurement for (op, nodes, ppn), or nil.
 func (s *Set) Find(op string, nodes, ppn int) *Measurement {

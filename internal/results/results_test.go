@@ -162,12 +162,17 @@ func TestWriteSummaryFormat(t *testing.T) {
 
 func TestFailedMeasurement(t *testing.T) {
 	m := paperExample()
-	if m.Failed() {
-		t.Fatal("clean measurement reported failed")
+	if err := m.Err(); err != nil {
+		t.Fatalf("clean measurement reported %v", err)
 	}
 	m.Errors[2] = "dobench: boom"
-	if !m.Failed() {
+	m.Errors[3] = "dobench: later"
+	err := m.Err()
+	if err == nil {
 		t.Fatal("error not reported")
+	}
+	if want := "StatNocacheFiles 2x2: rank 2: dobench: boom"; err.Error() != want {
+		t.Fatalf("Err() = %q, want %q", err, want)
 	}
 }
 

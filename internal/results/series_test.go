@@ -156,10 +156,8 @@ func TestSaveSeriesFiles(t *testing.T) {
 		Traces: []Trace{{Host: "n0", Op: "create", Proc: 0, Done: []int64{10}, Final: 10, FinishedAt: time.Minute}},
 		Errors: []string{""},
 	}
-	set.Merge([]*Measurement{stage, nil, classic}) // nil slot: a skipped cell
-	if len(set.Measurements) != 2 || set.Measurements[0].Series == nil {
-		t.Fatalf("Merge lost measurements or series: %d", len(set.Measurements))
-	}
+	set.Add(stage)
+	set.Add(classic)
 	if err := set.Save(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Package service holds the server-side pieces the FS models (shard,
-// nfs, lustre) share:
+// Package service holds the server-side pieces the FS models (shard and
+// nfs) share:
 //
 //   - Per-class op pricing (PriceTable): the base service times the
 //     cost models charge per operation class, shared between foreground

@@ -9,6 +9,7 @@ import (
 	"dmetabench/internal/agg"
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/workload"
 )
@@ -169,10 +170,8 @@ func attachMillionClients(f *FS, shards int) {
 	}
 	sources := agg.NewSources(model, shards, lanes,
 		func(obj int) int { return obj % shards })
-	f.AttachAggregate(model.Tick, func(si, lane, tick int) AggregateDemand {
-		d := sources[si*lanes+lane].Tick(int64(tick))
-		return AggregateDemand{Getattr: d.Getattr, Lookup: d.Lookup,
-			Readdir: d.Readdir, Create: d.Create}
+	f.AttachAggregate(model.Tick, func(si, lane, tick int) service.Demand {
+		return sources[si*lanes+lane].Tick(int64(tick))
 	})
 }
 

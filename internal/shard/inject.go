@@ -22,11 +22,6 @@ import (
 	"dmetabench/internal/sim"
 )
 
-// AggregateDemand is one tick's background arrivals for one injector
-// lane, by operation class. The classes map onto the priced service
-// kinds of the cost model (Config.GetattrService etc.).
-type AggregateDemand = service.Demand
-
 // AttachAggregate starts the background injector: ShardThreads daemon
 // lanes per shard, each calling src(shard, lane, tick) once per tick in
 // strictly increasing tick order and occupying one server of the
@@ -36,7 +31,7 @@ type AggregateDemand = service.Demand
 // called concurrently for shards in different domains, so per-(shard,
 // lane) source state must not be shared across shards (internal/agg's
 // replicated-stream design).
-func (f *FS) AttachAggregate(tick time.Duration, src func(shard, lane, tick int) AggregateDemand) {
+func (f *FS) AttachAggregate(tick time.Duration, src func(shard, lane, tick int) service.Demand) {
 	service.AttachAggregate(service.AggregateConfig{
 		Servers: len(f.shards),
 		Lanes:   f.cfg.ShardThreads,
@@ -44,7 +39,7 @@ func (f *FS) AttachAggregate(tick time.Duration, src func(shard, lane, tick int)
 		Kernel:  f.kFor,
 		Pool:    func(i int) *sim.Resource { return f.shards[i].srv.Threads },
 		Source:  src,
-		Price:   func(i int, d AggregateDemand) time.Duration { return f.priceAggregate(f.shards[i], d) },
+		Price:   func(i int, d service.Demand) time.Duration { return f.priceAggregate(f.shards[i], d) },
 		Ops:     &f.AggOps,
 		Shed:    &f.AggShedOps,
 		Busy:    &f.AggBusy,
@@ -67,7 +62,7 @@ func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) {
 // directory-index and backend factors are deliberately not applied —
 // the analytic stream has no concrete directories — which prices the
 // background conservatively.
-func (f *FS) priceAggregate(sh *shardSrv, d AggregateDemand) time.Duration {
+func (f *FS) priceAggregate(sh *shardSrv, d service.Demand) time.Duration {
 	base := f.priceTable().Price(d)
 	if base <= 0 {
 		return 0

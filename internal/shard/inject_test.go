@@ -5,13 +5,14 @@ import (
 	"time"
 
 	"dmetabench/internal/cluster"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 )
 
 // constDemand returns a source that yields the same demand on every
 // (shard, lane, tick).
-func constDemand(d AggregateDemand) func(int, int, int) AggregateDemand {
-	return func(_, _, _ int) AggregateDemand { return d }
+func constDemand(d service.Demand) func(int, int, int) service.Demand {
+	return func(_, _, _ int) service.Demand { return d }
 }
 
 // TestAggregateInjectCounts runs an underloaded injector for a fixed
@@ -24,7 +25,7 @@ func TestAggregateInjectCounts(t *testing.T) {
 	f := New(k, "inj", cfg)
 	const tick = 10 * time.Millisecond
 	// 10 getattrs/lane/tick cost 400us base — 4% of a tick per lane.
-	f.AttachAggregate(tick, constDemand(AggregateDemand{Getattr: 10}))
+	f.AttachAggregate(tick, constDemand(service.Demand{Getattr: 10}))
 	k.Spawn("horizon", func(p *sim.Proc) { p.Sleep(100 * time.Millisecond) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func TestAggregateInjectSheds(t *testing.T) {
 	f := New(k, "shed", cfg)
 	const tick = time.Millisecond
 	// 1000 getattrs cost 40ms base — a 40x overload per lane.
-	f.AttachAggregate(tick, constDemand(AggregateDemand{Getattr: 1000}))
+	f.AttachAggregate(tick, constDemand(service.Demand{Getattr: 1000}))
 	k.Spawn("horizon", func(p *sim.Proc) { p.Sleep(200 * time.Millisecond) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -87,15 +88,15 @@ func TestPriceAggregate(t *testing.T) {
 	k := sim.New(5)
 	f := New(k, "price", cfg)
 	sh := f.shards[0]
-	if got := f.priceAggregate(sh, AggregateDemand{}); got != 0 {
+	if got := f.priceAggregate(sh, service.Demand{}); got != 0 {
 		t.Errorf("empty batch priced at %v, want 0", got)
 	}
-	one := f.priceAggregate(sh, AggregateDemand{Getattr: 1, Lookup: 1, Readdir: 1, Create: 1})
+	one := f.priceAggregate(sh, service.Demand{Getattr: 1, Lookup: 1, Readdir: 1, Create: 1})
 	base := cfg.GetattrService + cfg.LookupService + cfg.ReaddirService + cfg.CreateService
 	if one < base {
 		t.Errorf("mixed batch priced at %v, below base %v (WAFL factor must be >= 1)", one, base)
 	}
-	ten := f.priceAggregate(sh, AggregateDemand{Getattr: 10, Lookup: 10, Readdir: 10, Create: 10})
+	ten := f.priceAggregate(sh, service.Demand{Getattr: 10, Lookup: 10, Readdir: 10, Create: 10})
 	if diff := ten - 10*one; diff < -time.Microsecond || diff > time.Microsecond {
 		t.Errorf("pricing not linear: 10x batch = %v, 10 x 1x batch = %v", ten, 10*one)
 	}
@@ -108,7 +109,7 @@ func TestAggregateDaemonsExitWithSim(t *testing.T) {
 	cfg := DefaultConfig(2)
 	k := sim.New(6)
 	f := New(k, "drain", cfg)
-	f.AttachAggregate(time.Millisecond, constDemand(AggregateDemand{Getattr: 1}))
+	f.AttachAggregate(time.Millisecond, constDemand(service.Demand{Getattr: 1}))
 	const horizon = 5 * time.Millisecond
 	k.Spawn("horizon", func(p *sim.Proc) { p.Sleep(horizon) })
 	if err := k.Run(); err != nil {

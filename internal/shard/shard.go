@@ -852,16 +852,9 @@ func (f *FS) chargeOp(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries 
 	p.Sleep(time.Duration(cost))
 }
 
-// service is charge plus client-RPC accounting. The counters are
+// serviceOp is chargeOp plus client-RPC accounting. The counters are
 // atomic: under kernel domains service bodies run concurrently, and
 // order-independent sums stay deterministic (domain.go).
-func (f *FS) service(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries int) {
-	f.charge(p, sh, base, dirEntries)
-	addI64(&f.rpcs, 1)
-	addI64(&sh.ops, 1)
-}
-
-// serviceOp is chargeOp plus client-RPC accounting.
 func (f *FS) serviceOp(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries int, info opInfo) {
 	f.chargeOp(p, sh, base, dirEntries, info)
 	addI64(&f.rpcs, 1)

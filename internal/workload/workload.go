@@ -1,13 +1,11 @@
 // Package workload provides metadata-relevant workload generators and
-// the baseline benchmarks Chapter 3 positions DMetabench against: a
-// Postmark-style mail-server macro-benchmark (§3.1.4) and a
-// fileops-style single-process micro-benchmark (§3.1.6), both running on
-// any fs.Client (simulated or real). File sizes follow the log-normal
-// shape observed by Agrawal et al. (§2.8.2).
+// a baseline benchmark Chapter 3 positions DMetabench against: a
+// Postmark-style mail-server macro-benchmark (§3.1.4) and a metadata
+// tree scan, both running on any fs.Client (simulated or real). File
+// sizes follow the log-normal shape observed by Agrawal et al. (§2.8.2).
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -26,20 +24,6 @@ type SizeDist struct {
 	MaxBytes int64
 }
 
-// AgrawalYear returns the approximate file size distribution of the
-// Microsoft study for the given year: the 2000 dataset had a 108 kB mean,
-// the 2004 one 189 kB, with medians near 4 kB — a heavy log-normal tail.
-func AgrawalYear(year int) SizeDist {
-	switch {
-	case year <= 2000:
-		return SizeDist{MedianBytes: 3 << 10, Sigma: 2.55, MaxBytes: 1 << 31}
-	case year >= 2004:
-		return SizeDist{MedianBytes: 4 << 10, Sigma: 2.65, MaxBytes: 1 << 32}
-	default:
-		return SizeDist{MedianBytes: 3500, Sigma: 2.6, MaxBytes: 1 << 31}
-	}
-}
-
 // Sample draws one file size.
 func (d SizeDist) Sample(rng *rand.Rand) int64 {
 	v := math.Exp(math.Log(d.MedianBytes) + d.Sigma*rng.NormFloat64())
@@ -51,11 +35,6 @@ func (d SizeDist) Sample(rng *rand.Rand) int64 {
 		n = d.MaxBytes
 	}
 	return n
-}
-
-// Mean returns the analytic mean of the (unclipped) distribution.
-func (d SizeDist) Mean() float64 {
-	return d.MedianBytes * math.Exp(d.Sigma*d.Sigma/2)
 }
 
 // PostmarkConfig parameterizes the mail-server macro-benchmark.
@@ -278,58 +257,4 @@ func Scan(c fs.Client, root string, now func() time.Duration) (ScanStats, error)
 	}
 	st.Elapsed = now() - start
 	return st, nil
-}
-
-// FileopsResult holds per-operation latencies measured by the fileops
-// micro-benchmark.
-type FileopsResult map[fs.OpKind]time.Duration
-
-// Fileops measures the mean latency of each basic metadata operation with
-// a single process over n files, like the IOzone fileops tool (§3.1.6).
-func Fileops(c fs.Client, n int, now func() time.Duration) (FileopsResult, error) {
-	res := make(FileopsResult)
-	if err := c.Mkdir("/fileops"); err != nil && !fs.IsExist(err) {
-		return nil, err
-	}
-	name := func(i int) string { return fmt.Sprintf("/fileops/f%d", i) }
-	measure := func(kind fs.OpKind, op func(i int) error) error {
-		start := now()
-		for i := 0; i < n; i++ {
-			if err := op(i); err != nil {
-				return err
-			}
-		}
-		res[kind] = (now() - start) / time.Duration(n)
-		return nil
-	}
-	if err := measure(fs.OpCreate, func(i int) error { return c.Create(name(i)) }); err != nil {
-		return nil, err
-	}
-	if err := measure(fs.OpStat, func(i int) error {
-		_, err := c.Stat(name(i))
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := measure(fs.OpOpen, func(i int) error {
-		h, err := c.Open(name(i))
-		if err != nil {
-			return err
-		}
-		return c.Close(h)
-	}); err != nil {
-		return nil, err
-	}
-	if err := measure(fs.OpRename, func(i int) error {
-		return c.Rename(name(i), name(i)+"r")
-	}); err != nil {
-		return nil, err
-	}
-	if err := measure(fs.OpUnlink, func(i int) error { return c.Unlink(name(i) + "r") }); err != nil {
-		return nil, err
-	}
-	if err := c.Rmdir("/fileops"); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
