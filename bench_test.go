@@ -9,16 +9,15 @@ package dmetabench
 //
 // regenerates the complete evaluation.
 //
-// Experiment benchmarks run their cells serially by default so ns/op
-// stays comparable across the committed BENCH_*.json trajectory (a
-// wider pool would fold scheduling luck into the numbers). Pass
+// Experiment benchmarks run their cells on one worker by default so
+// ns/op stays comparable across the committed BENCH_*.json trajectory
+// (a wider pool would fold scheduling luck into the numbers). Pass
 // -bench-workers N to measure an experiment's parallel wall-clock
 // instead; the reported metrics are byte-identical either way.
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -27,7 +26,6 @@ import (
 	"dmetabench/internal/experiments"
 	"dmetabench/internal/namespace"
 	"dmetabench/internal/nfs"
-	"dmetabench/internal/par"
 	"dmetabench/internal/realrun"
 	"dmetabench/internal/service"
 	"dmetabench/internal/shard"
@@ -35,24 +33,26 @@ import (
 )
 
 var benchWorkers = flag.Int("bench-workers", 1,
-	"worker pool size for experiment-benchmark cells (1 = serial, snapshot-comparable)")
+	"number of workers running experiment-benchmark cells (1 = serial, snapshot-comparable)")
 
-func TestMain(m *testing.M) {
-	flag.Parse()
-	par.SetWorkers(*benchWorkers)
-	os.Exit(m.Run())
-}
-
-// runExperiment executes one experiment per iteration and reports the
-// named rows as benchmark metrics.
-func runExperiment(b *testing.B, run func() *experiments.Report, metrics ...string) {
+// runExperiment runs the experiment id once per iteration on
+// -bench-workers workers and reports the named rows as benchmark
+// metrics.
+func runExperiment(b *testing.B, id string, metrics ...string) {
 	b.Helper()
+	var exp []experiments.Experiment
+	for _, e := range append(experiments.All(), experiments.Ablations()...) {
+		if e.ID == id {
+			exp = append(exp, e)
+		}
+	}
+	if len(exp) != 1 {
+		b.Fatalf("no experiment %s", id)
+	}
 	var rep *experiments.Report
 	for i := 0; i < b.N; i++ {
-		rep = run()
-	}
-	if rep == nil {
-		b.Fatal("experiment returned nil")
+		reps, _ := experiments.Run(exp, *benchWorkers)
+		rep = reps[0]
 	}
 	if rep.Err != nil {
 		b.Fatalf("%s failed: %v", rep.ID, rep.Err)
@@ -90,194 +90,196 @@ func sanitize(s string) string {
 }
 
 func BenchmarkE01SyscallCounts(b *testing.B) {
-	runExperiment(b, experiments.E01SyscallCounts, "ops amplification")
+	runExperiment(b, "E01", "ops amplification")
 }
 
 func BenchmarkE02HarnessOverhead(b *testing.B) {
-	runExperiment(b, experiments.E02HarnessOverhead, "overhead per op")
+	runExperiment(b, "E02", "overhead per op")
 }
 
 func BenchmarkE03CPUHogCOV(b *testing.B) {
-	runExperiment(b, experiments.E03CPUHogCOV,
+	runExperiment(b, "E03",
 		"throughput before hog", "throughput during hog", "max COV during hog")
 }
 
 func BenchmarkE04SnapshotNoise(b *testing.B) {
-	runExperiment(b, experiments.E04SnapshotNoise, "max COV during snapshots")
+	runExperiment(b, "E04", "max COV during snapshots")
 }
 
 func BenchmarkE05ConsistencyPoints(b *testing.B) {
-	runExperiment(b, experiments.E05ConsistencyPoints,
+	runExperiment(b, "E05",
 		"peak interval throughput", "trough interval throughput")
 }
 
 func BenchmarkE06WriteInterference(b *testing.B) {
-	runExperiment(b, experiments.E06WriteInterference,
+	runExperiment(b, "E06",
 		"throughput before write", "throughput during write")
 }
 
 func BenchmarkE07CreateScaling(b *testing.B) {
-	runExperiment(b, experiments.E07CreateScaling,
+	runExperiment(b, "E07",
 		"NFS creates/s @ 16 nodes x1", "Lustre creates/s @ 16 nodes x1")
 }
 
 func BenchmarkE08LargeDirectories(b *testing.B) {
-	runExperiment(b, experiments.E08LargeDirectories,
+	runExperiment(b, "E08",
 		"NFS (linear dirs) @ 100000 entries", "NFS/WAFL (hash dirs) @ 100000 entries")
 }
 
 func BenchmarkE09AllocationBursts(b *testing.B) {
-	runExperiment(b, experiments.E09AllocationBursts,
+	runExperiment(b, "E09",
 		"OSS pre-allocation refills", "dip depth")
 }
 
 func BenchmarkE10PriorityScheduling(b *testing.B) {
-	runExperiment(b, experiments.E10PriorityScheduling,
+	runExperiment(b, "E10",
 		"nice 0 ops/s during load", "nice 10 ops/s during load")
 }
 
 func BenchmarkE11SMPScaling(b *testing.B) {
-	runExperiment(b, experiments.E11SMPScaling,
+	runExperiment(b, "E11",
 		"NFS creates/s @ ppn 32", "CXFS creates/s @ ppn 32")
 }
 
 func BenchmarkE12LatencySweep(b *testing.B) {
-	runExperiment(b, experiments.E12LatencySweep,
+	runExperiment(b, "E12",
 		"RTT 10.0ms: NFS creates", "RTT 10.0ms: write-back creates")
 }
 
 func BenchmarkE13NamespaceAggregation(b *testing.B) {
-	runExperiment(b, experiments.E13NamespaceAggregation,
+	runExperiment(b, "E13",
 		"remote efficiency", "per-node volumes @ 8 nodes x4", "single volume @ 8 nodes x4")
 }
 
 func BenchmarkE14AFS(b *testing.B) {
-	runExperiment(b, experiments.E14AFS,
+	runExperiment(b, "E14",
 		"AFS StatNocacheFiles", "NFS StatNocacheFiles")
 }
 
 func BenchmarkE15WritebackCaching(b *testing.B) {
-	runExperiment(b, experiments.E15WritebackCaching,
+	runExperiment(b, "E15",
 		"burst rate (first 200ms)", "sustained rate (4..8s)")
 }
 
 func BenchmarkE16ShardScaling(b *testing.B) {
-	runExperiment(b, experiments.E16ShardScaling,
+	runExperiment(b, "E16",
 		"creates/s @  1 shards", "creates/s @  8 shards", "speedup 1->16 shards")
 }
 
 func BenchmarkE17ShardSkew(b *testing.B) {
-	runExperiment(b, experiments.E17ShardSkew,
+	runExperiment(b, "E17",
 		"hash advantage under skew", "subtree advantage under uniform")
 }
 
 func BenchmarkE18CrossShard(b *testing.B) {
-	runExperiment(b, experiments.E18CrossShard,
+	runExperiment(b, "E18",
 		"cross-shard rename penalty", "merge penalty")
 }
 
 func BenchmarkE19Failover(b *testing.B) {
-	runExperiment(b, experiments.E19FailoverTimeline,
+	runExperiment(b, "E19",
 		"single: outage window", "repl: outage window", "repl: takeover latency")
 }
 
 func BenchmarkE20ReplicationOverhead(b *testing.B) {
-	runExperiment(b, experiments.E20ReplicationOverhead,
+	runExperiment(b, "E20",
 		"replication cost @ 2 shards", "replication cost @ 8 shards")
 }
 
 func BenchmarkE21RecoveryScaling(b *testing.B) {
-	runExperiment(b, experiments.E21RecoveryScaling, "detection floor")
+	runExperiment(b, "E21", "detection floor")
 }
 
 func BenchmarkE22LeaseTTL(b *testing.B) {
-	runExperiment(b, experiments.E22LeaseTTL,
+	runExperiment(b, "E22",
 		"lease  25ms: hit rate", "lease    4s: hit rate")
 }
 
 func BenchmarkE23CacheModes(b *testing.B) {
-	runExperiment(b, experiments.E23CacheModes,
+	runExperiment(b, "E23",
 		"4 shards: lease 30s hit rate", "4 shards: ttl 3s hit rate")
 }
 
 func BenchmarkE24FailoverCachedLoad(b *testing.B) {
-	runExperiment(b, experiments.E24FailoverCachedLoad,
+	runExperiment(b, "E24",
 		"invalidate: stale-read window", "no invalidate: stale-read window")
 }
 
 func BenchmarkE25SplitScaling(b *testing.B) {
-	runExperiment(b, experiments.E25SplitScaling,
+	runExperiment(b, "E25",
 		"creates/s @  8 shards, split off", "creates/s @  8 shards, split on",
 		"split advantage @ 8 shards")
 }
 
 func BenchmarkE26SplitStorm(b *testing.B) {
-	runExperiment(b, experiments.E26SplitStorm,
+	runExperiment(b, "E26",
 		"threshold   512: deepest split dip", "threshold  8192: deepest split dip")
 }
 
 func BenchmarkE27SplitRouting(b *testing.B) {
-	runExperiment(b, experiments.E27SplitRouting,
+	runExperiment(b, "E27",
 		"bitmap ttl  50ms: bounces/revisit", "bitmap ttl   10s: bounces/revisit",
 		"fan-out penalty")
 }
 
 func BenchmarkE28BackendProfile(b *testing.B) {
-	runExperiment(b, experiments.E28BackendProfile,
+	runExperiment(b, "E28",
 		"memjournal: create", "btree     : create", "lsm ENOENT discount")
 }
 
 func BenchmarkE29CompactionTimeline(b *testing.B) {
-	runExperiment(b, experiments.E29CompactionTimeline,
+	runExperiment(b, "E29",
 		"compact every  2MB: deepest dip", "compact every 32MB: deepest dip")
 }
 
 func BenchmarkE30GroupCommit(b *testing.B) {
-	runExperiment(b, experiments.E30GroupCommit,
+	runExperiment(b, "E30",
 		"throughput cost, window    0us", "mirror traffic, window 4000us")
 }
 
-// scaledPeriod wraps a long-horizon experiment (E31-E33) with a reduced
-// virtual-time horizon: the defaults simulate hours per cell, which is
-// more than a benchmark iteration should cost. The scaled runs keep the
-// full pipeline — aggregate injection, stage harness, interval series.
-func scaledPeriod(d time.Duration, run func() *experiments.Report) func() *experiments.Report {
-	return func() *experiments.Report {
-		old := experiments.Period
-		experiments.Period = d
-		defer func() { experiments.Period = old }()
-		return run()
-	}
+// scalePeriod reduces the virtual-time horizon of the long-horizon
+// experiments (E31-E33, E35) for the rest of b: the defaults simulate
+// hours per cell, which is more than a benchmark iteration should cost.
+// The scaled runs keep the full pipeline — aggregate injection, stage
+// harness, interval series.
+func scalePeriod(b *testing.B, d time.Duration) {
+	old := experiments.Period
+	experiments.Period = d
+	b.Cleanup(func() { experiments.Period = old })
 }
 
 func BenchmarkE31AggregateDay(b *testing.B) {
-	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E31AggregateDay),
+	scalePeriod(b, 10*time.Minute)
+	runExperiment(b, "E31",
 		"diurnal        mean background", "diurnal+flash  peak/trough",
 		"diurnal+flash  shed fraction")
 }
 
 func BenchmarkE32ForegroundTail(b *testing.B) {
-	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E32ForegroundTail),
+	scalePeriod(b, 10*time.Minute)
+	runExperiment(b, "E32",
 		"10k   clients  shared  p99", "1M    clients  shared  p99")
 }
 
 func BenchmarkE33CapacityPressure(b *testing.B) {
-	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E33CapacityPressure),
+	scalePeriod(b, 10*time.Minute)
+	runExperiment(b, "E33",
 		"1M    clients  server lease entries", "1M    clients  modeled per-client table")
 }
 
 func BenchmarkE35FilerAtScale(b *testing.B) {
-	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E35FilerAtScale),
+	scalePeriod(b, 10*time.Minute)
+	runExperiment(b, "E35",
 		"shed fraction", "loaded  foreground p99")
 }
 
 func BenchmarkA01AveragingMethods(b *testing.B) {
-	runExperiment(b, experiments.A01AveragingMethods,
+	runExperiment(b, "A01",
 		"wall-clock average", "stonewall average")
 }
 
 func BenchmarkA02WritebackWindow(b *testing.B) {
-	runExperiment(b, experiments.A02WritebackWindow,
+	runExperiment(b, "A02",
 		"window  4096: burst", "window  4096: sustained")
 }
 

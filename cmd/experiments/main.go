@@ -3,9 +3,10 @@
 // paper-vs-measured report. With -md it also writes the report as
 // markdown (used to produce EXPERIMENTS.md).
 //
-// Experiments decompose into independent cells (internal/par) and the
-// whole suite fans out across -j workers; reports are assembled and
-// printed in suite order, so the output is byte-identical at any -j.
+// Experiments decompose into independent seeded cells, and the cells of
+// every selected experiment run first-in, first-out in suite order on
+// -j workers; reports are printed in suite order, so the output is
+// byte-identical at any -j.
 //
 //	experiments                  # run everything, one worker per CPU
 //	experiments -j 1             # serial
@@ -20,12 +21,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"runtime/trace"
 	"sort"
@@ -33,7 +35,6 @@ import (
 	"time"
 
 	"dmetabench/internal/experiments"
-	"dmetabench/internal/par"
 )
 
 func main() { os.Exit(run()) }
@@ -45,8 +46,8 @@ func run() int {
 	var (
 		runPat     = flag.String("run", "", "experiment filter: comma-separated ids or anchored regexes (default: all)")
 		mdOut      = flag.String("md", "", "write a markdown report to this file")
-		list       = flag.Bool("list", false, "list experiment ids, cell counts and last benched serial cost, then exit")
-		workers    = flag.Int("j", runtime.NumCPU(), "worker pool size for parallel cell execution")
+		list       = flag.Bool("list", false, "list experiment ids and cell counts, then exit")
+		workers    = flag.Int("j", runtime.NumCPU(), "number of workers running cells")
 		cells      = flag.Bool("cells", false, "print per-cell wall-clock timings after the run")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -108,24 +109,22 @@ func run() int {
 		defer trace.Stop()
 	}
 
-	par.SetWorkers(*workers)
-
-	// Run every selected experiment as a cell of the suite-level fan-out:
-	// experiments share nothing (each builds its own kernels), so they
-	// interleave freely with each other's inner cells on the same pool.
-	// Reports land in their slot and render in suite order below.
-	type outcome struct {
-		rep     *experiments.Report
-		elapsed time.Duration
+	// The pool runs up to j simulated worlds side by side, and the
+	// largest come in pairs that run at once: E05's two 20-node cells
+	// each hold ~260 MB live at the end of their runs. Collecting at
+	// 1.5x the live heap instead of Go's default 2x bounds the suite's
+	// peak RSS for a few percent more GC work.
+	debug.SetGCPercent(50)
+	j := max(*workers, 1)
+	start := time.Now()
+	reps, timings := experiments.Run(selected, j)
+	suiteWall := time.Since(start)
+	// An experiment's cost is the wall time of its cells, wherever and
+	// whenever they ran.
+	cost := map[string]time.Duration{}
+	for _, t := range timings {
+		cost[t.ID] += t.Wall
 	}
-	outs := make([]outcome, len(selected))
-	total := time.Now()
-	par.Do(len(selected), func(i int) {
-		start := time.Now()
-		rep := selected[i].Run()
-		outs[i] = outcome{rep: rep, elapsed: time.Since(start)}
-	})
-	suiteWall := time.Since(total)
 
 	var md strings.Builder
 	md.WriteString("# EXPERIMENTS — paper vs. measured\n\n")
@@ -135,9 +134,8 @@ func run() int {
 	md.WriteString("resulting *shape* against the corresponding thesis table/figure.\n")
 	md.WriteString("Absolute numbers differ from the 2008 LRZ hardware by design.\n\n")
 
-	for _, o := range outs {
-		rep := o.rep
-		fmt.Printf("%s [%.1fs real]\n\n", rep.String(), o.elapsed.Seconds())
+	for _, rep := range reps {
+		fmt.Printf("%s [%.1fs real]\n\n", rep.String(), cost[rep.ID].Seconds())
 
 		fmt.Fprintf(&md, "## %s — %s\n\n*Paper reference: %s.*\n\n", rep.ID, rep.Title, rep.PaperRef)
 		if rep.Volatile {
@@ -165,10 +163,10 @@ func run() int {
 			fmt.Fprintf(&md, "```\n%s```\n\n", c)
 		}
 	}
-	fmt.Printf("total: %.1fs (%d workers)\n", suiteWall.Seconds(), par.Workers())
+	fmt.Printf("total: %.1fs (%d workers)\n", suiteWall.Seconds(), j)
 
 	if *cells {
-		printCellTimings(os.Stdout)
+		printCellTimings(os.Stdout, timings, suiteWall, j)
 	}
 
 	if *mdOut != "" {
@@ -194,9 +192,9 @@ func run() int {
 	}
 
 	code := 0
-	for _, o := range outs {
-		if o.rep.Err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", o.rep.ID, o.rep.Err)
+	for _, rep := range reps {
+		if rep.Err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", rep.ID, rep.Err)
 			code = 1
 		}
 	}
@@ -224,103 +222,47 @@ func compileFilter(pat string) (func(string) bool, error) {
 	return re.MatchString, nil
 }
 
-// listExperiments prints one line per experiment: id, cell count and,
-// when a BENCH_*.json snapshot is present, the last benched serial cost.
+// listExperiments prints one line per experiment: its id and the
+// number of cells its plan declares.
 func listExperiments(suite []experiments.Experiment) {
-	costs := benchCosts()
-	fmt.Printf("%-5s %5s  %s\n", "id", "cells", "serial cost (last bench)")
+	fmt.Printf("%-5s %5s\n", "id", "cells")
 	for _, e := range suite {
-		cost := "-"
-		if ns, ok := costs[e.ID]; ok {
-			cost = fmt.Sprintf("%.1fs", ns/1e9)
-		}
-		fmt.Printf("%-5s %5d  %s\n", e.ID, e.Cells, cost)
+		fmt.Printf("%-5s %5d\n", e.ID, e.NumCells())
 	}
 }
 
-// benchCosts maps experiment ids to ns_per_op from the newest
-// BENCH_*.json snapshot in the working directory (benchmark names are
-// matched by their "Benchmark<ID>" prefix). Missing snapshot or
-// unparseable content yields an empty map — -list then shows "-".
-func benchCosts() map[string]float64 {
-	files, err := os.ReadDir(".")
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, f := range files {
-		if n := f.Name(); strings.HasPrefix(n, "BENCH_") && strings.HasSuffix(n, ".json") {
-			names = append(names, n)
-		}
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	sort.Strings(names) // date-stamped: the last sorts newest
-	data, err := os.ReadFile(names[len(names)-1])
-	if err != nil {
-		return nil
-	}
-	var snap struct {
-		Benchmarks map[string]struct {
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil
-	}
-	costs := make(map[string]float64)
-	for name, b := range snap.Benchmarks {
-		rest, ok := strings.CutPrefix(name, "Benchmark")
-		if !ok {
-			continue
-		}
-		// "BenchmarkE19Failover" -> id "E19": letter prefix + digits.
-		i := 1
-		for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
-			i++
-		}
-		if i == 1 {
-			continue
-		}
-		costs[rest[:i]] = b.NsPerOp
-	}
-	return costs
-}
-
-// printCellTimings renders the drained per-cell timing log grouped by
-// experiment, slowest cell first — the -cells report used to spot the
-// critical path of a parallel run.
-func printCellTimings(w *os.File) {
-	timings := par.DrainTimings()
-	if len(timings) == 0 {
-		fmt.Fprintln(w, "no cell timings recorded")
-		return
-	}
-	byExp := map[string][]par.Timing{}
+// printCellTimings renders the per-cell timings grouped by experiment,
+// slowest cell first — the -cells report used to spot the critical path
+// of a parallel run. Its last line compares the suite's wall time with
+// the j-worker bound max(sum/j, longest cell), which no schedule of these
+// cells can beat.
+func printCellTimings(w io.Writer, timings []experiments.Timing, wall time.Duration, j int) {
+	byExp := map[string][]experiments.Timing{}
 	var exps []string
+	var sum, longest time.Duration
 	for _, t := range timings {
-		exp := t.Label
-		if i := strings.IndexByte(exp, '/'); i >= 0 {
-			exp = exp[:i]
+		if _, ok := byExp[t.ID]; !ok {
+			exps = append(exps, t.ID)
 		}
-		if _, ok := byExp[exp]; !ok {
-			exps = append(exps, exp)
-		}
-		byExp[exp] = append(byExp[exp], t)
+		byExp[t.ID] = append(byExp[t.ID], t)
+		sum += t.Wall
+		longest = max(longest, t.Wall)
 	}
 	sort.Strings(exps)
 	fmt.Fprintf(w, "\nper-cell wall-clock (%d cells):\n", len(timings))
 	for _, exp := range exps {
 		ts := byExp[exp]
-		var sum time.Duration
+		var expSum time.Duration
 		for _, t := range ts {
-			sum += t.Wall
+			expSum += t.Wall
 		}
 		sort.SliceStable(ts, func(i, j int) bool { return ts[i].Wall > ts[j].Wall })
-		fmt.Fprintf(w, "%s: %d cells, %.2fs total\n", exp, len(ts), sum.Seconds())
+		fmt.Fprintf(w, "%s: %d cells, %.2fs total\n", exp, len(ts), expSum.Seconds())
 		for _, t := range ts {
-			fmt.Fprintf(w, "  %-40s %8.3fs\n", t.Label, t.Wall.Seconds())
+			fmt.Fprintf(w, "  %-40s %8.3fs\n", t.ID+"/"+t.Cell, t.Wall.Seconds())
 		}
 	}
+	bound := max(sum/time.Duration(j), longest)
+	fmt.Fprintf(w, "cell sum %.2fs, longest cell %.2fs, wall %.2fs; %d-worker bound %.2fs, reached %.1f%%\n",
+		sum.Seconds(), longest.Seconds(), wall.Seconds(), j, bound.Seconds(), 100*bound.Seconds()/wall.Seconds())
 }

@@ -2,42 +2,141 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/core"
-	"dmetabench/internal/par"
 	"dmetabench/internal/results"
 	"dmetabench/internal/sim"
 )
 
-// Every experiment below decomposes into cells: independent units of
-// simulated work (one seeded kernel run or one derived data point) that
-// fan out across the par worker pool and merge in declaration order.
-// Each cell writes only its own slot of the result slice, so the
-// assembled report is byte-identical at any worker count; shared seeds
-// are passed into cells explicitly, never drawn from shared state.
-// cmd/experiments -j sets the pool size, -cells prints the recorded
-// per-cell wall-clock timings.
+// Every experiment is a plan of cells: independent units of simulated
+// work, each one run on a fresh kernel seeded with the cell's seed (a
+// cell that derives a data point without simulating ignores its
+// kernel). A cell writes only its own result slot, which the plan owns,
+// and the plan's assemble builds the report from the slots once every
+// cell of the experiment has finished. Run flattens the cells of every
+// selected experiment into one list and runs it on a fixed set of
+// workers, so the assembled report is byte-identical at any worker
+// count: cells share nothing, and assembly never sees completion order.
 
-// parCells runs one cell per name across the worker pool and returns
-// the results in cell order, or the error of the first failed cell in
-// cell order (so a failure, too, reads the same at any worker count).
-// Timings are recorded as "<expID>/<name>".
-func parCells[T any](expID string, names []string, run func(i int) (T, error)) ([]T, error) {
+// cell is one seeded unit of work: run gets a fresh kernel seeded with
+// seed and returns why the cell failed, if it did.
+type cell struct {
+	name string
+	seed int64
+	run  func(k *sim.Kernel) error
+}
+
+// plan is an experiment's cells plus assemble, the pure step that builds
+// the report from the cells' results. Run calls assemble only after
+// every cell has succeeded.
+type plan struct {
+	cells    []cell
+	assemble func(r *Report)
+}
+
+// cellsOf builds one cell per name: cell i runs run(i, k) on a kernel
+// seeded with seed(i) and stores the result in slot i of the returned
+// slice, for assemble to read.
+func cellsOf[T any](names []string, seed func(i int) int64, run func(i int, k *sim.Kernel) (T, error)) ([]T, []cell) {
 	out := make([]T, len(names))
-	errs := make([]error, len(names))
-	par.Do(len(names), func(i int) {
-		start := time.Now()
-		out[i], errs[i] = run(i)
-		par.RecordTiming(expID+"/"+names[i], time.Since(start))
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", expID, names[i], err)
+	cells := make([]cell, len(names))
+	for i, name := range names {
+		cells[i] = cell{name: name, seed: seed(i), run: func(k *sim.Kernel) (err error) {
+			out[i], err = run(i, k)
+			return err
+		}}
+	}
+	return out, cells
+}
+
+// Timing is one cell's wall-clock cost.
+type Timing struct {
+	ID, Cell string
+	Wall     time.Duration
+}
+
+// Run runs every cell of exps on workers goroutines (at least one) and
+// returns one report per experiment and one timing per cell, both in
+// exps order. The cells run first-in, first-out in suite order. The
+// worker that finishes an experiment's last cell assembles its report
+// at once, so the experiment's results are released long before the
+// suite ends. A failed cell fails only its own experiment's report,
+// with the first failed cell's error in cell order.
+func Run(exps []Experiment, workers int) ([]*Report, []Timing) {
+	type job struct{ exp, cell int }
+	plans := make([]plan, len(exps))
+	errs := make([][]error, len(exps))
+	left := make([]int, len(exps))
+	reps := make([]*Report, len(exps))
+	var jobs []job
+	for e := range exps {
+		plans[e] = exps[e].plan()
+		n := len(plans[e].cells)
+		errs[e], left[e] = make([]error, n), n
+		for c := 0; c < n; c++ {
+			jobs = append(jobs, job{e, c})
+		}
+		if n == 0 {
+			reps[e] = exps[e].report(plans[e], nil)
 		}
 	}
-	return out, nil
+	timings := make([]Timing, len(jobs))
+
+	var (
+		mu   sync.Mutex // guards next and left
+		next int
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < max(workers, 1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				i := next
+				next++
+				mu.Unlock()
+				if i >= len(jobs) {
+					return
+				}
+				j := jobs[i]
+				c := plans[j.exp].cells[j.cell]
+				start := time.Now()
+				errs[j.exp][j.cell] = c.run(sim.New(c.seed))
+				timings[i] = Timing{ID: exps[j.exp].ID, Cell: c.name, Wall: time.Since(start)}
+
+				mu.Lock()
+				left[j.exp]--
+				last := left[j.exp] == 0
+				mu.Unlock()
+				if last {
+					// Every other cell of this experiment decremented left
+					// under mu after writing its slot, so all slots are
+					// visible here.
+					reps[j.exp] = exps[j.exp].report(plans[j.exp], errs[j.exp])
+					plans[j.exp] = plan{}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return reps, timings
+}
+
+// report assembles e's report from its finished plan, or fails it with
+// the first failed cell's error in cell order.
+func (e Experiment) report(p plan, errs []error) *Report {
+	r := &Report{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef, Volatile: e.Volatile}
+	for i, err := range errs {
+		if err != nil {
+			return r.fail(fmt.Errorf("%s/%s: %w", e.ID, p.cells[i].name, err))
+		}
+	}
+	p.assemble(r)
+	return r
 }
 
 // measure takes one DMetabench measurement: plugin run by ppn processes
@@ -78,32 +177,29 @@ type sweepFS struct {
 	mk   func(k *sim.Kernel) core.FileSystem
 }
 
-// createSweep measures MakeFiles at every point on every file system,
-// one cell per (file system, point), each on a fresh kernel seeded with
-// its file system's seed. It returns one set per file system for
+// createSweep declares one MakeFiles cell per (file system, point),
+// each on a kernel seeded with its file system's seed. Once the cells
+// have run, the returned slice holds one set per file system for
 // stoneOf and ScaleSeries.
-func createSweep(expID string, fss []sweepFS, points []combo,
-	newCluster func(k *sim.Kernel) *cluster.Cluster, params core.Params) ([]*results.Set, error) {
+func createSweep(fss []sweepFS, points []combo,
+	newCluster func(k *sim.Kernel) *cluster.Cluster, params core.Params) ([]*results.Set, []cell) {
 	var names []string
 	for _, f := range fss {
 		for _, pt := range points {
 			names = append(names, f.name+"-"+pt.String())
 		}
 	}
-	ms, err := parCells(expID, names, func(i int) (*results.Measurement, error) {
-		f, pt := fss[i/len(points)], points[i%len(points)]
-		k := sim.New(f.seed)
-		cl := newCluster(k)
-		return measure(cl, f.mk(k), pt.nodes, pt.ppn, params, core.MakeFiles{}, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
+	ms, cells := cellsOf(names, func(i int) int64 { return fss[i/len(points)].seed },
+		func(i int, k *sim.Kernel) (*results.Measurement, error) {
+			f, pt := fss[i/len(points)], points[i%len(points)]
+			cl := newCluster(k)
+			return measure(cl, f.mk(k), pt.nodes, pt.ppn, params, core.MakeFiles{}, nil)
+		})
 	sets := make([]*results.Set, len(fss))
 	for i := range sets {
 		sets[i] = &results.Set{Measurements: ms[i*len(points) : (i+1)*len(points)]}
 	}
-	return sets, nil
+	return sets, cells
 }
 
 // runProbe spawns body as process name on k, runs k to completion and

@@ -1,8 +1,9 @@
 // Package experiments regenerates the evaluation of the thesis (Chapter
-// 4): every table and figure has a function here that builds the
-// corresponding simulated environment, runs DMetabench on it and reports
-// the numbers and shapes the paper discusses. cmd/experiments prints the
-// reports; the root bench_test.go exposes each as a testing.B benchmark.
+// 4): every table and figure has a plan here, whose seeded cells build
+// the corresponding simulated environment and run DMetabench on it, and
+// whose assemble step reports the numbers and shapes the paper
+// discusses. Run runs the plans; cmd/experiments prints the reports, and
+// the root bench_test.go exposes each as a testing.B benchmark.
 package experiments
 
 import (
@@ -51,8 +52,9 @@ type Report struct {
 	Charts []string
 	// Findings summarizes the shape comparison against the paper.
 	Findings []string
-	// Err, when set, is why the run failed: a kernel error, a failed
-	// rank or a failed probe (see fail).
+	// Err, when set, is why the run failed: the first failed cell's
+	// error (a kernel error, a failed rank or a failed probe), prefixed
+	// "<ID>/<cell>: " (see Run).
 	Err error
 	// Volatile marks a report whose values are real-time measurements
 	// of the host machine (E02) rather than deterministic virtual-time
@@ -102,53 +104,96 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Experiment pairs an id with its runner. Cells is the number of
-// independent execution cells the experiment decomposes into — the
-// parallelism it exposes to the par worker pool (1 = inherently serial;
-// it still runs concurrently with other experiments in the suite).
+// Experiment is one report of the suite: its header and plan, which
+// declares the experiment's cells and assembles its report from their
+// results. plan builds fresh result slots on every call, so an
+// Experiment can run any number of times.
 type Experiment struct {
-	ID    string
-	Run   func() *Report
-	Cells int
+	ID       string
+	Title    string
+	PaperRef string
+	// Volatile marks a report of real-time host measurements (see
+	// Report.Volatile).
+	Volatile bool
+	plan     func() plan
 }
+
+// NumCells returns the number of cells the experiment runs.
+func (e Experiment) NumCells() int { return len(e.plan().cells) }
 
 // All lists every experiment in evaluation order.
 func All() []Experiment {
 	return []Experiment{
-		{"E01", E01SyscallCounts, 2},
-		{"E02", E02HarnessOverhead, 1}, // real-time: must not share the host
-		{"E03", E03CPUHogCOV, 2},
-		{"E04", E04SnapshotNoise, 2},
-		{"E05", E05ConsistencyPoints, 2},
-		{"E06", E06WriteInterference, 2},
-		{"E07", E07CreateScaling, 16}, // 2 file systems x 8 sweep points
-		{"E08", E08LargeDirectories, 11},
-		{"E09", E09AllocationBursts, 1},
-		{"E10", E10PriorityScheduling, 1},
-		{"E11", E11SMPScaling, 12}, // 2 file systems x 6 PPN points
-		{"E12", E12LatencySweep, 15},
-		{"E13", E13NamespaceAggregation, 17}, // probe + 2 sweeps x 8 points
-		{"E14", E14AFS, 6},
-		{"E15", E15WritebackCaching, 2},
-		{"E16", E16ShardScaling, 5},
-		{"E17", E17ShardSkew, 4},
-		{"E18", E18CrossShard, 2},
-		{"E19", E19FailoverTimeline, 2},
-		{"E20", E20ReplicationOverhead, 6},
-		{"E21", E21RecoveryScaling, 4},
-		{"E22", E22LeaseTTL, 4},
-		{"E23", E23CacheModes, 13},
-		{"E24", E24FailoverCachedLoad, 2},
-		{"E25", E25SplitScaling, 10},
-		{"E26", E26SplitStorm, 3},
-		{"E27", E27SplitRouting, 7},
-		{"E28", E28BackendProfile, 12},
-		{"E29", E29CompactionTimeline, 3},
-		{"E30", E30GroupCommit, 9},
-		{"E31", E31AggregateDay, 2},
-		{"E32", E32ForegroundTail, 3},
-		{"E33", E33CapacityPressure, 3},
-		{"E35", E35FilerAtScale, 2}, // quiet + loaded day
+		{ID: "E01", Title: "API-level operation counts per create",
+			PaperRef: "§4.2.1 (dtrace op counting)", plan: e01SyscallCounts},
+		// One cell that ignores its kernel; it shares the pool like any
+		// other cell.
+		{ID: "E02", Title: "Harness overhead vs. raw loop",
+			PaperRef: "Table 4.2 (Python vs. C, 200k creates)", Volatile: true, plan: e02HarnessOverhead},
+		{ID: "E03", Title: "CPU hog on one of 4 nodes: dip + COV step",
+			PaperRef: "Fig. 4.4", plan: e03CPUHogCOV},
+		{ID: "E04", Title: "Server snapshots: erratic COV",
+			PaperRef: "Fig. 4.5", plan: e04SnapshotNoise},
+		{ID: "E05", Title: "Saturation sawtooth; hog invisible in total, visible in COV",
+			PaperRef: "Fig. 4.6", plan: e05ConsistencyPoints},
+		{ID: "E06", Title: "Bulk data write slows metadata globally",
+			PaperRef: "Fig. 4.7", plan: e06WriteInterference},
+		{ID: "E07", Title: "NFS vs Lustre file creation scaling",
+			PaperRef: "§4.3.2", plan: e07CreateScaling},
+		{ID: "E08", Title: "Creates in large directories, sequential and parallel",
+			PaperRef: "§4.3.3", plan: e08LargeDirectories},
+		{ID: "E09", Title: "Internal allocation bursts in the time log",
+			PaperRef: "§4.3.4", plan: e09AllocationBursts},
+		{ID: "E10", Title: "Process priority vs. metadata throughput",
+			PaperRef: "§4.4", plan: e10PriorityScheduling},
+		{ID: "E11", Title: "Large-SMP intra-node scaling: CXFS vs NFS",
+			PaperRef: "§4.5.3", plan: e11SMPScaling},
+		{ID: "E12", Title: "Metadata throughput vs. network latency",
+			PaperRef: "§4.6", plan: e12LatencySweep},
+		{ID: "E13", Title: "Ontap GX: volume placement and forwarding",
+			PaperRef: "§4.7.1-4.7.2", plan: e13NamespaceAggregation},
+		{ID: "E14", Title: "AFS: persistent cache and volume-grain service",
+			PaperRef: "§4.7.3", plan: e14AFS},
+		{ID: "E15", Title: "Write-back caching of metadata",
+			PaperRef: "§4.8", plan: e15WritebackCaching},
+		{ID: "E16", Title: "Shard-count scaling of create throughput",
+			PaperRef: "beyond §4.3 (HopsFS/MetaFlow direction)", plan: e16ShardScaling},
+		{ID: "E17", Title: "Hot-directory skew: hash vs. subtree placement",
+			PaperRef: "beyond §4.7 (placement under skew)", plan: e17ShardSkew},
+		{ID: "E18", Title: "Cross-shard operation cost",
+			PaperRef: "beyond §4.6 (MDS interconnect hops)", plan: e18CrossShard},
+		{ID: "E19", Title: "Failover timeline: mid-run shard crash, single vs. replicated",
+			PaperRef: "beyond §4.2 (fault injection; HopsFS/StoreTorrent direction)", plan: e19FailoverTimeline},
+		{ID: "E20", Title: "Replication overhead: creates/s with and without a synchronous backup",
+			PaperRef: "beyond §4.3 (cost of HopsFS-style availability)", plan: e20ReplicationOverhead},
+		{ID: "E21", Title: "Recovery-time scaling: takeover latency vs. journal length",
+			PaperRef: "beyond §4.8 (journal replay on failover)", plan: e21RecoveryScaling},
+		{ID: "E22", Title: "Lease TTL sweep: hit rate vs. revocation traffic",
+			PaperRef: "beyond §2.1.2 (callback coherence; MetaFlow/HopsFS direction)", plan: e22LeaseTTL},
+		{ID: "E23", Title: "Coherent vs. timeout vs. no client cache across shard counts",
+			PaperRef: "beyond §4.7.3 (AFS callbacks vs. NFS timeouts, per shard count)", plan: e23CacheModes},
+		{ID: "E24", Title: "Failover under cached load: the stale-read window",
+			PaperRef: "beyond §4.2 + §2.1.2 (cache coherence across failover)", plan: e24FailoverCachedLoad},
+		{ID: "E25", Title: "Giant-directory splitting: one shared directory vs. shard count",
+			PaperRef: "beyond §4.3.3 (the large-directory wall; GIGA+/HopsFS direction)", plan: e25SplitScaling},
+		{ID: "E26", Title: "Split-storm cost: migration dips vs. split threshold",
+			PaperRef: "beyond §4.2 + §4.3.4 (self-inflicted disturbances in the timeline)", plan: e26SplitStorm},
+		{ID: "E27", Title: "Split-bitmap staleness: bounce rate vs. TTL, and the readdir fan-out",
+			PaperRef: "beyond §2.1.2 (routing-hint caching; GIGA+ stale-bitmap tolerance)", plan: e27SplitRouting},
+		{ID: "E28", Title: "Backend cost profile: create/stat/ENOENT/readdir per storage backend",
+			PaperRef: "beyond §4.3 (HopsFS NewSQL / LSM-KV backend axis)", plan: e28BackendProfile},
+		{ID: "E29", Title: "Compaction-pause timeline: throughput dips vs. LSM compaction interval",
+			PaperRef: "beyond §4.2 + §2.7 (self-inflicted stalls in the timeline)", plan: e29CompactionTimeline},
+		{ID: "E30", Title: "Group-commit window sweep: replication overhead vs. added latency",
+			PaperRef: "beyond §4.3 (HopsFS-style batched commits)", plan: e30GroupCommit},
+		{ID: "E31", Title: "A simulated day at 1.2M aggregate clients",
+			PaperRef: "beyond §3.3 (fs-benchmark perftest shape, -period 3h)", plan: e31AggregateDay},
+		{ID: "E32", Title: "Foreground tail latency under 10k-1M background clients",
+			PaperRef: "beyond §4.5 (lease coherence at population scale)", plan: e32ForegroundTail},
+		{ID: "E33", Title: "Lease-table and splitmap memory pressure at scale",
+			PaperRef: "beyond §4.5/§4.8 (state capacity at population scale)", plan: e33CapacityPressure},
+		{ID: "E35", Title: "The paper's filer at modern scale: 1M background clients",
+			PaperRef: "beyond §4.2 (single filer, population scale, -period 3h day)", plan: e35FilerAtScale},
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // findings that define a successful reproduction.
 
 func TestE01Shape(t *testing.T) {
-	rep := E01SyscallCounts()
+	rep := runReport(t, "E01")
 	if len(rep.Findings) == 0 {
 		t.Fatal("no findings")
 	}
@@ -26,7 +26,7 @@ func TestE01Shape(t *testing.T) {
 }
 
 func TestE09Shape(t *testing.T) {
-	rep := E09AllocationBursts()
+	rep := runReport(t, "E09")
 	rows := map[string]float64{}
 	for _, r := range rep.Rows {
 		rows[r.Name] = r.Value
@@ -43,7 +43,7 @@ func TestE09Shape(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	rep := E10PriorityScheduling()
+	rep := runReport(t, "E10")
 	rows := map[string]float64{}
 	for _, r := range rep.Rows {
 		rows[r.Name] = r.Value
@@ -56,7 +56,7 @@ func TestE10Shape(t *testing.T) {
 }
 
 func TestE12Shape(t *testing.T) {
-	rep := E12LatencySweep()
+	rep := runReport(t, "E12")
 	rows := map[string]float64{}
 	for _, r := range rep.Rows {
 		rows[r.Name] = r.Value
@@ -73,7 +73,7 @@ func TestE12Shape(t *testing.T) {
 }
 
 func TestE14Shape(t *testing.T) {
-	rep := E14AFS()
+	rep := runReport(t, "E14")
 	rows := map[string]float64{}
 	for _, r := range rep.Rows {
 		rows[r.Name] = r.Value
@@ -91,7 +91,7 @@ func TestE14Shape(t *testing.T) {
 }
 
 func TestE15Shape(t *testing.T) {
-	rep := E15WritebackCaching()
+	rep := runReport(t, "E15")
 	rows := map[string]float64{}
 	for _, r := range rep.Rows {
 		rows[r.Name] = r.Value
@@ -107,7 +107,7 @@ func TestE15Shape(t *testing.T) {
 }
 
 func TestE21Shape(t *testing.T) {
-	rep := E21RecoveryScaling()
+	rep := runReport(t, "E21")
 	if len(rep.Findings) == 0 {
 		t.Fatal("no findings")
 	}

@@ -53,7 +53,7 @@ func stageInterval(period time.Duration, n int) time.Duration {
 // stageSpec is one long-horizon cell: a sharded MDS with an attached
 // aggregate arrival process and a StageRunner probe set.
 type stageSpec struct {
-	seed         int64
+	seed         int64 // of the arrival model; the cell's kernel shares it
 	clients      int
 	opsPerClient float64 // per active client, ops/s
 	cfg          shard.Config
@@ -90,12 +90,12 @@ func (c *stageCell) shedFrac() float64 {
 	return float64(c.aggShed) / float64(total)
 }
 
-// runStageCell builds one sharded simulation with the aggregate
+// runStageCell builds one sharded simulation on k with the aggregate
 // background attached and drives the staged probes over it. Everything
-// stochastic is seeded from spec.seed, so a cell is a pure function of
-// its spec — the byte-identity unit of the E31–E33 determinism tests.
-func runStageCell(sp stageSpec) (stageCell, error) {
-	k := sim.New(sp.seed)
+// stochastic is seeded from spec.seed, which also seeds k, so a cell is
+// a pure function of its spec — the byte-identity unit of the E31–E33
+// determinism tests.
+func runStageCell(k *sim.Kernel, sp stageSpec) (stageCell, error) {
 	cl := cluster.New(k, cluster.DefaultConfig(4))
 	fsys := newShardFS(k, "meta", sp.cfg)
 	lanes := sp.cfg.ShardThreads
@@ -196,15 +196,13 @@ func probeP999(m *results.Measurement) float64 {
 	return float64(m.Latencies["probe"].Percentile(0.999).Microseconds())
 }
 
-// E31AggregateDay runs a simulated day at 1.2 million aggregate clients
+// e31AggregateDay runs a simulated day at 1.2 million aggregate clients
 // over an 8-shard MDS: diurnal modulation alone, then diurnal plus
 // flash crowds. The report is the long-horizon view the per-client
 // experiments cannot produce: background throughput and its temporal
 // COV over the day, shed fraction once spikes push past pool capacity,
 // and the foreground tail riding on top.
-func E31AggregateDay() *Report {
-	r := &Report{ID: "E31", Title: "A simulated day at 1.2M aggregate clients",
-		PaperRef: "beyond §3.3 (fs-benchmark perftest shape, -period 3h)"}
+func e31AggregateDay() plan {
 	period := periodOr(3 * time.Hour)
 	interval := stageInterval(period, 180)
 	const clients = 1_200_000
@@ -224,57 +222,58 @@ func E31AggregateDay() *Report {
 			label:        "E31-" + label,
 		}
 	}
-	cells, err := parCells("E31", []string{"diurnal", "flash"}, func(i int) (stageCell, error) {
-		if i == 0 {
-			return runStageCell(mk(3101, false, "diurnal"))
+	labels := []string{"diurnal", "flash"}
+	seed := func(i int) int64 { return int64(3101 + i) }
+	cells, cs := cellsOf(labels, seed, func(i int, k *sim.Kernel) (stageCell, error) {
+		c, err := runStageCell(k, mk(seed(i), i == 1, labels[i]))
+		if err != nil {
+			return c, err
 		}
-		return runStageCell(mk(3102, true, "flash"))
+		if _, ok := c.stageMeasurement("day").Window(0, period); !ok {
+			return c, fmt.Errorf("day produced no intervals")
+		}
+		return c, nil
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	names := []string{"diurnal", "diurnal+flash"}
-	var series []charts.Series
-	for i := range cells {
-		c := &cells[i]
-		m := c.stageMeasurement("day")
-		w, ok := m.Window(0, period)
-		if !ok {
-			return r.fail(fmt.Errorf("cell %s produced no intervals", names[i]))
+	return plan{cs, func(r *Report) {
+		names := []string{"diurnal", "diurnal+flash"}
+		var series []charts.Series
+		for i := range cells {
+			c := &cells[i]
+			m := c.stageMeasurement("day")
+			w, _ := m.Window(0, period)
+			r.row(fmt.Sprintf("%-14s mean background", names[i]), w.MeanAuxRate/1000,
+				"kops/s", fmt.Sprintf("%d clients", clients))
+			r.row(fmt.Sprintf("%-14s peak/trough", names[i]),
+				safeDiv(w.PeakAuxRate, w.TroughAuxRate), "x",
+				fmt.Sprintf("%.0fk / %.0fk ops/s", w.PeakAuxRate/1000, w.TroughAuxRate/1000))
+			r.row(fmt.Sprintf("%-14s temporal COV", names[i]), m.AuxCOV(), "", "")
+			r.row(fmt.Sprintf("%-14s shed fraction", names[i]), 100*c.shedFrac(),
+				"%", "open-loop admission control")
+			r.row(fmt.Sprintf("%-14s foreground p99", names[i]),
+				float64(w.MaxP99.Microseconds()), "us", "worst interval")
+			xs := make([]float64, 0, len(m.Series))
+			ys := make([]float64, 0, len(m.Series))
+			for _, s := range m.Series {
+				xs = append(xs, s.T.Hours())
+				ys = append(ys, float64(s.Aux)/interval.Seconds()/1000)
+			}
+			series = append(series, charts.Series{Name: names[i], X: xs, Y: ys})
 		}
-		r.row(fmt.Sprintf("%-14s mean background", names[i]), w.MeanAuxRate/1000,
-			"kops/s", fmt.Sprintf("%d clients", clients))
-		r.row(fmt.Sprintf("%-14s peak/trough", names[i]),
-			safeDiv(w.PeakAuxRate, w.TroughAuxRate), "x",
-			fmt.Sprintf("%.0fk / %.0fk ops/s", w.PeakAuxRate/1000, w.TroughAuxRate/1000))
-		r.row(fmt.Sprintf("%-14s temporal COV", names[i]), m.AuxCOV(), "", "")
-		r.row(fmt.Sprintf("%-14s shed fraction", names[i]), 100*c.shedFrac(),
-			"%", "open-loop admission control")
-		r.row(fmt.Sprintf("%-14s foreground p99", names[i]),
-			float64(w.MaxP99.Microseconds()), "us", "worst interval")
-		xs := make([]float64, 0, len(m.Series))
-		ys := make([]float64, 0, len(m.Series))
-		for _, s := range m.Series {
-			xs = append(xs, s.T.Hours())
-			ys = append(ys, float64(s.Aux)/interval.Seconds()/1000)
-		}
-		series = append(series, charts.Series{Name: names[i], X: xs, Y: ys})
-	}
-	d, f := &cells[0], &cells[1]
-	dw, _ := d.stageMeasurement("day").Window(0, period)
-	fw, _ := f.stageMeasurement("day").Window(0, period)
-	r.finding("the aggregate model holds %d clients in O(shards x lanes) state "+
-		"over a full simulated day: the diurnal cycle alone swings the "+
-		"background %.1fx peak-to-trough, flash crowds push that to %.1fx and "+
-		"raise the shed fraction from %.1f%% to %.1f%% as spikes cross pool "+
-		"capacity",
-		clients, safeDiv(dw.PeakAuxRate, dw.TroughAuxRate),
-		safeDiv(fw.PeakAuxRate, fw.TroughAuxRate),
-		100*d.shedFrac(), 100*f.shedFrac())
-	r.Charts = append(r.Charts, charts.Render(
-		"Background arrival throughput over the simulated day",
-		"hours", "kops/s", chartW, chartH, series))
-	return r
+		d, f := &cells[0], &cells[1]
+		dw, _ := d.stageMeasurement("day").Window(0, period)
+		fw, _ := f.stageMeasurement("day").Window(0, period)
+		r.finding("the aggregate model holds %d clients in O(shards x lanes) state "+
+			"over a full simulated day: the diurnal cycle alone swings the "+
+			"background %.1fx peak-to-trough, flash crowds push that to %.1fx and "+
+			"raise the shed fraction from %.1f%% to %.1f%% as spikes cross pool "+
+			"capacity",
+			clients, safeDiv(dw.PeakAuxRate, dw.TroughAuxRate),
+			safeDiv(fw.PeakAuxRate, fw.TroughAuxRate),
+			100*d.shedFrac(), 100*f.shedFrac())
+		r.Charts = append(r.Charts, charts.Render(
+			"Background arrival throughput over the simulated day",
+			"hours", "kops/s", chartW, chartH, series))
+	}}
 }
 
 // safeDiv guards a ratio against an empty trough.
@@ -327,24 +326,23 @@ func e32MutateOp(c *core.Ctx, i int) error {
 	return err
 }
 
-// E32ForegroundTail sweeps the background population 10k → 1M under
+// e32ForegroundTail sweeps the background population 10k → 1M under
 // lease-coherent foreground probes: a private-ring stat stage (leases
 // never revoked) then a shared-directory stage where probe creates
 // force revocations. The question is what the analytic crowd does to
 // the tail of the few real clients.
-func E32ForegroundTail() *Report {
-	r := &Report{ID: "E32", Title: "Foreground tail latency under 10k-1M background clients",
-		PaperRef: "beyond §4.5 (lease coherence at population scale)"}
+func e32ForegroundTail() plan {
 	period := periodOr(time.Hour)
 	interval := stageInterval(period, 60)
 	pops := []int{10_000, 100_000, 1_000_000}
 	names := []string{"10k", "100k", "1M"}
-	cells, err := parCells("E32", names, func(i int) (stageCell, error) {
+	seed := func(i int) int64 { return int64(3201 + i) }
+	cells, cs := cellsOf(names, seed, func(i int, k *sim.Kernel) (stageCell, error) {
 		cfg := shard.DefaultConfig(8)
 		cfg.CacheMode = shard.CacheLease
 		cfg.TrackStaleness = true
-		return runStageCell(stageSpec{
-			seed:         3201 + int64(i),
+		return runStageCell(k, stageSpec{
+			seed:         seed(i),
 			clients:      pops[i],
 			opsPerClient: 0.5,
 			cfg:          cfg,
@@ -360,33 +358,31 @@ func E32ForegroundTail() *Report {
 			label:   "E32-" + names[i],
 		})
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	var p99s []float64
-	for i := range cells {
-		c := &cells[i]
-		priv, sh := c.stageMeasurement("private"), c.stageMeasurement("shared")
-		p99 := probeP99(sh)
-		p99s = append(p99s, p99)
-		r.row(fmt.Sprintf("%-5s clients  private p99", names[i]), probeP99(priv),
-			"us", "own ring, no revocations")
-		r.row(fmt.Sprintf("%-5s clients  shared  p99", names[i]), p99,
-			"us", fmt.Sprintf("p999 %.0f us", probeP999(sh)))
-		r.row(fmt.Sprintf("%-5s clients  lease traffic", names[i]),
-			float64(c.revokes), "revk", fmt.Sprintf("%d grants, %d stale reads",
-				c.grants, c.stale))
-		r.row(fmt.Sprintf("%-5s clients  shed fraction", names[i]),
-			100*c.shedFrac(), "%", "")
-	}
-	if len(p99s) == 3 && p99s[0] > 0 {
-		r.finding("the foreground tail is priced by the crowd it shares the "+
-			"pool with: shared-directory p99 grows %.1fx as the background "+
-			"population sweeps 10k -> 1M (%.0f -> %.0f us), while the lease "+
-			"protocol itself stays population-independent",
-			p99s[2]/p99s[0], p99s[0], p99s[2])
-	}
-	return r
+	return plan{cs, func(r *Report) {
+		var p99s []float64
+		for i := range cells {
+			c := &cells[i]
+			priv, sh := c.stageMeasurement("private"), c.stageMeasurement("shared")
+			p99 := probeP99(sh)
+			p99s = append(p99s, p99)
+			r.row(fmt.Sprintf("%-5s clients  private p99", names[i]), probeP99(priv),
+				"us", "own ring, no revocations")
+			r.row(fmt.Sprintf("%-5s clients  shared  p99", names[i]), p99,
+				"us", fmt.Sprintf("p999 %.0f us", probeP999(sh)))
+			r.row(fmt.Sprintf("%-5s clients  lease traffic", names[i]),
+				float64(c.revokes), "revk", fmt.Sprintf("%d grants, %d stale reads",
+					c.grants, c.stale))
+			r.row(fmt.Sprintf("%-5s clients  shed fraction", names[i]),
+				100*c.shedFrac(), "%", "")
+		}
+		if len(p99s) == 3 && p99s[0] > 0 {
+			r.finding("the foreground tail is priced by the crowd it shares the "+
+				"pool with: shared-directory p99 grows %.1fx as the background "+
+				"population sweeps 10k -> 1M (%.0f -> %.0f us), while the lease "+
+				"protocol itself stays population-independent",
+				p99s[2]/p99s[0], p99s[0], p99s[2])
+		}
+	}}
 }
 
 // e33LeaseBytes is the modeled per-entry footprint of a server lease
@@ -399,14 +395,12 @@ const e33LeaseBytes = 120
 // (leases on its open files and hot directories).
 const e33EntriesPerClient = 4
 
-// E33CapacityPressure measures the state that grows with scale: after a
+// e33CapacityPressure measures the state that grows with scale: after a
 // create-heavy run at each population it takes a census of server lease
 // tables, split bookkeeping, journals and client caches (the
 // fully-simulated state), and compares with the modeled size of a lease
 // table that tracked every background client individually.
-func E33CapacityPressure() *Report {
-	r := &Report{ID: "E33", Title: "Lease-table and splitmap memory pressure at scale",
-		PaperRef: "beyond §4.5/§4.8 (state capacity at population scale)"}
+func e33CapacityPressure() plan {
 	period := periodOr(30 * time.Minute)
 	interval := stageInterval(period, 30)
 	pops := []int{10_000, 100_000, 1_000_000}
@@ -418,12 +412,13 @@ func E33CapacityPressure() *Report {
 		_, err := c.FS.Stat(e32SharedFile(c.Rank, i%8))
 		return err
 	}
-	cells, err := parCells("E33", names, func(i int) (stageCell, error) {
+	seed := func(i int) int64 { return int64(3301 + i) }
+	cells, cs := cellsOf(names, seed, func(i int, k *sim.Kernel) (stageCell, error) {
 		cfg := shard.DefaultConfig(8)
 		cfg.CacheMode = shard.CacheLease
 		cfg.SplitThreshold = 512
-		return runStageCell(stageSpec{
-			seed:         3301 + int64(i),
+		return runStageCell(k, stageSpec{
+			seed:         seed(i),
 			clients:      pops[i],
 			opsPerClient: 0.5,
 			cfg:          cfg,
@@ -436,31 +431,29 @@ func E33CapacityPressure() *Report {
 			label:        "E33-" + names[i],
 		})
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	for i := range cells {
-		c := &cells[i]
-		st := c.caps
-		clientEntries := st.ClientAttrs + st.ClientDentries + st.ClientLeases +
-			st.ClientSplitDirs
-		r.row(fmt.Sprintf("%-5s clients  server lease entries", names[i]),
-			float64(st.LeaseEntries), "", fmt.Sprintf("%d delegations", st.Delegations))
-		r.row(fmt.Sprintf("%-5s clients  split dirs", names[i]),
-			float64(st.SplitDirs), "", fmt.Sprintf("%d journal entries", st.JournalEntries))
-		r.row(fmt.Sprintf("%-5s clients  client cache entries", names[i]),
-			float64(clientEntries), "", fmt.Sprintf("%d nodes", st.Nodes))
-		modeled := float64(pops[i]) * 0.5 * e33EntriesPerClient * e33LeaseBytes / 1e6
-		r.row(fmt.Sprintf("%-5s clients  modeled per-client table", names[i]),
-			modeled, "MB", fmt.Sprintf("%d entries/client x %d B", e33EntriesPerClient,
-				e33LeaseBytes))
-	}
-	last := &cells[len(cells)-1]
-	modeled1M := float64(pops[2]) * 0.5 * e33EntriesPerClient * e33LeaseBytes / 1e6
-	r.finding("tracked state is foreground-proportional, not "+
-		"population-proportional: the census counts %d entries at 1M background "+
-		"clients, while a per-client lease table for the same population would "+
-		"need ~%.0f MB — the state the aggregate arrival model avoids",
-		last.caps.Entries(), modeled1M)
-	return r
+	return plan{cs, func(r *Report) {
+		for i := range cells {
+			c := &cells[i]
+			st := c.caps
+			clientEntries := st.ClientAttrs + st.ClientDentries + st.ClientLeases +
+				st.ClientSplitDirs
+			r.row(fmt.Sprintf("%-5s clients  server lease entries", names[i]),
+				float64(st.LeaseEntries), "", fmt.Sprintf("%d delegations", st.Delegations))
+			r.row(fmt.Sprintf("%-5s clients  split dirs", names[i]),
+				float64(st.SplitDirs), "", fmt.Sprintf("%d journal entries", st.JournalEntries))
+			r.row(fmt.Sprintf("%-5s clients  client cache entries", names[i]),
+				float64(clientEntries), "", fmt.Sprintf("%d nodes", st.Nodes))
+			modeled := float64(pops[i]) * 0.5 * e33EntriesPerClient * e33LeaseBytes / 1e6
+			r.row(fmt.Sprintf("%-5s clients  modeled per-client table", names[i]),
+				modeled, "MB", fmt.Sprintf("%d entries/client x %d B", e33EntriesPerClient,
+					e33LeaseBytes))
+		}
+		last := &cells[len(cells)-1]
+		modeled1M := float64(pops[2]) * 0.5 * e33EntriesPerClient * e33LeaseBytes / 1e6
+		r.finding("tracked state is foreground-proportional, not "+
+			"population-proportional: the census counts %d entries at 1M background "+
+			"clients, while a per-client lease table for the same population would "+
+			"need ~%.0f MB — the state the aggregate arrival model avoids",
+			last.caps.Entries(), modeled1M)
+	}}
 }

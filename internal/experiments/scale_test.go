@@ -4,25 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dmetabench/internal/par"
 )
 
-// scaleExperiments returns E31–E33 from the registry (so the test runs
-// exactly what cmd/experiments dispatches, including declared cells).
+// scaleExperiments returns E31–E33 from the registry, so the tests run
+// exactly the plans cmd/experiments runs.
 func scaleExperiments(t *testing.T) []Experiment {
-	t.Helper()
-	want := map[string]bool{"E31": true, "E32": true, "E33": true}
-	var out []Experiment
-	for _, e := range All() {
-		if want[e.ID] {
-			out = append(out, e)
-		}
-	}
-	if len(out) != len(want) {
-		t.Fatalf("found %d of %d scale experiments", len(out), len(want))
-	}
-	return out
+	return byID(t, "E31", "E32", "E33")
 }
 
 // withPeriod compresses the long-horizon experiments for test runs and
@@ -37,20 +24,15 @@ func withPeriod(t *testing.T, d time.Duration) {
 // TestScaleReportsByteIdenticalAcrossWorkers is the E31–E33 leg of the
 // suite determinism contract: the rendered reports of the long-horizon
 // experiments — interval series, shed fractions, capacity censuses —
-// are byte-identical at any par worker count.
+// are byte-identical at any worker count.
 func TestScaleReportsByteIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-horizon experiments; skipped in -short")
 	}
 	withPeriod(t, 5*time.Minute)
 	es := scaleExperiments(t)
-	old := par.Workers()
-	defer par.SetWorkers(old)
-
-	par.SetWorkers(1)
-	serial := renderAll(es)
-	par.SetWorkers(8)
-	parallel := renderAll(es)
+	serial := renderAll(es, 1)
+	parallel := renderAll(es, 8)
 
 	if serial != parallel {
 		t.Fatalf("scale reports differ between -j 1 and -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s",
@@ -72,43 +54,12 @@ func TestScaleReportsByteIdenticalUnderDomains(t *testing.T) {
 	Domains = 5
 	defer func() { Domains = oldDomains }()
 	es := scaleExperiments(t)
-	old := par.Workers()
-	defer par.SetWorkers(old)
-
-	par.SetWorkers(1)
-	serial := renderAll(es)
-	par.SetWorkers(8)
-	parallel := renderAll(es)
+	serial := renderAll(es, 1)
+	parallel := renderAll(es, 8)
 
 	if serial != parallel {
 		t.Fatalf("scale reports differ between -j 1 and -j 8 at Domains=5:\n--- j1 ---\n%s\n--- j8 ---\n%s",
 			serial, parallel)
-	}
-}
-
-// TestScaleDeclaredCellCounts pins E31–E33's Cells declarations the way
-// TestDeclaredCellCounts does for the cheap cross-section.
-func TestScaleDeclaredCellCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long-horizon experiments; skipped in -short")
-	}
-	withPeriod(t, 2*time.Minute)
-	old := par.Workers()
-	defer par.SetWorkers(old)
-	par.SetWorkers(4)
-
-	for _, e := range scaleExperiments(t) {
-		par.DrainTimings()
-		e.Run()
-		got := 0
-		for _, tm := range par.DrainTimings() {
-			if strings.HasPrefix(tm.Label, e.ID+"/") {
-				got++
-			}
-		}
-		if got != e.Cells {
-			t.Errorf("%s: dispatched %d cells, declares Cells=%d", e.ID, got, e.Cells)
-		}
 	}
 }
 
@@ -121,14 +72,14 @@ func TestScaleSmoke(t *testing.T) {
 		t.Skip("long-horizon experiments; skipped in -short")
 	}
 	withPeriod(t, 2*time.Minute)
-	for _, e := range scaleExperiments(t) {
-		rep := e.Run()
-		if len(rep.Rows) == 0 {
-			t.Fatalf("%s: no rows: %s", e.ID, rep.String())
+	reps, _ := Run(scaleExperiments(t), 1)
+	for _, rep := range reps {
+		if rep.Err != nil || len(rep.Rows) == 0 {
+			t.Fatalf("%s: err %v, %d rows: %s", rep.ID, rep.Err, len(rep.Rows), rep.String())
 		}
 		for _, f := range rep.Findings {
 			if strings.Contains(f, "failed") {
-				t.Fatalf("%s: failed finding: %s", e.ID, f)
+				t.Fatalf("%s: failed finding: %s", rep.ID, f)
 			}
 		}
 	}

@@ -36,12 +36,13 @@ func (c *e35Cell) shedFrac() float64 {
 	return float64(c.aggShed) / float64(total)
 }
 
-// runE35Cell drives one simulated day on a single NFS filer: clients
-// background arrivals (diurnal-modulated) injected into the filer's
-// thread pool, four fully-simulated probes measuring the foreground
-// tail. The injector lanes run as daemon tasks on the filer's kernel.
-func runE35Cell(seed int64, clients int, period, interval time.Duration, label string) (e35Cell, error) {
-	k := sim.New(seed)
+// runE35Cell drives one simulated day on a single NFS filer on k:
+// clients background arrivals (diurnal-modulated, seeded with seed, which
+// also seeds k) injected into the filer's thread pool, four
+// fully-simulated probes measuring the foreground tail. The injector
+// lanes run as daemon tasks on the filer's kernel. It fails if the day
+// produced no intervals.
+func runE35Cell(k *sim.Kernel, seed int64, clients int, period, interval time.Duration, label string) (e35Cell, error) {
 	cl := cluster.New(k, cluster.DefaultConfig(4))
 	cfg := nfs.DefaultConfig()
 	fsys := nfs.New(k, "home", cfg)
@@ -80,12 +81,15 @@ func runE35Cell(seed int64, clients int, period, interval time.Duration, label s
 	if err != nil {
 		return e35Cell{}, err
 	}
+	if _, ok := stages[0].Window(0, period); !ok {
+		return e35Cell{}, fmt.Errorf("day produced no intervals")
+	}
 	c := e35Cell{day: stages[0]}
 	c.aggOps, c.aggShed, _ = fsys.AggCounts()
 	return c, nil
 }
 
-// E35FilerAtScale puts the paper's workhorse — one NFS filer — under a
+// e35FilerAtScale puts the paper's workhorse — one NFS filer — under a
 // population it never met in 2008: one million aggregate background
 // clients over a simulated day, injected through the shared service
 // layer's aggregate port into the filer's thread pool. A quiet twin cell
@@ -93,56 +97,50 @@ func runE35Cell(seed int64, clients int, period, interval time.Duration, label s
 // question is the filer's failure shape at modern scale: how much of
 // the offered load the open-loop admission sheds, and what the diurnal
 // swing does to the foreground tail.
-func E35FilerAtScale() *Report {
-	r := &Report{ID: "E35", Title: "The paper's filer at modern scale: 1M background clients",
-		PaperRef: "beyond §4.2 (single filer, population scale, -period 3h day)"}
+func e35FilerAtScale() plan {
 	period := periodOr(3 * time.Hour)
 	interval := stageInterval(period, 180)
 	const clients = 1_000_000
-	cells, err := parCells("E35", []string{"quiet", "loaded"}, func(i int) (e35Cell, error) {
+	seed := func(i int) int64 { return int64(3501 + i) }
+	cells, cs := cellsOf([]string{"quiet", "loaded"}, seed, func(i int, k *sim.Kernel) (e35Cell, error) {
 		if i == 0 {
-			return runE35Cell(3501, 0, period, interval, "E35-quiet")
+			return runE35Cell(k, seed(i), 0, period, interval, "E35-quiet")
 		}
-		return runE35Cell(3502, clients, period, interval, "E35-loaded")
+		return runE35Cell(k, seed(i), clients, period, interval, "E35-loaded")
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	l, lm, qm := &cells[1], cells[1].day, cells[0].day
-	lw, ok := lm.Window(0, period)
-	qw, qok := qm.Window(0, period)
-	if !ok || !qok {
-		return r.fail(fmt.Errorf("day produced no intervals"))
-	}
-	r.row("offered background", float64(clients)*0.1*0.5/1000, "kops/s",
-		fmt.Sprintf("%d clients x 0.1 ops/s x 50%% active", clients))
-	r.row("admitted background", lw.MeanAuxRate/1000, "kops/s",
-		"what the filer's pool holds")
-	r.row("shed fraction", 100*l.shedFrac(), "%", "open-loop admission control")
-	r.row("diurnal peak/trough", safeDiv(lw.PeakAuxRate, lw.TroughAuxRate), "x",
-		fmt.Sprintf("%.0fk / %.0fk ops/s", lw.PeakAuxRate/1000, lw.TroughAuxRate/1000))
-	r.row("quiet   foreground p99", float64(qw.MaxP99.Microseconds()), "us",
-		"no background, worst interval")
-	r.row("loaded  foreground p99", float64(lw.MaxP99.Microseconds()), "us",
-		"worst interval of the day")
-	xs := make([]float64, 0, len(lm.Series))
-	ys := make([]float64, 0, len(lm.Series))
-	for _, s := range lm.Series {
-		xs = append(xs, s.T.Hours())
-		ys = append(ys, float64(s.Aux)/interval.Seconds()/1000)
-	}
-	r.Charts = append(r.Charts, charts.Render(
-		"Admitted background throughput over the simulated day (1 filer)",
-		"hours", "kops/s", chartW, chartH, []charts.Series{{Name: "admitted", X: xs, Y: ys}}))
-	r.finding("one filer meets a million clients: the pool absorbs the "+
-		"offered mean (only %.1f%% shed by open-loop admission), but the "+
-		"%.1fx diurnal swing drives the peak to the pool's edge and the "+
-		"foreground tail pays for it — worst-interval p99 inflates %.0fx "+
-		"over the quiet twin (%.0f vs %.0f us). The paper's single-server "+
-		"saturation shape, reproduced at a population the 2008 study could "+
-		"not instantiate",
-		100*l.shedFrac(), safeDiv(lw.PeakAuxRate, lw.TroughAuxRate),
-		safeDiv(float64(lw.MaxP99.Microseconds()), float64(qw.MaxP99.Microseconds())),
-		float64(lw.MaxP99.Microseconds()), float64(qw.MaxP99.Microseconds()))
-	return r
+	return plan{cs, func(r *Report) {
+		l, lm, qm := &cells[1], cells[1].day, cells[0].day
+		lw, _ := lm.Window(0, period)
+		qw, _ := qm.Window(0, period)
+		r.row("offered background", float64(clients)*0.1*0.5/1000, "kops/s",
+			fmt.Sprintf("%d clients x 0.1 ops/s x 50%% active", clients))
+		r.row("admitted background", lw.MeanAuxRate/1000, "kops/s",
+			"what the filer's pool holds")
+		r.row("shed fraction", 100*l.shedFrac(), "%", "open-loop admission control")
+		r.row("diurnal peak/trough", safeDiv(lw.PeakAuxRate, lw.TroughAuxRate), "x",
+			fmt.Sprintf("%.0fk / %.0fk ops/s", lw.PeakAuxRate/1000, lw.TroughAuxRate/1000))
+		r.row("quiet   foreground p99", float64(qw.MaxP99.Microseconds()), "us",
+			"no background, worst interval")
+		r.row("loaded  foreground p99", float64(lw.MaxP99.Microseconds()), "us",
+			"worst interval of the day")
+		xs := make([]float64, 0, len(lm.Series))
+		ys := make([]float64, 0, len(lm.Series))
+		for _, s := range lm.Series {
+			xs = append(xs, s.T.Hours())
+			ys = append(ys, float64(s.Aux)/interval.Seconds()/1000)
+		}
+		r.Charts = append(r.Charts, charts.Render(
+			"Admitted background throughput over the simulated day (1 filer)",
+			"hours", "kops/s", chartW, chartH, []charts.Series{{Name: "admitted", X: xs, Y: ys}}))
+		r.finding("one filer meets a million clients: the pool absorbs the "+
+			"offered mean (only %.1f%% shed by open-loop admission), but the "+
+			"%.1fx diurnal swing drives the peak to the pool's edge and the "+
+			"foreground tail pays for it — worst-interval p99 inflates %.0fx "+
+			"over the quiet twin (%.0f vs %.0f us). The paper's single-server "+
+			"saturation shape, reproduced at a population the 2008 study could "+
+			"not instantiate",
+			100*l.shedFrac(), safeDiv(lw.PeakAuxRate, lw.TroughAuxRate),
+			safeDiv(float64(lw.MaxP99.Microseconds()), float64(qw.MaxP99.Microseconds())),
+			float64(lw.MaxP99.Microseconds()), float64(qw.MaxP99.Microseconds()))
+	}}
 }

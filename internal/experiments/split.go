@@ -32,15 +32,13 @@ func e25Cfg(n, threshold int) shard.Config {
 	return cfg
 }
 
-// E25SplitScaling sweeps the shard count under the mdtest
+// e25SplitScaling sweeps the shard count under the mdtest
 // shared-directory pattern with splitting off and on: without it, every
 // create of the one shared directory serializes on the directory's home
 // shard and the curve stays flat no matter how many shards exist — the
 // §4.3.3 wall at shard granularity; with it, the directory spreads as
 // it grows and the same workload scales with the cluster.
-func E25SplitScaling() *Report {
-	r := &Report{ID: "E25", Title: "Giant-directory splitting: one shared directory vs. shard count",
-		PaperRef: "beyond §4.3.3 (the large-directory wall; GIGA+/HopsFS direction)"}
+func e25SplitScaling() plan {
 	plugin := core.WideDirFiles{}
 	const problem = 250 // per process; 64 procs = 16k files in one directory
 	shardsSwept := []int{1, 2, 4, 8, 16}
@@ -56,69 +54,65 @@ func E25SplitScaling() *Report {
 	for _, n := range shardsSwept {
 		names = append(names, fmt.Sprintf("%dshards-off", n), fmt.Sprintf("%dshards-on", n))
 	}
-	cells, err := parCells("E25", names, func(i int) (e25cell, error) {
+	cells, cs := cellsOf(names, func(int) int64 { return 2500 }, func(i int, k *sim.Kernel) (e25cell, error) {
 		threshold := 0
 		if i%2 == 1 {
 			threshold = 512
 		}
-		m, fsys, err := runSharded(2500, e25Cfg(shardsSwept[i/2], threshold), plugin, problem)
+		m, fsys, err := runSharded(k, e25Cfg(shardsSwept[i/2], threshold), plugin, problem)
 		if err != nil {
 			return e25cell{}, err
 		}
 		return e25cell{rate: wallOf(m), splits: len(fsys.Splits), moved: fsys.SplitMoved,
 			bounces: fsys.Bounces}, nil
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	var xs, offY, onY []float64
-	var off8, on8 float64
-	for i, n := range shardsSwept {
-		off, on := cells[2*i], cells[2*i+1]
-		xs = append(xs, float64(n))
-		offY = append(offY, off.rate)
-		onY = append(onY, on.rate)
-		if n == 8 {
-			off8, on8 = off.rate, on.rate
+	return plan{cs, func(r *Report) {
+		var xs, offY, onY []float64
+		var off8, on8 float64
+		for i, n := range shardsSwept {
+			off, on := cells[2*i], cells[2*i+1]
+			xs = append(xs, float64(n))
+			offY = append(offY, off.rate)
+			onY = append(onY, on.rate)
+			if n == 8 {
+				off8, on8 = off.rate, on.rate
+			}
+			r.row(fmt.Sprintf("creates/s @ %2d shards, split off", n), off.rate, "ops/s", "")
+			r.row(fmt.Sprintf("creates/s @ %2d shards, split on", n), on.rate, "ops/s",
+				fmt.Sprintf("%d splits, %d entries moved, %d bounces",
+					on.splits, on.moved, on.bounces))
 		}
-		r.row(fmt.Sprintf("creates/s @ %2d shards, split off", n), off.rate, "ops/s", "")
-		r.row(fmt.Sprintf("creates/s @ %2d shards, split on", n), on.rate, "ops/s",
-			fmt.Sprintf("%d splits, %d entries moved, %d bounces",
-				on.splits, on.moved, on.bounces))
-	}
-	if off8 > 0 {
-		r.row("split advantage @ 8 shards", on8/off8, "x", "threshold 512")
-	}
-	r.row("split off: speedup 1->16 shards", offY[len(offY)-1]/offY[0], "x", "one directory, one shard")
-	r.row("split on: speedup 1->16 shards", onY[len(onY)-1]/onY[0], "x", "")
-	r.finding("one shared directory defeats per-directory placement: with splitting "+
-		"off, adding shards moves creates/s %.2fx from 1 to 16 shards (all load "+
-		"serializes on the directory's home shard); with GIGA+-style splitting the "+
-		"same workload scales %.2fx, and at 8 shards splitting wins %.1fx — the "+
-		"§4.3.3 large-directory wall falling at MDS granularity",
-		offY[len(offY)-1]/offY[0], onY[len(onY)-1]/onY[0], on8/off8)
-	r.Charts = append(r.Charts, charts.Render(
-		"Shared-directory create throughput vs. shard count (64 processes)",
-		"shards", "ops/s", chartW, chartH,
-		[]charts.Series{
-			{Name: "split on (thresh 512)", X: xs, Y: onY},
-			{Name: "split off", X: xs, Y: offY},
-		}))
-	return r
+		if off8 > 0 {
+			r.row("split advantage @ 8 shards", on8/off8, "x", "threshold 512")
+		}
+		r.row("split off: speedup 1->16 shards", offY[len(offY)-1]/offY[0], "x", "one directory, one shard")
+		r.row("split on: speedup 1->16 shards", onY[len(onY)-1]/onY[0], "x", "")
+		r.finding("one shared directory defeats per-directory placement: with splitting "+
+			"off, adding shards moves creates/s %.2fx from 1 to 16 shards (all load "+
+			"serializes on the directory's home shard); with GIGA+-style splitting the "+
+			"same workload scales %.2fx, and at 8 shards splitting wins %.1fx — the "+
+			"§4.3.3 large-directory wall falling at MDS granularity",
+			offY[len(offY)-1]/offY[0], onY[len(onY)-1]/onY[0], on8/off8)
+		r.Charts = append(r.Charts, charts.Render(
+			"Shared-directory create throughput vs. shard count (64 processes)",
+			"shards", "ops/s", chartW, chartH,
+			[]charts.Series{
+				{Name: "split on (thresh 512)", X: xs, Y: onY},
+				{Name: "split off", X: xs, Y: offY},
+			}))
+	}}
 }
 
-// E26SplitStorm watches the interval timeline while a growing shared
+// e26SplitStorm watches the interval timeline while a growing shared
 // directory crosses its split threshold repeatedly: each split step
 // blocks the triggering create for the whole migration, so the timeline
 // shows a throughput dip and a COV spike per split — the §4.2
 // disturbance shape, but self-inflicted by the cure. The threshold
 // trades storm count against storm size: a small threshold splits
 // early and cheaply, a large one late and violently.
-func E26SplitStorm() *Report {
-	r := &Report{ID: "E26", Title: "Split-storm cost: migration dips vs. split threshold",
-		PaperRef: "beyond §4.2 + §4.3.4 (self-inflicted disturbances in the timeline)"}
+func e26SplitStorm() plan {
 	const window = 12 * time.Second
-	// One cell per split threshold.
+	// One cell per split threshold, seeded 2600+i.
 	thresholds := []int{512, 2048, 8192}
 	type e26cell struct {
 		m     *results.Measurement
@@ -129,8 +123,7 @@ func E26SplitStorm() *Report {
 	for i, threshold := range thresholds {
 		names[i] = fmt.Sprintf("thresh%d", threshold)
 	}
-	cells, err := parCells("E26", names, func(i int) (e26cell, error) {
-		k := sim.New(int64(2600 + i))
+	cells, cs := cellsOf(names, func(i int) int64 { return int64(2600 + i) }, func(i int, k *sim.Kernel) (e26cell, error) {
 		cl := cluster.New(k, cluster.DefaultConfig(8))
 		c := e26cell{fs: newShardFS(k, "meta", e25Cfg(8, thresholds[i]))}
 		var err error
@@ -139,69 +132,67 @@ func E26SplitStorm() *Report {
 			func(mp *sim.Proc, _ core.MeasurementInfo) { c.start = mp.Now() })
 		return c, err
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	var chartsOut []string
-	var firstDip, lastDip, lastCOV float64
-	var lastStorm int
-	for i, threshold := range thresholds {
-		m, fsys, start := cells[i].m, cells[i].fs, cells[i].start
-		rate := wallOf(m)
-		// The deepest single-interval dip across all split instants,
-		// each against the steady state of the second before its split
-		// (the run ramps up early, so a global baseline would hide the
-		// storm), plus the worst COV spike in the second after.
-		var cov float64
-		dip := 1.0
-		for _, ev := range fsys.Splits {
-			at := ev.At - start
-			from := at - time.Second
-			if from < 0 {
-				from = 0
+	return plan{cs, func(r *Report) {
+		var chartsOut []string
+		var firstDip, lastDip, lastCOV float64
+		var lastStorm int
+		for i, threshold := range thresholds {
+			m, fsys, start := cells[i].m, cells[i].fs, cells[i].start
+			rate := wallOf(m)
+			// The deepest single-interval dip across all split instants,
+			// each against the steady state of the second before its split
+			// (the run ramps up early, so a global baseline would hide the
+			// storm), plus the worst COV spike in the second after.
+			var cov float64
+			dip := 1.0
+			for _, ev := range fsys.Splits {
+				at := ev.At - start
+				from := at - time.Second
+				if from < 0 {
+					from = 0
+				}
+				base := windowThroughput(m, from, at)
+				during, ok := minThroughput(m, at, at+600*time.Millisecond)
+				if ok && base > 0 && during/base < dip {
+					dip = during / base
+				}
+				if c := maxCOV(m, at, at+time.Second); c > cov {
+					cov = c
+				}
 			}
-			base := windowThroughput(m, from, at)
-			during, ok := minThroughput(m, at, at+600*time.Millisecond)
-			if ok && base > 0 && during/base < dip {
-				dip = during / base
+			r.row(fmt.Sprintf("threshold %5d: creates/s", threshold), rate, "ops/s",
+				fmt.Sprintf("%d splits, %d entries moved", len(fsys.Splits), fsys.SplitMoved))
+			r.row(fmt.Sprintf("threshold %5d: deepest split dip", threshold), dip*100, "%",
+				"worst interval within 600ms of a split vs. the second before it")
+			r.row(fmt.Sprintf("threshold %5d: max COV after split", threshold), cov, "", "")
+			if i == 0 {
+				firstDip = dip
 			}
-			if c := maxCOV(m, at, at+time.Second); c > cov {
-				cov = c
+			storm := 0
+			for _, ev := range fsys.Splits {
+				if ev.Moved > storm {
+					storm = ev.Moved
+				}
+			}
+			lastDip, lastCOV, lastStorm = dip, cov, storm
+			if threshold == 8192 {
+				chartsOut = append(chartsOut,
+					fmt.Sprintf("shared-directory creates, splitting at %d entries/partition\n", threshold)+
+						charts.TimeChart(m, chartW, chartH))
 			}
 		}
-		r.row(fmt.Sprintf("threshold %5d: creates/s", threshold), rate, "ops/s",
-			fmt.Sprintf("%d splits, %d entries moved", len(fsys.Splits), fsys.SplitMoved))
-		r.row(fmt.Sprintf("threshold %5d: deepest split dip", threshold), dip*100, "%",
-			"worst interval within 600ms of a split vs. the second before it")
-		r.row(fmt.Sprintf("threshold %5d: max COV after split", threshold), cov, "", "")
-		if i == 0 {
-			firstDip = dip
-		}
-		storm := 0
-		for _, ev := range fsys.Splits {
-			if ev.Moved > storm {
-				storm = ev.Moved
-			}
-		}
-		lastDip, lastCOV, lastStorm = dip, cov, storm
-		if threshold == 8192 {
-			chartsOut = append(chartsOut,
-				fmt.Sprintf("shared-directory creates, splitting at %d entries/partition\n", threshold)+
-					charts.TimeChart(m, chartW, chartH))
-		}
-	}
-	r.finding("splitting is a self-inflicted disturbance with a tunable shape: at "+
-		"threshold 512 the migrations are too small to dent a 100ms interval "+
-		"(worst dip %.0f%% of baseline), while threshold 8192 defers the same work "+
-		"into a single storm of %d moved entries that craters one interval to "+
-		"%.0f%% with a COV spike of %.2f — the §4.2 disturbance signature, "+
-		"self-inflicted, and the checkpoint-cadence trade-off of §2.7 applied to "+
-		"directory radix doubling", firstDip*100, lastStorm, lastDip*100, lastCOV)
-	r.Charts = append(r.Charts, chartsOut...)
-	return r
+		r.finding("splitting is a self-inflicted disturbance with a tunable shape: at "+
+			"threshold 512 the migrations are too small to dent a 100ms interval "+
+			"(worst dip %.0f%% of baseline), while threshold 8192 defers the same work "+
+			"into a single storm of %d moved entries that craters one interval to "+
+			"%.0f%% with a COV spike of %.2f — the §4.2 disturbance signature, "+
+			"self-inflicted, and the checkpoint-cadence trade-off of §2.7 applied to "+
+			"directory radix doubling", firstDip*100, lastStorm, lastDip*100, lastCOV)
+		r.Charts = append(r.Charts, chartsOut...)
+	}}
 }
 
-// E27SplitRouting prices the client's split bitmap: a stale or missing
+// e27SplitRouting prices the client's split bitmap: a stale or missing
 // bitmap routes to the wrong shard and pays a bounce (one extra
 // redirect round trip). Every server reply piggybacks the current
 // level (the GIGA+ discipline), so a client actively working in a
@@ -212,9 +203,7 @@ func E26SplitStorm() *Report {
 // survives idle gaps up to the lease TTL. The second half prices what
 // a listing pays once a directory is split: the readdir fans out over
 // every partition slice and merges.
-func E27SplitRouting() *Report {
-	r := &Report{ID: "E27", Title: "Split-bitmap staleness: bounce rate vs. TTL, and the readdir fan-out",
-		PaperRef: "beyond §2.1.2 (routing-hint caching; GIGA+ stale-bitmap tolerance)"}
+func e27SplitRouting() plan {
 	const (
 		readers = 4
 		rounds  = 40
@@ -231,13 +220,12 @@ func E27SplitRouting() *Report {
 		avg     time.Duration
 		parts   int
 	}
-	probeBounce := func(mode shard.CacheMode, bitmapTTL time.Duration) (e27cell, error) {
+	probeBounce := func(k *sim.Kernel, mode shard.CacheMode, bitmapTTL time.Duration) (e27cell, error) {
 		cfg := e25Cfg(8, 256)
 		cfg.CacheMode = mode
 		if bitmapTTL > 0 {
 			cfg.SplitBitmapTTL = bitmapTTL
 		}
-		k := sim.New(2701)
 		cl := cluster.New(k, cluster.DefaultConfig(readers+1))
 		fsys := newShardFS(k, "meta", cfg)
 		var c e27cell
@@ -287,8 +275,7 @@ func E27SplitRouting() *Report {
 	// The fan-out price of listing a split directory: one client, one
 	// 4000-entry directory, listed split (8 partition slices merged) and
 	// unsplit (one readdir on the home shard).
-	probe := func(threshold int) (e27cell, error) {
-		k := sim.New(2750)
+	probe := func(k *sim.Kernel, threshold int) (e27cell, error) {
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := newShardFS(k, "meta", e25Cfg(8, threshold))
 		var c e27cell
@@ -315,61 +302,65 @@ func E27SplitRouting() *Report {
 		c.parts = 1 << fsys.SplitLevel("/big")
 		return c, err
 	}
-	// Seven cells: the four TTL bounce probes, the lease bounce probe and
-	// the two readdir fan-out probes, each on its own kernel.
+	// Seven cells: the four TTL bounce probes and the lease bounce probe,
+	// seeded 2701, and the two readdir fan-out probes, seeded 2750.
 	names := make([]string, 0, len(ttls)+3)
 	for _, ttl := range ttls {
 		names = append(names, "bitmap-ttl-"+ttl.String())
 	}
 	names = append(names, "lease-mode", "readdir-unsplit", "readdir-split")
-	cells, err := parCells("E27", names, func(i int) (e27cell, error) {
+	seed := func(i int) int64 {
+		if i <= len(ttls) {
+			return 2701
+		}
+		return 2750
+	}
+	cells, cs := cellsOf(names, seed, func(i int, k *sim.Kernel) (e27cell, error) {
 		switch {
 		case i < len(ttls):
-			return probeBounce(shard.CacheTTL, ttls[i])
+			return probeBounce(k, shard.CacheTTL, ttls[i])
 		case i == len(ttls):
-			return probeBounce(shard.CacheLease, 0)
+			return probeBounce(k, shard.CacheLease, 0)
 		case i == len(ttls)+1:
-			return probe(0)
+			return probe(k, 0)
 		default:
-			return probe(256)
+			return probe(k, 256)
 		}
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	var xs, ys []float64
-	for i, ttl := range ttls {
-		c := cells[i]
-		perRound := float64(c.bounces) / float64(rounds*readers)
-		xs = append(xs, ttl.Seconds())
-		ys = append(ys, perRound)
-		r.row(fmt.Sprintf("bitmap ttl %5s: bounces/revisit", ttl), perRound, "",
-			fmt.Sprintf("%d bounces over %d stats, %.0f%% bitmap hits, %s gaps",
-				c.bounces, c.stats, c.hitRate, gap))
-	}
-	lease := cells[len(ttls)]
-	leasePerRound := float64(lease.bounces) / float64(rounds*readers)
-	r.row("lease mode: bounces/revisit", leasePerRound, "",
-		fmt.Sprintf("%d bounces, %.0f%% bitmap hits; the bitmap rides the %s directory lease",
-			lease.bounces, lease.hitRate, shard.DefaultConfig(8).LeaseTTL))
+	return plan{cs, func(r *Report) {
+		var xs, ys []float64
+		for i, ttl := range ttls {
+			c := cells[i]
+			perRound := float64(c.bounces) / float64(rounds*readers)
+			xs = append(xs, ttl.Seconds())
+			ys = append(ys, perRound)
+			r.row(fmt.Sprintf("bitmap ttl %5s: bounces/revisit", ttl), perRound, "",
+				fmt.Sprintf("%d bounces over %d stats, %.0f%% bitmap hits, %s gaps",
+					c.bounces, c.stats, c.hitRate, gap))
+		}
+		lease := cells[len(ttls)]
+		leasePerRound := float64(lease.bounces) / float64(rounds*readers)
+		r.row("lease mode: bounces/revisit", leasePerRound, "",
+			fmt.Sprintf("%d bounces, %.0f%% bitmap hits; the bitmap rides the %s directory lease",
+				lease.bounces, lease.hitRate, shard.DefaultConfig(8).LeaseTTL))
 
-	flatAvg := cells[len(ttls)+1].avg
-	splitAvg, parts := cells[len(ttls)+2].avg, cells[len(ttls)+2].parts
-	r.row("readdir 4000 entries, unsplit", float64(flatAvg.Microseconds()), "us", "one shard")
-	r.row(fmt.Sprintf("readdir 4000 entries, %d partitions", parts),
-		float64(splitAvg.Microseconds()), "us", "fan-out + merge")
-	r.row("fan-out penalty", float64(splitAvg)/float64(flatAvg), "x", "")
-	r.finding("the split bitmap is a routing hint, so staleness costs bounces, never "+
-		"correctness: a bitmap outlived by the %s idle gap routes as if the "+
-		"directory were unsplit and pays %.2f bounces per revisit, falling to %.2f "+
-		"once the TTL covers the gap — one redirect per burst at worst — while "+
-		"lease mode rides the directory lease across gaps at %.2f; the flip side "+
-		"of spreading a directory is that one listing becomes %d merged partition "+
-		"reads, %.1fx an unsplit readdir",
-		gap, ys[0], ys[len(ys)-1], leasePerRound, parts, float64(splitAvg)/float64(flatAvg))
-	r.Charts = append(r.Charts, charts.Render(
-		"Routing bounces per revisit vs. split-bitmap TTL (8 shards, threshold 256)",
-		"ttl s", "bounces/revisit", chartW, chartH,
-		[]charts.Series{{Name: "ttl mode", X: xs, Y: ys}}))
-	return r
+		flatAvg := cells[len(ttls)+1].avg
+		splitAvg, parts := cells[len(ttls)+2].avg, cells[len(ttls)+2].parts
+		r.row("readdir 4000 entries, unsplit", float64(flatAvg.Microseconds()), "us", "one shard")
+		r.row(fmt.Sprintf("readdir 4000 entries, %d partitions", parts),
+			float64(splitAvg.Microseconds()), "us", "fan-out + merge")
+		r.row("fan-out penalty", float64(splitAvg)/float64(flatAvg), "x", "")
+		r.finding("the split bitmap is a routing hint, so staleness costs bounces, never "+
+			"correctness: a bitmap outlived by the %s idle gap routes as if the "+
+			"directory were unsplit and pays %.2f bounces per revisit, falling to %.2f "+
+			"once the TTL covers the gap — one redirect per burst at worst — while "+
+			"lease mode rides the directory lease across gaps at %.2f; the flip side "+
+			"of spreading a directory is that one listing becomes %d merged partition "+
+			"reads, %.1fx an unsplit readdir",
+			gap, ys[0], ys[len(ys)-1], leasePerRound, parts, float64(splitAvg)/float64(flatAvg))
+		r.Charts = append(r.Charts, charts.Render(
+			"Routing bounces per revisit vs. split-bitmap TTL (8 shards, threshold 256)",
+			"ttl s", "bounces/revisit", chartW, chartH,
+			[]charts.Series{{Name: "ttl mode", X: xs, Y: ys}}))
+	}}
 }

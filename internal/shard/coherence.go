@@ -175,7 +175,7 @@ func (f *FS) cbDeliver(p *sim.Proc, st *nodeState, inval func()) {
 // pays an interconnect message, the way a distributed lock manager's
 // does. The client-side lease fill rides the RPC reply (simnet.Defer).
 func (f *FS) grant(p *sim.Proc, st *nodeState, path string, a fs.Attr) {
-	if a.Type == fs.TypeDirectory && f.cfg.Delegations {
+	if a.Type == fs.TypeDirectory {
 		if cs := f.contentSlice(path); cs >= 0 {
 			f.withLeaseSlice(p, cs, func(q *sim.Proc) {
 				if holder, ok := f.leases[cs].deleg[path]; ok && holder != st {
@@ -276,9 +276,6 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 // must not run it: a delegation granted while a fresh mkdir is still
 // paying its broadcast costs is already legitimate.
 func (f *FS) dropDelegation(p *sim.Proc, dir string) {
-	if !f.cfg.Delegations {
-		return
-	}
 	if cs := f.contentSlice(dir); cs >= 0 {
 		f.withLeaseSlice(p, cs, func(q *sim.Proc) {
 			delete(f.leases[cs].deleg, dir)
@@ -319,9 +316,6 @@ func (f *FS) revokeSubtree(p *sim.Proc, mutator *nodeState, dir string, slice in
 // case the caller skips the dir-lease revocation: the sole writer
 // maintains its own cached dir attributes by write-back).
 func (f *FS) dirCovered(p *sim.Proc, mutator *nodeState, dir string) bool {
-	if !f.cfg.Delegations {
-		return false
-	}
 	slice := f.contentSlice(dir)
 	if slice < 0 {
 		return false
@@ -369,7 +363,7 @@ func (f *FS) revokeOnMutate(p *sim.Proc, mutator *nodeState, path string, withPa
 		return
 	}
 	covered := false
-	if cs := f.contentSlice(dir); f.cfg.Delegations && cs >= 0 {
+	if cs := f.contentSlice(dir); cs >= 0 {
 		f.withLeaseSlice(p, cs, func(q *sim.Proc) {
 			covered = f.dirCovered(q, mutator, dir)
 		})

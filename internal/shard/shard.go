@@ -200,10 +200,6 @@ type Config struct {
 	// entry's attributes on a readdirplus reply — far below a full
 	// GETATTR round trip, which is the point of batching.
 	ReaddirPlusPerEntry time.Duration
-	// Delegations enables write-back directory delegations: the sole
-	// writer of a directory keeps its cached directory attributes
-	// current itself instead of paying revocations per mutation.
-	Delegations bool
 	// CrashInvalidate makes clients verify each lease's slice epoch on
 	// every cache hit, so a crash takeover (which bumps the epoch)
 	// bulk-invalidates the slice's leases instantly. Off, clients trust
@@ -290,7 +286,6 @@ func DefaultConfig(n int) Config {
 		LeaseTTL:            10 * time.Second,
 		CallbackService:     25 * time.Microsecond,
 		ReaddirPlusPerEntry: 2 * time.Microsecond,
-		Delegations:         true,
 		CrashInvalidate:     true,
 
 		SplitMovePerEntry: 4 * time.Microsecond,

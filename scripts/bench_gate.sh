@@ -44,15 +44,22 @@ fi
 scripts/bench.sh "$outdir" -count 3 -substrate-only
 fresh=$(ls "$outdir"/BENCH_*.json | sort | tail -1)
 
-# Suite wall-clock timing line: one parallel run of the whole suite, so
+# Suite wall-clock timing lines: one parallel run of the whole suite, so
 # the perf trajectory in the CI artifact captures end-to-end cost, not
-# just ns/op. Informational only — never gated (shared runners are too
+# just ns/op, plus the -cells summary line: the cell sum, the wall time
+# and the share of the j-worker bound max(sum/j, longest cell) the run
+# reached. Informational only — never gated (shared runners are too
 # noisy for a hard wall-clock bound).
 workers=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 go build -o "$outdir/.experiments-gate" ./cmd/experiments
-suite_s=$("$outdir/.experiments-gate" -j "$workers" | awk '/^total:/ { sub(/s$/, "", $2); print $2 }')
-rm -f "$outdir/.experiments-gate"
-echo "bench_gate: suite wall-clock ${suite_s}s (-j $workers)" | tee "$outdir/suite_timing.txt"
+"$outdir/.experiments-gate" -j "$workers" -cells > "$outdir/.experiments-gate.out" ||
+	echo "bench_gate: the suite run exited non-zero (not gated here; the docs job fails on it)"
+suite_s=$(awk '/^total:/ { sub(/s$/, "", $2); print $2 }' "$outdir/.experiments-gate.out")
+{
+	echo "bench_gate: suite wall-clock ${suite_s}s (-j $workers)"
+	grep '^cell sum ' "$outdir/.experiments-gate.out" | sed 's/^/bench_gate: /'
+} | tee "$outdir/suite_timing.txt"
+rm -f "$outdir/.experiments-gate" "$outdir/.experiments-gate.out"
 
 extract() {
 	# Pull one numeric field ($3, e.g. ns_per_op) of one benchmark out of
