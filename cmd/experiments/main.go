@@ -27,7 +27,6 @@ import (
 	"os"
 	"regexp"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"runtime/trace"
 	"sort"
@@ -109,12 +108,6 @@ func run() int {
 		defer trace.Stop()
 	}
 
-	// The pool runs up to j simulated worlds side by side, and the
-	// largest come in pairs that run at once: E05's two 20-node cells
-	// each hold ~260 MB live at the end of their runs. Collecting at
-	// 1.5x the live heap instead of Go's default 2x bounds the suite's
-	// peak RSS for a few percent more GC work.
-	debug.SetGCPercent(50)
 	j := max(*workers, 1)
 	start := time.Now()
 	reps, timings := experiments.Run(selected, j)
@@ -235,7 +228,8 @@ func listExperiments(suite []experiments.Experiment) {
 // slowest cell first — the -cells report used to spot the critical path
 // of a parallel run. Its last line compares the suite's wall time with
 // the j-worker bound max(sum/j, longest cell), which no schedule of these
-// cells can beat.
+// cells can beat, and ends with the process's peak RSS where the
+// platform reports one.
 func printCellTimings(w io.Writer, timings []experiments.Timing, wall time.Duration, j int) {
 	byExp := map[string][]experiments.Timing{}
 	var exps []string
@@ -263,6 +257,10 @@ func printCellTimings(w io.Writer, timings []experiments.Timing, wall time.Durat
 		}
 	}
 	bound := max(sum/time.Duration(j), longest)
-	fmt.Fprintf(w, "cell sum %.2fs, longest cell %.2fs, wall %.2fs; %d-worker bound %.2fs, reached %.1f%%\n",
+	fmt.Fprintf(w, "cell sum %.2fs, longest cell %.2fs, wall %.2fs; %d-worker bound %.2fs, reached %.1f%%",
 		sum.Seconds(), longest.Seconds(), wall.Seconds(), j, bound.Seconds(), 100*bound.Seconds()/wall.Seconds())
+	if mb, ok := peakRSSMB(); ok {
+		fmt.Fprintf(w, ", peak RSS %.0f MB", mb)
+	}
+	fmt.Fprintln(w)
 }

@@ -6,7 +6,7 @@
 //     attribute cache (acregmin/acregmax) and the Linux dcache with
 //     d_revalidate (§2.1.2). Remote mutations are invisible until the
 //     timeout lapses — cheap, but stale by design. NameCache
-//     (namecache.go) is the pair in one map, one entry per path.
+//     (namecache.go) is the pair in one entry per path.
 //   - LeaseCache (lease.go) is the client half of an explicit coherence
 //     protocol: entries are trusted until the server-granted lease
 //     expires, the server revokes them with a callback, or the granting
@@ -15,7 +15,13 @@
 //     (internal/shard wires the server half; E22–E24 measure it).
 //
 // Every cache is unbounded: an entry leaves only when it is
-// invalidated, revoked or cleared, or (leases) read after it lapsed.
+// invalidated, revoked or cleared, or (leases and split levels) read
+// after it lapsed. A timeout cache never drops a stale entry by itself.
+// NameCache, AttrCache and LeaseCache keep their entries in a slot
+// store (slots.go): an index from path to slot, and pages of entries
+// that never move. A freed slot goes to the next new path, and no page
+// is released before the cache itself, Clear included, so a cache's
+// memory follows the most paths it ever held at once.
 package clientcache
 
 import (
@@ -31,7 +37,7 @@ type AttrCache struct {
 
 	now func() time.Duration
 
-	entries map[string]attrEntry
+	entries slots[attrEntry]
 	hits    int64
 	misses  int64
 }
@@ -43,13 +49,13 @@ type attrEntry struct {
 
 // NewAttrCache returns a cache using now as its clock.
 func NewAttrCache(ttl time.Duration, now func() time.Duration) *AttrCache {
-	return &AttrCache{TTL: ttl, now: now, entries: make(map[string]attrEntry)}
+	return &AttrCache{TTL: ttl, now: now}
 }
 
 // Get returns the cached attributes for path if fresh.
 func (c *AttrCache) Get(path string) (fs.Attr, bool) {
-	e, ok := c.entries[path]
-	if !ok || c.now()-e.fetched > c.TTL {
+	e := c.entries.get(path)
+	if e == nil || c.now()-e.fetched > c.TTL {
 		c.misses++
 		return fs.Attr{}, false
 	}
@@ -59,17 +65,17 @@ func (c *AttrCache) Get(path string) (fs.Attr, bool) {
 
 // Put stores attributes for path.
 func (c *AttrCache) Put(path string, a fs.Attr) {
-	c.entries[path] = attrEntry{attr: a, fetched: c.now()}
+	*c.entries.put(path) = attrEntry{attr: a, fetched: c.now()}
 }
 
 // Invalidate removes one path.
-func (c *AttrCache) Invalidate(path string) { delete(c.entries, path) }
+func (c *AttrCache) Invalidate(path string) { c.entries.drop(path) }
 
 // Clear drops every entry and resets the hit/miss statistics
 // (drop_caches before a fresh measurement, §3.4.3: a cleared cache's
 // counters must describe only the run that follows).
 func (c *AttrCache) Clear() {
-	c.entries = make(map[string]attrEntry)
+	c.entries.reset()
 	c.hits, c.misses = 0, 0
 }
 
@@ -77,7 +83,7 @@ func (c *AttrCache) Clear() {
 func (c *AttrCache) Stats() (hits, misses int64) { return c.hits, c.misses }
 
 // Len returns the number of cached entries (fresh or stale).
-func (c *AttrCache) Len() int { return len(c.entries) }
+func (c *AttrCache) Len() int { return c.entries.len() }
 
 // DentryCache caches name resolution results, including negative entries
 // (name known not to exist), like the Linux dcache with d_revalidate.

@@ -28,7 +28,7 @@ type LeaseCache struct {
 	now     func() time.Duration
 	epochOf func(authority int) uint64
 
-	entries map[string]leaseEntry
+	entries slots[leaseEntry]
 
 	hits, misses, revoked, epochDrops int64
 }
@@ -44,7 +44,7 @@ type leaseEntry struct {
 // reports the current epoch of a granting authority; nil disables epoch
 // checks (leases survive failovers until they expire or are revoked).
 func NewLeaseCache(now func() time.Duration, epochOf func(authority int) uint64) *LeaseCache {
-	return &LeaseCache{now: now, epochOf: epochOf, entries: make(map[string]leaseEntry)}
+	return &LeaseCache{now: now, epochOf: epochOf}
 }
 
 // Get returns the cached attributes for path while its lease holds. A
@@ -52,19 +52,19 @@ func NewLeaseCache(now func() time.Duration, epochOf func(authority int) uint64)
 // epoch drop); one past its expiry is dropped silently. Both count as
 // misses.
 func (c *LeaseCache) Get(path string) (fs.Attr, bool) {
-	e, ok := c.entries[path]
-	if !ok {
+	e := c.entries.get(path)
+	if e == nil {
 		c.misses++
 		return fs.Attr{}, false
 	}
 	if c.epochOf != nil && c.epochOf(e.authority) != e.epoch {
-		delete(c.entries, path)
+		c.entries.drop(path)
 		c.epochDrops++
 		c.misses++
 		return fs.Attr{}, false
 	}
 	if c.now() > e.expiry {
-		delete(c.entries, path)
+		c.entries.drop(path)
 		c.misses++
 		return fs.Attr{}, false
 	}
@@ -75,7 +75,7 @@ func (c *LeaseCache) Get(path string) (fs.Attr, bool) {
 // Put records a lease on path granted by authority at the given epoch,
 // valid through expiry (inclusive), replacing any lease held on path.
 func (c *LeaseCache) Put(path string, a fs.Attr, expiry time.Duration, authority int, epoch uint64) {
-	c.entries[path] = leaseEntry{attr: a, expiry: expiry, authority: authority, epoch: epoch}
+	*c.entries.put(path) = leaseEntry{attr: a, expiry: expiry, authority: authority, epoch: epoch}
 }
 
 // Revoke drops the lease on path in response to a server callback and
@@ -83,22 +83,21 @@ func (c *LeaseCache) Put(path string, a fs.Attr, expiry time.Duration, authority
 // crash-time bulk invalidation (or an expiry) finds no entry and is a
 // no-op — callbacks are idempotent, so either delivery order converges.
 func (c *LeaseCache) Revoke(path string) bool {
-	if _, ok := c.entries[path]; !ok {
+	if !c.entries.drop(path) {
 		return false
 	}
-	delete(c.entries, path)
 	c.revoked++
 	return true
 }
 
 // Invalidate removes one path without counting a revocation (local
 // knowledge, e.g. the client itself unlinked the file).
-func (c *LeaseCache) Invalidate(path string) { delete(c.entries, path) }
+func (c *LeaseCache) Invalidate(path string) { c.entries.drop(path) }
 
 // Clear drops every entry and resets the statistics (§3.4.3 semantics,
 // like AttrCache.Clear).
 func (c *LeaseCache) Clear() {
-	c.entries = make(map[string]leaseEntry)
+	c.entries.reset()
 	c.hits, c.misses, c.revoked, c.epochDrops = 0, 0, 0, 0
 }
 
@@ -109,4 +108,4 @@ func (c *LeaseCache) Stats() (hits, misses, revoked, epochDrops int64) {
 }
 
 // Len returns the number of cached entries (live or lapsed).
-func (c *LeaseCache) Len() int { return len(c.entries) }
+func (c *LeaseCache) Len() int { return c.entries.len() }

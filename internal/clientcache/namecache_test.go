@@ -91,7 +91,7 @@ func TestNameCacheInvalidateDentryKeepsAttrs(t *testing.T) {
 	names.Invalidate("/f")
 	names.PutNegative("/g")
 	names.InvalidateDentry("/g") // a dentry-only entry goes entirely
-	if n := len(names.entries); n != 0 {
+	if n := names.entries.len(); n != 0 {
 		t.Fatalf("%d entries left after dropping everything, want 0", n)
 	}
 }

@@ -159,11 +159,13 @@ func e28BackendProfile() plan {
 func e29CompactionTimeline() plan {
 	const window = 12 * time.Second
 	intervals := []int64{2 << 20, 8 << 20, 32 << 20}
-	// One cell per compaction interval, seeded 2900+i.
+	// One cell per compaction interval, seeded 2900+i. A cell keeps only
+	// what assembly reads, so its simulated world is garbage once the
+	// run ends.
 	type e29cell struct {
-		m     *results.Measurement
-		fs    *shard.FS
-		start time.Duration
+		m           *results.Measurement
+		compactions []shard.CompactionEvent
+		start       time.Duration
 	}
 	names := make([]string, len(intervals))
 	for i, every := range intervals {
@@ -174,11 +176,13 @@ func e29CompactionTimeline() plan {
 		cfg.Backend = shard.BackendLSM
 		cfg.LSM.CompactEvery = intervals[i]
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		c := e29cell{fs: newShardFS(k, "meta", cfg)}
+		fsys := newShardFS(k, "meta", cfg)
+		var c e29cell
 		var err error
-		c.m, err = measure(cl, c.fs, 8, 2,
+		c.m, err = measure(cl, fsys, 8, 2,
 			core.Params{ProblemSize: 1 << 20, TimeLimit: window, WorkDir: "/bench"}, core.MakeFiles{},
 			func(mp *sim.Proc, _ core.MeasurementInfo) { c.start = mp.Now() })
+		c.compactions = fsys.Compactions
 		return c, err
 	})
 	return plan{cs, func(r *Report) {
@@ -186,13 +190,13 @@ func e29CompactionTimeline() plan {
 		var smallDip, largeDip, largeCOV float64
 		var largePause time.Duration
 		for i, every := range intervals {
-			m, fsys, start := cells[i].m, cells[i].fs, cells[i].start
+			m, compactions, start := cells[i].m, cells[i].compactions, cells[i].start
 			rate := wallOf(m)
 			var meanPause time.Duration
-			for _, ev := range fsys.Compactions {
+			for _, ev := range compactions {
 				meanPause += ev.Dur
 			}
-			if n := len(fsys.Compactions); n > 0 {
+			if n := len(compactions); n > 0 {
 				meanPause /= time.Duration(n)
 			}
 			// The deepest single-interval dip across all compaction starts,
@@ -204,7 +208,7 @@ func e29CompactionTimeline() plan {
 			// near-total stall for any event close to the time limit.
 			var cov float64
 			dip := 1.0
-			for _, ev := range fsys.Compactions {
+			for _, ev := range compactions {
 				if ev.At < start+time.Second || ev.At > start+window-time.Second {
 					continue
 				}
@@ -221,7 +225,7 @@ func e29CompactionTimeline() plan {
 			}
 			r.row(fmt.Sprintf("compact every %2dMB: creates/s", every>>20), rate, "ops/s",
 				fmt.Sprintf("%d compactions, mean pause %.0fms",
-					len(fsys.Compactions), meanPause.Seconds()*1000))
+					len(compactions), meanPause.Seconds()*1000))
 			r.row(fmt.Sprintf("compact every %2dMB: deepest dip", every>>20), dip*100, "%",
 				"worst interval within 600ms of a compaction vs. the second before it")
 			r.row(fmt.Sprintf("compact every %2dMB: max COV after", every>>20), cov, "", "")

@@ -235,10 +235,15 @@ func e24FailoverCachedLoad() plan {
 		crashAt   = 6 * time.Second
 		restartAt = 13 * time.Second
 	)
-	// Two cells: with and without crash-time lease invalidation.
+	// Two cells: with and without crash-time lease invalidation. A cell
+	// keeps only what assembly reads, so its simulated world is garbage
+	// once the run ends.
 	type e24cell struct {
-		m  *results.Measurement
-		fs *shard.FS
+		m           *results.Measurement
+		takeovers   []shard.Takeover
+		staleReads  int64
+		lastStaleAt time.Duration
+		epochDrops  int64
 	}
 	run := func(k *sim.Kernel, invalidate bool) (e24cell, error) {
 		outage := (&fault.Plan{}).Outage(crashAt, restartAt, 0)
@@ -252,40 +257,39 @@ func e24FailoverCachedLoad() plan {
 		cfg.TrackStaleness = true
 		cfg.CrashInvalidate = invalidate
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		c := e24cell{fs: newShardFS(k, "meta", cfg)}
-		var err error
-		c.m, err = measure(cl, c.fs, 8, 2,
+		fsys := newShardFS(k, "meta", cfg)
+		m, err := measure(cl, fsys, 8, 2,
 			core.Params{ProblemSize: 1 << 20, TimeLimit: window, WorkDir: "/bench"}, e22Load(0),
-			func(mp *sim.Proc, _ core.MeasurementInfo) { outage.Start(mp, c.fs) })
-		if err == nil && len(c.fs.Takeovers) == 0 {
+			func(mp *sim.Proc, _ core.MeasurementInfo) { outage.Start(mp, fsys) })
+		if err == nil && len(fsys.Takeovers) == 0 {
 			err = fmt.Errorf("no takeover")
 		}
-		return c, err
+		_, _, _, epochDrops := fsys.CacheStats()
+		return e24cell{m: m, takeovers: fsys.Takeovers, staleReads: fsys.StaleReads,
+			lastStaleAt: fsys.LastStaleAt, epochDrops: epochDrops}, err
 	}
 	seed := func(i int) int64 { return int64(2400 + i) }
 	cells, cs := cellsOf([]string{"invalidate", "no-invalidate"}, seed, func(i int, k *sim.Kernel) (e24cell, error) {
 		return run(k, i == 0)
 	})
 	return plan{cs, func(r *Report) {
-		inval, ifs := cells[0].m, cells[0].fs
-		stale, sfs := cells[1].m, cells[1].fs
-		staleWindow := func(f *shard.FS) time.Duration {
-			w := f.LastStaleAt - f.Takeovers[0].CrashAt
-			if f.StaleReads == 0 || w < 0 {
+		inval, stale := cells[0], cells[1]
+		staleWindow := func(c e24cell) time.Duration {
+			w := c.lastStaleAt - c.takeovers[0].CrashAt
+			if c.staleReads == 0 || w < 0 {
 				return 0
 			}
 			return w
 		}
-		_, _, _, epochDrops := ifs.CacheStats()
-		r.row("invalidate: takeover latency", ifs.Takeovers[0].Total().Seconds()*1000, "ms",
-			fmt.Sprintf("detect + %d entries replayed", ifs.Takeovers[0].Entries))
-		r.row("invalidate: stale reads", float64(ifs.StaleReads), "", "epoch check on every hit")
-		r.row("invalidate: stale-read window", staleWindow(ifs).Seconds(), "s", "")
-		r.row("invalidate: leases bulk-dropped", float64(epochDrops), "", "epoch moves observed by clients")
-		r.row("no invalidate: takeover latency", sfs.Takeovers[0].Total().Seconds()*1000, "ms", "")
-		r.row("no invalidate: stale reads", float64(sfs.StaleReads), "",
+		r.row("invalidate: takeover latency", inval.takeovers[0].Total().Seconds()*1000, "ms",
+			fmt.Sprintf("detect + %d entries replayed", inval.takeovers[0].Entries))
+		r.row("invalidate: stale reads", float64(inval.staleReads), "", "epoch check on every hit")
+		r.row("invalidate: stale-read window", staleWindow(inval).Seconds(), "s", "")
+		r.row("invalidate: leases bulk-dropped", float64(inval.epochDrops), "", "epoch moves observed by clients")
+		r.row("no invalidate: takeover latency", stale.takeovers[0].Total().Seconds()*1000, "ms", "")
+		r.row("no invalidate: stale reads", float64(stale.staleReads), "",
 			"no serving change can revoke its predecessor's leases")
-		r.row("no invalidate: stale-read window", staleWindow(sfs).Seconds(), "s",
+		r.row("no invalidate: stale-read window", staleWindow(stale).Seconds(), "s",
 			fmt.Sprintf("takeover and failback each leak up to the %s lease TTL", 8*time.Second))
 		r.finding("failover without lease invalidation leaks staleness: neither the "+
 			"promoted backup (crash at 6s) nor the restarted primary (failback at 13s) "+
@@ -294,13 +298,13 @@ func e24FailoverCachedLoad() plan {
 			"leak bounded only by the 8s lease TTL. Crash-time epoch invalidation "+
 			"shrinks the window to %.1fs (%d stale reads) at the same %.0fms takeover "+
 			"latency",
-			staleWindow(sfs).Seconds(), sfs.StaleReads,
-			staleWindow(ifs).Seconds(), ifs.StaleReads,
-			ifs.Takeovers[0].Total().Seconds()*1000)
+			staleWindow(stale).Seconds(), stale.staleReads,
+			staleWindow(inval).Seconds(), inval.staleReads,
+			inval.takeovers[0].Total().Seconds()*1000)
 		r.Charts = append(r.Charts,
 			"lease cache + crash-time invalidation, crash at 6s, restart at 13s\n"+
-				charts.TimeChart(inval, chartW, chartH),
+				charts.TimeChart(inval.m, chartW, chartH),
 			"lease cache without invalidation, same fault plan\n"+
-				charts.TimeChart(stale, chartW, chartH))
+				charts.TimeChart(stale.m, chartW, chartH))
 	}}
 }

@@ -50,10 +50,11 @@ func e19FailoverTimeline() plan {
 		restartAt = 14 * time.Second
 	)
 	// Two cells: the unreplicated and the replicated run, each with its
-	// own kernel and fault-plan instance.
+	// own kernel and fault-plan instance. A cell keeps only what assembly
+	// reads, so its simulated world is garbage once the run ends.
 	type e19cell struct {
-		m  *results.Measurement
-		fs *shard.FS
+		m         *results.Measurement
+		takeovers []shard.Takeover
 	}
 	seed := func(i int) int64 { return int64(1900 + i) }
 	cells, cs := cellsOf([]string{"single", "replicated"}, seed, func(i int, k *sim.Kernel) (e19cell, error) {
@@ -64,15 +65,14 @@ func e19FailoverTimeline() plan {
 		cfg := shard.DefaultConfig(2)
 		cfg.Replicate = i == 1
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		c := e19cell{fs: newShardFS(k, "meta", cfg)}
-		var err error
-		c.m, err = measure(cl, c.fs, 8, 2,
+		fsys := newShardFS(k, "meta", cfg)
+		m, err := measure(cl, fsys, 8, 2,
 			core.Params{ProblemSize: 1000, TimeLimit: window, WorkDir: "/bench"}, core.MakeFiles{},
-			func(mp *sim.Proc, _ core.MeasurementInfo) { outage.Start(mp, c.fs) })
-		return c, err
+			func(mp *sim.Proc, _ core.MeasurementInfo) { outage.Start(mp, fsys) })
+		return e19cell{m: m, takeovers: fsys.Takeovers}, err
 	})
 	return plan{cs, func(r *Report) {
-		single, repl, rfs := cells[0].m, cells[1].m, cells[1].fs
+		single, repl, takeovers := cells[0].m, cells[1].m, cells[1].takeovers
 
 		base := windowThroughput(single, 2*time.Second, crashAt)
 		baseR := windowThroughput(repl, 2*time.Second, crashAt)
@@ -96,8 +96,8 @@ func e19FailoverTimeline() plan {
 			"backup serving slice 0; mirroring suspended while the partner is down")
 		r.row("repl: outage window", outR.Seconds(), "s", "<10% of baseline")
 		r.row("repl: max COV around crash", covCrashR, "", "")
-		if len(rfs.Takeovers) > 0 {
-			to := rfs.Takeovers[0]
+		if len(takeovers) > 0 {
+			to := takeovers[0]
 			r.row("repl: takeover latency", to.Total().Seconds()*1000, "ms",
 				fmt.Sprintf("detect %.0fms + replay %d entries", to.Detect.Seconds()*1000, to.Entries))
 		}

@@ -114,10 +114,13 @@ func e26SplitStorm() plan {
 	const window = 12 * time.Second
 	// One cell per split threshold, seeded 2600+i.
 	thresholds := []int{512, 2048, 8192}
+	// A cell keeps only what assembly reads, so its simulated world is
+	// garbage once the run ends.
 	type e26cell struct {
-		m     *results.Measurement
-		fs    *shard.FS
-		start time.Duration
+		m          *results.Measurement
+		splits     []shard.SplitEvent
+		splitMoved int64
+		start      time.Duration
 	}
 	names := make([]string, len(thresholds))
 	for i, threshold := range thresholds {
@@ -125,11 +128,13 @@ func e26SplitStorm() plan {
 	}
 	cells, cs := cellsOf(names, func(i int) int64 { return int64(2600 + i) }, func(i int, k *sim.Kernel) (e26cell, error) {
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		c := e26cell{fs: newShardFS(k, "meta", e25Cfg(8, thresholds[i]))}
+		fsys := newShardFS(k, "meta", e25Cfg(8, thresholds[i]))
+		var c e26cell
 		var err error
-		c.m, err = measure(cl, c.fs, 8, 2,
+		c.m, err = measure(cl, fsys, 8, 2,
 			core.Params{ProblemSize: 1 << 20, TimeLimit: window, WorkDir: "/"}, core.WideDirFiles{},
 			func(mp *sim.Proc, _ core.MeasurementInfo) { c.start = mp.Now() })
+		c.splits, c.splitMoved = fsys.Splits, fsys.SplitMoved
 		return c, err
 	})
 	return plan{cs, func(r *Report) {
@@ -137,7 +142,7 @@ func e26SplitStorm() plan {
 		var firstDip, lastDip, lastCOV float64
 		var lastStorm int
 		for i, threshold := range thresholds {
-			m, fsys, start := cells[i].m, cells[i].fs, cells[i].start
+			m, splits, start := cells[i].m, cells[i].splits, cells[i].start
 			rate := wallOf(m)
 			// The deepest single-interval dip across all split instants,
 			// each against the steady state of the second before its split
@@ -145,7 +150,7 @@ func e26SplitStorm() plan {
 			// storm), plus the worst COV spike in the second after.
 			var cov float64
 			dip := 1.0
-			for _, ev := range fsys.Splits {
+			for _, ev := range splits {
 				at := ev.At - start
 				from := at - time.Second
 				if from < 0 {
@@ -161,7 +166,7 @@ func e26SplitStorm() plan {
 				}
 			}
 			r.row(fmt.Sprintf("threshold %5d: creates/s", threshold), rate, "ops/s",
-				fmt.Sprintf("%d splits, %d entries moved", len(fsys.Splits), fsys.SplitMoved))
+				fmt.Sprintf("%d splits, %d entries moved", len(splits), cells[i].splitMoved))
 			r.row(fmt.Sprintf("threshold %5d: deepest split dip", threshold), dip*100, "%",
 				"worst interval within 600ms of a split vs. the second before it")
 			r.row(fmt.Sprintf("threshold %5d: max COV after split", threshold), cov, "", "")
@@ -169,7 +174,7 @@ func e26SplitStorm() plan {
 				firstDip = dip
 			}
 			storm := 0
-			for _, ev := range fsys.Splits {
+			for _, ev := range splits {
 				if ev.Moved > storm {
 					storm = ev.Moved
 				}

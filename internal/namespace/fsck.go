@@ -18,8 +18,9 @@ func (p Problem) String() string {
 }
 
 // Check is the file system checker of §2.7.1: it walks the tree from the
-// root and verifies the mutual consistency of the metadata structures —
-// link counts, parent pointers, reachability and the maintained totals.
+// root, then the inode table in number order, and verifies the mutual
+// consistency of the metadata structures — link counts, parent pointers,
+// reachability and the maintained totals.
 // A healthy namespace returns an empty slice. It exists both as a test
 // oracle for the simulator and as the programmatic equivalent of fsck
 // for tooling built on the package.
@@ -41,7 +42,7 @@ func (ns *Namespace) Check() []Problem {
 		reachableDirs[ino] = true
 		wantNlink := uint32(2)
 		for name, c := range n.children {
-			if ns.inodes[c.Ino] != c {
+			if ns.Get(c.Ino) != c {
 				report(c.Ino, "dangling", "entry %q in dir %d points at no live inode", name, ino)
 				continue
 			}
@@ -60,7 +61,7 @@ func (ns *Namespace) Check() []Problem {
 			report(ino, "bad-nlink", "dir nlink %d, expected %d", n.Nlink, wantNlink)
 		}
 	}
-	root := ns.inodes[ns.root.Ino]
+	root := ns.Get(ns.root.Ino)
 	if root != ns.root {
 		return []Problem{{Ino: ns.root.Ino, Kind: "no-root", Note: "root inode missing"}}
 	}
@@ -69,22 +70,31 @@ func (ns *Namespace) Check() []Problem {
 	}
 	walk(root)
 
-	for ino, links := range reachableFiles {
-		if n := ns.inodes[ino]; n.Nlink != links {
-			report(ino, "bad-nlink", "file nlink %d, %d entries reference it", n.Nlink, links)
+	// The table in number order: every live inode must be reachable, and
+	// a file's link count must equal the entries that reference it.
+	live := 0
+	for i, n := range ns.inodes {
+		if n == nil {
+			continue
 		}
-	}
-	for ino, n := range ns.inodes {
-		switch n.Type {
-		case fs.TypeDirectory:
+		live++
+		ino := fs.Ino(i)
+		if n.Ino != ino {
+			report(ino, "bad-ino", "table slot %d holds inode %d", ino, n.Ino)
+		}
+		switch links := reachableFiles[ino]; {
+		case n.Type == fs.TypeDirectory:
 			if !reachableDirs[ino] {
 				report(ino, "orphan", "directory not reachable from root")
 			}
-		default:
-			if reachableFiles[ino] == 0 {
-				report(ino, "orphan", "file has no directory entry")
-			}
+		case links == 0:
+			report(ino, "orphan", "file has no directory entry")
+		case n.Nlink != links:
+			report(ino, "bad-nlink", "file nlink %d, %d entries reference it", n.Nlink, links)
 		}
+	}
+	if live != ns.live {
+		report(0, "bad-count", "inode counter %d, table holds %d", ns.live, live)
 	}
 	if got := len(reachableFiles); got != ns.files {
 		report(0, "bad-count", "file counter %d, walk found %d", ns.files, got)

@@ -291,8 +291,8 @@ func invariantCheck(t *testing.T, ns *Namespace) {
 	if dirs != ns.NumDirs() {
 		t.Fatalf("NumDirs = %d, walk found %d", ns.NumDirs(), dirs)
 	}
-	if len(ns.inodes) != files+dirs {
-		t.Fatalf("inodes = %d, want %d", len(ns.inodes), files+dirs)
+	if ns.NumInodes() != files+dirs {
+		t.Fatalf("NumInodes = %d, want %d", ns.NumInodes(), files+dirs)
 	}
 }
 

@@ -142,7 +142,7 @@ func (h *Parent) Unlink(now time.Duration) error {
 	child.Nlink--
 	child.Ctime = now
 	if child.Nlink == 0 {
-		delete(h.ns.inodes, child.Ino)
+		h.ns.free(child)
 		h.ns.files--
 	}
 	return nil

@@ -24,6 +24,12 @@
 # A gated benchmark missing from the committed baseline is skipped with
 # a notice (the first snapshot that includes it becomes its baseline).
 #
+# One informational run of the whole experiment suite rides along too:
+# its wall clock and its -cells summary line (cell sum, share of the
+# worker bound reached, peak RSS) go to suite_timing.txt in the output
+# directory, so the CI trajectory records suite time and memory side by
+# side. Neither is ever gated.
+#
 # Usage: scripts/bench_gate.sh [output-dir]
 set -eu
 
@@ -46,10 +52,11 @@ fresh=$(ls "$outdir"/BENCH_*.json | sort | tail -1)
 
 # Suite wall-clock timing lines: one parallel run of the whole suite, so
 # the perf trajectory in the CI artifact captures end-to-end cost, not
-# just ns/op, plus the -cells summary line: the cell sum, the wall time
-# and the share of the j-worker bound max(sum/j, longest cell) the run
-# reached. Informational only — never gated (shared runners are too
-# noisy for a hard wall-clock bound).
+# just ns/op, plus the -cells summary line: the cell sum, the wall time,
+# the share of the j-worker bound max(sum/j, longest cell) the run
+# reached and the suite's peak RSS (getrusage maxrss; absent where the
+# platform reports none). Informational only — never gated (shared
+# runners are too noisy for a hard wall-clock or memory bound).
 workers=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 go build -o "$outdir/.experiments-gate" ./cmd/experiments
 "$outdir/.experiments-gate" -j "$workers" -cells > "$outdir/.experiments-gate.out" ||
