@@ -49,7 +49,7 @@ func main() {
 		nodes       = flag.Int("nodes", 4, "sim: number of client nodes")
 		ppn         = flag.Int("ppn", 2, "sim: worker slots per node")
 		cores       = flag.Int("cores", 8, "sim: CPU cores per node")
-		latency     = flag.Duration("latency", 250*time.Microsecond, "sim: one-way network latency")
+		latency     = flag.Duration("latency", 0, "sim: one-way network latency (0 = the model's calibrated latency; not for cxfs, local)")
 		seed        = flag.Int64("seed", 1, "sim: random seed")
 		shards      = flag.Int("shards", 4, "sim: metadata servers for -fs shard / shard-subtree")
 		backendName = flag.String("backend", "mem", "sim: shard storage backend cost model: mem | lsm | btree")
@@ -132,6 +132,25 @@ func main() {
 func runSim(fsKind string, nodes, ppn, cores, shards int, backendName string, latency time.Duration, seed int64,
 	params core.Params, plugins []core.Plugin) (*results.Set, error) {
 
+	switch fsKind {
+	case "cxfs", "local":
+		// cxfs's private SAN and the node-local file system keep their
+		// own calibrated latency.
+		if latency != 0 {
+			return nil, fmt.Errorf("-fs %s does not take -latency", fsKind)
+		}
+	}
+	if fsKind == "local" && nodes != 1 {
+		return nil, fmt.Errorf("-fs local runs on its own node only: -nodes must be 1, not %d", nodes)
+	}
+	// lat is the one-way latency of a networked model calibrated at def.
+	lat := func(def time.Duration) time.Duration {
+		if latency == 0 {
+			return def
+		}
+		return latency
+	}
+
 	k := sim.New(seed)
 	cfg := cluster.DefaultConfig(nodes)
 	cfg.Cores = cores
@@ -141,23 +160,18 @@ func runSim(fsKind string, nodes, ppn, cores, shards int, backendName string, la
 	switch fsKind {
 	case "nfs":
 		c := nfs.DefaultConfig()
-		c.OneWayLatency = latency
+		c.OneWayLatency = lat(c.OneWayLatency)
 		fsys = nfs.New(k, "home", c)
-	case "lustre":
+	case "lustre", "lustre-wb":
 		c := lustre.DefaultConfig()
-		c.OneWayLatency = latency
-		fsys = lustre.New(k, "scratch", c)
-	case "lustre-wb":
-		c := lustre.DefaultConfig()
-		c.OneWayLatency = latency
-		c.Writeback = true
+		c.OneWayLatency = lat(c.OneWayLatency)
+		c.Writeback = fsKind == "lustre-wb"
 		fsys = lustre.New(k, "scratch", c)
 	case "cxfs":
-		c := cxfs.DefaultConfig()
-		fsys = cxfs.New(k, "san", c)
+		fsys = cxfs.New(k, "san")
 	case "afs":
 		c := afs.DefaultConfig()
-		c.OneWayLatency = latency
+		c.OneWayLatency = lat(c.OneWayLatency)
 		cell := afs.New(k, "cell", 2, c)
 		for i := 0; i < nodes; i++ {
 			cell.AddVolume(fmt.Sprintf("vol%d", i), -1)
@@ -168,7 +182,7 @@ func runSim(fsKind string, nodes, ppn, cores, shards int, backendName string, la
 		fsys = cell
 	case "gx":
 		c := ontapgx.DefaultConfig()
-		c.OneWayLatency = latency
+		c.OneWayLatency = lat(c.OneWayLatency)
 		gx := ontapgx.New(k, "gx", min(nodes, 8), c)
 		for i := 0; i < min(nodes, 8); i++ {
 			gx.AddVolume(fmt.Sprintf("vol%d", i), i)
@@ -179,7 +193,7 @@ func runSim(fsKind string, nodes, ppn, cores, shards int, backendName string, la
 		fsys = gx
 	case "shard", "shard-subtree":
 		c := shard.DefaultConfig(shards)
-		c.OneWayLatency = latency
+		c.OneWayLatency = lat(c.OneWayLatency)
 		switch backendName {
 		case "", "mem", "memjournal", "lsm", "btree", "sql":
 			c.Backend = shard.ParseBackend(backendName)
@@ -192,10 +206,10 @@ func runSim(fsKind string, nodes, ppn, cores, shards int, backendName string, la
 		fsys = shard.New(k, "meta", c)
 	case "pvfs":
 		c := pvfs.DefaultConfig()
-		c.OneWayLatency = latency
+		c.OneWayLatency = lat(c.OneWayLatency)
 		fsys = pvfs.New(k, "scratch", c)
 	case "local":
-		fsys = localfs.New(k, cl.Nodes[0], localfs.DefaultConfig())
+		fsys = localfs.New(k, cl.Nodes[0])
 	default:
 		return nil, fmt.Errorf("unknown -fs %q", fsKind)
 	}

@@ -23,39 +23,33 @@ import (
 
 // Config holds the tunables of the AFS model.
 type Config struct {
-	ServersThreads int
-	OneWayLatency  time.Duration
-
-	CreateService  time.Duration
-	FetchService   time.Duration // FetchStatus
-	RemoveService  time.Duration
-	MkdirService   time.Duration
-	RenameService  time.Duration
-	ReaddirService time.Duration
-
-	// CallbackBreakCost is charged at the server per remote cache entry
-	// invalidated by a modification.
-	CallbackBreakCost time.Duration
-	DirIndex          namespace.DirIndex
+	OneWayLatency time.Duration
 }
 
 // DefaultConfig approximates the LRZ AFS cell: metadata operations are
 // noticeably slower than NFS (AFS was retired partly for this), cached
 // reads are very fast.
 func DefaultConfig() Config {
-	return Config{
-		ServersThreads:    2,
-		OneWayLatency:     300 * time.Microsecond,
-		CreateService:     650 * time.Microsecond,
-		FetchService:      120 * time.Microsecond,
-		RemoveService:     600 * time.Microsecond,
-		MkdirService:      700 * time.Microsecond,
-		RenameService:     750 * time.Microsecond,
-		ReaddirService:    200 * time.Microsecond,
-		CallbackBreakCost: 40 * time.Microsecond,
-		DirIndex:          namespace.IndexLinear,
-	}
+	return Config{OneWayLatency: 300 * time.Microsecond}
 }
+
+// The cell's fixed calibration: per-server threads, service times and
+// directory index of the LRZ AFS file servers.
+const (
+	serverThreads = 2
+
+	createService  = 650 * time.Microsecond
+	fetchService   = 120 * time.Microsecond // FetchStatus
+	removeService  = 600 * time.Microsecond
+	mkdirService   = 700 * time.Microsecond
+	renameService  = 750 * time.Microsecond
+	readdirService = 200 * time.Microsecond
+
+	// callbackBreakCost is charged at the server per remote cache entry
+	// invalidated by a modification.
+	callbackBreakCost = 40 * time.Microsecond
+	dirIndex          = namespace.IndexLinear
+)
 
 // FS is one AFS cell.
 type FS struct {
@@ -107,7 +101,7 @@ func New(k *sim.Kernel, name string, servers int, cfg Config) *FS {
 	}
 	for i := 0; i < servers; i++ {
 		f.servers = append(f.servers,
-			simnet.NewServer(k, fmt.Sprintf("afs%d:%s", i, name), cfg.ServersThreads))
+			simnet.NewServer(k, fmt.Sprintf("afs%d:%s", i, name), serverThreads))
 	}
 	return f
 }
@@ -236,7 +230,7 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 			lock := v.dirLock(f.k, dir.Ino)
 			lock.Lock(sp)
 			defer lock.Unlock()
-			sp.Sleep(time.Duration(float64(svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
+			sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(dir.NumChildren())))
 		} else {
 			sp.Sleep(svc)
 		}
@@ -249,11 +243,11 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 // Create stores the new file on the volume server (open-to-close: the
 // server sees it immediately) and installs a callback-backed cache entry.
 func (c *client) Create(p string) error {
-	err := c.modify("create", p, c.fsys.cfg.CreateService, func(sp *sim.Proc, v *volume, sub string) error {
+	err := c.modify("create", p, createService, func(sp *sim.Proc, v *volume, sub string) error {
 		if _, e := v.ns.Create(sub, 0o644, sp.Now()); e != nil {
 			return e
 		}
-		v.bump(sp, c.fsys.cfg.CallbackBreakCost, sub)
+		v.bump(sp, callbackBreakCost, sub)
 		return nil
 	})
 	if err != nil {
@@ -289,14 +283,14 @@ func (c *client) Close(h fs.Handle) error {
 	if !of.dirty {
 		return nil
 	}
-	return c.modify("store", of.path, c.fsys.cfg.CreateService/2, func(sp *sim.Proc, v *volume, sub string) error {
+	return c.modify("store", of.path, createService/2, func(sp *sim.Proc, v *volume, sub string) error {
 		node, err := v.ns.Lookup(sub)
 		if err != nil {
 			return err
 		}
 		sp.Sleep(time.Duration(float64(of.written) / float64(40<<20) * float64(time.Second)))
 		v.ns.SetSize(node.Ino, node.Size+of.written, sp.Now())
-		v.bump(sp, c.fsys.cfg.CallbackBreakCost, sub)
+		v.bump(sp, callbackBreakCost, sub)
 		return nil
 	})
 }
@@ -324,20 +318,20 @@ func (c *client) Fsync(h fs.Handle) error {
 		return nil
 	}
 	of.dirty = false
-	return c.modify("store", of.path, c.fsys.cfg.CreateService/2, func(sp *sim.Proc, v *volume, sub string) error {
+	return c.modify("store", of.path, createService/2, func(sp *sim.Proc, v *volume, sub string) error {
 		node, err := v.ns.Lookup(sub)
 		if err != nil {
 			return err
 		}
 		v.ns.SetSize(node.Ino, node.Size+of.written, sp.Now())
-		v.bump(sp, c.fsys.cfg.CallbackBreakCost, sub)
+		v.bump(sp, callbackBreakCost, sub)
 		return nil
 	})
 }
 
 // Mkdir creates a directory on the volume server.
 func (c *client) Mkdir(p string) error {
-	return c.modify("mkdir", p, c.fsys.cfg.MkdirService, func(sp *sim.Proc, v *volume, sub string) error {
+	return c.modify("mkdir", p, mkdirService, func(sp *sim.Proc, v *volume, sub string) error {
 		_, e := v.ns.Mkdir(sub, 0o755, sp.Now())
 		return e
 	})
@@ -345,18 +339,18 @@ func (c *client) Mkdir(p string) error {
 
 // Rmdir removes a directory.
 func (c *client) Rmdir(p string) error {
-	return c.modify("rmdir", p, c.fsys.cfg.RemoveService, func(sp *sim.Proc, v *volume, sub string) error {
+	return c.modify("rmdir", p, removeService, func(sp *sim.Proc, v *volume, sub string) error {
 		return v.ns.Rmdir(sub, sp.Now())
 	})
 }
 
 // Unlink removes a file and breaks callbacks.
 func (c *client) Unlink(p string) error {
-	err := c.modify("unlink", p, c.fsys.cfg.RemoveService, func(sp *sim.Proc, v *volume, sub string) error {
+	err := c.modify("unlink", p, removeService, func(sp *sim.Proc, v *volume, sub string) error {
 		if e := v.ns.Unlink(sub, sp.Now()); e != nil {
 			return e
 		}
-		v.bump(sp, c.fsys.cfg.CallbackBreakCost, sub)
+		v.bump(sp, callbackBreakCost, sub)
 		return nil
 	})
 	if err == nil {
@@ -380,11 +374,11 @@ func (c *client) Rename(oldPath, newPath string) error {
 	if vOld != vNew {
 		return fs.NewError("rename", newPath, fs.EXDEV)
 	}
-	return c.modify("rename", oldPath, f.cfg.RenameService, func(sp *sim.Proc, v *volume, _ string) error {
+	return c.modify("rename", oldPath, renameService, func(sp *sim.Proc, v *volume, _ string) error {
 		if e := v.ns.Rename(subOld, subNew, sp.Now()); e != nil {
 			return e
 		}
-		v.bump(sp, f.cfg.CallbackBreakCost, subOld, subNew)
+		v.bump(sp, callbackBreakCost, subOld, subNew)
 		return nil
 	})
 }
@@ -403,7 +397,7 @@ func (c *client) Link(oldPath, newPath string) error {
 	if vOld != vNew {
 		return fs.NewError("link", newPath, fs.EXDEV)
 	}
-	return c.modify("link", newPath, f.cfg.CreateService, func(sp *sim.Proc, v *volume, _ string) error {
+	return c.modify("link", newPath, createService, func(sp *sim.Proc, v *volume, _ string) error {
 		return v.ns.Link(subOld, subNew, sp.Now())
 	})
 }
@@ -411,7 +405,7 @@ func (c *client) Link(oldPath, newPath string) error {
 // Symlink creates a symbolic link on the volume server. Unlike hardlinks
 // the target is a free-form path, so no EXDEV applies.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.modify("symlink", linkPath, c.fsys.cfg.CreateService, func(sp *sim.Proc, v *volume, sub string) error {
+	return c.modify("symlink", linkPath, createService, func(sp *sim.Proc, v *volume, sub string) error {
 		_, e := v.ns.Symlink(target, sub, sp.Now())
 		return e
 	})
@@ -434,7 +428,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	nc.miss++
 	var a fs.Attr
 	f.conn(c.node, v.server).Call(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(f.cfg.FetchService)
+		sp.Sleep(fetchService)
 		f.rpcs++
 		a, err = v.ns.Stat(sub)
 	})
@@ -456,7 +450,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	var ents []fs.DirEntry
 	f.conn(c.node, v.server).Call(c.p, 150, 400, func(sp *sim.Proc) {
 		ents, err = v.ns.ReadDir(sub, sp.Now())
-		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(ents))*time.Microsecond)
+		sp.Sleep(readdirService + time.Duration(len(ents))*time.Microsecond)
 		f.rpcs++
 	})
 	return ents, err

@@ -55,11 +55,6 @@ func (n *Node) ExecNice(p *sim.Proc, d time.Duration, nice int) {
 // Syscall charges the fixed per-call CPU overhead.
 func (n *Node) Syscall(p *sim.Proc) { n.cpu.Use(p, n.SyscallTime) }
 
-// SyscallNice charges the per-call CPU overhead at a given niceness.
-func (n *Node) SyscallNice(p *sim.Proc, nice int) {
-	n.cpu.UsePri(p, n.SyscallTime, nice)
-}
-
 // DirLock returns the node-local lock guarding modifications of the
 // directory identified by key (typically the parent path of the entry
 // being created or removed).

@@ -149,7 +149,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg := shard.DefaultConfig(4)
 		cfg.Replicate = true
 		cfg.Backend = shard.BackendLSM
-		cfg.LSM.CompactEvery = 32 << 10
+		cfg.CompactEvery = 32 << 10
 		cfg.GroupCommitWindow = time.Millisecond
 		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains

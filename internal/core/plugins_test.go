@@ -17,7 +17,7 @@ func pluginEnv(t *testing.T, plugin Plugin, params Params) (int64, *localfs.FS) 
 	t.Helper()
 	k := sim.New(1)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	fsys := localfs.New(k, cl.Nodes[0], localfs.DefaultConfig())
+	fsys := localfs.New(k, cl.Nodes[0])
 	var ticks int64
 	k.Spawn("plugin", func(p *sim.Proc) {
 		ctx := &Ctx{
@@ -88,7 +88,7 @@ func TestMakeFilesSubdirRotation(t *testing.T) {
 	// files in subdir s0; with a deadline it rotates every 10.
 	k := sim.New(2)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	fsys := localfs.New(k, cl.Nodes[0], localfs.DefaultConfig())
+	fsys := localfs.New(k, cl.Nodes[0])
 	k.Spawn("t", func(p *sim.Proc) {
 		ctx := &Ctx{
 			FS: fsys.NewClient(cl.Nodes[0], p), Workers: 1,
@@ -115,7 +115,7 @@ func TestMakeFilesSubdirRotation(t *testing.T) {
 func TestMakeFilesSizedWritesPayload(t *testing.T) {
 	k := sim.New(3)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	fsys := localfs.New(k, cl.Nodes[0], localfs.DefaultConfig())
+	fsys := localfs.New(k, cl.Nodes[0])
 	k.Spawn("t", func(p *sim.Proc) {
 		ctx := &Ctx{
 			FS: fsys.NewClient(cl.Nodes[0], p), Workers: 1,

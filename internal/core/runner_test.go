@@ -88,7 +88,7 @@ func TestRunnerTimedMakeFiles(t *testing.T) {
 func TestRunnerLocalFS(t *testing.T) {
 	k := sim.New(3)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	fsys := localfs.New(k, cl.Nodes[0], localfs.DefaultConfig())
+	fsys := localfs.New(k, cl.Nodes[0])
 	r := &Runner{
 		Cluster:      cl,
 		FS:           fsys,
@@ -180,7 +180,7 @@ func TestPlanSteps(t *testing.T) {
 func TestMkdirAllRemoveAll(t *testing.T) {
 	k := sim.New(4)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	fsys := localfs.New(k, cl.Nodes[0], localfs.DefaultConfig())
+	fsys := localfs.New(k, cl.Nodes[0])
 	var failed error
 	k.Spawn("t", func(p *sim.Proc) {
 		c := fsys.NewClient(cl.Nodes[0], p)

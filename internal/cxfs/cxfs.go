@@ -19,47 +19,27 @@ import (
 	"dmetabench/internal/simnet"
 )
 
-// Config holds the tunables of the CXFS model.
-type Config struct {
-	MDSThreads    int
-	OneWayLatency time.Duration // SAN/private network latency
+// The model's fixed calibration approximates the HLRB II CXFS setup.
+// All metadata operations of one node are serialized on the client
+// token, matching observed CXFS behaviour.
+const (
+	mdsThreads    = 2
+	oneWayLatency = 60 * time.Microsecond // SAN/private network latency
 
-	CreateService  time.Duration
-	GetattrService time.Duration
-	RemoveService  time.Duration
-	MkdirService   time.Duration
-	RenameService  time.Duration
-	ReaddirService time.Duration
+	createService  = 260 * time.Microsecond
+	getattrService = 60 * time.Microsecond
+	removeService  = 240 * time.Microsecond
+	mkdirService   = 300 * time.Microsecond
+	renameService  = 320 * time.Microsecond
+	readdirService = 150 * time.Microsecond
 
-	AttrTTL  time.Duration
-	DirIndex namespace.DirIndex
-	// TokenSerialization: when true (the default, matching observed CXFS
-	// behaviour) all metadata operations of one node are serialized on
-	// the client token.
-	TokenSerialization bool
-}
-
-// DefaultConfig approximates the HLRB II CXFS setup.
-func DefaultConfig() Config {
-	return Config{
-		MDSThreads:         2,
-		OneWayLatency:      60 * time.Microsecond,
-		CreateService:      260 * time.Microsecond,
-		GetattrService:     60 * time.Microsecond,
-		RemoveService:      240 * time.Microsecond,
-		MkdirService:       300 * time.Microsecond,
-		RenameService:      320 * time.Microsecond,
-		ReaddirService:     150 * time.Microsecond,
-		AttrTTL:            5 * time.Second,
-		DirIndex:           namespace.IndexBTree,
-		TokenSerialization: true,
-	}
-}
+	attrTTL  = 5 * time.Second
+	dirIndex = namespace.IndexBTree
+)
 
 // FS is one CXFS file system.
 type FS struct {
-	k   *sim.Kernel
-	cfg Config
+	k *sim.Kernel
 
 	mds      *simnet.Server
 	ns       *namespace.Namespace
@@ -71,11 +51,10 @@ type FS struct {
 }
 
 // New creates a CXFS instance.
-func New(k *sim.Kernel, name string, cfg Config) *FS {
+func New(k *sim.Kernel, name string) *FS {
 	return &FS{
 		k:        k,
-		cfg:      cfg,
-		mds:      simnet.NewServer(k, "cxfs-mds:"+name, cfg.MDSThreads),
+		mds:      simnet.NewServer(k, "cxfs-mds:"+name, mdsThreads),
 		ns:       namespace.New(),
 		conns:    make(map[*cluster.Node]*simnet.Conn),
 		tokens:   make(map[*cluster.Node]*sim.Mutex),
@@ -96,7 +75,7 @@ func (f *FS) RPCCount() int64 { return f.rpcs }
 func (f *FS) conn(n *cluster.Node) *simnet.Conn {
 	c, ok := f.conns[n]
 	if !ok {
-		c = simnet.NewConn(f.k, f.mds, f.cfg.OneWayLatency, 0)
+		c = simnet.NewConn(f.k, f.mds, oneWayLatency, 0)
 		f.conns[n] = c
 	}
 	return c
@@ -114,7 +93,7 @@ func (f *FS) token(n *cluster.Node) *sim.Mutex {
 func (f *FS) attrCache(n *cluster.Node) *clientcache.AttrCache {
 	c, ok := f.attrs[n]
 	if !ok {
-		c = clientcache.NewAttrCache(f.cfg.AttrTTL, f.k.Now)
+		c = clientcache.NewAttrCache(attrTTL, f.k.Now)
 		f.attrs[n] = c
 	}
 	return c
@@ -147,11 +126,9 @@ type client struct {
 func (c *client) metaOp(p string, svc time.Duration, useDirCost bool, apply func(sp *sim.Proc) error) error {
 	f := c.fsys
 	c.node.Syscall(c.p)
-	if f.cfg.TokenSerialization {
-		tok := f.token(c.node)
-		tok.Lock(c.p)
-		defer tok.Unlock()
-	}
+	tok := f.token(c.node)
+	tok.Lock(c.p)
+	defer tok.Unlock()
 	var err error
 	f.conn(c.node).Call(c.p, 180, 150, func(sp *sim.Proc) {
 		if useDirCost {
@@ -159,7 +136,7 @@ func (c *client) metaOp(p string, svc time.Duration, useDirCost bool, apply func
 				lock := f.dirLock(dir.Ino)
 				lock.Lock(sp)
 				defer lock.Unlock()
-				sp.Sleep(time.Duration(float64(svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
+				sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(dir.NumChildren())))
 			} else {
 				sp.Sleep(svc)
 			}
@@ -174,7 +151,7 @@ func (c *client) metaOp(p string, svc time.Duration, useDirCost bool, apply func
 
 // Create delegates the create to the metadata server.
 func (c *client) Create(p string) error {
-	err := c.metaOp(p, c.fsys.cfg.CreateService, true, func(sp *sim.Proc) error {
+	err := c.metaOp(p, createService, true, func(sp *sim.Proc) error {
 		_, e := c.fsys.ns.Create(p, 0o644, sp.Now())
 		return e
 	})
@@ -207,7 +184,8 @@ func (c *client) Close(h fs.Handle) error {
 }
 
 // Write goes directly to the SAN storage: cheap and fully parallel (the
-// SAN advantage); only the size update involves the MDS lazily.
+// SAN advantage); only the size update involves the MDS lazily, and it
+// fails with EISDIR on a directory.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
 	p, ok := c.handles[h]
@@ -216,7 +194,7 @@ func (c *client) Write(h fs.Handle, n int64) error {
 	}
 	c.p.Sleep(time.Duration(float64(n) / float64(200<<20) * float64(time.Second)))
 	if node, err := c.fsys.ns.Lookup(p); err == nil {
-		c.fsys.ns.SetSize(node.Ino, node.Size+n, c.p.Now())
+		return c.fsys.ns.SetSize(node.Ino, node.Size+n, c.p.Now())
 	}
 	return nil
 }
@@ -233,7 +211,7 @@ func (c *client) Fsync(h fs.Handle) error {
 
 // Mkdir delegates to the MDS.
 func (c *client) Mkdir(p string) error {
-	return c.metaOp(p, c.fsys.cfg.MkdirService, true, func(sp *sim.Proc) error {
+	return c.metaOp(p, mkdirService, true, func(sp *sim.Proc) error {
 		_, e := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
 		return e
 	})
@@ -241,14 +219,14 @@ func (c *client) Mkdir(p string) error {
 
 // Rmdir delegates to the MDS.
 func (c *client) Rmdir(p string) error {
-	return c.metaOp(p, c.fsys.cfg.RemoveService, true, func(sp *sim.Proc) error {
+	return c.metaOp(p, removeService, true, func(sp *sim.Proc) error {
 		return c.fsys.ns.Rmdir(p, sp.Now())
 	})
 }
 
 // Unlink delegates to the MDS.
 func (c *client) Unlink(p string) error {
-	err := c.metaOp(p, c.fsys.cfg.RemoveService, true, func(sp *sim.Proc) error {
+	err := c.metaOp(p, removeService, true, func(sp *sim.Proc) error {
 		return c.fsys.ns.Unlink(p, sp.Now())
 	})
 	if err == nil {
@@ -259,7 +237,7 @@ func (c *client) Unlink(p string) error {
 
 // Rename delegates to the MDS.
 func (c *client) Rename(oldPath, newPath string) error {
-	err := c.metaOp(oldPath, c.fsys.cfg.RenameService, true, func(sp *sim.Proc) error {
+	err := c.metaOp(oldPath, renameService, true, func(sp *sim.Proc) error {
 		return c.fsys.ns.Rename(oldPath, newPath, sp.Now())
 	})
 	if err == nil {
@@ -272,14 +250,14 @@ func (c *client) Rename(oldPath, newPath string) error {
 
 // Link delegates to the MDS.
 func (c *client) Link(oldPath, newPath string) error {
-	return c.metaOp(newPath, c.fsys.cfg.CreateService, true, func(sp *sim.Proc) error {
+	return c.metaOp(newPath, createService, true, func(sp *sim.Proc) error {
 		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
 	})
 }
 
 // Symlink delegates to the MDS.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.metaOp(linkPath, c.fsys.cfg.CreateService, true, func(sp *sim.Proc) error {
+	return c.metaOp(linkPath, createService, true, func(sp *sim.Proc) error {
 		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
 		return e
 	})
@@ -293,7 +271,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 		return a, nil
 	}
 	var a fs.Attr
-	err := c.metaOp(p, c.fsys.cfg.GetattrService, false, func(sp *sim.Proc) error {
+	err := c.metaOp(p, getattrService, false, func(sp *sim.Proc) error {
 		var e error
 		a, e = c.fsys.ns.Stat(p)
 		return e
@@ -308,7 +286,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 // ReadDir delegates to the MDS.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	var ents []fs.DirEntry
-	err := c.metaOp(p, c.fsys.cfg.ReaddirService, false, func(sp *sim.Proc) error {
+	err := c.metaOp(p, readdirService, false, func(sp *sim.Proc) error {
 		var e error
 		ents, e = c.fsys.ns.ReadDir(p, sp.Now())
 		if e == nil {

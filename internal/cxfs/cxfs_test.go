@@ -13,7 +13,7 @@ import (
 func TestBasicOps(t *testing.T) {
 	k := sim.New(1)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	f := New(k, "t", DefaultConfig())
+	f := New(k, "t")
 	k.Spawn("test", func(p *sim.Proc) {
 		c := f.NewClient(cl.Nodes[0], p)
 		if err := c.Mkdir("/d"); err != nil {
@@ -52,13 +52,11 @@ func TestBasicOps(t *testing.T) {
 
 // elapsedCreates measures the makespan of two processes creating files in
 // separate directories, either on one node or on two nodes.
-func elapsedCreates(t *testing.T, sameNode bool, tokenSer bool) time.Duration {
+func elapsedCreates(t *testing.T, sameNode bool) time.Duration {
 	t.Helper()
 	k := sim.New(2)
 	cl := cluster.New(k, cluster.DefaultConfig(2))
-	cfg := DefaultConfig()
-	cfg.TokenSerialization = tokenSer
-	f := New(k, "t", cfg)
+	f := New(k, "t")
 	k.Spawn("setup", func(p *sim.Proc) {
 		c := f.NewClient(cl.Nodes[0], p)
 		c.Mkdir("/d0")
@@ -84,24 +82,19 @@ func elapsedCreates(t *testing.T, sameNode bool, tokenSer bool) time.Duration {
 }
 
 func TestTokenSerializesIntraNode(t *testing.T) {
-	same := elapsedCreates(t, true, true)
-	cross := elapsedCreates(t, false, true)
+	same := elapsedCreates(t, true)
+	cross := elapsedCreates(t, false)
 	// Same node: fully serialized by the client token. Two nodes: the
 	// MDS (2 threads) can overlap them.
 	if float64(same) < 1.4*float64(cross) {
 		t.Fatalf("same node %v vs two nodes %v: token serialization missing", same, cross)
-	}
-	// Disabling the token recovers intra-node parallelism.
-	noTok := elapsedCreates(t, true, false)
-	if float64(noTok) >= 0.9*float64(same) {
-		t.Fatalf("token off %v vs on %v: no effect", noTok, same)
 	}
 }
 
 func TestStatCache(t *testing.T) {
 	k := sim.New(3)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	f := New(k, "t", DefaultConfig())
+	f := New(k, "t")
 	k.Spawn("test", func(p *sim.Proc) {
 		c := f.NewClient(cl.Nodes[0], p)
 		c.Create("/f")
@@ -130,7 +123,7 @@ func TestSANWriteParallel(t *testing.T) {
 	// at the metadata server.
 	k := sim.New(4)
 	cl := cluster.New(k, cluster.DefaultConfig(2))
-	f := New(k, "t", DefaultConfig())
+	f := New(k, "t")
 	k.Spawn("setup", func(p *sim.Proc) {
 		c := f.NewClient(cl.Nodes[0], p)
 		c.Create("/a")

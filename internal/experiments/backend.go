@@ -174,7 +174,7 @@ func e29CompactionTimeline() plan {
 	cells, cs := cellsOf(names, func(i int) int64 { return int64(2900 + i) }, func(i int, k *sim.Kernel) (e29cell, error) {
 		cfg := shard.DefaultConfig(8)
 		cfg.Backend = shard.BackendLSM
-		cfg.LSM.CompactEvery = intervals[i]
+		cfg.CompactEvery = intervals[i]
 		cl := cluster.New(k, cluster.DefaultConfig(8))
 		fsys := newShardFS(k, "meta", cfg)
 		var c e29cell

@@ -33,7 +33,7 @@ func e10PriorityScheduling() plan {
 	contend := func(k *sim.Kernel) error {
 		cl := cluster.New(k, cluster.Config{Nodes: 1, Cores: 1, SyscallTime: 3 * time.Microsecond})
 		node := cl.Nodes[0]
-		fsys := localfs.New(k, node, localfs.DefaultConfig())
+		fsys := localfs.New(k, node)
 		node.StartCPUHog(4, 5, hogFrom, hogTo-hogFrom)
 		run := func(name string, nice int, out *res) {
 			k.Spawn(name, func(p *sim.Proc) {
@@ -84,7 +84,7 @@ func e10PriorityScheduling() plan {
 func e11SMPScaling() plan {
 	sets, cs := createSweep([]sweepFS{
 		{"nfs", 1111, func(k *sim.Kernel) core.FileSystem { return nfs.New(k, "home", nfs.DefaultConfig()) }},
-		{"cxfs", 1112, func(k *sim.Kernel) core.FileSystem { return cxfs.New(k, "cxfs", cxfs.DefaultConfig()) }},
+		{"cxfs", 1112, func(k *sim.Kernel) core.FileSystem { return cxfs.New(k, "cxfs") }},
 	}, []combo{{1, 1}, {1, 2}, {1, 4}, {1, 8}, {1, 16}, {1, 32}},
 		func(k *sim.Kernel) *cluster.Cluster { return cluster.NewSMP(k, 64) },
 		core.Params{ProblemSize: 1200, WorkDir: "/bench"})

@@ -6,22 +6,26 @@ import (
 	"testing"
 
 	"dmetabench/internal/cluster"
+	"dmetabench/internal/cxfs"
 	"dmetabench/internal/fs"
+	"dmetabench/internal/localfs"
 	"dmetabench/internal/lustre"
 	"dmetabench/internal/namespace"
 	"dmetabench/internal/nfs"
+	"dmetabench/internal/pvfs"
 	"dmetabench/internal/sim"
 )
 
 // FuzzModelsAgainstNamespace is the single-client layer of the semantic
 // oracle. A seeded sequence of metadata operations runs through the NFS
-// model and the synchronous Lustre model, one client each on one
-// kernel, and through a bare namespace.Namespace. Each client drops its
-// node's caches before every operation, so every operation reaches the
-// server. Every errno must match the reference's, and so must every
-// successful Stat's type, size and link count, except where
-// modelDeviation lists an intended difference. The committed corpus
-// under testdata/fuzz replays on every go test run.
+// model, the synchronous Lustre model, CXFS, PVFS2 and the node-local
+// file system, one client each on one kernel, and through a bare
+// namespace.Namespace. Each client drops its node's caches before every
+// operation, so every operation reaches the server. Every errno must
+// match the reference's, and so must every successful Stat's type, size
+// and link count, except where modelDeviation lists an intended
+// difference. The committed corpus under testdata/fuzz replays on every
+// go test run.
 func FuzzModelsAgainstNamespace(f *testing.F) {
 	f.Add(int64(1), uint8(200))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
@@ -30,6 +34,9 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		nfsFS := nfs.New(k, "home", nfs.DefaultConfig())
 		lustreFS := lustre.New(k, "scratch", lustre.DefaultConfig())
+		cxfsFS := cxfs.New(k, "san")
+		pvfsFS := pvfs.New(k, "scratch", pvfs.DefaultConfig())
+		localFS := localfs.New(k, cl.Nodes[0])
 		ref := namespace.New()
 		k.Spawn("oracle", func(p *sim.Proc) {
 			models := []struct {
@@ -38,6 +45,9 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 			}{
 				{"nfs", nfsFS.NewClient(cl.Nodes[0], p)},
 				{"lustre", lustreFS.NewClient(cl.Nodes[0], p)},
+				{"cxfs", cxfsFS.NewClient(cl.Nodes[0], p)},
+				{"pvfs", pvfsFS.NewClient(cl.Nodes[0], p)},
+				{"localfs", localFS.NewClient(cl.Nodes[0], p)},
 			}
 			for i, op := range ops {
 				walk := ancestorErrno(ref, op.q)
@@ -59,7 +69,8 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 			t.Fatal(err)
 		}
 		for name, ns := range map[string]*namespace.Namespace{
-			"nfs": nfsFS.Namespace(), "lustre": lustreFS.Namespace(),
+			"nfs": nfsFS.Namespace(), "lustre": lustreFS.Namespace(), "cxfs": cxfsFS.Namespace(),
+			"pvfs": pvfsFS.Namespace(), "localfs": localFS.Namespace(),
 		} {
 			if problems := ns.Check(); len(problems) != 0 {
 				t.Errorf("%s namespace after the run: %v", name, problems)
@@ -159,10 +170,8 @@ func (op oracleOp) applyRef(ns *namespace.Namespace, p *sim.Proc) outcome {
 		if err != nil {
 			return errOutcome(err)
 		}
-		// Like the models' flushes, a write to a directory changes
-		// nothing and reports nothing.
-		_ = ns.SetSize(node.Ino, node.Size+op.n, now)
-		return outcome{}
+		// A write to a directory fails with EISDIR.
+		return errOutcome(ns.SetSize(node.Ino, node.Size+op.n, now))
 	}
 }
 

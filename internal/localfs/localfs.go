@@ -2,7 +2,7 @@
 // /dev/shm case of the thesis's Python-vs-C calibration, §4.2.2, and the
 // intra-node baseline of §4.5): operations cost CPU time on the owning
 // node plus a small per-operation base cost that scales with directory
-// size according to the configured index, with per-directory kernel
+// size according to its directory index, with per-directory kernel
 // locking for concurrent modifications.
 package localfs
 
@@ -16,37 +16,22 @@ import (
 	"dmetabench/internal/sim"
 )
 
-// Config holds the localfs cost model.
-type Config struct {
-	CreateCost  time.Duration
-	StatCost    time.Duration
-	RemoveCost  time.Duration
-	MkdirCost   time.Duration
-	RenameCost  time.Duration
-	ReaddirCost time.Duration
-	WriteCostKB time.Duration
-	DirIndex    namespace.DirIndex
-}
-
-// DefaultConfig approximates tmpfs on a 2008-era Xeon: a create/close
+// The cost model approximates tmpfs on a 2008-era Xeon: a create/close
 // pair costs single-digit microseconds.
-func DefaultConfig() Config {
-	return Config{
-		CreateCost:  2500 * time.Nanosecond,
-		StatCost:    900 * time.Nanosecond,
-		RemoveCost:  2200 * time.Nanosecond,
-		MkdirCost:   3 * time.Microsecond,
-		RenameCost:  3 * time.Microsecond,
-		ReaddirCost: 2 * time.Microsecond,
-		WriteCostKB: 1500 * time.Nanosecond,
-		DirIndex:    namespace.IndexHash,
-	}
-}
+const (
+	createCost  = 2500 * time.Nanosecond
+	statCost    = 900 * time.Nanosecond
+	removeCost  = 2200 * time.Nanosecond
+	mkdirCost   = 3 * time.Microsecond
+	renameCost  = 3 * time.Microsecond
+	readdirCost = 2 * time.Microsecond
+	writeCostKB = 1500 * time.Nanosecond
+	dirIndex    = namespace.IndexHash
+)
 
 // FS is one local file system instance bound to a node.
 type FS struct {
 	k    *sim.Kernel
-	cfg  Config
 	node *cluster.Node
 	ns   *namespace.Namespace
 
@@ -54,9 +39,9 @@ type FS struct {
 }
 
 // New creates a local file system on node.
-func New(k *sim.Kernel, node *cluster.Node, cfg Config) *FS {
+func New(k *sim.Kernel, node *cluster.Node) *FS {
 	return &FS{
-		k: k, cfg: cfg, node: node, ns: namespace.New(),
+		k: k, node: node, ns: namespace.New(),
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
 	}
 }
@@ -112,13 +97,13 @@ func (c *client) op(p string, base time.Duration, apply func(now time.Duration) 
 		lock.Lock(c.p)
 		defer lock.Unlock()
 	}
-	f.node.Exec(c.p, time.Duration(float64(base)*f.cfg.DirIndex.EntryCost(entries)))
+	f.node.Exec(c.p, time.Duration(float64(base)*dirIndex.EntryCost(entries)))
 	return apply(c.p.Now())
 }
 
 // Create makes a file.
 func (c *client) Create(p string) error {
-	return c.op(p, c.fsys.cfg.CreateCost, func(now time.Duration) error {
+	return c.op(p, createCost, func(now time.Duration) error {
 		_, err := c.fsys.ns.Create(p, 0o644, now)
 		return err
 	})
@@ -128,7 +113,7 @@ func (c *client) Create(p string) error {
 func (c *client) Open(p string) (fs.Handle, error) {
 	f := c.fsys
 	f.node.Syscall(c.p)
-	f.node.Exec(c.p, f.cfg.StatCost)
+	f.node.Exec(c.p, statCost)
 	node, err := f.ns.Lookup(p)
 	if err != nil {
 		return 0, err
@@ -156,7 +141,7 @@ func (c *client) Write(h fs.Handle, n int64) error {
 	if !ok {
 		return fs.NewError("write", "", fs.EBADF)
 	}
-	f.node.Exec(c.p, time.Duration(float64(f.cfg.WriteCostKB)*float64(n)/1024))
+	f.node.Exec(c.p, time.Duration(float64(writeCostKB)*float64(n)/1024))
 	node := f.ns.Get(of.ino)
 	if node == nil {
 		return fs.NewError("write", of.path, fs.ESTALE)
@@ -175,7 +160,7 @@ func (c *client) Fsync(h fs.Handle) error {
 
 // Mkdir creates a directory.
 func (c *client) Mkdir(p string) error {
-	return c.op(p, c.fsys.cfg.MkdirCost, func(now time.Duration) error {
+	return c.op(p, mkdirCost, func(now time.Duration) error {
 		_, err := c.fsys.ns.Mkdir(p, 0o755, now)
 		return err
 	})
@@ -183,35 +168,35 @@ func (c *client) Mkdir(p string) error {
 
 // Rmdir removes a directory.
 func (c *client) Rmdir(p string) error {
-	return c.op(p, c.fsys.cfg.RemoveCost, func(now time.Duration) error {
+	return c.op(p, removeCost, func(now time.Duration) error {
 		return c.fsys.ns.Rmdir(p, now)
 	})
 }
 
 // Unlink removes a file.
 func (c *client) Unlink(p string) error {
-	return c.op(p, c.fsys.cfg.RemoveCost, func(now time.Duration) error {
+	return c.op(p, removeCost, func(now time.Duration) error {
 		return c.fsys.ns.Unlink(p, now)
 	})
 }
 
 // Rename moves an entry.
 func (c *client) Rename(oldPath, newPath string) error {
-	return c.op(oldPath, c.fsys.cfg.RenameCost, func(now time.Duration) error {
+	return c.op(oldPath, renameCost, func(now time.Duration) error {
 		return c.fsys.ns.Rename(oldPath, newPath, now)
 	})
 }
 
 // Link creates a hardlink.
 func (c *client) Link(oldPath, newPath string) error {
-	return c.op(newPath, c.fsys.cfg.CreateCost, func(now time.Duration) error {
+	return c.op(newPath, createCost, func(now time.Duration) error {
 		return c.fsys.ns.Link(oldPath, newPath, now)
 	})
 }
 
 // Symlink creates a symbolic link.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.op(linkPath, c.fsys.cfg.CreateCost, func(now time.Duration) error {
+	return c.op(linkPath, createCost, func(now time.Duration) error {
 		_, err := c.fsys.ns.Symlink(target, linkPath, now)
 		return err
 	})
@@ -221,7 +206,7 @@ func (c *client) Symlink(target, linkPath string) error {
 func (c *client) Stat(p string) (fs.Attr, error) {
 	f := c.fsys
 	f.node.Syscall(c.p)
-	f.node.Exec(c.p, f.cfg.StatCost)
+	f.node.Exec(c.p, statCost)
 	return f.ns.Stat(p)
 }
 
@@ -233,7 +218,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.node.Exec(c.p, f.cfg.ReaddirCost+time.Duration(len(ents))*200*time.Nanosecond)
+	f.node.Exec(c.p, readdirCost+time.Duration(len(ents))*200*time.Nanosecond)
 	return ents, nil
 }
 

@@ -14,7 +14,7 @@ import (
 func TestBasicOps(t *testing.T) {
 	k := sim.New(1)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	f := New(k, cl.Nodes[0], DefaultConfig())
+	f := New(k, cl.Nodes[0])
 	k.Spawn("test", func(p *sim.Proc) {
 		c := f.NewClient(cl.Nodes[0], p)
 		if err := c.Mkdir("/d"); err != nil {
@@ -61,7 +61,7 @@ func TestBasicOps(t *testing.T) {
 func TestForeignNodePanics(t *testing.T) {
 	k := sim.New(2)
 	cl := cluster.New(k, cluster.DefaultConfig(2))
-	f := New(k, cl.Nodes[0], DefaultConfig())
+	f := New(k, cl.Nodes[0])
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for foreign-node client")
@@ -70,13 +70,14 @@ func TestForeignNodePanics(t *testing.T) {
 	f.NewClient(cl.Nodes[1], nil)
 }
 
-func TestLinearDirectoryDegrades(t *testing.T) {
-	rate := func(idx namespace.DirIndex, prefill int) float64 {
+// TestHashDirectoryKeepsRate checks that localfs directories are hashed:
+// a 50k-entry directory keeps its create rate within the hash index's
+// entry-cost factor of a small directory's.
+func TestHashDirectoryKeepsRate(t *testing.T) {
+	rate := func(prefill int) float64 {
 		k := sim.New(3)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		cfg := DefaultConfig()
-		cfg.DirIndex = idx
-		f := New(k, cl.Nodes[0], cfg)
+		f := New(k, cl.Nodes[0])
 		f.Namespace().Mkdir("/d", 0o755, 0)
 		for i := 0; i < prefill; i++ {
 			f.Namespace().Create(fmt.Sprintf("/d/p%d", i), 0o644, 0)
@@ -97,21 +98,16 @@ func TestLinearDirectoryDegrades(t *testing.T) {
 		}
 		return 100 / elapsed.Seconds()
 	}
-	linSmall := rate(namespace.IndexLinear, 100)
-	linBig := rate(namespace.IndexLinear, 50000)
-	hashBig := rate(namespace.IndexHash, 50000)
-	if linBig >= linSmall/10 {
-		t.Fatalf("linear index did not degrade: %.0f -> %.0f ops/s", linSmall, linBig)
-	}
-	if hashBig < linBig*10 {
-		t.Fatalf("hash index (%0.f) should far outrun linear (%0.f) at 50k entries", hashBig, linBig)
+	small, big := rate(100), rate(50000)
+	if limit := small / namespace.IndexHash.EntryCost(50100); big < limit {
+		t.Fatalf("hash index degraded: %.0f -> %.0f ops/s, want >= %.0f", small, big, limit)
 	}
 }
 
 func TestErrorsPropagate(t *testing.T) {
 	k := sim.New(4)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	f := New(k, cl.Nodes[0], DefaultConfig())
+	f := New(k, cl.Nodes[0])
 	k.Spawn("test", func(p *sim.Proc) {
 		c := f.NewClient(cl.Nodes[0], p)
 		if err := c.Unlink("/missing"); fs.CodeOf(err) != fs.ENOENT {

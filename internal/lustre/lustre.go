@@ -23,17 +23,8 @@ import (
 
 // Config holds the tunables of the Lustre model.
 type Config struct {
-	MDSThreads    int
 	NumOSS        int
 	OneWayLatency time.Duration
-
-	CreateService   time.Duration
-	GetattrService  time.Duration
-	RemoveService   time.Duration
-	MkdirService    time.Duration
-	RenameService   time.Duration
-	ReaddirService  time.Duration
-	ReaddirPerEntry time.Duration
 
 	// PreallocBatch objects are granted per OSS refill; a create that
 	// finds the MDS pool for its OSS empty performs a synchronous OSS
@@ -47,42 +38,38 @@ type Config struct {
 	// outstanding before creates block on the flusher.
 	Writeback       bool
 	WritebackWindow int
-
-	AttrTTL   time.Duration
-	DentryTTL time.Duration
-	DirIndex  namespace.DirIndex
-	// JournalCommit is the MDS journal group-commit interval. Zero or
-	// less means no group commit: journal records then accumulate
-	// without ever being written to the MDT.
-	JournalCommit time.Duration
-	ClientNice    int
 }
 
 // DefaultConfig approximates the LRZ Lustre 1.6 system: one MDS, twelve
 // OSS, creates noticeably more expensive than on the NFS filer.
 func DefaultConfig() Config {
 	return Config{
-		MDSThreads:       4,
 		NumOSS:           12,
 		OneWayLatency:    250 * time.Microsecond,
-		CreateService:    420 * time.Microsecond,
-		GetattrService:   90 * time.Microsecond,
-		RemoveService:    380 * time.Microsecond,
-		MkdirService:     450 * time.Microsecond,
-		RenameService:    500 * time.Microsecond,
-		ReaddirService:   150 * time.Microsecond,
-		ReaddirPerEntry:  900 * time.Nanosecond,
 		PreallocBatch:    128,
 		OSSRefillService: 300 * time.Microsecond,
 		Writeback:        false,
 		WritebackWindow:  4096,
-		AttrTTL:          2 * time.Second,
-		DentryTTL:        30 * time.Second,
-		DirIndex:         namespace.IndexBTree,
-		JournalCommit:    5 * time.Second,
-		ClientNice:       0,
 	}
 }
+
+// The MDS's fixed calibration: its thread pool, service times, client
+// cache lifetimes and directory index.
+const (
+	mdsThreads = 4
+
+	createService   = 420 * time.Microsecond
+	getattrService  = 90 * time.Microsecond
+	removeService   = 380 * time.Microsecond
+	mkdirService    = 450 * time.Microsecond
+	renameService   = 500 * time.Microsecond
+	readdirService  = 150 * time.Microsecond
+	readdirPerEntry = 900 * time.Nanosecond
+
+	attrTTL   = 2 * time.Second
+	dentryTTL = 30 * time.Second
+	dirIndex  = namespace.IndexBTree
+)
 
 // FS is one Lustre file system instance.
 type FS struct {
@@ -128,8 +115,8 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 	f := &FS{
 		k:        k,
 		cfg:      cfg,
-		mds:      simnet.NewServer(k, "mds:"+name, cfg.MDSThreads),
-		journal:  storage.NewJournal(k, "mds:"+name, disk, cfg.JournalCommit),
+		mds:      simnet.NewServer(k, "mds:"+name, mdsThreads),
+		journal:  storage.NewJournal(k, "mds:"+name, disk),
 		ns:       namespace.New(),
 		conns:    make(map[*cluster.Node]*simnet.Conn),
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
@@ -171,7 +158,7 @@ func (f *FS) nodeState(n *cluster.Node) *wbState {
 	s, ok := f.nodes[n]
 	if !ok {
 		s = &wbState{
-			names:     clientcache.NewNameCache(f.cfg.AttrTTL, f.cfg.DentryTTL, f.k.Now),
+			names:     clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now),
 			pending:   make(map[string]fs.Attr),
 			pendingIn: make(map[string]int),
 		}
@@ -221,7 +208,7 @@ func (f *FS) mdsCreate(sp *sim.Proc, h *namespace.Parent) error {
 		lock.Lock(sp)
 		defer lock.Unlock()
 	}
-	t := float64(f.cfg.CreateService) * f.cfg.DirIndex.EntryCost(h.Entries())
+	t := float64(createService) * dirIndex.EntryCost(h.Entries())
 	sp.Sleep(time.Duration(t))
 	f.rpcs++
 	if _, err := h.Create(0o644, sp.Now()); err != nil {
@@ -304,7 +291,7 @@ func (c *client) cn() *simnet.Conn {
 // background flusher, blocking only when the write-back window is full.
 func (c *client) Create(p string) error {
 	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.Syscall(c.p)
 	st := c.st()
 	if cfg.Writeback {
 		if _, dup := st.pending[p]; dup {
@@ -322,7 +309,7 @@ func (c *client) Create(p string) error {
 		st.pendingIn[fs.ParentDir(p)]++
 		st.queue.Put(p)
 		// Local bookkeeping cost of the cached operation.
-		c.node.ExecNice(c.p, 4*time.Microsecond, cfg.ClientNice)
+		c.node.Exec(c.p, 4*time.Microsecond)
 		return nil
 	}
 	imutex := c.node.DirLock(fs.ParentDir(p))
@@ -373,7 +360,7 @@ func (c *client) waitDirFlushed(dir string) {
 // Open resolves the path and returns a handle.
 func (c *client) Open(p string) (fs.Handle, error) {
 	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.Syscall(c.p)
 	st := c.st()
 	if _, ok := st.pending[p]; ok {
 		c.nextFH++
@@ -400,7 +387,7 @@ func (c *client) statRPC(p string, cfg *Config) (fs.Attr, error) {
 	var a fs.Attr
 	var err error
 	c.cn().Call(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(cfg.GetattrService)
+		sp.Sleep(getattrService)
 		c.fsys.rpcs++
 		a, err = c.fsys.ns.Stat(p)
 	})
@@ -417,7 +404,7 @@ func (c *client) Close(h fs.Handle) error {
 	}
 	delete(c.handles, h)
 	if of.dirty {
-		c.flushData(of)
+		return c.flushData(of)
 	}
 	return nil
 }
@@ -442,13 +429,14 @@ func (c *client) Fsync(h fs.Handle) error {
 		return fs.NewError("fsync", "", fs.EBADF)
 	}
 	if of.dirty {
-		c.flushData(of)
+		return c.flushData(of)
 	}
 	return nil
 }
 
-// flushData sends dirty file data to the object's OSS.
-func (c *client) flushData(of *openFile) {
+// flushData sends dirty file data to the object's OSS. The size update
+// of a directory fails with EISDIR.
+func (c *client) flushData(of *openFile) error {
 	cfg := c.cfg()
 	idx := 0
 	if n := len(c.fsys.oss); n > 0 {
@@ -459,25 +447,27 @@ func (c *client) flushData(of *openFile) {
 		sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.written)/65536)))
 	})
 	st := c.st()
+	var err error
 	if a, ok := st.pending[of.path]; ok {
 		a.Size += of.written
 		st.pending[of.path] = a
-	} else if node, err := c.fsys.ns.Lookup(of.path); err == nil {
-		c.fsys.ns.SetSize(node.Ino, node.Size+of.written, c.p.Now())
+	} else if node, lerr := c.fsys.ns.Lookup(of.path); lerr == nil {
+		err = c.fsys.ns.SetSize(node.Ino, node.Size+of.written, c.p.Now())
 		// The writing client holds the object lock and knows the new
 		// size; refresh its attribute cache so local stats see it.
-		if a, err := c.fsys.ns.Stat(of.path); err == nil {
+		if a, serr := c.fsys.ns.Stat(of.path); serr == nil {
 			st.names.PutAttr(of.path, a)
 		}
 	}
 	of.size += of.written
 	of.written = 0
 	of.dirty = false
+	return err
 }
 
 // Mkdir issues a synchronous MKDIR RPC to the MDS.
 func (c *client) Mkdir(p string) error {
-	return c.modifyRPC(p, c.cfg().MkdirService, func(sp *sim.Proc, _ namespace.Parent) error {
+	return c.modifyRPC(p, mkdirService, func(sp *sim.Proc, _ namespace.Parent) error {
 		_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
 		if err == nil {
 			c.fsys.journal.Log(512)
@@ -492,7 +482,7 @@ func (c *client) Rmdir(p string) error {
 	if c.cfg().Writeback {
 		c.waitDirFlushed(p)
 	}
-	return c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc, _ namespace.Parent) error {
+	return c.modifyRPC(p, removeService, func(sp *sim.Proc, _ namespace.Parent) error {
 		err := c.fsys.ns.Rmdir(p, sp.Now())
 		if err == nil {
 			c.fsys.journal.Log(256)
@@ -507,7 +497,7 @@ func (c *client) Unlink(p string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(p)
 	}
-	err := c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc, h namespace.Parent) error {
+	err := c.modifyRPC(p, removeService, func(sp *sim.Proc, h namespace.Parent) error {
 		err := h.Unlink(sp.Now())
 		if err == nil {
 			c.fsys.journal.Log(256)
@@ -525,7 +515,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(oldPath)
 	}
-	err := c.modifyRPC(oldPath, c.cfg().RenameService, func(sp *sim.Proc, _ namespace.Parent) error {
+	err := c.modifyRPC(oldPath, renameService, func(sp *sim.Proc, _ namespace.Parent) error {
 		err := c.fsys.ns.Rename(oldPath, newPath, sp.Now())
 		if err == nil {
 			c.fsys.journal.Log(512)
@@ -545,14 +535,14 @@ func (c *client) Link(oldPath, newPath string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(oldPath)
 	}
-	return c.modifyRPC(newPath, c.cfg().CreateService, func(sp *sim.Proc, _ namespace.Parent) error {
+	return c.modifyRPC(newPath, createService, func(sp *sim.Proc, _ namespace.Parent) error {
 		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
 	})
 }
 
 // Symlink issues a synchronous RPC to the MDS.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.modifyRPC(linkPath, c.cfg().CreateService, func(sp *sim.Proc, _ namespace.Parent) error {
+	return c.modifyRPC(linkPath, createService, func(sp *sim.Proc, _ namespace.Parent) error {
 		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
 		if e == nil {
 			c.fsys.journal.Log(384)
@@ -565,8 +555,7 @@ func (c *client) Symlink(target, linkPath string) error {
 // apply runs in the service body and receives the body's handle on p by
 // value, so the handle stays on the body's stack.
 func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc, h namespace.Parent) error) error {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.Syscall(c.p)
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
@@ -578,7 +567,7 @@ func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc,
 			lock.Lock(sp)
 			defer lock.Unlock()
 		}
-		t := float64(svc) * cfg.DirIndex.EntryCost(h.Entries())
+		t := float64(svc) * dirIndex.EntryCost(h.Entries())
 		sp.Sleep(time.Duration(t))
 		c.fsys.rpcs++
 		err = apply(sp, h)
@@ -590,7 +579,7 @@ func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc,
 // locally, otherwise issues a GETATTR RPC to the MDS.
 func (c *client) Stat(p string) (fs.Attr, error) {
 	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.Syscall(c.p)
 	st := c.st()
 	if a, ok := st.pending[p]; ok {
 		return a, nil
@@ -626,8 +615,8 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 				pages = 1
 			}
 		}
-		sp.Sleep(time.Duration(pages)*cfg.ReaddirService +
-			time.Duration(len(ents))*cfg.ReaddirPerEntry)
+		sp.Sleep(time.Duration(pages)*readdirService +
+			time.Duration(len(ents))*readdirPerEntry)
 		c.fsys.rpcs++
 	})
 	return ents, err

@@ -27,61 +27,44 @@ type Config struct {
 	ServerThreads int
 	// OneWayLatency is the network one-way delay client->server.
 	OneWayLatency time.Duration
-	// Bandwidth of the server uplink in bytes/s (0 = unlimited).
-	Bandwidth int64
-	// Service times for the metadata RPC classes.
-	CreateService     time.Duration
-	GetattrService    time.Duration
-	LookupService     time.Duration
-	RemoveService     time.Duration
-	MkdirService      time.Duration
-	RenameService     time.Duration
-	ReaddirService    time.Duration // per RPC; entries add ReaddirPerEntry
-	ReaddirPerEntry   time.Duration
-	WriteServicePerKB time.Duration
-	// InodeInlineBytes: writes that keep the file at or below this size
-	// stay in the inode (WAFL stores tiny files inline); crossing it
-	// allocates a block (the MakeFiles64byte/65byte probe, §3.3.8).
-	InodeInlineBytes int64
-	// BlockAllocService is the extra service time for the first block.
-	BlockAllocService time.Duration
-	// AttrTTL and DentryTTL are the client cache lifetimes.
-	AttrTTL   time.Duration
-	DentryTTL time.Duration
 	// DirIndex is the server directory data structure.
 	DirIndex namespace.DirIndex
-	// WAFL parameterizes the storage backend.
-	WAFL storage.WAFLConfig
-	// MetaLogBytes is the NVRAM log record size per namespace change.
-	MetaLogBytes int64
-	// ClientNice is the niceness benchmark processes run at (see §4.4).
-	ClientNice int
 }
 
 // DefaultConfig returns the FAS3050-like parameter set.
 func DefaultConfig() Config {
 	return Config{
-		ServerThreads:     4,
-		OneWayLatency:     250 * time.Microsecond,
-		Bandwidth:         0,
-		CreateService:     150 * time.Microsecond,
-		GetattrService:    40 * time.Microsecond,
-		LookupService:     40 * time.Microsecond,
-		RemoveService:     140 * time.Microsecond,
-		MkdirService:      180 * time.Microsecond,
-		RenameService:     180 * time.Microsecond,
-		ReaddirService:    120 * time.Microsecond,
-		ReaddirPerEntry:   800 * time.Nanosecond,
-		WriteServicePerKB: 30 * time.Microsecond,
-		InodeInlineBytes:  64,
-		BlockAllocService: 60 * time.Microsecond,
-		AttrTTL:           3 * time.Second,
-		DentryTTL:         30 * time.Second,
-		DirIndex:          namespace.IndexHash,
-		WAFL:              storage.DefaultWAFLConfig(),
-		MetaLogBytes:      320,
+		ServerThreads: 4,
+		OneWayLatency: 250 * time.Microsecond,
+		DirIndex:      namespace.IndexHash,
 	}
 }
+
+// The filer's fixed calibration: FAS3050-class service times, client
+// cache lifetimes and NVRAM log record size.
+const (
+	// Service times for the metadata RPC classes.
+	createService     = 150 * time.Microsecond
+	getattrService    = 40 * time.Microsecond
+	lookupService     = 40 * time.Microsecond
+	removeService     = 140 * time.Microsecond
+	mkdirService      = 180 * time.Microsecond
+	renameService     = 180 * time.Microsecond
+	readdirService    = 120 * time.Microsecond // per RPC; entries add readdirPerEntry
+	readdirPerEntry   = 800 * time.Nanosecond
+	writeServicePerKB = 30 * time.Microsecond
+	// inodeInlineBytes: writes that keep the file at or below this size
+	// stay in the inode (WAFL stores tiny files inline); crossing it
+	// allocates a block (the MakeFiles64byte/65byte probe, §3.3.8).
+	inodeInlineBytes = 64
+	// blockAllocService is the extra service time for the first block.
+	blockAllocService = 60 * time.Microsecond
+	// attrTTL and dentryTTL are the client cache lifetimes.
+	attrTTL   = 3 * time.Second
+	dentryTTL = 30 * time.Second
+	// metaLogBytes is the NVRAM log record size per namespace change.
+	metaLogBytes = 320
+)
 
 // FS is one exported NFS file system (one filer volume).
 type FS struct {
@@ -114,7 +97,7 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		k:        k,
 		cfg:      cfg,
 		srv:      simnet.NewServer(k, "nfs:"+name, cfg.ServerThreads),
-		wafl:     storage.NewWAFL(k, name, cfg.WAFL),
+		wafl:     storage.NewWAFL(k, name),
 		ns:       namespace.New(),
 		conns:    make(map[*cluster.Node]*simnet.Conn),
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
@@ -139,7 +122,7 @@ func (f *FS) RPCCount() int64 { return f.rpcs }
 func (f *FS) conn(n *cluster.Node) *simnet.Conn {
 	c, ok := f.conns[n]
 	if !ok {
-		c = simnet.NewConn(f.k, f.srv, f.cfg.OneWayLatency, f.cfg.Bandwidth)
+		c = simnet.NewConn(f.k, f.srv, f.cfg.OneWayLatency, 0)
 		f.conns[n] = c
 	}
 	return c
@@ -148,7 +131,7 @@ func (f *FS) conn(n *cluster.Node) *simnet.Conn {
 func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
 	if !ok {
-		s = clientcache.NewNameCache(f.cfg.AttrTTL, f.cfg.DentryTTL, f.k.Now)
+		s = clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now)
 		f.nodes[n] = s
 	}
 	return s
@@ -198,10 +181,10 @@ func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) {
 // directories — which prices the background conservatively.
 func (f *FS) priceAggregate(d service.Demand) time.Duration {
 	base := service.PriceTable{
-		Getattr: f.cfg.GetattrService,
-		Lookup:  f.cfg.LookupService,
-		Readdir: f.cfg.ReaddirService,
-		Create:  f.cfg.CreateService,
+		Getattr: getattrService,
+		Lookup:  lookupService,
+		Readdir: readdirService,
+		Create:  createService,
 	}.Price(d)
 	if base <= 0 {
 		return 0
@@ -246,10 +229,6 @@ type client struct {
 	handles map[fs.Handle]*openFile
 }
 
-// cfg returns the FS config by pointer: the config is immutable after
-// New, and service closures capture the pointer instead of the struct.
-func (c *client) cfg() *Config { return &c.fsys.cfg }
-
 // names returns the node's name cache, looked up on the client's first
 // use and kept.
 func (c *client) names() *clientcache.NameCache {
@@ -275,7 +254,6 @@ func (c *client) cn() *simnet.Conn {
 // costs one round trip per level. The service body fills the dentry
 // cache at the reply's commit instant.
 func (c *client) resolveParents(p string) error {
-	cfg := c.cfg()
 	names := c.names()
 	for i := 1; i < len(p); i++ {
 		if p[i] != '/' {
@@ -290,7 +268,7 @@ func (c *client) resolveParents(p string) error {
 		}
 		var err error
 		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.LookupService, -1)
+			c.fsys.service(sp, lookupService, -1)
 			var a fs.Attr
 			a, err = c.fsys.ns.Stat(prefix)
 			if err == nil {
@@ -313,8 +291,7 @@ func (c *client) resolveParents(p string) error {
 // returns. The service body resolves the parent once, through a
 // namespace.Parent handle.
 func (c *client) Create(p string) error {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return err
 	}
@@ -332,10 +309,10 @@ func (c *client) Create(p string) error {
 			lock.Lock(sp)
 			defer lock.Unlock()
 		}
-		c.fsys.service(sp, cfg.CreateService, h.Entries())
+		c.fsys.service(sp, createService, h.Entries())
 		_, err = h.Create(0o644, sp.Now())
 		if err == nil {
-			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
+			c.fsys.wafl.LogMetadata(sp, metaLogBytes)
 		}
 		if err == nil || fs.IsExist(err) {
 			a, found = reply(h.Stat())
@@ -355,8 +332,7 @@ func reply(a fs.Attr, err error) (fs.Attr, bool) { return a, err == nil }
 // handle. Close-to-open: a fresh GETATTR piggybacks on the lookup. The
 // file size is read from the filer's namespace.
 func (c *client) Open(p string) (fs.Handle, error) {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return 0, err
 	}
@@ -366,7 +342,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		var err error
 		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
 			h := c.fsys.ns.Parent(p)
-			c.fsys.service(sp, cfg.LookupService, h.Entries())
+			c.fsys.service(sp, lookupService, h.Entries())
 			var a fs.Attr
 			a, err = h.Stat()
 			if err == nil {
@@ -403,7 +379,7 @@ func (c *client) Close(h fs.Handle) error {
 	}
 	delete(c.handles, h)
 	if of.dirty {
-		c.flush(of)
+		return c.flush(of)
 	}
 	return nil
 }
@@ -429,27 +405,31 @@ func (c *client) Fsync(h fs.Handle) error {
 		return fs.NewError("fsync", "", fs.EBADF)
 	}
 	if of.dirty {
-		c.flush(of)
+		return c.flush(of)
 	}
 	return nil
 }
 
 // flush writes the dirty bytes back; the reply carries the post-write
-// attributes, which refresh the client's attribute cache.
-func (c *client) flush(of *openFile) {
-	cfg := c.cfg()
+// attributes, which refresh the client's attribute cache. A flush to a
+// directory fails with EISDIR; the bytes of a file unlinked while open
+// are dropped without an error.
+func (c *client) flush(of *openFile) error {
 	newSize := of.size + of.written
 	var a fs.Attr
 	found := false
+	var err error
 	c.cn().Call(c.p, 120+of.written, 140, func(sp *sim.Proc) {
-		t := time.Duration(float64(cfg.WriteServicePerKB) * float64(of.written) / 1024)
-		if of.size <= cfg.InodeInlineBytes && newSize > cfg.InodeInlineBytes {
+		t := time.Duration(float64(writeServicePerKB) * float64(of.written) / 1024)
+		if of.size <= inodeInlineBytes && newSize > inodeInlineBytes {
 			// Crossing the inline threshold allocates the first block.
-			t += cfg.BlockAllocService
+			t += blockAllocService
 		}
 		c.fsys.service(sp, t, -1)
-		c.fsys.ns.SetSize(of.ino, newSize, sp.Now())
-		c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes+of.written)
+		if serr := c.fsys.ns.SetSize(of.ino, newSize, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
+			err = serr
+		}
+		c.fsys.wafl.LogMetadata(sp, metaLogBytes+of.written)
 		a, found = reply(c.fsys.ns.Stat(of.path))
 	})
 	of.size = newSize
@@ -458,6 +438,7 @@ func (c *client) flush(of *openFile) {
 	if found {
 		c.names().PutAttr(of.path, a)
 	}
+	return err
 }
 
 // Mkdir issues a synchronous MKDIR RPC. The reply's attributes (also on
@@ -465,7 +446,7 @@ func (c *client) flush(of *openFile) {
 func (c *client) Mkdir(p string) error {
 	var a fs.Attr
 	found := false
-	err := c.modifyRPC("mkdir", p, c.cfg().MkdirService, func(sp *sim.Proc, h namespace.Parent) error {
+	err := c.modifyRPC("mkdir", p, mkdirService, func(sp *sim.Proc, h namespace.Parent) error {
 		_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
 		if err == nil || fs.IsExist(err) {
 			a, found = reply(h.Stat())
@@ -480,7 +461,7 @@ func (c *client) Mkdir(p string) error {
 
 // Rmdir issues a synchronous RMDIR RPC.
 func (c *client) Rmdir(p string) error {
-	err := c.modifyRPC("rmdir", p, c.cfg().RemoveService, func(sp *sim.Proc, _ namespace.Parent) error {
+	err := c.modifyRPC("rmdir", p, removeService, func(sp *sim.Proc, _ namespace.Parent) error {
 		return c.fsys.ns.Rmdir(p, sp.Now())
 	})
 	if err == nil {
@@ -491,7 +472,7 @@ func (c *client) Rmdir(p string) error {
 
 // Unlink issues a synchronous REMOVE RPC.
 func (c *client) Unlink(p string) error {
-	err := c.modifyRPC("unlink", p, c.cfg().RemoveService, func(sp *sim.Proc, h namespace.Parent) error {
+	err := c.modifyRPC("unlink", p, removeService, func(sp *sim.Proc, h namespace.Parent) error {
 		return h.Unlink(sp.Now())
 	})
 	if err == nil {
@@ -504,7 +485,7 @@ func (c *client) Unlink(p string) error {
 func (c *client) Rename(oldPath, newPath string) error {
 	var a fs.Attr
 	found := false
-	err := c.modifyRPC("rename", oldPath, c.cfg().RenameService, func(sp *sim.Proc, _ namespace.Parent) error {
+	err := c.modifyRPC("rename", oldPath, renameService, func(sp *sim.Proc, _ namespace.Parent) error {
 		err := c.fsys.ns.Rename(oldPath, newPath, sp.Now())
 		if err == nil {
 			a, found = reply(c.fsys.ns.Stat(newPath))
@@ -527,7 +508,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 func (c *client) Link(oldPath, newPath string) error {
 	var a fs.Attr
 	found := false
-	err := c.modifyRPC("link", newPath, c.cfg().CreateService, func(sp *sim.Proc, h namespace.Parent) error {
+	err := c.modifyRPC("link", newPath, createService, func(sp *sim.Proc, h namespace.Parent) error {
 		err := c.fsys.ns.Link(oldPath, newPath, sp.Now())
 		if err == nil {
 			a, found = reply(h.Stat())
@@ -544,7 +525,7 @@ func (c *client) Link(oldPath, newPath string) error {
 func (c *client) Symlink(target, linkPath string) error {
 	var a fs.Attr
 	found := false
-	err := c.modifyRPC("symlink", linkPath, c.cfg().CreateService, func(sp *sim.Proc, h namespace.Parent) error {
+	err := c.modifyRPC("symlink", linkPath, createService, func(sp *sim.Proc, h namespace.Parent) error {
 		_, err := c.fsys.ns.Symlink(target, linkPath, sp.Now())
 		if err == nil {
 			a, found = reply(h.Stat())
@@ -562,8 +543,7 @@ func (c *client) Symlink(target, linkPath string) error {
 // out reply attributes. It receives the body's handle on p by value, so
 // the handle stays on the body's stack.
 func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.Proc, h namespace.Parent) error) error {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return err
 	}
@@ -581,7 +561,7 @@ func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.P
 		c.fsys.service(sp, svc, h.Entries())
 		err = apply(sp, h)
 		if err == nil {
-			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
+			c.fsys.wafl.LogMetadata(sp, metaLogBytes)
 		}
 	})
 	return err
@@ -589,8 +569,7 @@ func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.P
 
 // Stat serves from the attribute cache when fresh, else issues GETATTR.
 func (c *client) Stat(p string) (fs.Attr, error) {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.Syscall(c.p)
 	names := c.names()
 	if a, ok := names.Attr(p); ok {
 		return a, nil
@@ -601,7 +580,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	var a fs.Attr
 	var err error
 	c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
-		c.fsys.service(sp, cfg.GetattrService, -1)
+		c.fsys.service(sp, getattrService, -1)
 		a, err = c.fsys.ns.Stat(p)
 	})
 	if err != nil {
@@ -613,22 +592,21 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 
 // ReadDir pages through the directory in 512-entry READDIR RPCs.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	var ents []fs.DirEntry
 	var err error
 	c.cn().Call(c.p, 130, 260, func(sp *sim.Proc) {
 		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
 		if err != nil {
-			c.fsys.service(sp, cfg.ReaddirService, -1)
+			c.fsys.service(sp, readdirService, -1)
 			return
 		}
 		pages := (len(ents) + 511) / 512
 		if pages < 1 {
 			pages = 1
 		}
-		t := time.Duration(pages)*cfg.ReaddirService +
-			time.Duration(len(ents))*cfg.ReaddirPerEntry
+		t := time.Duration(pages)*readdirService +
+			time.Duration(len(ents))*readdirPerEntry
 		c.fsys.service(sp, t, -1)
 	})
 	return ents, err

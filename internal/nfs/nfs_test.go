@@ -63,7 +63,7 @@ func TestCreateCostsAtLeastRTT(t *testing.T) {
 		}
 		elapsed = p.Now() - start
 	})
-	min := 2*cfg.OneWayLatency + cfg.CreateService
+	min := 2*cfg.OneWayLatency + createService
 	if elapsed < min {
 		t.Fatalf("create took %v, want >= %v", elapsed, min)
 	}
@@ -96,15 +96,13 @@ func TestAttrCacheAvoidsRPC(t *testing.T) {
 }
 
 func TestAttrCacheExpires(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AttrTTL = time.Second
-	k, cl, f := env(t, 1, cfg)
+	k, cl, f := env(t, 1, DefaultConfig())
 	inProc(t, k, func(p *sim.Proc) {
 		c := f.NewClient(cl.Nodes[0], p)
 		if err := c.Create("/f"); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		p.Sleep(2 * time.Second)
+		p.Sleep(2 * attrTTL)
 		before := f.RPCCount()
 		if _, err := c.Stat("/f"); err != nil {
 			t.Fatalf("stat: %v", err)
@@ -304,80 +302,5 @@ func TestAggregateLeavesNoGoroutines(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine() - base; n != 0 {
 		t.Errorf("%d goroutine(s) left behind after Run", n)
-	}
-}
-
-// TestZeroCPIntervalMeansNoTimer checks that CPInterval 0 turns the CP
-// timer off instead of spinning: with the default NVRAM half a small
-// create load runs no consistency point, and with a tiny half the same
-// load still runs them when the half fills.
-func TestZeroCPIntervalMeansNoTimer(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		nvram int64
-		cps   bool
-	}{
-		{"default NVRAM", DefaultConfig().WAFL.NVRAMBytes, false},
-		{"tiny NVRAM", 4 << 10, true},
-	} {
-		cfg := DefaultConfig()
-		cfg.WAFL.CPInterval = 0
-		cfg.WAFL.NVRAMBytes = c.nvram
-		k, cl, f := env(t, 1, cfg)
-		createLoad(t, k, cl, f, 100)
-		if n := f.WAFL().NumCPs(); (n > 0) != c.cps {
-			t.Errorf("%s: %d consistency points, want some: %v", c.name, n, c.cps)
-		}
-	}
-}
-
-// TestZeroNVRAMMeansTimerOnly checks that NVRAMBytes 0 turns the
-// half-full trigger off instead of spinning: a create load finishes,
-// consistency points run on the CP timer alone, and with no timer
-// either none runs.
-func TestZeroNVRAMMeansTimerOnly(t *testing.T) {
-	for _, c := range []struct {
-		name     string
-		interval time.Duration
-		cps      bool
-	}{
-		{"100ms timer", 100 * time.Millisecond, true},
-		{"no timer", 0, false},
-	} {
-		cfg := DefaultConfig()
-		cfg.WAFL.NVRAMBytes = 0
-		cfg.WAFL.CPInterval = c.interval
-		k, cl, f := env(t, 1, cfg)
-		k.Spawn("creator", func(p *sim.Proc) {
-			cli := f.NewClient(cl.Nodes[0], p)
-			for i := 0; i < 100; i++ {
-				if err := cli.Create("/f" + itoa(i)); err != nil {
-					t.Errorf("create: %v", err)
-					return
-				}
-			}
-			p.Sleep(time.Second)
-		})
-		runWithin(t, k, 8*time.Second)
-		if n := f.WAFL().NumCPs(); (n > 0) != c.cps {
-			t.Errorf("%s: %d consistency points, want some: %v", c.name, n, c.cps)
-		}
-	}
-}
-
-// runWithin runs k and fails the test if Run has not returned after d
-// of real time: the guard against a simulation that spins without
-// advancing virtual time.
-func runWithin(t *testing.T, k *sim.Kernel, d time.Duration) {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- k.Run() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(d):
-		t.Fatalf("Run did not return within %v of real time", d)
 	}
 }

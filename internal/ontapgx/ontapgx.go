@@ -25,51 +25,39 @@ import (
 
 // Config holds the tunables of the GX model.
 type Config struct {
-	FilerThreads  int
 	OneWayLatency time.Duration
-	// ClusterLatency is the one-way delay of the internal cluster
-	// network used for N-blade -> remote D-blade forwarding.
-	ClusterLatency time.Duration
-	// NBladeService is the protocol translation cost paid on the
-	// receiving filer for every request.
-	NBladeService time.Duration
-	// ForwardOverhead is the extra CPU cost on both filers when a
-	// request is forwarded ([ECK+07] measures ~75% remote efficiency).
-	ForwardOverhead time.Duration
-
-	CreateService  time.Duration
-	GetattrService time.Duration
-	RemoveService  time.Duration
-	MkdirService   time.Duration
-	RenameService  time.Duration
-	ReaddirService time.Duration
-
-	AttrTTL   time.Duration
-	DentryTTL time.Duration
-	DirIndex  namespace.DirIndex
-	WAFL      storage.WAFLConfig
 }
 
 // DefaultConfig approximates the 8-node FAS3050 GX cluster.
 func DefaultConfig() Config {
-	return Config{
-		FilerThreads:    4,
-		OneWayLatency:   250 * time.Microsecond,
-		ClusterLatency:  80 * time.Microsecond,
-		NBladeService:   30 * time.Microsecond,
-		ForwardOverhead: 45 * time.Microsecond,
-		CreateService:   160 * time.Microsecond,
-		GetattrService:  45 * time.Microsecond,
-		RemoveService:   150 * time.Microsecond,
-		MkdirService:    190 * time.Microsecond,
-		RenameService:   190 * time.Microsecond,
-		ReaddirService:  130 * time.Microsecond,
-		AttrTTL:         3 * time.Second,
-		DentryTTL:       30 * time.Second,
-		DirIndex:        namespace.IndexHash,
-		WAFL:            storage.DefaultWAFLConfig(),
-	}
+	return Config{OneWayLatency: 250 * time.Microsecond}
 }
+
+// The cluster's fixed calibration, approximating the 8-node FAS3050 GX
+// cluster.
+const (
+	filerThreads = 4
+	// clusterLatency is the one-way delay of the internal cluster
+	// network used for N-blade -> remote D-blade forwarding.
+	clusterLatency = 80 * time.Microsecond
+	// nbladeService is the protocol translation cost paid on the
+	// receiving filer for every request.
+	nbladeService = 30 * time.Microsecond
+	// forwardOverhead is the extra CPU cost on both filers when a
+	// request is forwarded ([ECK+07] measures ~75% remote efficiency).
+	forwardOverhead = 45 * time.Microsecond
+
+	createService  = 160 * time.Microsecond
+	getattrService = 45 * time.Microsecond
+	removeService  = 150 * time.Microsecond
+	mkdirService   = 190 * time.Microsecond
+	renameService  = 190 * time.Microsecond
+	readdirService = 130 * time.Microsecond
+
+	attrTTL   = 3 * time.Second
+	dentryTTL = 30 * time.Second
+	dirIndex  = namespace.IndexHash
+)
 
 // FS is one GX cluster namespace.
 type FS struct {
@@ -117,8 +105,8 @@ func New(k *sim.Kernel, name string, filers int, cfg Config) *FS {
 	for i := 0; i < filers; i++ {
 		f.filers = append(f.filers, &filer{
 			index: i,
-			srv:   simnet.NewServer(k, fmt.Sprintf("gx%d:%s", i, name), cfg.FilerThreads),
-			wafl:  storage.NewWAFL(k, fmt.Sprintf("gx%d:%s", i, name), cfg.WAFL),
+			srv:   simnet.NewServer(k, fmt.Sprintf("gx%d:%s", i, name), filerThreads),
+			wafl:  storage.NewWAFL(k, fmt.Sprintf("gx%d:%s", i, name)),
 		})
 	}
 	return f
@@ -126,9 +114,6 @@ func New(k *sim.Kernel, name string, filers int, cfg Config) *FS {
 
 // Name identifies the model.
 func (f *FS) Name() string { return "ontapgx" }
-
-// NumFilers returns the cluster size.
-func (f *FS) NumFilers() int { return len(f.filers) }
 
 // AddVolume creates a volume owned by the given filer (round-robin when
 // -1) and junctions it at /name.
@@ -184,7 +169,7 @@ func (f *FS) conn(n *cluster.Node, filerIdx int) *simnet.Conn {
 func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
 	if !ok {
-		s = clientcache.NewNameCache(f.cfg.AttrTTL, f.cfg.DentryTTL, f.k.Now)
+		s = clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now)
 		f.nodes[n] = s
 	}
 	return s
@@ -223,9 +208,8 @@ func (v *volume) dirLock(k *sim.Kernel, ino fs.Ino) *sim.Mutex {
 // interconnect round trip, and thread occupancy on the owner.
 func (f *FS) dispatch(p *sim.Proc, n *cluster.Node, v *volume, service func(sp *sim.Proc)) {
 	entry := f.mountFiler(n)
-	cfg := f.cfg
 	f.conn(n, entry).Call(p, 180, 160, func(sp *sim.Proc) {
-		sp.Sleep(cfg.NBladeService)
+		sp.Sleep(nbladeService)
 		f.rpcs++
 		if v.owner == entry {
 			service(sp)
@@ -233,14 +217,14 @@ func (f *FS) dispatch(p *sim.Proc, n *cluster.Node, v *volume, service func(sp *
 		}
 		// Forwarded path: translate, hop, queue at the owner.
 		f.ForwardCount++
-		sp.Sleep(cfg.ForwardOverhead)
-		sp.Sleep(cfg.ClusterLatency)
+		sp.Sleep(forwardOverhead)
+		sp.Sleep(clusterLatency)
 		owner := f.filers[v.owner]
 		owner.srv.Threads.Acquire(sp)
-		sp.Sleep(cfg.ForwardOverhead)
+		sp.Sleep(forwardOverhead)
 		service(sp)
 		owner.srv.Threads.Release()
-		sp.Sleep(cfg.ClusterLatency)
+		sp.Sleep(clusterLatency)
 	})
 }
 
@@ -282,7 +266,7 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 			lock := v.dirLock(f.k, dir.Ino)
 			lock.Lock(sp)
 			defer lock.Unlock()
-			t := float64(svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren()) * owner.wafl.ServiceFactor()
+			t := float64(svc) * dirIndex.EntryCost(dir.NumChildren()) * owner.wafl.ServiceFactor()
 			sp.Sleep(time.Duration(t))
 		} else {
 			sp.Sleep(svc)
@@ -297,7 +281,7 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 
 // Create makes a file in the owning volume.
 func (c *client) Create(p string) error {
-	err := c.modify("create", p, c.fsys.cfg.CreateService, func(sp *sim.Proc, v *volume, sub string) error {
+	err := c.modify("create", p, createService, func(sp *sim.Proc, v *volume, sub string) error {
 		_, e := v.ns.Create(sub, 0o644, sp.Now())
 		return e
 	})
@@ -383,7 +367,7 @@ func (c *client) flush(of *openFile) {
 
 // Mkdir creates a directory in the owning volume.
 func (c *client) Mkdir(p string) error {
-	return c.modify("mkdir", p, c.fsys.cfg.MkdirService, func(sp *sim.Proc, v *volume, sub string) error {
+	return c.modify("mkdir", p, mkdirService, func(sp *sim.Proc, v *volume, sub string) error {
 		_, e := v.ns.Mkdir(sub, 0o755, sp.Now())
 		return e
 	})
@@ -391,14 +375,14 @@ func (c *client) Mkdir(p string) error {
 
 // Rmdir removes a directory.
 func (c *client) Rmdir(p string) error {
-	return c.modify("rmdir", p, c.fsys.cfg.RemoveService, func(sp *sim.Proc, v *volume, sub string) error {
+	return c.modify("rmdir", p, removeService, func(sp *sim.Proc, v *volume, sub string) error {
 		return v.ns.Rmdir(sub, sp.Now())
 	})
 }
 
 // Unlink removes a file.
 func (c *client) Unlink(p string) error {
-	err := c.modify("unlink", p, c.fsys.cfg.RemoveService, func(sp *sim.Proc, v *volume, sub string) error {
+	err := c.modify("unlink", p, removeService, func(sp *sim.Proc, v *volume, sub string) error {
 		return v.ns.Unlink(sub, sp.Now())
 	})
 	if err == nil {
@@ -422,7 +406,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 	if vOld != vNew {
 		return fs.NewError("rename", newPath, fs.EXDEV)
 	}
-	err = c.modify("rename", oldPath, f.cfg.RenameService, func(sp *sim.Proc, v *volume, _ string) error {
+	err = c.modify("rename", oldPath, renameService, func(sp *sim.Proc, v *volume, _ string) error {
 		return v.ns.Rename(subOld, subNew, sp.Now())
 	})
 	if err == nil {
@@ -447,14 +431,14 @@ func (c *client) Link(oldPath, newPath string) error {
 	if vOld != vNew {
 		return fs.NewError("link", newPath, fs.EXDEV)
 	}
-	return c.modify("link", newPath, f.cfg.CreateService, func(sp *sim.Proc, v *volume, _ string) error {
+	return c.modify("link", newPath, createService, func(sp *sim.Proc, v *volume, _ string) error {
 		return v.ns.Link(subOld, subNew, sp.Now())
 	})
 }
 
 // Symlink creates a symbolic link in the owning volume.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.modify("symlink", linkPath, c.fsys.cfg.CreateService, func(sp *sim.Proc, v *volume, sub string) error {
+	return c.modify("symlink", linkPath, createService, func(sp *sim.Proc, v *volume, sub string) error {
 		_, e := v.ns.Symlink(target, sub, sp.Now())
 		return e
 	})
@@ -476,7 +460,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	var a fs.Attr
 	owner := f.filers[v.owner]
 	f.dispatch(c.p, c.node, v, func(sp *sim.Proc) {
-		sp.Sleep(time.Duration(float64(f.cfg.GetattrService) * owner.wafl.ServiceFactor()))
+		sp.Sleep(time.Duration(float64(getattrService) * owner.wafl.ServiceFactor()))
 		a, err = v.ns.Stat(sub)
 	})
 	if err != nil {
@@ -506,7 +490,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	var ents []fs.DirEntry
 	f.dispatch(c.p, c.node, v, func(sp *sim.Proc) {
 		ents, err = v.ns.ReadDir(sub, sp.Now())
-		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(ents))*time.Microsecond)
+		sp.Sleep(readdirService + time.Duration(len(ents))*time.Microsecond)
 	})
 	return ents, err
 }

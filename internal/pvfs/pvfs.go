@@ -27,37 +27,30 @@ import (
 
 // Config holds the tunables of the PVFS2 model.
 type Config struct {
-	Servers       int
-	ServerThreads int
 	OneWayLatency time.Duration
-
-	CreateService     time.Duration
-	GetattrService    time.Duration
-	RemoveService     time.Duration
-	MkdirService      time.Duration
-	RenameService     time.Duration
-	ReaddirService    time.Duration
-	WriteServicePerKB time.Duration
-	DirIndex          namespace.DirIndex
 }
 
 // DefaultConfig approximates a small PVFS2 installation on gigabit
 // ethernet: cheap servers, everything synchronous.
 func DefaultConfig() Config {
-	return Config{
-		Servers:           4,
-		ServerThreads:     2,
-		OneWayLatency:     250 * time.Microsecond,
-		CreateService:     300 * time.Microsecond,
-		GetattrService:    80 * time.Microsecond,
-		RemoveService:     280 * time.Microsecond,
-		MkdirService:      320 * time.Microsecond,
-		RenameService:     360 * time.Microsecond,
-		ReaddirService:    150 * time.Microsecond,
-		WriteServicePerKB: 35 * time.Microsecond,
-		DirIndex:          namespace.IndexBTree,
-	}
+	return Config{OneWayLatency: 250 * time.Microsecond}
 }
+
+// The installation's fixed calibration: four combined metadata/data
+// servers with their service times.
+const (
+	numServers    = 4
+	serverThreads = 2
+
+	createService     = 300 * time.Microsecond
+	getattrService    = 80 * time.Microsecond
+	removeService     = 280 * time.Microsecond
+	mkdirService      = 320 * time.Microsecond
+	renameService     = 360 * time.Microsecond
+	readdirService    = 150 * time.Microsecond
+	writeServicePerKB = 35 * time.Microsecond
+	dirIndex          = namespace.IndexBTree
+)
 
 // FS is one PVFS2 file system.
 type FS struct {
@@ -76,11 +69,8 @@ type connKey struct {
 	srv  int
 }
 
-// New creates a PVFS2 file system with cfg.Servers servers.
+// New creates a PVFS2 file system with numServers servers.
 func New(k *sim.Kernel, name string, cfg Config) *FS {
-	if cfg.Servers < 1 {
-		cfg.Servers = 1
-	}
 	f := &FS{
 		k:        k,
 		cfg:      cfg,
@@ -88,9 +78,9 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		conns:    make(map[connKey]*simnet.Conn),
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
 	}
-	for i := 0; i < cfg.Servers; i++ {
+	for i := 0; i < numServers; i++ {
 		f.servers = append(f.servers,
-			simnet.NewServer(k, fmt.Sprintf("pvfs%d:%s", i, name), cfg.ServerThreads))
+			simnet.NewServer(k, fmt.Sprintf("pvfs%d:%s", i, name), serverThreads))
 	}
 	return f
 }
@@ -156,7 +146,7 @@ func (c *client) dirOp(p string, svc time.Duration, apply func(sp *sim.Proc) err
 			lock := f.dirLock(dir.Ino)
 			lock.Lock(sp)
 			defer lock.Unlock()
-			sp.Sleep(time.Duration(float64(svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
+			sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(dir.NumChildren())))
 		} else {
 			sp.Sleep(svc)
 		}
@@ -170,7 +160,7 @@ func (c *client) dirOp(p string, svc time.Duration, apply func(sp *sim.Proc) err
 // object create at the file's own server (two round trips, like the
 // dirent + metafile split in PVFS2).
 func (c *client) Create(p string) error {
-	err := c.dirOp(p, c.fsys.cfg.CreateService, func(sp *sim.Proc) error {
+	err := c.dirOp(p, createService, func(sp *sim.Proc) error {
 		_, e := c.fsys.ns.Create(p, 0o644, sp.Now())
 		return e
 	})
@@ -179,7 +169,7 @@ func (c *client) Create(p string) error {
 	}
 	srv := c.fsys.serverFor(p)
 	c.fsys.conn(c.node, srv).Call(c.p, 150, 150, func(sp *sim.Proc) {
-		sp.Sleep(c.fsys.cfg.CreateService / 2)
+		sp.Sleep(createService / 2)
 		c.fsys.rpcs++
 	})
 	return nil
@@ -217,7 +207,7 @@ func (c *client) Write(h fs.Handle, n int64) error {
 	srv := f.serverFor(p)
 	var err error
 	f.conn(c.node, srv).Call(c.p, 150+n, 150, func(sp *sim.Proc) {
-		sp.Sleep(time.Duration(float64(f.cfg.WriteServicePerKB) * float64(n) / 1024))
+		sp.Sleep(time.Duration(float64(writeServicePerKB) * float64(n) / 1024))
 		f.rpcs++
 		node, lerr := f.ns.Lookup(p)
 		if lerr != nil {
@@ -240,7 +230,7 @@ func (c *client) Fsync(h fs.Handle) error {
 
 // Mkdir creates a directory at the parent's server.
 func (c *client) Mkdir(p string) error {
-	return c.dirOp(p, c.fsys.cfg.MkdirService, func(sp *sim.Proc) error {
+	return c.dirOp(p, mkdirService, func(sp *sim.Proc) error {
 		_, e := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
 		return e
 	})
@@ -248,14 +238,14 @@ func (c *client) Mkdir(p string) error {
 
 // Rmdir removes a directory.
 func (c *client) Rmdir(p string) error {
-	return c.dirOp(p, c.fsys.cfg.RemoveService, func(sp *sim.Proc) error {
+	return c.dirOp(p, removeService, func(sp *sim.Proc) error {
 		return c.fsys.ns.Rmdir(p, sp.Now())
 	})
 }
 
 // Unlink removes a file.
 func (c *client) Unlink(p string) error {
-	return c.dirOp(p, c.fsys.cfg.RemoveService, func(sp *sim.Proc) error {
+	return c.dirOp(p, removeService, func(sp *sim.Proc) error {
 		return c.fsys.ns.Unlink(p, sp.Now())
 	})
 }
@@ -263,21 +253,21 @@ func (c *client) Unlink(p string) error {
 // Rename moves an entry (atomic at the directory server; the thesis
 // notes PVFS2 serializes this through the owning server).
 func (c *client) Rename(oldPath, newPath string) error {
-	return c.dirOp(oldPath, c.fsys.cfg.RenameService, func(sp *sim.Proc) error {
+	return c.dirOp(oldPath, renameService, func(sp *sim.Proc) error {
 		return c.fsys.ns.Rename(oldPath, newPath, sp.Now())
 	})
 }
 
 // Link creates a hardlink.
 func (c *client) Link(oldPath, newPath string) error {
-	return c.dirOp(newPath, c.fsys.cfg.CreateService, func(sp *sim.Proc) error {
+	return c.dirOp(newPath, createService, func(sp *sim.Proc) error {
 		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
 	})
 }
 
 // Symlink creates a symbolic link.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.dirOp(linkPath, c.fsys.cfg.CreateService, func(sp *sim.Proc) error {
+	return c.dirOp(linkPath, createService, func(sp *sim.Proc) error {
 		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
 		return e
 	})
@@ -291,7 +281,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	var a fs.Attr
 	var err error
 	f.conn(c.node, srv).Call(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(f.cfg.GetattrService)
+		sp.Sleep(getattrService)
 		f.rpcs++
 		a, err = f.ns.Stat(p)
 	})
@@ -307,7 +297,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	var err error
 	f.conn(c.node, srv).Call(c.p, 150, 300, func(sp *sim.Proc) {
 		ents, err = f.ns.ReadDir(p, sp.Now())
-		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(ents))*time.Microsecond)
+		sp.Sleep(readdirService + time.Duration(len(ents))*time.Microsecond)
 		f.rpcs++
 	})
 	return ents, err

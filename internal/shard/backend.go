@@ -130,166 +130,62 @@ type backend interface {
 	moveFactor() float64
 }
 
-// LSMParams tunes the LSM-KV backend. Zero fields take the defaults of
-// DefaultLSMParams; all factors multiply the base service charge.
-type LSMParams struct {
-	// WriteAmp is the journal write amplification: every logical
-	// journal byte becomes WriteAmp physical bytes (WAL + memtable
+// The LSM-KV backend's fixed cost factors; all factors multiply the
+// base service charge. Config.CompactEvery sets its compaction period.
+const (
+	// lsmWriteAmp is the journal write amplification: every logical
+	// journal byte becomes lsmWriteAmp physical bytes (WAL + memtable
 	// flush + compaction rewrites), and the amplified traffic accrues
 	// compaction debt.
-	WriteAmp float64
-	// CompactEvery is the amplified byte volume between compactions:
-	// when a shard's debt reaches it, a compaction starts.
-	CompactEvery int64
-	// CompactDrain is the compactor's drain rate in bytes per second;
-	// one pause lasts debt/CompactDrain.
-	CompactDrain int64
-	// CompactSlowdown multiplies every service charge on the shard
+	lsmWriteAmp = 4
+	// lsmCompactDrain is the compactor's drain rate in bytes per
+	// second; one pause lasts debt/lsmCompactDrain.
+	lsmCompactDrain = 256 << 20
+	// lsmCompactSlowdown multiplies every service charge on the shard
 	// while its compaction runs — the foreground stall E29 measures.
-	CompactSlowdown float64
-	// BloomNegative prices a negative lookup (bloom filters
+	lsmCompactSlowdown = 3
+	// lsmBloomNegative prices a negative lookup (bloom filters
 	// short-circuit the level probes, so ENOENT is the cheap case).
-	BloomNegative float64
-	// ReadFactor prices a positive point read (probing levels).
-	ReadFactor float64
-	// ScanFactor prices a range scan (merging iterators across levels).
-	ScanFactor float64
-	// WriteFactor prices a foreground write (memtable append: cheap).
-	WriteFactor float64
-	// ReplayFactor scales ReplayPerEntry (sequential WAL replay: fast).
-	ReplayFactor float64
-	// MoveFactor scales split-migration ingest (bulk append: fast).
-	MoveFactor float64
-}
+	lsmBloomNegative = 0.25
+	// lsmReadFactor prices a positive point read (probing levels).
+	lsmReadFactor = 1.3
+	// lsmScanFactor prices a range scan (merging iterators across levels).
+	lsmScanFactor = 1.5
+	// lsmWriteFactor prices a foreground write (memtable append: cheap).
+	lsmWriteFactor = 0.85
+	// lsmReplayFactor scales ReplayPerEntry (sequential WAL replay: fast).
+	lsmReplayFactor = 0.5
+	// lsmMoveFactor scales split-migration ingest (bulk append: fast).
+	lsmMoveFactor = 0.8
+)
 
-// DefaultLSMParams returns the LSM cost parameters used when Config.LSM
-// fields are left zero.
-func DefaultLSMParams() LSMParams {
-	return LSMParams{
-		WriteAmp:        4,
-		CompactEvery:    8 << 20,
-		CompactDrain:    256 << 20,
-		CompactSlowdown: 3,
-		BloomNegative:   0.25,
-		ReadFactor:      1.3,
-		ScanFactor:      1.5,
-		WriteFactor:     0.85,
-		ReplayFactor:    0.5,
-		MoveFactor:      0.8,
-	}
-}
-
-func (p LSMParams) withDefaults() LSMParams {
-	d := DefaultLSMParams()
-	if p.WriteAmp == 0 {
-		p.WriteAmp = d.WriteAmp
-	}
-	if p.CompactEvery == 0 {
-		p.CompactEvery = d.CompactEvery
-	}
-	if p.CompactDrain == 0 {
-		p.CompactDrain = d.CompactDrain
-	}
-	if p.CompactSlowdown == 0 {
-		p.CompactSlowdown = d.CompactSlowdown
-	}
-	if p.BloomNegative == 0 {
-		p.BloomNegative = d.BloomNegative
-	}
-	if p.ReadFactor == 0 {
-		p.ReadFactor = d.ReadFactor
-	}
-	if p.ScanFactor == 0 {
-		p.ScanFactor = d.ScanFactor
-	}
-	if p.WriteFactor == 0 {
-		p.WriteFactor = d.WriteFactor
-	}
-	if p.ReplayFactor == 0 {
-		p.ReplayFactor = d.ReplayFactor
-	}
-	if p.MoveFactor == 0 {
-		p.MoveFactor = d.MoveFactor
-	}
-	return p
-}
-
-// BTreeParams tunes the B-tree/SQL backend. Zero fields take the
-// defaults of DefaultBTreeParams.
-type BTreeParams struct {
-	// PageFanout is the entries per index page; a directory's page
-	// depth is ceil(log_PageFanout(entries)).
-	PageFanout int
-	// PagePenalty is the extra cost per page-tree level beyond the
+// The B-tree/SQL backend's fixed cost factors.
+const (
+	// btreePageFanout is the entries per index page; a directory's page
+	// depth is ceil(log_btreePageFanout(entries)).
+	btreePageFanout = 256
+	// btreePagePenalty is the extra cost per page-tree level beyond the
 	// first, on point reads and writes into a large directory.
-	PagePenalty float64
-	// LockWindow is the row-lock shadow of one directory write: a
+	btreePagePenalty = 0.35
+	// btreeLockWindow is the row-lock shadow of one directory write: a
 	// second write into the same directory within the window pays
-	// LockPenalty (lock wait on the hot directory row).
-	LockWindow time.Duration
-	// LockPenalty multiplies a write that hits a directory written
-	// within the last LockWindow.
-	LockPenalty float64
-	// ReadFactor prices a point read (root-to-leaf descent).
-	ReadFactor float64
-	// ScanFactor prices a range scan (entries clustered in key order).
-	ScanFactor float64
-	// WriteFactor prices a write (page dirtying + WAL, before the
+	// btreeLockPenalty (lock wait on the hot directory row).
+	btreeLockWindow = 500 * time.Microsecond
+	// btreeLockPenalty multiplies a write that hits a directory written
+	// within the last btreeLockWindow.
+	btreeLockPenalty = 1.6
+	// btreeReadFactor prices a point read (root-to-leaf descent).
+	btreeReadFactor = 1.15
+	// btreeScanFactor prices a range scan (entries clustered in key order).
+	btreeScanFactor = 0.9
+	// btreeWriteFactor prices a write (page dirtying + WAL, before the
 	// page-depth and lock penalties).
-	WriteFactor float64
-	// ReplayFactor scales ReplayPerEntry (random page updates: slow).
-	ReplayFactor float64
-	// MoveFactor scales split-migration ingest (random inserts: slow).
-	MoveFactor float64
-}
-
-// DefaultBTreeParams returns the B-tree cost parameters used when
-// Config.BTree fields are left zero.
-func DefaultBTreeParams() BTreeParams {
-	return BTreeParams{
-		PageFanout:   256,
-		PagePenalty:  0.35,
-		LockWindow:   500 * time.Microsecond,
-		LockPenalty:  1.6,
-		ReadFactor:   1.15,
-		ScanFactor:   0.9,
-		WriteFactor:  1.25,
-		ReplayFactor: 1.6,
-		MoveFactor:   1.5,
-	}
-}
-
-func (p BTreeParams) withDefaults() BTreeParams {
-	d := DefaultBTreeParams()
-	if p.PageFanout == 0 {
-		p.PageFanout = d.PageFanout
-	}
-	if p.PagePenalty == 0 {
-		p.PagePenalty = d.PagePenalty
-	}
-	if p.LockWindow == 0 {
-		p.LockWindow = d.LockWindow
-	}
-	if p.LockPenalty == 0 {
-		p.LockPenalty = d.LockPenalty
-	}
-	if p.ReadFactor == 0 {
-		p.ReadFactor = d.ReadFactor
-	}
-	if p.ScanFactor == 0 {
-		p.ScanFactor = d.ScanFactor
-	}
-	if p.WriteFactor == 0 {
-		p.WriteFactor = d.WriteFactor
-	}
-	if p.ReplayFactor == 0 {
-		p.ReplayFactor = d.ReplayFactor
-	}
-	if p.MoveFactor == 0 {
-		p.MoveFactor = d.MoveFactor
-	}
-	return p
-}
+	btreeWriteFactor = 1.25
+	// btreeReplayFactor scales ReplayPerEntry (random page updates: slow).
+	btreeReplayFactor = 1.6
+	// btreeMoveFactor scales split-migration ingest (random inserts: slow).
+	btreeMoveFactor = 1.5
+)
 
 // CompactionEvent records one LSM compaction pause on one shard — the
 // timeline E29 plots against the throughput intervals.
@@ -301,14 +197,13 @@ type CompactionEvent struct {
 	At, Dur time.Duration
 }
 
-// newBackend builds shard sh's backend from the (already defaulted)
-// configuration.
+// newBackend builds shard sh's backend from the configuration.
 func newBackend(f *FS, sh *shardSrv) backend {
 	switch f.cfg.Backend {
 	case BackendLSM:
-		return &lsmBackend{f: f, shard: sh.index, wafl: sh.wafl, p: f.cfg.LSM, replay: f.cfg.ReplayPerEntry}
+		return &lsmBackend{f: f, shard: sh.index, wafl: sh.wafl, compactEvery: f.cfg.CompactEvery, replay: f.cfg.ReplayPerEntry}
 	case BackendBTree:
-		return &btreeBackend{wafl: sh.wafl, p: f.cfg.BTree, replay: f.cfg.ReplayPerEntry, lastWrite: make(map[string]time.Duration)}
+		return &btreeBackend{wafl: sh.wafl, replay: f.cfg.ReplayPerEntry, lastWrite: make(map[string]time.Duration)}
 	default:
 		return &memJournal{wafl: sh.wafl, replay: f.cfg.ReplayPerEntry}
 	}
@@ -329,11 +224,11 @@ func (b *memJournal) moveFactor() float64                  { return 1 }
 
 // lsmBackend prices an LSM-tree KV store on one shard.
 type lsmBackend struct {
-	f      *FS
-	shard  int
-	wafl   *storage.WAFL
-	p      LSMParams
-	replay time.Duration
+	f            *FS
+	shard        int
+	wafl         *storage.WAFL
+	compactEvery int64
+	replay       time.Duration
 
 	// debt is the amplified journal traffic accrued since the last
 	// compaction; compactEnd marks the end of the current stall window.
@@ -344,29 +239,29 @@ type lsmBackend struct {
 func (b *lsmBackend) factor(now time.Duration, info opInfo) float64 {
 	s := 1.0
 	if now < b.compactEnd {
-		s = b.p.CompactSlowdown
+		s = lsmCompactSlowdown
 	}
 	switch info.cls {
 	case opWrite:
-		s *= b.p.WriteFactor
+		s *= lsmWriteFactor
 	case opScan:
-		s *= b.p.ScanFactor
+		s *= lsmScanFactor
 	case opRead:
 		if info.negative {
-			s *= b.p.BloomNegative
+			s *= lsmBloomNegative
 		} else {
-			s *= b.p.ReadFactor
+			s *= lsmReadFactor
 		}
 	}
 	return s
 }
 
 func (b *lsmBackend) log(p *sim.Proc, n int64) {
-	amp := int64(float64(n) * b.p.WriteAmp)
+	amp := int64(float64(n) * lsmWriteAmp)
 	b.wafl.LogMetadata(p, amp)
 	b.debt += amp
-	if b.debt >= b.p.CompactEvery && p.Now() >= b.compactEnd {
-		dur := time.Duration(float64(b.debt) / float64(b.p.CompactDrain) * float64(time.Second))
+	if b.debt >= b.compactEvery && p.Now() >= b.compactEnd {
+		dur := time.Duration(float64(b.debt) / lsmCompactDrain * float64(time.Second))
 		b.compactEnd = p.Now() + dur
 		b.f.recordCompaction(CompactionEvent{Shard: b.shard, At: p.Now(), Dur: dur})
 		b.debt = 0
@@ -374,15 +269,14 @@ func (b *lsmBackend) log(p *sim.Proc, n int64) {
 }
 
 func (b *lsmBackend) replayPerEntry() time.Duration {
-	return time.Duration(float64(b.replay) * b.p.ReplayFactor)
+	return time.Duration(float64(b.replay) * lsmReplayFactor)
 }
 
-func (b *lsmBackend) moveFactor() float64 { return b.p.MoveFactor }
+func (b *lsmBackend) moveFactor() float64 { return lsmMoveFactor }
 
 // btreeBackend prices a B-tree/SQL store on one shard.
 type btreeBackend struct {
 	wafl   *storage.WAFL
-	p      BTreeParams
 	replay time.Duration
 	// lastWrite tracks the most recent write time per directory — the
 	// row-lock shadow behind the hot-directory lock penalty. Mutated
@@ -391,36 +285,36 @@ type btreeBackend struct {
 }
 
 // pageFactor is the page-depth surcharge of descending into a directory
-// of n entries: 1 below one page, plus PagePenalty per extra level.
+// of n entries: 1 below one page, plus btreePagePenalty per extra level.
 func (b *btreeBackend) pageFactor(n int) float64 {
-	if n < b.p.PageFanout {
+	if n < btreePageFanout {
 		return 1
 	}
 	depth := 0
-	for ; n >= b.p.PageFanout; n /= b.p.PageFanout {
+	for ; n >= btreePageFanout; n /= btreePageFanout {
 		depth++
 	}
-	return 1 + b.p.PagePenalty*float64(depth)
+	return 1 + btreePagePenalty*float64(depth)
 }
 
 func (b *btreeBackend) factor(now time.Duration, info opInfo) float64 {
 	switch info.cls {
 	case opWrite:
-		s := b.p.WriteFactor
+		s := btreeWriteFactor
 		if info.dirSize > 0 {
 			s *= b.pageFactor(info.dirSize)
 		}
 		if info.dir != "" {
-			if last, ok := b.lastWrite[info.dir]; ok && now-last < b.p.LockWindow {
-				s *= b.p.LockPenalty
+			if last, ok := b.lastWrite[info.dir]; ok && now-last < btreeLockWindow {
+				s *= btreeLockPenalty
 			}
 			b.lastWrite[info.dir] = now
 		}
 		return s
 	case opScan:
-		return b.p.ScanFactor
+		return btreeScanFactor
 	case opRead:
-		s := b.p.ReadFactor
+		s := btreeReadFactor
 		if info.dirSize > 0 {
 			s *= b.pageFactor(info.dirSize)
 		}
@@ -432,10 +326,10 @@ func (b *btreeBackend) factor(now time.Duration, info opInfo) float64 {
 func (b *btreeBackend) log(p *sim.Proc, n int64) { b.wafl.LogMetadata(p, n) }
 
 func (b *btreeBackend) replayPerEntry() time.Duration {
-	return time.Duration(float64(b.replay) * b.p.ReplayFactor)
+	return time.Duration(float64(b.replay) * btreeReplayFactor)
 }
 
-func (b *btreeBackend) moveFactor() float64 { return b.p.MoveFactor }
+func (b *btreeBackend) moveFactor() float64 { return btreeMoveFactor }
 
 // gcMirror is the mirror work one group-commit batch owes one replica
 // partner: count mutations' journal records, applied in one round trip.

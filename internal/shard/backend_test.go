@@ -63,7 +63,6 @@ func TestBackendDefaultEquivalence(t *testing.T) {
 	}{
 		{"explicit-memjournal", func(c *Config) { c.Backend = BackendMemJournal }},
 		{"zero-window", func(c *Config) { c.GroupCommitWindow = 0 }},
-		{"explicit-params", func(c *Config) { c.LSM = DefaultLSMParams(); c.BTree = DefaultBTreeParams() }},
 	} {
 		cfg := base
 		tc.mut(&cfg)
@@ -180,7 +179,7 @@ func TestLSMCompactionDeterministic(t *testing.T) {
 	run := func() *FS {
 		cfg := DefaultConfig(2)
 		cfg.Backend = BackendLSM
-		cfg.LSM.CompactEvery = 16 << 10
+		cfg.CompactEvery = 16 << 10
 		_, f := backendWorkload(t, cfg)
 		return f
 	}
@@ -205,58 +204,63 @@ func TestLSMCompactionDeterministic(t *testing.T) {
 	}
 }
 
-// TestLSMFactors unit-tests the LSM pricing hooks directly.
+// TestLSMFactors unit-tests the LSM pricing hooks directly. Products of
+// two factors are taken on float64 variables, as the backend takes them.
 func TestLSMFactors(t *testing.T) {
-	p := DefaultLSMParams()
-	b := &lsmBackend{p: p}
+	b := &lsmBackend{}
 	if got := b.factor(0, opInfo{dirSize: -1}); got != 1 {
 		t.Errorf("unclassified factor = %v, want exactly 1", got)
 	}
-	if got := b.factor(0, opInfo{cls: opRead, negative: true, dirSize: -1}); got != p.BloomNegative {
-		t.Errorf("negative lookup factor = %v, want %v", got, p.BloomNegative)
+	if got := b.factor(0, opInfo{cls: opRead, negative: true, dirSize: -1}); got != lsmBloomNegative {
+		t.Errorf("negative lookup factor = %v, want %v", got, lsmBloomNegative)
 	}
-	if got := b.factor(0, opInfo{cls: opRead, dirSize: -1}); got != p.ReadFactor {
-		t.Errorf("read factor = %v, want %v", got, p.ReadFactor)
+	if got := b.factor(0, opInfo{cls: opRead, dirSize: -1}); got != lsmReadFactor {
+		t.Errorf("read factor = %v, want %v", got, lsmReadFactor)
 	}
 	b.compactEnd = time.Second
-	if got := b.factor(time.Millisecond, opInfo{cls: opWrite, dirSize: -1}); got != p.CompactSlowdown*p.WriteFactor {
-		t.Errorf("stalled write factor = %v, want %v", got, p.CompactSlowdown*p.WriteFactor)
+	slow, write := float64(lsmCompactSlowdown), float64(lsmWriteFactor)
+	if got := b.factor(time.Millisecond, opInfo{cls: opWrite, dirSize: -1}); got != slow*write {
+		t.Errorf("stalled write factor = %v, want %v", got, slow*write)
 	}
-	if got := b.factor(2*time.Second, opInfo{cls: opWrite, dirSize: -1}); got != p.WriteFactor {
-		t.Errorf("post-stall write factor = %v, want %v", got, p.WriteFactor)
+	if got := b.factor(2*time.Second, opInfo{cls: opWrite, dirSize: -1}); got != write {
+		t.Errorf("post-stall write factor = %v, want %v", got, write)
 	}
-	if got := (&lsmBackend{p: p, replay: time.Millisecond}).replayPerEntry(); got != 500*time.Microsecond {
-		t.Errorf("replayPerEntry = %v, want 500us", got)
+	replay := time.Millisecond
+	want := time.Duration(float64(replay) * lsmReplayFactor)
+	if got := (&lsmBackend{replay: replay}).replayPerEntry(); got != want || got >= replay {
+		t.Errorf("replayPerEntry = %v, want %v (cheaper than %v)", got, want, replay)
 	}
 }
 
 // TestBTreeFactors unit-tests page-depth pricing and the hot-directory
 // lock shadow.
 func TestBTreeFactors(t *testing.T) {
-	p := DefaultBTreeParams()
-	b := &btreeBackend{p: p, lastWrite: map[string]time.Duration{}}
-	if got := b.pageFactor(p.PageFanout - 1); got != 1 {
+	b := &btreeBackend{lastWrite: map[string]time.Duration{}}
+	if got := b.pageFactor(btreePageFanout - 1); got != 1 {
 		t.Errorf("pageFactor(one page) = %v, want 1", got)
 	}
-	one := b.pageFactor(p.PageFanout)
-	two := b.pageFactor(p.PageFanout * p.PageFanout)
+	one := b.pageFactor(btreePageFanout)
+	two := b.pageFactor(btreePageFanout * btreePageFanout)
 	if one <= 1 || two <= one {
 		t.Errorf("pageFactor not increasing with depth: %v, %v", one, two)
 	}
 	// First write into a directory pays no lock wait; a second within
-	// LockWindow does; one after the window does not.
+	// btreeLockWindow does; one after the window does not.
 	w := opInfo{cls: opWrite, dir: "/hot", dirSize: -1}
-	if got := b.factor(0, w); got != p.WriteFactor {
-		t.Errorf("cold write factor = %v, want %v", got, p.WriteFactor)
+	write, lock := float64(btreeWriteFactor), float64(btreeLockPenalty)
+	if got := b.factor(0, w); got != write {
+		t.Errorf("cold write factor = %v, want %v", got, write)
 	}
-	if got := b.factor(p.LockWindow/2, w); got != p.WriteFactor*p.LockPenalty {
-		t.Errorf("hot write factor = %v, want %v", got, p.WriteFactor*p.LockPenalty)
+	if got := b.factor(btreeLockWindow/2, w); got != write*lock {
+		t.Errorf("hot write factor = %v, want %v", got, write*lock)
 	}
-	if got := b.factor(p.LockWindow/2+p.LockWindow, w); got != p.WriteFactor {
-		t.Errorf("cooled write factor = %v, want %v", got, p.WriteFactor)
+	if got := b.factor(btreeLockWindow/2+btreeLockWindow, w); got != write {
+		t.Errorf("cooled write factor = %v, want %v", got, write)
 	}
-	if got := (&btreeBackend{p: p, replay: time.Millisecond}).replayPerEntry(); got != 1600*time.Microsecond {
-		t.Errorf("replayPerEntry = %v, want 1.6ms", got)
+	replay := time.Millisecond
+	want := time.Duration(float64(replay) * btreeReplayFactor)
+	if got := (&btreeBackend{replay: replay}).replayPerEntry(); got != want || got <= replay {
+		t.Errorf("replayPerEntry = %v, want %v (dearer than %v)", got, want, replay)
 	}
 }
 

@@ -94,10 +94,6 @@ func newSliceLeases() *sliceLeases {
 	}
 }
 
-// Epoch returns slice i's current lease epoch (bumped on takeover and
-// failback).
-func (f *FS) Epoch(i int) uint64 { return f.epochs[i] }
-
 // invalidateSliceLeases models the lease state lost with a serving
 // change of slice i: the server-side tables are discarded and the
 // slice's epoch moves on, which (with CrashInvalidate) kills every
@@ -150,7 +146,7 @@ func (f *FS) cbCost(p *sim.Proc, st *nodeState) { f.cbDeliver(p, st, nil) }
 // (instead of at the commit instant, the single-kernel idealization).
 // Undomained, the caller already applied it and inval is ignored.
 func (f *FS) cbDeliver(p *sim.Proc, st *nodeState, inval func()) {
-	svc := f.cfg.CallbackService
+	svc := callbackService
 	apply := inval
 	if !f.domained() {
 		apply = nil
@@ -468,14 +464,13 @@ func (c *client) dropEntry(p string) {
 
 // ReadDirPlus lists a directory and returns each entry's attributes
 // from one RPC (fs.ReadDirPlusser): the server pays the readdir paging
-// cost plus ReaddirPlusPerEntry per attribute instead of one GETATTR
+// cost plus readdirPlusPerEntry per attribute instead of one GETATTR
 // round trip each, and the reply fills the client's dentry and
 // attribute caches — under CacheLease, as a bulk lease grant. A
 // directory that spans every shard (the root under subtree placement)
 // falls back to the merged ReadDir plus cached per-entry Stats.
 func (c *client) ReadDirPlus(p string) ([]fs.DirEntry, []fs.Attr, error) {
 	f := c.fsys
-	cfg := c.cfg()
 	if f.splitActive() {
 		// Like ReadDir: the fan-out reads the split level at service
 		// time, closing the queued-request race with a concurrent
@@ -493,11 +488,11 @@ func (c *client) ReadDirPlus(p string) ([]fs.DirEntry, []fs.Attr, error) {
 	cerr := c.call("readdirplus", p, slice, 140, 320, func(sp *sim.Proc, state, srv *shardSrv) {
 		ents, err = state.ns.ReadDir(p, sp.Now())
 		if err != nil {
-			f.serviceOp(sp, srv, cfg.ReaddirService, -1, scanInfo())
+			f.serviceOp(sp, srv, readdirService, -1, scanInfo())
 			return
 		}
-		f.serviceOp(sp, srv, readdirCost(cfg, len(ents))+
-			time.Duration(len(ents))*cfg.ReaddirPlusPerEntry, -1, scanInfo())
+		f.serviceOp(sp, srv, readdirCost(len(ents))+
+			time.Duration(len(ents))*readdirPlusPerEntry, -1, scanInfo())
 		attrs = make([]fs.Attr, len(ents))
 		for i, e := range ents {
 			node := state.ns.Get(e.Ino)

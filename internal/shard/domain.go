@@ -104,10 +104,10 @@ func (f *FS) atSync(p *sim.Proc, fn func()) {
 // there for the body (sim.Call) and the one-way latencies ride the
 // migration; the virtual-time cost is identical to the inline path.
 func (f *FS) peerLeg(sp *sim.Proc, ps *shardSrv, name string, body func(q *sim.Proc)) {
-	sp.Sleep(f.cfg.CrossShardOverhead)
-	sim.Call(sp, f.kFor(ps.index), f.cfg.CrossShardLatency, name, func(q *sim.Proc) {
+	sp.Sleep(crossShardOverhead)
+	sim.Call(sp, f.kFor(ps.index), crossShardLatency, name, func(q *sim.Proc) {
 		ps.peer.Threads.Acquire(q)
-		q.Sleep(f.cfg.CrossShardOverhead)
+		q.Sleep(crossShardOverhead)
 		body(q)
 		ps.peer.Threads.Release()
 	})

@@ -16,9 +16,6 @@ func replCfg() Config {
 	cfg.Replicate = true
 	cfg.TakeoverDetect = 100 * time.Millisecond
 	cfg.ReplayPerEntry = 10 * time.Microsecond
-	cfg.RetryTimeout = 50 * time.Millisecond
-	cfg.RetryBackoff = 10 * time.Millisecond
-	cfg.RetryBackoffMax = 100 * time.Millisecond
 	return cfg
 }
 
@@ -148,11 +145,7 @@ func TestRestartFailsBack(t *testing.T) {
 }
 
 func TestUnreplicatedOutageBlocksUntilRestart(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.RetryTimeout = 50 * time.Millisecond
-	cfg.RetryBackoff = 10 * time.Millisecond
-	cfg.RetryBackoffMax = 100 * time.Millisecond
-	k, cl, f := env(t, 1, cfg)
+	k, cl, f := env(t, 1, DefaultConfig(2))
 	dir := dirOnShard(t, f, 0)
 	const downFor = 2 * time.Second
 	var outage time.Duration
@@ -179,12 +172,7 @@ func TestUnreplicatedOutageBlocksUntilRestart(t *testing.T) {
 }
 
 func TestRetryMaxGivesUpWithTimeout(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.RetryTimeout = 10 * time.Millisecond
-	cfg.RetryBackoff = time.Millisecond
-	cfg.RetryBackoffMax = 2 * time.Millisecond
-	cfg.RetryMax = 3
-	k, cl, f := env(t, 1, cfg)
+	k, cl, f := env(t, 1, DefaultConfig(2))
 	dir := dirOnShard(t, f, 0)
 	drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
 		if err := c.Mkdir(dir); err != nil {
@@ -192,9 +180,18 @@ func TestRetryMaxGivesUpWithTimeout(t *testing.T) {
 			return
 		}
 		f.Crash(p, 0) // never restarted
+		start := p.Now()
 		err := c.Create(dir + "/f")
 		if !fs.IsTimeout(err) {
 			t.Errorf("create on a dark slice: err=%v, want ETIMEDOUT", err)
+		}
+		// retryMax attempts, each timing out, with a backoff between
+		// consecutive attempts.
+		if f.RetryCount != retryMax-1 {
+			t.Errorf("retries = %d, want %d", f.RetryCount, retryMax-1)
+		}
+		if d := p.Now() - start; d < retryMax*retryTimeout {
+			t.Errorf("gave up after %v, want >= %v", d, retryMax*retryTimeout)
 		}
 	})
 }

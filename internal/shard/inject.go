@@ -74,10 +74,10 @@ func (f *FS) priceAggregate(sh *shardSrv, d service.Demand) time.Duration {
 // shared runtime's form.
 func (f *FS) priceTable() service.PriceTable {
 	return service.PriceTable{
-		Getattr: f.cfg.GetattrService,
-		Lookup:  f.cfg.LookupService,
-		Readdir: f.cfg.ReaddirService,
-		Create:  f.cfg.CreateService,
+		Getattr: getattrService,
+		Lookup:  lookupService,
+		Readdir: readdirService,
+		Create:  createService,
 	}
 }
 

@@ -41,7 +41,7 @@ func TestAggregateInjectCounts(t *testing.T) {
 	if shed != 0 {
 		t.Errorf("underloaded injector shed %d ops", shed)
 	}
-	if min := time.Duration(ops) * cfg.GetattrService; busy < min {
+	if min := time.Duration(ops) * getattrService; busy < min {
 		t.Errorf("busy = %v, want at least the base cost %v", busy, min)
 	}
 }
@@ -92,7 +92,7 @@ func TestPriceAggregate(t *testing.T) {
 		t.Errorf("empty batch priced at %v, want 0", got)
 	}
 	one := f.priceAggregate(sh, service.Demand{Getattr: 1, Lookup: 1, Readdir: 1, Create: 1})
-	base := cfg.GetattrService + cfg.LookupService + cfg.ReaddirService + cfg.CreateService
+	base := getattrService + lookupService + readdirService + createService
 	if one < base {
 		t.Errorf("mixed batch priced at %v, below base %v (WAFL factor must be >= 1)", one, base)
 	}

@@ -97,7 +97,7 @@ func TestAtSync(t *testing.T) {
 		}
 		want := time.Millisecond
 		if domains > 1 {
-			want += min(cfg.CrossShardLatency, cfg.OneWayLatency)
+			want += min(crossShardLatency, cfg.OneWayLatency)
 		}
 		if inline != (domains <= 1) || ranAt != want {
 			t.Errorf("domains=%d: fn ran inline %v at %v, want inline %v at %v",

@@ -102,7 +102,7 @@ func (p Policy) String() string {
 }
 
 // Config holds the tunables of the sharded MDS model. Per-shard service
-// times default to the FAS3050-class figures of the NFS model so shard
+// times are fixed at the FAS3050-class figures of the NFS model so shard
 // counts are comparable against the single-server baselines.
 type Config struct {
 	// NumShards is the metadata server count.
@@ -111,41 +111,19 @@ type Config struct {
 	Placement Policy
 	// ShardThreads is each shard's client-facing worker pool size.
 	ShardThreads int
-	// PeerThreads is each shard's pool for inter-MDS requests
-	// (broadcast replication, migrate inserts, peer readdir, mirrors).
-	PeerThreads int
 	// OneWayLatency is the client<->shard network delay.
 	OneWayLatency time.Duration
-	// CrossShardLatency is the one-way delay of the MDS interconnect.
-	CrossShardLatency time.Duration
-	// CrossShardOverhead is the extra CPU charged on each side of a
-	// forwarded operation (marshalling, transaction bookkeeping).
-	CrossShardOverhead time.Duration
 	// Domains partitions the simulation itself into conservative-
 	// lookahead kernel domains (domain.go, internal/sim): domain 0 runs
 	// the clients and domains 1..Domains-1 share the shards, exchanging
-	// timestamped messages with lookahead min(CrossShardLatency,
+	// timestamped messages with lookahead min(crossShardLatency,
 	// OneWayLatency). Results are deterministic for a given Domains
 	// value regardless of worker threads; <= 1 (the default) is the
 	// single-kernel path, byte for byte.
 	Domains int
 
-	CreateService     time.Duration
-	GetattrService    time.Duration
-	LookupService     time.Duration
-	RemoveService     time.Duration
-	MkdirService      time.Duration
-	RenameService     time.Duration
-	ReaddirService    time.Duration
-	ReaddirPerEntry   time.Duration
-	WriteServicePerKB time.Duration
-
-	AttrTTL   time.Duration
-	DentryTTL time.Duration
-	DirIndex  namespace.DirIndex
-	WAFL      storage.WAFLConfig
-	// MetaLogBytes is the journal record size per namespace change.
-	MetaLogBytes int64
+	// AttrTTL is the client attribute-cache lifetime under CacheTTL.
+	AttrTTL time.Duration
 	// SubtreeAssign pins top-level subtrees to shard indexes under
 	// PlaceSubtree — the administrative volume placement of §4.7.2.
 	// Subtrees not listed fall back to hashing their name.
@@ -162,29 +140,15 @@ type Config struct {
 	// cap models a checkpoint, which truncates the journal — so
 	// JournalCap also caps the replay work a takeover or restart pays.
 	JournalCap int
-	// MirrorService is the backup-side CPU charged per mirrored
-	// mutation (applying the journal record to the standby copy).
-	MirrorService time.Duration
 	// TakeoverDetect is the failure-detection delay (lease/heartbeat
 	// expiry) before a backup begins taking over a crashed primary.
 	TakeoverDetect time.Duration
 	// ReplayPerEntry is the recovery cost per journal entry, paid by a
 	// backup promoting itself and by a restarted primary. Non-default
-	// backends scale it by their ReplayFactor (sequential WAL replay is
+	// backends scale it by their replay factor (sequential WAL replay is
 	// cheap on an LSM store, random page updates are expensive on a
 	// B-tree — backend.go).
 	ReplayPerEntry time.Duration
-	// RetryTimeout is the client-observed RPC timeout against a dead
-	// server (one failed attempt costs this much virtual time).
-	RetryTimeout time.Duration
-	// RetryBackoff is the base of the client's deterministic
-	// exponential retry backoff; RetryBackoffMax caps it.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// RetryMax is the attempt limit per operation before the client
-	// gives up with ETIMEDOUT. It bounds the simulation when a slice
-	// stays dark (crashed primary, no backup, no restart scheduled).
-	RetryMax int
 
 	// CacheMode selects the client attribute-cache consistency model:
 	// NFS-style TTL (default), uncached, or lease-based coherence with
@@ -193,13 +157,6 @@ type Config struct {
 	// LeaseTTL is the validity of one server-granted read lease
 	// (CacheLease only).
 	LeaseTTL time.Duration
-	// CallbackService is the client-side handler cost of one revocation
-	// or recall callback.
-	CallbackService time.Duration
-	// ReaddirPlusPerEntry is the server-side cost of piggybacking one
-	// entry's attributes on a readdirplus reply — far below a full
-	// GETATTR round trip, which is the point of batching.
-	ReaddirPlusPerEntry time.Duration
 	// CrashInvalidate makes clients verify each lease's slice epoch on
 	// every cache hit, so a crash takeover (which bumps the epoch)
 	// bulk-invalidates the slice's leases instantly. Off, clients trust
@@ -217,9 +174,6 @@ type Config struct {
 	// hash-of-name over a doubling split level, GIGA+ style. Zero
 	// disables splitting; it requires hash placement and >= 2 shards.
 	SplitThreshold int
-	// SplitMovePerEntry is the per-entry migration cost of a split step,
-	// charged on both sides of each source→destination transfer.
-	SplitMovePerEntry time.Duration
 	// SplitBitmapTTL is the validity of a client's cached per-directory
 	// split bitmap under the TTL and uncached modes; an expired or stale
 	// bitmap costs a routing bounce, never correctness. CacheLease ties
@@ -231,10 +185,9 @@ type Config struct {
 	// (backend.go, E28–E30). The zero value, BackendMemJournal, is the
 	// pre-E28 behavior, byte for byte.
 	Backend BackendKind
-	// LSM and BTree tune the non-default backends; zero fields take
-	// DefaultLSMParams / DefaultBTreeParams.
-	LSM   LSMParams
-	BTree BTreeParams
+	// CompactEvery is the LSM backend's amplified byte volume between
+	// compactions: when a shard's debt reaches it, a compaction starts.
+	CompactEvery int64
 	// GroupCommitWindow batches the durability work of mutations: all
 	// mutations committing on one shard within the window share a
 	// single journal flush and replication round trip (E30). The
@@ -246,52 +199,84 @@ type Config struct {
 	GroupCommitWindow time.Duration
 }
 
-// DefaultConfig returns an n-shard configuration with per-shard service
-// times matching the single-server NFS defaults. Replication is off;
+// DefaultConfig returns an n-shard configuration. Replication is off;
 // the failover tunables carry defaults so experiments can just flip
 // Replicate on.
 func DefaultConfig(n int) Config {
 	return Config{
-		NumShards:          n,
-		Placement:          PlaceHashDir,
-		ShardThreads:       4,
-		PeerThreads:        2,
-		OneWayLatency:      250 * time.Microsecond,
-		CrossShardLatency:  80 * time.Microsecond,
-		CrossShardOverhead: 45 * time.Microsecond,
-		CreateService:      150 * time.Microsecond,
-		GetattrService:     40 * time.Microsecond,
-		LookupService:      40 * time.Microsecond,
-		RemoveService:      140 * time.Microsecond,
-		MkdirService:       180 * time.Microsecond,
-		RenameService:      180 * time.Microsecond,
-		ReaddirService:     120 * time.Microsecond,
-		ReaddirPerEntry:    800 * time.Nanosecond,
-		WriteServicePerKB:  30 * time.Microsecond,
-		AttrTTL:            3 * time.Second,
-		DentryTTL:          30 * time.Second,
-		DirIndex:           namespace.IndexHash,
-		WAFL:               storage.DefaultWAFLConfig(),
-		MetaLogBytes:       320,
+		NumShards:     n,
+		Placement:     PlaceHashDir,
+		ShardThreads:  4,
+		OneWayLatency: 250 * time.Microsecond,
+		AttrTTL:       3 * time.Second,
 
-		JournalCap:      16384,
-		MirrorService:   60 * time.Microsecond,
-		TakeoverDetect:  200 * time.Millisecond,
-		ReplayPerEntry:  20 * time.Microsecond,
-		RetryTimeout:    500 * time.Millisecond,
-		RetryBackoff:    50 * time.Millisecond,
-		RetryBackoffMax: time.Second,
-		RetryMax:        64,
+		JournalCap:     16384,
+		TakeoverDetect: 200 * time.Millisecond,
+		ReplayPerEntry: 20 * time.Microsecond,
 
-		LeaseTTL:            10 * time.Second,
-		CallbackService:     25 * time.Microsecond,
-		ReaddirPlusPerEntry: 2 * time.Microsecond,
-		CrashInvalidate:     true,
+		LeaseTTL:        10 * time.Second,
+		CrashInvalidate: true,
 
-		SplitMovePerEntry: 4 * time.Microsecond,
-		SplitBitmapTTL:    30 * time.Second,
+		SplitBitmapTTL: 30 * time.Second,
+		CompactEvery:   8 << 20,
 	}
 }
+
+// The fixed calibration of every shard: the interconnect, the service
+// times (the NFS model's FAS3050-class figures), the journal record and
+// the client's retry policy.
+const (
+	// peerThreads is each shard's pool for inter-MDS requests
+	// (broadcast replication, migrate inserts, peer readdir, mirrors).
+	peerThreads = 2
+	// crossShardLatency is the one-way delay of the MDS interconnect.
+	crossShardLatency = 80 * time.Microsecond
+	// crossShardOverhead is the extra CPU charged on each side of a
+	// forwarded operation (marshalling, transaction bookkeeping).
+	crossShardOverhead = 45 * time.Microsecond
+
+	createService     = 150 * time.Microsecond
+	getattrService    = 40 * time.Microsecond
+	lookupService     = 40 * time.Microsecond
+	removeService     = 140 * time.Microsecond
+	mkdirService      = 180 * time.Microsecond
+	renameService     = 180 * time.Microsecond
+	readdirService    = 120 * time.Microsecond
+	readdirPerEntry   = 800 * time.Nanosecond
+	writeServicePerKB = 30 * time.Microsecond
+
+	dentryTTL = 30 * time.Second
+	dirIndex  = namespace.IndexHash
+	// metaLogBytes is the journal record size per namespace change.
+	metaLogBytes = 320
+
+	// mirrorService is the backup-side CPU charged per mirrored
+	// mutation (applying the journal record to the standby copy).
+	mirrorService = 60 * time.Microsecond
+	// retryTimeout is the client-observed RPC timeout against a dead
+	// server (one failed attempt costs this much virtual time).
+	retryTimeout = 500 * time.Millisecond
+	// retryBackoff is the base of the client's deterministic
+	// exponential retry backoff; retryBackoffMax caps it.
+	retryBackoff    = 50 * time.Millisecond
+	retryBackoffMax = time.Second
+	// retryMax is the attempt limit per operation before the client
+	// gives up with ETIMEDOUT. It bounds the simulation when a slice
+	// stays dark (crashed primary, no backup, no restart scheduled).
+	retryMax = 64
+
+	// callbackService is the client-side handler cost of one revocation
+	// or recall callback.
+	callbackService = 25 * time.Microsecond
+	// readdirPlusPerEntry is the server-side cost of piggybacking one
+	// entry's attributes on a readdirplus reply — far below a full
+	// GETATTR round trip, which is the point of batching.
+	readdirPlusPerEntry = 2 * time.Microsecond
+
+	// splitMovePerEntry is the per-entry migration cost of a split step,
+	// charged on both sides of each source→destination transfer.
+	splitMovePerEntry = 4 * time.Microsecond
+)
 
 // journalRec is one entry of a shard's bounded mutation journal.
 type journalRec struct {
@@ -464,11 +449,6 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 	if cfg.NumShards < 1 {
 		cfg.NumShards = 1
 	}
-	if cfg.RetryMax < 1 {
-		cfg.RetryMax = 64
-	}
-	cfg.LSM = cfg.LSM.withDefaults()
-	cfg.BTree = cfg.BTree.withDefaults()
 	f := &FS{
 		k:         k,
 		cfg:       cfg,
@@ -477,10 +457,7 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		splitDirs: make(map[string]*dirSplit),
 		moved:     make(map[entryID]entryID),
 	}
-	la := cfg.CrossShardLatency
-	if cfg.OneWayLatency < la {
-		la = cfg.OneWayLatency
-	}
+	la := min(crossShardLatency, cfg.OneWayLatency)
 	f.g, f.kernels = placeShards(k, cfg.NumShards, cfg.Domains, la)
 	for i := 0; i < cfg.NumShards; i++ {
 		id := name + "-" + strconv.Itoa(i)
@@ -488,8 +465,8 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		sh := &shardSrv{
 			index: i,
 			srv:   simnet.NewServer(sk, "mds:"+id, cfg.ShardThreads),
-			peer:  simnet.NewServer(sk, "mdspeer:"+id, cfg.PeerThreads),
-			wafl:  storage.NewWAFL(sk, "mds:"+id, cfg.WAFL),
+			peer:  simnet.NewServer(sk, "mdspeer:"+id, peerThreads),
+			wafl:  storage.NewWAFL(sk, "mds:"+id),
 			ns:    namespace.New(),
 			locks: make(map[fs.Ino]*sim.Mutex),
 			up:    true,
@@ -702,14 +679,14 @@ func (f *FS) Restart(p *sim.Proc, i int) {
 }
 
 // backoff returns the deterministic client backoff after attempt failed
-// tries: RetryBackoff doubled per attempt, capped at RetryBackoffMax.
+// tries: retryBackoff doubled per attempt, capped at retryBackoffMax.
 func (f *FS) backoff(attempt int) time.Duration {
-	d := f.cfg.RetryBackoff
-	for i := 0; i < attempt && d < f.cfg.RetryBackoffMax; i++ {
+	d := retryBackoff
+	for i := 0; i < attempt && d < retryBackoffMax; i++ {
 		d *= 2
 	}
-	if d > f.cfg.RetryBackoffMax {
-		d = f.cfg.RetryBackoffMax
+	if d > retryBackoffMax {
+		d = retryBackoffMax
 	}
 	return d
 }
@@ -787,7 +764,7 @@ func (f *FS) conn(n *cluster.Node, sh *shardSrv) *simnet.Conn {
 	c, ok := f.conns[key]
 	if !ok {
 		c = simnet.NewConn(f.k, sh.srv, f.cfg.OneWayLatency, 0)
-		c.FailTimeout = f.cfg.RetryTimeout
+		c.FailTimeout = retryTimeout
 		f.conns[key] = c
 	}
 	return c
@@ -797,7 +774,7 @@ func (f *FS) nodeState(n *cluster.Node) *nodeState {
 	s, ok := f.nodes[n]
 	if !ok {
 		s = &nodeState{
-			dentries: clientcache.NewDentryCache(f.cfg.DentryTTL, f.k.Now),
+			dentries: clientcache.NewDentryCache(dentryTTL, f.k.Now),
 		}
 		if f.cfg.CacheMode == CacheLease {
 			var epochOf func(int) uint64
@@ -839,7 +816,7 @@ func (f *FS) charge(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries in
 func (f *FS) chargeOp(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries int, info opInfo) {
 	cost := float64(base) * sh.wafl.ServiceFactor()
 	if dirEntries >= 0 {
-		cost *= f.cfg.DirIndex.EntryCost(dirEntries)
+		cost *= dirIndex.EntryCost(dirEntries)
 	}
 	if bf := sh.be.factor(p.Now(), info); bf != 1 {
 		cost *= bf
@@ -915,8 +892,8 @@ func (f *FS) commit(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path str
 	ps := f.shards[partner]
 	addI64(&f.MirrorCount, 1)
 	f.peerLeg(sp, ps, "mirror:"+strconv.Itoa(ps.index), func(q *sim.Proc) {
-		f.chargeOp(q, ps, f.cfg.MirrorService, -1, opInfo{cls: opWrite, dirSize: -1})
-		ps.be.log(q, f.cfg.MetaLogBytes)
+		f.chargeOp(q, ps, mirrorService, -1, opInfo{cls: opWrite, dirSize: -1})
+		ps.be.log(q, metaLogBytes)
 	})
 }
 
@@ -995,8 +972,8 @@ func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path st
 		addI64(&f.MirrorCount, 1)
 		count := m.count
 		f.peerLeg(sp, ps, "gcmirror:"+strconv.Itoa(ps.index), func(q *sim.Proc) {
-			f.chargeOp(q, ps, time.Duration(count)*f.cfg.MirrorService, -1, opInfo{cls: opWrite, dirSize: -1})
-			ps.be.log(q, count*f.cfg.MetaLogBytes)
+			f.chargeOp(q, ps, time.Duration(count)*mirrorService, -1, opInfo{cls: opWrite, dirSize: -1})
+			ps.be.log(q, count*metaLogBytes)
 		})
 	}
 	b.flushed = true
@@ -1019,7 +996,7 @@ func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path st
 // message to whichever domain owns their namespace (their own, or a
 // promoted backup's after failover). The mutating client observes its
 // own change immediately — its reply travels the slower client path
-// (OneWayLatency > CrossShardLatency + CrossShardOverhead), so every
+// (OneWayLatency > crossShardLatency + crossShardOverhead), so every
 // replica has applied before the client can look.
 func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply func(ns *namespace.Namespace, now time.Duration)) {
 	if f.cfg.Placement != PlaceHashDir || len(f.shards) == 1 {
@@ -1036,12 +1013,12 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply
 				f.hop(sp, sh, func(q *sim.Proc) {
 					apply(sh.ns, q.Now())
 					f.chargeOp(q, sh, svc, -1, opInfo{cls: opWrite, dirSize: -1})
-					sh.be.log(q, f.cfg.MetaLogBytes)
+					sh.be.log(q, metaLogBytes)
 				})
 				continue
 			}
 			if dk := f.sliceKernel(sh.index); dk != sp.Kernel() {
-				sim.Post(sp, dk, f.cfg.CrossShardLatency, "bapply:"+strconv.Itoa(sh.index), func(q *sim.Proc) {
+				sim.Post(sp, dk, crossShardLatency, "bapply:"+strconv.Itoa(sh.index), func(q *sim.Proc) {
 					apply(sh.ns, q.Now())
 				})
 			} else {
@@ -1063,7 +1040,7 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply
 		sh := sh
 		f.hop(sp, sh, func(q *sim.Proc) {
 			f.chargeOp(q, sh, svc, -1, opInfo{cls: opWrite, dirSize: -1})
-			sh.be.log(q, f.cfg.MetaLogBytes)
+			sh.be.log(q, metaLogBytes)
 		})
 	}
 }
@@ -1095,14 +1072,13 @@ type client struct {
 }
 
 // cfg returns the FS config by pointer: the config is immutable after
-// New, and service closures capture the pointer instead of the
-// 500-byte struct.
+// New, and service closures capture the pointer instead of the struct.
 func (c *client) cfg() *Config   { return &c.fsys.cfg }
 func (c *client) st() *nodeState { return c.state }
 
 // callRetry is the client's retry engine: it repeats attempt() with
 // deterministic exponential backoff while it reports a retryable
-// failure, and gives up with ETIMEDOUT once RetryMax attempts all
+// failure, and gives up with ETIMEDOUT once retryMax attempts all
 // failed. Every operation gets exactly one budget, including the
 // cross-shard rename whose destination can fail independently of its
 // source.
@@ -1112,7 +1088,7 @@ func (c *client) callRetry(op, path string, attempt func() (retryable bool)) err
 		if !attempt() {
 			return nil
 		}
-		if n+1 >= f.cfg.RetryMax {
+		if n+1 >= retryMax {
 			return fs.NewError(op, path, fs.ETIMEDOUT)
 		}
 		f.RetryCount++
@@ -1124,7 +1100,7 @@ func (c *client) callRetry(op, path string, attempt func() (retryable bool)) err
 // backoff while the serving server is down; a failover between attempts
 // redirects the retry to the promoted backup. The service body runs on
 // the serving server's thread pool (srv) against the slice's
-// authoritative state. It returns ETIMEDOUT when RetryMax attempts all
+// authoritative state. It returns ETIMEDOUT when retryMax attempts all
 // failed.
 func (c *client) call(op string, path string, slice int, reqBytes, respBytes int64,
 	service func(sp *sim.Proc, state, srv *shardSrv)) error {
@@ -1188,7 +1164,6 @@ func (f *FS) entryState(p string) *shardSrv { return f.shards[f.ownerSlice(p)] }
 // hash placement the lookups scatter across the cluster.
 func (c *client) resolveParents(p string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	st := c.st()
 	for i := 1; i < len(p); i++ {
 		if p[i] != '/' {
@@ -1203,7 +1178,7 @@ func (c *client) resolveParents(p string) error {
 		}
 		var err error
 		cerr := c.call("lookup", prefix, f.ownerSlice(prefix), 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.serviceOp(sp, srv, cfg.LookupService, -1, f.readInfo(state, prefix))
+			f.serviceOp(sp, srv, lookupService, -1, f.readInfo(state, prefix))
 			var a fs.Attr
 			a, err = state.ns.Stat(prefix)
 			if err == nil {
@@ -1281,7 +1256,6 @@ func (c *client) captureEntry(q *sim.Proc, p string) {
 // directory's files.
 func (c *client) Create(p string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return err
@@ -1297,9 +1271,9 @@ func (c *client) Create(p string) error {
 				lock := state.dirLock(sp.Kernel(), dir.Ino)
 				lock.Lock(sp)
 				defer lock.Unlock()
-				f.serviceOp(sp, at, cfg.CreateService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+				f.serviceOp(sp, at, createService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
 			} else {
-				f.serviceOp(sp, at, cfg.CreateService, -1, writeInfo(p, -1))
+				f.serviceOp(sp, at, createService, -1, writeInfo(p, -1))
 			}
 			// Commit-instant re-resolution: the lock and charge waits above
 			// may have overlapped a split of the parent.
@@ -1308,7 +1282,7 @@ func (c *client) Create(p string) error {
 				_, err = state2.ns.Create(p, 0o644, q.Now())
 				if err == nil {
 					f.revokeOnMutate(q, c.st(), p, true)
-					f.persistAt(q, state2, at2, srv, fs.OpCreate, p, cfg.MetaLogBytes)
+					f.persistAt(q, state2, at2, srv, fs.OpCreate, p, metaLogBytes)
 					// Splits trigger from the contacted server only:
 					// forwarded work runs on a peer pool, and a split hops
 					// to peer pools itself.
@@ -1341,7 +1315,6 @@ func (c *client) Create(p string) error {
 // the mutation then replicates synchronously to every other shard.
 func (c *client) Mkdir(p string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return err
@@ -1356,21 +1329,21 @@ func (c *client) Mkdir(p string) error {
 			if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
 				lock := state.dirLock(sp.Kernel(), dir.Ino)
 				lock.Lock(sp)
-				f.serviceOp(sp, at, cfg.MkdirService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+				f.serviceOp(sp, at, mkdirService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
 				lock.Unlock()
 			} else {
-				f.serviceOp(sp, at, cfg.MkdirService, -1, writeInfo(p, -1))
+				f.serviceOp(sp, at, mkdirService, -1, writeInfo(p, -1))
 			}
 			_, err = state.ns.Mkdir(p, 0o755, sp.Now())
 			if err == nil {
 				// The broadcast applies the replicas at this same instant;
 				// revocations must not sleep between the primary and the
 				// replica applies, so they come after it.
-				f.replicate(sp, state, cfg.MkdirService, func(ns *namespace.Namespace, now time.Duration) {
+				f.replicate(sp, state, mkdirService, func(ns *namespace.Namespace, now time.Duration) {
 					ns.Mkdir(p, 0o755, now)
 				})
 				f.revokeOnMutate(sp, c.st(), p, true)
-				f.persistAt(sp, state, at, srv, fs.OpMkdir, p, cfg.MetaLogBytes)
+				f.persistAt(sp, state, at, srv, fs.OpMkdir, p, metaLogBytes)
 			}
 			if err == nil || fs.IsExist(err) {
 				c.captureEntry(sp, p)
@@ -1395,7 +1368,6 @@ func (c *client) Mkdir(p string) error {
 // replicates to the other shards.
 func (c *client) Rmdir(p string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return err
@@ -1411,7 +1383,7 @@ func (c *client) Rmdir(p string) error {
 	var err error
 	cerr := c.call("rmdir", p, slice, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, cfg.RemoveService, -1, writeInfo(p, -1))
+			f.serviceOp(sp, at, removeService, -1, writeInfo(p, -1))
 			// A split directory is empty only when every partition slice
 			// agrees: the peer replicas are checked logically before the
 			// removal commits (no time may pass between check and apply),
@@ -1427,10 +1399,10 @@ func (c *client) Rmdir(p string) error {
 					switch {
 					case !peer.up:
 					case peer == at:
-						f.chargeOp(sp, peer, cfg.ReaddirService, -1, scanInfo())
+						f.chargeOp(sp, peer, readdirService, -1, scanInfo())
 					default:
 						f.hop(sp, peer, func(q *sim.Proc) {
-							f.chargeOp(q, peer, cfg.ReaddirService, -1, scanInfo())
+							f.chargeOp(q, peer, readdirService, -1, scanInfo())
 						})
 					}
 				}
@@ -1455,16 +1427,16 @@ func (c *client) Rmdir(p string) error {
 							// is a rendezvous with its domain, no thread
 							// occupancy.
 							if dk := f.sliceKernel(s); dk != sp.Kernel() {
-								sim.Call(sp, dk, f.cfg.CrossShardLatency, "rmdirprobe", check)
+								sim.Call(sp, dk, crossShardLatency, "rmdirprobe", check)
 							} else {
 								check(sp)
 							}
 						case peer == at:
-							f.chargeOp(sp, peer, cfg.ReaddirService, -1, scanInfo())
+							f.chargeOp(sp, peer, readdirService, -1, scanInfo())
 							check(sp)
 						default:
 							f.hop(sp, peer, func(q *sim.Proc) {
-								f.chargeOp(q, peer, cfg.ReaddirService, -1, scanInfo())
+								f.chargeOp(q, peer, readdirService, -1, scanInfo())
 								check(q)
 							})
 						}
@@ -1489,12 +1461,12 @@ func (c *client) Rmdir(p string) error {
 				// The split-level map is global routing state: under
 				// domains it changes only at sync points.
 				f.atSync(sp, func() { f.dropSplit(p) })
-				f.replicate(sp, state, cfg.RemoveService, func(ns *namespace.Namespace, now time.Duration) {
+				f.replicate(sp, state, removeService, func(ns *namespace.Namespace, now time.Duration) {
 					ns.Rmdir(p, now)
 				})
 				f.revokeOnMutate(sp, c.st(), p, true)
 				f.dropDelegation(sp, p)
-				f.persistAt(sp, state, at, srv, fs.OpRmdir, p, cfg.MetaLogBytes)
+				f.persistAt(sp, state, at, srv, fs.OpRmdir, p, metaLogBytes)
 				payProbes()
 			}
 		})
@@ -1511,7 +1483,6 @@ func (c *client) Rmdir(p string) error {
 // Unlink removes a file at the shard serving its parent directory.
 func (c *client) Unlink(p string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return err
@@ -1527,16 +1498,16 @@ func (c *client) Unlink(p string) error {
 				lock := state.dirLock(sp.Kernel(), dir.Ino)
 				lock.Lock(sp)
 				defer lock.Unlock()
-				f.serviceOp(sp, at, cfg.RemoveService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+				f.serviceOp(sp, at, removeService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
 			} else {
-				f.serviceOp(sp, at, cfg.RemoveService, -1, writeInfo(p, -1))
+				f.serviceOp(sp, at, removeService, -1, writeInfo(p, -1))
 			}
 			state2 := f.entryState(p) // the waits above may have overlapped a split
 			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
 				err = state2.ns.Unlink(p, q.Now())
 				if err == nil {
 					f.revokeOnMutate(q, c.st(), p, true)
-					f.persistAt(q, state2, at2, srv, fs.OpUnlink, p, cfg.MetaLogBytes)
+					f.persistAt(q, state2, at2, srv, fs.OpUnlink, p, metaLogBytes)
 				}
 			})
 		})
@@ -1564,7 +1535,6 @@ func (c *client) Unlink(p string) error {
 // with a timeout and the client retries it from the source.
 func (c *client) Rename(oldPath, newPath string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(oldPath); err != nil {
 		return err
@@ -1592,9 +1562,9 @@ func (c *client) Rename(oldPath, newPath string) error {
 					lock := state.dirLock(sp.Kernel(), dir.Ino)
 					lock.Lock(sp)
 					defer lock.Unlock()
-					f.serviceOp(sp, at, cfg.RenameService, dir.NumChildren(), writeInfo(oldPath, dir.NumChildren()))
+					f.serviceOp(sp, at, renameService, dir.NumChildren(), writeInfo(oldPath, dir.NumChildren()))
 				} else {
-					f.serviceOp(sp, at, cfg.RenameService, -1, writeInfo(oldPath, -1))
+					f.serviceOp(sp, at, renameService, -1, writeInfo(oldPath, -1))
 				}
 				// Commit-instant re-resolution; no virtual time passes from
 				// here to ns.Rename. When a mid-flight split separated the
@@ -1636,7 +1606,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 								f.revokeSubtree(q, c.st(), oldPath, f.ownerSlice(oldPath))
 							}
 						}
-						f.persistAt(q, state2, at2, srv, fs.OpRename, newPath, cfg.MetaLogBytes)
+						f.persistAt(q, state2, at2, srv, fs.OpRename, newPath, metaLogBytes)
 						// The rename inserted an entry at the destination parent:
 						// it can push that directory over the split threshold
 						// just like a create — but splits trigger from the
@@ -1694,14 +1664,14 @@ func (c *client) Rename(oldPath, newPath string) error {
 				// re-homed either entry.
 				srcState := f.entryState(oldPath)
 				if rehomed(sp, srcState) {
-					sp.Sleep(f.cfg.RetryTimeout)
+					sp.Sleep(retryTimeout)
 					return
 				}
 				srcN := dirEntries(srcState.ns, oldPath)
-				f.serviceOp(sp, srv, cfg.RenameService, srcN, writeInfo(oldPath, srcN))
+				f.serviceOp(sp, srv, renameService, srcN, writeInfo(oldPath, srcN))
 				srcState = f.entryState(oldPath) // the charge may have overlapped a split
 				if rehomed(sp, srcState) {
-					sp.Sleep(f.cfg.RetryTimeout)
+					sp.Sleep(retryTimeout)
 					return
 				}
 				var a fs.Attr
@@ -1717,14 +1687,14 @@ func (c *client) Rename(oldPath, newPath string) error {
 				dstSrv := f.srvFor(f.ownerSlice(newPath))
 				if !dstSrv.up {
 					dstDown = true
-					sp.Sleep(f.cfg.RetryTimeout)
+					sp.Sleep(retryTimeout)
 					return
 				}
 				dstParentN := -1
 				// Phase 1: insert at the destination shard.
 				f.hop(sp, dstSrv, func(q *sim.Proc) {
 					dstN := dirEntries(dstState.ns, newPath)
-					f.chargeOp(q, dstSrv, cfg.RenameService, dstN, writeInfo(newPath, dstN))
+					f.chargeOp(q, dstSrv, renameService, dstN, writeInfo(newPath, dstN))
 					// Commit-instant re-resolution after the hop+charge
 					// waits.
 					dstState = f.entryState(newPath)
@@ -1746,7 +1716,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 						// group commit: it runs on the peer pool, and peer
 						// work must never wait on a batch whose leader may
 						// need this very pool for its mirror round trip.
-						dstSrv.be.log(q, cfg.MetaLogBytes)
+						dstSrv.be.log(q, metaLogBytes)
 						f.commit(q, dstState, dstSrv, fs.OpRename, newPath)
 						if f.domained() {
 							// The coordinator cannot read the destination
@@ -1762,25 +1732,25 @@ func (c *client) Rename(oldPath, newPath string) error {
 				})
 				if err != nil || moved {
 					if moved {
-						sp.Sleep(f.cfg.RetryTimeout)
+						sp.Sleep(retryTimeout)
 					}
 					return
 				}
 				// Phase 2: remove at the source shard.
 				rmN := dirEntries(srcState.ns, oldPath)
-				f.chargeOp(sp, srcState, cfg.RemoveService, rmN, writeInfo(oldPath, rmN))
+				f.chargeOp(sp, srcState, removeService, rmN, writeInfo(oldPath, rmN))
 				srcState = f.entryState(oldPath) // commit-instant re-resolution
 				if rehomed(sp, srcState) {
 					// The destination insert stands; the retry's source
 					// removal is idempotent (phase 1 tolerates an existing
 					// destination entry).
-					sp.Sleep(f.cfg.RetryTimeout)
+					sp.Sleep(retryTimeout)
 					return
 				}
 				err = srcState.ns.Unlink(oldPath, sp.Now())
 				if err == nil {
 					f.revokeOnMutate(sp, c.st(), oldPath, true)
-					f.persist(sp, srcState, srv, fs.OpUnlink, oldPath, cfg.MetaLogBytes)
+					f.persist(sp, srcState, srv, fs.OpUnlink, oldPath, metaLogBytes)
 					// The migrate grew the destination parent; trigger
 					// from the coordinator, never from inside the hop —
 					// a split hops to peer pools itself, and peer-pool
@@ -1812,7 +1782,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 // whose inodes are keyed by partition.
 func (c *client) Link(oldPath, newPath string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(newPath); err != nil {
 		return err
@@ -1828,7 +1797,7 @@ func (c *client) Link(oldPath, newPath string) error {
 	var err error
 	cerr := c.callEntry("link", newPath, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, cfg.CreateService, -1, writeInfo(newPath, -1))
+			f.serviceOp(sp, at, createService, -1, writeInfo(newPath, -1))
 			// Commit-instant re-check: a split landing while this request
 			// queued or charged can separate the two names' partitions.
 			state2 := f.entryState(newPath)
@@ -1842,7 +1811,7 @@ func (c *client) Link(oldPath, newPath string) error {
 					// The link bumps the target's nlink: both names go stale.
 					f.revokeOnMutate(q, c.st(), oldPath, false)
 					f.revokeOnMutate(q, c.st(), newPath, true)
-					f.persistAt(q, state2, at2, srv, fs.OpLink, newPath, cfg.MetaLogBytes)
+					f.persistAt(q, state2, at2, srv, fs.OpLink, newPath, metaLogBytes)
 					if at2 == srv {
 						if dir, lerr := state2.ns.Lookup(fs.ParentDir(newPath)); lerr == nil {
 							f.maybeSplit(q, fs.ParentDir(newPath), dir.NumChildren(), c.st())
@@ -1865,7 +1834,6 @@ func (c *client) Link(oldPath, newPath string) error {
 // Symlink stores the target string at the shard serving linkPath.
 func (c *client) Symlink(target, linkPath string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(linkPath); err != nil {
 		return err
@@ -1876,13 +1844,13 @@ func (c *client) Symlink(target, linkPath string) error {
 	var err error
 	cerr := c.callEntry("symlink", linkPath, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, cfg.CreateService, -1, writeInfo(linkPath, -1))
+			f.serviceOp(sp, at, createService, -1, writeInfo(linkPath, -1))
 			state2 := f.entryState(linkPath) // the charge may have overlapped a split
 			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
 				_, err = state2.ns.Symlink(target, linkPath, q.Now())
 				if err == nil {
 					f.revokeOnMutate(q, c.st(), linkPath, true)
-					f.persistAt(q, state2, at2, srv, fs.OpSymlink, linkPath, cfg.MetaLogBytes)
+					f.persistAt(q, state2, at2, srv, fs.OpSymlink, linkPath, metaLogBytes)
 					if at2 == srv {
 						if dir, lerr := state2.ns.Lookup(fs.ParentDir(linkPath)); lerr == nil {
 							f.maybeSplit(q, fs.ParentDir(linkPath), dir.NumChildren(), c.st())
@@ -1908,7 +1876,6 @@ func (c *client) Symlink(target, linkPath string) error {
 // grants a fresh lease under CacheLease.
 func (c *client) Stat(p string) (fs.Attr, error) {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if a, ok := c.cachedAttr(p); ok {
 		return a, nil
@@ -1920,7 +1887,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	var err error
 	cerr := c.callEntry("stat", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, cfg.GetattrService, -1, f.readInfo(state, p))
+			f.serviceOp(sp, at, getattrService, -1, f.readInfo(state, p))
 			state2 := f.entryState(p) // the charge may have overlapped a split
 			f.applyState(sp, state2, at, func(q *sim.Proc, _ *shardSrv, _ bool) {
 				a, err = state2.ns.Stat(p)
@@ -1943,7 +1910,6 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 // returns a handle bound to the owning slice.
 func (c *client) Open(p string) (fs.Handle, error) {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return 0, err
@@ -1959,7 +1925,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	if !ok {
 		var err error
 		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.serviceOp(sp, srv, cfg.LookupService, -1, f.readInfo(state, p))
+			f.serviceOp(sp, srv, lookupService, -1, f.readInfo(state, p))
 			state = f.entryState(p) // the charge may have overlapped a split
 			var a fs.Attr
 			a, err = state.ns.Stat(p)
@@ -2007,7 +1973,6 @@ func (c *client) Open(p string) (fs.Handle, error) {
 // resolves ino and size in the owner's domain.
 func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) {
 	f := c.fsys
-	cfg := c.cfg()
 	st := c.st()
 	var size int64
 	haveSize := false
@@ -2020,7 +1985,7 @@ func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) 
 		var err error
 		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 			f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-				f.serviceOp(sp, at, cfg.LookupService, -1, f.readInfo(state, p))
+				f.serviceOp(sp, at, lookupService, -1, f.readInfo(state, p))
 				state2 := f.entryState(p) // the charge may have overlapped a split
 				f.applyState(sp, state2, at, func(q *sim.Proc, _ *shardSrv, _ bool) {
 					var a fs.Attr
@@ -2094,13 +2059,12 @@ func (c *client) Fsync(h fs.Handle) error {
 
 func (c *client) flush(of *openFile) error {
 	f := c.fsys
-	cfg := c.cfg()
 	newSize := of.size + of.written
 	written := of.written
 	var err error
 	id := entryID{of.slice, of.ino}
 	cerr := c.callEntry("write", of.path, 120+written, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		t := time.Duration(float64(cfg.WriteServicePerKB) * float64(written) / 1024)
+		t := time.Duration(float64(writeServicePerKB) * float64(written) / 1024)
 		f.serviceOp(sp, srv, t, -1, opInfo{cls: opWrite, dirSize: -1})
 		// Chase the handle's incarnation across split migrations, then
 		// write through the inode, wherever its name has gone: a rename
@@ -2120,7 +2084,7 @@ func (c *client) flush(of *openFile) error {
 			// Size and mtime changed: other holders' attribute leases die;
 			// the parent directory is untouched by a content write.
 			f.revokeOnMutate(q, c.st(), of.path, false)
-			f.persistAt(q, state, at, srv, fs.OpWrite, of.path, cfg.MetaLogBytes+written)
+			f.persistAt(q, state, at, srv, fs.OpWrite, of.path, metaLogBytes+written)
 			if f.domained() {
 				// The client-side refresh below cannot peek across
 				// domains: refill here, at the commit instant, when the
@@ -2152,15 +2116,15 @@ func (c *client) flush(of *openFile) error {
 }
 
 // readdirCost returns the service time of listing n entries: one
-// ReaddirService per 512-entry page plus the per-entry cost, the same
+// readdirService per 512-entry page plus the per-entry cost, the same
 // paging model as the NFS READDIR path.
-func readdirCost(cfg *Config, n int) time.Duration {
+func readdirCost(n int) time.Duration {
 	pages := (n + 511) / 512
 	if pages < 1 {
 		pages = 1
 	}
-	return time.Duration(pages)*cfg.ReaddirService +
-		time.Duration(n)*cfg.ReaddirPerEntry
+	return time.Duration(pages)*readdirService +
+		time.Duration(n)*readdirPerEntry
 }
 
 // ReadDir lists a directory from the shard serving its files. Under
@@ -2174,7 +2138,6 @@ func readdirCost(cfg *Config, n int) time.Duration {
 // FS.PartialListings.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	f := c.fsys
-	cfg := c.cfg()
 	if f.splitActive() {
 		// Whenever splitting is possible, list through the fan-out: it
 		// reads the split level at service time, so a split landing
@@ -2193,10 +2156,10 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 			f.applyState(sp, home, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
 				ents, err = home.ns.ReadDir(p, sp.Now())
 				if err != nil {
-					f.serviceOp(sp, at, cfg.ReaddirService, -1, scanInfo())
+					f.serviceOp(sp, at, readdirService, -1, scanInfo())
 					return
 				}
-				f.serviceOp(sp, at, readdirCost(cfg, len(ents)), -1, scanInfo())
+				f.serviceOp(sp, at, readdirCost(len(ents)), -1, scanInfo())
 				for i := range f.shards {
 					if i == homeSlice {
 						continue
@@ -2208,7 +2171,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 						// too: merge locally, no interconnect hop.
 						more, merr := state.ns.ReadDir(p, sp.Now())
 						if merr == nil {
-							f.chargeOp(sp, at, readdirCost(cfg, len(more)), -1, scanInfo())
+							f.chargeOp(sp, at, readdirCost(len(more)), -1, scanInfo())
 							ents = append(ents, more...)
 						}
 						continue
@@ -2225,7 +2188,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 						if merr != nil {
 							return
 						}
-						f.chargeOp(q, peer, readdirCost(cfg, len(more)), -1, scanInfo())
+						f.chargeOp(q, peer, readdirCost(len(more)), -1, scanInfo())
 						ents = append(ents, more...)
 					})
 				}
@@ -2242,10 +2205,10 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
 			ents, err = state.ns.ReadDir(p, sp.Now())
 			if err != nil {
-				f.serviceOp(sp, at, cfg.ReaddirService, -1, scanInfo())
+				f.serviceOp(sp, at, readdirService, -1, scanInfo())
 				return
 			}
-			f.serviceOp(sp, at, readdirCost(cfg, len(ents)), -1, scanInfo())
+			f.serviceOp(sp, at, readdirCost(len(ents)), -1, scanInfo())
 		})
 	})
 	if cerr != nil {

@@ -20,7 +20,7 @@ package shard
 // bump all land at the triggering mutation's commit instant — a
 // concurrent request sees the old or the new partition map, never half
 // a migration — while the triggering server then pays the interconnect
-// migration (one hop per source→destination pair, SplitMovePerEntry per
+// migration (one hop per source→destination pair, splitMovePerEntry per
 // entry on each side) and the parallel revocation callbacks before its
 // RPC returns. Destinations that are down receive the state change
 // logically, the way recovery replay would deliver it.
@@ -288,8 +288,8 @@ func (f *FS) splitApply(dir string, ds *dirSplit, mutator *nodeState, now time.D
 // forwarded hop); the single-kernel path is unchanged.
 func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) {
 	for _, b := range batches {
-		cost := time.Duration(b.moved) * f.cfg.SplitMovePerEntry
-		logBytes := int64(b.moved) * f.cfg.MetaLogBytes
+		cost := time.Duration(b.moved) * splitMovePerEntry
+		logBytes := int64(b.moved) * metaLogBytes
 		srcSrv := f.srvFor(b.src)
 		dstSrv := f.srvFor(b.dst)
 		if f.domained() && f.kFor(srcSrv.index) != sp.Kernel() {
@@ -469,7 +469,7 @@ func (c *client) routeEntry(p string) {
 		f.Bounces++
 		srv := f.srvFor(guess)
 		f.conn(c.node, srv).TryCall(c.p, 120, 90, func(sp *sim.Proc) {
-			f.serviceOp(sp, srv, f.cfg.LookupService, -1, opInfo{cls: opRead, dirSize: -1})
+			f.serviceOp(sp, srv, lookupService, -1, opInfo{cls: opRead, dirSize: -1})
 		})
 	}
 	c.learnSplit(dir, authLevel)
@@ -542,7 +542,6 @@ func (c *client) splitFanout(op, p string, reqBytes, respBytes int64,
 	cost func(n int) time.Duration,
 	merge func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool)) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	var err error
 	// The home slice (partition 0) is level-independent, so it can be
@@ -555,7 +554,7 @@ func (c *client) splitFanout(op, p string, reqBytes, respBytes int64,
 			var list []fs.DirEntry
 			list, err = home.ns.ReadDir(p, sp.Now())
 			if err != nil {
-				f.serviceOp(sp, at, cfg.ReaddirService, -1, scanInfo())
+				f.serviceOp(sp, at, readdirService, -1, scanInfo())
 				return
 			}
 			f.serviceOp(sp, at, cost(len(list)), -1, scanInfo())
@@ -597,10 +596,9 @@ func (c *client) splitFanout(op, p string, reqBytes, respBytes int64,
 // splitReadDir lists a split directory through the fan-out — the cost
 // E27 prices.
 func (c *client) splitReadDir(p string) ([]fs.DirEntry, error) {
-	cfg := c.cfg()
 	var ents []fs.DirEntry
 	err := c.splitFanout("readdir", p, 130, 260,
-		func(n int) time.Duration { return readdirCost(cfg, n) },
+		readdirCost,
 		func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool) {
 			if filesOnly {
 				ents = mergeFiles(ents, list)
@@ -616,16 +614,15 @@ func (c *client) splitReadDir(p string) ([]fs.DirEntry, error) {
 
 // splitReadDirPlus is the batched-lookup fan-out over a split
 // directory: every partition slice returns its entries with attributes
-// for ReaddirPlusPerEntry each, and the merged reply fills the client's
+// for readdirPlusPerEntry each, and the merged reply fills the client's
 // caches (a bulk lease grant under CacheLease, keyed per entry to its
 // owning slice).
 func (c *client) splitReadDirPlus(p string) ([]fs.DirEntry, []fs.Attr, error) {
-	cfg := c.cfg()
 	var ents []fs.DirEntry
 	var attrs []fs.Attr
 	err := c.splitFanout("readdirplus", p, 140, 320,
 		func(n int) time.Duration {
-			return readdirCost(cfg, n) + time.Duration(n)*cfg.ReaddirPlusPerEntry
+			return readdirCost(n) + time.Duration(n)*readdirPlusPerEntry
 		},
 		func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool) {
 			for _, e := range list {

@@ -7,7 +7,6 @@ import (
 
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
-	"dmetabench/internal/namespace"
 	"dmetabench/internal/sim"
 )
 
@@ -655,9 +654,6 @@ func TestReadDirPartialListingSurfacesDownPeer(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Placement = PlaceSubtree
 	cfg.SubtreeAssign = map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
-	// Stretch the interconnect so the crash timer lands between the
-	// first and the last peer visit of one listing.
-	cfg.CrossShardLatency = 10 * time.Millisecond
 	k, cl, f := env(t, 1, cfg)
 	drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
 		for _, d := range []string{"/a", "/b", "/c", "/d"} {
@@ -672,10 +668,12 @@ func TestReadDirPartialListingSurfacesDownPeer(t *testing.T) {
 		if len(full) != 4 || f.PartialListings != 0 {
 			t.Fatalf("healthy listing: %d entries, %d partials", len(full), f.PartialListings)
 		}
-		// Crash the last-visited peer while the merge is in flight.
+		// Crash the last-visited peer while the merge is in flight: as
+		// the first peer hop arrives, two hops before the last visit.
 		home := cl.Nodes[0].Index % f.NumShards()
 		last := (home + 3) % 4
-		k.AfterFunc("crash", 15*time.Millisecond, func(q *sim.Proc) { f.Crash(q, last) })
+		crashAt := cfg.OneWayLatency + readdirService + crossShardOverhead + crossShardLatency
+		k.AfterFunc("crash", crashAt, func(q *sim.Proc) { f.Crash(q, last) })
 		ents, err := c.ReadDir("/")
 		if err != nil {
 			t.Fatalf("readdir with down peer: %v", err)
@@ -724,27 +722,22 @@ func TestSplitReadDirSurfacesDownPeer(t *testing.T) {
 
 // renameTimes returns the virtual time of one same-shard and one
 // cross-shard rename with the source and destination directories
-// holding extra entries.
+// holding extra entries. The entries go straight into the slices that
+// own them, so nothing but the directory sizes differs between calls.
 func renameTimes(t *testing.T, extra int) (same, cross time.Duration) {
 	t.Helper()
-	cfg := DefaultConfig(4)
-	// Linear directory index: the per-entry surcharge is strong enough
-	// that an uncharged branch is unmissable.
-	cfg.DirIndex = namespace.IndexLinear
-	k, cl, f := env(t, 1, cfg)
+	k, cl, f := env(t, 1, DefaultConfig(4))
 	src, dst := twoDirsOnDifferentShards(t, f)
 	drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
 		for _, d := range []string{src, dst} {
 			if err := c.Mkdir(d); err != nil {
 				t.Fatalf("mkdir: %v", err)
 			}
-		}
-		for i := 0; i < extra; i++ {
-			if err := c.Create(fmt.Sprintf("%s/pad%d", src, i)); err != nil {
-				t.Fatalf("create: %v", err)
-			}
-			if err := c.Create(fmt.Sprintf("%s/pad%d", dst, i)); err != nil {
-				t.Fatalf("create: %v", err)
+			ns := f.shards[f.ShardOfDir(d)].ns
+			for i := 0; i < extra; i++ {
+				if _, err := ns.Create(fmt.Sprintf("%s/pad%d", d, i), 0o644, p.Now()); err != nil {
+					t.Fatalf("pad: %v", err)
+				}
 			}
 		}
 		if err := c.Create(src + "/same"); err != nil {
@@ -769,34 +762,35 @@ func renameTimes(t *testing.T, extra int) (same, cross time.Duration) {
 
 func TestRenameChargesDirectorySurchargeOnAllBranches(t *testing.T) {
 	// Satellite regression (PR 5): the cross-shard migrate used to
-	// charge its RenameService/RemoveService with dirEntries -1, so a
-	// 2000-entry directory priced a cross-shard rename like an empty
-	// one while the local branch paid the full linear-index surcharge.
+	// charge its rename and remove service with dirEntries -1, so a
+	// large directory priced a cross-shard rename like an empty one
+	// while the local branch paid the full directory-index surcharge.
+	// The hashed index charges nothing up to 4096 entries and 1% per
+	// doubling beyond, so the large directory holds 4x that.
+	big := 4 * 4096
+	if dirIndex.EntryCost(big) <= 1 {
+		t.Fatalf("%d entries carry no %v surcharge", big, dirIndex)
+	}
 	sameSmall, crossSmall := renameTimes(t, 4)
-	sameBig, crossBig := renameTimes(t, 2000)
+	sameBig, crossBig := renameTimes(t, big)
 	if sameBig <= sameSmall {
 		t.Fatalf("same-shard rename: big dir %v not slower than small %v", sameBig, sameSmall)
 	}
 	if crossBig <= crossSmall {
 		t.Fatalf("cross-shard rename: big dir %v not slower than small %v (surcharge not charged)", crossBig, crossSmall)
 	}
-	// The directory surcharge must dominate both branches comparably: a
-	// 2000-entry linear directory costs ~8x per entry op, so the
-	// cross-shard path (which pays it at the source, the destination and
-	// the removal) cannot grow by less than half the local branch's
-	// factor.
-	sameFactor := float64(sameBig) / float64(sameSmall)
-	crossFactor := float64(crossBig) / float64(crossSmall)
-	if crossFactor < sameFactor/2 {
-		t.Errorf("cross-shard surcharge factor %.2f vs local %.2f: large-directory cost not applied consistently",
-			crossFactor, sameFactor)
+	// The cross-shard path pays the surcharge at the source, the
+	// destination and the removal, so it cannot grow by less than half
+	// the local branch's growth.
+	if sameGrowth, crossGrowth := sameBig-sameSmall, crossBig-crossSmall; crossGrowth < sameGrowth/2 {
+		t.Errorf("cross-shard surcharge %v vs local %v: large-directory cost not applied consistently",
+			crossGrowth, sameGrowth)
 	}
 }
 
 func TestReaddirCostPageBoundaries(t *testing.T) {
 	// Satellite (PR 5): pin the 512-entry paging model of readdirCost,
 	// including the n=0 floor of one page.
-	cfg := Config{ReaddirService: 100 * time.Microsecond, ReaddirPerEntry: 1 * time.Microsecond}
 	cases := []struct {
 		n     int
 		pages int
@@ -804,8 +798,8 @@ func TestReaddirCostPageBoundaries(t *testing.T) {
 		{0, 1}, {1, 1}, {511, 1}, {512, 1}, {513, 2}, {1024, 2},
 	}
 	for _, tc := range cases {
-		want := time.Duration(tc.pages)*cfg.ReaddirService + time.Duration(tc.n)*cfg.ReaddirPerEntry
-		if got := readdirCost(&cfg, tc.n); got != want {
+		want := time.Duration(tc.pages)*readdirService + time.Duration(tc.n)*readdirPerEntry
+		if got := readdirCost(tc.n); got != want {
 			t.Errorf("readdirCost(%d) = %v, want %v (%d page(s))", tc.n, got, want, tc.pages)
 		}
 	}

@@ -7,7 +7,7 @@
 // The protocol is the classic conservative (null-message-free, barrier
 // style) scheme: if every cross-domain interaction carries a minimum
 // delay L (the lookahead — for the sharded MDS model, the interconnect
-// latency floor Config.CrossShardLatency), then after all mailboxes are
+// latency floor crossShardLatency), then after all mailboxes are
 // drained the events in the window [M, M+L) — M being the global
 // minimum pending event time — are causally independent across domains:
 // any message sent while executing an event at t >= M arrives at

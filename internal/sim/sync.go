@@ -35,9 +35,6 @@ func NewSemaphore(k *Kernel, name string, units int64) *Semaphore {
 	return &Semaphore{k: k, label: "sem:" + name, units: units}
 }
 
-// Available returns the number of free units.
-func (s *Semaphore) Available() int64 { return s.units }
-
 // QueueLen returns the number of waiting processes.
 func (s *Semaphore) QueueLen() int { return s.q.len() }
 
@@ -170,9 +167,6 @@ func (c *Cond) Broadcast() {
 	}
 	c.q = c.q[:0]
 }
-
-// Waiters reports the number of blocked processes.
-func (c *Cond) Waiters() int { return len(c.q) }
 
 // Queue is an unbounded FIFO message queue between processes.
 type Queue struct {

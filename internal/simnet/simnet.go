@@ -80,9 +80,6 @@ func (s *Server) SetDown() {
 // SetUp marks the server reachable again.
 func (s *Server) SetUp() { s.down = false }
 
-// IsDown reports whether the server is currently down.
-func (s *Server) IsDown() bool { return s.down }
-
 // Downs returns the number of times the server has gone down.
 func (s *Server) Downs() int64 { return s.downs }
 

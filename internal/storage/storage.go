@@ -9,7 +9,7 @@
 // a consistency point. The model reproduces that shape: metadata
 // operations append cheaply to NVRAM until a consistency point is
 // triggered (half-full NVRAM or a 10 s timer); during the CP, service is
-// slowed by a configurable factor while dirty data drains to disk.
+// slowed by a fixed factor while dirty data drains to disk.
 //
 // This package is the *device* layer: it prices raw log appends, disk
 // I/O and consistency points, and it does not know what a metadata
@@ -50,42 +50,25 @@ func (d *Disk) IO(p *sim.Proc, n int64) {
 	d.r.Use(p, t)
 }
 
-// WAFLConfig parameterizes a WAFL-style store.
-type WAFLConfig struct {
-	// NVRAMBytes is the size of one NVRAM half (the log fills one half
-	// while the previous half drains in a consistency point). Zero or
-	// less means no half-full trigger: consistency points then run on
-	// the CPInterval timer alone, and LogMetadata never waits for a
-	// free half. With neither a size nor a timer no consistency point
-	// ever runs.
-	NVRAMBytes int64
-	// CPInterval forces a consistency point at most this long after the
-	// previous one (Data ONTAP uses 10 s). Zero or less means no timer:
-	// a consistency point then starts only when the NVRAM half fills,
-	// which is still checked every 100 ms.
-	CPInterval time.Duration
-	// CPSlowdown multiplies service times while a CP is active.
-	CPSlowdown float64
-	// DrainRate is the rate (bytes/s) at which a CP writes dirty data.
-	DrainRate int64
-}
-
-// DefaultWAFLConfig mirrors a midrange filer: 512 MB NVRAM halves, 10 s
-// CP timer, 2.2x service-time inflation during a CP.
-func DefaultWAFLConfig() WAFLConfig {
-	return WAFLConfig{
-		NVRAMBytes: 512 << 20,
-		CPInterval: 10 * time.Second,
-		CPSlowdown: 2.2,
-		DrainRate:  400 << 20,
-	}
-}
+// The WAFL store's calibration mirrors a midrange filer: 512 MB NVRAM
+// halves, 10 s CP timer, 2.2x service-time inflation during a CP.
+const (
+	// nvramBytes is the size of one NVRAM half (the log fills one half
+	// while the previous half drains in a consistency point).
+	nvramBytes = 512 << 20
+	// cpInterval forces a consistency point at most this long after the
+	// previous one (Data ONTAP uses 10 s).
+	cpInterval = 10 * time.Second
+	// cpSlowdown multiplies service times while a CP is active.
+	cpSlowdown = 2.2
+	// drainRate is the rate (bytes/s) at which a CP writes dirty data.
+	drainRate = 400 << 20
+)
 
 // WAFL is a write-anywhere store with NVRAM logging and consistency
 // points. One WAFL instance backs one simulated filer.
 type WAFL struct {
-	k   *sim.Kernel
-	cfg WAFLConfig
+	k *sim.Kernel
 
 	dirty     int64 // bytes logged since the last CP began
 	cpActive  bool
@@ -96,12 +79,9 @@ type WAFL struct {
 }
 
 // NewWAFL creates the store and starts its consistency-point task.
-func NewWAFL(k *sim.Kernel, name string, cfg WAFLConfig) *WAFL {
-	if cfg.CPSlowdown < 1 {
-		cfg.CPSlowdown = 1
-	}
+func NewWAFL(k *sim.Kernel, name string) *WAFL {
 	w := &WAFL{
-		k: k, cfg: cfg,
+		k:      k,
 		cpDone: sim.NewCond(k, "wafl-cpdone:"+name),
 	}
 	k.SpawnTask("wafl-cp:"+name, w.cpStep)
@@ -126,15 +106,11 @@ func (w *WAFL) cpStep(p *sim.Proc) {
 	for {
 		// Wait until the timer expires or the NVRAM half fills.
 		for !w.halfFull() {
-			step := cpPoll
-			if w.cfg.CPInterval > 0 {
-				remain := w.lastCP + w.cfg.CPInterval - w.k.Now()
-				if remain <= 0 {
-					break
-				}
-				step = min(step, remain)
+			remain := w.lastCP + cpInterval - w.k.Now()
+			if remain <= 0 {
+				break
 			}
-			if p.Wake(step) {
+			if p.Wake(min(cpPoll, remain)) {
 				return
 			}
 		}
@@ -149,10 +125,9 @@ func (w *WAFL) cpStep(p *sim.Proc) {
 	}
 }
 
-// halfFull reports whether the NVRAM half being logged into is full;
-// never when NVRAMBytes sets no size.
+// halfFull reports whether the NVRAM half being logged into is full.
 func (w *WAFL) halfFull() bool {
-	return w.cfg.NVRAMBytes > 0 && w.dirty >= w.cfg.NVRAMBytes
+	return w.dirty >= nvramBytes
 }
 
 // startCP begins a consistency point and returns how long draining the
@@ -162,7 +137,7 @@ func (w *WAFL) startCP() time.Duration {
 	w.numCPs++
 	drainable := w.dirty
 	w.dirty = 0 // new writes log into the other NVRAM half
-	return time.Duration(float64(drainable) / float64(w.cfg.DrainRate) * float64(time.Second))
+	return time.Duration(float64(drainable) / float64(drainRate) * float64(time.Second))
 }
 
 // endCP ends the drain of a consistency point and wakes the writers
@@ -188,7 +163,7 @@ func (w *WAFL) LogMetadata(p *sim.Proc, n int64) {
 func (w *WAFL) ServiceFactor() float64 {
 	f := 1.0
 	if w.cpActive {
-		f = w.cfg.CPSlowdown
+		f = cpSlowdown
 	}
 	if w.k.Now() < w.snapUntil {
 		// Snapshot creation adds erratic overhead (Fig. 4.5): a mild
@@ -217,31 +192,29 @@ func (w *WAFL) TriggerSnapshots(d time.Duration) {
 	w.snapUntil = w.k.Now() + d
 }
 
+// journalCommit is the journal group-commit interval.
+const journalCommit = 5 * time.Second
+
 // Journal models a journaling local file system (ldiskfs/ext3-style) used
 // by metadata servers: metadata updates append to a journal with a group
-// commit every CommitInterval; synchronous requests pay the commit wait.
+// commit every journalCommit; synchronous requests pay the commit wait.
 type Journal struct {
-	k              *sim.Kernel
-	disk           *Disk
-	CommitInterval time.Duration
-	pending        int64
-	commits        int
+	k       *sim.Kernel
+	disk    *Disk
+	pending int64
+	commits int
 }
 
-// NewJournal returns a journal flushing to disk every interval. An
-// interval of zero or less starts no committer: records then accumulate
-// without ever being written.
-func NewJournal(k *sim.Kernel, name string, disk *Disk, interval time.Duration) *Journal {
-	j := &Journal{k: k, disk: disk, CommitInterval: interval}
-	if interval > 0 {
-		k.SpawnDaemon("journal:"+name, j.commitLoop)
-	}
+// NewJournal returns a journal flushing to disk every journalCommit.
+func NewJournal(k *sim.Kernel, name string, disk *Disk) *Journal {
+	j := &Journal{k: k, disk: disk}
+	k.SpawnDaemon("journal:"+name, j.commitLoop)
 	return j
 }
 
 func (j *Journal) commitLoop(p *sim.Proc) {
 	for {
-		p.Sleep(j.CommitInterval)
+		p.Sleep(journalCommit)
 		if j.pending > 0 {
 			n := j.pending
 			j.pending = 0

@@ -40,65 +40,61 @@ func TestDiskSpindlesSerialize(t *testing.T) {
 
 func TestWAFLTimerCP(t *testing.T) {
 	k := sim.New(1)
-	cfg := WAFLConfig{
-		NVRAMBytes: 1 << 30,
-		CPInterval: 10 * time.Second,
-		CPSlowdown: 2.0,
-		DrainRate:  100 << 20,
-	}
-	w := NewWAFL(k, "t", cfg)
+	w := NewWAFL(k, "t")
+	// Half an NVRAM half per timer period: only the timer starts CPs.
+	const step = cpInterval / 1000
+	const n = nvramBytes / 2000
 	var sawCP bool
 	k.Spawn("load", func(p *sim.Proc) {
-		for p.Now() < 25*time.Second {
-			w.LogMetadata(p, 1<<20)
+		for p.Now() < 5*cpInterval/2 {
+			w.LogMetadata(p, n)
 			if w.CPActive() {
 				sawCP = true
-				if f := w.ServiceFactor(); f != 2.0 {
-					t.Errorf("service factor during CP = %f", f)
+				if f := w.ServiceFactor(); f != cpSlowdown {
+					t.Errorf("service factor during CP = %f, want %f", f, cpSlowdown)
 				}
 			}
-			p.Sleep(10 * time.Millisecond)
+			p.Sleep(step)
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !sawCP {
-		t.Fatal("no consistency point observed in 25s")
+		t.Fatalf("no consistency point observed in %v", 5*cpInterval/2)
 	}
 	if w.NumCPs() < 2 {
-		t.Fatalf("CPs = %d, want >= 2 over 25s with 10s timer", w.NumCPs())
+		t.Fatalf("CPs = %d, want >= 2 over %v with a %v timer", w.NumCPs(), 5*cpInterval/2, cpInterval)
 	}
 }
 
 func TestWAFLHalfFullCP(t *testing.T) {
 	k := sim.New(1)
-	cfg := WAFLConfig{
-		NVRAMBytes: 10 << 20,  // tiny: forces half-full CPs
-		CPInterval: time.Hour, // timer effectively off
-		CPSlowdown: 2.0,
-		DrainRate:  100 << 20,
-	}
-	w := NewWAFL(k, "t", cfg)
+	w := NewWAFL(k, "t")
 	k.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < 40; i++ {
-			w.LogMetadata(p, 1<<20)
+		// Ten appends of an eighth of a half each: the half fills
+		// long before the timer would start a CP.
+		for i := 0; i < 10; i++ {
+			w.LogMetadata(p, nvramBytes/8)
 			p.Sleep(time.Millisecond)
 		}
 		// Give the CP loop time to notice.
-		p.Sleep(500 * time.Millisecond)
+		p.Sleep(5 * cpPoll)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if k.Now() >= cpInterval {
+		t.Fatalf("run lasted %v, past the %v timer", k.Now(), cpInterval)
+	}
 	if w.NumCPs() < 1 {
-		t.Fatal("no half-full CP despite 40MB into 10MB NVRAM half")
+		t.Fatal("no half-full CP despite 1.25 NVRAM halves logged")
 	}
 }
 
 func TestWAFLSnapshotJitter(t *testing.T) {
 	k := sim.New(1)
-	w := NewWAFL(k, "t", DefaultWAFLConfig())
+	w := NewWAFL(k, "t")
 	var base, during float64
 	k.Spawn("probe", func(p *sim.Proc) {
 		base = w.ServiceFactor()
@@ -125,17 +121,18 @@ func TestWAFLSnapshotJitter(t *testing.T) {
 func TestJournalGroupCommit(t *testing.T) {
 	k := sim.New(1)
 	d := NewDisk(k, "d", 1, time.Millisecond, 100<<20)
-	j := NewJournal(k, "j", d, 100*time.Millisecond)
+	j := NewJournal(k, "j", d)
 	k.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
 			j.Log(512)
-			p.Sleep(10 * time.Millisecond)
+			p.Sleep(journalCommit / 10)
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// 500ms of logging with 100ms commits: ~5 commits, not 50.
+	// Five commit intervals of logging, ten records per interval:
+	// ~5 commits, not 50.
 	if c := j.Commits(); c < 3 || c > 8 {
 		t.Fatalf("commits = %d, want grouped (~5)", c)
 	}

@@ -83,7 +83,7 @@ func TestPostmarkDeterministic(t *testing.T) {
 	run := func() PostmarkStats {
 		k := sim.New(5)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		fsys := localfs.New(k, cl.Nodes[0], localfs.DefaultConfig())
+		fsys := localfs.New(k, cl.Nodes[0])
 		cfg := DefaultPostmarkConfig()
 		cfg.Files = 50
 		cfg.Transactions = 200
