@@ -51,11 +51,9 @@ func run() int {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceOut   = flag.String("trace", "", "write a runtime execution trace to this file")
-		domains    = flag.Int("domains", 0, "partition every sharded-MDS simulation into this many event-kernel domains (0 = single-heap kernel, the committed-corpus default)")
 		period     = flag.Duration("period", 0, "override the virtual-time horizon of the long-horizon experiments (E31-E33, E35), e.g. -period 10m for a scaled-down smoke run (0 = each experiment's default)")
 	)
 	flag.Parse()
-	experiments.Domains = *domains
 	experiments.Period = *period
 
 	suite := append(experiments.All(), experiments.Ablations()...)

@@ -289,7 +289,9 @@ func (c *client) Close(h fs.Handle) error {
 			return err
 		}
 		sp.Sleep(time.Duration(float64(of.written) / float64(40<<20) * float64(time.Second)))
-		v.ns.SetSize(node.Ino, node.Size+of.written, sp.Now())
+		if serr := v.ns.SetSize(node.Ino, node.Size+of.written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
+			return serr
+		}
 		v.bump(sp, callbackBreakCost, sub)
 		return nil
 	})
@@ -307,7 +309,8 @@ func (c *client) Write(h fs.Handle, n int64) error {
 	return nil
 }
 
-// Fsync stores dirty data like close but keeps the handle.
+// Fsync stores dirty data like close but keeps the handle; the stored
+// bytes are no longer the handle's to store again at close.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
 	of, ok := c.handles[h]
@@ -317,13 +320,17 @@ func (c *client) Fsync(h fs.Handle) error {
 	if !of.dirty {
 		return nil
 	}
+	written := of.written
+	of.written = 0
 	of.dirty = false
 	return c.modify("store", of.path, createService/2, func(sp *sim.Proc, v *volume, sub string) error {
 		node, err := v.ns.Lookup(sub)
 		if err != nil {
 			return err
 		}
-		v.ns.SetSize(node.Ino, node.Size+of.written, sp.Now())
+		if serr := v.ns.SetSize(node.Ino, node.Size+written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
+			return serr
+		}
 		v.bump(sp, callbackBreakCost, sub)
 		return nil
 	})

@@ -160,3 +160,57 @@ func TestReadDirAndCleanupOps(t *testing.T) {
 		}
 	})
 }
+
+// TestWriteToDirectoryEISDIR checks that a write stored to a directory,
+// at close or at fsync, fails with EISDIR as POSIX write(2) on a
+// directory does.
+func TestWriteToDirectoryEISDIR(t *testing.T) {
+	k, cl, cell := env(t)
+	run(t, k, func(p *sim.Proc) {
+		c := cell.NewClient(cl.Nodes[0], p)
+		if err := c.Mkdir("/home/d"); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		for _, flush := range []struct {
+			name string
+			fn   func(fs.Handle) error
+		}{{"close", c.Close}, {"fsync", c.Fsync}} {
+			h, err := c.Open("/home/d")
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			c.Write(h, 100)
+			if err := flush.fn(h); fs.CodeOf(err) != fs.EISDIR {
+				t.Errorf("%s after a write to a directory: %v, want EISDIR", flush.name, err)
+			}
+		}
+	})
+}
+
+// TestFsyncThenCloseStoresOnce checks that bytes an fsync stored are not
+// stored again at close: 100 bytes, fsync, 50 more and close leave a
+// 150-byte file.
+func TestFsyncThenCloseStoresOnce(t *testing.T) {
+	k, cl, cell := env(t)
+	run(t, k, func(p *sim.Proc) {
+		c := cell.NewClient(cl.Nodes[0], p)
+		if err := c.Create("/home/f"); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		h, err := c.Open("/home/f")
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		c.Write(h, 100)
+		if err := c.Fsync(h); err != nil {
+			t.Fatalf("fsync: %v", err)
+		}
+		c.Write(h, 50)
+		if err := c.Close(h); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if a, err := c.Stat("/home/f"); err != nil || a.Size != 150 {
+			t.Errorf("size after write 100, fsync, write 50, close: %+v, %v; want 150", a, err)
+		}
+	})
+}

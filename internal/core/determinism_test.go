@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,7 +32,7 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(2))
 	var r interface{ Run() (*results.Set, error) }
-	var grouped interface{ Group() *sim.DomainGroup }
+	var grouped *shard.FS
 	var servers []*namespace.Namespace
 	sharded := func(fsys *shard.FS) {
 		grouped = fsys
@@ -205,6 +206,45 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 			SlotsPerNode: 2,
 			Plugins:      []Plugin{StatMutateFiles{Files: 32, MutateEvery: 4}, MakeFiles{}},
 		}
+	case "shard-lsm-agg":
+		// The domained-only mode: the replicated 4-shard MDS on the LSM
+		// backend with group commit, under one million aggregate
+		// background clients and no fault plan (kernel domains refuse a
+		// crash). Group-commit batches, their mirror round trips,
+		// compaction stalls recorded from several domains and the
+		// injector lanes must land at identical virtual times at any
+		// worker count.
+		cfg := shard.DefaultConfig(4)
+		cfg.Replicate = true
+		cfg.Backend = shard.BackendLSM
+		cfg.CompactEvery = 32 << 10
+		cfg.GroupCommitWindow = time.Millisecond
+		cfg.Domains = domains
+		fsys := shard.New(k, "meta", cfg)
+		sharded(fsys)
+		lanes := cfg.ShardThreads
+		model := agg.Model{
+			Clients:      1_000_000,
+			OpsPerClient: 0.2,
+			Mix:          workload.DefaultMetaMix(),
+			Zipf:         agg.ZipfPop{S: 1.2, V: 1, N: 128},
+			Diurnal:      agg.Diurnal{Amplitude: 0.5, Period: 800 * time.Millisecond},
+			Tick:         10 * time.Millisecond,
+			Seed:         seed,
+		}
+		sources := agg.NewSources(model, cfg.NumShards, lanes,
+			func(obj int) int { return obj % cfg.NumShards })
+		fsys.AttachAggregate(model.Tick, func(si, lane, tick int) service.Demand {
+			return sources[si*lanes+lane].Tick(int64(tick))
+		})
+		r = &Runner{
+			Cluster: cl,
+			FS:      fsys,
+			Params: Params{ProblemSize: 250, WorkDir: "/bench",
+				TimeLimit: 1200 * time.Millisecond, Interval: 100 * time.Millisecond},
+			SlotsPerNode: 2,
+			Plugins:      []Plugin{MakeFiles{}, StatFiles{}},
+		}
 	case "nfs-zipf":
 		// The single filer under skewed directory traffic: mkdirs,
 		// creates, renames and stats across a Zipf-weighted project
@@ -320,6 +360,12 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		}
 		files[e.Name()] = string(b)
 	}
+	if grouped != nil {
+		// Compaction stalls are appended from several domains at once
+		// under a domain group; their recorded order must not depend on
+		// thread timing either.
+		files["compactions"] = fmt.Sprint(grouped.Compactions)
+	}
 	return files
 }
 
@@ -373,20 +419,22 @@ func diffSets(t *testing.T, a, b map[string]string, what string) {
 }
 
 // shardModes are the TestRunnerDeterministic modes that run on the
-// sharded MDS model — every mode that supports kernel domains.
+// sharded MDS model.
 var shardModes = []string{
 	"shard-hash", "shard-subtree", "shard-failover",
 	"shard-coherent", "shard-split", "shard-lsm", "shard-agg",
 }
 
 // TestRunnerDeterministicDomains is the parallel-DES determinism matrix:
-// every shard mode of TestRunnerDeterministic is run partitioned into 5
-// kernel domains (4 shard domains + the client domain) and byte-diffed
-// between a single worker thread and a full pool. Takeovers, lease
-// revocations, splits and LSM compactions must all land at identical
-// virtual times no matter how the domains are scheduled onto OS threads.
+// the shard modes that kernel domains can run (a static partition: no
+// crash, lease or split) are run partitioned into 5 kernel domains (4
+// shard domains + the client domain) and byte-diffed between a single
+// worker thread and a full pool. Broadcasts, cross-shard renames,
+// mirrors, group-commit batches, LSM compactions and injected load must
+// all land at identical virtual times no matter how the domains are
+// scheduled onto OS threads.
 func TestRunnerDeterministicDomains(t *testing.T) {
-	for _, mode := range shardModes {
+	for _, mode := range []string{"shard-hash", "shard-subtree", "shard-lsm-agg"} {
 		t.Run(mode, func(t *testing.T) {
 			diffSets(t,
 				runAndSave(t, 77, mode, 5, 1),

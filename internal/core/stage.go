@@ -55,56 +55,11 @@ type StageRunner struct {
 	Prepare func(c *Ctx) error
 	// Aux, when set, is sampled at every interval boundary; the
 	// per-interval delta lands in IntervalStat.Aux. The experiments
-	// pass a closure over the FS's injected-background counter. Under
-	// a domain group every reading is taken at a sync point (see
-	// auxReader), so the interval must be at least the lookahead.
+	// pass a closure over the FS's injected-background counter. It
+	// needs a plain kernel: under a domain group the counter moves on
+	// other domains' worker threads in the middle of a window, so a
+	// reading would depend on thread timing.
 	Aux func() int64
-}
-
-// auxReader samples StageRunner.Aux for the stage master. On a plain
-// kernel it reads on the spot. Under a domain group the counter is
-// bumped by injector lanes that run on other domains' worker threads in
-// the middle of a window, so a reading taken there would depend on
-// thread timing; each reading is instead taken inside a sync point,
-// where every domain is parked at exactly the same instant. The master
-// arms the reading for an interval boundary before sleeping there and
-// collects the delta once it wakes.
-type auxReader struct {
-	aux         func() int64
-	g           *sim.DomainGroup
-	prev, delta int64
-}
-
-// start takes the stage's baseline reading: now on a plain kernel, at
-// the earliest sync point (one lookahead on) under a domain group.
-func (a *auxReader) start(p *sim.Proc) {
-	if a.g == nil {
-		a.sample()
-		return
-	}
-	a.g.AtSync(p, p.Now()+a.g.SyncDelay(), a.sample)
-}
-
-// arm schedules the domained reading for the boundary at; a no-op on a
-// plain kernel.
-func (a *auxReader) arm(p *sim.Proc, at time.Duration) {
-	if a.g != nil {
-		a.g.AtSync(p, at, a.sample)
-	}
-}
-
-// take returns the counter's growth over the interval ending now.
-func (a *auxReader) take() int64 {
-	if a.g == nil {
-		a.sample()
-	}
-	return a.delta
-}
-
-func (a *auxReader) sample() {
-	v := a.aux()
-	a.delta = v - a.prev
-	a.prev = v
 }
 
 // defaultProbeFiles is the size of the default probe's stat ring.
@@ -167,13 +122,8 @@ func (r *StageRunner) Run() (*results.Set, error) {
 	if prepare == nil {
 		prepare = defaultPrepare
 	}
-	var aux *auxReader
-	if r.Aux != nil {
-		aux = &auxReader{aux: r.Aux, g: k.Group()}
-		if aux.g != nil && interval < aux.g.Lookahead() {
-			return nil, fmt.Errorf("stagerunner: interval %v is shorter than the domain lookahead %v",
-				interval, aux.g.Lookahead())
-		}
+	if r.Aux != nil && k.Group() != nil {
+		return nil, fmt.Errorf("stagerunner: Aux needs a plain kernel, not one of a %d-domain group", k.Group().NumDomains())
 	}
 
 	set := results.NewSet(r.Label, r.FS.Name(), interval)
@@ -247,18 +197,18 @@ func (r *StageRunner) Run() (*results.Set, error) {
 			shared.agg = &results.Histogram{}
 			shared.cur = &results.Histogram{}
 			shared.recording = true
-			if aux != nil {
-				aux.start(mp)
+			var aux int64
+			if r.Aux != nil {
+				aux = r.Aux()
 			}
 			barrier.Wait(mp) // stage start: probes run from here
 			for t := range series {
-				if aux != nil {
-					aux.arm(mp, mp.Now()+interval)
-				}
 				mp.Sleep(interval)
 				rs.sample()
-				if aux != nil {
-					series[t].Aux = aux.take()
+				if r.Aux != nil {
+					v := r.Aux()
+					series[t].Aux = v - aux
+					aux = v
 				}
 				series[t].FillPercentiles(shared.cur)
 				shared.cur = &results.Histogram{}

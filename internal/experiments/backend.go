@@ -45,7 +45,7 @@ func e28BackendProfile() plan {
 		cfg.Backend = kind
 		cfg.CacheMode = shard.CacheNone
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		fsys := newShardFS(k, "meta", cfg)
+		fsys := shard.New(k, "meta", cfg)
 		var p probe
 		err := runProbe(k, "probe", func(sp *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], sp)
@@ -176,7 +176,7 @@ func e29CompactionTimeline() plan {
 		cfg.Backend = shard.BackendLSM
 		cfg.CompactEvery = intervals[i]
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newShardFS(k, "meta", cfg)
+		fsys := shard.New(k, "meta", cfg)
 		var c e29cell
 		var err error
 		c.m, err = measure(cl, fsys, 8, 2,
@@ -288,7 +288,7 @@ func e30GroupCommit() plan {
 	}
 	probeLatency := func(k *sim.Kernel, w time.Duration) (e30cell, error) {
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		fsys := newShardFS(k, "meta", mkCfg(true, w))
+		fsys := shard.New(k, "meta", mkCfg(true, w))
 		var c0 e30cell
 		err := runProbe(k, "probe", func(sp *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], sp)

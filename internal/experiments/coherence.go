@@ -39,7 +39,7 @@ func e22Load(skew float64) core.StatMutateFiles {
 // counter readout.
 func runCoherence(k *sim.Kernel, cfg shard.Config, plugin core.Plugin, problem int) (*results.Measurement, *shard.FS, error) {
 	cl := cluster.New(k, cluster.DefaultConfig(8))
-	fsys := newShardFS(k, "meta", cfg)
+	fsys := shard.New(k, "meta", cfg)
 	m, err := measure(cl, fsys, 8, 2, core.Params{ProblemSize: problem, WorkDir: "/bench"}, plugin, nil)
 	return m, fsys, err
 }
@@ -257,7 +257,7 @@ func e24FailoverCachedLoad() plan {
 		cfg.TrackStaleness = true
 		cfg.CrashInvalidate = invalidate
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newShardFS(k, "meta", cfg)
+		fsys := shard.New(k, "meta", cfg)
 		m, err := measure(cl, fsys, 8, 2,
 			core.Params{ProblemSize: 1 << 20, TimeLimit: window, WorkDir: "/bench"}, e22Load(0),
 			func(mp *sim.Proc, _ core.MeasurementInfo) { outage.Start(mp, fsys) })

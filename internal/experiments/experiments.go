@@ -12,27 +12,7 @@ import (
 	"time"
 
 	"dmetabench/internal/results"
-	"dmetabench/internal/shard"
-	"dmetabench/internal/sim"
 )
-
-// Domains, when > 0, overrides shard.Config.Domains for every sharded
-// MDS in the suite (the -domains flag of cmd/experiments): each such
-// simulation is partitioned into that many event-kernel domains running
-// under the conservative-lookahead protocol. 0 keeps each experiment's
-// own setting — the single-heap kernel, which the committed
-// EXPERIMENTS.md corpus was generated with.
-var Domains int
-
-// newShardFS is the construction point for the sharded MDS in this
-// package; it applies the package-wide Domains override so one flag
-// domains every sharded experiment.
-func newShardFS(k *sim.Kernel, name string, cfg shard.Config) *shard.FS {
-	if Domains > 0 {
-		cfg.Domains = Domains
-	}
-	return shard.New(k, name, cfg)
-}
 
 // Row is one reported metric.
 type Row struct {

@@ -65,7 +65,7 @@ func e19FailoverTimeline() plan {
 		cfg := shard.DefaultConfig(2)
 		cfg.Replicate = i == 1
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newShardFS(k, "meta", cfg)
+		fsys := shard.New(k, "meta", cfg)
 		m, err := measure(cl, fsys, 8, 2,
 			core.Params{ProblemSize: 1000, TimeLimit: window, WorkDir: "/bench"}, core.MakeFiles{},
 			func(mp *sim.Proc, _ core.MeasurementInfo) { outage.Start(mp, fsys) })
@@ -182,7 +182,7 @@ func e21RecoveryScaling() plan {
 		cfg.JournalCap = 1 << 20                   // uncapped for the sweep: the journal is the variable
 		cfg.ReplayPerEntry = 50 * time.Microsecond // slow store: replay dominates past ~4k entries
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		fsys := newShardFS(k, "meta", cfg)
+		fsys := shard.New(k, "meta", cfg)
 		// Find a directory whose files (and itself) live on shard 0.
 		dir := ""
 		for i := 0; i < 256; i++ {

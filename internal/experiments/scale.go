@@ -97,7 +97,7 @@ func (c *stageCell) shedFrac() float64 {
 // determinism tests.
 func runStageCell(k *sim.Kernel, sp stageSpec) (stageCell, error) {
 	cl := cluster.New(k, cluster.DefaultConfig(4))
-	fsys := newShardFS(k, "meta", sp.cfg)
+	fsys := shard.New(k, "meta", sp.cfg)
 	lanes := sp.cfg.ShardThreads
 	if lanes < 1 {
 		lanes = 1

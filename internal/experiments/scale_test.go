@@ -40,29 +40,6 @@ func TestScaleReportsByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestScaleReportsByteIdenticalUnderDomains repeats the worker-count
-// byte-diff with every sharded simulation partitioned into five kernel
-// domains: the aggregate injection lanes then run concurrently with the
-// foreground probes across real goroutines, and the reports must still
-// not depend on the worker count.
-func TestScaleReportsByteIdenticalUnderDomains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long-horizon experiments; skipped in -short")
-	}
-	withPeriod(t, 2*time.Minute)
-	oldDomains := Domains
-	Domains = 5
-	defer func() { Domains = oldDomains }()
-	es := scaleExperiments(t)
-	serial := renderAll(es, 1)
-	parallel := renderAll(es, 8)
-
-	if serial != parallel {
-		t.Fatalf("scale reports differ between -j 1 and -j 8 at Domains=5:\n--- j1 ---\n%s\n--- j8 ---\n%s",
-			serial, parallel)
-	}
-}
-
 // TestScaleSmoke is the scaled-down long-horizon smoke: every scale
 // experiment must produce rows and a non-degenerate background at a
 // compressed horizon (the CI job runs the full E31 via cmd/experiments

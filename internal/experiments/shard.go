@@ -43,7 +43,7 @@ func e16SubtreeAssign(n int) map[string]int {
 // readout.
 func runSharded(k *sim.Kernel, cfg shard.Config, plugin core.Plugin, problem int) (*results.Measurement, *shard.FS, error) {
 	cl := cluster.New(k, cluster.DefaultConfig(16))
-	fsys := newShardFS(k, "meta", cfg)
+	fsys := shard.New(k, "meta", cfg)
 	m, err := measure(cl, fsys, 16, 4, core.Params{ProblemSize: problem, WorkDir: "/"}, plugin, nil)
 	return m, fsys, err
 }
@@ -193,7 +193,7 @@ func e18CrossShard() plan {
 	var crossings int64
 	probeRename := func(k *sim.Kernel) error {
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		fsys := newShardFS(k, "meta", shard.DefaultConfig(8))
+		fsys := shard.New(k, "meta", shard.DefaultConfig(8))
 		// Probe the routing for a same-shard and a cross-shard directory
 		// pair before spawning any load.
 		var local, remote string
@@ -248,7 +248,7 @@ func e18CrossShard() plan {
 		cfg := shard.DefaultConfig(8)
 		cfg.Placement = shard.PlaceSubtree
 		cfg.SubtreeAssign = e16SubtreeAssign(8)
-		fsys := newShardFS(k, "meta", cfg)
+		fsys := shard.New(k, "meta", cfg)
 		return runProbe(k, "readdir", func(p *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], p)
 			for j := 0; j < 24; j++ {

@@ -128,7 +128,7 @@ func e26SplitStorm() plan {
 	}
 	cells, cs := cellsOf(names, func(i int) int64 { return int64(2600 + i) }, func(i int, k *sim.Kernel) (e26cell, error) {
 		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newShardFS(k, "meta", e25Cfg(8, thresholds[i]))
+		fsys := shard.New(k, "meta", e25Cfg(8, thresholds[i]))
 		var c e26cell
 		var err error
 		c.m, err = measure(cl, fsys, 8, 2,
@@ -232,7 +232,7 @@ func e27SplitRouting() plan {
 			cfg.SplitBitmapTTL = bitmapTTL
 		}
 		cl := cluster.New(k, cluster.DefaultConfig(readers+1))
-		fsys := newShardFS(k, "meta", cfg)
+		fsys := shard.New(k, "meta", cfg)
 		var c e27cell
 		err := runProbe(k, "probe", func(p *sim.Proc) error {
 			loader := fsys.NewClient(cl.Nodes[0], p)
@@ -282,7 +282,7 @@ func e27SplitRouting() plan {
 	// unsplit (one readdir on the home shard).
 	probe := func(k *sim.Kernel, threshold int) (e27cell, error) {
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		fsys := newShardFS(k, "meta", e25Cfg(8, threshold))
+		fsys := shard.New(k, "meta", e25Cfg(8, threshold))
 		var c e27cell
 		err := runProbe(k, "probe", func(p *sim.Proc) error {
 			fc := fsys.NewClient(cl.Nodes[0], p)

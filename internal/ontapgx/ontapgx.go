@@ -321,7 +321,7 @@ func (c *client) Close(h fs.Handle) error {
 	}
 	delete(c.handles, h)
 	if of.dirty {
-		c.flush(of)
+		return c.flush(of)
 	}
 	return nil
 }
@@ -346,23 +346,30 @@ func (c *client) Fsync(h fs.Handle) error {
 		return fs.NewError("fsync", "", fs.EBADF)
 	}
 	if of.dirty {
-		c.flush(of)
+		return c.flush(of)
 	}
 	return nil
 }
 
-func (c *client) flush(of *openFile) {
+// flush writes the dirty bytes back to the owning volume. A flush to a
+// directory fails with EISDIR; the bytes of a file unlinked while open
+// are dropped without an error.
+func (c *client) flush(of *openFile) error {
 	f := c.fsys
 	owner := f.filers[of.vol.owner]
+	var err error
 	f.dispatch(c.p, c.node, of.vol, func(sp *sim.Proc) {
 		sp.Sleep(time.Duration(float64(30*time.Microsecond) * float64(of.written) / 1024 * owner.wafl.ServiceFactor()))
-		if node, err := of.vol.ns.Lookup(of.sub); err == nil {
-			of.vol.ns.SetSize(node.Ino, node.Size+of.written, sp.Now())
+		if node, lerr := of.vol.ns.Lookup(of.sub); lerr == nil {
+			if serr := of.vol.ns.SetSize(node.Ino, node.Size+of.written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
+				err = serr
+			}
 		}
 		owner.wafl.LogMetadata(sp, 320+of.written)
 	})
 	of.written = 0
 	of.dirty = false
+	return err
 }
 
 // Mkdir creates a directory in the owning volume.

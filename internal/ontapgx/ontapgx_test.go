@@ -156,3 +156,29 @@ func core_mkdirAll(c fs.Client, p string) error {
 	}
 	return err
 }
+
+// TestWriteToDirectoryEISDIR checks that a write flushed to a directory,
+// at close or at fsync, fails with EISDIR as POSIX write(2) on a
+// directory does.
+func TestWriteToDirectoryEISDIR(t *testing.T) {
+	k, cl, gx := env(t, 1, 2)
+	run(t, k, func(p *sim.Proc) {
+		c := gx.NewClient(cl.Nodes[0], p)
+		if err := c.Mkdir("/vol0/d"); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		for _, flush := range []struct {
+			name string
+			fn   func(fs.Handle) error
+		}{{"close", c.Close}, {"fsync", c.Fsync}} {
+			h, err := c.Open("/vol0/d")
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			c.Write(h, 100)
+			if err := flush.fn(h); fs.CodeOf(err) != fs.EISDIR {
+				t.Errorf("%s after a write to a directory: %v, want EISDIR", flush.name, err)
+			}
+		}
+	})
+}

@@ -124,39 +124,16 @@ func (f *FS) cbServer(st *nodeState, n *cluster.Node) {
 // FS.replicate, so a coherent cache can never serve a hit newer
 // mutations already invalidated.
 func (f *FS) callback(p *sim.Proc, st *nodeState, path string) {
-	if !f.domained() {
-		st.leases.Revoke(path)
-		st.dentries.Invalidate(path)
-	}
-	f.cbDeliver(p, st, func() {
-		st.leases.Revoke(path)
-		st.dentries.Invalidate(path)
-	})
+	st.leases.Revoke(path)
+	st.dentries.Invalidate(path)
+	f.cbCost(p, st)
 }
 
 // cbCost charges one callback's delivery: the server→client round trip
 // plus the client-side handler, serialized on the node's callback
 // channel.
-func (f *FS) cbCost(p *sim.Proc, st *nodeState) { f.cbDeliver(p, st, nil) }
-
-// cbDeliver pays one callback round trip. Under kernel domains the
-// client-side invalidation rides the callback and applies in the
-// client's domain at delivery — a server body must not reach into
-// another domain's cache, so the drop lands when the message does
-// (instead of at the commit instant, the single-kernel idealization).
-// Undomained, the caller already applied it and inval is ignored.
-func (f *FS) cbDeliver(p *sim.Proc, st *nodeState, inval func()) {
-	svc := callbackService
-	apply := inval
-	if !f.domained() {
-		apply = nil
-	}
-	st.cbConn.Call(p, 90, 60, func(q *sim.Proc) {
-		if apply != nil {
-			apply()
-		}
-		q.Sleep(svc)
-	})
+func (f *FS) cbCost(p *sim.Proc, st *nodeState) {
+	st.cbConn.Call(p, 90, 60, func(q *sim.Proc) { q.Sleep(callbackService) })
 }
 
 // grant issues (or refreshes) a read lease on path to the node behind
@@ -165,34 +142,22 @@ func (f *FS) cbDeliver(p *sim.Proc, st *nodeState, inval func()) {
 // revocation or an epoch move. Granting a lease on a directory another
 // node holds a write delegation for recalls the delegation first — the
 // writer loses its private write-back state the moment a second party
-// starts caching the directory.
-// Each lease table belongs to the domain serving its slice, so both
-// halves route there (withLeaseSlice): cross-server lease management
-// pays an interconnect message, the way a distributed lock manager's
-// does. The client-side lease fill rides the RPC reply (simnet.Defer).
+// starts caching the directory. Lease coherence runs on the single-heap
+// kernel only (Config.Validate), so the server's tables and the
+// client's lease cache are both written in place.
 func (f *FS) grant(p *sim.Proc, st *nodeState, path string, a fs.Attr) {
 	if a.Type == fs.TypeDirectory {
 		if cs := f.contentSlice(path); cs >= 0 {
-			f.withLeaseSlice(p, cs, func(q *sim.Proc) {
-				if holder, ok := f.leases[cs].deleg[path]; ok && holder != st {
-					addI64(&f.DelegationRecalls, 1)
-					f.callback(q, holder, path)
-					delete(f.leases[cs].deleg, path)
-				}
-			})
+			if holder, ok := f.leases[cs].deleg[path]; ok && holder != st {
+				addI64(&f.DelegationRecalls, 1)
+				f.callback(p, holder, path)
+				delete(f.leases[cs].deleg, path)
+			}
 		}
 	}
 	slice := f.ownerSlice(path)
-	f.withLeaseSlice(p, slice, func(q *sim.Proc) {
-		f.grantAt(q, st, path, a, slice)
-	})
-}
-
-// grantAt records the grant in slice's table; the caller must already
-// execute in the slice's owning domain.
-func (f *FS) grantAt(q *sim.Proc, st *nodeState, path string, a fs.Attr, slice int) {
 	t := f.leases[slice]
-	exp := q.Now() + f.cfg.LeaseTTL
+	exp := p.Now() + f.cfg.LeaseTTL
 	grants := t.read[path]
 	found := false
 	for i := range grants {
@@ -206,7 +171,7 @@ func (f *FS) grantAt(q *sim.Proc, st *nodeState, path string, a fs.Attr, slice i
 		t.read[path] = append(grants, leaseGrant{st: st, expiry: exp})
 	}
 	addI64(&f.LeaseGrants, 1)
-	simnet.Defer(q, clientcache.LeaseFill(st.leases, path, a, exp, slice, f.epochs[slice]))
+	st.leases.Put(path, a, exp, slice, f.epochs[slice])
 }
 
 // revokePath drops every read lease on path: one callback per holder
@@ -224,22 +189,16 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 	// costs are paid afterwards, fanned out in parallel — the server
 	// issues all callbacks at once and waits for every ack, so a wide
 	// revocation costs one round trip plus callback-channel queueing,
-	// not one round trip per holder. Under kernel domains the victims'
-	// drops ride the callbacks instead (cbDeliver) and the mutator's
-	// silent invalidation rides its own RPC reply — a server body never
-	// reaches into a client domain's cache.
-	dom := f.domained()
+	// not one round trip per holder.
 	victims := grants[:0]
 	for _, g := range grants {
 		switch {
 		case g.st == mutator:
-			simnet.Defer(p, clientcache.LeaseDropFill(g.st.leases, path))
+			g.st.leases.Invalidate(path)
 		case g.expiry < now:
 		default:
-			if !dom {
-				g.st.leases.Revoke(path)
-				g.st.dentries.Invalidate(path)
-			}
+			g.st.leases.Revoke(path)
+			g.st.dentries.Invalidate(path)
 			victims = append(victims, g)
 		}
 	}
@@ -251,12 +210,7 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 	for _, g := range victims {
 		addI64(&f.Revocations, 1)
 		st := g.st
-		procs = append(procs, p.Spawn("revoke", func(q *sim.Proc) {
-			f.cbDeliver(q, st, func() {
-				st.leases.Revoke(path)
-				st.dentries.Invalidate(path)
-			})
-		}))
+		procs = append(procs, p.Spawn("revoke", func(q *sim.Proc) { f.cbCost(q, st) }))
 	}
 	for _, q := range procs {
 		p.Join(q)
@@ -271,11 +225,9 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 // first-write revocation for the old holder. Creation-type mutations
 // must not run it: a delegation granted while a fresh mkdir is still
 // paying its broadcast costs is already legitimate.
-func (f *FS) dropDelegation(p *sim.Proc, dir string) {
+func (f *FS) dropDelegation(dir string) {
 	if cs := f.contentSlice(dir); cs >= 0 {
-		f.withLeaseSlice(p, cs, func(q *sim.Proc) {
-			delete(f.leases[cs].deleg, dir)
-		})
+		delete(f.leases[cs].deleg, dir)
 	}
 }
 
@@ -339,37 +291,19 @@ func (f *FS) dirCovered(p *sim.Proc, mutator *nodeState, dir string) bool {
 // do leases on the parent directory (its mtime/size changed) unless the
 // mutator's write delegation covers it. withParent is false for content
 // mutations (Write) that leave the parent untouched.
-// Each lease-table touch routes to the domain owning its slice
-// (withLeaseSlice): the path's own leases live on the executing slice
-// (free), but the parent directory's delegation and leases are keyed by
-// other slices — under a split, even the delegation's content slice —
-// and reaching them across domains costs a hop.
 func (f *FS) revokeOnMutate(p *sim.Proc, mutator *nodeState, path string, withParent bool) {
 	if f.cfg.CacheMode != CacheLease {
 		return
 	}
-	f.withLeaseSlice(p, f.ownerSlice(path), func(q *sim.Proc) {
-		f.revokePath(q, mutator, path)
-	})
+	f.revokePath(p, mutator, path)
 	if !withParent {
 		return
 	}
 	dir := fs.ParentDir(path)
-	if dir == "." || dir == path {
+	if dir == "." || dir == path || f.dirCovered(p, mutator, dir) {
 		return
 	}
-	covered := false
-	if cs := f.contentSlice(dir); cs >= 0 {
-		f.withLeaseSlice(p, cs, func(q *sim.Proc) {
-			covered = f.dirCovered(q, mutator, dir)
-		})
-	}
-	if covered {
-		return
-	}
-	f.withLeaseSlice(p, f.ownerSlice(dir), func(q *sim.Proc) {
-		f.revokePath(q, mutator, dir)
-	})
+	f.revokePath(p, mutator, dir)
 }
 
 // noteStale is the staleness instrument of E22–E24: with

@@ -20,9 +20,8 @@ import (
 // fingerprints regardless of worker threads.
 func domainFingerprint(k *sim.Kernel, f *FS, paths []string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "end=%v rpcs=%d cross=%d bcast=%d mirror=%d takeovers=%d splitmoved=%d bounces=%d revocations=%d\n",
-		k.Now(), f.RPCCount(), f.CrossCount, f.BroadcastCount, f.MirrorCount,
-		len(f.Takeovers), f.SplitMoved, f.Bounces, f.Revocations)
+	fmt.Fprintf(&b, "end=%v rpcs=%d cross=%d bcast=%d mirror=%d\n",
+		k.Now(), f.RPCCount(), f.CrossCount, f.BroadcastCount, f.MirrorCount)
 	fmt.Fprintf(&b, "ops=%v\n", f.ShardOps())
 	aggOps, aggShed, aggBusy := f.AggCounts()
 	fmt.Fprintf(&b, "agg=%d shed=%d busy=%v\n", aggOps, aggShed, aggBusy)
@@ -47,17 +46,16 @@ func domainWorkloadPaths(clients, files int) []string {
 	return paths
 }
 
-// runDomainWorkload drives a mixed metadata workload (creates, stats,
-// opens/writes, readdirs, unlinks) from several concurrent client
-// processes, optionally with a crash/takeover/failback in the middle,
-// and returns the run's fingerprint.
-func runDomainWorkload(t *testing.T, cfg Config, workers int, faults bool) string {
-	return runDomainWorkloadHook(t, cfg, workers, faults, nil)
+// runDomainWorkload drives a mixed metadata workload (mkdirs, creates,
+// stats, opens/writes, readdirs, unlinks) from several concurrent
+// client processes and returns the run's fingerprint.
+func runDomainWorkload(t *testing.T, cfg Config, workers int) string {
+	return runDomainWorkloadHook(t, cfg, workers, nil)
 }
 
 // runDomainWorkloadHook additionally calls attach on the built FS before
 // any process runs — the seam the aggregate-injection case uses.
-func runDomainWorkloadHook(t *testing.T, cfg Config, workers int, faults bool, attach func(*FS)) string {
+func runDomainWorkloadHook(t *testing.T, cfg Config, workers int, attach func(*FS)) string {
 	t.Helper()
 	const clients, files = 4, 40
 	k := sim.New(7)
@@ -101,14 +99,6 @@ func runDomainWorkloadHook(t *testing.T, cfg Config, workers int, faults bool, a
 			}
 		})
 	}
-	if faults {
-		k.Spawn("fault", func(p *sim.Proc) {
-			p.Sleep(3 * time.Millisecond)
-			f.Crash(p, 1)
-			p.Sleep(400 * time.Millisecond)
-			f.Restart(p, 1)
-		})
-	}
 	if err := k.Run(); err != nil {
 		t.Fatalf("run (workers=%d): %v", workers, err)
 	}
@@ -118,33 +108,26 @@ func runDomainWorkloadHook(t *testing.T, cfg Config, workers int, faults bool, a
 // TestDomainedDeterministic pins the worker-count invariance of the
 // domained shard model: the same configuration produces byte-identical
 // results on one worker thread and on a full pool, with and without
-// crash/takeover/failback and split storms in the mix.
+// primary/backup replication (mirrors on every mutation).
 func TestDomainedDeterministic(t *testing.T) {
 	base := DefaultConfig(8)
 	base.Domains = 9
 
-	lease := base
-	lease.CacheMode = CacheLease
-
-	stress := base
-	stress.Replicate = true
-	stress.CacheMode = CacheLease
-	stress.SplitThreshold = 16
+	repl := base
+	repl.Replicate = true
 
 	cases := []struct {
-		name   string
-		cfg    Config
-		faults bool
+		name string
+		cfg  Config
 	}{
-		{"plain", base, false},
-		{"lease", lease, false},
-		{"faults-splits", stress, true},
+		{"plain", base},
+		{"replicated", repl},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			one := runDomainWorkload(t, tc.cfg, 1, tc.faults)
-			many := runDomainWorkload(t, tc.cfg, 8, tc.faults)
+			one := runDomainWorkload(t, tc.cfg, 1)
+			many := runDomainWorkload(t, tc.cfg, 8)
 			if one != many {
 				t.Errorf("fingerprints differ between 1 and 8 workers:\n--- workers=1\n%s\n--- workers=8\n%s", one, many)
 			}
@@ -177,16 +160,15 @@ func attachMillionClients(f *FS, shards int) {
 
 // TestDomainedAggregateDeterministic pins the aggregate-load leg of the
 // fingerprint matrix: one million background clients injecting into a
-// lease-coherent 4-shard MDS partitioned into 5 domains must produce
+// TTL-cached 4-shard MDS partitioned into 5 domains must produce
 // byte-identical fingerprints — including the injected/shed counters —
 // on one worker thread and on a full pool.
 func TestDomainedAggregateDeterministic(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Domains = 5
-	cfg.CacheMode = CacheLease
 	attach := func(f *FS) { attachMillionClients(f, cfg.NumShards) }
-	one := runDomainWorkloadHook(t, cfg, 1, false, attach)
-	many := runDomainWorkloadHook(t, cfg, 8, false, attach)
+	one := runDomainWorkloadHook(t, cfg, 1, attach)
+	many := runDomainWorkloadHook(t, cfg, 8, attach)
 	if one != many {
 		t.Errorf("aggregate fingerprints differ between 1 and 8 workers:\n--- workers=1\n%s\n--- workers=8\n%s", one, many)
 	}
@@ -202,26 +184,24 @@ func TestDomainsDisabledIsLegacy(t *testing.T) {
 	zero := DefaultConfig(8)
 	one := zero
 	one.Domains = 1
-	a := runDomainWorkload(t, zero, 1, false)
-	b := runDomainWorkload(t, one, 1, false)
+	a := runDomainWorkload(t, zero, 1)
+	b := runDomainWorkload(t, one, 1)
 	if a != b {
 		t.Errorf("Domains=0 and Domains=1 fingerprints differ:\n%s\n%s", a, b)
 	}
 }
 
 // TestDomainedRaceStress is the race-detector stress test: concurrent
-// creates, a crash/takeover/failback cycle and a split storm across 8
-// shard domains on a full worker pool. Run under `go test -race` it
-// checks that no service body ever touches another domain's state
-// outside a rendezvous or sync point; the built-in causality checker
-// (on by default) panics on any lookahead violation.
+// mkdirs, creates, stats, writes, readdirs and unlinks on the replicated
+// MDS across 8 shard domains on a full worker pool. Run under `go test
+// -race` it checks that no service body ever touches another domain's
+// state outside a Call migration; the built-in causality checker (on by
+// default) panics on any lookahead violation.
 func TestDomainedRaceStress(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Domains = 9
 	cfg.Replicate = true
-	cfg.CacheMode = CacheLease
-	cfg.SplitThreshold = 16
-	runDomainWorkload(t, cfg, 8, true)
+	runDomainWorkload(t, cfg, 8)
 }
 
 // TestDomainedClientsSeeOneNamespace sanity-checks cross-domain

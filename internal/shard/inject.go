@@ -48,8 +48,8 @@ func (f *FS) AttachAggregate(tick time.Duration, src func(shard, lane, tick int)
 
 // AggCounts returns the injected / shed operation counts and the
 // cumulative injected service time. Unlike reading the FS fields
-// directly, it is safe mid-run from any domain (the stage master
-// samples it every interval while lanes in other domains advance).
+// directly, it is safe mid-run from any domain, while lanes in other
+// domains advance.
 func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) {
 	return loadI64(&f.AggOps), loadI64(&f.AggShedOps),
 		time.Duration(loadI64(&f.AggBusy))

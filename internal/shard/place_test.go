@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,32 +78,73 @@ func TestPlaceShardsInert(t *testing.T) {
 	}
 }
 
-// TestAtSync checks that atSync runs fn on the spot when undomained,
-// and one lookahead later, at a sync point, when domained.
-func TestAtSync(t *testing.T) {
-	for _, domains := range []int{0, 2} {
-		k := sim.New(1)
-		cfg := DefaultConfig(1)
-		cfg.Domains = domains
-		f := New(k, "meta", cfg)
-		var ranAt time.Duration = -1
-		var inline bool
-		k.Spawn("p", func(p *sim.Proc) {
-			p.Sleep(time.Millisecond)
-			f.atSync(p, func() { ranAt = k.Now() })
-			inline = ranAt >= 0
-			p.Sleep(time.Millisecond) // keep the run alive past the sync point
+// TestValidateRejectsMovingStateUnderDomains checks the loud failure
+// of a configuration the static partition cannot run: Domains > 1 with
+// lease coherence or directory splitting is an error naming the
+// feature, and New panics with it; Domains <= 1 accepts both.
+func TestValidateRejectsMovingStateUnderDomains(t *testing.T) {
+	lease := DefaultConfig(4)
+	lease.CacheMode = CacheLease
+	split := DefaultConfig(4)
+	split.SplitThreshold = 16
+	for _, c := range []struct {
+		name, feature string
+		cfg           Config
+	}{
+		{"lease", "lease coherence", lease},
+		{"split", "directory splitting", split},
+	} {
+		for _, domains := range []int{0, 1} {
+			cfg := c.cfg
+			cfg.Domains = domains
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%s at Domains %d: %v, want nil", c.name, domains, err)
+			}
+		}
+		cfg := c.cfg
+		cfg.Domains = 5
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.feature) {
+			t.Errorf("%s at Domains 5: error %v, want one naming %q", c.name, err, c.feature)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("%s: New panicked with %v, want %v", c.name, r, err)
+				}
+			}()
+			New(sim.New(1), "meta", cfg)
+		}()
+	}
+}
+
+// TestFaultsPanicUnderDomains checks that Crash and Restart on a
+// domained FS fail loudly, naming the restriction, instead of moving a
+// slice between domains.
+func TestFaultsPanicUnderDomains(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Replicate = true
+	cfg.Domains = 5
+	k := sim.New(1)
+	f := New(k, "meta", cfg)
+	for _, fault := range []struct {
+		name string
+		fn   func(p *sim.Proc, i int)
+	}{{"Crash", f.Crash}, {"Restart", f.Restart}} {
+		var got any
+		k.Spawn(fault.name, func(p *sim.Proc) {
+			defer func() { got = recover() }()
+			fault.fn(p, 1)
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		want := time.Millisecond
-		if domains > 1 {
-			want += min(crossShardLatency, cfg.OneWayLatency)
+		if msg := fmt.Sprint(got); !strings.Contains(msg, fault.name) || !strings.Contains(msg, "static partition") {
+			t.Errorf("%s on a domained FS: panic %q, want one naming the static partition", fault.name, msg)
 		}
-		if inline != (domains <= 1) || ranAt != want {
-			t.Errorf("domains=%d: fn ran inline %v at %v, want inline %v at %v",
-				domains, inline, ranAt, domains <= 1, want)
-		}
+	}
+	if !f.Up(1) || f.ServingShard(1) != 1 {
+		t.Errorf("shard 1 up %v, served by %d after the refused faults, want up and 1", f.Up(1), f.ServingShard(1))
 	}
 }

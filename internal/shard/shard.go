@@ -68,6 +68,7 @@
 package shard
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -117,9 +118,11 @@ type Config struct {
 	// lookahead kernel domains (domain.go, internal/sim): domain 0 runs
 	// the clients and domains 1..Domains-1 share the shards, exchanging
 	// timestamped messages with lookahead min(crossShardLatency,
-	// OneWayLatency). Results are deterministic for a given Domains
-	// value regardless of worker threads; <= 1 (the default) is the
-	// single-kernel path, byte for byte.
+	// OneWayLatency). The partition is static, so lease coherence,
+	// directory splitting and crashes need <= 1 (Validate). Results are
+	// deterministic for a given Domains value regardless of worker
+	// threads; <= 1 (the default) is the single-kernel path, byte for
+	// byte.
 	Domains int
 
 	// AttrTTL is the client attribute-cache lifetime under CacheTTL.
@@ -220,6 +223,25 @@ func DefaultConfig(n int) Config {
 		SplitBitmapTTL: 30 * time.Second,
 		CompactEvery:   8 << 20,
 	}
+}
+
+// Validate reports a configuration the model cannot run. Kernel domains
+// keep a static partition: no slice state changes domain during a run,
+// so Domains > 1 rejects the features that would move it there — lease
+// coherence (a mutation reaches lease tables on other slices) and
+// giant-directory splitting (a split re-homes entries). Domains <= 1
+// accepts every configuration.
+func (c Config) Validate() error {
+	if c.Domains <= 1 {
+		return nil
+	}
+	if c.CacheMode == CacheLease {
+		return fmt.Errorf("shard: lease coherence (CacheMode %v) needs Domains <= 1, got Domains %d: kernel domains keep a static partition", c.CacheMode, c.Domains)
+	}
+	if c.SplitThreshold > 0 {
+		return fmt.Errorf("shard: directory splitting (SplitThreshold %d) needs Domains <= 1, got Domains %d: kernel domains keep a static partition", c.SplitThreshold, c.Domains)
+	}
+	return nil
 }
 
 // The fixed calibration of every shard: the interconnect, the service
@@ -444,8 +466,13 @@ type nodeState struct {
 	splits *clientcache.SplitMap
 }
 
-// New creates a sharded metadata service on kernel k.
+// New creates a sharded metadata service on kernel k. It panics with
+// Validate's error on a configuration the model cannot run, as
+// sim.AddDomains panics on a bad lookahead.
 func New(k *sim.Kernel, name string, cfg Config) *FS {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	if cfg.NumShards < 1 {
 		cfg.NumShards = 1
 	}
@@ -534,17 +561,12 @@ func (f *FS) backupOf(i int) int { return (i + 1) % len(f.shards) }
 // client and peer endpoints start timing out. With replication, the
 // slice's backup detects the failure after TakeoverDetect, replays the
 // journal and takes over serving the slice (recorded in Takeovers).
-// Crash implements fault.Target.
-//
-// Under kernel domains every step of the crash/takeover sequence is a
-// sync point (domain.go): serving[], the down flags, epochs and lease
-// tables are read lock-free from every domain, so they may only change
-// with all domains parked at one instant. The legacy path applies the
-// crash immediately and schedules the takeover with a timer.
+// Crash implements fault.Target. It panics on a domained FS: a takeover
+// would move the slice to another domain, and kernel domains keep a
+// static partition.
 func (f *FS) Crash(p *sim.Proc, i int) {
 	if f.domained() {
-		f.crashDomained(p, i)
-		return
+		panic(errFaultDomained("Crash"))
 	}
 	sh := f.shards[i]
 	if !sh.up {
@@ -586,78 +608,13 @@ func (f *FS) Crash(p *sim.Proc, i int) {
 	})
 }
 
-// crashDomained runs the crash and the ensuing takeover as a chain of
-// sync points: the crash lands one lookahead after the injector's call
-// (the earliest instant every domain can rendezvous), detection fires
-// TakeoverDetect later, and the promotion lands after the replay time —
-// with the journal length read while its shard's domain is parked.
-func (f *FS) crashDomained(p *sim.Proc, i int) {
-	g := f.g
-	g.AtSync(p, p.Now(), func() {
-		sh := f.shards[i]
-		if !sh.up {
-			return
-		}
-		sh.up = false
-		sh.srv.SetDown()
-		sh.peer.SetDown()
-		if !f.replicated() {
-			return
-		}
-		b := f.backupOf(i)
-		if !f.shards[b].up {
-			return // no live backup: the slice stays dark until restart
-		}
-		crashAt := f.k.Now()
-		g.AtSyncAbs(crashAt+f.cfg.TakeoverDetect, func() {
-			if sh.up || !f.shards[b].up {
-				return // primary returned, or the backup died meanwhile
-			}
-			entries := len(sh.journal)
-			replay := time.Duration(entries) * f.shards[b].be.replayPerEntry()
-			g.AtSyncAbs(f.k.Now()+replay, func() {
-				if sh.up || !f.shards[b].up {
-					return // primary recovered first, or backup crashed mid-replay
-				}
-				f.serving[i] = b
-				f.invalidateSliceLeases(i)
-				f.Takeovers = append(f.Takeovers, Takeover{
-					Shard: i, Backup: b, CrashAt: crashAt,
-					Detect: f.cfg.TakeoverDetect, Replay: replay, Entries: entries,
-				})
-			})
-		})
-	})
-}
-
 // Restart begins shard i's recovery at the current virtual time: the
 // server replays its journal, then returns to service and reclaims its
 // slice from the backup (failback). Restart implements fault.Target.
+// Like Crash, it panics on a domained FS.
 func (f *FS) Restart(p *sim.Proc, i int) {
 	if f.domained() {
-		// Same sync-point discipline as crashDomained: the journal is
-		// read and the failback committed with every domain parked.
-		g := f.g
-		g.AtSync(p, p.Now(), func() {
-			sh := f.shards[i]
-			if sh.up {
-				return
-			}
-			replay := time.Duration(len(sh.journal)) * sh.be.replayPerEntry()
-			g.AtSyncAbs(f.k.Now()+replay, func() {
-				if sh.up {
-					return
-				}
-				sh.up = true
-				sh.srv.SetUp()
-				sh.peer.SetUp()
-				f.serving[i] = i
-				sh.journal = sh.journal[:0]
-				sh.checkpoints++
-				f.invalidateSliceLeases(i)
-			})
-		})
-		return
+		panic(errFaultDomained("Restart"))
 	}
 	sh := f.shards[i]
 	if sh.up {
@@ -676,6 +633,11 @@ func (f *FS) Restart(p *sim.Proc, i int) {
 		// or pre-crash by the primary itself) die with the epoch.
 		f.invalidateSliceLeases(i)
 	})
+}
+
+// errFaultDomained is the panic of a fault injected into a domained FS.
+func errFaultDomained(op string) error {
+	return fmt.Errorf("shard: %s needs Domains <= 1: kernel domains keep a static partition, and a crash or restart moves a slice between servers", op)
 }
 
 // backoff returns the deterministic client backoff after attempt failed
@@ -991,11 +953,10 @@ func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path st
 // catches up logically, the way recovery replay would deliver it.
 //
 // Under kernel domains a replica's namespace may only be touched by its
-// owning domain, so each apply rides the broadcast: live shards apply
-// inside the hop body at its arrival time, down shards via a posted
-// message to whichever domain owns their namespace (their own, or a
-// promoted backup's after failover). The mutating client observes its
-// own change immediately — its reply travels the slower client path
+// own domain, so each apply rides the broadcast: every replica applies
+// inside its hop body at the hop's arrival time (no shard goes down
+// under domains). The mutating client observes its own change
+// immediately — its reply travels the slower client path
 // (OneWayLatency > crossShardLatency + crossShardOverhead), so every
 // replica has applied before the client can look.
 func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply func(ns *namespace.Namespace, now time.Duration)) {
@@ -1009,21 +970,11 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply
 				continue
 			}
 			sh := sh
-			if sh.up {
-				f.hop(sp, sh, func(q *sim.Proc) {
-					apply(sh.ns, q.Now())
-					f.chargeOp(q, sh, svc, -1, opInfo{cls: opWrite, dirSize: -1})
-					sh.be.log(q, metaLogBytes)
-				})
-				continue
-			}
-			if dk := f.sliceKernel(sh.index); dk != sp.Kernel() {
-				sim.Post(sp, dk, crossShardLatency, "bapply:"+strconv.Itoa(sh.index), func(q *sim.Proc) {
-					apply(sh.ns, q.Now())
-				})
-			} else {
-				apply(sh.ns, sp.Now())
-			}
+			f.hop(sp, sh, func(q *sim.Proc) {
+				apply(sh.ns, q.Now())
+				f.chargeOp(q, sh, svc, -1, opInfo{cls: opWrite, dirSize: -1})
+				sh.be.log(q, metaLogBytes)
+			})
 		}
 		return
 	}
@@ -1126,25 +1077,16 @@ func (c *client) call(op string, path string, slice int, reqBytes, respBytes int
 // ownership during any wait. A request acted on by the contacted
 // server against a re-homed slice models proxying: the cost stays at
 // the contacted server, the state change lands where routing looks.
+// Under kernel domains no split runs (Config.Validate), so the slice
+// never leaves the contacted server's domain.
 func (c *client) callEntry(op, p string, reqBytes, respBytes int64,
 	service func(sp *sim.Proc, state, srv *shardSrv)) error {
 	f := c.fsys
 	c.routeEntry(p)
 	return c.callRetry(op, p, func() bool {
-		s := f.ownerSlice(p)
-		srv := f.srvFor(s)
+		srv := f.srvFor(f.ownerSlice(p))
 		return f.conn(c.node, srv).TryCall(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
-			state := f.shards[f.ownerSlice(p)]
-			if f.domained() {
-				// Pin the route chosen at attempt time: the body starts
-				// against the slice the contacted server was addressed
-				// for (its own domain); any re-homing that lands while
-				// the request queues is caught by the commit-instant
-				// re-resolution below, which forwards across domains
-				// (applyState) instead of touching foreign state.
-				state = f.shards[s]
-			}
-			service(sp, state, srv)
+			service(sp, f.shards[f.ownerSlice(p)], srv)
 		}) != nil
 	})
 }
@@ -1266,37 +1208,28 @@ func (c *client) Create(p string) error {
 
 	var err error
 	cerr := c.callEntry("create", p, 160, 160, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, fwd bool) {
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := state.dirLock(sp.Kernel(), dir.Ino)
-				lock.Lock(sp)
-				defer lock.Unlock()
-				f.serviceOp(sp, at, createService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
-			} else {
-				f.serviceOp(sp, at, createService, -1, writeInfo(p, -1))
+		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
+			lock := state.dirLock(sp.Kernel(), dir.Ino)
+			lock.Lock(sp)
+			defer lock.Unlock()
+			f.serviceOp(sp, srv, createService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+		} else {
+			f.serviceOp(sp, srv, createService, -1, writeInfo(p, -1))
+		}
+		// Commit-instant re-resolution: the lock and charge waits above
+		// may have overlapped a split of the parent.
+		state2 := f.entryState(p)
+		_, err = state2.ns.Create(p, 0o644, sp.Now())
+		if err == nil {
+			f.revokeOnMutate(sp, c.st(), p, true)
+			f.persist(sp, state2, srv, fs.OpCreate, p, metaLogBytes)
+			if dir, lerr := state2.ns.Lookup(fs.ParentDir(p)); lerr == nil {
+				f.maybeSplit(sp, fs.ParentDir(p), dir.NumChildren(), c.st())
 			}
-			// Commit-instant re-resolution: the lock and charge waits above
-			// may have overlapped a split of the parent.
-			state2 := f.entryState(p)
-			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-				_, err = state2.ns.Create(p, 0o644, q.Now())
-				if err == nil {
-					f.revokeOnMutate(q, c.st(), p, true)
-					f.persistAt(q, state2, at2, srv, fs.OpCreate, p, metaLogBytes)
-					// Splits trigger from the contacted server only:
-					// forwarded work runs on a peer pool, and a split hops
-					// to peer pools itself.
-					if at2 == srv {
-						if dir, lerr := state2.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-							f.maybeSplit(q, fs.ParentDir(p), dir.NumChildren(), c.st())
-						}
-					}
-				}
-				if err == nil || fs.IsExist(err) {
-					c.captureEntry(q, p)
-				}
-			})
-		})
+		}
+		if err == nil || fs.IsExist(err) {
+			c.captureEntry(sp, p)
+		}
 	})
 	if cerr != nil {
 		return cerr
@@ -1325,30 +1258,28 @@ func (c *client) Mkdir(p string) error {
 
 	var err error
 	cerr := c.call("mkdir", p, f.ownerSlice(p), 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := state.dirLock(sp.Kernel(), dir.Ino)
-				lock.Lock(sp)
-				f.serviceOp(sp, at, mkdirService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
-				lock.Unlock()
-			} else {
-				f.serviceOp(sp, at, mkdirService, -1, writeInfo(p, -1))
-			}
-			_, err = state.ns.Mkdir(p, 0o755, sp.Now())
-			if err == nil {
-				// The broadcast applies the replicas at this same instant;
-				// revocations must not sleep between the primary and the
-				// replica applies, so they come after it.
-				f.replicate(sp, state, mkdirService, func(ns *namespace.Namespace, now time.Duration) {
-					ns.Mkdir(p, 0o755, now)
-				})
-				f.revokeOnMutate(sp, c.st(), p, true)
-				f.persistAt(sp, state, at, srv, fs.OpMkdir, p, metaLogBytes)
-			}
-			if err == nil || fs.IsExist(err) {
-				c.captureEntry(sp, p)
-			}
-		})
+		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
+			lock := state.dirLock(sp.Kernel(), dir.Ino)
+			lock.Lock(sp)
+			f.serviceOp(sp, srv, mkdirService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+			lock.Unlock()
+		} else {
+			f.serviceOp(sp, srv, mkdirService, -1, writeInfo(p, -1))
+		}
+		_, err = state.ns.Mkdir(p, 0o755, sp.Now())
+		if err == nil {
+			// The broadcast applies the replicas at this same instant;
+			// revocations must not sleep between the primary and the
+			// replica applies, so they come after it.
+			f.replicate(sp, state, mkdirService, func(ns *namespace.Namespace, now time.Duration) {
+				ns.Mkdir(p, 0o755, now)
+			})
+			f.revokeOnMutate(sp, c.st(), p, true)
+			f.persist(sp, state, srv, fs.OpMkdir, p, metaLogBytes)
+		}
+		if err == nil || fs.IsExist(err) {
+			c.captureEntry(sp, p)
+		}
 	})
 	if cerr != nil {
 		return cerr
@@ -1382,94 +1313,51 @@ func (c *client) Rmdir(p string) error {
 	}
 	var err error
 	cerr := c.call("rmdir", p, slice, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, removeService, -1, writeInfo(p, -1))
-			// A split directory is empty only when every partition slice
-			// agrees: the peer replicas are checked logically before the
-			// removal commits (no time may pass between check and apply),
-			// and the probe traffic — one interconnect hop per live peer
-			// slice examined, local when a failover co-located the slice
-			// here (the splitFanout rule) — is paid after the outcome is
-			// decided, on success and on ENOTEMPTY alike. A down peer's
-			// state still counts, the way replicate applies to down shards.
-			var probes []int
-			payProbes := func() {
-				for _, s := range probes {
-					peer := f.srvFor(s)
-					switch {
-					case !peer.up:
-					case peer == at:
-						f.chargeOp(sp, peer, readdirService, -1, scanInfo())
-					default:
-						f.hop(sp, peer, func(q *sim.Proc) {
-							f.chargeOp(q, peer, readdirService, -1, scanInfo())
-						})
-					}
+		f.serviceOp(sp, srv, removeService, -1, writeInfo(p, -1))
+		// A split directory is empty only when every partition slice
+		// agrees: the peer replicas are checked logically before the
+		// removal commits (no time may pass between check and apply),
+		// and the probe traffic — one interconnect hop per live peer
+		// slice examined, local when a failover co-located the slice
+		// here (the splitFanout rule) — is paid after the outcome is
+		// decided, on success and on ENOTEMPTY alike. A down peer's
+		// state still counts, the way replicate applies to down shards.
+		var probes []int
+		payProbes := func() {
+			for _, s := range probes {
+				peer := f.srvFor(s)
+				switch {
+				case !peer.up:
+				case peer == srv:
+					f.chargeOp(sp, peer, readdirService, -1, scanInfo())
+				default:
+					f.hop(sp, peer, func(q *sim.Proc) {
+						f.chargeOp(q, peer, readdirService, -1, scanInfo())
+					})
 				}
 			}
-			if f.splitLevel(p) > 0 {
-				if f.domained() {
-					// A peer partition cannot be read from this domain:
-					// each probe pays its hop up front and checks
-					// emptiness at its own arrival instant — the
-					// check-to-commit window a real distributed rmdir
-					// has — stopping at the first non-empty partition.
-					for _, s := range f.splitSlices(p)[1:] {
-						s := s
-						peer := f.srvFor(s)
-						notEmpty := false
-						check := func(q *sim.Proc) {
-							notEmpty = hasFileEntries(f.shards[s].ns, p, q.Now())
-						}
-						switch {
-						case !peer.up:
-							// A down peer's state still counts; reading it
-							// is a rendezvous with its domain, no thread
-							// occupancy.
-							if dk := f.sliceKernel(s); dk != sp.Kernel() {
-								sim.Call(sp, dk, crossShardLatency, "rmdirprobe", check)
-							} else {
-								check(sp)
-							}
-						case peer == at:
-							f.chargeOp(sp, peer, readdirService, -1, scanInfo())
-							check(sp)
-						default:
-							f.hop(sp, peer, func(q *sim.Proc) {
-								f.chargeOp(q, peer, readdirService, -1, scanInfo())
-								check(q)
-							})
-						}
-						if notEmpty {
-							err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
-							return
-						}
-					}
-				} else {
-					for _, s := range f.splitSlices(p)[1:] {
-						probes = append(probes, s)
-						if hasFileEntries(f.shards[s].ns, p, sp.Now()) {
-							err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
-							payProbes() // the failed probe ran its readdirs too
-							return
-						}
-					}
+		}
+		if f.splitLevel(p) > 0 {
+			for _, s := range f.splitSlices(p)[1:] {
+				probes = append(probes, s)
+				if hasFileEntries(f.shards[s].ns, p, sp.Now()) {
+					err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
+					payProbes() // the failed probe ran its readdirs too
+					return
 				}
 			}
-			err = state.ns.Rmdir(p, sp.Now())
-			if err == nil {
-				// The split-level map is global routing state: under
-				// domains it changes only at sync points.
-				f.atSync(sp, func() { f.dropSplit(p) })
-				f.replicate(sp, state, removeService, func(ns *namespace.Namespace, now time.Duration) {
-					ns.Rmdir(p, now)
-				})
-				f.revokeOnMutate(sp, c.st(), p, true)
-				f.dropDelegation(sp, p)
-				f.persistAt(sp, state, at, srv, fs.OpRmdir, p, metaLogBytes)
-				payProbes()
-			}
-		})
+		}
+		err = state.ns.Rmdir(p, sp.Now())
+		if err == nil {
+			f.dropSplit(p)
+			f.replicate(sp, state, removeService, func(ns *namespace.Namespace, now time.Duration) {
+				ns.Rmdir(p, now)
+			})
+			f.revokeOnMutate(sp, c.st(), p, true)
+			f.dropDelegation(p)
+			f.persist(sp, state, srv, fs.OpRmdir, p, metaLogBytes)
+			payProbes()
+		}
 	})
 	if cerr != nil {
 		return cerr
@@ -1493,24 +1381,20 @@ func (c *client) Unlink(p string) error {
 
 	var err error
 	cerr := c.callEntry("unlink", p, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := state.dirLock(sp.Kernel(), dir.Ino)
-				lock.Lock(sp)
-				defer lock.Unlock()
-				f.serviceOp(sp, at, removeService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
-			} else {
-				f.serviceOp(sp, at, removeService, -1, writeInfo(p, -1))
-			}
-			state2 := f.entryState(p) // the waits above may have overlapped a split
-			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-				err = state2.ns.Unlink(p, q.Now())
-				if err == nil {
-					f.revokeOnMutate(q, c.st(), p, true)
-					f.persistAt(q, state2, at2, srv, fs.OpUnlink, p, metaLogBytes)
-				}
-			})
-		})
+		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
+			lock := state.dirLock(sp.Kernel(), dir.Ino)
+			lock.Lock(sp)
+			defer lock.Unlock()
+			f.serviceOp(sp, srv, removeService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+		} else {
+			f.serviceOp(sp, srv, removeService, -1, writeInfo(p, -1))
+		}
+		state2 := f.entryState(p) // the waits above may have overlapped a split
+		err = state2.ns.Unlink(p, sp.Now())
+		if err == nil {
+			f.revokeOnMutate(sp, c.st(), p, true)
+			f.persist(sp, state2, srv, fs.OpUnlink, p, metaLogBytes)
+		}
 	})
 	if cerr != nil {
 		return cerr
@@ -1557,70 +1441,62 @@ func (c *client) Rename(oldPath, newPath string) error {
 			// on a pinned slice would strand the new entry where the
 			// split-aware routing never looks.
 			state = f.entryState(oldPath)
-			f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-				if dir, lerr := state.ns.Lookup(fs.ParentDir(oldPath)); lerr == nil {
-					lock := state.dirLock(sp.Kernel(), dir.Ino)
-					lock.Lock(sp)
-					defer lock.Unlock()
-					f.serviceOp(sp, at, renameService, dir.NumChildren(), writeInfo(oldPath, dir.NumChildren()))
-				} else {
-					f.serviceOp(sp, at, renameService, -1, writeInfo(oldPath, -1))
+			if dir, lerr := state.ns.Lookup(fs.ParentDir(oldPath)); lerr == nil {
+				lock := state.dirLock(sp.Kernel(), dir.Ino)
+				lock.Lock(sp)
+				defer lock.Unlock()
+				f.serviceOp(sp, srv, renameService, dir.NumChildren(), writeInfo(oldPath, dir.NumChildren()))
+			} else {
+				f.serviceOp(sp, srv, renameService, -1, writeInfo(oldPath, -1))
+			}
+			// Commit-instant re-resolution; no virtual time passes from
+			// here to ns.Rename. When a mid-flight split separated the
+			// two names' partitions, the rename surfaces a transient
+			// EXDEV — an online repartition briefly refusing a rename it
+			// can no longer do atomically, like any
+			// migration-in-progress busy error — rather than corrupting
+			// placement.
+			state2 := f.entryState(oldPath)
+			if f.ownerSlice(newPath) != f.ownerSlice(oldPath) {
+				err = fs.NewError("rename", newPath, fs.EXDEV)
+				return
+			}
+			if f.cfg.Placement == PlaceHashDir && len(f.shards) > 1 {
+				// Renaming a directory would strand its hashed files
+				// and stale the replicated tree on the other shards.
+				var a fs.Attr
+				a, err = state2.ns.Stat(oldPath)
+				if err != nil {
+					return
 				}
-				// Commit-instant re-resolution; no virtual time passes from
-				// here to ns.Rename. When a mid-flight split separated the
-				// two names' partitions, the rename surfaces a transient
-				// EXDEV — an online repartition briefly refusing a rename it
-				// can no longer do atomically, like any
-				// migration-in-progress busy error — rather than corrupting
-				// placement.
-				state2 := f.entryState(oldPath)
-				f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-					if f.ownerSlice(newPath) != f.ownerSlice(oldPath) {
-						err = fs.NewError("rename", newPath, fs.EXDEV)
-						return
+				if a.Type == fs.TypeDirectory {
+					err = fs.NewError("rename", newPath, fs.EXDEV)
+					return
+				}
+			}
+			err = state2.ns.Rename(oldPath, newPath, sp.Now())
+			if err == nil {
+				f.revokeOnMutate(sp, c.st(), oldPath, true)
+				f.revokeOnMutate(sp, c.st(), newPath, true)
+				f.dropDelegation(oldPath)
+				// A directory rename moved every descendant with it:
+				// leases keyed by the old paths are dead. All reachable
+				// cases (subtree placement, single shard) keep a
+				// subtree's entries on one slice.
+				if f.cfg.CacheMode == CacheLease {
+					if a, serr := state2.ns.Stat(newPath); serr == nil && a.Type == fs.TypeDirectory {
+						f.revokeSubtree(sp, c.st(), oldPath, f.ownerSlice(oldPath))
 					}
-					if f.cfg.Placement == PlaceHashDir && len(f.shards) > 1 {
-						// Renaming a directory would strand its hashed files
-						// and stale the replicated tree on the other shards.
-						var a fs.Attr
-						a, err = state2.ns.Stat(oldPath)
-						if err != nil {
-							return
-						}
-						if a.Type == fs.TypeDirectory {
-							err = fs.NewError("rename", newPath, fs.EXDEV)
-							return
-						}
-					}
-					err = state2.ns.Rename(oldPath, newPath, q.Now())
-					if err == nil {
-						f.revokeOnMutate(q, c.st(), oldPath, true)
-						f.revokeOnMutate(q, c.st(), newPath, true)
-						f.dropDelegation(q, oldPath)
-						// A directory rename moved every descendant with it:
-						// leases keyed by the old paths are dead. All reachable
-						// cases (subtree placement, single shard) keep a
-						// subtree's entries on one slice.
-						if f.cfg.CacheMode == CacheLease {
-							if a, serr := state2.ns.Stat(newPath); serr == nil && a.Type == fs.TypeDirectory {
-								f.revokeSubtree(q, c.st(), oldPath, f.ownerSlice(oldPath))
-							}
-						}
-						f.persistAt(q, state2, at2, srv, fs.OpRename, newPath, metaLogBytes)
-						// The rename inserted an entry at the destination parent:
-						// it can push that directory over the split threshold
-						// just like a create — but splits trigger from the
-						// contacted server only, never from forwarded work
-						// on a peer pool.
-						if at2 == srv {
-							if ndir, nlerr := state2.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-								f.maybeSplit(q, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
-							}
-						}
-						c.captureEntry(q, newPath)
-					}
-				})
-			})
+				}
+				f.persist(sp, state2, srv, fs.OpRename, newPath, metaLogBytes)
+				// The rename inserted an entry at the destination parent:
+				// it can push that directory over the split threshold
+				// just like a create.
+				if ndir, nlerr := state2.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
+					f.maybeSplit(sp, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
+				}
+				c.captureEntry(sp, newPath)
+			}
 		})
 		if cerr != nil {
 			return cerr
@@ -1644,36 +1520,15 @@ func (c *client) Rename(oldPath, newPath string) error {
 		cerr := c.callRetry("rename", newPath, func() bool {
 			err = nil
 			dstDown := false
-			moved := false
 			srv := f.srvFor(srcSlice)
-			// Under kernel domains a re-resolution that discovers the
-			// entry re-homed into another domain cannot proxy for free:
-			// the attempt fails like a timeout and the client retries
-			// against the new owner — an ESTALE redirect, priced as a
-			// retry. rehomed reports (and records) that condition.
-			rehomed := func(q *sim.Proc, st *shardSrv) bool {
-				if f.domained() && f.sliceKernel(st.index) != q.Kernel() {
-					moved = true
-					return true
-				}
-				return false
-			}
 			terr := f.conn(c.node, srv).TryCall(c.p, 150, 140, func(sp *sim.Proc) {
 				// Re-resolve both ends at service time, like callEntry: a
 				// split landing while this request queued may have
 				// re-homed either entry.
 				srcState := f.entryState(oldPath)
-				if rehomed(sp, srcState) {
-					sp.Sleep(retryTimeout)
-					return
-				}
 				srcN := dirEntries(srcState.ns, oldPath)
 				f.serviceOp(sp, srv, renameService, srcN, writeInfo(oldPath, srcN))
 				srcState = f.entryState(oldPath) // the charge may have overlapped a split
-				if rehomed(sp, srcState) {
-					sp.Sleep(retryTimeout)
-					return
-				}
 				var a fs.Attr
 				a, err = srcState.ns.Stat(oldPath)
 				if err != nil {
@@ -1690,7 +1545,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 					sp.Sleep(retryTimeout)
 					return
 				}
-				dstParentN := -1
 				// Phase 1: insert at the destination shard.
 				f.hop(sp, dstSrv, func(q *sim.Proc) {
 					dstN := dirEntries(dstState.ns, newPath)
@@ -1698,9 +1552,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 					// Commit-instant re-resolution after the hop+charge
 					// waits.
 					dstState = f.entryState(newPath)
-					if rehomed(q, dstState) {
-						return
-					}
 					if derr := dstState.ns.Unlink(newPath, q.Now()); derr != nil && !fs.IsNotExist(derr) {
 						err = derr
 						return
@@ -1718,35 +1569,16 @@ func (c *client) Rename(oldPath, newPath string) error {
 						// need this very pool for its mirror round trip.
 						dstSrv.be.log(q, metaLogBytes)
 						f.commit(q, dstState, dstSrv, fs.OpRename, newPath)
-						if f.domained() {
-							// The coordinator cannot read the destination
-							// parent from its domain: capture the split
-							// trigger's entry count (and the new entry's
-							// attributes) here, at the insert instant.
-							if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-								dstParentN = ndir.NumChildren()
-							}
-							c.captureEntry(q, newPath)
-						}
+						c.captureEntry(q, newPath)
 					}
 				})
-				if err != nil || moved {
-					if moved {
-						sp.Sleep(retryTimeout)
-					}
+				if err != nil {
 					return
 				}
 				// Phase 2: remove at the source shard.
 				rmN := dirEntries(srcState.ns, oldPath)
 				f.chargeOp(sp, srcState, removeService, rmN, writeInfo(oldPath, rmN))
 				srcState = f.entryState(oldPath) // commit-instant re-resolution
-				if rehomed(sp, srcState) {
-					// The destination insert stands; the retry's source
-					// removal is idempotent (phase 1 tolerates an existing
-					// destination entry).
-					sp.Sleep(retryTimeout)
-					return
-				}
 				err = srcState.ns.Unlink(oldPath, sp.Now())
 				if err == nil {
 					f.revokeOnMutate(sp, c.st(), oldPath, true)
@@ -1754,17 +1586,17 @@ func (c *client) Rename(oldPath, newPath string) error {
 					// The migrate grew the destination parent; trigger
 					// from the coordinator, never from inside the hop —
 					// a split hops to peer pools itself, and peer-pool
-					// threads must not wait on other peer pools.
-					if f.domained() {
-						if dstParentN >= 0 {
-							f.maybeSplit(sp, fs.ParentDir(newPath), dstParentN, c.st())
+					// threads must not wait on other peer pools. No split
+					// runs under kernel domains (Config.Validate), so this
+					// read of the destination slice never crosses one.
+					if f.splitActive() {
+						if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
+							f.maybeSplit(sp, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
 						}
-					} else if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-						f.maybeSplit(sp, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
 					}
 				}
 			})
-			return terr != nil || dstDown || moved
+			return terr != nil || dstDown
 		})
 		if cerr != nil {
 			return cerr
@@ -1796,31 +1628,25 @@ func (c *client) Link(oldPath, newPath string) error {
 	defer imutex.Unlock()
 	var err error
 	cerr := c.callEntry("link", newPath, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, createService, -1, writeInfo(newPath, -1))
-			// Commit-instant re-check: a split landing while this request
-			// queued or charged can separate the two names' partitions.
-			state2 := f.entryState(newPath)
-			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-				if f.ownerSlice(oldPath) != f.ownerSlice(newPath) {
-					err = fs.NewError("link", newPath, fs.EXDEV)
-					return
-				}
-				err = state2.ns.Link(oldPath, newPath, q.Now())
-				if err == nil {
-					// The link bumps the target's nlink: both names go stale.
-					f.revokeOnMutate(q, c.st(), oldPath, false)
-					f.revokeOnMutate(q, c.st(), newPath, true)
-					f.persistAt(q, state2, at2, srv, fs.OpLink, newPath, metaLogBytes)
-					if at2 == srv {
-						if dir, lerr := state2.ns.Lookup(fs.ParentDir(newPath)); lerr == nil {
-							f.maybeSplit(q, fs.ParentDir(newPath), dir.NumChildren(), c.st())
-						}
-					}
-					c.captureEntry(q, newPath)
-				}
-			})
-		})
+		f.serviceOp(sp, srv, createService, -1, writeInfo(newPath, -1))
+		// Commit-instant re-check: a split landing while this request
+		// queued or charged can separate the two names' partitions.
+		state = f.entryState(newPath)
+		if f.ownerSlice(oldPath) != f.ownerSlice(newPath) {
+			err = fs.NewError("link", newPath, fs.EXDEV)
+			return
+		}
+		err = state.ns.Link(oldPath, newPath, sp.Now())
+		if err == nil {
+			// The link bumps the target's nlink: both names go stale.
+			f.revokeOnMutate(sp, c.st(), oldPath, false)
+			f.revokeOnMutate(sp, c.st(), newPath, true)
+			f.persist(sp, state, srv, fs.OpLink, newPath, metaLogBytes)
+			if dir, lerr := state.ns.Lookup(fs.ParentDir(newPath)); lerr == nil {
+				f.maybeSplit(sp, fs.ParentDir(newPath), dir.NumChildren(), c.st())
+			}
+			c.captureEntry(sp, newPath)
+		}
 	})
 	if cerr != nil {
 		return cerr
@@ -1843,23 +1669,17 @@ func (c *client) Symlink(target, linkPath string) error {
 	defer imutex.Unlock()
 	var err error
 	cerr := c.callEntry("symlink", linkPath, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, createService, -1, writeInfo(linkPath, -1))
-			state2 := f.entryState(linkPath) // the charge may have overlapped a split
-			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-				_, err = state2.ns.Symlink(target, linkPath, q.Now())
-				if err == nil {
-					f.revokeOnMutate(q, c.st(), linkPath, true)
-					f.persistAt(q, state2, at2, srv, fs.OpSymlink, linkPath, metaLogBytes)
-					if at2 == srv {
-						if dir, lerr := state2.ns.Lookup(fs.ParentDir(linkPath)); lerr == nil {
-							f.maybeSplit(q, fs.ParentDir(linkPath), dir.NumChildren(), c.st())
-						}
-					}
-					c.captureEntry(q, linkPath)
-				}
-			})
-		})
+		f.serviceOp(sp, srv, createService, -1, writeInfo(linkPath, -1))
+		state = f.entryState(linkPath) // the charge may have overlapped a split
+		_, err = state.ns.Symlink(target, linkPath, sp.Now())
+		if err == nil {
+			f.revokeOnMutate(sp, c.st(), linkPath, true)
+			f.persist(sp, state, srv, fs.OpSymlink, linkPath, metaLogBytes)
+			if dir, lerr := state.ns.Lookup(fs.ParentDir(linkPath)); lerr == nil {
+				f.maybeSplit(sp, fs.ParentDir(linkPath), dir.NumChildren(), c.st())
+			}
+			c.captureEntry(sp, linkPath)
+		}
 	})
 	if cerr != nil {
 		return cerr
@@ -1886,16 +1706,12 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	var a fs.Attr
 	var err error
 	cerr := c.callEntry("stat", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, getattrService, -1, f.readInfo(state, p))
-			state2 := f.entryState(p) // the charge may have overlapped a split
-			f.applyState(sp, state2, at, func(q *sim.Proc, _ *shardSrv, _ bool) {
-				a, err = state2.ns.Stat(p)
-				if err == nil {
-					c.fillEntry(q, p, a)
-				}
-			})
-		})
+		f.serviceOp(sp, srv, getattrService, -1, f.readInfo(state, p))
+		state = f.entryState(p) // the charge may have overlapped a split
+		a, err = state.ns.Stat(p)
+		if err == nil {
+			c.fillEntry(sp, p, a)
+		}
 	})
 	if cerr != nil {
 		return fs.Attr{}, cerr
@@ -1984,20 +1800,16 @@ func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) 
 	if !haveSize {
 		var err error
 		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-				f.serviceOp(sp, at, lookupService, -1, f.readInfo(state, p))
-				state2 := f.entryState(p) // the charge may have overlapped a split
-				f.applyState(sp, state2, at, func(q *sim.Proc, _ *shardSrv, _ bool) {
-					var a fs.Attr
-					a, err = state2.ns.Stat(p)
-					if err == nil {
-						ino, size = a.Ino, a.Size
-						c.fillEntry(q, p, a)
-					} else {
-						simnet.Defer(q, clientcache.NegativeFill(st.dentries, p))
-					}
-				})
-			})
+			f.serviceOp(sp, srv, lookupService, -1, f.readInfo(state, p))
+			state = f.entryState(p) // the charge may have overlapped a split
+			var a fs.Attr
+			a, err = state.ns.Stat(p)
+			if err == nil {
+				ino, size = a.Ino, a.Size
+				c.fillEntry(sp, p, a)
+			} else {
+				simnet.Defer(sp, clientcache.NegativeFill(st.dentries, p))
+			}
 		})
 		if cerr != nil {
 			return 0, cerr
@@ -2075,27 +1887,27 @@ func (c *client) flush(of *openFile) error {
 		// loudly rather than touch an unrelated same-name replacement.
 		id = f.chaseMoves(id)
 		state = f.shards[id.slice]
-		f.applyState(sp, state, srv, func(q *sim.Proc, at *shardSrv, _ bool) {
-			if state.ns.Get(id.ino) == nil {
-				err = fs.NewError("write", of.path, fs.ESTALE)
-				return
+		if state.ns.Get(id.ino) == nil {
+			err = fs.NewError("write", of.path, fs.ESTALE)
+			return
+		}
+		if serr := state.ns.SetSize(id.ino, newSize, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
+			err = serr // a write to a directory changes nothing
+			return
+		}
+		// Size and mtime changed: other holders' attribute leases die;
+		// the parent directory is untouched by a content write.
+		f.revokeOnMutate(sp, c.st(), of.path, false)
+		f.persist(sp, state, srv, fs.OpWrite, of.path, metaLogBytes+written)
+		if f.domained() {
+			// The client-side refresh below cannot peek across domains:
+			// refill here, at the commit instant. Nothing re-homes an
+			// entry under domains, so the written name resolves on this
+			// server's own slice.
+			if a, serr := f.entryState(of.path).ns.Stat(of.path); serr == nil {
+				c.fillEntry(sp, of.path, a)
 			}
-			state.ns.SetSize(id.ino, newSize, q.Now())
-			// Size and mtime changed: other holders' attribute leases die;
-			// the parent directory is untouched by a content write.
-			f.revokeOnMutate(q, c.st(), of.path, false)
-			f.persistAt(q, state, at, srv, fs.OpWrite, of.path, metaLogBytes+written)
-			if f.domained() {
-				// The client-side refresh below cannot peek across
-				// domains: refill here, at the commit instant, when the
-				// written name still resolves in this domain.
-				if est := f.entryState(of.path); f.sliceKernel(est.index) == q.Kernel() {
-					if a, serr := est.ns.Stat(of.path); serr == nil {
-						c.fillEntry(q, of.path, a)
-					}
-				}
-			}
-		})
+		}
 	})
 	if cerr != nil {
 		return cerr
@@ -2153,46 +1965,44 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 		var ents []fs.DirEntry
 		var err error
 		cerr := c.call("readdir", p, homeSlice, 130, 260, func(sp *sim.Proc, home, srv *shardSrv) {
-			f.applyState(sp, home, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-				ents, err = home.ns.ReadDir(p, sp.Now())
-				if err != nil {
-					f.serviceOp(sp, at, readdirService, -1, scanInfo())
-					return
+			ents, err = home.ns.ReadDir(p, sp.Now())
+			if err != nil {
+				f.serviceOp(sp, srv, readdirService, -1, scanInfo())
+				return
+			}
+			f.serviceOp(sp, srv, readdirCost(len(ents)), -1, scanInfo())
+			for i := range f.shards {
+				if i == homeSlice {
+					continue
 				}
-				f.serviceOp(sp, at, readdirCost(len(ents)), -1, scanInfo())
-				for i := range f.shards {
-					if i == homeSlice {
-						continue
-					}
-					peer := f.srvFor(i)
-					state := f.shards[i]
-					if peer == at {
-						// A failover made this server serve the peer slice
-						// too: merge locally, no interconnect hop.
-						more, merr := state.ns.ReadDir(p, sp.Now())
-						if merr == nil {
-							f.chargeOp(sp, at, readdirCost(len(more)), -1, scanInfo())
-							ents = append(ents, more...)
-						}
-						continue
-					}
-					if !peer.up {
-						// The peer's subtrees are unreachable: the merge
-						// degrades to a partial listing, surfaced on the FS
-						// so callers and experiments can see the loss.
-						addI64(&f.PartialListings, 1)
-						continue
-					}
-					f.hop(sp, peer, func(q *sim.Proc) {
-						more, merr := state.ns.ReadDir(p, q.Now())
-						if merr != nil {
-							return
-						}
-						f.chargeOp(q, peer, readdirCost(len(more)), -1, scanInfo())
+				peer := f.srvFor(i)
+				state := f.shards[i]
+				if peer == srv {
+					// A failover made this server serve the peer slice
+					// too: merge locally, no interconnect hop.
+					more, merr := state.ns.ReadDir(p, sp.Now())
+					if merr == nil {
+						f.chargeOp(sp, srv, readdirCost(len(more)), -1, scanInfo())
 						ents = append(ents, more...)
-					})
+					}
+					continue
 				}
-			})
+				if !peer.up {
+					// The peer's subtrees are unreachable: the merge
+					// degrades to a partial listing, surfaced on the FS
+					// so callers and experiments can see the loss.
+					addI64(&f.PartialListings, 1)
+					continue
+				}
+				f.hop(sp, peer, func(q *sim.Proc) {
+					more, merr := state.ns.ReadDir(p, q.Now())
+					if merr != nil {
+						return
+					}
+					f.chargeOp(q, peer, readdirCost(len(more)), -1, scanInfo())
+					ents = append(ents, more...)
+				})
+			}
 		})
 		if cerr != nil {
 			return nil, cerr
@@ -2202,14 +2012,12 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	var ents []fs.DirEntry
 	var err error
 	cerr := c.call("readdir", p, slice, 130, 260, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			ents, err = state.ns.ReadDir(p, sp.Now())
-			if err != nil {
-				f.serviceOp(sp, at, readdirService, -1, scanInfo())
-				return
-			}
-			f.serviceOp(sp, at, readdirCost(len(ents)), -1, scanInfo())
-		})
+		ents, err = state.ns.ReadDir(p, sp.Now())
+		if err != nil {
+			f.serviceOp(sp, srv, readdirService, -1, scanInfo())
+			return
+		}
+		f.serviceOp(sp, srv, readdirCost(len(ents)), -1, scanInfo())
 	})
 	if cerr != nil {
 		return nil, cerr

@@ -400,3 +400,33 @@ func TestSubtreeDirRenameInsideSubtree(t *testing.T) {
 		}
 	})
 }
+
+// TestWriteToDirectoryEISDIR checks that a write flushed to a directory
+// fails with EISDIR, as POSIX write(2) on a directory does, and leaves
+// the directory untouched, on every flush path: Close and Fsync.
+func TestWriteToDirectoryEISDIR(t *testing.T) {
+	k, cl, f := env(t, 1, DefaultConfig(4))
+	drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
+		if err := c.Mkdir("/d"); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		for _, flush := range []struct {
+			name string
+			fn   func(fs.Handle) error
+		}{{"close", c.Close}, {"fsync", c.Fsync}} {
+			h, err := c.Open("/d")
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if err := c.Write(h, 100); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if err := flush.fn(h); fs.CodeOf(err) != fs.EISDIR {
+				t.Errorf("%s after a write to a directory: %v, want EISDIR", flush.name, err)
+			}
+		}
+		if a, err := f.Namespace(f.ShardOfEntry("/d")).Stat("/d"); err != nil || a.Size != 0 {
+			t.Errorf("directory after the refused writes: %+v, %v; want size 0", a, err)
+		}
+	})
+}

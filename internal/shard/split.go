@@ -150,10 +150,6 @@ func (f *FS) maybeSplit(sp *sim.Proc, dir string, children int, mutator *nodeSta
 	if ok && (ds.migrating || 1<<ds.level >= len(f.shards)) {
 		return
 	}
-	if f.domained() {
-		f.splitDomained(sp, dir, mutator)
-		return
-	}
 	if !ok {
 		ds = &dirSplit{}
 		f.splitDirs[dir] = ds
@@ -178,46 +174,10 @@ func (f *FS) split(sp *sim.Proc, dir string, ds *dirSplit, mutator *nodeState) {
 	ds.migrating = false
 }
 
-// splitDomained is split under kernel domains: the atomic re-partition
-// (splitApply) runs at a sync point one lookahead ahead — every domain
-// observes the level bump, the moved entries and the dropped leases at
-// the same virtual instant — and the triggering server then pays the
-// migration traffic from its own domain. The split maps and the
-// migrating flag flip only at sync points, so every domain reads them
-// race-free between windows. A sync registered now fires at
-// now+lookahead exactly, so sleeping SyncDelay parks the trigger until
-// the instant after the state change — the timestamped equivalent of
-// the legacy "no virtual time passes in phase 1" rule.
-func (f *FS) splitDomained(sp *sim.Proc, dir string, mutator *nodeState) {
-	var batches []splitBatch
-	var victims []*nodeState
-	var ds *dirSplit
-	f.g.AtSync(sp, sp.Now(), func() {
-		d, ok := f.splitDirs[dir]
-		if ok && (d.migrating || 1<<d.level >= len(f.shards)) {
-			return // a concurrent trigger won the race to this instant
-		}
-		if !ok {
-			d = &dirSplit{}
-			f.splitDirs[dir] = d
-		}
-		ds = d
-		ds.migrating = true
-		batches, victims = f.splitApply(dir, ds, mutator, f.k.Now())
-	})
-	sp.Sleep(f.g.SyncDelay())
-	if ds == nil {
-		return // lost the race; the winner pays the traffic
-	}
-	f.splitPay(sp, batches, victims)
-	f.g.AtSync(sp, sp.Now(), func() { ds.migrating = false })
-}
-
 // splitApply is phase 1 — atomic at now: move the entries, journal both
 // sides, drop the moved entries' leases and the directory's own (the
 // callback carries the stale bitmap away with the stale attributes),
-// bump the level. No virtual time passes in here; under domains it runs
-// at a sync point with every domain parked.
+// bump the level. No virtual time passes in here.
 func (f *FS) splitApply(dir string, ds *dirSplit, mutator *nodeState, now time.Duration) ([]splitBatch, []*nodeState) {
 	oldLevel := ds.level
 	oldParts := 1 << oldLevel
@@ -283,23 +243,14 @@ func (f *FS) splitApply(dir string, ds *dirSplit, mutator *nodeState, now time.D
 // delivering the batch (unpack, insert, journal log) to the
 // destination; per revoked lease one callback round trip, fanned out
 // in parallel like revokePath. Down destinations got the state
-// logically and recovery replay prices their catch-up. Under domains a
-// source slice living in another domain packs its batch there (one
-// forwarded hop); the single-kernel path is unchanged.
+// logically and recovery replay prices their catch-up.
 func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) {
 	for _, b := range batches {
 		cost := time.Duration(b.moved) * splitMovePerEntry
 		logBytes := int64(b.moved) * metaLogBytes
 		srcSrv := f.srvFor(b.src)
 		dstSrv := f.srvFor(b.dst)
-		if f.domained() && f.kFor(srcSrv.index) != sp.Kernel() {
-			ss := srcSrv
-			f.hop(sp, ss, func(q *sim.Proc) {
-				f.chargeOp(q, ss, cost, -1, scanInfo())
-			})
-		} else {
-			f.chargeOp(sp, srcSrv, cost, -1, scanInfo())
-		}
+		f.chargeOp(sp, srcSrv, cost, -1, scanInfo())
 		// The destination side is a bulk ingest into the backend: the
 		// backend's move factor scales it (cheap append on an LSM store,
 		// random inserts on a B-tree), computed from the unscaled cost so
@@ -310,14 +261,6 @@ func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) 
 		}
 		switch {
 		case dstSrv.up && dstSrv != srcSrv:
-			dst := dstSrv
-			f.hop(sp, dst, func(q *sim.Proc) {
-				f.charge(q, dst, dstCost, -1)
-				dst.be.log(q, logBytes)
-			})
-		case dstSrv.up && f.domained() && f.kFor(dstSrv.index) != sp.Kernel():
-			// Co-located slices whose server lives in another domain
-			// still pay a forwarded hop for the ingest.
 			dst := dstSrv
 			f.hop(sp, dst, func(q *sim.Proc) {
 				f.charge(q, dst, dstCost, -1)
@@ -549,43 +492,41 @@ func (c *client) splitFanout(op, p string, reqBytes, respBytes int64,
 	// time, so a split that doubles the level while this request sits
 	// in a queue cannot hide the just-moved entries from the merge.
 	cerr := c.call(op, p, f.contentSlice(p), reqBytes, respBytes, func(sp *sim.Proc, home, srv *shardSrv) {
-		f.applyState(sp, home, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			slices := f.splitSlices(p)
-			var list []fs.DirEntry
-			list, err = home.ns.ReadDir(p, sp.Now())
-			if err != nil {
-				f.serviceOp(sp, at, readdirService, -1, scanInfo())
-				return
-			}
-			f.serviceOp(sp, at, cost(len(list)), -1, scanInfo())
-			merge(sp, home, list, false)
-			for _, s := range slices[1:] {
-				peer := f.srvFor(s)
-				state := f.shards[s]
-				if peer == at {
-					// A failover made this server serve the peer slice too:
-					// merge locally, no interconnect hop.
-					more, merr := state.ns.ReadDir(p, sp.Now())
-					if merr == nil {
-						f.chargeOp(sp, at, cost(len(more)), -1, scanInfo())
-						merge(sp, state, more, true)
-					}
-					continue
+		slices := f.splitSlices(p)
+		var list []fs.DirEntry
+		list, err = home.ns.ReadDir(p, sp.Now())
+		if err != nil {
+			f.serviceOp(sp, srv, readdirService, -1, scanInfo())
+			return
+		}
+		f.serviceOp(sp, srv, cost(len(list)), -1, scanInfo())
+		merge(sp, home, list, false)
+		for _, s := range slices[1:] {
+			peer := f.srvFor(s)
+			state := f.shards[s]
+			if peer == srv {
+				// A failover made this server serve the peer slice too:
+				// merge locally, no interconnect hop.
+				more, merr := state.ns.ReadDir(p, sp.Now())
+				if merr == nil {
+					f.chargeOp(sp, srv, cost(len(more)), -1, scanInfo())
+					merge(sp, state, more, true)
 				}
-				if !peer.up {
-					addI64(&f.PartialListings, 1)
-					continue
-				}
-				f.hop(sp, peer, func(q *sim.Proc) {
-					more, merr := state.ns.ReadDir(p, q.Now())
-					if merr != nil {
-						return
-					}
-					f.chargeOp(q, peer, cost(len(more)), -1, scanInfo())
-					merge(q, state, more, true)
-				})
+				continue
 			}
-		})
+			if !peer.up {
+				addI64(&f.PartialListings, 1)
+				continue
+			}
+			f.hop(sp, peer, func(q *sim.Proc) {
+				more, merr := state.ns.ReadDir(p, q.Now())
+				if merr != nil {
+					return
+				}
+				f.chargeOp(q, peer, cost(len(more)), -1, scanInfo())
+				merge(q, state, more, true)
+			})
+		}
 	})
 	if cerr != nil {
 		return cerr

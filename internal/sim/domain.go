@@ -4,16 +4,17 @@
 // virtual time concurrently on real OS threads and exchange timestamped
 // messages between windows.
 //
-// The protocol is the classic conservative (null-message-free, barrier
-// style) scheme: if every cross-domain interaction carries a minimum
-// delay L (the lookahead — for the sharded MDS model, the interconnect
-// latency floor crossShardLatency), then after all mailboxes are
-// drained the events in the window [M, M+L) — M being the global
-// minimum pending event time — are causally independent across domains:
-// any message sent while executing an event at t >= M arrives at
-// t+delay >= M+L, beyond the window. Each domain may therefore run its
-// slice of the window in isolation, on its own thread, with no locks on
-// the hot path.
+// The partition is static: state created on a domain's kernel stays
+// there, and the only cross-domain interaction is Call, which migrates
+// the calling process to the destination kernel for a body and back.
+// If every such migration carries a minimum delay L (the lookahead —
+// for the sharded MDS model, the interconnect latency floor
+// crossShardLatency), then after all mailboxes are drained the events
+// in the window [M, M+L) — M being the global minimum pending event
+// time — are causally independent across domains: any message sent
+// while executing an event at t >= M arrives at t+delay >= M+L, beyond
+// the window. Each domain may therefore run its slice of the window in
+// isolation, on its own thread, with no locks on the hot path.
 //
 // Determinism does not depend on the number of worker threads: domains
 // only interact through mailboxes that are drained at window edges and
@@ -26,28 +27,15 @@
 // domain holds the global minimum event time, its window extends to the
 // second-minimum next-event time plus the lookahead — the earliest
 // instant anything can reach it — instead of the worst-case fixed edge,
-// with dynamic horizon clamps guarding against arrivals the extended
-// window itself provokes (sends, sync registrations). The schedule is
-// byte-identical to fixed windows; only the window count drops.
-//
-// Rare global transitions that cannot be expressed as priced messages
-// (server crashes, failover takeovers, split re-partitioning) register
-// sync points: virtual times at which every domain rendezvous exactly.
-// A sync point forces a window edge; the registered functions run on the
-// coordinating goroutine while every domain is parked at that instant,
-// so they may touch any domain's state race-free, and every domain
-// observes the transition at the same virtual time. Because domains
-// resume only after the coordinating barrier, cross-domain reads of
-// sync-point-managed state need no locks either: the barrier is the
-// happens-before edge.
+// with a dynamic horizon clamp guarding against arrivals the extended
+// window itself provokes. The schedule is byte-identical to fixed
+// windows; only the window count drops.
 package sim
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"time"
 )
 
 // Domain is one partition of a grouped simulation: a kernel plus its
@@ -67,16 +55,14 @@ type Domain struct {
 	sendSeq int64
 }
 
-// message is one cross-domain event in flight. Exactly one of fn and
-// wake is set: fn runs as a fresh (pooled) process at the arrival time
-// (Post), wake resumes a parked process on the destination kernel — a
-// process migrating for Call, on either leg.
+// message is one cross-domain event in flight: the wake-up of a
+// process migrating for Call, on either leg, which resumes it on the
+// destination kernel at the arrival time.
 type message struct {
 	at   Time
 	src  int   // sender domain id
 	seq  int64 // sender-local sequence
 	name string
-	fn   func(p *Proc)
 	wake *Proc
 }
 
@@ -88,14 +74,6 @@ type message struct {
 // to deliver the message. That invariance is what lets adaptive windows
 // (variable edges) produce byte-identical schedules to fixed windows.
 const msgSeqBase = int64(1) << 62
-
-// syncPoint is a registered global rendezvous.
-type syncPoint struct {
-	at  Time
-	src int
-	seq int64
-	fn  func()
-}
 
 // DomainGroup coordinates a set of domains through the window protocol.
 type DomainGroup struct {
@@ -111,7 +89,7 @@ type DomainGroup struct {
 	// when it is the unique holder of the minimum pending event time:
 	// that domain may run to (second-minimum next-event time + lookahead)
 	// instead of (minimum + lookahead), because no other domain can
-	// produce an arrival before that. Two dynamic clamps keep the
+	// produce an arrival before that. A dynamic clamp keeps the
 	// extension safe against work the window itself creates — see run().
 	// Defaults on; results are byte-identical either way (tests pin it),
 	// adaptive just reaches the same schedule in fewer, fuller windows.
@@ -123,10 +101,6 @@ type DomainGroup struct {
 	// checks are cheap compares, so they default on; a violation is a
 	// protocol bug and panics with a diagnostic.
 	CheckCausality bool
-
-	mu      sync.Mutex
-	syncs   []syncPoint
-	syncSeq int64
 
 	windows int64  // completed windows, for stats/tests
 	ends    []Time // per-domain window ends, reused across windows
@@ -196,52 +170,6 @@ func (k *Kernel) DomainID() int {
 	return k.dom.id
 }
 
-// Post sends a cross-domain message: fn runs in dst's domain as a new
-// process at p's current time plus delay. Within one domain it is an
-// ordinary deferred spawn. Across domains the delay must be at least the
-// group lookahead — that bound is what makes the window protocol safe —
-// and the message is delivered at the next window edge, so its execution
-// order depends only on (arrival time, sender domain, sender sequence),
-// never on thread timing.
-func Post(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
-	src := p.k
-	if delay < 0 {
-		delay = 0
-	}
-	if dst == src || src.dom == nil || dst.dom == nil {
-		dst.spawn(name, dst.now+delay, fn, false)
-		return
-	}
-	g := src.dom.g
-	if g != dst.dom.g {
-		panic("sim: Post across unrelated domain groups")
-	}
-	if g.CheckCausality && delay < g.lookahead {
-		panic(fmt.Sprintf("sim: causality violation: %s posts %s with delay %v < lookahead %v",
-			src.dom.label(), name, delay, g.lookahead))
-	}
-	m := message{at: src.now + delay, src: src.dom.id, seq: src.dom.sendSeq, name: name, fn: fn}
-	src.dom.sendSeq++
-	src.dom.send(dst.dom, m)
-}
-
-// send appends m to dst's mailbox and applies the sender-side reflection
-// clamp: a message sent at t_s can provoke a reply (processed by the
-// recipient in a later window) that arrives no earlier than t_s + 2L, so
-// the sender must not execute past t_s + 2L - 1 within its current
-// window. For classic fixed windows the bound is a no-op (the window end
-// m + L never exceeds t_s + 2L - 1); it only bites when Adaptive has
-// extended this domain's window, and is exactly what makes the extension
-// safe against arrivals the extension itself provokes.
-func (src *Domain) send(dst *Domain, m message) {
-	dst.mu.Lock()
-	dst.inbox = append(dst.inbox, m)
-	dst.mu.Unlock()
-	if h := src.k.now + 2*src.g.lookahead - 1; h >= src.k.now && h < src.k.horizon {
-		src.k.horizon = h
-	}
-}
-
 // Call is the cross-domain RPC rendezvous: p migrates to dst's domain,
 // arriving after delay, runs fn there on its own stack, and migrates
 // back, arriving after the same delay. Timing is identical to sleeping
@@ -265,9 +193,18 @@ func Call(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
 
 // migrate parks p and sends it to dst's domain as a wake message
 // stamped delay ahead, so it resumes on dst's kernel at the arrival
-// time. The send is checked and clamped like Post's. p keeps its
-// carrier, its Ctx and its registration (live count, diagnostics) on
-// the kernel it was spawned on; Call always brings it back there.
+// time. p keeps its carrier, its Ctx and its registration (live count,
+// diagnostics) on the kernel it was spawned on; Call always brings it
+// back there.
+//
+// The send applies the sender-side reflection clamp: a message sent at
+// t_s can provoke a reply (processed by the recipient in a later
+// window) that arrives no earlier than t_s + 2L, so the sender must not
+// execute past t_s + 2L - 1 within its current window. For classic
+// fixed windows the bound is a no-op (the window end m + L never
+// exceeds t_s + 2L - 1); it only bites when Adaptive has extended this
+// domain's window, and is exactly what makes the extension safe against
+// arrivals the extension itself provokes.
 func (p *Proc) migrate(dst *Kernel, delay Time, name string) {
 	src := p.k
 	if delay < 0 {
@@ -281,50 +218,19 @@ func (p *Proc) migrate(dst *Kernel, delay Time, name string) {
 		panic(fmt.Sprintf("sim: causality violation: %s calls %s with delay %v < lookahead %v",
 			src.dom.label(), name, delay, g.lookahead))
 	}
-	m := message{at: src.now + delay, src: src.dom.id, seq: src.dom.sendSeq, name: name, wake: p}
+	d := dst.dom
+	d.mu.Lock()
+	d.inbox = append(d.inbox, message{at: src.now + delay, src: src.dom.id, seq: src.dom.sendSeq, name: name, wake: p})
+	d.mu.Unlock()
 	src.dom.sendSeq++
-	src.dom.send(dst.dom, m)
+	if h := src.now + 2*g.lookahead - 1; h >= src.now && h < src.horizon {
+		src.horizon = h
+	}
 	p.k = dst
 	p.park(name)
 }
 
 func (d *Domain) label() string { return fmt.Sprintf("domain %d", d.id) }
-
-// AtSync registers fn to run at virtual time at as a global sync point:
-// a forced window edge where every domain rendezvous at exactly that
-// instant and fn runs with all of them parked. at must be at least the
-// caller's current time plus the lookahead — no domain can have advanced
-// past that, for the same reason messages are safe.
-func (g *DomainGroup) AtSync(p *Proc, at Time, fn func()) {
-	if min := p.Now() + g.lookahead; at < min {
-		at = min
-	}
-	// The registering domain must not execute past the rendezvous within
-	// its current window: under Adaptive its window may extend beyond
-	// at - 1, and fireSyncs would then find its clock past the sync
-	// point. Every *other* domain is provably short of at already (its
-	// window ends at m + L <= now + L <= at for classic windows, and an
-	// extended window ends at M2 + L <= now + L <= at because the
-	// registering domain's events bound M2). A no-op for fixed windows.
-	if at-1 < p.k.horizon {
-		p.k.horizon = at - 1
-	}
-	g.addSync(p.k.DomainID(), at, fn)
-}
-
-// AtSyncAbs registers a sync point from within a running sync function
-// (which has no process context). at must lie strictly in the future of
-// the sync point being executed.
-func (g *DomainGroup) AtSyncAbs(at Time, fn func()) {
-	g.addSync(0, at, fn)
-}
-
-func (g *DomainGroup) addSync(src int, at Time, fn func()) {
-	g.mu.Lock()
-	g.syncSeq++
-	g.syncs = append(g.syncs, syncPoint{at: at, src: src, seq: g.syncSeq, fn: fn})
-	g.mu.Unlock()
-}
 
 // deliver drains every mailbox into its kernel's event queue in
 // deterministic order. Called on the coordinating goroutine with all
@@ -348,12 +254,7 @@ func (g *DomainGroup) deliver() {
 				panic(fmt.Sprintf("sim: causality violation: %s at %v receives message %q stamped %v from domain %d",
 					d.label(), d.k.now, m.name, m.at, m.src))
 			}
-			seq := msgSeqBase + m.seq*nd + int64(m.src)
-			if m.wake != nil {
-				d.k.scheduleSeq(m.wake, m.at, seq)
-				continue
-			}
-			d.k.spawnMsgAt(m.name, m.at, seq, m.fn)
+			d.k.scheduleSeq(m.wake, m.at, msgSeqBase+m.seq*nd+int64(m.src))
 		}
 	}
 }
@@ -370,66 +271,6 @@ func (g *DomainGroup) minEvent() (Time, bool) {
 		}
 	}
 	return min, ok
-}
-
-// peekSync returns the earliest registered sync time.
-func (g *DomainGroup) peekSync() (Time, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	min, ok := Time(0), false
-	for _, s := range g.syncs {
-		if !ok || s.at < min {
-			min, ok = s.at, true
-		}
-	}
-	return min, ok
-}
-
-// fireSyncs runs every sync function registered for time at, in
-// (registration domain, registration sequence) order, with all domains
-// parked at exactly that virtual time.
-func (g *DomainGroup) fireSyncs(at Time) {
-	for _, d := range g.domains {
-		if g.CheckCausality && d.k.now > at {
-			panic(fmt.Sprintf("sim: causality violation: %s reached %v before sync point at %v",
-				d.label(), d.k.now, at))
-		}
-		if d.k.now < at {
-			d.k.now = at
-		}
-	}
-	for {
-		g.mu.Lock()
-		var due []syncPoint
-		rest := g.syncs[:0]
-		for _, s := range g.syncs {
-			if s.at <= at {
-				due = append(due, s)
-			} else {
-				rest = append(rest, s)
-			}
-		}
-		g.syncs = rest
-		g.mu.Unlock()
-		if len(due) == 0 {
-			return
-		}
-		sort.Slice(due, func(i, j int) bool {
-			a, b := due[i], due[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
-		})
-		// A sync function may register another sync at the same instant
-		// (chained transitions); loop until none remain due.
-		for _, s := range due {
-			s.fn()
-		}
-	}
 }
 
 // totals returns the group-wide live and daemon process counts.
@@ -449,24 +290,21 @@ func (g *DomainGroup) Run() error { return g.run(forever) }
 func (g *DomainGroup) RunFor(t Time) error { return g.run(t) }
 
 // run is the window loop: deliver mailboxes, decide the next window
-// edge (min event + lookahead, capped by the next sync point and the
-// horizon), execute the window on the worker pool, fire due sync
-// points, repeat.
+// edge (min event + lookahead, capped by the horizon), execute the
+// window on the worker pool, repeat.
 //
 // With Adaptive on, one domain per window may receive a wider end than
 // the classic m + lookahead: if exactly one domain holds the global
 // minimum pending event time m, every other domain's earliest possible
 // send happens at M2 (the second-minimum next-event time) or later, so
 // nothing can arrive at the minimum domain before M2 + lookahead — it
-// may run until then. Two dynamic clamps close the loopholes the static
-// argument leaves open: (a) the extended domain's own sends can provoke
+// may run until then. The extended domain's own sends can provoke
 // replies arriving as early as send-time + 2L, so every cross-domain
-// send clamps the sender's horizon to t_s + 2L - 1 (Domain.send); (b) a
-// sync point it registers clamps its horizon to the rendezvous - 1
-// (AtSync). Both clamps are no-ops for classic fixed windows, and the
-// schedule produced is byte-identical either way because delivered
-// messages carry window-structure-independent sequence numbers
-// (msgSeqBase) — adaptive merely reaches it in fewer, fuller windows.
+// send clamps the sender's horizon to t_s + 2L - 1 (Domain.send). The
+// clamp is a no-op for classic fixed windows, and the schedule produced
+// is byte-identical either way because delivered messages carry
+// window-structure-independent sequence numbers (msgSeqBase) — adaptive
+// merely reaches it in fewer, fuller windows.
 func (g *DomainGroup) run(horizon Time) error {
 	defer func() {
 		for _, d := range g.domains {
@@ -480,11 +318,10 @@ func (g *DomainGroup) run(horizon Time) error {
 			return nil
 		}
 		m, haveEvents := g.minEvent()
-		s, haveSync := g.peekSync()
-		if !haveEvents && !haveSync {
+		if !haveEvents {
 			return &DeadlockError{Blocked: g.blockedProcNames()}
 		}
-		if haveEvents && m > horizon {
+		if m > horizon {
 			for _, d := range g.domains {
 				if d.k.now < horizon {
 					d.k.now = horizon
@@ -492,18 +329,9 @@ func (g *DomainGroup) run(horizon Time) error {
 			}
 			return nil
 		}
-		var end Time
-		switch {
-		case haveEvents:
-			end = m + g.lookahead
-			if end < m { // overflow
-				end = forever
-			}
-		default:
+		end := m + g.lookahead
+		if end < m { // overflow
 			end = forever
-		}
-		if haveSync && s < end {
-			end = s
 		}
 		if horizon < forever && end > horizon+1 {
 			end = horizon + 1
@@ -515,7 +343,7 @@ func (g *DomainGroup) run(horizon Time) error {
 		for i := range ends {
 			ends[i] = end
 		}
-		if g.Adaptive && haveEvents {
+		if g.Adaptive {
 			argmin, mins := -1, 0
 			m2, haveM2 := Time(0), false
 			for i, d := range g.domains {
@@ -544,9 +372,6 @@ func (g *DomainGroup) run(horizon Time) error {
 				if ext < m2 { // overflow
 					ext = forever
 				}
-				if haveSync && s < ext {
-					ext = s
-				}
 				if horizon < forever && ext > horizon+1 {
 					ext = horizon + 1
 				}
@@ -557,9 +382,6 @@ func (g *DomainGroup) run(horizon Time) error {
 		}
 		g.runWindows(ends)
 		g.windows++
-		if haveSync && end == s {
-			g.fireSyncs(s)
-		}
 	}
 }
 
@@ -618,8 +440,3 @@ func (k *Kernel) runWindow(end Time) {
 		k.dispatch()
 	}
 }
-
-// SyncDelay returns the minimum interval after which a sync point
-// registered now can fire (the lookahead), letting callers timestamp
-// state transitions honestly.
-func (g *DomainGroup) SyncDelay() time.Duration { return time.Duration(g.lookahead) }

@@ -45,8 +45,9 @@ func fuzzTrace(t *testing.T, data []byte, workers int, adaptive bool) map[int][]
 	}
 
 	// One driver per domain walks an interleaved slice of the script:
-	// every op either sleeps locally or posts a (possibly chaining)
-	// message to a derived destination with a lookahead-respecting delay.
+	// every op either sleeps locally or starts a caller that migrates to
+	// a derived destination with a lookahead-respecting delay, possibly
+	// calling onward from there in a chain.
 	var chain func(q *Proc, b byte, depth int)
 	chain = func(q *Proc, b byte, depth int) {
 		record(q, fmt.Sprintf("m%d/%d", b, depth))
@@ -55,7 +56,7 @@ func fuzzTrace(t *testing.T, data []byte, workers int, adaptive bool) map[int][]
 		}
 		dst := g.Kernel((int(b) + depth) % nd)
 		delay := lookahead + time.Duration(int(b)%97)*time.Microsecond
-		Post(q, dst, delay, "chain", func(r *Proc) { chain(r, b+1, depth-1) })
+		Call(q, dst, delay, "chain", func(r *Proc) { chain(r, b+1, depth-1) })
 	}
 	for i := 0; i < nd; i++ {
 		i := i
@@ -69,10 +70,12 @@ func fuzzTrace(t *testing.T, data []byte, workers int, adaptive bool) map[int][]
 					dst := g.Kernel(int(b/3) % nd)
 					delay := lookahead + time.Duration(int(b)%83)*time.Microsecond
 					bb := b
-					Post(p, dst, delay, "op", func(q *Proc) { record(q, fmt.Sprintf("p%d", bb)) })
+					p.Spawn("op", func(q *Proc) {
+						Call(q, dst, delay, "op", func(r *Proc) { record(r, fmt.Sprintf("p%d", bb)) })
+					})
 				default:
 					bb := b
-					chain(p, bb, int(bb)%3)
+					p.Spawn("chain", func(q *Proc) { chain(q, bb, int(bb)%3) })
 				}
 			}
 		})
@@ -84,7 +87,7 @@ func fuzzTrace(t *testing.T, data []byte, workers int, adaptive bool) map[int][]
 }
 
 // FuzzLookahead drives the window protocol with random domain
-// topologies, lookaheads and event storms. Whatever the input, the
+// topologies, lookaheads and storms of Call migrations. Whatever the input, the
 // scheduler must terminate (no deadlock), never execute events out of
 // timestamp order within a domain (checked in record, plus the built-in
 // causality panics), and produce per-domain traces that are identical

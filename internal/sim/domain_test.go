@@ -3,12 +3,13 @@ package sim
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// traceRun executes a small cross-domain workload on nd+1 domains with
-// the given worker count and returns a trace of every message execution.
+// traceRun executes a small cross-domain workload on 4 domains with the
+// given worker count and returns a trace of every call body.
 func traceRun(t *testing.T, workers int) []string {
 	t.Helper()
 	k := New(42)
@@ -16,16 +17,16 @@ func traceRun(t *testing.T, workers int) []string {
 	g.Workers = workers
 
 	var trace []string
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
+	var mu sync.Mutex
 	record := func(s string) {
-		<-mu
+		mu.Lock()
 		trace = append(trace, s)
-		mu <- struct{}{}
+		mu.Unlock()
 	}
 
-	// Each domain runs a proc that posts to the next domain in a ring,
-	// with varying delays, plus local sleeps, for a few rounds.
+	// Each domain runs a driver that, every round, starts a caller
+	// that migrates to the next domain in a ring with varying delays,
+	// plus local sleeps, for a few rounds.
 	for i := 0; i < g.NumDomains(); i++ {
 		i := i
 		ki := g.Kernel(i)
@@ -34,8 +35,10 @@ func traceRun(t *testing.T, workers int) []string {
 				p.Sleep(time.Duration(10*(i+1)) * time.Microsecond)
 				dst := g.Kernel((i + 1) % g.NumDomains())
 				delay := 50*time.Microsecond + time.Duration(i*7)*time.Microsecond
-				Post(p, dst, delay, "ring", func(q *Proc) {
-					record(fmt.Sprintf("d%d t%v", q.Kernel().DomainID(), q.Now()))
+				p.Spawn("ring", func(q *Proc) {
+					Call(q, dst, delay, "ring", func(r *Proc) {
+						record(fmt.Sprintf("d%d t%v", r.Kernel().DomainID(), r.Now()))
+					})
 				})
 			}
 		})
@@ -50,7 +53,7 @@ func traceRun(t *testing.T, workers int) []string {
 // window protocol: the same decomposition produces identical execution
 // whether domains run on one worker thread or one thread per domain.
 func TestDomainWorkerInvariance(t *testing.T) {
-	// Messages to ONE domain execute in deterministic order; the global
+	// Calls into ONE domain execute in deterministic order; the global
 	// interleaving across domains is inherently concurrent, so compare
 	// per-domain projections of the trace.
 	project := func(trace []string) map[string][]string {
@@ -106,7 +109,7 @@ func TestDomainCallTiming(t *testing.T) {
 // body: as the calling process itself, moved onto the destination
 // kernel — where it queues on that kernel's resources and may call
 // onward — and moved back to its home kernel afterwards, with its Ctx
-// and identity intact and no trampoline process spawned anywhere.
+// and identity intact and no helper process spawned anywhere.
 func TestDomainCallMigratesCaller(t *testing.T) {
 	k := New(1)
 	g := AddDomains(k, 1, 100*time.Microsecond)
@@ -145,37 +148,8 @@ func TestDomainCallMigratesCaller(t *testing.T) {
 	if caller.ID() != 1 || k.live != 0 || dst.live != 0 {
 		t.Errorf("caller id %d, live %d/%d after the run, want 1 and 0/0", caller.ID(), k.live, dst.live)
 	}
-	if dst.procSeq != 1 || len(dst.free) != 0 {
-		t.Errorf("dst spawned %d procs (%d pooled), want only its holder", dst.procSeq, len(dst.free))
-	}
-}
-
-// TestDomainSyncPoint checks that AtSync functions run at exactly the
-// registered virtual time with every domain's clock at that instant.
-func TestDomainSyncPoint(t *testing.T) {
-	k := New(7)
-	g := AddDomains(k, 2, 20*time.Microsecond)
-	var at0, at1, at2 time.Duration
-	fired := false
-	k.Spawn("main", func(p *Proc) {
-		p.Sleep(500 * time.Microsecond)
-		g.AtSync(p, p.Now()+100*time.Microsecond, func() {
-			fired = true
-			at0 = g.Kernel(0).Now()
-			at1 = g.Kernel(1).Now()
-			at2 = g.Kernel(2).Now()
-		})
-		p.Sleep(time.Millisecond)
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("sync point never fired")
-	}
-	want := 600 * time.Microsecond
-	if at0 != want || at1 != want || at2 != want {
-		t.Errorf("sync clocks %v/%v/%v, want all %v", at0, at1, at2, want)
+	if dst.procSeq != 1 {
+		t.Errorf("dst spawned %d procs, want only its holder", dst.procSeq)
 	}
 }
 
@@ -188,12 +162,12 @@ func TestDomainCausalityChecker(t *testing.T) {
 		defer func() {
 			r := recover()
 			if r == nil {
-				t.Error("under-lookahead Post did not panic")
+				t.Error("under-lookahead Call did not panic")
 			} else if !strings.Contains(fmt.Sprint(r), "causality violation") {
 				t.Errorf("unexpected panic: %v", r)
 			}
 		}()
-		Post(p, g.Kernel(1), 10*time.Microsecond, "bad", func(q *Proc) {})
+		Call(p, g.Kernel(1), 10*time.Microsecond, "bad", func(q *Proc) {})
 	})
 	_ = g.Run()
 }

@@ -153,11 +153,7 @@ type Kernel struct {
 	// dom is non-nil when this kernel is one domain of a DomainGroup
 	// (domain.go); scheduling then runs in lookahead windows and
 	// termination is decided at group level.
-	dom *Domain
-	// free holds idle pooled trampoline procs for cross-domain Post
-	// delivery (spawnMsgAt): one Proc is reused across messages instead
-	// of being created per message.
-	free []*Proc
+	dom  *Domain
 	idle []*carrier // carriers between bodies, for the next first dispatch
 }
 
@@ -318,15 +314,13 @@ type Proc struct {
 	name   string
 	done   bool
 	daemon bool
-	msg    bool          // pooled trampoline (spawnMsgAt), back to k.free at exit
 	fn     func(p *Proc) // the body; dropped when it returns
 	c      *carrier      // runs the body from its first dispatch to its end
 	step   func(p *Proc) // a task's step, called at each wake-up; nil for a body
 	// slot is this proc's index in k.procs; finished procs are
-	// swap-removed so the diagnostics slice never pins dead procs (the
-	// domained substrate spawns one short-lived proc per posted
-	// cross-domain message, and a growing graveyard is pure GC scan
-	// load).
+	// swap-removed so the diagnostics slice never pins dead procs (a
+	// model that spawns one short-lived proc per callback or revocation
+	// would otherwise grow a graveyard that is pure GC scan load).
 	slot int
 	// waiters are procs blocked in Join on this proc.
 	waiters []*Proc
@@ -335,8 +329,7 @@ type Proc struct {
 	blockedOn string
 	// Ctx is a free slot for harness layers (internal/simnet keeps its
 	// cross-domain call context in it); it travels with the process when
-	// Call migrates it, and the kernel only clears it on a pooled
-	// trampoline.
+	// Call migrates it, and the kernel never touches it.
 	Ctx any
 }
 
@@ -356,7 +349,7 @@ func (p *Proc) Now() Time { return p.k.now }
 // virtual time. It may be called before Run (to create initial processes)
 // or from a running process.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, k.now, fn, false)
+	return k.spawn(name, fn, false)
 }
 
 // SpawnDaemon starts fn as a daemon process: Run and RunFor terminate as
@@ -364,7 +357,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // daemon events. Background services (consistency-point writers, journal
 // committers, cache flushers) are daemons.
 func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, k.now, fn, true)
+	return k.spawn(name, fn, true)
 }
 
 // SpawnTask starts a daemon task: a process with no coroutine, whose
@@ -391,33 +384,12 @@ func (k *Kernel) SpawnTask(name string, step func(p *Proc)) *Proc {
 	return p
 }
 
-// spawn starts fn as a new process first scheduled at time at; a future
-// at is the delivery primitive for same-kernel messages (Post).
-func (k *Kernel) spawn(name string, at Time, fn func(p *Proc), daemon bool) *Proc {
+// spawn starts fn as a new process scheduled at the current time.
+func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	p := &Proc{k: k, daemon: daemon}
 	k.start(p, name, fn)
-	k.schedule(p, at)
+	k.schedule(p, k.now)
 	return p
-}
-
-// spawnMsgAt schedules fn like spawn but on a pooled trampoline proc,
-// under the caller-provided event sequence number: cross-domain delivery
-// creates one short-lived proc per message, and recycling the Proc keeps
-// that off the allocator and the GC scan set. Pooled procs are invisible
-// outside the kernel — deliver() never hands the *Proc to callers, so
-// the reuse can never confuse a Join (which is the reason plain Spawn
-// does not pool).
-func (k *Kernel) spawnMsgAt(name string, at Time, seq int64, fn func(p *Proc)) {
-	var p *Proc
-	if n := len(k.free); n > 0 {
-		p = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
-		p = &Proc{k: k, msg: true}
-	}
-	k.start(p, name, fn)
-	k.scheduleSeq(p, at, seq)
 }
 
 // start registers p as a live process with body fn.
@@ -426,7 +398,6 @@ func (k *Kernel) start(p *Proc, name string, fn func(p *Proc)) {
 	p.id = k.procSeq
 	p.name = name
 	p.fn = fn
-	p.done = false
 	k.live++
 	if p.daemon {
 		k.daemons++
@@ -436,7 +407,7 @@ func (k *Kernel) start(p *Proc, name string, fn func(p *Proc)) {
 }
 
 // exit retires p once its body has returned: it wakes p's joiners and
-// returns p's carrier to the idle pool, and a trampoline proc to k.free.
+// returns p's carrier to the idle pool.
 func (k *Kernel) exit(p *Proc) {
 	p.fn = nil
 	p.done = true
@@ -453,10 +424,6 @@ func (k *Kernel) exit(p *Proc) {
 	p.c.p = nil
 	k.idle = append(k.idle, p.c)
 	p.c = nil
-	if p.msg {
-		p.Ctx = nil
-		k.free = append(k.free, p)
-	}
 }
 
 // removeProc swap-removes a finished proc from the diagnostics slice.

@@ -46,12 +46,10 @@ func (s *Semaphore) Acquire(p *Proc, n int64) { s.AcquirePri(p, n, 0) }
 
 // AcquirePri is Acquire with an explicit priority (lower = sooner).
 //
-// Scheduling bookkeeping (seq numbers, wake-ups) runs on the waiting
-// process's own kernel, not the kernel the primitive was created on:
-// under a domain group a primitive's ownership can migrate between
-// domains at sync points (a promoted backup inherits its dead partner's
-// locks), and each domain must only ever touch its own event queue.
-// With a single kernel both are the same object.
+// Scheduling bookkeeping (seq numbers, wake-ups) runs on the kernel the
+// waiting process currently runs on — for a process that migrated for
+// a Call, its destination's — and each domain of a group must only
+// ever touch its own event queue.
 func (s *Semaphore) AcquirePri(p *Proc, n int64, pri int) {
 	if s.queue(p, n, pri) {
 		p.park(s.label)

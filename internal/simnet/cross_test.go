@@ -12,13 +12,13 @@ import (
 // cell builds a client kernel and a server on it (cross false) or on
 // the second domain of a two-domain group (cross true), with the
 // server's one-way latency as the group's lookahead.
-func cell(cross bool, latency time.Duration, threads int) (*sim.Kernel, *sim.DomainGroup, *Server) {
+func cell(cross bool, latency time.Duration, threads int) (*sim.Kernel, *Server) {
 	k := sim.New(1)
 	if !cross {
-		return k, nil, NewServer(k, "s", threads)
+		return k, NewServer(k, "s", threads)
 	}
 	g := sim.AddDomains(k, 1, latency)
-	return k, g, NewServer(g.Kernel(1), "s", threads)
+	return k, NewServer(g.Kernel(1), "s", threads)
 }
 
 // TestCrossDomainCallTiming checks that Call and TryCall from another
@@ -29,7 +29,7 @@ func TestCrossDomainCallTiming(t *testing.T) {
 	// 1000 B out and 500 B back at 1 MB/s, 300us of service.
 	want := time.Millisecond + 2*lat + 300*time.Microsecond + 500*time.Microsecond
 	for _, cross := range []bool{false, true} {
-		k, _, srv := cell(cross, lat, 1)
+		k, srv := cell(cross, lat, 1)
 		conn := NewConn(k, srv, lat, 1_000_000)
 		var call, try time.Duration
 		var err error
@@ -58,41 +58,6 @@ func TestCrossDomainCallTiming(t *testing.T) {
 	}
 }
 
-// TestCrossDomainTryCallQueuedAtCrash checks the crash path across
-// domains: a request queued for the only server thread when the server
-// goes down at a sync point fails with ErrDown, without running its
-// body, after the wasted round trip plus the connection's FailTimeout.
-func TestCrossDomainTryCallQueuedAtCrash(t *testing.T) {
-	const lat = 100 * time.Microsecond
-	k, g, srv := cell(true, lat, 1)
-	conn := NewConn(k, srv, lat, 0)
-	conn.FailTimeout = 50 * time.Millisecond
-	srv.k.Spawn("holder", func(q *sim.Proc) {
-		srv.Threads.Acquire(q)
-		q.Sleep(10 * time.Millisecond)
-		srv.Threads.Release()
-	})
-	var err error
-	var elapsed time.Duration
-	served := false
-	k.Spawn("queued", func(p *sim.Proc) {
-		g.AtSync(p, 5*time.Millisecond, srv.SetDown)
-		start := p.Now()
-		err = conn.TryCall(p, 0, 0, func(*sim.Proc) { served = true })
-		elapsed = p.Now() - start
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err != ErrDown || served {
-		t.Fatalf("queued call: err=%v served=%v, want ErrDown/false", err, served)
-	}
-	// Dequeued when the holder releases at 10ms, home one latency later.
-	if want := 10*time.Millisecond + lat + conn.FailTimeout; elapsed != want {
-		t.Errorf("queued call failed after %v, want %v", elapsed, want)
-	}
-}
-
 // TestCrossDomainReplyFill checks when a fill queued with Defer reaches
 // the client's cache: inside the body on the inline path, but across
 // domains only once the caller is home — a reader on the client's
@@ -100,7 +65,7 @@ func TestCrossDomainTryCallQueuedAtCrash(t *testing.T) {
 func TestCrossDomainReplyFill(t *testing.T) {
 	const lat = 100 * time.Microsecond
 	for _, cross := range []bool{false, true} {
-		k, _, srv := cell(cross, lat, 1)
+		k, srv := cell(cross, lat, 1)
 		conn := NewConn(k, srv, lat, 0)
 		dentries := clientcache.NewDentryCache(time.Hour, k.Now)
 		attrs := clientcache.NewAttrCache(time.Hour, k.Now)

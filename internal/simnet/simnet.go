@@ -168,7 +168,7 @@ func (c *Conn) cross(p *sim.Proc) bool {
 // to the inline path.
 func (c *Conn) Call(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) {
 	if c.cross(p) {
-		c.callCross(p, reqBytes, respBytes, false, service)
+		c.callCross(p, reqBytes, respBytes, service)
 		return
 	}
 	c.send(p, reqBytes)
@@ -180,10 +180,9 @@ func (c *Conn) Call(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.
 
 // callCross is the cross-domain half of Call and TryCall: the body runs
 // in the server's domain, and the fills it queued with Defer apply once
-// p is home again. With checkDown, a crash landing while the request
-// is queued is detected in the server's domain; the client then waits
-// out its RPC timer after the (wasted) round trip.
-func (c *Conn) callCross(p *sim.Proc, reqBytes, respBytes int64, checkDown bool, service func(p *sim.Proc)) error {
+// p is home again. No server goes down under kernel domains (the
+// sharded MDS rejects a crash there), so the body always runs.
+func (c *Conn) callCross(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) {
 	if c.wire != nil && reqBytes > 0 {
 		c.wire.Use(p, c.transferTime(reqBytes))
 	}
@@ -195,14 +194,8 @@ func (c *Conn) callCross(p *sim.Proc, reqBytes, respBytes int64, checkDown bool,
 	mark := len(cc.fills)
 	cc.depth++
 	srv := c.srv
-	crashed := false
 	sim.Call(p, srv.k, c.Latency, srv.rpcName, func(q *sim.Proc) {
 		srv.Threads.Acquire(q)
-		if checkDown && srv.down {
-			srv.Threads.Release()
-			crashed = true
-			return
-		}
 		service(q)
 		srv.Threads.Release()
 	})
@@ -212,14 +205,9 @@ func (c *Conn) callCross(p *sim.Proc, reqBytes, respBytes int64, checkDown bool,
 	}
 	clear(cc.fills[mark:])
 	cc.fills = cc.fills[:mark]
-	if crashed {
-		p.Sleep(c.failTimeout())
-		return ErrDown
-	}
 	if c.wire != nil && respBytes > 0 {
 		c.wire.Use(p, c.transferTime(respBytes))
 	}
-	return nil
 }
 
 // failTimeout returns the effective client RPC timeout.
@@ -237,16 +225,16 @@ func (c *Conn) failTimeout() time.Duration {
 // crashed fails the same way once dequeued. Fault-tolerant clients wrap
 // TryCall in a retry loop with deterministic backoff (internal/shard).
 //
-// The down flag is safe to read from any domain: under a domain group
-// it only flips at sync points, where every domain is parked (the
-// window barrier is the happens-before edge).
+// The down flag is safe to read from any domain: no server goes down
+// under a domain group, so it never changes there.
 func (c *Conn) TryCall(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) error {
 	if c.srv.down {
 		p.Sleep(c.failTimeout())
 		return ErrDown
 	}
 	if c.cross(p) {
-		return c.callCross(p, reqBytes, respBytes, true, service)
+		c.callCross(p, reqBytes, respBytes, service)
+		return nil
 	}
 	c.send(p, reqBytes)
 	c.srv.Threads.Acquire(p)

@@ -88,7 +88,9 @@ func Postmark(c fs.Client, cfg PostmarkConfig, now func() time.Duration) (Postma
 			return st, err
 		}
 	}
-	live := make(map[int]bool, cfg.Files)
+	// live holds the ids of the existing files. A transaction picks one
+	// by index, so the files a seeded run touches repeat run to run.
+	live := make([]int, 0, cfg.Files)
 	nextID := 0
 	createOne := func() error {
 		id := nextID
@@ -107,22 +109,16 @@ func Postmark(c fs.Client, cfg PostmarkConfig, now func() time.Duration) (Postma
 		if err := c.Close(h); err != nil {
 			return err
 		}
-		live[id] = true
+		live = append(live, id)
 		st.Created++
 		return nil
 	}
+	// pick draws the index of a live file.
 	pick := func() (int, bool) {
 		if len(live) == 0 {
 			return 0, false
 		}
-		n := rng.Intn(len(live))
-		for id := range live {
-			if n == 0 {
-				return id, true
-			}
-			n--
-		}
-		return 0, false
+		return rng.Intn(len(live)), true
 	}
 
 	// Phase 1: populate.
@@ -135,19 +131,21 @@ func Postmark(c fs.Client, cfg PostmarkConfig, now func() time.Duration) (Postma
 	start := now()
 	for i := 0; i < cfg.Transactions; i++ {
 		if rng.Float64() < cfg.ReadBias {
-			if id, ok := pick(); ok {
-				if _, err := c.Stat(fileName(id, cfg.Subdirs)); err != nil {
+			if i, ok := pick(); ok {
+				if _, err := c.Stat(fileName(live[i], cfg.Subdirs)); err != nil {
 					return st, err
 				}
 				st.Read++
 			}
 		} else {
-			if id, ok := pick(); ok {
-				h, err := c.Open(fileName(id, cfg.Subdirs))
+			if i, ok := pick(); ok {
+				h, err := c.Open(fileName(live[i], cfg.Subdirs))
 				if err != nil {
 					return st, err
 				}
-				c.Write(h, cfg.Sizes.Sample(rng)/4)
+				if err := c.Write(h, cfg.Sizes.Sample(rng)/4); err != nil {
+					return st, err
+				}
 				if err := c.Close(h); err != nil {
 					return st, err
 				}
@@ -158,11 +156,13 @@ func Postmark(c fs.Client, cfg PostmarkConfig, now func() time.Duration) (Postma
 			if err := createOne(); err != nil {
 				return st, err
 			}
-		} else if id, ok := pick(); ok {
-			if err := c.Unlink(fileName(id, cfg.Subdirs)); err != nil {
+		} else if i, ok := pick(); ok {
+			if err := c.Unlink(fileName(live[i], cfg.Subdirs)); err != nil {
 				return st, err
 			}
-			delete(live, id)
+			last := len(live) - 1
+			live[i] = live[last]
+			live = live[:last]
 			st.Deleted++
 		}
 		st.Transactions++
@@ -172,7 +172,7 @@ func Postmark(c fs.Client, cfg PostmarkConfig, now func() time.Duration) (Postma
 		st.TPS = float64(st.Transactions) / s
 	}
 	// Phase 3: delete everything.
-	for id := range live {
+	for _, id := range live {
 		if err := c.Unlink(fileName(id, cfg.Subdirs)); err != nil {
 			return st, err
 		}

@@ -7,7 +7,7 @@ import (
 
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
-	"dmetabench/internal/localfs"
+	"dmetabench/internal/lustre"
 	"dmetabench/internal/nfs"
 	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
@@ -79,27 +79,84 @@ func TestPostmarkOnSimNFS(t *testing.T) {
 	}
 }
 
+// opLog is an fs.Client that records every operation Postmark issues
+// with its path, in order.
+type opLog struct {
+	fs.Client
+	ops   []string
+	paths map[fs.Handle]string
+}
+
+func (l *opLog) note(op, p string) { l.ops = append(l.ops, op+" "+p) }
+
+func (l *opLog) Mkdir(p string) error  { l.note("mkdir", p); return l.Client.Mkdir(p) }
+func (l *opLog) Rmdir(p string) error  { l.note("rmdir", p); return l.Client.Rmdir(p) }
+func (l *opLog) Create(p string) error { l.note("create", p); return l.Client.Create(p) }
+func (l *opLog) Unlink(p string) error { l.note("unlink", p); return l.Client.Unlink(p) }
+
+func (l *opLog) Stat(p string) (fs.Attr, error) {
+	l.note("stat", p)
+	return l.Client.Stat(p)
+}
+
+func (l *opLog) Open(p string) (fs.Handle, error) {
+	l.note("open", p)
+	h, err := l.Client.Open(p)
+	l.paths[h] = p
+	return h, err
+}
+
+func (l *opLog) Write(h fs.Handle, n int64) error {
+	l.note(fmt.Sprintf("write %d", n), l.paths[h])
+	return l.Client.Write(h, n)
+}
+
+func (l *opLog) Close(h fs.Handle) error {
+	l.note("close", l.paths[h])
+	return l.Client.Close(h)
+}
+
+// TestPostmarkDeterministic runs one seeded Postmark five times on the
+// simulated Lustre model: every run must succeed, issue the same
+// operations on the same paths in the same order and take the same
+// virtual time.
 func TestPostmarkDeterministic(t *testing.T) {
-	run := func() PostmarkStats {
+	run := func() (PostmarkStats, []string) {
 		k := sim.New(5)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
-		fsys := localfs.New(k, cl.Nodes[0])
+		fsys := lustre.New(k, "scratch", lustre.DefaultConfig())
 		cfg := DefaultPostmarkConfig()
 		cfg.Files = 50
 		cfg.Transactions = 200
 		var st PostmarkStats
+		var err error
+		log := &opLog{paths: make(map[fs.Handle]string)}
 		k.Spawn("pm", func(p *sim.Proc) {
-			c := fsys.NewClient(cl.Nodes[0], p)
-			st, _ = Postmark(c, cfg, p.Now)
+			log.Client = fsys.NewClient(cl.Nodes[0], p)
+			st, err = Postmark(log, cfg, p.Now)
 		})
-		if err := k.Run(); err != nil {
+		if kerr := k.Run(); kerr != nil {
+			t.Fatal(kerr)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return st, log.ops
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("postmark not deterministic: %+v vs %+v", a, b)
+	first, firstOps := run()
+	for i := 1; i < 5; i++ {
+		st, ops := run()
+		if st != first {
+			t.Fatalf("run %d: %+v, run 0: %+v", i, st, first)
+		}
+		if len(ops) != len(firstOps) {
+			t.Fatalf("run %d issued %d operations, run 0 %d", i, len(ops), len(firstOps))
+		}
+		for j := range ops {
+			if ops[j] != firstOps[j] {
+				t.Fatalf("run %d operation %d is %q, run 0's is %q", i, j, ops[j], firstOps[j])
+			}
+		}
 	}
 }
 
