@@ -1,12 +1,13 @@
 // Package clientcache provides the client-side metadata caches shared by
 // the distributed file system models, in two consistency flavours:
 //
-//   - AttrCache and DentryCache are timeout caches: entries are trusted
-//     for a fixed TTL after they were fetched, like the NFS client
-//     attribute cache (acregmin/acregmax) and the Linux dcache with
-//     d_revalidate (§2.1.2). Remote mutations are invisible until the
-//     timeout lapses — cheap, but stale by design. NameCache
-//     (namecache.go) is the pair in one entry per path.
+//   - NameCache (namecache.go) and AttrCache are timeout caches: entries
+//     are trusted for a fixed TTL after they were fetched, like the
+//     Linux dcache with d_revalidate and the NFS client attribute cache
+//     (acregmin/acregmax) (§2.1.2). Remote mutations are invisible until
+//     the timeout lapses — cheap, but stale by design. NameCache keeps a
+//     path's dentry and its attributes in one entry; AttrCache keeps
+//     attributes alone.
 //   - LeaseCache (lease.go) is the client half of an explicit coherence
 //     protocol: entries are trusted until the server-granted lease
 //     expires, the server revokes them with a callback, or the granting
@@ -65,7 +66,8 @@ func (c *AttrCache) Get(path string) (fs.Attr, bool) {
 
 // Put stores attributes for path.
 func (c *AttrCache) Put(path string, a fs.Attr) {
-	*c.entries.put(path) = attrEntry{attr: a, fetched: c.now()}
+	_, e := c.entries.put(path)
+	*e = attrEntry{attr: a, fetched: c.now()}
 }
 
 // Invalidate removes one path.
@@ -84,53 +86,3 @@ func (c *AttrCache) Stats() (hits, misses int64) { return c.hits, c.misses }
 
 // Len returns the number of cached entries (fresh or stale).
 func (c *AttrCache) Len() int { return c.entries.len() }
-
-// DentryCache caches name resolution results, including negative entries
-// (name known not to exist), like the Linux dcache with d_revalidate.
-type DentryCache struct {
-	TTL time.Duration
-
-	now func() time.Duration
-
-	entries map[string]dentry
-}
-
-type dentry struct {
-	ino      fs.Ino
-	negative bool
-	fetched  time.Duration
-}
-
-// NewDentryCache returns a dentry cache using now as its clock.
-func NewDentryCache(ttl time.Duration, now func() time.Duration) *DentryCache {
-	return &DentryCache{TTL: ttl, now: now, entries: make(map[string]dentry)}
-}
-
-// Lookup returns (ino, negative, ok): ok reports a fresh cache entry and
-// negative reports a cached non-existence.
-func (c *DentryCache) Lookup(path string) (fs.Ino, bool, bool) {
-	e, ok := c.entries[path]
-	if !ok || c.now()-e.fetched > c.TTL {
-		return 0, false, false
-	}
-	return e.ino, e.negative, true
-}
-
-// PutPositive records that path resolves to ino.
-func (c *DentryCache) PutPositive(path string, ino fs.Ino) {
-	c.entries[path] = dentry{ino: ino, fetched: c.now()}
-}
-
-// PutNegative records that path does not exist.
-func (c *DentryCache) PutNegative(path string) {
-	c.entries[path] = dentry{negative: true, fetched: c.now()}
-}
-
-// Invalidate removes one path.
-func (c *DentryCache) Invalidate(path string) { delete(c.entries, path) }
-
-// Clear drops every entry.
-func (c *DentryCache) Clear() { c.entries = make(map[string]dentry) }
-
-// Len returns the number of cached entries (fresh or stale).
-func (c *DentryCache) Len() int { return len(c.entries) }

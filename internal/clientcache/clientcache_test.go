@@ -52,21 +52,34 @@ func TestAttrCacheInvalidateClear(t *testing.T) {
 	}
 }
 
+// The dentry tests below drive NameCache's dentry half alone, as the
+// sharded MDS fills it under leases and without caching.
+
 func TestDentryCachePositiveNegative(t *testing.T) {
 	clk := &fakeClock{}
-	d := NewDentryCache(30*time.Second, clk.now)
-	d.PutPositive("/f", 42)
-	ino, neg, ok := d.Lookup("/f")
+	d := NewNameCache(time.Hour, 30*time.Second, clk.now)
+	d.PutDentry("/f", 42, false)
+	ino, neg, ok := d.Dentry("/f")
 	if !ok || neg || ino != 42 {
 		t.Fatalf("positive lookup: %d %v %v", ino, neg, ok)
 	}
+	if dir, _, _ := d.DentryDir("/f"); dir {
+		t.Fatal("file dentry reads as a directory")
+	}
+	d.PutDentry("/d", 43, true)
+	if dir, neg, ok := d.DentryDir("/d"); !ok || neg || !dir {
+		t.Fatalf("directory lookup: dir=%v neg=%v ok=%v", dir, neg, ok)
+	}
 	d.PutNegative("/g")
-	_, neg, ok = d.Lookup("/g")
+	_, neg, ok = d.Dentry("/g")
 	if !ok || !neg {
 		t.Fatalf("negative lookup: %v %v", neg, ok)
 	}
+	if _, ok := d.Attr("/f"); ok {
+		t.Fatal("a dentry-only put cached attributes")
+	}
 	clk.t = time.Minute
-	if _, _, ok := d.Lookup("/f"); ok {
+	if _, _, ok := d.Dentry("/f"); ok {
 		t.Fatal("entry survived past TTL")
 	}
 }
@@ -89,14 +102,14 @@ func TestAttrCacheTTLExactBoundary(t *testing.T) {
 
 func TestDentryCacheTTLExactBoundary(t *testing.T) {
 	clk := &fakeClock{}
-	d := NewDentryCache(30*time.Second, clk.now)
-	d.PutPositive("/f", 5)
+	d := NewNameCache(time.Hour, 30*time.Second, clk.now)
+	d.PutDentry("/f", 5, false)
 	clk.t = 30 * time.Second
-	if _, _, ok := d.Lookup("/f"); !ok {
+	if _, _, ok := d.Dentry("/f"); !ok {
 		t.Fatal("dentry aged exactly TTL rejected")
 	}
 	clk.t = 30*time.Second + 1
-	if _, _, ok := d.Lookup("/f"); ok {
+	if _, _, ok := d.Dentry("/f"); ok {
 		t.Fatal("dentry one tick past TTL served")
 	}
 }
@@ -105,26 +118,29 @@ func TestDentryNegativeFlipsToPositive(t *testing.T) {
 	// A create after a failed lookup overwrites the negative entry in
 	// place; the positive entry carries the new inode and a fresh TTL.
 	clk := &fakeClock{}
-	d := NewDentryCache(10*time.Second, clk.now)
+	d := NewNameCache(time.Hour, 10*time.Second, clk.now)
 	d.PutNegative("/f")
-	if _, neg, ok := d.Lookup("/f"); !ok || !neg {
+	if _, neg, ok := d.Dentry("/f"); !ok || !neg {
 		t.Fatal("negative entry not cached")
 	}
 	clk.t = 6 * time.Second
-	d.PutPositive("/f", 77)
-	ino, neg, ok := d.Lookup("/f")
+	d.PutDentry("/f", 77, false)
+	ino, neg, ok := d.Dentry("/f")
 	if !ok || neg || ino != 77 {
 		t.Fatalf("after flip: ino=%d neg=%v ok=%v, want 77/false/true", ino, neg, ok)
 	}
 	// The flip refreshed the TTL: alive at t=15s (9s after the flip),
 	// gone one tick past t=16s.
 	clk.t = 15 * time.Second
-	if _, neg, ok := d.Lookup("/f"); !ok || neg {
+	if _, neg, ok := d.Dentry("/f"); !ok || neg {
 		t.Fatal("flipped entry expired on the stale negative's clock")
 	}
 	clk.t = 16*time.Second + 1
-	if _, _, ok := d.Lookup("/f"); ok {
+	if _, _, ok := d.Dentry("/f"); ok {
 		t.Fatal("flipped entry survived past its refreshed TTL")
+	}
+	if n := d.DentryLen(); n != 1 {
+		t.Fatalf("DentryLen = %d after a flip in place, want 1", n)
 	}
 }
 

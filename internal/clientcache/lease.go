@@ -75,7 +75,8 @@ func (c *LeaseCache) Get(path string) (fs.Attr, bool) {
 // Put records a lease on path granted by authority at the given epoch,
 // valid through expiry (inclusive), replacing any lease held on path.
 func (c *LeaseCache) Put(path string, a fs.Attr, expiry time.Duration, authority int, epoch uint64) {
-	*c.entries.put(path) = leaseEntry{attr: a, expiry: expiry, authority: authority, epoch: epoch}
+	_, e := c.entries.put(path)
+	*e = leaseEntry{attr: a, expiry: expiry, authority: authority, epoch: epoch}
 }
 
 // Revoke drops the lease on path in response to a server callback and
@@ -83,7 +84,7 @@ func (c *LeaseCache) Put(path string, a fs.Attr, expiry time.Duration, authority
 // crash-time bulk invalidation (or an expiry) finds no entry and is a
 // no-op — callbacks are idempotent, so either delivery order converges.
 func (c *LeaseCache) Revoke(path string) bool {
-	if !c.entries.drop(path) {
+	if c.entries.drop(path) == nil {
 		return false
 	}
 	c.revoked++

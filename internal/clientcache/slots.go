@@ -19,7 +19,9 @@ const (
 // pages that are never copied or moved. Growing the index rehashes
 // 4-byte slot numbers instead of whole entries, and each page is
 // allocated once. A dropped path's slot goes on a free list, and the
-// next new path takes it.
+// next new path takes it. A cache may keep more pages of its own in
+// parallel, addressed by the same slot numbers (NameCache's attribute
+// halves).
 type slots[E any] struct {
 	index map[string]int32
 	pages [][]E
@@ -51,18 +53,26 @@ func pageOf(i int32) (page, off uint32) {
 
 // get returns path's entry, or nil if the store holds none.
 func (s *slots[E]) get(path string) *E {
-	i, ok := s.index[path]
-	if !ok {
-		return nil
-	}
-	p, off := pageOf(i)
-	return &s.pages[p][off]
+	_, e := s.lookup(path)
+	return e
 }
 
-// put returns path's entry, taking a zeroed slot for a new path.
-func (s *slots[E]) put(path string) *E {
-	if e := s.get(path); e != nil {
-		return e
+// lookup returns path's slot number and entry, or -1 and nil if the
+// store holds none.
+func (s *slots[E]) lookup(path string) (int32, *E) {
+	i, ok := s.index[path]
+	if !ok {
+		return -1, nil
+	}
+	p, off := pageOf(i)
+	return i, &s.pages[p][off]
+}
+
+// put returns path's slot number and entry, taking a zeroed slot for a
+// new path.
+func (s *slots[E]) put(path string) (int32, *E) {
+	if i, e := s.lookup(path); e != nil {
+		return i, e
 	}
 	if s.index == nil {
 		s.index = make(map[string]int32)
@@ -82,20 +92,20 @@ func (s *slots[E]) put(path string) *E {
 	e := &s.pages[p][off]
 	var zero E
 	*e = zero
-	return e
+	return i, e
 }
 
-// drop frees path's slot and reports whether it held one. The entry
-// stays in its page until put hands the slot out again; no entry type
-// holds a pointer, so it keeps nothing alive.
-func (s *slots[E]) drop(path string) bool {
-	i, ok := s.index[path]
-	if !ok {
-		return false
+// drop frees path's slot and returns its entry, or nil if it held none.
+// The entry stays in its page until put hands the slot out again; no
+// entry type holds a pointer, so it keeps nothing alive.
+func (s *slots[E]) drop(path string) *E {
+	i, e := s.lookup(path)
+	if e == nil {
+		return nil
 	}
 	delete(s.index, path)
 	s.free = append(s.free, i)
-	return true
+	return e
 }
 
 // reset drops every entry and keeps the pages for the next fills.

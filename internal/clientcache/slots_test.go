@@ -13,31 +13,47 @@ import (
 // match answer for answer: each is its cache with the entries in a Go
 // map, as the caches kept them before.
 
+// refNameEntry is one path's two halves in one map value, the layout
+// NameCache had before its attribute halves moved to pages of their own.
+type refNameEntry struct {
+	attr          fs.Attr
+	attrAt        time.Duration
+	ino           fs.Ino
+	dentryAt      time.Duration
+	hasAttr       bool
+	hasDentry     bool
+	negative, dir bool
+}
+
 type refNames struct {
 	attrTTL, dentryTTL time.Duration
 	now                func() time.Duration
-	m                  map[string]nameEntry
+	m                  map[string]refNameEntry
+	hits, misses       int64
 }
 
 func (c *refNames) Attr(p string) (fs.Attr, bool) {
 	e, ok := c.m[p]
 	if !ok || !e.hasAttr || c.now()-e.attrAt > c.attrTTL {
+		c.misses++
 		return fs.Attr{}, false
 	}
+	c.hits++
 	return e.attr, true
 }
 
-func (c *refNames) Dentry(p string) (fs.Ino, bool, bool) {
+func (c *refNames) DentryDir(p string) (fs.Ino, bool, bool, bool) {
 	e, ok := c.m[p]
 	if !ok || !e.hasDentry || c.now()-e.dentryAt > c.dentryTTL {
-		return 0, false, false
+		return 0, false, false, false
 	}
-	return e.ino, e.negative, true
+	return e.ino, e.dir, e.negative, true
 }
 
 func (c *refNames) Put(p string, a fs.Attr) {
 	now := c.now()
-	c.m[p] = nameEntry{attr: a, attrAt: now, ino: a.Ino, dentryAt: now, hasAttr: true, hasDentry: true}
+	c.m[p] = refNameEntry{attr: a, attrAt: now, ino: a.Ino, dentryAt: now, hasAttr: true, hasDentry: true,
+		dir: a.Type == fs.TypeDirectory}
 }
 
 func (c *refNames) PutAttr(p string, a fs.Attr) {
@@ -46,9 +62,15 @@ func (c *refNames) PutAttr(p string, a fs.Attr) {
 	c.m[p] = e
 }
 
+func (c *refNames) PutDentry(p string, ino fs.Ino, dir bool) {
+	e := c.m[p]
+	e.ino, e.dentryAt, e.hasDentry, e.negative, e.dir = ino, c.now(), true, false, dir
+	c.m[p] = e
+}
+
 func (c *refNames) PutNegative(p string) {
 	e := c.m[p]
-	e.ino, e.dentryAt, e.hasDentry, e.negative = 0, c.now(), true, true
+	e.ino, e.dentryAt, e.hasDentry, e.negative, e.dir = 0, c.now(), true, true, false
 	c.m[p] = e
 }
 
@@ -57,11 +79,24 @@ func (c *refNames) InvalidateDentry(p string) {
 	switch {
 	case !ok:
 	case e.hasAttr:
-		e.hasDentry, e.negative, e.ino = false, false, 0
+		e.hasDentry, e.negative, e.dir, e.ino = false, false, false, 0
 		c.m[p] = e
 	default:
 		delete(c.m, p)
 	}
+}
+
+// halves counts the paths holding each half.
+func (c *refNames) halves() (attrs, dentries int) {
+	for _, e := range c.m {
+		if e.hasAttr {
+			attrs++
+		}
+		if e.hasDentry {
+			dentries++
+		}
+	}
+	return attrs, dentries
 }
 
 type refAttrs struct {
@@ -116,11 +151,13 @@ func (c *refLeases) Revoke(p string) bool {
 
 // TestSlotCachesMatchMaps drives NameCache, AttrCache and LeaseCache and
 // their plain-map references through one seeded sequence of fills,
-// reads, invalidations, revocations and clears, with a clock that lapses
-// both TTLs and the leases and epochs that move, and requires every
-// answer, every Len and every Stats to agree after every step. The path
-// pool is large enough that the stores fill several pages and reuse
-// freed slots.
+// dentry-only puts, reads, invalidations, revocations and clears, with a
+// clock that lapses both TTLs and the leases and epochs that move, and
+// requires every answer, every Len, every per-half count and every
+// Stats to agree after every step. The path pool is large enough that
+// the stores fill several pages and reuse freed slots, and NameCache's
+// attribute pages, addressed by the dentry pages' slot numbers, must
+// answer through slot reuse.
 func TestSlotCachesMatchMaps(t *testing.T) {
 	const attrTTL, dentryTTL, leaseTTL = 3 * time.Second, 30 * time.Second, 10 * time.Second
 	var now time.Duration
@@ -131,7 +168,7 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 	names := NewNameCache(attrTTL, dentryTTL, clock)
 	attrs := NewAttrCache(attrTTL, clock)
 	leases := NewLeaseCache(clock, epochOf)
-	rNames := &refNames{attrTTL: attrTTL, dentryTTL: dentryTTL, now: clock, m: map[string]nameEntry{}}
+	rNames := &refNames{attrTTL: attrTTL, dentryTTL: dentryTTL, now: clock, m: map[string]refNameEntry{}}
 	rAttrs := &refAttrs{ttl: attrTTL, now: clock, m: map[string]attrEntry{}}
 	rLeases := &refLeases{now: clock, epochOf: epochOf, m: map[string]leaseEntry{}}
 
@@ -154,9 +191,13 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 			expiry := now + time.Duration(rng.Int63n(int64(leaseTTL)))
 			leases.Put(p, a, expiry, auth, epochs[auth])
 			rLeases.m[p] = leaseEntry{attr: a, expiry: expiry, authority: auth, epoch: epochs[auth]}
-		case op < 38:
+		case op < 35:
 			names.PutAttr(p, a)
 			rNames.PutAttr(p, a)
+		case op < 40:
+			dir := a.Ino%2 == 0
+			names.PutDentry(p, a.Ino, dir)
+			rNames.PutDentry(p, a.Ino, dir)
 		case op < 44:
 			names.PutNegative(p)
 			rNames.PutNegative(p)
@@ -178,9 +219,12 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 				t.Fatalf("step %d: Attr(%s) = %+v, %v; map gives %+v, %v", step, p, ga, gok, wa, wok)
 			}
 			gi, gneg, gok := names.Dentry(p)
-			wi, wneg, wok := rNames.Dentry(p)
+			wi, wdir, wneg, wok := rNames.DentryDir(p)
 			if gi != wi || gneg != wneg || gok != wok {
 				t.Fatalf("step %d: Dentry(%s) = %d, %v, %v; map gives %d, %v, %v", step, p, gi, gneg, gok, wi, wneg, wok)
+			}
+			if gdir, _, _ := names.DentryDir(p); gdir != wdir {
+				t.Fatalf("step %d: DentryDir(%s) reads dir %v; map gives %v", step, p, gdir, wdir)
 			}
 		case op < 78:
 			names.Invalidate(p)
@@ -204,6 +248,7 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 			if rng.Intn(50) == 0 {
 				names.Clear()
 				clear(rNames.m)
+				rNames.hits, rNames.misses = 0, 0
 				attrs.Clear()
 				rAttrs.m, rAttrs.hits, rAttrs.misses = map[string]attrEntry{}, 0, 0
 				leases.Clear()
@@ -213,6 +258,13 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 		}
 		if g, w := names.entries.len(), len(rNames.m); g != w {
 			t.Fatalf("step %d: NameCache holds %d paths; map holds %d", step, g, w)
+		}
+		if wa, wd := rNames.halves(); names.AttrLen() != wa || names.DentryLen() != wd {
+			t.Fatalf("step %d: AttrLen, DentryLen = %d, %d; map holds %d, %d",
+				step, names.AttrLen(), names.DentryLen(), wa, wd)
+		}
+		if h, m := names.Stats(); h != rNames.hits || m != rNames.misses {
+			t.Fatalf("step %d: NameCache.Stats = %d/%d; map gives %d/%d", step, h, m, rNames.hits, rNames.misses)
 		}
 		if g, w := attrs.Len(), len(rAttrs.m); g != w {
 			t.Fatalf("step %d: AttrCache.Len = %d; map holds %d", step, g, w)
@@ -231,6 +283,9 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 	}
 	if n := len(names.entries.pages); n < pageShift+3 {
 		t.Fatalf("the name cache grew %d pages; the sequence must fill at least two full ones", n)
+	}
+	if a, d := len(names.attrPages), len(names.entries.pages); a > d {
+		t.Fatalf("the name cache holds %d attribute pages for %d dentry pages", a, d)
 	}
 }
 

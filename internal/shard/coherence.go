@@ -26,8 +26,8 @@ package shard
 //     O(LeaseTTL) stale-read window after failover (E24).
 //
 // Lease bookkeeping is global state keyed by the owner slice of each
-// path; only the callbacks themselves cost simulated time. Negative
-// dentries stay on DentryCache TTL semantics in every mode.
+// path; only the callbacks themselves cost simulated time. Dentries,
+// positive and negative, stay on NameCache TTL semantics in every mode.
 
 import (
 	"sort"
@@ -125,7 +125,7 @@ func (f *FS) cbServer(st *nodeState, n *cluster.Node) {
 // mutations already invalidated.
 func (f *FS) callback(p *sim.Proc, st *nodeState, path string) {
 	st.leases.Revoke(path)
-	st.dentries.Invalidate(path)
+	st.names.InvalidateDentry(path)
 	f.cbCost(p, st)
 }
 
@@ -198,7 +198,7 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 		case g.expiry < now:
 		default:
 			g.st.leases.Revoke(path)
-			g.st.dentries.Invalidate(path)
+			g.st.names.InvalidateDentry(path)
 			victims = append(victims, g)
 		}
 	}
@@ -336,10 +336,8 @@ func (f *FS) CacheStats() (hits, misses, revoked, epochDrops int64) {
 			h, m, r, e := st.leases.Stats()
 			hits, misses, revoked, epochDrops = hits+h, misses+m, revoked+r, epochDrops+e
 		}
-		if st.attrs != nil {
-			h, m := st.attrs.Stats()
-			hits, misses = hits+h, misses+m
-		}
+		h, m := st.names.Stats()
+		hits, misses = hits+h, misses+m
 	}
 	return hits, misses, revoked, epochDrops
 }
@@ -357,7 +355,7 @@ func (c *client) cachedAttr(p string) (fs.Attr, bool) {
 	case CacheLease:
 		a, ok = st.leases.Get(p)
 	default:
-		a, ok = st.attrs.Get(p)
+		a, ok = st.names.Attr(p)
 	}
 	if ok {
 		c.fsys.noteStale(c.p, p, a)
@@ -365,19 +363,15 @@ func (c *client) cachedAttr(p string) (fs.Attr, bool) {
 	return a, ok
 }
 
-// fillEntry caches the attributes of p on the client under the
-// configured mode — a plain TTL put, or a server-recorded lease grant.
-// The client-side cache writes go through simnet.Defer: immediate on
-// the single-kernel path (and from client-side callers), once the
-// caller is home when the fill happens inside a cross-domain service
-// body.
+// fillEntry caches p on the client under the configured mode: the
+// dentry always, and the attributes as a plain TTL put or a
+// server-recorded lease grant. The name-cache write goes through
+// simnet.Defer: immediate on the single-kernel path (and from
+// client-side callers), once the caller is home when the fill happens
+// inside a cross-domain service body.
 func (c *client) fillEntry(p2 *sim.Proc, p string, a fs.Attr) {
 	st := c.st()
-	attrs := st.attrs
-	if c.cfg().CacheMode != CacheTTL {
-		attrs = nil
-	}
-	simnet.Defer(p2, clientcache.PositiveFill(attrs, st.dentries, p, a))
+	simnet.Defer(p2, clientcache.PositiveFill(st.names, p, a, c.cfg().CacheMode == CacheTTL))
 	if c.cfg().CacheMode == CacheLease {
 		c.fsys.grant(p2, st, p, a)
 	}
@@ -387,13 +381,10 @@ func (c *client) fillEntry(p2 *sim.Proc, p string, a fs.Attr) {
 // the client itself removed or moved the entry).
 func (c *client) dropEntry(p string) {
 	st := c.st()
-	if st.attrs != nil {
-		st.attrs.Invalidate(p)
-	}
+	st.names.Invalidate(p)
 	if st.leases != nil {
 		st.leases.Invalidate(p)
 	}
-	st.dentries.Invalidate(p)
 }
 
 // ReadDirPlus lists a directory and returns each entry's attributes

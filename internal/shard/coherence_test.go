@@ -404,3 +404,68 @@ func TestCoherentCountersDeterministic(t *testing.T) {
 		t.Fatalf("identically-seeded coherent runs diverged: %v vs %v", a, b)
 	}
 }
+
+// TestCacheCensusScripted runs one scripted sequence per cache mode and
+// checks CacheStats and the client half of CapacityStats against the
+// counts the sequence must leave. Under CacheTTL the name cache holds
+// both halves: a create caches attributes and a dentry, a failed walk a
+// negative dentry, an unlink drops both. Under CacheLease it holds
+// dentries only and the lease cache the attributes: a delegation recall
+// and two revocations each drop a dentry with the lease.
+func TestCacheCensusScripted(t *testing.T) {
+	type census struct {
+		hits, misses, revoked, epochDrops int64
+		attrs, dentries, leases           int
+	}
+	stat := func(c fs.Client, p string) { c.Stat(p) }
+	for _, tc := range []struct {
+		mode   CacheMode
+		script func(a, b fs.Client)
+		want   census
+	}{{
+		mode: CacheTTL,
+		script: func(a, _ fs.Client) {
+			a.Mkdir("/d")    // attrs+dentries {/d}
+			a.Create("/d/f") // + /d/f
+			stat(a, "/d/f")  // hit
+			stat(a, "/d/g")  // miss; ENOENT from the server, nothing cached
+			stat(a, "/e/x")  // miss; negative dentry /e
+			a.Unlink("/d/f") // drops /d/f
+			stat(a, "/d/f")  // miss
+		},
+		want: census{hits: 1, misses: 3, attrs: 1, dentries: 2},
+	}, {
+		mode: CacheLease,
+		script: func(a, b fs.Client) {
+			a.Mkdir("/d")    // a: dentries and leases {/, /d}
+			a.Create("/d/f") // a: + /d/f
+			// b's walk leases /d and recalls a's delegation on it: a
+			// loses its /d lease (revoked) and dentry.
+			stat(b, "/d/f") // b misses; b: dentries and leases {/d, /d/f}
+			// a's walk re-leases /d; the unlink revokes b's /d/f and /d,
+			// dropping b's dentries, and drops a's own /d/f and /d
+			// leases silently.
+			a.Unlink("/d/f")
+			stat(a, "/d/f") // a misses
+			stat(a, "/")    // a hits its lease on /
+		},
+		want: census{hits: 1, misses: 2, revoked: 3, dentries: 2, leases: 1},
+	}} {
+		cfg := DefaultConfig(4)
+		cfg.CacheMode = tc.mode
+		k, cl, f := twoNodes(cfg)
+		k.Spawn("t", func(p *sim.Proc) {
+			tc.script(f.NewClient(cl.Nodes[0], p), f.NewClient(cl.Nodes[1], p))
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var got census
+		got.hits, got.misses, got.revoked, got.epochDrops = f.CacheStats()
+		st := f.CapacityStats()
+		got.attrs, got.dentries, got.leases = st.ClientAttrs, st.ClientDentries, st.ClientLeases
+		if got != tc.want {
+			t.Errorf("%v: census %+v, want %+v", tc.mode, got, tc.want)
+		}
+	}
+}

@@ -121,16 +121,12 @@ func (f *FS) CapacityStats() CapacityStats {
 	}
 	st.SplitDirs = len(f.splitDirs)
 	for _, sh := range f.shards {
-		st.JournalEntries += len(sh.journal)
+		st.JournalEntries += sh.journal
 	}
 	st.Nodes = len(f.nodes)
 	for _, ns := range f.nodes {
-		if ns.attrs != nil {
-			st.ClientAttrs += ns.attrs.Len()
-		}
-		if ns.dentries != nil {
-			st.ClientDentries += ns.dentries.Len()
-		}
+		st.ClientAttrs += ns.names.AttrLen()
+		st.ClientDentries += ns.names.DentryLen()
 		if ns.leases != nil {
 			st.ClientLeases += ns.leases.Len()
 		}

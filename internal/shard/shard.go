@@ -300,12 +300,6 @@ const (
 	splitMovePerEntry = 4 * time.Microsecond
 )
 
-// journalRec is one entry of a shard's bounded mutation journal.
-type journalRec struct {
-	kind fs.OpKind
-	path string
-}
-
 // shardSrv is one metadata server: its authoritative namespace slice,
 // client-facing and peer thread pools, journal and directory locks.
 type shardSrv struct {
@@ -325,19 +319,19 @@ type shardSrv struct {
 	// up mirrors the simnet server state; false between Crash and the
 	// end of Restart recovery.
 	up bool
-	// journal holds the slice's dirty mutations since the last
-	// checkpoint; its length prices takeover and restart replay.
-	journal     []journalRec
+	// journal counts the slice's dirty mutations since the last
+	// checkpoint; it prices takeover and restart replay.
+	journal     int
 	checkpoints int64
 }
 
-// journalAppend records one mutation, truncating at the checkpoint cap.
-func (sh *shardSrv) journalAppend(cap int, kind fs.OpKind, path string) {
-	if cap > 0 && len(sh.journal) >= cap {
-		sh.journal = sh.journal[:0]
+// journalAppend counts one mutation, truncating at the checkpoint cap.
+func (sh *shardSrv) journalAppend(cap int) {
+	if cap > 0 && sh.journal >= cap {
+		sh.journal = 0
 		sh.checkpoints++
 	}
-	sh.journal = append(sh.journal, journalRec{kind: kind, path: path})
+	sh.journal++
 }
 
 // Takeover records one backup promotion after a primary crash.
@@ -454,9 +448,10 @@ type connKey struct {
 }
 
 type nodeState struct {
-	attrs    *clientcache.AttrCache
-	dentries *clientcache.DentryCache
-	// leases replaces attrs under CacheLease; cb and cbConn are the
+	// names caches the node's dentries in every mode, and under
+	// CacheTTL their attributes too.
+	names *clientcache.NameCache
+	// leases caches attributes under CacheLease; cb and cbConn are the
 	// node's callback endpoint and the server→client path to it.
 	leases *clientcache.LeaseCache
 	cb     *simnet.Server
@@ -549,7 +544,7 @@ func (f *FS) Up(i int) bool { return f.shards[i].up }
 func (f *FS) ServingShard(i int) int { return f.serving[i] }
 
 // JournalLen returns the number of dirty journal entries on shard i.
-func (f *FS) JournalLen(i int) int { return len(f.shards[i].journal) }
+func (f *FS) JournalLen(i int) int { return f.shards[i].journal }
 
 // replicated reports whether primary/backup replication is in effect.
 func (f *FS) replicated() bool { return f.cfg.Replicate && len(f.shards) > 1 }
@@ -590,7 +585,7 @@ func (f *FS) Crash(p *sim.Proc, i int) {
 			// there is nothing to promote.
 			return
 		}
-		entries := len(sh.journal)
+		entries := sh.journal
 		replay := time.Duration(entries) * f.shards[b].be.replayPerEntry()
 		q.Sleep(replay)
 		if sh.up || !f.shards[b].up {
@@ -620,13 +615,13 @@ func (f *FS) Restart(p *sim.Proc, i int) {
 	if sh.up {
 		return
 	}
-	replay := time.Duration(len(sh.journal)) * sh.be.replayPerEntry()
+	replay := time.Duration(sh.journal) * sh.be.replayPerEntry()
 	f.k.AfterFunc("recover:"+strconv.Itoa(i), replay, func(q *sim.Proc) {
 		sh.up = true
 		sh.srv.SetUp()
 		sh.peer.SetUp()
 		f.serving[i] = i
-		sh.journal = sh.journal[:0] // recovery checkpoints the journal
+		sh.journal = 0 // recovery checkpoints the journal
 		sh.checkpoints++
 		// Failback is another serving change the restarted primary has
 		// no lease state for; leases granted meanwhile (by the backup,
@@ -736,7 +731,7 @@ func (f *FS) nodeState(n *cluster.Node) *nodeState {
 	s, ok := f.nodes[n]
 	if !ok {
 		s = &nodeState{
-			dentries: clientcache.NewDentryCache(dentryTTL, f.k.Now),
+			names: clientcache.NewNameCache(f.cfg.AttrTTL, dentryTTL, f.k.Now),
 		}
 		if f.cfg.CacheMode == CacheLease {
 			var epochOf func(int) uint64
@@ -745,8 +740,6 @@ func (f *FS) nodeState(n *cluster.Node) *nodeState {
 			}
 			s.leases = clientcache.NewLeaseCache(f.k.Now, epochOf)
 			f.cbServer(s, n)
-		} else {
-			s.attrs = clientcache.NewAttrCache(f.cfg.AttrTTL, f.k.Now)
 		}
 		f.nodes[n] = s
 	}
@@ -845,8 +838,8 @@ func (f *FS) hop(sp *sim.Proc, dst *shardSrv, body func(q *sim.Proc)) {
 // partner catches up by journal replay, not by data transfer). Directory
 // mutations under hash placement skip the mirror — the broadcast already
 // delivered them to every shard, the backup included.
-func (f *FS) commit(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path string) {
-	state.journalAppend(f.cfg.JournalCap, kind, path)
+func (f *FS) commit(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind) {
+	state.journalAppend(f.cfg.JournalCap)
 	partner := f.mirrorPartner(state, srv, kind)
 	if partner < 0 {
 		return
@@ -896,14 +889,14 @@ func (f *FS) mirrorPartner(state, srv *shardSrv, kind fs.OpKind) int {
 // the backup. Servers' peer-pool work (mirror applies, migrate inserts)
 // never joins a batch, so a batch leader can always reach the partner's
 // peer pool and the wait graph stays acyclic.
-func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path string, logBytes int64) {
+func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, logBytes int64) {
 	w := f.cfg.GroupCommitWindow
 	if w <= 0 {
 		srv.be.log(sp, logBytes)
-		f.commit(sp, state, srv, kind, path)
+		f.commit(sp, state, srv, kind)
 		return
 	}
-	state.journalAppend(f.cfg.JournalCap, kind, path)
+	state.journalAppend(f.cfg.JournalCap)
 	partner := f.mirrorPartner(state, srv, kind)
 	if b := srv.gc; b != nil {
 		// Follower: join the open batch and wait out its flush.
@@ -1103,7 +1096,10 @@ func (f *FS) entryState(p string) *shardSrv { return f.shards[f.ownerSlice(p)] }
 // cache, issuing one LOOKUP RPC to the owning shard per missing
 // component. Under subtree placement every ancestor of a path shares
 // its top-level component, so a cold walk stays on one shard; under
-// hash placement the lookups scatter across the cluster.
+// hash placement the lookups scatter across the cluster. An ancestor
+// that is not a directory fails the walk with ENOTDIR, from the LOOKUP
+// reply or from its cached dentry alike: a file lives only on its
+// owner slice, so the operation's own shard could not tell.
 func (c *client) resolveParents(p string) error {
 	f := c.fsys
 	st := c.st()
@@ -1112,9 +1108,12 @@ func (c *client) resolveParents(p string) error {
 			continue
 		}
 		prefix := p[:i]
-		if _, neg, ok := st.dentries.Lookup(prefix); ok {
-			if neg {
+		if dir, neg, ok := st.names.DentryDir(prefix); ok {
+			switch {
+			case neg:
 				return fs.NewError("lookup", prefix, fs.ENOENT)
+			case !dir:
+				return fs.NewError("lookup", prefix, fs.ENOTDIR)
 			}
 			continue
 		}
@@ -1125,11 +1124,14 @@ func (c *client) resolveParents(p string) error {
 			a, err = state.ns.Stat(prefix)
 			if err == nil {
 				c.fillEntry(sp, prefix, a)
+				if a.Type != fs.TypeDirectory {
+					err = fs.NewError("lookup", prefix, fs.ENOTDIR)
+				}
 			} else {
 				// The negative dentry is client-side state: it rides the
 				// reply home (immediate when client and shard share a
 				// kernel).
-				simnet.Defer(sp, clientcache.NegativeFill(st.dentries, prefix))
+				simnet.Defer(sp, clientcache.NegativeFill(st.names, prefix))
 			}
 		})
 		if cerr != nil {
@@ -1222,7 +1224,7 @@ func (c *client) Create(p string) error {
 		_, err = state2.ns.Create(p, 0o644, sp.Now())
 		if err == nil {
 			f.revokeOnMutate(sp, c.st(), p, true)
-			f.persist(sp, state2, srv, fs.OpCreate, p, metaLogBytes)
+			f.persist(sp, state2, srv, fs.OpCreate, metaLogBytes)
 			if dir, lerr := state2.ns.Lookup(fs.ParentDir(p)); lerr == nil {
 				f.maybeSplit(sp, fs.ParentDir(p), dir.NumChildren(), c.st())
 			}
@@ -1275,7 +1277,7 @@ func (c *client) Mkdir(p string) error {
 				ns.Mkdir(p, 0o755, now)
 			})
 			f.revokeOnMutate(sp, c.st(), p, true)
-			f.persist(sp, state, srv, fs.OpMkdir, p, metaLogBytes)
+			f.persist(sp, state, srv, fs.OpMkdir, metaLogBytes)
 		}
 		if err == nil || fs.IsExist(err) {
 			c.captureEntry(sp, p)
@@ -1355,7 +1357,7 @@ func (c *client) Rmdir(p string) error {
 			})
 			f.revokeOnMutate(sp, c.st(), p, true)
 			f.dropDelegation(p)
-			f.persist(sp, state, srv, fs.OpRmdir, p, metaLogBytes)
+			f.persist(sp, state, srv, fs.OpRmdir, metaLogBytes)
 			payProbes()
 		}
 	})
@@ -1393,7 +1395,7 @@ func (c *client) Unlink(p string) error {
 		err = state2.ns.Unlink(p, sp.Now())
 		if err == nil {
 			f.revokeOnMutate(sp, c.st(), p, true)
-			f.persist(sp, state2, srv, fs.OpUnlink, p, metaLogBytes)
+			f.persist(sp, state2, srv, fs.OpUnlink, metaLogBytes)
 		}
 	})
 	if cerr != nil {
@@ -1488,7 +1490,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 						f.revokeSubtree(sp, c.st(), oldPath, f.ownerSlice(oldPath))
 					}
 				}
-				f.persist(sp, state2, srv, fs.OpRename, newPath, metaLogBytes)
+				f.persist(sp, state2, srv, fs.OpRename, metaLogBytes)
 				// The rename inserted an entry at the destination parent:
 				// it can push that directory over the split threshold
 				// just like a create.
@@ -1568,7 +1570,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 						// work must never wait on a batch whose leader may
 						// need this very pool for its mirror round trip.
 						dstSrv.be.log(q, metaLogBytes)
-						f.commit(q, dstState, dstSrv, fs.OpRename, newPath)
+						f.commit(q, dstState, dstSrv, fs.OpRename)
 						c.captureEntry(q, newPath)
 					}
 				})
@@ -1582,7 +1584,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 				err = srcState.ns.Unlink(oldPath, sp.Now())
 				if err == nil {
 					f.revokeOnMutate(sp, c.st(), oldPath, true)
-					f.persist(sp, srcState, srv, fs.OpUnlink, oldPath, metaLogBytes)
+					f.persist(sp, srcState, srv, fs.OpUnlink, metaLogBytes)
 					// The migrate grew the destination parent; trigger
 					// from the coordinator, never from inside the hop —
 					// a split hops to peer pools itself, and peer-pool
@@ -1641,7 +1643,7 @@ func (c *client) Link(oldPath, newPath string) error {
 			// The link bumps the target's nlink: both names go stale.
 			f.revokeOnMutate(sp, c.st(), oldPath, false)
 			f.revokeOnMutate(sp, c.st(), newPath, true)
-			f.persist(sp, state, srv, fs.OpLink, newPath, metaLogBytes)
+			f.persist(sp, state, srv, fs.OpLink, metaLogBytes)
 			if dir, lerr := state.ns.Lookup(fs.ParentDir(newPath)); lerr == nil {
 				f.maybeSplit(sp, fs.ParentDir(newPath), dir.NumChildren(), c.st())
 			}
@@ -1674,7 +1676,7 @@ func (c *client) Symlink(target, linkPath string) error {
 		_, err = state.ns.Symlink(target, linkPath, sp.Now())
 		if err == nil {
 			f.revokeOnMutate(sp, c.st(), linkPath, true)
-			f.persist(sp, state, srv, fs.OpSymlink, linkPath, metaLogBytes)
+			f.persist(sp, state, srv, fs.OpSymlink, metaLogBytes)
 			if dir, lerr := state.ns.Lookup(fs.ParentDir(linkPath)); lerr == nil {
 				f.maybeSplit(sp, fs.ParentDir(linkPath), dir.NumChildren(), c.st())
 			}
@@ -1731,7 +1733,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		return 0, err
 	}
 	st := c.st()
-	ino, neg, ok := st.dentries.Lookup(p)
+	ino, neg, ok := st.names.Dentry(p)
 	if ok && neg {
 		return 0, fs.NewError("open", p, fs.ENOENT)
 	}
@@ -1749,7 +1751,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 				ino = a.Ino
 				c.fillEntry(sp, p, a)
 			} else {
-				st.dentries.PutNegative(p)
+				st.names.PutNegative(p)
 			}
 		})
 		if cerr != nil {
@@ -1775,7 +1777,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		// open resolves the name, so refresh the dentry and open the
 		// current incarnation — only flush guards handle incarnations.
 		ino = node.Ino
-		st.dentries.PutPositive(p, ino)
+		st.names.PutDentry(p, ino, node.Type == fs.TypeDirectory)
 	}
 	return c.newHandle(p, slice, ino, node.Size), nil
 }
@@ -1798,17 +1800,16 @@ func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) 
 		}
 	}
 	if !haveSize {
+		var a fs.Attr
 		var err error
 		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 			f.serviceOp(sp, srv, lookupService, -1, f.readInfo(state, p))
 			state = f.entryState(p) // the charge may have overlapped a split
-			var a fs.Attr
 			a, err = state.ns.Stat(p)
 			if err == nil {
-				ino, size = a.Ino, a.Size
 				c.fillEntry(sp, p, a)
 			} else {
-				simnet.Defer(sp, clientcache.NegativeFill(st.dentries, p))
+				simnet.Defer(sp, clientcache.NegativeFill(st.names, p))
 			}
 		})
 		if cerr != nil {
@@ -1817,7 +1818,8 @@ func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) 
 		if err != nil {
 			return 0, err
 		}
-		st.dentries.PutPositive(p, ino)
+		ino, size = a.Ino, a.Size
+		st.names.PutDentry(p, ino, a.Type == fs.TypeDirectory)
 	}
 	return c.newHandle(p, f.ownerSlice(p), ino, size), nil
 }
@@ -1898,7 +1900,7 @@ func (c *client) flush(of *openFile) error {
 		// Size and mtime changed: other holders' attribute leases die;
 		// the parent directory is untouched by a content write.
 		f.revokeOnMutate(sp, c.st(), of.path, false)
-		f.persist(sp, state, srv, fs.OpWrite, of.path, metaLogBytes+written)
+		f.persist(sp, state, srv, fs.OpWrite, metaLogBytes+written)
 		if f.domained() {
 			// The client-side refresh below cannot peek across domains:
 			// refill here, at the commit instant. Nothing re-homes an
@@ -2025,19 +2027,15 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	return ents, err
 }
 
-// DropCaches clears the node's attribute, lease, dentry and
-// split-bitmap caches.
+// DropCaches clears the node's name, lease and split-bitmap caches.
 func (c *client) DropCaches() {
 	c.node.Syscall(c.p)
 	st := c.st()
-	if st.attrs != nil {
-		st.attrs.Clear()
-	}
+	st.names.Clear()
 	if st.leases != nil {
 		st.leases.Clear()
 	}
 	if st.splits != nil {
 		st.splits.Clear()
 	}
-	st.dentries.Clear()
 }

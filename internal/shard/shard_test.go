@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -429,4 +430,48 @@ func TestWriteToDirectoryEISDIR(t *testing.T) {
 			t.Errorf("directory after the refused writes: %+v, %v; want size 0", a, err)
 		}
 	})
+}
+
+// TestWalkUnderFileENOTDIR checks that an operation below a regular
+// file fails at the parent with ENOTDIR, as a POSIX walk does, and not
+// with the ENOENT of the operation's own shard, which never holds the
+// file. Cold, the parent's LOOKUP reply answers; warm, its cached
+// dentry answers without an RPC.
+func TestWalkUnderFileENOTDIR(t *testing.T) {
+	ops := []struct {
+		name string
+		fn   func(c fs.Client, p string) error
+	}{
+		{"stat", func(c fs.Client, p string) error { _, err := c.Stat(p); return err }},
+		{"create", fs.Client.Create},
+		{"mkdir", fs.Client.Mkdir},
+		{"unlink", fs.Client.Unlink},
+	}
+	for _, warm := range []bool{false, true} {
+		for _, op := range ops {
+			k, cl, f := env(t, 1, DefaultConfig(4))
+			drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
+				if err := c.Mkdir("/d"); err != nil {
+					t.Fatalf("mkdir: %v", err)
+				}
+				if err := c.Create("/d/f"); err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				if !warm {
+					c.DropCaches()
+				}
+				for _, target := range []string{"/d/f/x", "/d/f/x/y"} {
+					rpcs := f.RPCCount()
+					err := op.fn(c, target)
+					var fe *fs.Error
+					if !errors.As(err, &fe) || fe.Code != fs.ENOTDIR || fe.Path != "/d/f" {
+						t.Errorf("warm=%v %s(%s) = %v; want ENOTDIR at /d/f", warm, op.name, target, err)
+					}
+					if sent := f.RPCCount() - rpcs; warm && sent != 0 {
+						t.Errorf("warm=%v %s(%s) sent %d RPCs; the cached dentry must answer", warm, op.name, target, sent)
+					}
+				}
+			})
+		}
+	}
 }

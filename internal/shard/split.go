@@ -217,8 +217,8 @@ func (f *FS) splitApply(dir string, ds *dirSplit, mutator *nodeState, now time.D
 			if !f.moveEntry(src, dst, path, e, now) {
 				continue
 			}
-			srcState.journalAppend(f.cfg.JournalCap, fs.OpUnlink, path)
-			dstState.journalAppend(f.cfg.JournalCap, fs.OpCreate, path)
+			srcState.journalAppend(f.cfg.JournalCap)
+			dstState.journalAppend(f.cfg.JournalCap)
 			victims = append(victims, f.splitRevoke(src, path, mutator)...)
 			b.moved++
 		}
@@ -371,7 +371,7 @@ func (f *FS) splitRevoke(slice int, path string, mutator *nodeState) []*nodeStat
 			continue
 		}
 		g.st.leases.Revoke(path)
-		g.st.dentries.Invalidate(path)
+		g.st.names.InvalidateDentry(path)
 		if g.st.splits != nil {
 			g.st.splits.Invalidate(path)
 		}

@@ -65,36 +65,29 @@ type event struct {
 	p   *Proc
 }
 
-// lessThan orders events by (at, seq); seq ties never occur.
-func (a event) lessThan(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// ordered is satisfied by heap elements that know their own ordering.
-type ordered[T any] interface {
-	lessThan(T) bool
-}
-
-// minHeap is a concrete-typed binary min-heap shared by the kernel event
-// queue and the synchronization wait queues. Compared to container/heap
-// it avoids the interface{} boxing that costs one allocation per entry;
-// the backing slice is reused for the lifetime of the kernel, so
+// eventHeap is the kernel's scheduling queue: a binary min-heap of
+// events ordered by (at, seq). Compared to container/heap it avoids the
+// interface{} boxing that costs one allocation per entry, and its
+// comparisons are plain field compares the compiler inlines; the
+// backing slice is reused for the lifetime of the kernel, so
 // steady-state scheduling does not allocate.
-type minHeap[T ordered[T]] struct {
-	e []T
+type eventHeap struct {
+	e []event
 }
 
-func (h *minHeap[T]) len() int { return len(h.e) }
+// before orders events by (at, seq); seq ties never occur.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
-func (h *minHeap[T]) push(v T) {
+func (h *eventHeap) len() int { return len(h.e) }
+
+func (h *eventHeap) push(v event) {
 	e := append(h.e, v)
 	i := len(e) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e[i].lessThan(e[parent]) {
+		if !e[i].before(&e[parent]) {
 			break
 		}
 		e[i], e[parent] = e[parent], e[i]
@@ -103,13 +96,12 @@ func (h *minHeap[T]) push(v T) {
 	h.e = e
 }
 
-func (h *minHeap[T]) pop() T {
+func (h *eventHeap) pop() event {
 	e := h.e
 	top := e[0]
 	n := len(e) - 1
 	e[0] = e[n]
-	var zero T
-	e[n] = zero // clear the popped slot so interior pointers can be collected
+	e[n] = event{} // clear the popped slot so its process can be collected
 	e = e[:n]
 	i := 0
 	for {
@@ -118,10 +110,10 @@ func (h *minHeap[T]) pop() T {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && e[r].lessThan(e[l]) {
+		if r := l + 1; r < n && e[r].before(&e[l]) {
 			m = r
 		}
-		if !e[m].lessThan(e[i]) {
+		if !e[m].before(&e[i]) {
 			break
 		}
 		e[i], e[m] = e[m], e[i]
@@ -130,9 +122,6 @@ func (h *minHeap[T]) pop() T {
 	h.e = e
 	return top
 }
-
-// eventHeap is the kernel's scheduling queue.
-type eventHeap = minHeap[event]
 
 // Kernel is a discrete-event simulation kernel. The zero value is not
 // usable; call New.

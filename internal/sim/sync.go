@@ -8,17 +8,59 @@ type waiter struct {
 	n   int64 // units requested (semaphores)
 }
 
-// lessThan orders waiters by (pri, seq); seq ties never occur.
-func (a waiter) lessThan(b waiter) bool {
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	return a.seq < b.seq
+// waitQueue is a binary min-heap of waiters ordered by (pri, seq), the
+// same boxing-free heap as the kernel's eventHeap over another key.
+type waitQueue struct {
+	e []waiter
 }
 
-// waitQueue is a binary min-heap of waiters ordered by (pri, seq),
-// sharing the kernel's boxing-free minHeap implementation.
-type waitQueue = minHeap[waiter]
+// before orders waiters by (pri, seq); seq ties never occur.
+func (a *waiter) before(b *waiter) bool {
+	return a.pri < b.pri || a.pri == b.pri && a.seq < b.seq
+}
+
+func (q *waitQueue) len() int { return len(q.e) }
+
+func (q *waitQueue) push(v waiter) {
+	e := append(q.e, v)
+	i := len(e) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e[i].before(&e[parent]) {
+			break
+		}
+		e[i], e[parent] = e[parent], e[i]
+		i = parent
+	}
+	q.e = e
+}
+
+func (q *waitQueue) pop() waiter {
+	e := q.e
+	top := e[0]
+	n := len(e) - 1
+	e[0] = e[n]
+	e[n] = waiter{} // clear the popped slot so its process can be collected
+	e = e[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && e[r].before(&e[l]) {
+			m = r
+		}
+		if !e[m].before(&e[i]) {
+			break
+		}
+		e[i], e[m] = e[m], e[i]
+		i = m
+	}
+	q.e = e
+	return top
+}
 
 // Semaphore is a counted semaphore with priority-aware FIFO queueing.
 // Acquire requests may ask for multiple units, which is convenient for

@@ -67,17 +67,16 @@ func TestCrossDomainReplyFill(t *testing.T) {
 	for _, cross := range []bool{false, true} {
 		k, srv := cell(cross, lat, 1)
 		conn := NewConn(k, srv, lat, 0)
-		dentries := clientcache.NewDentryCache(time.Hour, k.Now)
-		attrs := clientcache.NewAttrCache(time.Hour, k.Now)
+		names := clientcache.NewNameCache(time.Hour, time.Hour, k.Now)
 		var during, after bool
 		var at time.Duration
 		k.Spawn("client", func(p *sim.Proc) {
 			conn.Call(p, 0, 0, func(sp *sim.Proc) {
-				Defer(sp, clientcache.PositiveFill(attrs, dentries, "/f", fs.Attr{Ino: 7}))
+				Defer(sp, clientcache.PositiveFill(names, "/f", fs.Attr{Ino: 7}, true))
 				sp.Sleep(time.Millisecond)
 			})
-			_, _, after = dentries.Lookup("/f")
-			a, _ := attrs.Get("/f")
+			_, _, after = names.Dentry("/f")
+			a, _ := names.Attr("/f")
 			at = p.Now()
 			if a.Ino != 7 {
 				t.Errorf("cross=%v: cached attrs %+v, want ino 7", cross, a)
@@ -85,7 +84,7 @@ func TestCrossDomainReplyFill(t *testing.T) {
 		})
 		k.Spawn("reader", func(p *sim.Proc) {
 			p.Sleep(lat + time.Millisecond/2) // mid-body
-			_, _, during = dentries.Lookup("/f")
+			_, _, during = names.Dentry("/f")
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -108,8 +107,7 @@ func TestCallInlineAllocFree(t *testing.T) {
 	k := sim.New(1)
 	srv := NewServer(k, "s", 1)
 	conn := NewConn(k, srv, 100*time.Microsecond, 0)
-	dentries := clientcache.NewDentryCache(time.Hour, k.Now)
-	attrs := clientcache.NewAttrCache(time.Hour, k.Now)
+	names := clientcache.NewNameCache(time.Hour, time.Hour, k.Now)
 	var allocs float64
 	k.Spawn("client", func(p *sim.Proc) {
 		n := 0
@@ -119,10 +117,10 @@ func TestCallInlineAllocFree(t *testing.T) {
 				sp.Sleep(time.Microsecond)
 				n++
 				a.Size = int64(n)
-				Defer(sp, clientcache.PositiveFill(attrs, dentries, "/f", a))
+				Defer(sp, clientcache.PositiveFill(names, "/f", a, true))
 			})
 		}
-		call() // first insertion grows the cache maps
+		call() // first insertion grows the cache's index and pages
 		allocs = testing.AllocsPerRun(1000, call)
 	})
 	if err := k.Run(); err != nil {

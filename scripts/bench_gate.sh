@@ -13,8 +13,9 @@
 #   - warns on any regression above 15%,
 #   - passes otherwise.
 #
-# Absolute allocation guards ride along: BenchmarkAggregateInject's and
-# BenchmarkKernelHandoff's steady states must report 0 allocs/op, and
+# Absolute allocation guards ride along: BenchmarkAggregateInject's,
+# BenchmarkKernelHandoff's and BenchmarkCachedGetattr's steady states
+# must report 0 allocs/op, and
 # the hot create paths and BenchmarkKernelSpawn carry allocs/op
 # ceilings (alloc creep fails the build before it becomes a ns/op
 # regression). When the host fingerprint (CPU model/cores,
@@ -133,10 +134,12 @@ for bench in BenchmarkSimulatedCreate BenchmarkCachedGetattr BenchmarkSplitCreat
 done
 
 # Allocation guards: the aggregate-injection steady state (its per-op
-# cost is the whole point of the model) and the kernel's park/resume
-# round trip must stay allocation-free. These are absolute bounds, not
-# baseline comparisons, so they hold from the first snapshot on.
-for bench in BenchmarkAggregateInject BenchmarkKernelHandoff; do
+# cost is the whole point of the model), the kernel's park/resume
+# round trip and the sharded MDS's lease-hit stat (client name and
+# lease caches, no RPC) must stay allocation-free. These are absolute
+# bounds, not baseline comparisons, so they hold from the first
+# snapshot on.
+for bench in BenchmarkAggregateInject BenchmarkKernelHandoff BenchmarkCachedGetattr; do
 	a=$(extract "$fresh" "$bench" allocs_per_op)
 	if [ -z "$a" ]; then
 		echo "bench_gate: $bench allocs/op missing from $fresh" >&2
