@@ -35,17 +35,20 @@ import (
 	"dmetabench/internal/lustre"
 	"dmetabench/internal/nfs"
 	"dmetabench/internal/ontapgx"
-	"dmetabench/internal/pvfs"
 	"dmetabench/internal/realrun"
 	"dmetabench/internal/results"
 	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 )
 
+// fsKinds lists the -fs values runSim accepts, as the help text shows
+// them.
+const fsKinds = "nfs | lustre | lustre-wb | cxfs | afs | gx | shard | shard-subtree | local"
+
 func main() {
 	var (
 		mode        = flag.String("mode", "sim", "sim | real | master")
-		fsKind      = flag.String("fs", "nfs", "simulated fs: nfs | lustre | lustre-wb | cxfs | afs | gx | pvfs | shard | shard-subtree | local")
+		fsKind      = flag.String("fs", "nfs", "simulated fs: "+fsKinds)
 		nodes       = flag.Int("nodes", 4, "sim: number of client nodes")
 		ppn         = flag.Int("ppn", 2, "sim: worker slots per node")
 		cores       = flag.Int("cores", 8, "sim: CPU cores per node")
@@ -204,10 +207,6 @@ func runSim(fsKind string, nodes, ppn, cores, shards int, backendName string, la
 			c.Placement = shard.PlaceSubtree
 		}
 		fsys = shard.New(k, "meta", c)
-	case "pvfs":
-		c := pvfs.DefaultConfig()
-		c.OneWayLatency = lat(c.OneWayLatency)
-		fsys = pvfs.New(k, "scratch", c)
 	case "local":
 		fsys = localfs.New(k, cl.Nodes[0])
 	default:

@@ -3,18 +3,20 @@ package main
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"dmetabench/internal/core"
+	"dmetabench/internal/results"
 )
 
-// run runs runSim for one MakeFiles/StatFiles pass at a small problem
-// size on 1 to nodes nodes with one process each.
-func run(t *testing.T, fsKind string, nodes int, latency time.Duration) ([]string, error) {
+// simulate runs runSim for one pass of ops at a small problem size on 1
+// to nodes nodes with one process each.
+func simulate(t *testing.T, fsKind string, nodes int, latency time.Duration, ops ...string) (*results.Set, error) {
 	t.Helper()
 	var plugins []core.Plugin
-	for _, name := range []string{"MakeFiles", "StatFiles"} {
+	for _, name := range ops {
 		p, err := core.PluginByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -22,7 +24,14 @@ func run(t *testing.T, fsKind string, nodes int, latency time.Duration) ([]strin
 		plugins = append(plugins, p)
 	}
 	params := core.Params{ProblemSize: 50, WorkDir: "/bench", Interval: 100 * time.Millisecond, NodeStep: 1, PPNStep: 1, Label: "test"}
-	set, err := runSim(fsKind, nodes, 1, 8, 4, "mem", latency, 1, params, plugins)
+	return runSim(fsKind, nodes, 1, 8, 4, "mem", latency, 1, params, plugins)
+}
+
+// run runs simulate for one MakeFiles/StatFiles pass and returns one row
+// per measurement.
+func run(t *testing.T, fsKind string, nodes int, latency time.Duration) ([]string, error) {
+	t.Helper()
+	set, err := simulate(t, fsKind, nodes, latency, "MakeFiles", "StatFiles")
 	if err != nil {
 		return nil, err
 	}
@@ -76,5 +85,29 @@ func TestZeroLatencyIsCalibrated(t *testing.T) {
 	}
 	if len(def) == 0 || !reflect.DeepEqual(def, cal) {
 		t.Errorf("afs at -latency 0:\n%v\nat 300us:\n%v", def, cal)
+	}
+}
+
+// TestEveryListedFSRuns runs every -fs value the help text lists through
+// a write-and-open pass, which must finish with no rank error, and checks
+// that an unlisted value fails as unknown.
+func TestEveryListedFSRuns(t *testing.T) {
+	for _, kind := range strings.Split(fsKinds, " | ") {
+		set, err := simulate(t, kind, 1, 0, "MakeFiles64byte", "OpenCloseFiles")
+		if err != nil {
+			t.Errorf("-fs %s: %v", kind, err)
+			continue
+		}
+		if len(set.Measurements) != 2 {
+			t.Errorf("-fs %s: %d measurements, want 2", kind, len(set.Measurements))
+		}
+		for _, m := range set.Measurements {
+			if err := m.Err(); err != nil {
+				t.Errorf("-fs %s: %v", kind, err)
+			}
+		}
+	}
+	if _, err := simulate(t, "pvfs", 1, 0, "MakeFiles"); err == nil || !strings.Contains(err.Error(), `unknown -fs "pvfs"`) {
+		t.Errorf("-fs pvfs: %v, want unknown -fs", err)
 	}
 }

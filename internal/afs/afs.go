@@ -56,23 +56,19 @@ type FS struct {
 	k   *sim.Kernel
 	cfg Config
 
-	servers []*simnet.Server
+	// servers holds every node's path to each file server: without a
+	// bandwidth limit a call changes nothing in a Conn. A limit would
+	// need one per node.
+	servers []*simnet.Conn
 	volumes map[string]*volume
-	conns   map[connKey]*simnet.Conn
 	nodes   map[*cluster.Node]*nodeCache
 	rpcs    int64
 }
 
-type connKey struct {
-	node *cluster.Node
-	srv  int
-}
-
 type volume struct {
-	name   string
 	server int
 	ns     *namespace.Namespace
-	locks  map[fs.Ino]*sim.Mutex
+	locks  *sim.Locks
 	// version increments on every modification of a path, breaking
 	// callbacks held by client caches.
 	version map[string]int64
@@ -96,12 +92,11 @@ func New(k *sim.Kernel, name string, servers int, cfg Config) *FS {
 		k:       k,
 		cfg:     cfg,
 		volumes: make(map[string]*volume),
-		conns:   make(map[connKey]*simnet.Conn),
 		nodes:   make(map[*cluster.Node]*nodeCache),
 	}
 	for i := 0; i < servers; i++ {
-		f.servers = append(f.servers,
-			simnet.NewServer(k, fmt.Sprintf("afs%d:%s", i, name), serverThreads))
+		srv := simnet.NewServer(k, fmt.Sprintf("afs%d:%s", i, name), serverThreads)
+		f.servers = append(f.servers, simnet.NewConn(k, srv, cfg.OneWayLatency, 0))
 	}
 	return f
 }
@@ -116,10 +111,9 @@ func (f *FS) AddVolume(name string, server int) *volume {
 		server = len(f.volumes) % len(f.servers)
 	}
 	v := &volume{
-		name:    name,
 		server:  server,
 		ns:      namespace.New(),
-		locks:   make(map[fs.Ino]*sim.Mutex),
+		locks:   sim.NewLocks(f.k, "afsdir:"+name),
 		version: make(map[string]int64),
 	}
 	f.volumes[name] = v
@@ -159,16 +153,6 @@ func (f *FS) resolve(op, p string) (*volume, string, error) {
 	return v, sub, nil
 }
 
-func (f *FS) conn(n *cluster.Node, srv int) *simnet.Conn {
-	key := connKey{n, srv}
-	c, ok := f.conns[key]
-	if !ok {
-		c = simnet.NewConn(f.k, f.servers[srv], f.cfg.OneWayLatency, 0)
-		f.conns[key] = c
-	}
-	return c
-}
-
 func (f *FS) cache(n *cluster.Node) *nodeCache {
 	nc, ok := f.nodes[n]
 	if !ok {
@@ -176,15 +160,6 @@ func (f *FS) cache(n *cluster.Node) *nodeCache {
 		f.nodes[n] = nc
 	}
 	return nc
-}
-
-func (v *volume) dirLock(k *sim.Kernel, ino fs.Ino) *sim.Mutex {
-	m, ok := v.locks[ino]
-	if !ok {
-		m = sim.NewMutex(k, fmt.Sprintf("afsdir:%s:%d", v.name, ino))
-		v.locks[ino] = m
-	}
-	return m
 }
 
 // bump invalidates client callbacks on a path after modification.
@@ -197,21 +172,19 @@ func (v *volume) bump(sp *sim.Proc, cost time.Duration, paths ...string) {
 
 // NewClient binds a client for one process on one node.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
-	return &client{fsys: f, node: node, p: p, handles: make(map[fs.Handle]*openFile)}
+	return &client{fsys: f, node: node, p: p}
 }
 
 type openFile struct {
-	path    string
-	written int64
-	dirty   bool
+	path string
+	fs.Buffer
 }
 
 type client struct {
-	fsys    *FS
-	node    *cluster.Node
-	p       *sim.Proc
-	nextFH  fs.Handle
-	handles map[fs.Handle]*openFile
+	fsys  *FS
+	node  *cluster.Node
+	p     *sim.Proc
+	files fs.Files[*openFile]
 }
 
 // modify runs one namespace-changing RPC against the volume server.
@@ -225,9 +198,9 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
-	f.conn(c.node, v.server).Call(c.p, 200, 160, func(sp *sim.Proc) {
+	f.servers[v.server].Call(c.p, 200, 160, func(sp *sim.Proc) {
 		if dir, lerr := v.ns.Lookup(fs.ParentDir(sub)); lerr == nil {
-			lock := v.dirLock(f.k, dir.Ino)
+			lock := v.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
 			sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(dir.NumChildren())))
@@ -266,30 +239,24 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	if _, err := c.Stat(p); err != nil {
 		return 0, err
 	}
-	c.nextFH++
-	c.handles[c.nextFH] = &openFile{path: p}
-	return c.nextFH, nil
+	return c.files.Open(&openFile{path: p}), nil
 }
 
 // Close implements open-to-close semantics: dirty data is stored back to
 // the volume server before close returns.
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("close", "", fs.EBADF)
-	}
-	delete(c.handles, h)
-	if !of.dirty {
-		return nil
+	of, err := c.files.Close(h)
+	if err != nil || !of.Dirty {
+		return err
 	}
 	return c.modify("store", of.path, createService/2, func(sp *sim.Proc, v *volume, sub string) error {
 		node, err := v.ns.Lookup(sub)
 		if err != nil {
 			return err
 		}
-		sp.Sleep(time.Duration(float64(of.written) / float64(40<<20) * float64(time.Second)))
-		if serr := v.ns.SetSize(node.Ino, node.Size+of.written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
+		sp.Sleep(time.Duration(float64(of.Written) / float64(40<<20) * float64(time.Second)))
+		if serr := v.ns.SetSize(node.Ino, node.Size+of.Written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
 			return serr
 		}
 		v.bump(sp, callbackBreakCost, sub)
@@ -300,29 +267,23 @@ func (c *client) Close(h fs.Handle) error {
 // Write buffers into the local AFS cache until close.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	of, err := c.files.Get("write", h)
+	if err == nil {
+		of.Add(n)
 	}
-	of.written += n
-	of.dirty = true
-	return nil
+	return err
 }
 
 // Fsync stores dirty data like close but keeps the handle; the stored
 // bytes are no longer the handle's to store again at close.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
+	of, err := c.files.Get("fsync", h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	if !of.dirty {
-		return nil
-	}
-	written := of.written
-	of.written = 0
-	of.dirty = false
+	written := of.Written
+	of.Reset()
 	return c.modify("store", of.path, createService/2, func(sp *sim.Proc, v *volume, sub string) error {
 		node, err := v.ns.Lookup(sub)
 		if err != nil {
@@ -434,7 +395,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	}
 	nc.miss++
 	var a fs.Attr
-	f.conn(c.node, v.server).Call(c.p, 150, 170, func(sp *sim.Proc) {
+	f.servers[v.server].Call(c.p, 150, 170, func(sp *sim.Proc) {
 		sp.Sleep(fetchService)
 		f.rpcs++
 		a, err = v.ns.Stat(sub)
@@ -455,7 +416,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 		return nil, err
 	}
 	var ents []fs.DirEntry
-	f.conn(c.node, v.server).Call(c.p, 150, 400, func(sp *sim.Proc) {
+	f.servers[v.server].Call(c.p, 150, 400, func(sp *sim.Proc) {
 		ents, err = v.ns.ReadDir(sub, sp.Now())
 		sp.Sleep(readdirService + time.Duration(len(ents))*time.Microsecond)
 		f.rpcs++

@@ -40,9 +40,6 @@ type Node struct {
 	hogs int
 }
 
-// Kernel returns the simulation kernel the node runs on.
-func (n *Node) Kernel() *sim.Kernel { return n.k }
-
 // Exec charges d of CPU time at default priority.
 func (n *Node) Exec(p *sim.Proc, d time.Duration) { n.cpu.Use(p, d) }
 

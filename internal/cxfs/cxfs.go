@@ -8,7 +8,6 @@
 package cxfs
 
 import (
-	"fmt"
 	"time"
 
 	"dmetabench/internal/clientcache"
@@ -41,12 +40,13 @@ const (
 type FS struct {
 	k *sim.Kernel
 
-	mds      *simnet.Server
+	// conn is every node's path to the MDS: without a bandwidth limit a
+	// call changes nothing in a Conn. A limit would need one per node.
+	conn     *simnet.Conn
 	ns       *namespace.Namespace
-	conns    map[*cluster.Node]*simnet.Conn
 	tokens   map[*cluster.Node]*sim.Mutex
 	attrs    map[*cluster.Node]*clientcache.AttrCache
-	dirLocks map[fs.Ino]*sim.Mutex
+	dirLocks *sim.Locks
 	rpcs     int64
 }
 
@@ -54,12 +54,11 @@ type FS struct {
 func New(k *sim.Kernel, name string) *FS {
 	return &FS{
 		k:        k,
-		mds:      simnet.NewServer(k, "cxfs-mds:"+name, mdsThreads),
+		conn:     simnet.NewConn(k, simnet.NewServer(k, "cxfs-mds:"+name, mdsThreads), oneWayLatency, 0),
 		ns:       namespace.New(),
-		conns:    make(map[*cluster.Node]*simnet.Conn),
 		tokens:   make(map[*cluster.Node]*sim.Mutex),
 		attrs:    make(map[*cluster.Node]*clientcache.AttrCache),
-		dirLocks: make(map[fs.Ino]*sim.Mutex),
+		dirLocks: sim.NewLocks(k, "cxfsdir"),
 	}
 }
 
@@ -71,15 +70,6 @@ func (f *FS) Namespace() *namespace.Namespace { return f.ns }
 
 // RPCCount returns the number of metadata RPCs served.
 func (f *FS) RPCCount() int64 { return f.rpcs }
-
-func (f *FS) conn(n *cluster.Node) *simnet.Conn {
-	c, ok := f.conns[n]
-	if !ok {
-		c = simnet.NewConn(f.k, f.mds, oneWayLatency, 0)
-		f.conns[n] = c
-	}
-	return c
-}
 
 func (f *FS) token(n *cluster.Node) *sim.Mutex {
 	m, ok := f.tokens[n]
@@ -99,26 +89,17 @@ func (f *FS) attrCache(n *cluster.Node) *clientcache.AttrCache {
 	return c
 }
 
-func (f *FS) dirLock(ino fs.Ino) *sim.Mutex {
-	m, ok := f.dirLocks[ino]
-	if !ok {
-		m = sim.NewMutex(f.k, fmt.Sprintf("cxfsdir:%d", ino))
-		f.dirLocks[ino] = m
-	}
-	return m
-}
-
 // NewClient binds a client for one process on one node.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
-	return &client{fsys: f, node: node, p: p, handles: make(map[fs.Handle]string)}
+	return &client{fsys: f, node: node, p: p}
 }
 
+// client implements fs.Client; its open files are their paths.
 type client struct {
-	fsys    *FS
-	node    *cluster.Node
-	p       *sim.Proc
-	nextFH  fs.Handle
-	handles map[fs.Handle]string
+	fsys  *FS
+	node  *cluster.Node
+	p     *sim.Proc
+	files fs.Files[string]
 }
 
 // metaOp runs one delegated metadata operation: per-node token, RPC to
@@ -130,10 +111,10 @@ func (c *client) metaOp(p string, svc time.Duration, useDirCost bool, apply func
 	tok.Lock(c.p)
 	defer tok.Unlock()
 	var err error
-	f.conn(c.node).Call(c.p, 180, 150, func(sp *sim.Proc) {
+	f.conn.Call(c.p, 180, 150, func(sp *sim.Proc) {
 		if useDirCost {
 			if dir, lerr := f.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := f.dirLock(dir.Ino)
+				lock := f.dirLocks.Get(uint64(dir.Ino))
 				lock.Lock(sp)
 				defer lock.Unlock()
 				sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(dir.NumChildren())))
@@ -168,19 +149,14 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	if _, err := c.Stat(p); err != nil {
 		return 0, err
 	}
-	c.nextFH++
-	c.handles[c.nextFH] = p
-	return c.nextFH, nil
+	return c.files.Open(p), nil
 }
 
 // Close releases the handle; data was written directly to the SAN.
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	if _, ok := c.handles[h]; !ok {
-		return fs.NewError("close", "", fs.EBADF)
-	}
-	delete(c.handles, h)
-	return nil
+	_, err := c.files.Close(h)
+	return err
 }
 
 // Write goes directly to the SAN storage: cheap and fully parallel (the
@@ -188,9 +164,9 @@ func (c *client) Close(h fs.Handle) error {
 // fails with EISDIR on a directory.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	p, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	p, err := c.files.Get("write", h)
+	if err != nil {
+		return err
 	}
 	c.p.Sleep(time.Duration(float64(n) / float64(200<<20) * float64(time.Second)))
 	if node, err := c.fsys.ns.Lookup(p); err == nil {
@@ -202,8 +178,8 @@ func (c *client) Write(h fs.Handle, n int64) error {
 // Fsync is a SAN flush.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	if _, ok := c.handles[h]; !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
+	if _, err := c.files.Get("fsync", h); err != nil {
+		return err
 	}
 	c.p.Sleep(100 * time.Microsecond)
 	return nil

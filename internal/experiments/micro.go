@@ -15,13 +15,12 @@ import (
 // costs: it isolates the pure Go overhead of the harness (E02) and
 // provides a cheap substrate for op counting (E01).
 type nullClient struct {
-	ns      *namespace.Namespace
-	nextFH  fs.Handle
-	handles map[fs.Handle]fs.Ino
+	ns    *namespace.Namespace
+	files fs.Files[fs.Ino]
 }
 
 func newNullClient() *nullClient {
-	return &nullClient{ns: namespace.New(), handles: make(map[fs.Handle]fs.Ino)}
+	return &nullClient{ns: namespace.New()}
 }
 
 func (c *nullClient) Create(p string) error {
@@ -34,23 +33,18 @@ func (c *nullClient) Open(p string) (fs.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.nextFH++
-	c.handles[c.nextFH] = n.Ino
-	return c.nextFH, nil
+	return c.files.Open(n.Ino), nil
 }
 
 func (c *nullClient) Close(h fs.Handle) error {
-	if _, ok := c.handles[h]; !ok {
-		return fs.NewError("close", "", fs.EBADF)
-	}
-	delete(c.handles, h)
-	return nil
+	_, err := c.files.Close(h)
+	return err
 }
 
 func (c *nullClient) Write(h fs.Handle, n int64) error {
-	ino, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	ino, err := c.files.Get("write", h)
+	if err != nil {
+		return err
 	}
 	node := c.ns.Get(ino)
 	if node == nil {
@@ -60,10 +54,8 @@ func (c *nullClient) Write(h fs.Handle, n int64) error {
 }
 
 func (c *nullClient) Fsync(h fs.Handle) error {
-	if _, ok := c.handles[h]; !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
-	}
-	return nil
+	_, err := c.files.Get("fsync", h)
+	return err
 }
 
 func (c *nullClient) Mkdir(p string) error {

@@ -12,14 +12,13 @@ import (
 	"dmetabench/internal/lustre"
 	"dmetabench/internal/namespace"
 	"dmetabench/internal/nfs"
-	"dmetabench/internal/pvfs"
 	"dmetabench/internal/sim"
 )
 
 // FuzzModelsAgainstNamespace is the single-client layer of the semantic
 // oracle. A seeded sequence of metadata operations runs through the NFS
-// model, the synchronous Lustre model, CXFS, PVFS2 and the node-local
-// file system, one client each on one kernel, and through a bare
+// model, the synchronous Lustre model, CXFS and the node-local file
+// system, one client each on one kernel, and through a bare
 // namespace.Namespace. Each client drops its node's caches before every
 // operation, so every operation reaches the server. Every errno must
 // match the reference's, and so must every successful Stat's type, size
@@ -35,7 +34,6 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 		nfsFS := nfs.New(k, "home", nfs.DefaultConfig())
 		lustreFS := lustre.New(k, "scratch", lustre.DefaultConfig())
 		cxfsFS := cxfs.New(k, "san")
-		pvfsFS := pvfs.New(k, "scratch", pvfs.DefaultConfig())
 		localFS := localfs.New(k, cl.Nodes[0])
 		ref := namespace.New()
 		k.Spawn("oracle", func(p *sim.Proc) {
@@ -46,7 +44,6 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 				{"nfs", nfsFS.NewClient(cl.Nodes[0], p)},
 				{"lustre", lustreFS.NewClient(cl.Nodes[0], p)},
 				{"cxfs", cxfsFS.NewClient(cl.Nodes[0], p)},
-				{"pvfs", pvfsFS.NewClient(cl.Nodes[0], p)},
 				{"localfs", localFS.NewClient(cl.Nodes[0], p)},
 			}
 			for i, op := range ops {
@@ -70,7 +67,7 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 		}
 		for name, ns := range map[string]*namespace.Namespace{
 			"nfs": nfsFS.Namespace(), "lustre": lustreFS.Namespace(), "cxfs": cxfsFS.Namespace(),
-			"pvfs": pvfsFS.Namespace(), "localfs": localFS.Namespace(),
+			"localfs": localFS.Namespace(),
 		} {
 			if problems := ns.Check(); len(problems) != 0 {
 				t.Errorf("%s namespace after the run: %v", name, problems)

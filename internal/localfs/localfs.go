@@ -7,7 +7,6 @@
 package localfs
 
 import (
-	"fmt"
 	"time"
 
 	"dmetabench/internal/cluster"
@@ -31,19 +30,15 @@ const (
 
 // FS is one local file system instance bound to a node.
 type FS struct {
-	k    *sim.Kernel
 	node *cluster.Node
 	ns   *namespace.Namespace
 
-	dirLocks map[fs.Ino]*sim.Mutex
+	dirLocks *sim.Locks
 }
 
 // New creates a local file system on node.
 func New(k *sim.Kernel, node *cluster.Node) *FS {
-	return &FS{
-		k: k, node: node, ns: namespace.New(),
-		dirLocks: make(map[fs.Ino]*sim.Mutex),
-	}
+	return &FS{node: node, ns: namespace.New(), dirLocks: sim.NewLocks(k, "localdir")}
 }
 
 // Name identifies the model.
@@ -58,16 +53,7 @@ func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
 	if node != f.node {
 		panic("localfs: client node differs from file system node")
 	}
-	return &client{fsys: f, p: p, handles: make(map[fs.Handle]*openFile)}
-}
-
-func (f *FS) dirLock(ino fs.Ino) *sim.Mutex {
-	m, ok := f.dirLocks[ino]
-	if !ok {
-		m = sim.NewMutex(f.k, fmt.Sprintf("localdir:%d", ino))
-		f.dirLocks[ino] = m
-	}
-	return m
+	return &client{fsys: f, p: p}
 }
 
 type openFile struct {
@@ -76,10 +62,9 @@ type openFile struct {
 }
 
 type client struct {
-	fsys    *FS
-	p       *sim.Proc
-	nextFH  fs.Handle
-	handles map[fs.Handle]*openFile
+	fsys  *FS
+	p     *sim.Proc
+	files fs.Files[openFile]
 }
 
 // op charges CPU for a directory-touching operation under the kernel's
@@ -90,7 +75,7 @@ func (c *client) op(p string, base time.Duration, apply func(now time.Duration) 
 	var lock *sim.Mutex
 	entries := 0
 	if dir, err := f.ns.Lookup(fs.ParentDir(p)); err == nil {
-		lock = f.dirLock(dir.Ino)
+		lock = f.dirLocks.Get(uint64(dir.Ino))
 		entries = dir.NumChildren()
 	}
 	if lock != nil {
@@ -118,28 +103,23 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.nextFH++
-	c.handles[c.nextFH] = &openFile{path: p, ino: node.Ino}
-	return c.nextFH, nil
+	return c.files.Open(openFile{path: p, ino: node.Ino}), nil
 }
 
 // Close releases the handle.
 func (c *client) Close(h fs.Handle) error {
 	c.fsys.node.Syscall(c.p)
-	if _, ok := c.handles[h]; !ok {
-		return fs.NewError("close", "", fs.EBADF)
-	}
-	delete(c.handles, h)
-	return nil
+	_, err := c.files.Close(h)
+	return err
 }
 
 // Write updates the size, charging copy cost.
 func (c *client) Write(h fs.Handle, n int64) error {
 	f := c.fsys
 	f.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	of, err := c.files.Get("write", h)
+	if err != nil {
+		return err
 	}
 	f.node.Exec(c.p, time.Duration(float64(writeCostKB)*float64(n)/1024))
 	node := f.ns.Get(of.ino)
@@ -152,10 +132,8 @@ func (c *client) Write(h fs.Handle, n int64) error {
 // Fsync is a no-op for the in-memory file system.
 func (c *client) Fsync(h fs.Handle) error {
 	c.fsys.node.Syscall(c.p)
-	if _, ok := c.handles[h]; !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
-	}
-	return nil
+	_, err := c.files.Get("fsync", h)
+	return err
 }
 
 // Mkdir creates a directory.

@@ -9,7 +9,6 @@ package lustre
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"dmetabench/internal/clientcache"
@@ -76,14 +75,16 @@ type FS struct {
 	k   *sim.Kernel
 	cfg Config
 
-	mds     *simnet.Server
-	oss     []*simnet.Server
-	ossConn []*simnet.Conn // MDS-side connections for prealloc refills
+	// mdsConn and ossConn are the paths to the MDS and to each OSS,
+	// shared by every node and by the MDS's prealloc refills: without a
+	// bandwidth limit a call changes nothing in a Conn. A limit would
+	// need one per node.
+	mdsConn *simnet.Conn
+	ossConn []*simnet.Conn
 	journal *storage.Journal
 	ns      *namespace.Namespace
 
-	conns    map[*cluster.Node]*simnet.Conn
-	dirLocks map[fs.Ino]*sim.Mutex
+	dirLocks *sim.Locks
 	nodes    map[*cluster.Node]*wbState
 
 	// pool is the MDS-side pre-allocated object count per OSS.
@@ -115,17 +116,15 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 	f := &FS{
 		k:        k,
 		cfg:      cfg,
-		mds:      simnet.NewServer(k, "mds:"+name, mdsThreads),
+		mdsConn:  simnet.NewConn(k, simnet.NewServer(k, "mds:"+name, mdsThreads), cfg.OneWayLatency, 0),
 		journal:  storage.NewJournal(k, "mds:"+name, disk),
 		ns:       namespace.New(),
-		conns:    make(map[*cluster.Node]*simnet.Conn),
-		dirLocks: make(map[fs.Ino]*sim.Mutex),
+		dirLocks: sim.NewLocks(k, "mdsdir"),
 		nodes:    make(map[*cluster.Node]*wbState),
 		pool:     make([]int, cfg.NumOSS),
 	}
 	for i := 0; i < cfg.NumOSS; i++ {
 		srv := simnet.NewServer(k, fmt.Sprintf("oss%d:%s", i, name), 2)
-		f.oss = append(f.oss, srv)
 		f.ossConn = append(f.ossConn, simnet.NewConn(k, srv, cfg.OneWayLatency, 0))
 	}
 	return f
@@ -145,15 +144,6 @@ func (f *FS) Namespace() *namespace.Namespace { return f.ns }
 // RPCCount returns the number of MDS RPCs served.
 func (f *FS) RPCCount() int64 { return f.rpcs }
 
-func (f *FS) conn(n *cluster.Node) *simnet.Conn {
-	c, ok := f.conns[n]
-	if !ok {
-		c = simnet.NewConn(f.k, f.mds, f.cfg.OneWayLatency, 0)
-		f.conns[n] = c
-	}
-	return c
-}
-
 func (f *FS) nodeState(n *cluster.Node) *wbState {
 	s, ok := f.nodes[n]
 	if !ok {
@@ -167,21 +157,12 @@ func (f *FS) nodeState(n *cluster.Node) *wbState {
 			s.window = sim.NewSemaphore(f.k, "wbwin:"+n.Name, int64(f.cfg.WritebackWindow))
 			s.flushed = sim.NewCond(f.k, "wbflushed:"+n.Name)
 			s.flusher = f.k.SpawnDaemon("wbflush:"+n.Name, func(p *sim.Proc) {
-				f.flushLoop(p, n, s)
+				f.flushLoop(p, s)
 			})
 		}
 		f.nodes[n] = s
 	}
 	return s
-}
-
-func (f *FS) dirLock(ino fs.Ino) *sim.Mutex {
-	m, ok := f.dirLocks[ino]
-	if !ok {
-		m = sim.NewMutex(f.k, "mdsdir:"+strconv.FormatUint(uint64(ino), 10))
-		f.dirLocks[ino] = m
-	}
-	return m
 }
 
 // allocObject consumes a pre-allocated object, refilling the pool with a
@@ -204,7 +185,7 @@ func (f *FS) allocObject(sp *sim.Proc) {
 // service time, object allocation, journal.
 func (f *FS) mdsCreate(sp *sim.Proc, h *namespace.Parent) error {
 	if dir := h.Dir(); dir != nil {
-		lock := f.dirLock(dir.Ino)
+		lock := f.dirLocks.Get(uint64(dir.Ino))
 		lock.Lock(sp)
 		defer lock.Unlock()
 	}
@@ -220,14 +201,13 @@ func (f *FS) mdsCreate(sp *sim.Proc, h *namespace.Parent) error {
 }
 
 // flushLoop drains the write-back log of one node to the MDS.
-func (f *FS) flushLoop(p *sim.Proc, n *cluster.Node, s *wbState) {
-	conn := f.conn(n)
+func (f *FS) flushLoop(p *sim.Proc, s *wbState) {
 	for {
 		item := s.queue.Get(p).(string)
 		// Errors at replay (e.g. a conflicting create from another
 		// node) are dropped; the benchmark namespace is partitioned
 		// per process so conflicts cannot occur in our workloads.
-		conn.Call(p, 200, 160, func(sp *sim.Proc) {
+		f.mdsConn.Call(p, 200, 160, func(sp *sim.Proc) {
 			h := f.ns.Parent(item)
 			_ = f.mdsCreate(sp, &h)
 		})
@@ -243,24 +223,21 @@ func (f *FS) flushLoop(p *sim.Proc, n *cluster.Node, s *wbState) {
 
 // NewClient binds a client for one process on one node.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
-	return &client{fsys: f, node: node, p: p, handles: make(map[fs.Handle]*openFile)}
+	return &client{fsys: f, node: node, p: p}
 }
 
 type openFile struct {
-	path    string
-	size    int64
-	written int64
-	dirty   bool
+	path string
+	size int64
+	fs.Buffer
 }
 
 type client struct {
-	fsys    *FS
-	node    *cluster.Node
-	p       *sim.Proc
-	state   *wbState
-	conn    *simnet.Conn
-	nextFH  fs.Handle
-	handles map[fs.Handle]*openFile
+	fsys  *FS
+	node  *cluster.Node
+	p     *sim.Proc
+	state *wbState
+	files fs.Files[*openFile]
 }
 
 // cfg returns the FS config by pointer: the config is immutable after
@@ -275,15 +252,6 @@ func (c *client) st() *wbState {
 		c.state = c.fsys.nodeState(c.node)
 	}
 	return c.state
-}
-
-// cn returns the node's MDS connection, looked up on the client's first
-// use and kept.
-func (c *client) cn() *simnet.Conn {
-	if c.conn == nil {
-		c.conn = c.fsys.conn(c.node)
-	}
-	return c.conn
 }
 
 // Create either performs a synchronous intent-create RPC, or — in
@@ -319,7 +287,7 @@ func (c *client) Create(p string) error {
 	// commit instant; the client caches them once the call returns.
 	var err, serr error
 	var a fs.Attr
-	c.cn().Call(c.p, 220, 180, func(sp *sim.Proc) {
+	c.fsys.mdsConn.Call(c.p, 220, 180, func(sp *sim.Proc) {
 		h := c.fsys.ns.Parent(p)
 		err = c.fsys.mdsCreate(sp, &h)
 		if err == nil {
@@ -363,9 +331,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	c.node.Syscall(c.p)
 	st := c.st()
 	if _, ok := st.pending[p]; ok {
-		c.nextFH++
-		c.handles[c.nextFH] = &openFile{path: p}
-		return c.nextFH, nil
+		return c.files.Open(&openFile{path: p}), nil
 	}
 	a, ok := st.names.Attr(p)
 	if !ok {
@@ -376,9 +342,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		}
 		st.names.PutAttr(p, a)
 	}
-	c.nextFH++
-	c.handles[c.nextFH] = &openFile{path: p, size: a.Size}
-	return c.nextFH, nil
+	return c.files.Open(&openFile{path: p, size: a.Size}), nil
 }
 
 // statRPC issues one GETATTR RPC; the body only copies the attributes
@@ -386,7 +350,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 func (c *client) statRPC(p string, cfg *Config) (fs.Attr, error) {
 	var a fs.Attr
 	var err error
-	c.cn().Call(c.p, 150, 170, func(sp *sim.Proc) {
+	c.fsys.mdsConn.Call(c.p, 150, 170, func(sp *sim.Proc) {
 		sp.Sleep(getattrService)
 		c.fsys.rpcs++
 		a, err = c.fsys.ns.Stat(p)
@@ -398,70 +362,58 @@ func (c *client) statRPC(p string, cfg *Config) (fs.Attr, error) {
 // the MDS).
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("close", "", fs.EBADF)
+	of, err := c.files.Close(h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	delete(c.handles, h)
-	if of.dirty {
-		return c.flushData(of)
-	}
-	return nil
+	return c.flushData(of)
 }
 
 // Write buffers data locally (Lustre client cache).
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	of, err := c.files.Get("write", h)
+	if err == nil {
+		of.Add(n)
 	}
-	of.written += n
-	of.dirty = true
-	return nil
+	return err
 }
 
 // Fsync forces buffered data out.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
+	of, err := c.files.Get("fsync", h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	if of.dirty {
-		return c.flushData(of)
-	}
-	return nil
+	return c.flushData(of)
 }
 
 // flushData sends dirty file data to the object's OSS. The size update
 // of a directory fails with EISDIR.
 func (c *client) flushData(of *openFile) error {
-	cfg := c.cfg()
 	idx := 0
-	if n := len(c.fsys.oss); n > 0 {
-		idx = int(of.written) % n
+	if n := len(c.fsys.ossConn); n > 0 {
+		idx = int(of.Written) % n
 	}
-	conn := simnet.NewConn(c.fsys.k, c.fsys.oss[idx], cfg.OneWayLatency, 0)
-	conn.Call(c.p, 150+of.written, 150, func(sp *sim.Proc) {
-		sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.written)/65536)))
+	c.fsys.ossConn[idx].Call(c.p, 150+of.Written, 150, func(sp *sim.Proc) {
+		sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.Written)/65536)))
 	})
 	st := c.st()
 	var err error
 	if a, ok := st.pending[of.path]; ok {
-		a.Size += of.written
+		a.Size += of.Written
 		st.pending[of.path] = a
 	} else if node, lerr := c.fsys.ns.Lookup(of.path); lerr == nil {
-		err = c.fsys.ns.SetSize(node.Ino, node.Size+of.written, c.p.Now())
+		err = c.fsys.ns.SetSize(node.Ino, node.Size+of.Written, c.p.Now())
 		// The writing client holds the object lock and knows the new
 		// size; refresh its attribute cache so local stats see it.
 		if a, serr := c.fsys.ns.Stat(of.path); serr == nil {
 			st.names.PutAttr(of.path, a)
 		}
 	}
-	of.size += of.written
-	of.written = 0
-	of.dirty = false
+	of.size += of.Written
+	of.Reset()
 	return err
 }
 
@@ -560,10 +512,10 @@ func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc,
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
 	var err error
-	c.cn().Call(c.p, 200, 160, func(sp *sim.Proc) {
+	c.fsys.mdsConn.Call(c.p, 200, 160, func(sp *sim.Proc) {
 		h := c.fsys.ns.Parent(p)
 		if dir := h.Dir(); dir != nil {
-			lock := c.fsys.dirLock(dir.Ino)
+			lock := c.fsys.dirLocks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
 		}
@@ -606,7 +558,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	c.node.Syscall(c.p)
 	var ents []fs.DirEntry
 	var err error
-	c.cn().Call(c.p, 150, 300, func(sp *sim.Proc) {
+	c.fsys.mdsConn.Call(c.p, 150, 300, func(sp *sim.Proc) {
 		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
 		pages := 1
 		if err == nil {

@@ -7,7 +7,6 @@
 package nfs
 
 import (
-	"strconv"
 	"time"
 
 	"dmetabench/internal/clientcache"
@@ -71,13 +70,15 @@ type FS struct {
 	k   *sim.Kernel
 	cfg Config
 
-	srv   *simnet.Server
-	wafl  *storage.WAFL
-	ns    *namespace.Namespace
-	conns map[*cluster.Node]*simnet.Conn
+	srv  *simnet.Server
+	wafl *storage.WAFL
+	ns   *namespace.Namespace
+	// conn is every node's path to the filer: without a bandwidth limit
+	// a call changes nothing in a Conn. A limit would need one per node.
+	conn *simnet.Conn
 
 	// dirLocks serialize same-directory modifications at the server.
-	dirLocks map[fs.Ino]*sim.Mutex
+	dirLocks *sim.Locks
 
 	// nodes holds per-OS-instance client name caches.
 	nodes map[*cluster.Node]*clientcache.NameCache
@@ -93,17 +94,17 @@ type FS struct {
 
 // New creates an NFS file system on kernel k.
 func New(k *sim.Kernel, name string, cfg Config) *FS {
-	f := &FS{
+	srv := simnet.NewServer(k, "nfs:"+name, cfg.ServerThreads)
+	return &FS{
 		k:        k,
 		cfg:      cfg,
-		srv:      simnet.NewServer(k, "nfs:"+name, cfg.ServerThreads),
+		srv:      srv,
 		wafl:     storage.NewWAFL(k, name),
 		ns:       namespace.New(),
-		conns:    make(map[*cluster.Node]*simnet.Conn),
-		dirLocks: make(map[fs.Ino]*sim.Mutex),
+		conn:     simnet.NewConn(k, srv, cfg.OneWayLatency, 0),
+		dirLocks: sim.NewLocks(k, "nfsdir"),
 		nodes:    make(map[*cluster.Node]*clientcache.NameCache),
 	}
-	return f
 }
 
 // Name identifies the model in results and charts.
@@ -119,15 +120,6 @@ func (f *FS) WAFL() *storage.WAFL { return f.wafl }
 // RPCCount returns the number of RPCs served so far.
 func (f *FS) RPCCount() int64 { return f.rpcs }
 
-func (f *FS) conn(n *cluster.Node) *simnet.Conn {
-	c, ok := f.conns[n]
-	if !ok {
-		c = simnet.NewConn(f.k, f.srv, f.cfg.OneWayLatency, 0)
-		f.conns[n] = c
-	}
-	return c
-}
-
 func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
 	if !ok {
@@ -135,15 +127,6 @@ func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 		f.nodes[n] = s
 	}
 	return s
-}
-
-func (f *FS) dirLock(ino fs.Ino) *sim.Mutex {
-	m, ok := f.dirLocks[ino]
-	if !ok {
-		m = sim.NewMutex(f.k, "nfsdir:"+strconv.FormatUint(uint64(ino), 10))
-		f.dirLocks[ino] = m
-	}
-	return m
 }
 
 // AttachAggregate starts the background injector (internal/service):
@@ -207,26 +190,23 @@ func (f *FS) service(p *sim.Proc, base time.Duration, dirEntries int) {
 // NewClient binds a client for one process on one node. It satisfies the
 // benchmark framework's FileSystem interface.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
-	return &client{fsys: f, node: node, p: p, handles: make(map[fs.Handle]*openFile)}
+	return &client{fsys: f, node: node, p: p}
 }
 
 type openFile struct {
-	path    string
-	ino     fs.Ino
-	size    int64
-	dirty   bool
-	written int64
+	path string
+	ino  fs.Ino
+	size int64
+	fs.Buffer
 }
 
 // client implements fs.Client for one (node, process) pair.
 type client struct {
-	fsys    *FS
-	node    *cluster.Node
-	p       *sim.Proc
-	cache   *clientcache.NameCache
-	conn    *simnet.Conn
-	nextFH  fs.Handle
-	handles map[fs.Handle]*openFile
+	fsys  *FS
+	node  *cluster.Node
+	p     *sim.Proc
+	cache *clientcache.NameCache
+	files fs.Files[*openFile]
 }
 
 // names returns the node's name cache, looked up on the client's first
@@ -236,15 +216,6 @@ func (c *client) names() *clientcache.NameCache {
 		c.cache = c.fsys.nodeCache(c.node)
 	}
 	return c.cache
-}
-
-// cn returns the node's connection, looked up on the client's first use
-// and kept.
-func (c *client) cn() *simnet.Conn {
-	if c.conn == nil {
-		c.conn = c.fsys.conn(c.node)
-	}
-	return c.conn
 }
 
 // resolveParents walks the strict ancestors of p through the dentry
@@ -267,7 +238,7 @@ func (c *client) resolveParents(p string) error {
 			continue
 		}
 		var err error
-		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
+		c.fsys.conn.Call(c.p, 120, 140, func(sp *sim.Proc) {
 			c.fsys.service(sp, lookupService, -1)
 			var a fs.Attr
 			a, err = c.fsys.ns.Stat(prefix)
@@ -302,10 +273,10 @@ func (c *client) Create(p string) error {
 	var err error
 	var a fs.Attr
 	found := false
-	c.cn().Call(c.p, 160, 160, func(sp *sim.Proc) {
+	c.fsys.conn.Call(c.p, 160, 160, func(sp *sim.Proc) {
 		h := c.fsys.ns.Parent(p)
 		if dir := h.Dir(); dir != nil {
-			lock := c.fsys.dirLock(dir.Ino)
+			lock := c.fsys.dirLocks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
 		}
@@ -340,7 +311,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	ino, neg, ok := names.Dentry(p)
 	if !ok {
 		var err error
-		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
+		c.fsys.conn.Call(c.p, 120, 140, func(sp *sim.Proc) {
 			h := c.fsys.ns.Parent(p)
 			c.fsys.service(sp, lookupService, h.Entries())
 			var a fs.Attr
@@ -363,51 +334,39 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		names.InvalidateDentry(p)
 		return 0, fs.NewError("open", p, fs.ESTALE)
 	}
-	c.nextFH++
-	h := c.nextFH
-	c.handles[h] = &openFile{path: p, ino: ino, size: node.Size}
-	return h, nil
+	return c.files.Open(&openFile{path: p, ino: ino, size: node.Size}), nil
 }
 
 // Close flushes dirty data (close-to-open consistency requires the data
 // to be on the server when close returns).
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("close", "", fs.EBADF)
+	of, err := c.files.Close(h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	delete(c.handles, h)
-	if of.dirty {
-		return c.flush(of)
-	}
-	return nil
+	return c.flush(of)
 }
 
 // Write buffers n bytes; the flush happens on Close or Fsync, matching
 // the NFS client write-behind cache.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	of, err := c.files.Get("write", h)
+	if err == nil {
+		of.Add(n)
 	}
-	of.written += n
-	of.dirty = true
-	return nil
+	return err
 }
 
 // Fsync forces dirty data to the server.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
+	of, err := c.files.Get("fsync", h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	if of.dirty {
-		return c.flush(of)
-	}
-	return nil
+	return c.flush(of)
 }
 
 // flush writes the dirty bytes back; the reply carries the post-write
@@ -415,12 +374,12 @@ func (c *client) Fsync(h fs.Handle) error {
 // directory fails with EISDIR; the bytes of a file unlinked while open
 // are dropped without an error.
 func (c *client) flush(of *openFile) error {
-	newSize := of.size + of.written
+	newSize := of.size + of.Written
 	var a fs.Attr
 	found := false
 	var err error
-	c.cn().Call(c.p, 120+of.written, 140, func(sp *sim.Proc) {
-		t := time.Duration(float64(writeServicePerKB) * float64(of.written) / 1024)
+	c.fsys.conn.Call(c.p, 120+of.Written, 140, func(sp *sim.Proc) {
+		t := time.Duration(float64(writeServicePerKB) * float64(of.Written) / 1024)
 		if of.size <= inodeInlineBytes && newSize > inodeInlineBytes {
 			// Crossing the inline threshold allocates the first block.
 			t += blockAllocService
@@ -429,12 +388,11 @@ func (c *client) flush(of *openFile) error {
 		if serr := c.fsys.ns.SetSize(of.ino, newSize, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
 			err = serr
 		}
-		c.fsys.wafl.LogMetadata(sp, metaLogBytes+of.written)
+		c.fsys.wafl.LogMetadata(sp, metaLogBytes+of.Written)
 		a, found = reply(c.fsys.ns.Stat(of.path))
 	})
 	of.size = newSize
-	of.written = 0
-	of.dirty = false
+	of.Reset()
 	if found {
 		c.names().PutAttr(of.path, a)
 	}
@@ -551,10 +509,10 @@ func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.P
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
 	var err error
-	c.cn().Call(c.p, 150, 140, func(sp *sim.Proc) {
+	c.fsys.conn.Call(c.p, 150, 140, func(sp *sim.Proc) {
 		h := c.fsys.ns.Parent(p)
 		if dir := h.Dir(); dir != nil {
-			lock := c.fsys.dirLock(dir.Ino)
+			lock := c.fsys.dirLocks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
 		}
@@ -579,7 +537,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	}
 	var a fs.Attr
 	var err error
-	c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
+	c.fsys.conn.Call(c.p, 120, 140, func(sp *sim.Proc) {
 		c.fsys.service(sp, getattrService, -1)
 		a, err = c.fsys.ns.Stat(p)
 	})
@@ -595,7 +553,7 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	c.node.Syscall(c.p)
 	var ents []fs.DirEntry
 	var err error
-	c.cn().Call(c.p, 130, 260, func(sp *sim.Proc) {
+	c.fsys.conn.Call(c.p, 130, 260, func(sp *sim.Proc) {
 		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
 		if err != nil {
 			c.fsys.service(sp, readdirService, -1)

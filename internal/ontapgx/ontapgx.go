@@ -66,7 +66,6 @@ type FS struct {
 
 	filers  []*filer
 	volumes map[string]*volume // VLDB: volume name -> owner
-	conns   map[connKey]*simnet.Conn
 	nodes   map[*cluster.Node]*clientcache.NameCache
 	mounts  map[*cluster.Node]int // node -> filer index it mounts through
 	rpcs    int64
@@ -75,21 +74,17 @@ type FS struct {
 }
 
 type filer struct {
-	index int
-	srv   *simnet.Server
-	wafl  *storage.WAFL
+	srv *simnet.Server
+	// conn is every node's path to the filer: without a bandwidth limit
+	// a call changes nothing in a Conn. A limit would need one per node.
+	conn *simnet.Conn
+	wafl *storage.WAFL
 }
 
 type volume struct {
-	name  string
 	owner int
 	ns    *namespace.Namespace
-	locks map[fs.Ino]*sim.Mutex
-}
-
-type connKey struct {
-	node  *cluster.Node
-	filer int
+	locks *sim.Locks
 }
 
 // New creates a GX cluster with the given number of filers.
@@ -98,15 +93,16 @@ func New(k *sim.Kernel, name string, filers int, cfg Config) *FS {
 		k:       k,
 		cfg:     cfg,
 		volumes: make(map[string]*volume),
-		conns:   make(map[connKey]*simnet.Conn),
 		nodes:   make(map[*cluster.Node]*clientcache.NameCache),
 		mounts:  make(map[*cluster.Node]int),
 	}
 	for i := 0; i < filers; i++ {
+		id := fmt.Sprintf("gx%d:%s", i, name)
+		srv := simnet.NewServer(k, id, filerThreads)
 		f.filers = append(f.filers, &filer{
-			index: i,
-			srv:   simnet.NewServer(k, fmt.Sprintf("gx%d:%s", i, name), filerThreads),
-			wafl:  storage.NewWAFL(k, fmt.Sprintf("gx%d:%s", i, name)),
+			srv:  srv,
+			conn: simnet.NewConn(k, srv, cfg.OneWayLatency, 0),
+			wafl: storage.NewWAFL(k, id),
 		})
 	}
 	return f
@@ -122,10 +118,9 @@ func (f *FS) AddVolume(name string, owner int) {
 		owner = len(f.volumes) % len(f.filers)
 	}
 	f.volumes[name] = &volume{
-		name:  name,
 		owner: owner,
 		ns:    namespace.New(),
-		locks: make(map[fs.Ino]*sim.Mutex),
+		locks: sim.NewLocks(f.k, "gxdir:"+name),
 	}
 }
 
@@ -156,16 +151,6 @@ func (f *FS) mountFiler(n *cluster.Node) int {
 	return idx
 }
 
-func (f *FS) conn(n *cluster.Node, filerIdx int) *simnet.Conn {
-	key := connKey{n, filerIdx}
-	c, ok := f.conns[key]
-	if !ok {
-		c = simnet.NewConn(f.k, f.filers[filerIdx].srv, f.cfg.OneWayLatency, 0)
-		f.conns[key] = c
-	}
-	return c
-}
-
 func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
 	if !ok {
@@ -193,22 +178,13 @@ func (f *FS) resolve(op, p string) (*volume, string, error) {
 	return v, sub, nil
 }
 
-func (v *volume) dirLock(k *sim.Kernel, ino fs.Ino) *sim.Mutex {
-	m, ok := v.locks[ino]
-	if !ok {
-		m = sim.NewMutex(k, fmt.Sprintf("gxdir:%s:%d", v.name, ino))
-		v.locks[ino] = m
-	}
-	return m
-}
-
 // dispatch runs service at the volume's D-blade, entering the cluster at
 // the node's mount filer. A request whose volume lives elsewhere pays the
 // forwarding penalty: extra N-blade CPU on both filers, the cluster
 // interconnect round trip, and thread occupancy on the owner.
 func (f *FS) dispatch(p *sim.Proc, n *cluster.Node, v *volume, service func(sp *sim.Proc)) {
 	entry := f.mountFiler(n)
-	f.conn(n, entry).Call(p, 180, 160, func(sp *sim.Proc) {
+	f.filers[entry].conn.Call(p, 180, 160, func(sp *sim.Proc) {
 		sp.Sleep(nbladeService)
 		f.rpcs++
 		if v.owner == entry {
@@ -230,23 +206,20 @@ func (f *FS) dispatch(p *sim.Proc, n *cluster.Node, v *volume, service func(sp *
 
 // NewClient binds a client for one process on one node.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
-	return &client{fsys: f, node: node, p: p, handles: make(map[fs.Handle]*openFile)}
+	return &client{fsys: f, node: node, p: p}
 }
 
 type openFile struct {
-	path    string
-	vol     *volume
-	sub     string
-	written int64
-	dirty   bool
+	vol *volume
+	sub string
+	fs.Buffer
 }
 
 type client struct {
-	fsys    *FS
-	node    *cluster.Node
-	p       *sim.Proc
-	nextFH  fs.Handle
-	handles map[fs.Handle]*openFile
+	fsys  *FS
+	node  *cluster.Node
+	p     *sim.Proc
+	files fs.Files[*openFile]
 }
 
 // modify runs one namespace-changing request against the owning D-blade.
@@ -263,7 +236,7 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 	owner := f.filers[v.owner]
 	f.dispatch(c.p, c.node, v, func(sp *sim.Proc) {
 		if dir, lerr := v.ns.Lookup(fs.ParentDir(sub)); lerr == nil {
-			lock := v.dirLock(f.k, dir.Ino)
+			lock := v.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
 			t := float64(svc) * dirIndex.EntryCost(dir.NumChildren()) * owner.wafl.ServiceFactor()
@@ -298,57 +271,44 @@ func (c *client) Create(p string) error {
 
 // Open resolves the path and returns a handle.
 func (c *client) Open(p string) (fs.Handle, error) {
-	a, err := c.Stat(p)
-	if err != nil {
+	if _, err := c.Stat(p); err != nil {
 		return 0, err
 	}
 	v, sub, err := c.fsys.resolve("open", p)
 	if err != nil {
 		return 0, err
 	}
-	_ = a
-	c.nextFH++
-	c.handles[c.nextFH] = &openFile{path: p, vol: v, sub: sub}
-	return c.nextFH, nil
+	return c.files.Open(&openFile{vol: v, sub: sub}), nil
 }
 
 // Close flushes dirty data (close-to-open, NFS protocol).
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("close", "", fs.EBADF)
+	of, err := c.files.Close(h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	delete(c.handles, h)
-	if of.dirty {
-		return c.flush(of)
-	}
-	return nil
+	return c.flush(of)
 }
 
 // Write buffers client-side.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	of, err := c.files.Get("write", h)
+	if err == nil {
+		of.Add(n)
 	}
-	of.written += n
-	of.dirty = true
-	return nil
+	return err
 }
 
 // Fsync flushes dirty data.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
+	of, err := c.files.Get("fsync", h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	if of.dirty {
-		return c.flush(of)
-	}
-	return nil
+	return c.flush(of)
 }
 
 // flush writes the dirty bytes back to the owning volume. A flush to a
@@ -359,16 +319,15 @@ func (c *client) flush(of *openFile) error {
 	owner := f.filers[of.vol.owner]
 	var err error
 	f.dispatch(c.p, c.node, of.vol, func(sp *sim.Proc) {
-		sp.Sleep(time.Duration(float64(30*time.Microsecond) * float64(of.written) / 1024 * owner.wafl.ServiceFactor()))
+		sp.Sleep(time.Duration(float64(30*time.Microsecond) * float64(of.Written) / 1024 * owner.wafl.ServiceFactor()))
 		if node, lerr := of.vol.ns.Lookup(of.sub); lerr == nil {
-			if serr := of.vol.ns.SetSize(node.Ino, node.Size+of.written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
+			if serr := of.vol.ns.SetSize(node.Ino, node.Size+of.Written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
 				err = serr
 			}
 		}
-		owner.wafl.LogMetadata(sp, 320+of.written)
+		owner.wafl.LogMetadata(sp, 320+of.Written)
 	})
-	of.written = 0
-	of.dirty = false
+	of.Reset()
 	return err
 }
 

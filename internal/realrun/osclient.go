@@ -24,14 +24,13 @@ import (
 type OSClient struct {
 	Root string
 
-	mu      sync.Mutex
-	nextFH  fs.Handle
-	handles map[fs.Handle]*os.File
+	mu    sync.Mutex // guards files
+	files fs.Files[*os.File]
 }
 
 // NewOSClient returns a client rooted at root.
 func NewOSClient(root string) *OSClient {
-	return &OSClient{Root: root, handles: make(map[fs.Handle]*os.File)}
+	return &OSClient{Root: root}
 }
 
 // realPath maps a virtual absolute path into the root directory.
@@ -104,35 +103,31 @@ func (c *OSClient) Open(p string) (fs.Handle, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nextFH++
-	c.handles[c.nextFH] = f
-	return c.nextFH, nil
+	return c.files.Open(f), nil
 }
 
-func (c *OSClient) file(h fs.Handle) (*os.File, bool) {
+func (c *OSClient) file(op string, h fs.Handle) (*os.File, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, ok := c.handles[h]
-	return f, ok
+	return c.files.Get(op, h)
 }
 
 // Close closes the handle.
 func (c *OSClient) Close(h fs.Handle) error {
 	c.mu.Lock()
-	f, ok := c.handles[h]
-	delete(c.handles, h)
+	f, err := c.files.Close(h)
 	c.mu.Unlock()
-	if !ok {
-		return fs.NewError("close", "", fs.EBADF)
+	if err != nil {
+		return err
 	}
 	return f.Close()
 }
 
 // Write appends n zero bytes.
 func (c *OSClient) Write(h fs.Handle, n int64) error {
-	f, ok := c.file(h)
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	f, err := c.file("write", h)
+	if err != nil {
+		return err
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		return mapErr("write", f.Name(), err)
@@ -153,9 +148,9 @@ func (c *OSClient) Write(h fs.Handle, n int64) error {
 
 // Fsync flushes the file to stable storage.
 func (c *OSClient) Fsync(h fs.Handle) error {
-	f, ok := c.file(h)
-	if !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
+	f, err := c.file("fsync", h)
+	if err != nil {
+		return err
 	}
 	return mapErr("fsync", f.Name(), f.Sync())
 }

@@ -305,10 +305,14 @@ const (
 type shardSrv struct {
 	index int
 	srv   *simnet.Server
+	// conn is every node's path to srv, timing out after retryTimeout:
+	// without a bandwidth limit a call changes nothing in a Conn. A limit
+	// would need one per node.
+	conn  *simnet.Conn
 	peer  *simnet.Server
 	wafl  *storage.WAFL
 	ns    *namespace.Namespace
-	locks map[fs.Ino]*sim.Mutex
+	locks *sim.Locks
 	ops   int64
 
 	// be prices this shard's storage work (backend.go); gc is the open
@@ -367,7 +371,6 @@ type FS struct {
 	// currently serving it: the slice's home shard, or its backup after
 	// a failover.
 	serving []int
-	conns   map[connKey]*simnet.Conn
 	nodes   map[*cluster.Node]*nodeState
 
 	rpcs int64
@@ -442,11 +445,6 @@ type FS struct {
 	AggOps, AggShedOps, AggBusy int64
 }
 
-type connKey struct {
-	node  *cluster.Node
-	shard int
-}
-
 type nodeState struct {
 	// names caches the node's dentries in every mode, and under
 	// CacheTTL their attributes too.
@@ -474,7 +472,6 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 	f := &FS{
 		k:         k,
 		cfg:       cfg,
-		conns:     make(map[connKey]*simnet.Conn),
 		nodes:     make(map[*cluster.Node]*nodeState),
 		splitDirs: make(map[string]*dirSplit),
 		moved:     make(map[entryID]entryID),
@@ -490,9 +487,11 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 			peer:  simnet.NewServer(sk, "mdspeer:"+id, peerThreads),
 			wafl:  storage.NewWAFL(sk, "mds:"+id),
 			ns:    namespace.New(),
-			locks: make(map[fs.Ino]*sim.Mutex),
+			locks: sim.NewLocks(sk, "mdsdir:"+strconv.Itoa(i)),
 			up:    true,
 		}
+		sh.conn = simnet.NewConn(sk, sh.srv, cfg.OneWayLatency, 0)
+		sh.conn.FailTimeout = retryTimeout
 		sh.be = newBackend(f, sh)
 		f.shards = append(f.shards, sh)
 		f.serving = append(f.serving, i)
@@ -716,17 +715,6 @@ func (f *FS) contentSlice(dir string) int {
 // srvFor returns the server currently serving slice i.
 func (f *FS) srvFor(i int) *shardSrv { return f.shards[f.serving[i]] }
 
-func (f *FS) conn(n *cluster.Node, sh *shardSrv) *simnet.Conn {
-	key := connKey{n, sh.index}
-	c, ok := f.conns[key]
-	if !ok {
-		c = simnet.NewConn(f.k, sh.srv, f.cfg.OneWayLatency, 0)
-		c.FailTimeout = retryTimeout
-		f.conns[key] = c
-	}
-	return c
-}
-
 func (f *FS) nodeState(n *cluster.Node) *nodeState {
 	s, ok := f.nodes[n]
 	if !ok {
@@ -744,15 +732,6 @@ func (f *FS) nodeState(n *cluster.Node) *nodeState {
 		f.nodes[n] = s
 	}
 	return s
-}
-
-func (sh *shardSrv) dirLock(k *sim.Kernel, ino fs.Ino) *sim.Mutex {
-	m, ok := sh.locks[ino]
-	if !ok {
-		m = sim.NewMutex(k, "mdsdir:"+strconv.Itoa(sh.index)+":"+strconv.FormatUint(uint64(ino), 10))
-		sh.locks[ino] = m
-	}
-	return m
 }
 
 // charge sleeps the service cost of one operation at sh: the base time
@@ -994,25 +973,23 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply
 // cached on the client, so service bodies running in shard domains
 // never touch the shared nodes map.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
-	return &client{fsys: f, node: node, p: p, state: f.nodeState(node), handles: make(map[fs.Handle]*openFile)}
+	return &client{fsys: f, node: node, p: p, state: f.nodeState(node)}
 }
 
 type openFile struct {
-	path    string
-	slice   int
-	ino     fs.Ino
-	size    int64
-	written int64
-	dirty   bool
+	path  string
+	slice int
+	ino   fs.Ino
+	size  int64
+	fs.Buffer
 }
 
 type client struct {
-	fsys    *FS
-	node    *cluster.Node
-	p       *sim.Proc
-	state   *nodeState
-	nextFH  fs.Handle
-	handles map[fs.Handle]*openFile
+	fsys  *FS
+	node  *cluster.Node
+	p     *sim.Proc
+	state *nodeState
+	files fs.Files[*openFile]
 }
 
 // cfg returns the FS config by pointer: the config is immutable after
@@ -1052,7 +1029,7 @@ func (c *client) call(op string, path string, slice int, reqBytes, respBytes int
 	state := f.shards[slice]
 	return c.callRetry(op, path, func() bool {
 		srv := f.srvFor(slice)
-		return f.conn(c.node, srv).TryCall(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
+		return srv.conn.TryCall(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
 			service(sp, state, srv)
 		}) != nil
 	})
@@ -1078,7 +1055,7 @@ func (c *client) callEntry(op, p string, reqBytes, respBytes int64,
 	c.routeEntry(p)
 	return c.callRetry(op, p, func() bool {
 		srv := f.srvFor(f.ownerSlice(p))
-		return f.conn(c.node, srv).TryCall(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
+		return srv.conn.TryCall(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
 			service(sp, f.shards[f.ownerSlice(p)], srv)
 		}) != nil
 	})
@@ -1211,7 +1188,7 @@ func (c *client) Create(p string) error {
 	var err error
 	cerr := c.callEntry("create", p, 160, 160, func(sp *sim.Proc, state, srv *shardSrv) {
 		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-			lock := state.dirLock(sp.Kernel(), dir.Ino)
+			lock := state.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
 			f.serviceOp(sp, srv, createService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
@@ -1261,7 +1238,7 @@ func (c *client) Mkdir(p string) error {
 	var err error
 	cerr := c.call("mkdir", p, f.ownerSlice(p), 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-			lock := state.dirLock(sp.Kernel(), dir.Ino)
+			lock := state.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			f.serviceOp(sp, srv, mkdirService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
 			lock.Unlock()
@@ -1298,7 +1275,10 @@ func (c *client) Mkdir(p string) error {
 
 // Rmdir removes a directory. The emptiness check runs on the shard
 // holding the directory's files; under hash placement the removal then
-// replicates to the other shards.
+// replicates to the other shards. A regular file at p lives only on its
+// owner slice, so when the content slice finds nothing the body peeks
+// there, free, and answers ENOTDIR for a file. Under kernel domains the
+// owner slice may live in another domain, and the answer stays ENOENT.
 func (c *client) Rmdir(p string) error {
 	f := c.fsys
 	c.node.Syscall(c.p)
@@ -1350,6 +1330,11 @@ func (c *client) Rmdir(p string) error {
 			}
 		}
 		err = state.ns.Rmdir(p, sp.Now())
+		if fs.IsNotExist(err) && !f.domained() {
+			if a, serr := f.entryState(p).ns.Stat(p); serr == nil && a.Type != fs.TypeDirectory {
+				err = fs.NewError("rmdir", p, fs.ENOTDIR)
+			}
+		}
 		if err == nil {
 			f.dropSplit(p)
 			f.replicate(sp, state, removeService, func(ns *namespace.Namespace, now time.Duration) {
@@ -1384,7 +1369,7 @@ func (c *client) Unlink(p string) error {
 	var err error
 	cerr := c.callEntry("unlink", p, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-			lock := state.dirLock(sp.Kernel(), dir.Ino)
+			lock := state.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
 			f.serviceOp(sp, srv, removeService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
@@ -1444,7 +1429,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 			// split-aware routing never looks.
 			state = f.entryState(oldPath)
 			if dir, lerr := state.ns.Lookup(fs.ParentDir(oldPath)); lerr == nil {
-				lock := state.dirLock(sp.Kernel(), dir.Ino)
+				lock := state.locks.Get(uint64(dir.Ino))
 				lock.Lock(sp)
 				defer lock.Unlock()
 				f.serviceOp(sp, srv, renameService, dir.NumChildren(), writeInfo(oldPath, dir.NumChildren()))
@@ -1523,7 +1508,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 			err = nil
 			dstDown := false
 			srv := f.srvFor(srcSlice)
-			terr := f.conn(c.node, srv).TryCall(c.p, 150, 140, func(sp *sim.Proc) {
+			terr := srv.conn.TryCall(c.p, 150, 140, func(sp *sim.Proc) {
 				// Re-resolve both ends at service time, like callEntry: a
 				// split landing while this request queued may have
 				// re-homed either entry.
@@ -1826,55 +1811,46 @@ func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) 
 
 // newHandle allocates a file handle bound to the entry's owning slice.
 func (c *client) newHandle(p string, slice int, ino fs.Ino, size int64) fs.Handle {
-	c.nextFH++
-	h := c.nextFH
-	c.handles[h] = &openFile{path: p, slice: slice, ino: ino, size: size}
-	return h
+	return c.files.Open(&openFile{path: p, slice: slice, ino: ino, size: size})
 }
 
 // Close flushes dirty data (close-to-open consistency).
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("close", "", fs.EBADF)
+	of, err := c.files.Close(h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	delete(c.handles, h)
-	if of.dirty {
-		return c.flush(of)
-	}
-	return nil
+	return c.flush(of)
 }
 
 // Write buffers n bytes client-side until Close or Fsync.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("write", "", fs.EBADF)
+	of, err := c.files.Get("write", h)
+	if err == nil {
+		of.Add(n)
 	}
-	of.written += n
-	of.dirty = true
-	return nil
+	return err
 }
 
 // Fsync forces dirty data to the serving shard.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, ok := c.handles[h]
-	if !ok {
-		return fs.NewError("fsync", "", fs.EBADF)
+	of, err := c.files.Get("fsync", h)
+	if err != nil || !of.Dirty {
+		return err
 	}
-	if of.dirty {
-		return c.flush(of)
-	}
-	return nil
+	return c.flush(of)
 }
 
+// flush writes the buffered bytes to the entry's serving shard. It
+// empties the buffer only on success: a failed flush stays dirty for
+// the next Fsync or Close.
 func (c *client) flush(of *openFile) error {
 	f := c.fsys
-	newSize := of.size + of.written
-	written := of.written
+	newSize := of.size + of.Written
+	written := of.Written
 	var err error
 	id := entryID{of.slice, of.ino}
 	cerr := c.callEntry("write", of.path, 120+written, 140, func(sp *sim.Proc, state, srv *shardSrv) {
@@ -1919,8 +1895,7 @@ func (c *client) flush(of *openFile) error {
 	}
 	of.slice, of.ino = id.slice, id.ino
 	of.size = newSize
-	of.written = 0
-	of.dirty = false
+	of.Reset()
 	if !f.domained() {
 		if a, serr := f.shards[f.ownerSlice(of.path)].ns.Stat(of.path); serr == nil {
 			c.fillEntry(c.p, of.path, a)

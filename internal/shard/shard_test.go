@@ -475,3 +475,36 @@ func TestWalkUnderFileENOTDIR(t *testing.T) {
 		}
 	}
 }
+
+// TestRmdirOfFileENOTDIR checks that rmdir of a regular file answers
+// ENOTDIR under hash placement, where the file lives on its owner slice
+// and not on the slice that would hold a directory's entries, at depth
+// 1 and 2 with cold and warm caches. A missing name still answers
+// ENOENT.
+func TestRmdirOfFileENOTDIR(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		k, cl, f := env(t, 1, DefaultConfig(4))
+		drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
+			if err := c.Mkdir("/d"); err != nil {
+				t.Fatalf("mkdir: %v", err)
+			}
+			for _, file := range []string{"/f", "/d/f"} {
+				if err := c.Create(file); err != nil {
+					t.Fatalf("create %s: %v", file, err)
+				}
+				if !warm {
+					c.DropCaches()
+				}
+				if err := c.Rmdir(file); fs.CodeOf(err) != fs.ENOTDIR {
+					t.Errorf("warm=%v rmdir(%s) = %v; want ENOTDIR", warm, file, err)
+				}
+				if _, err := c.Stat(file); err != nil {
+					t.Errorf("warm=%v stat(%s) after the failed rmdir: %v", warm, file, err)
+				}
+			}
+			if err := c.Rmdir("/d/none"); fs.CodeOf(err) != fs.ENOENT {
+				t.Errorf("warm=%v rmdir(/d/none) = %v; want ENOENT", warm, err)
+			}
+		})
+	}
+}

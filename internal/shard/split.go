@@ -411,7 +411,7 @@ func (c *client) routeEntry(p string) {
 		// engine owns failure handling.
 		f.Bounces++
 		srv := f.srvFor(guess)
-		f.conn(c.node, srv).TryCall(c.p, 120, 90, func(sp *sim.Proc) {
+		srv.conn.TryCall(c.p, 120, 90, func(sp *sim.Proc) {
 			f.serviceOp(sp, srv, lookupService, -1, opInfo{cls: opRead, dirSize: -1})
 		})
 	}

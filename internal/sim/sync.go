@@ -1,5 +1,7 @@
 package sim
 
+import "strconv"
+
 // waiter is a process queued on a synchronization primitive.
 type waiter struct {
 	p   *Proc
@@ -142,6 +144,30 @@ func (m *Mutex) Lock(p *Proc) { m.s.Acquire(p, 1) }
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() { m.s.Release(1) }
 
+// Locks is a table of mutexes, one per id, each made on first use and
+// named prefix:id: a file server's per-directory locks, keyed by the
+// directory's inode number.
+type Locks struct {
+	k      *Kernel
+	prefix string
+	m      map[uint64]*Mutex
+}
+
+// NewLocks returns an empty lock table whose mutexes are named prefix:id.
+func NewLocks(k *Kernel, prefix string) *Locks {
+	return &Locks{k: k, prefix: prefix, m: make(map[uint64]*Mutex)}
+}
+
+// Get returns id's mutex, making it on first use.
+func (l *Locks) Get(id uint64) *Mutex {
+	m, ok := l.m[id]
+	if !ok {
+		m = NewMutex(l.k, l.prefix+":"+strconv.FormatUint(id, 10))
+		l.m[id] = m
+	}
+	return m
+}
+
 // Barrier blocks processes until a fixed number have arrived, then
 // releases all of them; it is reusable for successive rounds, matching
 // MPI_Barrier semantics used between benchmark phases.
@@ -269,9 +295,8 @@ func (r *Resource) UsePri(p *Proc, d Time, pri int) {
 
 // Acquire and Release expose manual holds for callers that interleave
 // other waits while holding a server.
-func (r *Resource) Acquire(p *Proc)             { r.sem.Acquire(p, 1) }
-func (r *Resource) AcquirePri(p *Proc, pri int) { r.sem.AcquirePri(p, 1, pri) }
-func (r *Resource) Release()                    { r.sem.Release(1) }
+func (r *Resource) Acquire(p *Proc) { r.sem.Acquire(p, 1) }
+func (r *Resource) Release()        { r.sem.Release(1) }
 
 // AcquireTask is the non-parking half of Acquire, for a task's step: it
 // takes a server and reports false, and the step continues inline; or it

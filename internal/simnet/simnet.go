@@ -109,9 +109,6 @@ func NewConn(k *sim.Kernel, srv *Server, latency time.Duration, bandwidth int64)
 	return c
 }
 
-// Server returns the connection's endpoint.
-func (c *Conn) Server() *Server { return c.srv }
-
 // transferTime returns the serialization delay for n bytes.
 func (c *Conn) transferTime(n int64) time.Duration {
 	if c.Bandwidth <= 0 || n <= 0 {
