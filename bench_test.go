@@ -597,6 +597,26 @@ func BenchmarkKernelSpawn(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelFanout measures one parallel fan-out: a parent starts 8
+// children, each sleeps 1 µs, and joins them all. Finished children go
+// back on the kernel's free list and the next fan-out starts in them, so
+// the steady state allocates nothing, whatever the width (bench_gate.sh
+// caps it at 0 allocs/op).
+func BenchmarkKernelFanout(b *testing.B) {
+	k := sim.New(1)
+	child := func(q *sim.Proc, _ int) { q.Sleep(time.Microsecond) }
+	k.Spawn("parent", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Fanout("child", 8, child)
+		}
+	})
+	b.ReportAllocs()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkNamespaceCreate measures the raw data-structure cost.
 func BenchmarkNamespaceCreate(b *testing.B) {
 	ns := namespace.New()

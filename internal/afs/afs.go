@@ -203,7 +203,7 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 			lock := v.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
-			sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(dir.NumChildren())))
+			sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(v.ns.NumChildren(dir))))
 		} else {
 			sp.Sleep(svc)
 		}

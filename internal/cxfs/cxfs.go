@@ -117,7 +117,7 @@ func (c *client) metaOp(p string, svc time.Duration, useDirCost bool, apply func
 				lock := f.dirLocks.Get(uint64(dir.Ino))
 				lock.Lock(sp)
 				defer lock.Unlock()
-				sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(dir.NumChildren())))
+				sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(f.ns.NumChildren(dir))))
 			} else {
 				sp.Sleep(svc)
 			}

@@ -37,7 +37,7 @@ type digestModel struct {
 var modelDigests = map[string]string{
 	"nfs":         "a50161826a00df63",
 	"lustre":      "0402202dd56dca27",
-	"lustre-wb":   "a627ef1322a0c29a",
+	"lustre-wb":   "98ec827cbefd38e2",
 	"cxfs":        "a1162e2e0e33cf3e",
 	"afs":         "c6e7fc21b56f6c6b",
 	"ontapgx":     "4480b888e5735203",

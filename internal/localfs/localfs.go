@@ -76,7 +76,7 @@ func (c *client) op(p string, base time.Duration, apply func(now time.Duration) 
 	entries := 0
 	if dir, err := f.ns.Lookup(fs.ParentDir(p)); err == nil {
 		lock = f.dirLocks.Get(uint64(dir.Ino))
-		entries = dir.NumChildren()
+		entries = f.ns.NumChildren(dir)
 	}
 	if lock != nil {
 		lock.Lock(c.p)

@@ -211,6 +211,15 @@ func (f *FS) flushLoop(p *sim.Proc, s *wbState) {
 			h := f.ns.Parent(item)
 			_ = f.mdsCreate(sp, &h)
 		})
+		// The replay made the file empty; the bytes the node flushed
+		// while the create was pending, also those flushed while its
+		// RPC was in flight, rode in the pending entry until now. The
+		// lookup just found a regular file, so SetSize cannot fail.
+		if a := s.pending[item]; a.Size > 0 {
+			if node, err := f.ns.Lookup(item); err == nil {
+				_ = f.ns.SetSize(node.Ino, node.Size+a.Size, p.Now())
+			}
+		}
 		delete(s.pending, item)
 		dir := fs.ParentDir(item)
 		if s.pendingIn[dir]--; s.pendingIn[dir] == 0 {

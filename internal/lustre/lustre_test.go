@@ -242,3 +242,41 @@ func TestDataGoesToOSS(t *testing.T) {
 		}
 	})
 }
+
+// TestWritebackReplayKeepsWrittenSize writes to a file while its create
+// is still pending: 100 bytes flushed by fsync (while the flusher's
+// create RPC is in flight) and 4000 by close. Once the flusher has
+// drained the create, the MDS holds the file at the size the client
+// wrote, as a synchronous create leaves it.
+func TestWritebackReplayKeepsWrittenSize(t *testing.T) {
+	for _, writeback := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Writeback = writeback
+		k, cl, f := env(t, 1, cfg)
+		inProc(t, k, func(p *sim.Proc) {
+			c := f.NewClient(cl.Nodes[0], p)
+			if err := c.Create("/f"); err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.Open("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, err := range []error{c.Write(h, 100), c.Fsync(h), c.Write(h, 4000), c.Close(h)} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a, err := c.Stat("/f"); err != nil || a.Size != 4100 {
+				t.Errorf("writeback %v: stat before the drain: size %d, %v", writeback, a.Size, err)
+			}
+			p.Sleep(5 * time.Second)
+			if a, err := c.Stat("/f"); err != nil || a.Size != 4100 {
+				t.Errorf("writeback %v: stat after the drain: size %d, %v", writeback, a.Size, err)
+			}
+			if a, err := f.Namespace().Stat("/f"); err != nil || a.Size != 4100 {
+				t.Errorf("writeback %v: the MDS holds size %d, %v", writeback, a.Size, err)
+			}
+		})
+	}
+}

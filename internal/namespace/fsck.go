@@ -41,7 +41,7 @@ func (ns *Namespace) Check() []Problem {
 		}
 		reachableDirs[ino] = true
 		wantNlink := uint32(2)
-		for name, c := range n.children {
+		for name, c := range ns.children(n) {
 			if ns.Get(c.Ino) != c {
 				report(c.Ino, "dangling", "entry %q in dir %d points at no live inode", name, ino)
 				continue
@@ -49,8 +49,8 @@ func (ns *Namespace) Check() []Problem {
 			switch c.Type {
 			case fs.TypeDirectory:
 				wantNlink++
-				if c.parent != ino {
-					report(c.Ino, "bad-parent", "parent is %d, expected %d", c.parent, ino)
+				if up := ns.ext[c.ext].parent; up != ino {
+					report(c.Ino, "bad-parent", "parent is %d, expected %d", up, ino)
 				}
 				walk(c)
 			default:
@@ -65,23 +65,33 @@ func (ns *Namespace) Check() []Problem {
 	if root != ns.root {
 		return []Problem{{Ino: ns.root.Ino, Kind: "no-root", Note: "root inode missing"}}
 	}
-	if root.parent != root.Ino {
+	if ns.ext[root.ext].parent != root.Ino {
 		report(root.Ino, "bad-parent", "root dot-dot must point at itself")
 	}
 	walk(root)
 
-	// The table in number order: every live inode must be reachable, and
-	// a file's link count must equal the entries that reference it.
+	// The table in number order: every live inode must be reachable, a
+	// file's link count must equal the entries that reference it, and
+	// exactly the directories and symlinks hold side-table entries, one
+	// each.
 	live := 0
-	for i, n := range ns.inodes {
-		if n == nil {
+	exts := make(map[uint32]bool)
+	for ino := fs.Ino(1); ino < ns.next; ino++ {
+		n := ns.slot(ino)
+		if n.Ino == 0 {
 			continue
 		}
 		live++
-		ino := fs.Ino(i)
 		if n.Ino != ino {
 			report(ino, "bad-ino", "table slot %d holds inode %d", ino, n.Ino)
 		}
+		switch {
+		case (n.Type == fs.TypeDirectory || n.Type == fs.TypeSymlink) != (n.ext != 0),
+			n.ext != 0 && (exts[n.ext] || int(n.ext) >= len(ns.ext)),
+			(n.Type == fs.TypeDirectory) != (n.ext != 0 && ns.ext[n.ext].children != nil):
+			report(ino, "bad-ext", "type %v with side-table entry %d", n.Type, n.ext)
+		}
+		exts[n.ext] = true
 		switch links := reachableFiles[ino]; {
 		case n.Type == fs.TypeDirectory:
 			if !reachableDirs[ino] {

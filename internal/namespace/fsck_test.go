@@ -38,7 +38,7 @@ func TestCheckDetectsDanglingEntry(t *testing.T) {
 	ns.Create("/f", 0o644, 0)
 	root := ns.Get(ns.Root())
 	// corrupt: an entry whose inode is not in the inode table
-	root.children["ghost"] = &Inode{Ino: 9999, Type: fs.TypeRegular, Nlink: 1}
+	ns.children(root)["ghost"] = &Inode{Ino: 9999, Type: fs.TypeRegular, Nlink: 1}
 	found := false
 	for _, p := range ns.Check() {
 		if p.Kind == "dangling" {
@@ -54,7 +54,7 @@ func TestCheckDetectsOrphan(t *testing.T) {
 	ns := New()
 	ns.Create("/f", 0o644, 0)
 	root := ns.Get(ns.Root())
-	delete(root.children, "f") // corrupt: inode stays allocated
+	delete(ns.children(root), "f") // corrupt: inode stays allocated
 	found := false
 	for _, p := range ns.Check() {
 		if p.Kind == "orphan" || p.Kind == "bad-count" {
@@ -71,7 +71,7 @@ func TestCheckDetectsBadParent(t *testing.T) {
 	ns.Mkdir("/a", 0o755, 0)
 	ns.Mkdir("/a/b", 0o755, 0)
 	b, _ := ns.Lookup("/a/b")
-	b.parent = ns.Root() // corrupt
+	ns.ext[b.ext].parent = ns.Root() // corrupt
 	found := false
 	for _, p := range ns.Check() {
 		if p.Kind == "bad-parent" {
@@ -80,6 +80,39 @@ func TestCheckDetectsBadParent(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("bad parent pointer not detected")
+	}
+}
+
+// TestCheckDetectsBadExt corrupts the side table two ways: a regular
+// file that claims a side-table entry, and two directories that share
+// one.
+func TestCheckDetectsBadExt(t *testing.T) {
+	for name, corrupt := range map[string]func(ns *Namespace){
+		"file with an entry": func(ns *Namespace) {
+			f, _ := ns.Lookup("/f")
+			d, _ := ns.Lookup("/a")
+			f.ext = d.ext
+		},
+		"shared entry": func(ns *Namespace) {
+			a, _ := ns.Lookup("/a")
+			b, _ := ns.Lookup("/b")
+			b.ext = a.ext
+		},
+	} {
+		ns := New()
+		ns.Mkdir("/a", 0o755, 0)
+		ns.Mkdir("/b", 0o755, 0)
+		ns.Create("/f", 0o644, 0)
+		corrupt(ns)
+		found := false
+		for _, p := range ns.Check() {
+			if p.Kind == "bad-ext" {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: not detected", name)
+		}
 	}
 }
 

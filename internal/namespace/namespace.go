@@ -13,6 +13,7 @@ package namespace
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -23,15 +24,27 @@ import (
 // concurrent use; in the simulator all access is serialized by the DES
 // kernel, and real-mode users must lock externally.
 type Namespace struct {
-	// inodes is the inode table, indexed by inode number; slot 0 is
-	// never used. alloc hands out numbers in order and never reuses one,
-	// so a freed inode leaves a nil slot, and the table grows by 8 bytes
-	// per number ever allocated, live or not: 4.6 MB for the ~580k
-	// numbers one of E05's 20-node NFS cells hands out.
-	inodes []*Inode
-	// live counts the non-nil slots of inodes.
+	// pages is the inode table: the inodes themselves, by value, inode
+	// number i in slot i-1, in pages that are allocated once and never
+	// copied or moved, so an *Inode stays valid while the table grows.
+	// alloc hands out numbers in order and never reuses one, and free
+	// zeroes a slot in place, so every number ever allocated costs its
+	// 64 bytes, live or not, until the namespace goes: 37 MB for the
+	// ~580k numbers one of E05's 20-node NFS cells hands out. The pages
+	// hold no pointer, so the collector never scans them. A live
+	// directory or symlink also holds one 32-byte ext entry; freed
+	// entries are reused.
+	pages [][]Inode
+	// next is the next inode number alloc hands out.
+	next fs.Ino
+	// live counts the slots that hold a live inode.
 	live int
 	root *Inode
+	// ext is the side table of what only directories and symlinks
+	// carry; entry 0 is the empty entry of every regular file, and
+	// freeExt lists the entries freed inodes left.
+	ext     []inodeExt
+	freeExt []uint32
 
 	// dirCache memoizes directory path resolution (span text -> inode),
 	// so repeated deep-path operations hash one string instead of one
@@ -56,36 +69,78 @@ type dirCacheEnt struct {
 // than evicted, which keeps the hot path branch-free.
 const dirCacheMax = 1 << 14
 
-// Inode is one file system object.
+// Inode is one file system object: 64 bytes with no pointer, kept by
+// value in its namespace's inode table. What only directories and
+// symlinks carry lives in the namespace's side table (NumChildren,
+// Target). An *Inode stays valid while the table grows; once its inode
+// is freed it reads as the zero Inode, number 0, which Get never
+// returns.
 type Inode struct {
 	Ino      fs.Ino
 	Type     fs.FileType
 	Mode     uint32
 	Nlink    uint32
 	UID, GID uint32
-	Size     int64
-	Atime    time.Duration
-	Mtime    time.Duration
-	Ctime    time.Duration
+	// ext is the index of the inode's side-table entry; 0, the empty
+	// entry, for a regular file.
+	ext   uint32
+	Size  int64
+	Atime time.Duration
+	Mtime time.Duration
+	Ctime time.Duration
+}
 
-	// children is non-nil for directories and maps entry name to inode,
-	// so a walk step is one map probe. The inode table holds the same
-	// pointers for lookups by number.
+// inodeExt is the side-table entry of a directory or a symlink.
+type inodeExt struct {
+	// children maps a directory's entry names to their inodes, so a
+	// walk step is one map probe.
 	children map[string]*Inode
-	// parent is the containing directory (for directories; ".." link).
+	// parent is a directory's containing directory (its ".." link).
 	parent fs.Ino
-	// Target holds the symlink target for symlinks.
-	Target string
+	// target is a symlink's target.
+	target string
+}
+
+// Page sizes of the inode table: the first two pages hold firstPage
+// inodes each and every later page twice the one before, up to pageLen
+// (32 KB). A namespace with a few inodes allocates one small page; a
+// large one grows by pageLen inodes at a time.
+const (
+	firstPage = 8
+	pageLen   = 512
+	// pageShift is log2(pageLen / firstPage); page pageShift+1 is the
+	// first full one.
+	pageShift = 6
+)
+
+// pageSize returns the number of inodes page p holds.
+func pageSize(p uint32) uint32 {
+	if p > pageShift {
+		return pageLen
+	}
+	return max(firstPage, uint32(firstPage)<<p/2)
+}
+
+// pageOf returns the page and offset of slot i. Pages 1 to pageShift
+// each start at the slot whose number equals their size, so below the
+// first full page a slot's page is the bit length of i/firstPage.
+func pageOf(i uint32) (page, off uint32) {
+	if i >= pageLen {
+		return i/pageLen + pageShift, i % pageLen
+	}
+	p := uint32(bits.Len32(i / firstPage))
+	return p, i % pageSize(p)
 }
 
 // New returns a namespace containing only the root directory.
 func New() *Namespace {
 	ns := &Namespace{
-		inodes:   []*Inode{nil},
+		next:     1,
+		ext:      make([]inodeExt, 1, 2),
 		dirCache: make(map[string]dirCacheEnt),
 	}
 	root := ns.alloc(fs.TypeDirectory, 0o755, 0)
-	root.parent = root.Ino
+	ns.ext[root.ext].parent = root.Ino
 	ns.root = root
 	ns.dirs = 1
 	return ns
@@ -106,11 +161,32 @@ func (ns *Namespace) NumInodes() int { return ns.live }
 // Get returns the inode by number, or nil if the number is free or was
 // never allocated.
 func (ns *Namespace) Get(ino fs.Ino) *Inode {
-	if ino >= fs.Ino(len(ns.inodes)) {
+	if ino == 0 || ino >= ns.next {
 		return nil
 	}
-	return ns.inodes[ino]
+	if n := ns.slot(ino); n.Ino != 0 {
+		return n
+	}
+	return nil // freed
 }
+
+// slot returns the table slot of an allocated inode number.
+func (ns *Namespace) slot(ino fs.Ino) *Inode {
+	p, off := pageOf(uint32(ino - 1))
+	return &ns.pages[p][off]
+}
+
+// children returns directory n's entries (nil for other inodes).
+func (ns *Namespace) children(n *Inode) map[string]*Inode { return ns.ext[n.ext].children }
+
+// dotdot returns directory n's containing directory.
+func (ns *Namespace) dotdot(n *Inode) *Inode { return ns.Get(ns.ext[n.ext].parent) }
+
+// NumChildren returns the entry count of a directory inode (0 otherwise).
+func (ns *Namespace) NumChildren(n *Inode) int { return len(ns.ext[n.ext].children) }
+
+// Target returns a symlink inode's target ("" otherwise).
+func (ns *Namespace) Target(n *Inode) string { return ns.ext[n.ext].target }
 
 // Lookup resolves path to an inode. It follows "." and ".." but not
 // symlinks (metadata benchmarks act on the link itself). Runs of slashes
@@ -192,9 +268,9 @@ func (ns *Namespace) resolve(p string, start, end int) (*Inode, int, fs.Errno) {
 	case ".":
 		return node, depth, fs.OK
 	case "..":
-		return ns.inodes[node.parent], depth, fs.OK
+		return ns.dotdot(node), depth, fs.OK
 	default:
-		next, ok := node.children[name]
+		next, ok := ns.children(node)[name]
 		if !ok {
 			return nil, depth, fs.ENOENT
 		}
@@ -223,26 +299,47 @@ func (ns *Namespace) parentAndName(op, path string) (*Inode, string, error) {
 	return h.dirAndName(op)
 }
 
-// alloc makes an inode under the next unused number.
+// alloc makes an inode under the next unused number, with a side-table
+// entry for a directory or a symlink.
 func (ns *Namespace) alloc(t fs.FileType, mode uint32, now time.Duration) *Inode {
-	ino := &Inode{
-		Ino: fs.Ino(len(ns.inodes)), Type: t, Mode: mode,
+	if ns.next > math.MaxUint32 {
+		panic("namespace: inode numbers exhausted")
+	}
+	if p, _ := pageOf(uint32(ns.next - 1)); int(p) == len(ns.pages) {
+		ns.pages = append(ns.pages, make([]Inode, pageSize(p)))
+	}
+	n := ns.slot(ns.next)
+	*n = Inode{
+		Ino: ns.next, Type: t, Mode: mode, Nlink: 1,
 		Atime: now, Mtime: now, Ctime: now,
 	}
-	if t == fs.TypeDirectory {
-		ino.children = make(map[string]*Inode)
-		ino.Nlink = 2
-	} else {
-		ino.Nlink = 1
-	}
-	ns.inodes = append(ns.inodes, ino)
+	ns.next++
 	ns.live++
-	return ino
+	if t == fs.TypeRegular {
+		return n
+	}
+	if k := len(ns.freeExt); k > 0 {
+		n.ext, ns.freeExt = ns.freeExt[k-1], ns.freeExt[:k-1]
+	} else {
+		n.ext = uint32(len(ns.ext))
+		ns.ext = append(ns.ext, inodeExt{})
+	}
+	if t == fs.TypeDirectory {
+		ns.ext[n.ext].children = make(map[string]*Inode)
+		n.Nlink = 2
+	}
+	return n
 }
 
-// free drops an inode from the table; its number stays retired.
+// free zeroes an inode's slot, so Get answers nil for its number, which
+// stays retired, and hands its side-table entry to the next directory or
+// symlink.
 func (ns *Namespace) free(n *Inode) {
-	ns.inodes[n.Ino] = nil
+	if n.ext != 0 {
+		ns.ext[n.ext] = inodeExt{}
+		ns.freeExt = append(ns.freeExt, n.ext)
+	}
+	*n = Inode{}
 	ns.live--
 }
 
@@ -259,12 +356,13 @@ func (ns *Namespace) Mkdir(path string, mode uint32, now time.Duration) (*Inode,
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := dir.children[name]; ok {
+	entries := ns.children(dir)
+	if _, ok := entries[name]; ok {
 		return nil, fs.NewError("mkdir", path, fs.EEXIST)
 	}
 	ino := ns.alloc(fs.TypeDirectory, mode, now)
-	ino.parent = dir.Ino
-	dir.children[name] = ino
+	ns.ext[ino.ext].parent = dir.Ino
+	entries[name] = ino
 	dir.Nlink++ // child's ".."
 	dir.Mtime, dir.Ctime = now, now
 	ns.dirs++
@@ -277,13 +375,14 @@ func (ns *Namespace) Symlink(target, path string, now time.Duration) (*Inode, er
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := dir.children[name]; ok {
+	entries := ns.children(dir)
+	if _, ok := entries[name]; ok {
 		return nil, fs.NewError("symlink", path, fs.EEXIST)
 	}
 	ino := ns.alloc(fs.TypeSymlink, 0o777, now)
-	ino.Target = target
+	ns.ext[ino.ext].target = target
 	ino.Size = int64(len(target))
-	dir.children[name] = ino
+	entries[name] = ino
 	dir.Mtime, dir.Ctime = now, now
 	ns.files++
 	return ino, nil
@@ -303,10 +402,11 @@ func (ns *Namespace) Link(oldPath, newPath string, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := dir.children[name]; ok {
+	entries := ns.children(dir)
+	if _, ok := entries[name]; ok {
 		return fs.NewError("link", newPath, fs.EEXIST)
 	}
-	dir.children[name] = target
+	entries[name] = target
 	target.Nlink++
 	target.Ctime = now
 	dir.Mtime, dir.Ctime = now, now
@@ -326,17 +426,18 @@ func (ns *Namespace) Rmdir(path string, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	child, ok := dir.children[name]
+	entries := ns.children(dir)
+	child, ok := entries[name]
 	if !ok {
 		return fs.NewError("rmdir", path, fs.ENOENT)
 	}
 	if child.Type != fs.TypeDirectory {
 		return fs.NewError("rmdir", path, fs.ENOTDIR)
 	}
-	if len(child.children) != 0 {
+	if ns.NumChildren(child) != 0 {
 		return fs.NewError("rmdir", path, fs.ENOTEMPTY)
 	}
-	delete(dir.children, name)
+	delete(entries, name)
 	ns.free(child)
 	dir.Nlink--
 	dir.Mtime, dir.Ctime = now, now
@@ -353,7 +454,8 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	src, ok := odir.children[oname]
+	oents := ns.children(odir)
+	src, ok := oents[oname]
 	if !ok {
 		return fs.NewError("rename", oldPath, fs.ENOENT)
 	}
@@ -370,10 +472,11 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 			if d == ns.root {
 				break
 			}
-			d = ns.inodes[d.parent]
+			d = ns.dotdot(d)
 		}
 	}
-	if dst, ok := ndir.children[nname]; ok {
+	nents := ns.children(ndir)
+	if dst, ok := nents[nname]; ok {
 		if dst == src {
 			return nil // same object; POSIX no-op
 		}
@@ -383,7 +486,7 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 		case dst.Type != fs.TypeDirectory && src.Type == fs.TypeDirectory:
 			return fs.NewError("rename", newPath, fs.ENOTDIR)
 		case dst.Type == fs.TypeDirectory:
-			if len(dst.children) != 0 {
+			if ns.NumChildren(dst) != 0 {
 				return fs.NewError("rename", newPath, fs.ENOTEMPTY)
 			}
 			ns.free(dst)
@@ -398,8 +501,8 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 			}
 		}
 	}
-	delete(odir.children, oname)
-	ndir.children[nname] = src
+	delete(oents, oname)
+	nents[nname] = src
 	if src.Type == fs.TypeDirectory {
 		// Moving a directory changes what every span below its old name
 		// resolves to; file moves cannot affect directory resolution.
@@ -408,7 +511,7 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 	if src.Type == fs.TypeDirectory && odir.Ino != ndir.Ino {
 		odir.Nlink--
 		ndir.Nlink++
-		src.parent = ndir.Ino
+		ns.ext[src.ext].parent = ndir.Ino
 	}
 	src.Ctime = now
 	odir.Mtime, odir.Ctime = now, now
@@ -432,9 +535,6 @@ func (n *Inode) Attr() fs.Attr {
 	}
 }
 
-// NumChildren returns the entry count of a directory inode (0 otherwise).
-func (n *Inode) NumChildren() int { return len(n.children) }
-
 // ReadDir lists the entries of the directory at path in name order
 // (deterministic for the simulator; real readdir order is unspecified).
 func (ns *Namespace) ReadDir(path string, now time.Duration) ([]fs.DirEntry, error) {
@@ -446,8 +546,9 @@ func (ns *Namespace) ReadDir(path string, now time.Duration) ([]fs.DirEntry, err
 		return nil, fs.NewError("readdir", path, fs.ENOTDIR)
 	}
 	node.Atime = now
-	ents := make([]fs.DirEntry, 0, len(node.children))
-	for name, child := range node.children {
+	entries := ns.children(node)
+	ents := make([]fs.DirEntry, 0, len(entries))
+	for name, child := range entries {
 		ents = append(ents, fs.DirEntry{Name: name, Ino: child.Ino, Type: child.Type})
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })

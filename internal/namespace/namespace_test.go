@@ -260,7 +260,7 @@ func invariantCheck(t *testing.T, ns *Namespace) {
 		if n.Type == fs.TypeDirectory {
 			dirs++
 			wantNlink := uint32(2)
-			for _, c := range n.children {
+			for _, c := range ns.children(n) {
 				child := ns.Get(c.Ino)
 				if child != c {
 					t.Fatalf("directory %d has dangling child %d", ino, c.Ino)

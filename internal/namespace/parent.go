@@ -83,7 +83,7 @@ func (h *Parent) Dir() *Inode {
 // Entries returns the entry count of Dir, 0 if it does not resolve.
 func (h *Parent) Entries() int {
 	if d := h.Dir(); d != nil {
-		return len(d.children)
+		return h.ns.NumChildren(d)
 	}
 	return 0
 }
@@ -114,11 +114,12 @@ func (h *Parent) Create(mode uint32, now time.Duration) (*Inode, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := dir.children[name]; ok {
+	entries := h.ns.children(dir)
+	if _, ok := entries[name]; ok {
 		return nil, fs.NewError("create", h.path, fs.EEXIST)
 	}
 	ino := h.ns.alloc(fs.TypeRegular, mode, now)
-	dir.children[name] = ino
+	entries[name] = ino
 	dir.Mtime, dir.Ctime = now, now
 	h.ns.files++
 	return ino, nil
@@ -130,14 +131,15 @@ func (h *Parent) Unlink(now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	child, ok := dir.children[name]
+	entries := h.ns.children(dir)
+	child, ok := entries[name]
 	if !ok {
 		return fs.NewError("unlink", h.path, fs.ENOENT)
 	}
 	if child.Type == fs.TypeDirectory {
 		return fs.NewError("unlink", h.path, fs.EISDIR)
 	}
-	delete(dir.children, name)
+	delete(entries, name)
 	dir.Mtime, dir.Ctime = now, now
 	child.Nlink--
 	child.Ctime = now
@@ -175,9 +177,9 @@ func (h *Parent) lookup() (*Inode, fs.Errno) {
 	case ".":
 		return dir, fs.OK
 	case "..":
-		return h.ns.inodes[dir.parent], fs.OK
+		return h.ns.dotdot(dir), fs.OK
 	default:
-		node, ok := dir.children[name]
+		node, ok := h.ns.children(dir)[name]
 		if !ok {
 			return nil, fs.ENOENT
 		}

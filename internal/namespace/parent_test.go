@@ -71,7 +71,7 @@ func TestParentHandleOddPaths(t *testing.T) {
 			}
 			wantEntries := 0
 			if want != nil {
-				wantEntries = want.NumChildren()
+				wantEntries = ns.NumChildren(want)
 			}
 			if got := h.Entries(); got != wantEntries {
 				t.Errorf("Entries = %d, want %d", got, wantEntries)
@@ -84,8 +84,8 @@ func TestParentHandleOddPaths(t *testing.T) {
 			}
 			if tc.create == nil {
 				dir, _ := ns.Lookup(tc.createsUnder)
-				if dir.NumChildren() != 2 {
-					t.Errorf("Create left %s with %d entries, want 2", tc.createsUnder, dir.NumChildren())
+				if ns.NumChildren(dir) != 2 {
+					t.Errorf("Create left %s with %d entries, want 2", tc.createsUnder, ns.NumChildren(dir))
 				}
 			}
 			checkStat(t, ns, &h, tc.path)
@@ -173,8 +173,8 @@ func TestParentHandleParentRenamedAway(t *testing.T) {
 	if _, err := h.Create(0o644, 0); err != nil {
 		t.Fatalf("Create in the new /a: %v", err)
 	}
-	if moved, _ := ns.Lookup("/moved"); moved.NumChildren() != 1 {
-		t.Fatalf("the moved directory holds %d entries, want 1", moved.NumChildren())
+	if moved, _ := ns.Lookup("/moved"); ns.NumChildren(moved) != 1 {
+		t.Fatalf("the moved directory holds %d entries, want 1", ns.NumChildren(moved))
 	}
 	if problems := ns.Check(); len(problems) != 0 {
 		t.Fatal(problems)

@@ -290,8 +290,12 @@ func createLoad(t *testing.T, k *sim.Kernel, cl *cluster.Cluster, f *FS, n int) 
 // load holds no goroutine once Run returns: the injector lanes and the
 // WAFL consistency-point loop are tasks, which have no carrier to stay
 // parked, and the idle carriers of the finished processes are released.
+// Both counts are taken once the count has settled, so goroutines that
+// earlier tests (or this test's earlier repetitions) released and that
+// are still on their way out are not counted; a parked carrier never
+// leaves, so it still shows.
 func TestAggregateLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	k, cl, f := env(t, 1, DefaultConfig())
 	f.AttachAggregate(10*time.Millisecond, func(_, lane, tick int) service.Demand {
 		return service.Demand{Getattr: int64(1 + (lane+tick)%3)}
@@ -300,7 +304,24 @@ func TestAggregateLeavesNoGoroutines(t *testing.T) {
 	if ops, _, _ := f.AggCounts(); ops == 0 {
 		t.Fatal("the aggregate load injected nothing")
 	}
-	if n := runtime.NumGoroutine() - base; n != 0 {
+	if n := settledGoroutines() - base; n != 0 {
 		t.Errorf("%d goroutine(s) left behind after Run", n)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has read the
+// same for 20 consecutive millisecond polls, or the last count after
+// two seconds.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(2 * time.Second)
+	for same := 0; same < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

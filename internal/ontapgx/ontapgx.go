@@ -11,6 +11,7 @@ package ontapgx
 import (
 	"fmt"
 	"path"
+	"slices"
 	"strings"
 	"time"
 
@@ -239,7 +240,7 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 			lock := v.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
-			t := float64(svc) * dirIndex.EntryCost(dir.NumChildren()) * owner.wafl.ServiceFactor()
+			t := float64(svc) * dirIndex.EntryCost(v.ns.NumChildren(dir)) * owner.wafl.ServiceFactor()
 			sp.Sleep(time.Duration(t))
 		} else {
 			sp.Sleep(svc)
@@ -443,10 +444,13 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	c.node.Syscall(c.p)
 	clean := path.Clean(p)
 	if clean == "/" {
-		var ents []fs.DirEntry
+		// The junctions in name order, as namespace.ReadDir lists a
+		// directory, not in the VLDB map's run-to-run order.
+		ents := make([]fs.DirEntry, 0, len(f.volumes))
 		for name := range f.volumes {
 			ents = append(ents, fs.DirEntry{Name: name, Type: fs.TypeDirectory})
 		}
+		slices.SortFunc(ents, func(a, b fs.DirEntry) int { return strings.Compare(a.Name, b.Name) })
 		return ents, nil
 	}
 	v, sub, err := f.resolve("readdir", p)

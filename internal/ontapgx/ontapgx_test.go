@@ -2,6 +2,7 @@ package ontapgx
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -93,6 +94,42 @@ func TestRootReadDirListsVolumes(t *testing.T) {
 			t.Errorf("root readdir: %v, %d entries", err, len(ents))
 		}
 	})
+}
+
+// TestRootReadDirSorted lists the cluster root of a fresh 8-volume FS
+// twenty times: the junctions come in name order, the same every time,
+// whatever order the volume map ranges in.
+func TestRootReadDirSorted(t *testing.T) {
+	var first []string
+	for run := range 20 {
+		k := sim.New(1)
+		cl := cluster.New(k, cluster.DefaultConfig(1))
+		gx := New(k, "gx", 2, DefaultConfig())
+		for _, name := range []string{"home", "vol7", "a", "scratch", "vol10", "b2", "proj", "vol1"} {
+			gx.AddVolume(name, -1)
+		}
+		var names []string
+		k.Spawn("test", func(p *sim.Proc) {
+			ents, err := gx.NewClient(cl.Nodes[0], p).ReadDir("/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				names = append(names, e.Name)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.IsSorted(names) || len(names) != 8 {
+			t.Fatalf("run %d: root lists %v, want the 8 volumes sorted", run, names)
+		}
+		if first == nil {
+			first = names
+		} else if !slices.Equal(names, first) {
+			t.Fatalf("run %d: root lists %v, run 0 listed %v", run, names, first)
+		}
+	}
 }
 
 func TestWAFLBackedWrites(t *testing.T) {

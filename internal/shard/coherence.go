@@ -81,10 +81,19 @@ type leaseGrant struct {
 // callbacks replay deterministically) and the write-delegation holder
 // per directory. The whole struct is discarded on crash takeover and on
 // failback — a promoted backup knows nothing about the leases its dead
-// partner granted.
+// partner granted. spare holds the emptied grant lists of revoked
+// paths; a path's first grant takes one instead of growing a new list.
 type sliceLeases struct {
 	read  map[string][]leaseGrant
 	deleg map[string]*nodeState
+	spare [][]leaseGrant
+}
+
+// recycle hands a revoked path's grant list back for the next path's
+// first grant. No victim list may still alias it.
+func (t *sliceLeases) recycle(grants []leaseGrant) {
+	clear(grants)
+	t.spare = append(t.spare, grants[:0])
 }
 
 func newSliceLeases() *sliceLeases {
@@ -168,6 +177,11 @@ func (f *FS) grant(p *sim.Proc, st *nodeState, path string, a fs.Attr) {
 		}
 	}
 	if !found {
+		if grants == nil {
+			if n := len(t.spare); n > 0 {
+				grants, t.spare = t.spare[n-1], t.spare[:n-1]
+			}
+		}
 		t.read[path] = append(grants, leaseGrant{st: st, expiry: exp})
 	}
 	addI64(&f.LeaseGrants, 1)
@@ -203,18 +217,13 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 		}
 	}
 	delete(t.read, path)
-	if len(victims) == 0 {
-		return
+	if len(victims) > 0 {
+		addI64(&f.Revocations, int64(len(victims)))
+		p.Fanout("revoke", len(victims), func(q *sim.Proc, i int) { f.cbCost(q, victims[i].st) })
 	}
-	procs := make([]*sim.Proc, 0, len(victims))
-	for _, g := range victims {
-		addI64(&f.Revocations, 1)
-		st := g.st
-		procs = append(procs, p.Spawn("revoke", func(q *sim.Proc) { f.cbCost(q, st) }))
-	}
-	for _, q := range procs {
-		p.Join(q)
-	}
+	// victims aliases grants, so the list goes back only now that every
+	// callback has been delivered.
+	t.recycle(grants)
 }
 
 // dropDelegation forgets any write delegation on dir; Rmdir and

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -467,5 +468,71 @@ func TestCacheCensusScripted(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%v: census %+v, want %+v", tc.mode, got, tc.want)
 		}
+	}
+}
+
+// TestRecycledGrantListsKeepParkedVictims checks the grant-list reuse
+// against its hazard: revokePath's victims alias the revoked path's
+// grant list, so the list may only go back to the lease table once every
+// callback has been delivered. Process x revokes /a (held by nodes 1-3)
+// and parks in its fan-out; at the same instant, before x's children
+// start, process y revokes /b (held only by y's own node and an expired
+// grant, so its list goes back at once) and grants three fresh paths to
+// nodes 4-6, taking every list the table has spare. A hog holds every
+// node's callback thread until the callbacks have reached the servers,
+// and then counts who queues on each: exactly nodes 1-3, one each.
+func TestRecycledGrantListsKeepParkedVictims(t *testing.T) {
+	k := sim.New(1)
+	cl := cluster.New(k, cluster.DefaultConfig(7))
+	f := New(k, "coh", leaseCfg(1))
+	st := make([]*nodeState, 7)
+	for i := range st {
+		st[i] = f.nodeState(cl.Nodes[i])
+	}
+	file := fs.Attr{Type: fs.TypeRegular}
+	t0 := f.cfg.LeaseTTL + time.Millisecond
+	queued := make([]int, len(st))
+	k.Spawn("hog", func(p *sim.Proc) {
+		for _, s := range st {
+			s.cb.Threads.Acquire(p)
+		}
+		p.Sleep(t0 + 10*f.cfg.OneWayLatency)
+		for i, s := range st {
+			queued[i] = s.cb.Threads.QueueLen()
+			s.cb.Threads.Release()
+		}
+	})
+	k.Spawn("setup", func(p *sim.Proc) {
+		f.grant(p, st[6], "/b", file) // expired by t0
+		p.Sleep(t0 - time.Microsecond)
+		for _, n := range []int{1, 2, 3} {
+			f.grant(p, st[n], "/a", file)
+		}
+		f.grant(p, st[0], "/b", file)
+	})
+	k.Spawn("x", func(p *sim.Proc) {
+		p.Sleep(t0)
+		f.revokePath(p, st[0], "/a")
+	})
+	k.Spawn("y", func(p *sim.Proc) {
+		p.Sleep(t0)
+		f.revokePath(p, st[0], "/b")
+		for i, path := range []string{"/c", "/d", "/e"} {
+			f.grant(p, st[4+i], path, file)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 1, 1, 0, 0, 0}; !slices.Equal(queued, want) {
+		t.Errorf("callbacks queued per node %v, want %v", queued, want)
+	}
+	if f.Revocations != 3 {
+		t.Errorf("Revocations = %d, want 3", f.Revocations)
+	}
+	// /b's list went to one of the fresh paths, and /a's list is back
+	// in the table for the next.
+	if n := len(f.leases[0].spare); n != 1 {
+		t.Errorf("%d spare grant lists, want /a's one", n)
 	}
 }

@@ -783,7 +783,7 @@ func (f *FS) readInfo(state *shardSrv, p string) opInfo {
 		}
 	case BackendBTree:
 		if dir, err := state.ns.Lookup(fs.ParentDir(p)); err == nil {
-			info.dirSize = dir.NumChildren()
+			info.dirSize = state.ns.NumChildren(dir)
 		}
 	}
 	return info
@@ -1191,7 +1191,7 @@ func (c *client) Create(p string) error {
 			lock := state.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
-			f.serviceOp(sp, srv, createService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+			f.serviceOp(sp, srv, createService, state.ns.NumChildren(dir), writeInfo(p, state.ns.NumChildren(dir)))
 		} else {
 			f.serviceOp(sp, srv, createService, -1, writeInfo(p, -1))
 		}
@@ -1203,7 +1203,7 @@ func (c *client) Create(p string) error {
 			f.revokeOnMutate(sp, c.st(), p, true)
 			f.persist(sp, state2, srv, fs.OpCreate, metaLogBytes)
 			if dir, lerr := state2.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				f.maybeSplit(sp, fs.ParentDir(p), dir.NumChildren(), c.st())
+				f.maybeSplit(sp, fs.ParentDir(p), state2.ns.NumChildren(dir), c.st())
 			}
 		}
 		if err == nil || fs.IsExist(err) {
@@ -1240,7 +1240,7 @@ func (c *client) Mkdir(p string) error {
 		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
 			lock := state.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
-			f.serviceOp(sp, srv, mkdirService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+			f.serviceOp(sp, srv, mkdirService, state.ns.NumChildren(dir), writeInfo(p, state.ns.NumChildren(dir)))
 			lock.Unlock()
 		} else {
 			f.serviceOp(sp, srv, mkdirService, -1, writeInfo(p, -1))
@@ -1372,7 +1372,7 @@ func (c *client) Unlink(p string) error {
 			lock := state.locks.Get(uint64(dir.Ino))
 			lock.Lock(sp)
 			defer lock.Unlock()
-			f.serviceOp(sp, srv, removeService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+			f.serviceOp(sp, srv, removeService, state.ns.NumChildren(dir), writeInfo(p, state.ns.NumChildren(dir)))
 		} else {
 			f.serviceOp(sp, srv, removeService, -1, writeInfo(p, -1))
 		}
@@ -1432,7 +1432,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 				lock := state.locks.Get(uint64(dir.Ino))
 				lock.Lock(sp)
 				defer lock.Unlock()
-				f.serviceOp(sp, srv, renameService, dir.NumChildren(), writeInfo(oldPath, dir.NumChildren()))
+				f.serviceOp(sp, srv, renameService, state.ns.NumChildren(dir), writeInfo(oldPath, state.ns.NumChildren(dir)))
 			} else {
 				f.serviceOp(sp, srv, renameService, -1, writeInfo(oldPath, -1))
 			}
@@ -1480,7 +1480,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 				// it can push that directory over the split threshold
 				// just like a create.
 				if ndir, nlerr := state2.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-					f.maybeSplit(sp, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
+					f.maybeSplit(sp, fs.ParentDir(newPath), state2.ns.NumChildren(ndir), c.st())
 				}
 				c.captureEntry(sp, newPath)
 			}
@@ -1500,7 +1500,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 		// identically whether or not the operation crosses a shard.
 		dirEntries := func(ns *namespace.Namespace, p string) int {
 			if dir, lerr := ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				return dir.NumChildren()
+				return ns.NumChildren(dir)
 			}
 			return -1
 		}
@@ -1578,7 +1578,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 					// read of the destination slice never crosses one.
 					if f.splitActive() {
 						if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-							f.maybeSplit(sp, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
+							f.maybeSplit(sp, fs.ParentDir(newPath), dstState.ns.NumChildren(ndir), c.st())
 						}
 					}
 				}
@@ -1630,7 +1630,7 @@ func (c *client) Link(oldPath, newPath string) error {
 			f.revokeOnMutate(sp, c.st(), newPath, true)
 			f.persist(sp, state, srv, fs.OpLink, metaLogBytes)
 			if dir, lerr := state.ns.Lookup(fs.ParentDir(newPath)); lerr == nil {
-				f.maybeSplit(sp, fs.ParentDir(newPath), dir.NumChildren(), c.st())
+				f.maybeSplit(sp, fs.ParentDir(newPath), state.ns.NumChildren(dir), c.st())
 			}
 			c.captureEntry(sp, newPath)
 		}
@@ -1663,7 +1663,7 @@ func (c *client) Symlink(target, linkPath string) error {
 			f.revokeOnMutate(sp, c.st(), linkPath, true)
 			f.persist(sp, state, srv, fs.OpSymlink, metaLogBytes)
 			if dir, lerr := state.ns.Lookup(fs.ParentDir(linkPath)); lerr == nil {
-				f.maybeSplit(sp, fs.ParentDir(linkPath), dir.NumChildren(), c.st())
+				f.maybeSplit(sp, fs.ParentDir(linkPath), state.ns.NumChildren(dir), c.st())
 			}
 			c.captureEntry(sp, linkPath)
 		}

@@ -275,15 +275,8 @@ func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) 
 		}
 	}
 	if len(victims) > 0 {
-		procs := make([]*sim.Proc, 0, len(victims))
-		for _, st := range victims {
-			addI64(&f.Revocations, 1)
-			st := st
-			procs = append(procs, sp.Spawn("splitrevoke", func(q *sim.Proc) { f.cbCost(q, st) }))
-		}
-		for _, q := range procs {
-			sp.Join(q)
-		}
+		addI64(&f.Revocations, int64(len(victims)))
+		sp.Fanout("splitrevoke", len(victims), func(q *sim.Proc, i int) { f.cbCost(q, victims[i]) })
 	}
 }
 
@@ -314,7 +307,7 @@ func (f *FS) moveEntry(src, dst int, path string, e fs.DirEntry, now time.Durati
 	var ni *namespace.Inode
 	var err error
 	if e.Type == fs.TypeSymlink {
-		ni, err = dstNS.Symlink(node.Target, path, now)
+		ni, err = dstNS.Symlink(srcNS.Target(node), path, now)
 		if err != nil {
 			return false
 		}
@@ -378,6 +371,7 @@ func (f *FS) splitRevoke(slice int, path string, mutator *nodeState) []*nodeStat
 		out = append(out, g.st)
 	}
 	delete(t.read, path)
+	t.recycle(grants) // out is a copy
 	return out
 }
 

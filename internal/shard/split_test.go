@@ -804,3 +804,92 @@ func TestReaddirCostPageBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitKeepsSideTables checks what a split does to the entries the
+// namespace keeps in its side table: 48 symlinks and 4 subdirectories
+// made before the split live on the directory's first slice; the split
+// moves some links, each carrying its own target, and leaves the
+// replicated subdirectories with ".." naming the split directory on
+// every slice that holds them.
+func TestSplitKeepsSideTables(t *testing.T) {
+	const links = 48
+	k, cl, f := env(t, 1, splitCfg(64))
+	target := func(i int) string { return fmt.Sprintf("/elsewhere/t%d", i) }
+	drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
+		if err := c.Mkdir("/big"); err != nil {
+			t.Fatal(err)
+		}
+		for i := range links {
+			if err := c.Symlink(target(i), fmt.Sprintf("/big/l%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range 4 {
+			if err := c.Mkdir(fmt.Sprintf("/big/sub%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		home := -1
+		for s := range f.NumShards() {
+			if _, err := f.Namespace(s).Lookup("/big/l0"); err == nil {
+				home = s
+			}
+		}
+		for i := 0; f.SplitLevel("/big") == 0; i++ {
+			if err := c.Create(fmt.Sprintf("/big/f%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		moved := 0
+		for i := range links {
+			path := fmt.Sprintf("/big/l%d", i)
+			found := 0
+			for s := range f.NumShards() {
+				ns := f.Namespace(s)
+				node, err := ns.Lookup(path)
+				if err != nil {
+					continue
+				}
+				found++
+				if node.Type != fs.TypeSymlink || ns.Target(node) != target(i) || node.Size != int64(len(target(i))) {
+					t.Errorf("%s on slice %d: type %v, target %q, size %d", path, s, node.Type, ns.Target(node), node.Size)
+				}
+				if s != home {
+					moved++
+				}
+			}
+			if found != 1 {
+				t.Errorf("%s found on %d slices", path, found)
+			}
+		}
+		if moved == 0 {
+			t.Fatal("the split moved no symlink")
+		}
+		dirs := 0
+		for s := range f.NumShards() {
+			ns := f.Namespace(s)
+			big, err := ns.Lookup("/big")
+			if err != nil {
+				continue
+			}
+			for i := range 4 {
+				up, err := ns.Lookup(fmt.Sprintf("/big/sub%d/..", i))
+				if err != nil {
+					continue
+				}
+				dirs++
+				if up != big {
+					t.Errorf("slice %d: /big/sub%d/.. is inode %d, want /big (%d)", s, i, up.Ino, big.Ino)
+				}
+			}
+		}
+		if dirs < 4 {
+			t.Errorf("the subdirectories resolve on %d slices in all, want at least 4", dirs)
+		}
+	})
+	for s := range f.NumShards() {
+		if p := f.Namespace(s).Check(); len(p) != 0 {
+			t.Fatalf("slice %d fsck: %v", s, p)
+		}
+	}
+}

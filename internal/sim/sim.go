@@ -40,6 +40,14 @@
 // caller-supplied body — and when its wake-ups are frequent enough to
 // pay for writing its loop as an explicit state machine. Everything else
 // stays a process.
+//
+// A parallel fan-out (Proc.Fanout: start n children, wait for all of
+// them) recycles its children. Spawn returns its Proc to the caller,
+// who may keep it past the process's end (to Join it late, or to read
+// its id), so a spawned Proc is never reused. Fanout hands no child to
+// its caller, and once its last Join returns nothing can reach the
+// children any more: they go on the kernel's free list, and the next
+// fan-out starts its children in them.
 package sim
 
 import (
@@ -144,6 +152,10 @@ type Kernel struct {
 	// termination is decided at group level.
 	dom  *Domain
 	idle []*carrier // carriers between bodies, for the next first dispatch
+	// spare holds finished fan-out children for the next fan-out to
+	// start again, and fanouts the idle fan-out states (see Fanout).
+	spare   []*Proc
+	fanouts []*fanout
 }
 
 // New returns a kernel whose random source is seeded with seed.
@@ -303,6 +315,7 @@ type Proc struct {
 	name   string
 	done   bool
 	daemon bool
+	idx    int32         // a fan-out child's index (Fanout); fills padding
 	fn     func(p *Proc) // the body; dropped when it returns
 	c      *carrier      // runs the body from its first dispatch to its end
 	step   func(p *Proc) // a task's step, called at each wake-up; nil for a body
@@ -409,7 +422,10 @@ func (k *Kernel) exit(p *Proc) {
 		w.blockedOn = ""
 		k.schedule(w, k.now)
 	}
-	p.waiters = nil
+	// The list keeps its capacity for a recycled fan-out child's next
+	// joiner; the joiners themselves are dropped.
+	clear(p.waiters)
+	p.waiters = p.waiters[:0]
 	p.c.p = nil
 	k.idle = append(k.idle, p.c)
 	p.c = nil
@@ -432,6 +448,82 @@ func (k *Kernel) removeProc(p *Proc) {
 // Spawn starts a child process from a running process.
 func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p.k.Spawn(name, fn)
+}
+
+// fanout is the state of one Fanout call: the body its children run and
+// the children in index order. run is body bound once, when the state
+// is made, so starting a child allocates no closure; a kernel keeps
+// idle states for its next fan-outs.
+type fanout struct {
+	fn   func(q *Proc, i int)
+	kids []*Proc
+	run  func(q *Proc)
+}
+
+func (f *fanout) body(q *Proc) { f.fn(q, int(q.idx)) }
+
+// Fanout starts n children at the current time, running fn(q, i) for
+// i = 0 ... n-1, and returns once all of them have finished. It draws
+// exactly the ids, sequence numbers and events of a loop of n
+// p.Spawn(name, ...) calls followed by a loop of p.Join calls in the
+// same order, so replacing such a pair of loops changes no schedule.
+//
+// Fanout returns no child, so no caller can hold one past its end: after
+// the last Join the children go on the kernel's free list, and a later
+// fan-out reuses them with nothing of their previous life left (Spawn's
+// processes are never reused, see the package comment). In steady state
+// a fan-out allocates nothing per child, and nothing at all when fn
+// captures nothing. A child runs on the kernel its parent runs on and,
+// like every process, finishes there even if it Calls into another
+// domain, so on a domained kernel Fanout behaves as it does on a plain
+// one, each kernel keeping its own free list. n <= 0 returns at once.
+func (p *Proc) Fanout(name string, n int, fn func(q *Proc, i int)) {
+	if n <= 0 {
+		return
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("sim: fan-out %q of %d children", name, n))
+	}
+	k := p.k
+	var f *fanout
+	if m := len(k.fanouts); m > 0 {
+		f = k.fanouts[m-1]
+		k.fanouts = k.fanouts[:m-1]
+	} else {
+		f = new(fanout)
+		f.run = f.body
+	}
+	f.fn = fn
+	for i := range n {
+		q := k.recycled()
+		q.idx = int32(i)
+		k.start(q, name, f.run)
+		k.schedule(q, k.now)
+		f.kids = append(f.kids, q)
+	}
+	for _, q := range f.kids {
+		p.Join(q)
+	}
+	k.spare = append(k.spare, f.kids...)
+	clear(f.kids)
+	f.kids = f.kids[:0]
+	f.fn = nil
+	k.fanouts = append(k.fanouts, f)
+}
+
+// recycled returns a finished fan-out child reset to a fresh process, or
+// a new one when the free list is empty. Only the joiner list's capacity
+// survives; exit already emptied it.
+func (k *Kernel) recycled() *Proc {
+	n := len(k.spare)
+	if n == 0 {
+		return &Proc{k: k}
+	}
+	q := k.spare[n-1]
+	k.spare[n-1] = nil
+	k.spare = k.spare[:n-1]
+	*q = Proc{k: k, waiters: q.waiters[:0]}
+	return q
 }
 
 // AfterFunc spawns a daemon process that sleeps d of virtual time and

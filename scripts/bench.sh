@@ -32,7 +32,7 @@ cd "$(dirname "$0")/.."
 outdir="."
 count=1
 suite=1
-substrate='BenchmarkSimulatedCreate$|BenchmarkShardedCreate$|BenchmarkDomainCreate$|BenchmarkCachedGetattr$|BenchmarkSplitCreate$|BenchmarkBackendCreate$|BenchmarkAggregateInject$|BenchmarkKernelHandoff$|BenchmarkKernelSpawn$|BenchmarkNamespaceCreate$|BenchmarkRunnerMeasurement$'
+substrate='BenchmarkSimulatedCreate$|BenchmarkShardedCreate$|BenchmarkDomainCreate$|BenchmarkCachedGetattr$|BenchmarkSplitCreate$|BenchmarkBackendCreate$|BenchmarkAggregateInject$|BenchmarkKernelHandoff$|BenchmarkKernelSpawn$|BenchmarkKernelFanout$|BenchmarkNamespaceCreate$|BenchmarkRunnerMeasurement$'
 failover='BenchmarkE19Failover$|BenchmarkE20ReplicationOverhead$|BenchmarkE21RecoveryScaling$'
 coherence='BenchmarkE22LeaseTTL$|BenchmarkE23CacheModes$|BenchmarkE24FailoverCachedLoad$'
 split='BenchmarkE25SplitScaling$|BenchmarkE26SplitStorm$|BenchmarkE27SplitRouting$'

@@ -16,9 +16,9 @@
 # Absolute allocation guards ride along: BenchmarkAggregateInject's,
 # BenchmarkKernelHandoff's and BenchmarkCachedGetattr's steady states
 # must report 0 allocs/op, and
-# the hot create paths and BenchmarkKernelSpawn carry allocs/op
-# ceilings (alloc creep fails the build before it becomes a ns/op
-# regression). When the host fingerprint (CPU model/cores,
+# the hot create paths, BenchmarkKernelSpawn and BenchmarkKernelFanout
+# carry allocs/op ceilings (alloc creep fails the build before it
+# becomes a ns/op regression). When the host fingerprint (CPU model/cores,
 # recorded by bench.sh) differs between baseline and candidate, the
 # gate prints a loud warning — cross-hardware ratios are advisory.
 #
@@ -154,11 +154,13 @@ done
 
 # Allocation-creep guards: absolute allocs/op ceilings on the hot
 # simulated-create paths, set to their measured steady state (the
-# single-kernel creates 3, DomainCreate 7), and on a
-# process lifetime (KernelSpawn 2: the Proc and its joiner list).
+# single-kernel creates 3, DomainCreate 7), on a
+# process lifetime (KernelSpawn 2: the Proc and its joiner list) and on
+# a parallel fan-out of 8 (KernelFanout 0: its children are recycled,
+# so its steady state does not grow with their number).
 # Closure escapes on these paths creep in silently with refactors; the
 # ceiling turns the creep into a red build instead of a slow one.
-for guard in "BenchmarkSimulatedCreate 3" "BenchmarkShardedCreate 3" "BenchmarkBackendCreate 3" "BenchmarkSplitCreate 3" "BenchmarkDomainCreate 7" "BenchmarkKernelSpawn 2"; do
+for guard in "BenchmarkSimulatedCreate 3" "BenchmarkShardedCreate 3" "BenchmarkBackendCreate 3" "BenchmarkSplitCreate 3" "BenchmarkDomainCreate 7" "BenchmarkKernelSpawn 2" "BenchmarkKernelFanout 0"; do
 	bench=${guard% *}
 	limit=${guard#* }
 	a=$(extract "$fresh" "$bench" allocs_per_op)
