@@ -25,14 +25,30 @@ func (MakeFiles) Prepare(c *Ctx) error { return MkdirAll(c.FS, c.Dir) }
 
 // DoBench creates files until the deadline (or ProblemSize files when no
 // time limit is configured).
-func (MakeFiles) DoBench(c *Ctx) error {
+func (MakeFiles) DoBench(c *Ctx) error { return makeLoop(c, c.FS.Create) }
+
+// Cleanup removes the working directory tree.
+func (MakeFiles) Cleanup(c *Ctx) error { return RemoveAll(c.FS, c.Dir) }
+
+// makeLoop is the timed loop of MakeFiles, MakeFilesSized and MakeDirs:
+// it runs step on one new name after another, in subdirectory s0 and
+// then in a fresh s<n> every ProblemSize names (5000 when unset), until
+// the deadline or, without one, for ProblemSize names. s0 is made before
+// the first deadline check.
+func makeLoop(c *Ctx, step func(name string) error) error {
 	limit := c.Params.ProblemSize
 	if limit <= 0 {
 		limit = 5000
 	}
-	sub := 0
-	dir := subDirName(c.Dir, sub)
-	if err := c.FS.Mkdir(dir); err != nil && !fs.IsExist(err) {
+	mkdir := func(sub int) (string, error) {
+		dir := subDirName(c.Dir, sub)
+		if err := c.FS.Mkdir(dir); err != nil && !fs.IsExist(err) {
+			return "", err
+		}
+		return dir, nil
+	}
+	dir, err := mkdir(0)
+	if err != nil {
 		return err
 	}
 	for i := 0; ; i++ {
@@ -44,21 +60,16 @@ func (MakeFiles) DoBench(c *Ctx) error {
 			return nil
 		}
 		if i > 0 && i%limit == 0 {
-			sub++
-			dir = subDirName(c.Dir, sub)
-			if err := c.FS.Mkdir(dir); err != nil && !fs.IsExist(err) {
+			if dir, err = mkdir(i / limit); err != nil {
 				return err
 			}
 		}
-		if err := c.FS.Create(fileName(dir, i%limit)); err != nil {
+		if err := step(fileName(dir, i%limit)); err != nil {
 			return err
 		}
 		c.Tick()
 	}
 }
-
-// Cleanup removes the working directory tree.
-func (MakeFiles) Cleanup(c *Ctx) error { return RemoveAll(c.FS, c.Dir) }
 
 // MakeFilesSized is MakeFiles with a payload written into every file; the
 // 64- and 65-byte variants probe the WAFL inline-inode allocation
@@ -75,31 +86,7 @@ func (m MakeFilesSized) Prepare(c *Ctx) error { return MkdirAll(c.FS, c.Dir) }
 
 // DoBench creates files and writes the payload.
 func (m MakeFilesSized) DoBench(c *Ctx) error {
-	limit := c.Params.ProblemSize
-	if limit <= 0 {
-		limit = 5000
-	}
-	sub := 0
-	dir := subDirName(c.Dir, sub)
-	if err := c.FS.Mkdir(dir); err != nil && !fs.IsExist(err) {
-		return err
-	}
-	for i := 0; ; i++ {
-		if c.Deadline > 0 {
-			if c.Expired() {
-				return nil
-			}
-		} else if i >= limit {
-			return nil
-		}
-		if i > 0 && i%limit == 0 {
-			sub++
-			dir = subDirName(c.Dir, sub)
-			if err := c.FS.Mkdir(dir); err != nil && !fs.IsExist(err) {
-				return err
-			}
-		}
-		name := fileName(dir, i%limit)
+	return makeLoop(c, func(name string) error {
 		if err := c.FS.Create(name); err != nil {
 			return err
 		}
@@ -110,11 +97,8 @@ func (m MakeFilesSized) DoBench(c *Ctx) error {
 		if err := c.FS.Write(h, m.Bytes); err != nil {
 			return err
 		}
-		if err := c.FS.Close(h); err != nil {
-			return err
-		}
-		c.Tick()
-	}
+		return c.FS.Close(h)
+	})
 }
 
 // Cleanup removes the working directory tree.
@@ -170,37 +154,7 @@ func (MakeDirs) Name() string { return "MakeDirs" }
 func (MakeDirs) Prepare(c *Ctx) error { return MkdirAll(c.FS, c.Dir) }
 
 // DoBench creates directories until the deadline or problem size.
-func (MakeDirs) DoBench(c *Ctx) error {
-	limit := c.Params.ProblemSize
-	if limit <= 0 {
-		limit = 5000
-	}
-	sub := 0
-	dir := subDirName(c.Dir, sub)
-	if err := c.FS.Mkdir(dir); err != nil && !fs.IsExist(err) {
-		return err
-	}
-	for i := 0; ; i++ {
-		if c.Deadline > 0 {
-			if c.Expired() {
-				return nil
-			}
-		} else if i >= limit {
-			return nil
-		}
-		if i > 0 && i%limit == 0 {
-			sub++
-			dir = subDirName(c.Dir, sub)
-			if err := c.FS.Mkdir(dir); err != nil && !fs.IsExist(err) {
-				return err
-			}
-		}
-		if err := c.FS.Mkdir(fileName(dir, i%limit)); err != nil {
-			return err
-		}
-		c.Tick()
-	}
-}
+func (MakeDirs) DoBench(c *Ctx) error { return makeLoop(c, c.FS.Mkdir) }
 
 // Cleanup removes the working directory tree.
 func (MakeDirs) Cleanup(c *Ctx) error { return RemoveAll(c.FS, c.Dir) }

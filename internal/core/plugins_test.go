@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -83,32 +84,55 @@ func TestEveryPluginRoundTrips(t *testing.T) {
 	}
 }
 
+// TestMakeFilesSubdirRotation runs the three plugins of the make loop
+// with ProblemSize 10, untimed and timed. Untimed, each makes exactly 10
+// names in s0; timed, each rotates into a fresh s1 after 10 names and
+// stops at the deadline, which the test's clock, reading the progress
+// count, reaches after 15 names.
 func TestMakeFilesSubdirRotation(t *testing.T) {
-	// With ProblemSize 10 and no deadline MakeFiles creates exactly 10
-	// files in subdir s0; with a deadline it rotates every 10.
-	k := sim.New(2)
-	cl := cluster.New(k, cluster.DefaultConfig(1))
-	fsys := localfs.New(k, cl.Nodes[0])
-	k.Spawn("t", func(p *sim.Proc) {
-		ctx := &Ctx{
-			FS: fsys.NewClient(cl.Nodes[0], p), Workers: 1,
-			Dir:    "/w/p000",
-			Params: Params{ProblemSize: 10, WorkDir: "/w"},
-			Now:    func() time.Duration { return p.Now() },
+	for _, plugin := range []Plugin{MakeFiles{}, MakeFilesSized{Bytes: 64}, MakeDirs{}} {
+		for _, timed := range []bool{false, true} {
+			k := sim.New(2)
+			cl := cluster.New(k, cluster.DefaultConfig(1))
+			fsys := localfs.New(k, cl.Nodes[0])
+			k.Spawn("t", func(p *sim.Proc) {
+				ctx := &Ctx{
+					FS: fsys.NewClient(cl.Nodes[0], p), Workers: 1,
+					Dir:    "/w/p000",
+					Params: Params{ProblemSize: 10, WorkDir: "/w"},
+				}
+				ctx.Now = func() time.Duration { return time.Duration(ctx.Progress()) }
+				want := map[string]int{"s0": 10}
+				if timed {
+					ctx.Deadline = 15
+					want["s1"] = 5
+				}
+				if err := plugin.Prepare(ctx); err != nil {
+					t.Errorf("%s prepare: %v", plugin.Name(), err)
+				}
+				if err := plugin.DoBench(ctx); err != nil {
+					t.Errorf("%s dobench: %v", plugin.Name(), err)
+				}
+				ents, err := ctx.FS.ReadDir("/w/p000")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := map[string]int{}
+				for _, e := range ents {
+					sub, err := ctx.FS.ReadDir("/w/p000/" + e.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[e.Name] = len(sub)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s timed %v: entries per subdirectory %v, want %v", plugin.Name(), timed, got, want)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := (MakeFiles{}).Prepare(ctx); err != nil {
-			t.Errorf("prepare: %v", err)
-		}
-		if err := (MakeFiles{}).DoBench(ctx); err != nil {
-			t.Errorf("dobench: %v", err)
-		}
-		ents, err := ctx.FS.ReadDir("/w/p000/s0")
-		if err != nil || len(ents) != 10 {
-			t.Errorf("s0 entries = %d (%v)", len(ents), err)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -24,8 +24,6 @@ func (r *recordClient) Mkdir(path string) error                    { return nil 
 func (r *recordClient) Rmdir(path string) error                    { return nil }
 func (r *recordClient) Unlink(path string) error                   { return nil }
 func (r *recordClient) Rename(oldPath, newPath string) error       { return nil }
-func (r *recordClient) Link(oldPath, newPath string) error         { return nil }
-func (r *recordClient) Symlink(target, linkPath string) error      { return nil }
 func (r *recordClient) Stat(path string) (fs.Attr, error)          { return fs.Attr{}, nil }
 func (r *recordClient) ReadDir(path string) ([]fs.DirEntry, error) { return nil, nil }
 func (r *recordClient) DropCaches()                                {}

@@ -224,21 +224,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 	return err
 }
 
-// Link delegates to the MDS.
-func (c *client) Link(oldPath, newPath string) error {
-	return c.metaOp(newPath, createService, true, func(sp *sim.Proc) error {
-		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
-	})
-}
-
-// Symlink delegates to the MDS.
-func (c *client) Symlink(target, linkPath string) error {
-	return c.metaOp(linkPath, createService, true, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-		return e
-	})
-}
-
 // Stat serves from the node cache or delegates to the MDS.
 func (c *client) Stat(p string) (fs.Attr, error) {
 	c.node.Syscall(c.p)

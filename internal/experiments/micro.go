@@ -68,11 +68,6 @@ func (c *nullClient) Unlink(p string) error { return c.ns.Unlink(p, 0) }
 func (c *nullClient) Rename(o, n string) error {
 	return c.ns.Rename(o, n, 0)
 }
-func (c *nullClient) Link(o, n string) error { return c.ns.Link(o, n, 0) }
-func (c *nullClient) Symlink(target, link string) error {
-	_, err := c.ns.Symlink(target, link, 0)
-	return err
-}
 func (c *nullClient) Stat(p string) (fs.Attr, error) {
 	return c.ns.Stat(p)
 }

@@ -22,9 +22,8 @@ import (
 // namespace.Namespace. Each client drops its node's caches before every
 // operation, so every operation reaches the server. Every errno must
 // match the reference's, and so must every successful Stat's type, size
-// and link count, except where modelDeviation lists an intended
-// difference. The committed corpus under testdata/fuzz replays on every
-// go test run.
+// and link count. The committed corpus under testdata/fuzz replays on
+// every go test run.
 func FuzzModelsAgainstNamespace(f *testing.F) {
 	f.Add(int64(1), uint8(200))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
@@ -47,17 +46,11 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 				{"localfs", localFS.NewClient(cl.Nodes[0], p)},
 			}
 			for i, op := range ops {
-				walk := ancestorErrno(ref, op.q)
 				want := op.applyRef(ref, p)
 				for _, m := range models {
 					m.c.DropCaches()
-					got := op.apply(m.c)
-					exp := want
-					if dev, ok := modelDeviation(m.name, op, walk); ok {
-						exp = dev
-					}
-					if got != exp {
-						t.Errorf("op %d %v on %s: got %+v, reference %+v", i, op, m.name, got, exp)
+					if got := op.apply(m.c); got != want {
+						t.Errorf("op %d %v on %s: got %+v, reference %+v", i, op, m.name, got, want)
 					}
 				}
 			}
@@ -77,8 +70,7 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 }
 
 // oracleOp is one operation of the sequence: kind on path p, with q the
-// second path of rename and link (the new name) or symlink (the
-// target), and n the bytes written between open and close.
+// new name of a rename, and n the bytes written between open and close.
 type oracleOp struct {
 	kind string
 	p, q string
@@ -119,7 +111,7 @@ func oracleOps(seed int64, n int) []oracleOp {
 		return p
 	}
 	kinds := []string{"mkdir", "mkdir", "create", "create", "stat", "stat", "unlink",
-		"rmdir", "rename", "link", "symlink", "write"}
+		"rmdir", "rename", "write"}
 	ops := make([]oracleOp, n)
 	for i := range ops {
 		ops[i] = oracleOp{kind: kinds[rng.Intn(len(kinds))], p: path(), q: path(),
@@ -130,7 +122,7 @@ func oracleOps(seed int64, n int) []oracleOp {
 
 func (op oracleOp) String() string {
 	switch op.kind {
-	case "rename", "link", "symlink":
+	case "rename":
 		return fmt.Sprintf("%s(%s, %s)", op.kind, op.p, op.q)
 	case "write":
 		return fmt.Sprintf("open/write(%d)/close(%s)", op.n, op.p)
@@ -157,11 +149,6 @@ func (op oracleOp) applyRef(ns *namespace.Namespace, p *sim.Proc) outcome {
 		return errOutcome(ns.Rmdir(op.p, now))
 	case "rename":
 		return errOutcome(ns.Rename(op.p, op.q, now))
-	case "link":
-		return errOutcome(ns.Link(op.p, op.q, now))
-	case "symlink":
-		_, err := ns.Symlink(op.q, op.p, now)
-		return errOutcome(err)
 	default: // write: open, write, close
 		node, err := ns.Lookup(op.p)
 		if err != nil {
@@ -187,10 +174,6 @@ func (op oracleOp) apply(c fs.Client) outcome {
 		return errOutcome(c.Rmdir(op.p))
 	case "rename":
 		return errOutcome(c.Rename(op.p, op.q))
-	case "link":
-		return errOutcome(c.Link(op.p, op.q))
-	case "symlink":
-		return errOutcome(c.Symlink(op.q, op.p))
 	default:
 		h, err := c.Open(op.p)
 		if err != nil {
@@ -201,33 +184,4 @@ func (op oracleOp) apply(c fs.Client) outcome {
 		}
 		return errOutcome(c.Close(h))
 	}
-}
-
-// ancestorErrno is the errno of the first strict ancestor of p that does
-// not resolve in ns, OK if all do: the walk an NFS client makes with one
-// LOOKUP per component before it sends the operation.
-func ancestorErrno(ns *namespace.Namespace, p string) fs.Errno {
-	for i := 1; i < len(p); i++ {
-		if p[i] != '/' {
-			continue
-		}
-		if _, err := ns.Stat(p[:i]); err != nil {
-			return fs.CodeOf(err)
-		}
-	}
-	return fs.OK
-}
-
-// modelDeviation returns the outcome a model intends where it differs
-// from the reference namespace. walk is ancestorErrno of op.q before op
-// ran.
-//
-//   - NFS link walks the new name's ancestors on the client before the
-//     server looks at the old path, so when the new name's walk fails
-//     that failure is the answer, whatever the old path would report.
-func modelDeviation(model string, op oracleOp, walk fs.Errno) (outcome, bool) {
-	if model == "nfs" && op.kind == "link" && walk != fs.OK {
-		return outcome{errno: walk}, true
-	}
-	return outcome{}, false
 }

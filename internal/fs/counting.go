@@ -74,16 +74,6 @@ func (c *CountingClient) Rename(oldPath, newPath string) error {
 	return c.Inner.Rename(oldPath, newPath)
 }
 
-func (c *CountingClient) Link(oldPath, newPath string) error {
-	c.N[OpLink]++
-	return c.Inner.Link(oldPath, newPath)
-}
-
-func (c *CountingClient) Symlink(target, linkPath string) error {
-	c.N[OpSymlink]++
-	return c.Inner.Symlink(target, linkPath)
-}
-
 func (c *CountingClient) Stat(path string) (Attr, error) {
 	c.N[OpStat]++
 	return c.Inner.Stat(path)

@@ -1,11 +1,11 @@
 // Package fs defines the metadata-level file system API that DMetabench
 // plugins call and every file system model implements.
 //
-// The interface mirrors the POSIX system calls catalogued in Chapter 2 of
-// the thesis (Tables 2.2–2.4): it is deliberately the lowest common
-// denominator of local and distributed file systems, because the whole
-// point of the benchmark is to compare implementations behind an
-// unchanged API.
+// The interface is the subset of the POSIX system calls catalogued in
+// Chapter 2 of the thesis (Tables 2.2–2.4) that the benchmark plugins
+// make: it is deliberately the lowest common denominator of local and
+// distributed file systems, because the whole point of the benchmark is
+// to compare implementations behind an unchanged API.
 package fs
 
 import (
@@ -127,7 +127,8 @@ func TopComponent(p string) string {
 // FileType distinguishes the inode kinds the benchmark handles.
 type FileType uint8
 
-// Inode kinds.
+// Inode kinds. No model makes a symlink; TypeSymlink is what the
+// real-mode client reports for one it finds on the host.
 const (
 	TypeRegular FileType = iota
 	TypeDirectory
@@ -191,8 +192,6 @@ type Client interface {
 	Rmdir(path string) error
 	Unlink(path string) error
 	Rename(oldPath, newPath string) error
-	Link(oldPath, newPath string) error
-	Symlink(target, linkPath string) error
 	Stat(path string) (Attr, error)
 	ReadDir(path string) ([]DirEntry, error)
 	// DropCaches discards client-side caches (Linux drop_caches analogue,
@@ -258,8 +257,6 @@ const (
 	OpRmdir
 	OpUnlink
 	OpRename
-	OpLink
-	OpSymlink
 	OpStat
 	OpReadDir
 	OpDropCaches
@@ -268,7 +265,7 @@ const (
 
 var opNames = [...]string{
 	"create", "open", "close", "write", "fsync", "mkdir", "rmdir",
-	"unlink", "rename", "link", "symlink", "stat", "readdir", "dropcaches",
+	"unlink", "rename", "stat", "readdir", "dropcaches",
 }
 
 func (k OpKind) String() string {

@@ -37,7 +37,7 @@ func TestOpKindNames(t *testing.T) {
 	if OpKind(99).String() != "op(99)" {
 		t.Fatal("unknown op formatting")
 	}
-	if NumOpKinds != 14 {
+	if NumOpKinds != 12 {
 		t.Fatalf("NumOpKinds = %d", NumOpKinds)
 	}
 }
@@ -74,8 +74,6 @@ func (s *stubClient) Mkdir(string) error        { return nil }
 func (s *stubClient) Rmdir(string) error        { return nil }
 func (s *stubClient) Unlink(string) error       { return nil }
 func (s *stubClient) Rename(_, _ string) error  { return nil }
-func (s *stubClient) Link(_, _ string) error    { return nil }
-func (s *stubClient) Symlink(_, _ string) error { return nil }
 func (s *stubClient) Stat(p string) (Attr, error) {
 	if !s.created[p] {
 		return Attr{}, NewError("stat", p, ENOENT)

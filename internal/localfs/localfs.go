@@ -165,21 +165,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 	})
 }
 
-// Link creates a hardlink.
-func (c *client) Link(oldPath, newPath string) error {
-	return c.op(newPath, createCost, func(now time.Duration) error {
-		return c.fsys.ns.Link(oldPath, newPath, now)
-	})
-}
-
-// Symlink creates a symbolic link.
-func (c *client) Symlink(target, linkPath string) error {
-	return c.op(linkPath, createCost, func(now time.Duration) error {
-		_, err := c.fsys.ns.Symlink(target, linkPath, now)
-		return err
-	})
-}
-
 // Stat reads attributes.
 func (c *client) Stat(p string) (fs.Attr, error) {
 	f := c.fsys

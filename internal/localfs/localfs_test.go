@@ -40,8 +40,8 @@ func TestBasicOps(t *testing.T) {
 		if err != nil || a.Size != 100 {
 			t.Errorf("stat: %v %+v", err, a)
 		}
-		if err := c.Link("/d/f", "/d/g"); err != nil {
-			t.Errorf("link: %v", err)
+		if err := c.Create("/d/g"); err != nil {
+			t.Errorf("create g: %v", err)
 		}
 		ents, err := c.ReadDir("/d")
 		if err != nil || len(ents) != 2 {

@@ -207,17 +207,21 @@ func (f *FS) flushLoop(p *sim.Proc, s *wbState) {
 		// Errors at replay (e.g. a conflicting create from another
 		// node) are dropped; the benchmark namespace is partitioned
 		// per process so conflicts cannot occur in our workloads.
+		var err error
 		f.mdsConn.Call(p, 200, 160, func(sp *sim.Proc) {
 			h := f.ns.Parent(item)
-			_ = f.mdsCreate(sp, &h)
+			err = f.mdsCreate(sp, &h)
 		})
-		// The replay made the file empty; the bytes the node flushed
-		// while the create was pending, also those flushed while its
-		// RPC was in flight, rode in the pending entry until now. The
-		// lookup just found a regular file, so SetSize cannot fail.
-		if a := s.pending[item]; a.Size > 0 {
+		// The replay made the file empty, stamped with the drain
+		// instant; the bytes the node flushed while the create was
+		// pending, also those flushed while its RPC was in flight, and
+		// the time of the last of them rode in the pending entry until
+		// now. The lookup finds the regular file the replay made, so
+		// SetSize cannot fail.
+		if err == nil {
 			if node, err := f.ns.Lookup(item); err == nil {
-				_ = f.ns.SetSize(node.Ino, node.Size+a.Size, p.Now())
+				a := s.pending[item]
+				_ = f.ns.SetSize(node.Ino, node.Size+a.Size, a.Mtime)
 			}
 		}
 		delete(s.pending, item)
@@ -412,6 +416,7 @@ func (c *client) flushData(of *openFile) error {
 	var err error
 	if a, ok := st.pending[of.path]; ok {
 		a.Size += of.Written
+		a.Mtime, a.Ctime = c.p.Now(), c.p.Now()
 		st.pending[of.path] = a
 	} else if node, lerr := c.fsys.ns.Lookup(of.path); lerr == nil {
 		err = c.fsys.ns.SetSize(node.Ino, node.Size+of.Written, c.p.Now())
@@ -489,27 +494,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 		st.names.Invalidate(newPath)
 	}
 	return err
-}
-
-// Link issues a synchronous RPC.
-func (c *client) Link(oldPath, newPath string) error {
-	if c.cfg().Writeback {
-		c.waitNotPending(oldPath)
-	}
-	return c.modifyRPC(newPath, createService, func(sp *sim.Proc, _ namespace.Parent) error {
-		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
-	})
-}
-
-// Symlink issues a synchronous RPC to the MDS.
-func (c *client) Symlink(target, linkPath string) error {
-	return c.modifyRPC(linkPath, createService, func(sp *sim.Proc, _ namespace.Parent) error {
-		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-		if e == nil {
-			c.fsys.journal.Log(384)
-		}
-		return e
-	})
 }
 
 // modifyRPC is the common path of the namespace-changing operations.

@@ -280,3 +280,44 @@ func TestWritebackReplayKeepsWrittenSize(t *testing.T) {
 		})
 	}
 }
+
+// TestWritebackKeepsLastWriteTime runs the writes of
+// TestWritebackReplayKeepsWrittenSize and checks the file's mtime: a
+// stat while the create is pending, a stat after the drain with the
+// caches dropped, and the MDS itself all answer the time of the last
+// flush, as synchronous Lustre does, not the create or the drain
+// instant.
+func TestWritebackKeepsLastWriteTime(t *testing.T) {
+	for _, writeback := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Writeback = writeback
+		k, cl, f := env(t, 1, cfg)
+		inProc(t, k, func(p *sim.Proc) {
+			c := f.NewClient(cl.Nodes[0], p)
+			if err := c.Create("/f"); err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.Open("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, err := range []error{c.Write(h, 100), c.Fsync(h), c.Write(h, 4000), c.Close(h)} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := p.Now() // the close's flush is the last write
+			if a, err := c.Stat("/f"); err != nil || a.Mtime != last || a.Ctime != last {
+				t.Errorf("writeback %v: stat before the drain: mtime %v, ctime %v, %v; want %v", writeback, a.Mtime, a.Ctime, err, last)
+			}
+			p.Sleep(5 * time.Second)
+			c.DropCaches()
+			if a, err := c.Stat("/f"); err != nil || a.Mtime != last {
+				t.Errorf("writeback %v: stat after the drain: mtime %v, %v; want %v", writeback, a.Mtime, err, last)
+			}
+			if a, err := f.Namespace().Stat("/f"); err != nil || a.Mtime != last || a.Size != 4100 {
+				t.Errorf("writeback %v: the MDS holds mtime %v, size %d, %v; want %v", writeback, a.Mtime, a.Size, err, last)
+			}
+		})
+	}
+}

@@ -72,8 +72,7 @@ func (ns *Namespace) Check() []Problem {
 
 	// The table in number order: every live inode must be reachable, a
 	// file's link count must equal the entries that reference it, and
-	// exactly the directories and symlinks hold side-table entries, one
-	// each.
+	// exactly the directories hold side-table entries, one each.
 	live := 0
 	exts := make(map[uint32]bool)
 	for ino := fs.Ino(1); ino < ns.next; ino++ {
@@ -86,9 +85,8 @@ func (ns *Namespace) Check() []Problem {
 			report(ino, "bad-ino", "table slot %d holds inode %d", ino, n.Ino)
 		}
 		switch {
-		case (n.Type == fs.TypeDirectory || n.Type == fs.TypeSymlink) != (n.ext != 0),
-			n.ext != 0 && (exts[n.ext] || int(n.ext) >= len(ns.ext)),
-			(n.Type == fs.TypeDirectory) != (n.ext != 0 && ns.ext[n.ext].children != nil):
+		case (n.Type == fs.TypeDirectory) != (n.ext != 0),
+			n.ext != 0 && (exts[n.ext] || int(n.ext) >= len(ns.ext) || ns.ext[n.ext].children == nil):
 			report(ino, "bad-ext", "type %v with side-table entry %d", n.Type, n.ext)
 		}
 		exts[n.ext] = true

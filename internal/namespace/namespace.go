@@ -1,6 +1,6 @@
 // Package namespace implements an in-memory hierarchical POSIX namespace:
-// inodes, directories, hardlinks and the metadata operations of §2.3 with
-// their error semantics (uniqueness of names, atomic rename, ENOTEMPTY on
+// inodes, directories and the metadata operations of §2.3 with their
+// error semantics (uniqueness of names, atomic rename, ENOTEMPTY on
 // rmdir, nlink accounting).
 //
 // Every simulated file system server and the local file system model hold
@@ -32,17 +32,17 @@ type Namespace struct {
 	// 64 bytes, live or not, until the namespace goes: 37 MB for the
 	// ~580k numbers one of E05's 20-node NFS cells hands out. The pages
 	// hold no pointer, so the collector never scans them. A live
-	// directory or symlink also holds one 32-byte ext entry; freed
-	// entries are reused.
+	// directory also holds one 16-byte ext entry; freed entries are
+	// reused.
 	pages [][]Inode
 	// next is the next inode number alloc hands out.
 	next fs.Ino
 	// live counts the slots that hold a live inode.
 	live int
 	root *Inode
-	// ext is the side table of what only directories and symlinks
-	// carry; entry 0 is the empty entry of every regular file, and
-	// freeExt lists the entries freed inodes left.
+	// ext is the side table of what only directories carry; entry 0 is
+	// the empty entry of every regular file, and freeExt lists the
+	// entries freed directories left.
 	ext     []inodeExt
 	freeExt []uint32
 
@@ -70,11 +70,10 @@ type dirCacheEnt struct {
 const dirCacheMax = 1 << 14
 
 // Inode is one file system object: 64 bytes with no pointer, kept by
-// value in its namespace's inode table. What only directories and
-// symlinks carry lives in the namespace's side table (NumChildren,
-// Target). An *Inode stays valid while the table grows; once its inode
-// is freed it reads as the zero Inode, number 0, which Get never
-// returns.
+// value in its namespace's inode table. What only directories carry
+// lives in the namespace's side table (NumChildren). An *Inode stays
+// valid while the table grows; once its inode is freed it reads as the
+// zero Inode, number 0, which Get never returns.
 type Inode struct {
 	Ino      fs.Ino
 	Type     fs.FileType
@@ -90,15 +89,13 @@ type Inode struct {
 	Ctime time.Duration
 }
 
-// inodeExt is the side-table entry of a directory or a symlink.
+// inodeExt is the side-table entry of a directory.
 type inodeExt struct {
-	// children maps a directory's entry names to their inodes, so a
+	// children maps the directory's entry names to their inodes, so a
 	// walk step is one map probe.
 	children map[string]*Inode
-	// parent is a directory's containing directory (its ".." link).
+	// parent is the containing directory (the ".." link).
 	parent fs.Ino
-	// target is a symlink's target.
-	target string
 }
 
 // Page sizes of the inode table: the first two pages hold firstPage
@@ -149,7 +146,7 @@ func New() *Namespace {
 // Root returns the root inode number.
 func (ns *Namespace) Root() fs.Ino { return ns.root.Ino }
 
-// NumFiles returns the number of regular files and symlinks.
+// NumFiles returns the number of regular files.
 func (ns *Namespace) NumFiles() int { return ns.files }
 
 // NumDirs returns the number of directories (including the root).
@@ -185,12 +182,8 @@ func (ns *Namespace) dotdot(n *Inode) *Inode { return ns.Get(ns.ext[n.ext].paren
 // NumChildren returns the entry count of a directory inode (0 otherwise).
 func (ns *Namespace) NumChildren(n *Inode) int { return len(ns.ext[n.ext].children) }
 
-// Target returns a symlink inode's target ("" otherwise).
-func (ns *Namespace) Target(n *Inode) string { return ns.ext[n.ext].target }
-
-// Lookup resolves path to an inode. It follows "." and ".." but not
-// symlinks (metadata benchmarks act on the link itself). Runs of slashes
-// collapse as POSIX requires.
+// Lookup resolves path to an inode. It follows "." and "..". Runs of
+// slashes collapse as POSIX requires.
 func (ns *Namespace) Lookup(path string) (*Inode, error) {
 	node, _, errno := ns.resolvePath(path)
 	if errno != fs.OK {
@@ -300,7 +293,7 @@ func (ns *Namespace) parentAndName(op, path string) (*Inode, string, error) {
 }
 
 // alloc makes an inode under the next unused number, with a side-table
-// entry for a directory or a symlink.
+// entry for a directory.
 func (ns *Namespace) alloc(t fs.FileType, mode uint32, now time.Duration) *Inode {
 	if ns.next > math.MaxUint32 {
 		panic("namespace: inode numbers exhausted")
@@ -315,7 +308,7 @@ func (ns *Namespace) alloc(t fs.FileType, mode uint32, now time.Duration) *Inode
 	}
 	ns.next++
 	ns.live++
-	if t == fs.TypeRegular {
+	if t != fs.TypeDirectory {
 		return n
 	}
 	if k := len(ns.freeExt); k > 0 {
@@ -324,16 +317,13 @@ func (ns *Namespace) alloc(t fs.FileType, mode uint32, now time.Duration) *Inode
 		n.ext = uint32(len(ns.ext))
 		ns.ext = append(ns.ext, inodeExt{})
 	}
-	if t == fs.TypeDirectory {
-		ns.ext[n.ext].children = make(map[string]*Inode)
-		n.Nlink = 2
-	}
+	ns.ext[n.ext].children = make(map[string]*Inode)
+	n.Nlink = 2
 	return n
 }
 
 // free zeroes an inode's slot, so Get answers nil for its number, which
-// stays retired, and hands its side-table entry to the next directory or
-// symlink.
+// stays retired, and hands its side-table entry to the next directory.
 func (ns *Namespace) free(n *Inode) {
 	if n.ext != 0 {
 		ns.ext[n.ext] = inodeExt{}
@@ -369,52 +359,8 @@ func (ns *Namespace) Mkdir(path string, mode uint32, now time.Duration) (*Inode,
 	return ino, nil
 }
 
-// Symlink creates a symbolic link at path pointing at target.
-func (ns *Namespace) Symlink(target, path string, now time.Duration) (*Inode, error) {
-	dir, name, err := ns.parentAndName("symlink", path)
-	if err != nil {
-		return nil, err
-	}
-	entries := ns.children(dir)
-	if _, ok := entries[name]; ok {
-		return nil, fs.NewError("symlink", path, fs.EEXIST)
-	}
-	ino := ns.alloc(fs.TypeSymlink, 0o777, now)
-	ns.ext[ino.ext].target = target
-	ino.Size = int64(len(target))
-	entries[name] = ino
-	dir.Mtime, dir.Ctime = now, now
-	ns.files++
-	return ino, nil
-}
-
-// Link creates a hardlink newPath to the file at oldPath. Directories
-// cannot be hardlinked (§2.1.1).
-func (ns *Namespace) Link(oldPath, newPath string, now time.Duration) error {
-	target, err := ns.Lookup(oldPath)
-	if err != nil {
-		return err
-	}
-	if target.Type == fs.TypeDirectory {
-		return fs.NewError("link", oldPath, fs.EISDIR)
-	}
-	dir, name, err := ns.parentAndName("link", newPath)
-	if err != nil {
-		return err
-	}
-	entries := ns.children(dir)
-	if _, ok := entries[name]; ok {
-		return fs.NewError("link", newPath, fs.EEXIST)
-	}
-	entries[name] = target
-	target.Nlink++
-	target.Ctime = now
-	dir.Mtime, dir.Ctime = now, now
-	return nil
-}
-
-// Unlink removes the directory entry for a file. The inode is freed when
-// its last link goes (open-file retention is a client concern, §2.3.1).
+// Unlink removes the directory entry for a file and frees its inode, the
+// file's only link (open-file retention is a client concern, §2.3.1).
 func (ns *Namespace) Unlink(path string, now time.Duration) error {
 	h := ns.Parent(path)
 	return h.Unlink(now)
@@ -494,11 +440,8 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 			ns.dirs--
 			ns.invalidateDirCache() // a directory was replaced
 		default:
-			dst.Nlink--
-			if dst.Nlink == 0 {
-				ns.free(dst)
-				ns.files--
-			}
+			ns.free(dst)
+			ns.files--
 		}
 	}
 	delete(oents, oname)

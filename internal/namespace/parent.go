@@ -141,12 +141,8 @@ func (h *Parent) Unlink(now time.Duration) error {
 	}
 	delete(entries, name)
 	dir.Mtime, dir.Ctime = now, now
-	child.Nlink--
-	child.Ctime = now
-	if child.Nlink == 0 {
-		h.ns.free(child)
-		h.ns.files--
-	}
+	h.ns.free(child)
+	h.ns.files--
 	return nil
 }
 

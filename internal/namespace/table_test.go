@@ -42,10 +42,8 @@ func TestInodeTable(t *testing.T) {
 		{"mkdir /e", func() { fresh(ns.Mkdir("/e", 0o755, 0)) }, 3},
 		{"create /d/f", func() { fresh(ns.Create("/d/f", 0o644, 0)) }, 4},
 		{"create /d/g", func() { fresh(ns.Create("/d/g", 0o644, 0)) }, 5},
-		{"symlink /d/s", func() { fresh(ns.Symlink("/d/f", "/d/s", 0)) }, 6},
-		{"link /d/h", func() { must(t, ns.Link("/d/f", "/d/h", 0)) }, 6},
-		{"unlink /d/f (a link remains)", func() { must(t, ns.Unlink("/d/f", 0)) }, 6},
-		{"unlink /d/s", func() { must(t, ns.Unlink("/d/s", 0)) }, 5},
+		{"create /d/h", func() { fresh(ns.Create("/d/h", 0o644, 0)) }, 6},
+		{"unlink /d/f", func() { must(t, ns.Unlink("/d/f", 0)) }, 5},
 		{"rename /d/g over /d/h", func() { must(t, ns.Rename("/d/g", "/d/h", 0)) }, 4},
 		{"mkdir /e/x", func() { fresh(ns.Mkdir("/e/x", 0o755, 0)) }, 5},
 		{"rename /e over empty /d/x", func() {
@@ -168,41 +166,35 @@ func TestGetAcrossPages(t *testing.T) {
 	}
 }
 
-// TestSideTableSurvivesRename checks that a symlink's target and a
-// directory's ".." follow their inodes through renames, and that a
-// freed side-table entry is reused clean.
+// TestSideTableSurvivesRename checks that a directory's ".." follows
+// its inode through a rename, and that a freed side-table entry is
+// reused clean.
 func TestSideTableSurvivesRename(t *testing.T) {
 	ns := New()
 	must(t, errOnly(ns.Mkdir("/a", 0o755, 0)))
 	must(t, errOnly(ns.Mkdir("/b", 0o755, 0)))
 	must(t, errOnly(ns.Mkdir("/a/d", 0o755, 0)))
-	must(t, errOnly(ns.Symlink("/some/target", "/a/s", 0)))
-	must(t, ns.Rename("/a/s", "/b/s2", 0))
+	must(t, errOnly(ns.Create("/a/d/f", 0o644, 0)))
 	must(t, ns.Rename("/a/d", "/b/d2", 0))
-	s, err := ns.Lookup("/b/s2")
-	if err != nil || ns.Target(s) != "/some/target" || s.Size != int64(len("/some/target")) {
-		t.Fatalf("renamed symlink: %v, target %q", err, ns.Target(s))
-	}
 	b, _ := ns.Lookup("/b")
 	if up, err := ns.Lookup("/b/d2/.."); err != nil || up != b {
 		t.Fatalf("renamed directory's .. = %v (%v), want /b", up, err)
 	}
-	// Free the symlink and the old directory; new ones take their
-	// entries and carry nothing over.
-	must(t, ns.Unlink("/b/s2", 0))
+	// Free the old directory; a new one takes its entry and carries
+	// nothing over.
+	must(t, ns.Unlink("/b/d2/f", 0))
 	must(t, ns.Rmdir("/b/d2", 0))
 	d, err := ns.Mkdir("/a/e", 0o755, 0)
 	must(t, err)
-	l, err := ns.Symlink("x", "/a/l", 0)
-	must(t, err)
-	if ns.NumChildren(d) != 0 || ns.Target(d) != "" || ns.Target(l) != "x" || ns.NumChildren(l) != 0 {
-		t.Fatalf("reused entries: dir %d children, target %q; link target %q", ns.NumChildren(d), ns.Target(d), ns.Target(l))
+	a, _ := ns.Lookup("/a")
+	if up, err := ns.Lookup("/a/e/.."); ns.NumChildren(d) != 0 || err != nil || up != a {
+		t.Fatalf("reused entry: %d children, .. = %v (%v)", ns.NumChildren(d), up, err)
 	}
-	if len(ns.ext) != 6 {
-		t.Fatalf("side table holds %d entries, want 6 (empty, /, /a, /b, and the two reused)", len(ns.ext))
+	if len(ns.ext) != 5 {
+		t.Fatalf("side table holds %d entries, want 5 (empty, /, /a, /b, and the reused one)", len(ns.ext))
 	}
-	if f, _ := ns.Create("/a/f", 0o644, 0); ns.NumChildren(f) != 0 || ns.Target(f) != "" {
-		t.Fatal("a regular file reports children or a target")
+	if f, _ := ns.Create("/a/f", 0o644, 0); ns.NumChildren(f) != 0 || f.ext != 0 {
+		t.Fatal("a regular file holds a side-table entry")
 	}
 	if p := ns.Check(); len(p) != 0 {
 		t.Fatalf("fsck: %v", p)

@@ -462,40 +462,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 	return err
 }
 
-// Link issues a synchronous LINK RPC.
-func (c *client) Link(oldPath, newPath string) error {
-	var a fs.Attr
-	found := false
-	err := c.modifyRPC("link", newPath, createService, func(sp *sim.Proc, h namespace.Parent) error {
-		err := c.fsys.ns.Link(oldPath, newPath, sp.Now())
-		if err == nil {
-			a, found = reply(h.Stat())
-		}
-		return err
-	})
-	if found {
-		c.names().Put(newPath, a)
-	}
-	return err
-}
-
-// Symlink issues a synchronous SYMLINK RPC.
-func (c *client) Symlink(target, linkPath string) error {
-	var a fs.Attr
-	found := false
-	err := c.modifyRPC("symlink", linkPath, createService, func(sp *sim.Proc, h namespace.Parent) error {
-		_, err := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-		if err == nil {
-			a, found = reply(h.Stat())
-		}
-		return err
-	})
-	if found {
-		c.names().Put(linkPath, a)
-	}
-	return err
-}
-
 // modifyRPC is the common path of the namespace-changing operations.
 // apply runs in the service body: it may read the namespace and copy
 // out reply attributes. It receives the body's handle on p by value, so

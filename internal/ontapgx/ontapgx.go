@@ -384,33 +384,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 	return err
 }
 
-// Link creates a hardlink within one volume.
-func (c *client) Link(oldPath, newPath string) error {
-	f := c.fsys
-	vOld, subOld, err := f.resolve("link", oldPath)
-	if err != nil {
-		return err
-	}
-	vNew, subNew, err := f.resolve("link", newPath)
-	if err != nil {
-		return err
-	}
-	if vOld != vNew {
-		return fs.NewError("link", newPath, fs.EXDEV)
-	}
-	return c.modify("link", newPath, createService, func(sp *sim.Proc, v *volume, _ string) error {
-		return v.ns.Link(subOld, subNew, sp.Now())
-	})
-}
-
-// Symlink creates a symbolic link in the owning volume.
-func (c *client) Symlink(target, linkPath string) error {
-	return c.modify("symlink", linkPath, createService, func(sp *sim.Proc, v *volume, sub string) error {
-		_, e := v.ns.Symlink(target, sub, sp.Now())
-		return e
-	})
-}
-
 // Stat serves from the attribute cache or issues a GETATTR through the
 // mount filer.
 func (c *client) Stat(p string) (fs.Attr, error) {

@@ -189,17 +189,6 @@ func (c *OSClient) Rename(oldPath, newPath string) error {
 	return mapErr("rename", oldPath, os.Rename(c.realPath(oldPath), c.realPath(newPath)))
 }
 
-// Link creates a hardlink.
-func (c *OSClient) Link(oldPath, newPath string) error {
-	return mapErr("link", newPath, os.Link(c.realPath(oldPath), c.realPath(newPath)))
-}
-
-// Symlink creates a symbolic link. The target is stored verbatim (it is
-// interpreted relative to the link's directory by the OS).
-func (c *OSClient) Symlink(target, linkPath string) error {
-	return mapErr("symlink", linkPath, os.Symlink(target, c.realPath(linkPath)))
-}
-
 // Stat reads attributes.
 func (c *OSClient) Stat(p string) (fs.Attr, error) {
 	info, err := os.Lstat(c.realPath(p))

@@ -3,6 +3,8 @@ package realrun
 import (
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,7 +14,8 @@ import (
 )
 
 func TestOSClientBasics(t *testing.T) {
-	c := NewOSClient(t.TempDir())
+	root := t.TempDir()
+	c := NewOSClient(root)
 	if err := c.Mkdir("/d"); err != nil {
 		t.Fatalf("mkdir: %v", err)
 	}
@@ -39,8 +42,8 @@ func TestOSClientBasics(t *testing.T) {
 	if err != nil || a.Size != 1234 || a.Type != fs.TypeRegular {
 		t.Fatalf("stat: %v %+v", err, a)
 	}
-	if err := c.Link("/d/f", "/d/g"); err != nil {
-		t.Fatalf("link: %v", err)
+	if err := c.Create("/d/g"); err != nil {
+		t.Fatalf("create g: %v", err)
 	}
 	if err := c.Rename("/d/g", "/d/h"); err != nil {
 		t.Fatalf("rename: %v", err)
@@ -55,6 +58,17 @@ func TestOSClientBasics(t *testing.T) {
 	if err := c.Unlink("/d"); fs.CodeOf(err) != fs.EISDIR {
 		t.Fatalf("unlink dir: %v", err)
 	}
+	// A symlink made on the host reads as one, in Stat and in ReadDir.
+	if err := os.Symlink("f", filepath.Join(root, "d", "s")); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := c.Stat("/d/s"); err != nil || a.Type != fs.TypeSymlink {
+		t.Fatalf("stat symlink: %v %+v", err, a)
+	}
+	if ents, err := c.ReadDir("/d"); err != nil || len(ents) != 3 || ents[2].Name != "s" || ents[2].Type != fs.TypeSymlink {
+		t.Fatalf("readdir with symlink: %v %v", err, ents)
+	}
+	c.Unlink("/d/s")
 	c.Unlink("/d/f")
 	c.Unlink("/d/h")
 	if err := c.Rmdir("/d"); err != nil {

@@ -1596,87 +1596,6 @@ func (c *client) Rename(oldPath, newPath string) error {
 	return err
 }
 
-// Link creates a hard link when both names are served by one shard;
-// cross-shard hard links are not supported (EXDEV), matching systems
-// whose inodes are keyed by partition.
-func (c *client) Link(oldPath, newPath string) error {
-	f := c.fsys
-	c.node.Syscall(c.p)
-	if err := c.resolveParents(newPath); err != nil {
-		return err
-	}
-	srcSlice := f.ownerSlice(oldPath)
-	dstSlice := f.ownerSlice(newPath)
-	if srcSlice != dstSlice {
-		return fs.NewError("link", newPath, fs.EXDEV)
-	}
-	imutex := c.node.DirLock(fs.ParentDir(newPath))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-	var err error
-	cerr := c.callEntry("link", newPath, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.serviceOp(sp, srv, createService, -1, writeInfo(newPath, -1))
-		// Commit-instant re-check: a split landing while this request
-		// queued or charged can separate the two names' partitions.
-		state = f.entryState(newPath)
-		if f.ownerSlice(oldPath) != f.ownerSlice(newPath) {
-			err = fs.NewError("link", newPath, fs.EXDEV)
-			return
-		}
-		err = state.ns.Link(oldPath, newPath, sp.Now())
-		if err == nil {
-			// The link bumps the target's nlink: both names go stale.
-			f.revokeOnMutate(sp, c.st(), oldPath, false)
-			f.revokeOnMutate(sp, c.st(), newPath, true)
-			f.persist(sp, state, srv, fs.OpLink, metaLogBytes)
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(newPath)); lerr == nil {
-				f.maybeSplit(sp, fs.ParentDir(newPath), state.ns.NumChildren(dir), c.st())
-			}
-			c.captureEntry(sp, newPath)
-		}
-	})
-	if cerr != nil {
-		return cerr
-	}
-	if err == nil {
-		c.cacheEntry(newPath)
-	}
-	return err
-}
-
-// Symlink stores the target string at the shard serving linkPath.
-func (c *client) Symlink(target, linkPath string) error {
-	f := c.fsys
-	c.node.Syscall(c.p)
-	if err := c.resolveParents(linkPath); err != nil {
-		return err
-	}
-	imutex := c.node.DirLock(fs.ParentDir(linkPath))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-	var err error
-	cerr := c.callEntry("symlink", linkPath, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.serviceOp(sp, srv, createService, -1, writeInfo(linkPath, -1))
-		state = f.entryState(linkPath) // the charge may have overlapped a split
-		_, err = state.ns.Symlink(target, linkPath, sp.Now())
-		if err == nil {
-			f.revokeOnMutate(sp, c.st(), linkPath, true)
-			f.persist(sp, state, srv, fs.OpSymlink, metaLogBytes)
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(linkPath)); lerr == nil {
-				f.maybeSplit(sp, fs.ParentDir(linkPath), state.ns.NumChildren(dir), c.st())
-			}
-			c.captureEntry(sp, linkPath)
-		}
-	})
-	if cerr != nil {
-		return cerr
-	}
-	if err == nil {
-		c.cacheEntry(linkPath)
-	}
-	return err
-}
-
 // Stat serves from the attribute cache while its entry holds — a TTL
 // that has not lapsed, or a lease that was neither revoked nor
 // epoch-invalidated — else issues GETATTR to the serving shard, which

@@ -137,7 +137,7 @@ func (f *FS) splitSlices(dir string) []int {
 }
 
 // maybeSplit triggers a split step when a successful entry insertion
-// (create, link, symlink, a rename's destination) left dir holding
+// (a create or a rename's destination) left dir holding
 // children entries on the serving slice — the per-partition load, since
 // each slice's directory replica holds exactly its partitions' files
 // (plus the replicated subdirectories). mutator is the inserting
@@ -288,37 +288,23 @@ type entryID struct {
 	ino   fs.Ino
 }
 
-// moveEntry re-homes one non-directory entry from slice src to slice
-// dst, preserving type, mode, size and symlink target, and records the
-// identity move in FS.moved so open handles can chase it. It reports
-// whether the entry actually moved (a lost race leaves both sides
-// untouched). Like the cross-shard rename migrate, the move re-creates
-// the entry as a fresh inode: a hard link whose two names a split
-// separates into different partitions is severed into independent
-// files — the partition-keyed-inode limitation the Link path's EXDEV
-// rule already documents, surfacing at split time instead of link
-// time.
+// moveEntry re-homes one file from slice src to slice dst, preserving
+// mode and size, and records the identity move in FS.moved so open
+// handles can chase it. It reports whether the entry actually moved (a
+// lost race leaves both sides untouched). Like the cross-shard rename
+// migrate, the move re-creates the file as a fresh inode.
 func (f *FS) moveEntry(src, dst int, path string, e fs.DirEntry, now time.Duration) bool {
 	srcNS, dstNS := f.shards[src].ns, f.shards[dst].ns
 	node := srcNS.Get(e.Ino)
 	if node == nil {
 		return false
 	}
-	var ni *namespace.Inode
-	var err error
-	if e.Type == fs.TypeSymlink {
-		ni, err = dstNS.Symlink(srcNS.Target(node), path, now)
-		if err != nil {
-			return false
-		}
-	} else {
-		ni, err = dstNS.Create(path, node.Mode, now)
-		if err != nil {
-			return false
-		}
-		if node.Size > 0 {
-			dstNS.SetSize(ni.Ino, node.Size, now)
-		}
+	ni, err := dstNS.Create(path, node.Mode, now)
+	if err != nil {
+		return false
+	}
+	if node.Size > 0 {
+		dstNS.SetSize(ni.Ino, node.Size, now)
 	}
 	srcNS.Unlink(path, now)
 	f.moved[entryID{src, e.Ino}] = entryID{dst, ni.Ino}
