@@ -136,7 +136,6 @@ func failoverDemo(invalidate bool) {
 	cfg.NumShards = 2
 	cfg.Replicate = true
 	cfg.CrashInvalidate = invalidate
-	cfg.TakeoverDetect = 50 * time.Millisecond
 	cfg.LeaseTTL = time.Hour
 	k := sim.New(11)
 	cl := cluster.New(k, cluster.DefaultConfig(2))

@@ -68,7 +68,6 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		// runs.
 		cfg := shard.DefaultConfig(4)
 		cfg.Replicate = true
-		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
 		sharded(fsys)
@@ -95,7 +94,6 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.CacheMode = shard.CacheLease
 		cfg.TrackStaleness = true
 		cfg.LeaseTTL = 2 * time.Second
-		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
 		sharded(fsys)
@@ -125,7 +123,6 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.CacheMode = shard.CacheLease
 		cfg.TrackStaleness = true
 		cfg.LeaseTTL = 2 * time.Second
-		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
 		sharded(fsys)
@@ -152,7 +149,6 @@ func runAndSave(t *testing.T, seed int64, mode string, domains, workers int) map
 		cfg.Backend = shard.BackendLSM
 		cfg.CompactEvery = 32 << 10
 		cfg.GroupCommitWindow = time.Millisecond
-		cfg.TakeoverDetect = 100 * time.Millisecond
 		cfg.Domains = domains
 		fsys := shard.New(k, "meta", cfg)
 		sharded(fsys)

@@ -12,18 +12,20 @@ import (
 	"dmetabench/internal/lustre"
 	"dmetabench/internal/namespace"
 	"dmetabench/internal/nfs"
+	"dmetabench/internal/ontapgx"
 	"dmetabench/internal/sim"
 )
 
 // FuzzModelsAgainstNamespace is the single-client layer of the semantic
 // oracle. A seeded sequence of metadata operations runs through the NFS
-// model, the synchronous Lustre model, CXFS and the node-local file
-// system, one client each on one kernel, and through a bare
-// namespace.Namespace. Each client drops its node's caches before every
-// operation, so every operation reaches the server. Every errno must
-// match the reference's, and so must every successful Stat's type, size
-// and link count. The committed corpus under testdata/fuzz replays on
-// every go test run.
+// model, the synchronous Lustre model, CXFS, the node-local file system
+// and a one-volume Ontap GX cluster, one client each on one kernel, and
+// through a bare namespace.Namespace. The GX client sees every path
+// under its volume's junction /v, and the root as /v itself. Each client
+// drops its node's caches before every operation, so every operation
+// reaches the server. Every errno must match the reference's, and so
+// must every successful Stat's type, size and link count. The committed
+// corpus under testdata/fuzz replays on every go test run.
 func FuzzModelsAgainstNamespace(f *testing.F) {
 	f.Add(int64(1), uint8(200))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
@@ -34,22 +36,26 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 		lustreFS := lustre.New(k, "scratch", lustre.DefaultConfig())
 		cxfsFS := cxfs.New(k, "san")
 		localFS := localfs.New(k, cl.Nodes[0])
+		gxFS := ontapgx.New(k, "gx", 1, ontapgx.DefaultConfig())
+		gxFS.AddVolume("v", 0)
 		ref := namespace.New()
 		k.Spawn("oracle", func(p *sim.Proc) {
 			models := []struct {
 				name string
 				c    fs.Client
+				base string
 			}{
-				{"nfs", nfsFS.NewClient(cl.Nodes[0], p)},
-				{"lustre", lustreFS.NewClient(cl.Nodes[0], p)},
-				{"cxfs", cxfsFS.NewClient(cl.Nodes[0], p)},
-				{"localfs", localFS.NewClient(cl.Nodes[0], p)},
+				{"nfs", nfsFS.NewClient(cl.Nodes[0], p), ""},
+				{"lustre", lustreFS.NewClient(cl.Nodes[0], p), ""},
+				{"cxfs", cxfsFS.NewClient(cl.Nodes[0], p), ""},
+				{"localfs", localFS.NewClient(cl.Nodes[0], p), ""},
+				{"ontapgx", gxFS.NewClient(cl.Nodes[0], p), "/v"},
 			}
 			for i, op := range ops {
 				want := op.applyRef(ref, p)
 				for _, m := range models {
 					m.c.DropCaches()
-					if got := op.apply(m.c); got != want {
+					if got := op.under(m.base).apply(m.c); got != want {
 						t.Errorf("op %d %v on %s: got %+v, reference %+v", i, op, m.name, got, want)
 					}
 				}
@@ -129,6 +135,22 @@ func (op oracleOp) String() string {
 	default:
 		return fmt.Sprintf("%s(%s)", op.kind, op.p)
 	}
+}
+
+// under returns op with both paths moved below base, the root to base
+// itself; an empty base leaves op as it is.
+func (op oracleOp) under(base string) oracleOp {
+	if base == "" {
+		return op
+	}
+	at := func(p string) string {
+		if p == "/" {
+			return base
+		}
+		return base + p
+	}
+	op.p, op.q = at(op.p), at(op.q)
+	return op
 }
 
 // applyRef runs op on the reference namespace at p's virtual time.

@@ -49,7 +49,7 @@ type Namespace struct {
 	// dirCache memoizes directory path resolution (span text -> inode),
 	// so repeated deep-path operations hash one string instead of one
 	// string per component. See resolve for the invalidation contract.
-	dirCache map[string]dirCacheEnt
+	dirCache map[string]*Inode
 	// gen counts the invalidations of dirCache: a directory resolution
 	// made at generation g still holds while gen == g (see Parent).
 	gen uint64
@@ -57,12 +57,6 @@ type Namespace struct {
 	// Totals maintained incrementally for profiling and charts.
 	files int
 	dirs  int
-}
-
-// dirCacheEnt is one memoized directory resolution.
-type dirCacheEnt struct {
-	node  *Inode
-	depth int32
 }
 
 // dirCacheMax bounds the resolution cache; when full it is reset rather
@@ -134,7 +128,7 @@ func New() *Namespace {
 	ns := &Namespace{
 		next:     1,
 		ext:      make([]inodeExt, 1, 2),
-		dirCache: make(map[string]dirCacheEnt),
+		dirCache: make(map[string]*Inode),
 	}
 	root := ns.alloc(fs.TypeDirectory, 0o755, 0)
 	ns.ext[root.ext].parent = root.Ino
@@ -185,22 +179,12 @@ func (ns *Namespace) NumChildren(n *Inode) int { return len(ns.ext[n.ext].childr
 // Lookup resolves path to an inode. It follows "." and "..". Runs of
 // slashes collapse as POSIX requires.
 func (ns *Namespace) Lookup(path string) (*Inode, error) {
-	node, _, errno := ns.resolvePath(path)
+	start, end := pathSpan(path)
+	node, errno := ns.resolve(path, start, end)
 	if errno != fs.OK {
 		return nil, fs.NewError("walk", path, errno)
 	}
 	return node, nil
-}
-
-// LookupDepth resolves path and additionally reports the number of
-// directory components traversed, which callers use to charge path-walk
-// costs (POSIX requires a permission check on every component, §2.3.1).
-func (ns *Namespace) LookupDepth(path string) (*Inode, int, error) {
-	node, depth, errno := ns.resolvePath(path)
-	if errno != fs.OK {
-		return nil, depth, fs.NewError("walk", path, errno)
-	}
-	return node, depth, nil
 }
 
 // pathSpan returns the index range of p with leading and trailing
@@ -216,12 +200,6 @@ func pathSpan(p string) (start, end int) {
 	return start, end
 }
 
-// resolvePath resolves a whole path string.
-func (ns *Namespace) resolvePath(p string) (*Inode, int, fs.Errno) {
-	start, end := pathSpan(p)
-	return ns.resolve(p, start, end)
-}
-
 // resolve resolves the path span p[start:end) from the root without
 // allocating: components are sliced out by index, never split into a
 // slice. Successful directory resolutions are memoized in dirCache under
@@ -231,49 +209,44 @@ func (ns *Namespace) resolvePath(p string) (*Inode, int, fs.Errno) {
 // span that already resolves, so the cache is only invalidated —
 // wholesale — when a directory is removed, replaced or moved (Rmdir and
 // directory-affecting Rename). The same rule keeps Parent handles valid.
-//
-// depth counts traversed components (including "." and "..") and is also
-// reported on failure, matching the path-walk charging contract of
-// LookupDepth.
-func (ns *Namespace) resolve(p string, start, end int) (*Inode, int, fs.Errno) {
+func (ns *Namespace) resolve(p string, start, end int) (*Inode, fs.Errno) {
 	for end > start && p[end-1] == '/' {
 		end--
 	}
 	if start >= end {
-		return ns.root, 0, fs.OK
+		return ns.root, fs.OK
 	}
-	if c, ok := ns.dirCache[p[start:end]]; ok {
-		return c.node, int(c.depth), fs.OK
+	if node, ok := ns.dirCache[p[start:end]]; ok {
+		return node, fs.OK
 	}
 	j := end
 	for j > start && p[j-1] != '/' {
 		j--
 	}
-	node, depth, errno := ns.resolve(p, start, j)
+	node, errno := ns.resolve(p, start, j)
 	if errno != fs.OK {
-		return nil, depth, errno
+		return nil, errno
 	}
 	if node.Type != fs.TypeDirectory {
-		return nil, depth, fs.ENOTDIR
+		return nil, fs.ENOTDIR
 	}
-	depth++
 	switch name := p[j:end]; name {
 	case ".":
-		return node, depth, fs.OK
+		return node, fs.OK
 	case "..":
-		return ns.dotdot(node), depth, fs.OK
+		return ns.dotdot(node), fs.OK
 	default:
 		next, ok := ns.children(node)[name]
 		if !ok {
-			return nil, depth, fs.ENOENT
+			return nil, fs.ENOENT
 		}
 		if next.Type == fs.TypeDirectory {
 			if len(ns.dirCache) >= dirCacheMax {
 				clear(ns.dirCache)
 			}
-			ns.dirCache[p[start:end]] = dirCacheEnt{node: next, depth: int32(depth)}
+			ns.dirCache[p[start:end]] = next
 		}
-		return next, depth, fs.OK
+		return next, fs.OK
 	}
 }
 

@@ -158,7 +158,7 @@ func TestRenameSameObjectNoop(t *testing.T) {
 	}
 }
 
-func TestReadDirSortedAndDepth(t *testing.T) {
+func TestReadDirSorted(t *testing.T) {
 	ns := New()
 	ns.Mkdir("/d", 0o755, t0())
 	for _, n := range []string{"c", "a", "b"} {
@@ -170,10 +170,6 @@ func TestReadDirSortedAndDepth(t *testing.T) {
 	}
 	if len(ents) != 3 || ents[0].Name != "a" || ents[2].Name != "c" {
 		t.Fatalf("ents = %v", ents)
-	}
-	_, depth, err := ns.LookupDepth("/d/a")
-	if err != nil || depth != 2 {
-		t.Fatalf("depth = %d, %v", depth, err)
 	}
 }
 

@@ -52,7 +52,7 @@ func (h *Parent) parent() (*Inode, fs.Errno) {
 	if h.dir != nil && h.gen == h.ns.gen {
 		return h.dir, fs.OK
 	}
-	node, _, errno := h.ns.resolve(h.path, h.start, h.j)
+	node, errno := h.ns.resolve(h.path, h.start, h.j)
 	if errno != fs.OK {
 		return nil, errno
 	}
@@ -70,7 +70,7 @@ func (h *Parent) Dir() *Inode {
 	var errno fs.Errno
 	if h.end < len(h.path) && h.start < h.end {
 		// With a trailing slash, fs.ParentDir names the object itself.
-		node, _, errno = h.ns.resolve(h.path, h.start, h.end)
+		node, errno = h.ns.resolve(h.path, h.start, h.end)
 	} else {
 		node, errno = h.parent()
 	}

@@ -397,53 +397,35 @@ func (c *client) dropEntry(p string) {
 }
 
 // ReadDirPlus lists a directory and returns each entry's attributes
-// from one RPC (fs.ReadDirPlusser): the server pays the readdir paging
-// cost plus readdirPlusPerEntry per attribute instead of one GETATTR
-// round trip each, and the reply fills the client's dentry and
-// attribute caches — under CacheLease, as a bulk lease grant. A
+// from one RPC (fs.ReadDirPlusser): the listing fan-out (list) pays the
+// readdir paging cost plus readdirPlusPerEntry per attribute instead of
+// one GETATTR round trip each, and the reply fills the client's dentry
+// and attribute caches — under CacheLease, as a bulk lease grant. A
 // directory that spans every shard (the root under subtree placement)
 // falls back to the merged ReadDir plus cached per-entry Stats.
 func (c *client) ReadDirPlus(p string) ([]fs.DirEntry, []fs.Attr, error) {
-	f := c.fsys
-	if f.splitActive() {
-		// Like ReadDir: the fan-out reads the split level at service
-		// time, closing the queued-request race with a concurrent
-		// split.
-		return c.splitReadDirPlus(p)
-	}
-	slice := f.contentSlice(p)
-	if slice < 0 {
+	if c.fsys.contentSlice(p) < 0 {
 		return fs.StatEntries(c, p)
 	}
-	c.node.Syscall(c.p)
-	var ents []fs.DirEntry
-	var attrs []fs.Attr
-	var err error
-	cerr := c.call("readdirplus", p, slice, 140, 320, func(sp *sim.Proc, state, srv *shardSrv) {
-		ents, err = state.ns.ReadDir(p, sp.Now())
-		if err != nil {
-			f.serviceOp(sp, srv, readdirService, -1, scanInfo())
-			return
+	return c.list(p, true)
+}
+
+// plusAttrs appends to attrs the attributes of list's entries, read
+// from state on q, and fills the client's caches with them: the
+// readdirplus reply of one slice. An entry unlinked while the slice
+// charged the listing keeps a zero attribute and fills nothing.
+func (c *client) plusAttrs(q *sim.Proc, state *shardSrv, dir string, list []fs.DirEntry, attrs []fs.Attr) []fs.Attr {
+	for _, e := range list {
+		node := state.ns.Get(e.Ino)
+		if node == nil {
+			attrs = append(attrs, fs.Attr{})
+			continue
 		}
-		f.serviceOp(sp, srv, readdirCost(len(ents))+
-			time.Duration(len(ents))*readdirPlusPerEntry, -1, scanInfo())
-		attrs = make([]fs.Attr, len(ents))
-		for i, e := range ents {
-			node := state.ns.Get(e.Ino)
-			if node == nil {
-				continue
-			}
-			attrs[i] = node.Attr()
-			c.fillEntry(sp, childPath(p, e.Name), attrs[i])
-		}
-	})
-	if cerr != nil {
-		return nil, nil, cerr
+		a := node.Attr()
+		attrs = append(attrs, a)
+		c.fillEntry(q, childPath(dir, e.Name), a)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return ents, attrs, nil
+	return attrs
 }
 
 // childPath joins a clean directory path and an entry name.

@@ -283,7 +283,6 @@ func failoverStaleRun(t *testing.T, crashInvalidate bool) (int64, int64) {
 	cfg := leaseCfg(2)
 	cfg.Replicate = true
 	cfg.CrashInvalidate = crashInvalidate
-	cfg.TakeoverDetect = 50 * time.Millisecond
 	cfg.LeaseTTL = time.Hour // only invalidation can end the lease here
 	k := sim.New(7)
 	cl := cluster.New(k, cluster.DefaultConfig(2))
@@ -318,7 +317,7 @@ func failoverStaleRun(t *testing.T, crashInvalidate bool) (int64, int64) {
 			return
 		}
 		f.Crash(p, 0)
-		p.Sleep(200 * time.Millisecond) // past detection + replay
+		p.Sleep(takeoverDetect + 50*time.Millisecond) // past detection + replay
 		if len(f.Takeovers) != 1 {
 			t.Error("no takeover happened")
 			return

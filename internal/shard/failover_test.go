@@ -9,12 +9,11 @@ import (
 	"dmetabench/internal/sim"
 )
 
-// replCfg returns a 2-shard replicated configuration with failover
-// timings small enough for tight test assertions.
+// replCfg returns a 2-shard replicated configuration with a replay
+// cost small enough for tight test assertions.
 func replCfg() Config {
 	cfg := DefaultConfig(2)
 	cfg.Replicate = true
-	cfg.TakeoverDetect = 100 * time.Millisecond
 	cfg.ReplayPerEntry = 10 * time.Microsecond
 	return cfg
 }
@@ -92,7 +91,7 @@ func TestNoTakeoverWhenBackupDiesInDetectionWindow(t *testing.T) {
 			return
 		}
 		f.Crash(p, 0)
-		p.Sleep(50 * time.Millisecond) // inside the 100ms detection window
+		p.Sleep(takeoverDetect / 2) // inside the detection window
 		f.Crash(p, 1)
 		p.Sleep(time.Second)
 		if len(f.Takeovers) != 0 {

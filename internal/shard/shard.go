@@ -70,6 +70,7 @@ package shard
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -143,9 +144,6 @@ type Config struct {
 	// cap models a checkpoint, which truncates the journal — so
 	// JournalCap also caps the replay work a takeover or restart pays.
 	JournalCap int
-	// TakeoverDetect is the failure-detection delay (lease/heartbeat
-	// expiry) before a backup begins taking over a crashed primary.
-	TakeoverDetect time.Duration
 	// ReplayPerEntry is the recovery cost per journal entry, paid by a
 	// backup promoting itself and by a restarted primary. Non-default
 	// backends scale it by their replay factor (sequential WAL replay is
@@ -214,7 +212,6 @@ func DefaultConfig(n int) Config {
 		AttrTTL:       3 * time.Second,
 
 		JournalCap:     16384,
-		TakeoverDetect: 200 * time.Millisecond,
 		ReplayPerEntry: 20 * time.Microsecond,
 
 		LeaseTTL:        10 * time.Second,
@@ -275,6 +272,9 @@ const (
 	// mirrorService is the backup-side CPU charged per mirrored
 	// mutation (applying the journal record to the standby copy).
 	mirrorService = 60 * time.Microsecond
+	// takeoverDetect is the failure-detection delay (lease/heartbeat
+	// expiry) before a backup begins taking over a crashed primary.
+	takeoverDetect = 200 * time.Millisecond
 	// retryTimeout is the client-observed RPC timeout against a dead
 	// server (one failed attempt costs this much virtual time).
 	retryTimeout = 500 * time.Millisecond
@@ -553,7 +553,7 @@ func (f *FS) backupOf(i int) int { return (i + 1) % len(f.shards) }
 
 // Crash takes shard i's server down at the current virtual time: its
 // client and peer endpoints start timing out. With replication, the
-// slice's backup detects the failure after TakeoverDetect, replays the
+// slice's backup detects the failure after takeoverDetect, replays the
 // journal and takes over serving the slice (recorded in Takeovers).
 // Crash implements fault.Target. It panics on a domained FS: a takeover
 // would move the slice to another domain, and kernel domains keep a
@@ -577,7 +577,7 @@ func (f *FS) Crash(p *sim.Proc, i int) {
 		return // no live backup: the slice stays dark until restart
 	}
 	crashAt := p.Now()
-	f.k.AfterFunc("takeover:"+strconv.Itoa(i), f.cfg.TakeoverDetect, func(q *sim.Proc) {
+	f.k.AfterFunc("takeover:"+strconv.Itoa(i), takeoverDetect, func(q *sim.Proc) {
 		if sh.up || !f.shards[b].up {
 			// The primary returned before the lease expired, or the
 			// backup died during the detection window — either way
@@ -597,7 +597,7 @@ func (f *FS) Crash(p *sim.Proc, i int) {
 		f.invalidateSliceLeases(i)
 		f.Takeovers = append(f.Takeovers, Takeover{
 			Shard: i, Backup: b, CrashAt: crashAt,
-			Detect: f.cfg.TakeoverDetect, Replay: replay, Entries: entries,
+			Detect: takeoverDetect, Replay: replay, Entries: entries,
 		})
 	})
 }
@@ -808,6 +808,25 @@ func scanInfo() opInfo { return opInfo{cls: opScan, dirSize: -1} }
 func (f *FS) hop(sp *sim.Proc, dst *shardSrv, body func(q *sim.Proc)) {
 	addI64(&f.CrossCount, 1)
 	f.peerLeg(sp, dst, "hop:"+strconv.Itoa(dst.index), body)
+}
+
+// visit runs one slice's share of a cross-shard step that srv
+// coordinates: the listing fan-out, the split-rmdir probes and a split's
+// migration batches. When the slice's server is down it does nothing
+// and reports false. When a failover co-located the slice on srv, body
+// runs there, on sp, with no interconnect hop. Otherwise body runs on
+// the slice's server across one hop.
+func (f *FS) visit(sp *sim.Proc, srv *shardSrv, slice int, body func(q *sim.Proc, peer *shardSrv)) bool {
+	peer := f.srvFor(slice)
+	switch {
+	case !peer.up:
+		return false
+	case peer == srv:
+		body(sp, peer)
+	default:
+		f.hop(sp, peer, func(q *sim.Proc) { body(q, peer) })
+	}
+	return true
 }
 
 // commit journals one successful mutation on slice state and, with
@@ -1121,55 +1140,73 @@ func (c *client) resolveParents(p string) error {
 	return nil
 }
 
-// cacheEntry refreshes the node caches for p from its owning slice's
-// namespace — the attributes every mutation reply piggybacks. Under
-// CacheLease the reply also carries the parent directory's post-op
-// attributes: the mutator writes its cached dir attributes back in
-// place (the delegation discipline) instead of refetching them.
-func (c *client) cacheEntry(p string) {
-	if c.fsys.domained() {
-		// The free client-side peek at authoritative state crosses
-		// domains; the service body already captured the reply
-		// attributes in the owning domain (captureEntry).
-		return
-	}
-	state := c.fsys.shards[c.fsys.ownerSlice(p)]
-	a, err := state.ns.Stat(p)
-	if err != nil {
-		return
-	}
-	c.fillEntry(c.p, p, a)
-	if c.cfg().CacheMode != CacheLease {
-		return
-	}
-	if dir := fs.ParentDir(p); dir != "." && dir != p {
-		if da, derr := state.ns.Stat(dir); derr == nil {
-			c.fillEntry(c.p, dir, da)
-		}
-	}
-}
-
-// captureEntry is cacheEntry's in-body counterpart for kernel domains:
-// the service body reads the post-op attributes in the slice's owning
-// domain — the attributes the reply piggybacks — and the client-side
-// cache writes ride the reply home (fillEntry defers them).
-func (c *client) captureEntry(q *sim.Proc, p string) {
-	if !c.fsys.domained() {
-		return
-	}
-	state := c.fsys.shards[c.fsys.ownerSlice(p)]
+// refill refreshes the node caches for p from its owning slice's
+// namespace on q: the attributes a mutation reply piggybacks. With
+// withParent, under CacheLease, the reply also carries the parent
+// directory's post-op attributes: the mutator writes its cached dir
+// attributes back in place (the delegation discipline) instead of
+// refetching them. On one kernel the client peeks at the slice once the
+// reply is home (cacheEntry); under kernel domains that peek would cross
+// domains, so the service body reads the slice in its owning domain and
+// fillEntry defers the cache writes until the reply is home
+// (captureEntry).
+func (c *client) refill(q *sim.Proc, p string, withParent bool) {
+	state := c.fsys.entryState(p)
 	a, err := state.ns.Stat(p)
 	if err != nil {
 		return
 	}
 	c.fillEntry(q, p, a)
-	if c.cfg().CacheMode != CacheLease {
+	if !withParent || c.cfg().CacheMode != CacheLease {
 		return
 	}
 	if dir := fs.ParentDir(p); dir != "." && dir != p {
 		if da, derr := state.ns.Stat(dir); derr == nil {
 			c.fillEntry(q, dir, da)
 		}
+	}
+}
+
+// cacheEntry is a mutation's reply refill on one kernel, run by the
+// client once the reply is home.
+func (c *client) cacheEntry(p string) {
+	if !c.fsys.domained() {
+		c.refill(c.p, p, true)
+	}
+}
+
+// captureEntry is a mutation's reply refill under kernel domains, run
+// by the service body at the commit instant.
+func (c *client) captureEntry(q *sim.Proc, p string) {
+	if c.fsys.domained() {
+		c.refill(q, p, true)
+	}
+}
+
+// lockParent is a mutation's parent-directory step on slice state: it
+// takes the parent's lock in the slice's table and charges svc on srv by
+// the parent's entry count, read once the lock is held. It returns the
+// held lock, or nil after an unscaled charge when the parent does not
+// resolve on the slice. A body that holds the lock to its end writes
+// defer unlock(f.lockParent(...)): the step runs at once, the release
+// when the body returns.
+func (f *FS) lockParent(sp *sim.Proc, state, srv *shardSrv, p string, svc time.Duration) *sim.Mutex {
+	dir, err := state.ns.Lookup(fs.ParentDir(p))
+	if err != nil {
+		f.serviceOp(sp, srv, svc, -1, writeInfo(p, -1))
+		return nil
+	}
+	lock := state.locks.Get(uint64(dir.Ino))
+	lock.Lock(sp)
+	n := state.ns.NumChildren(dir)
+	f.serviceOp(sp, srv, svc, n, writeInfo(p, n))
+	return lock
+}
+
+// unlock releases a lock lockParent returned, if it took one.
+func unlock(lock *sim.Mutex) {
+	if lock != nil {
+		lock.Unlock()
 	}
 }
 
@@ -1187,14 +1224,7 @@ func (c *client) Create(p string) error {
 
 	var err error
 	cerr := c.callEntry("create", p, 160, 160, func(sp *sim.Proc, state, srv *shardSrv) {
-		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-			lock := state.locks.Get(uint64(dir.Ino))
-			lock.Lock(sp)
-			defer lock.Unlock()
-			f.serviceOp(sp, srv, createService, state.ns.NumChildren(dir), writeInfo(p, state.ns.NumChildren(dir)))
-		} else {
-			f.serviceOp(sp, srv, createService, -1, writeInfo(p, -1))
-		}
+		defer unlock(f.lockParent(sp, state, srv, p, createService))
 		// Commit-instant re-resolution: the lock and charge waits above
 		// may have overlapped a split of the parent.
 		state2 := f.entryState(p)
@@ -1237,14 +1267,7 @@ func (c *client) Mkdir(p string) error {
 
 	var err error
 	cerr := c.call("mkdir", p, f.ownerSlice(p), 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-			lock := state.locks.Get(uint64(dir.Ino))
-			lock.Lock(sp)
-			f.serviceOp(sp, srv, mkdirService, state.ns.NumChildren(dir), writeInfo(p, state.ns.NumChildren(dir)))
-			lock.Unlock()
-		} else {
-			f.serviceOp(sp, srv, mkdirService, -1, writeInfo(p, -1))
-		}
+		unlock(f.lockParent(sp, state, srv, p, mkdirService))
 		_, err = state.ns.Mkdir(p, 0o755, sp.Now())
 		if err == nil {
 			// The broadcast applies the replicas at this same instant;
@@ -1299,32 +1322,24 @@ func (c *client) Rmdir(p string) error {
 		// A split directory is empty only when every partition slice
 		// agrees: the peer replicas are checked logically before the
 		// removal commits (no time may pass between check and apply),
-		// and the probe traffic — one interconnect hop per live peer
-		// slice examined, local when a failover co-located the slice
-		// here (the splitFanout rule) — is paid after the outcome is
+		// and the probe traffic — one readdir charge per peer slice
+		// examined, by the visit rule — is paid after the outcome is
 		// decided, on success and on ENOTEMPTY alike. A down peer's
 		// state still counts, the way replicate applies to down shards.
-		var probes []int
-		payProbes := func() {
-			for _, s := range probes {
-				peer := f.srvFor(s)
-				switch {
-				case !peer.up:
-				case peer == srv:
-					f.chargeOp(sp, peer, readdirService, -1, scanInfo())
-				default:
-					f.hop(sp, peer, func(q *sim.Proc) {
-						f.chargeOp(q, peer, readdirService, -1, scanInfo())
-					})
-				}
+		payProbes := func(slices []int) {
+			for _, s := range slices {
+				f.visit(sp, srv, s, func(q *sim.Proc, peer *shardSrv) {
+					f.chargeOp(q, peer, readdirService, -1, scanInfo())
+				})
 			}
 		}
+		var probes []int
 		if f.splitLevel(p) > 0 {
-			for _, s := range f.splitSlices(p)[1:] {
-				probes = append(probes, s)
+			probes = f.splitSlices(p)[1:]
+			for i, s := range probes {
 				if hasFileEntries(f.shards[s].ns, p, sp.Now()) {
 					err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
-					payProbes() // the failed probe ran its readdirs too
+					payProbes(probes[:i+1]) // the failed probe ran its readdirs too
 					return
 				}
 			}
@@ -1343,7 +1358,7 @@ func (c *client) Rmdir(p string) error {
 			f.revokeOnMutate(sp, c.st(), p, true)
 			f.dropDelegation(p)
 			f.persist(sp, state, srv, fs.OpRmdir, metaLogBytes)
-			payProbes()
+			payProbes(probes)
 		}
 	})
 	if cerr != nil {
@@ -1368,14 +1383,7 @@ func (c *client) Unlink(p string) error {
 
 	var err error
 	cerr := c.callEntry("unlink", p, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-			lock := state.locks.Get(uint64(dir.Ino))
-			lock.Lock(sp)
-			defer lock.Unlock()
-			f.serviceOp(sp, srv, removeService, state.ns.NumChildren(dir), writeInfo(p, state.ns.NumChildren(dir)))
-		} else {
-			f.serviceOp(sp, srv, removeService, -1, writeInfo(p, -1))
-		}
+		defer unlock(f.lockParent(sp, state, srv, p, removeService))
 		state2 := f.entryState(p) // the waits above may have overlapped a split
 		err = state2.ns.Unlink(p, sp.Now())
 		if err == nil {
@@ -1395,15 +1403,23 @@ func (c *client) Unlink(p string) error {
 // Rename is atomic on one shard when both parents are served there.
 // When they are not, the file migrates: validate at the source shard,
 // one interconnect hop to insert at the destination, then the removal
-// at the source — the cross-shard cost E18 measures. Directory renames
-// do not migrate: under hash placement every descendant's partition key
+// at the source — the cross-shard cost E18 measures. A migrate whose
+// destination server is down fails the whole operation with a timeout
+// and the client retries it from the source.
+//
+// Directory renames do not migrate, and this is the model's deviation
+// from POSIX: under hash placement every descendant's partition key
 // embeds the directory path, so renaming a directory would re-home its
-// files and invalidate its replicas — it returns EXDEV like any
-// multi-device rename (§2.6.3), as does any rename whose source is not
-// a regular file crossing a shard boundary. Under subtree placement a
-// directory rename inside one subtree stays local and is allowed. A
-// migrate whose destination server is down fails the whole operation
-// with a timeout and the client retries it from the source.
+// files and invalidate its replicas, and any rename of a directory
+// across a shard boundary would have to move its subtree. Once the
+// source shard has found the source directory, the rename answers what
+// the two paths decide (dirRenameErr): a rename onto its own name is a
+// no-op, a move into its own subtree and a rename of or onto the root
+// fail with EINVAL, and everything else fails with EXDEV like any
+// multi-device rename (§2.6.3) — also where POSIX would let the
+// target's state decide (ENOTDIR, ENOTEMPTY), since the target may live
+// on another slice. Under subtree placement a directory rename inside
+// one subtree stays local and answers as POSIX does.
 func (c *client) Rename(oldPath, newPath string) error {
 	f := c.fsys
 	c.node.Syscall(c.p)
@@ -1421,21 +1437,13 @@ func (c *client) Rename(oldPath, newPath string) error {
 	dstSlice := f.ownerSlice(newPath)
 	var err error
 	if srcSlice == dstSlice {
-		cerr := c.call("rename", oldPath, srcSlice, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
+		cerr := c.call("rename", oldPath, srcSlice, 150, 140, func(sp *sim.Proc, _, srv *shardSrv) {
 			// Re-resolve ownership at service time (the callEntry rule),
 			// and again under the lock below: a split landing while this
 			// request queued or waited can re-home either name; renaming
 			// on a pinned slice would strand the new entry where the
 			// split-aware routing never looks.
-			state = f.entryState(oldPath)
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(oldPath)); lerr == nil {
-				lock := state.locks.Get(uint64(dir.Ino))
-				lock.Lock(sp)
-				defer lock.Unlock()
-				f.serviceOp(sp, srv, renameService, state.ns.NumChildren(dir), writeInfo(oldPath, state.ns.NumChildren(dir)))
-			} else {
-				f.serviceOp(sp, srv, renameService, -1, writeInfo(oldPath, -1))
-			}
+			defer unlock(f.lockParent(sp, f.entryState(oldPath), srv, oldPath, renameService))
 			// Commit-instant re-resolution; no virtual time passes from
 			// here to ns.Rename. When a mid-flight split separated the
 			// two names' partitions, the rename surfaces a transient
@@ -1450,14 +1458,15 @@ func (c *client) Rename(oldPath, newPath string) error {
 			}
 			if f.cfg.Placement == PlaceHashDir && len(f.shards) > 1 {
 				// Renaming a directory would strand its hashed files
-				// and stale the replicated tree on the other shards.
+				// and stale the replicated tree on the other shards
+				// (see Rename); onto its own name it is a no-op.
 				var a fs.Attr
 				a, err = state2.ns.Stat(oldPath)
 				if err != nil {
 					return
 				}
-				if a.Type == fs.TypeDirectory {
-					err = fs.NewError("rename", newPath, fs.EXDEV)
+				if a.Type == fs.TypeDirectory && oldPath != newPath {
+					err = dirRenameErr(oldPath, newPath)
 					return
 				}
 			}
@@ -1467,9 +1476,9 @@ func (c *client) Rename(oldPath, newPath string) error {
 				f.revokeOnMutate(sp, c.st(), newPath, true)
 				f.dropDelegation(oldPath)
 				// A directory rename moved every descendant with it:
-				// leases keyed by the old paths are dead. All reachable
-				// cases (subtree placement, single shard) keep a
-				// subtree's entries on one slice.
+				// leases keyed by the old paths are dead. Every directory
+				// rename that moves anything (subtree placement, single
+				// shard) keeps a subtree's entries on one slice.
 				if f.cfg.CacheMode == CacheLease {
 					if a, serr := state2.ns.Stat(newPath); serr == nil && a.Type == fs.TypeDirectory {
 						f.revokeSubtree(sp, c.st(), oldPath, f.ownerSlice(oldPath))
@@ -1522,7 +1531,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 					return
 				}
 				if a.Type != fs.TypeRegular {
-					err = fs.NewError("rename", newPath, fs.EXDEV)
+					err = dirRenameErr(oldPath, newPath)
 					return
 				}
 				dstState := f.shards[f.ownerSlice(newPath)]
@@ -1596,6 +1605,17 @@ func (c *client) Rename(oldPath, newPath string) error {
 	return err
 }
 
+// dirRenameErr answers a rename of the directory at oldPath to a
+// different name newPath that the model will not carry out (see
+// Rename): EINVAL for a move into its own subtree and for a rename of or
+// onto the root, EXDEV otherwise.
+func dirRenameErr(oldPath, newPath string) error {
+	if oldPath == "/" || newPath == "/" || strings.HasPrefix(newPath, oldPath+"/") {
+		return fs.NewError("rename", newPath, fs.EINVAL)
+	}
+	return fs.NewError("rename", newPath, fs.EXDEV)
+}
+
 // Stat serves from the attribute cache while its entry holds — a TTL
 // that has not lapsed, or a lease that was neither revoked nor
 // epoch-invalidated — else issues GETATTR to the serving shard, which
@@ -1628,8 +1648,14 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	return a, nil
 }
 
-// Open resolves the path (dentry cache, else LOOKUP at the owner) and
-// returns a handle bound to the owning slice.
+// Open resolves the path (dentry cache, else one LOOKUP at the owner)
+// and returns a handle bound to the owning slice. On one kernel a cached
+// dentry is revalidated with a free peek at the owning slice's
+// namespace. Under kernel domains that state is unreadable from the
+// client, so a dentry whose attributes are still cached opens locally —
+// incarnation staleness surfaces at flush as ESTALE through the
+// handle-chasing guards — and any other dentry pays the LOOKUP too,
+// which resolves ino and size in the owner's domain.
 func (c *client) Open(p string) (fs.Handle, error) {
 	f := c.fsys
 	c.node.Syscall(c.p)
@@ -1641,21 +1667,23 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	if ok && neg {
 		return 0, fs.NewError("open", p, fs.ENOENT)
 	}
-	if f.domained() {
-		return c.openDomained(p, ino, ok)
+	if ok && f.domained() {
+		if a, aok := c.cachedAttr(p); aok && a.Ino == ino {
+			return c.newHandle(p, f.ownerSlice(p), ino, a.Size), nil
+		}
+		ok = false
 	}
 	if !ok {
+		var a fs.Attr
 		var err error
 		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 			f.serviceOp(sp, srv, lookupService, -1, f.readInfo(state, p))
 			state = f.entryState(p) // the charge may have overlapped a split
-			var a fs.Attr
 			a, err = state.ns.Stat(p)
 			if err == nil {
-				ino = a.Ino
 				c.fillEntry(sp, p, a)
 			} else {
-				st.names.PutNegative(p)
+				simnet.Defer(sp, clientcache.NegativeFill(st.names, p))
 			}
 		})
 		if cerr != nil {
@@ -1663,6 +1691,11 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		}
 		if err != nil {
 			return 0, err
+		}
+		ino = a.Ino
+		if f.domained() {
+			st.names.PutDentry(p, ino, a.Type == fs.TypeDirectory)
+			return c.newHandle(p, f.ownerSlice(p), ino, a.Size), nil
 		}
 	}
 	slice := f.ownerSlice(p)
@@ -1684,48 +1717,6 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		st.names.PutDentry(p, ino, node.Type == fs.TypeDirectory)
 	}
 	return c.newHandle(p, slice, ino, node.Size), nil
-}
-
-// openDomained is Open under kernel domains. The single-kernel model
-// revalidates a cached dentry with a free peek at the owning slice's
-// namespace; across domains that state is unreadable from the client,
-// so a dentry whose attributes are still cached opens locally —
-// incarnation staleness surfaces at flush as ESTALE through the
-// handle-chasing guards — and anything else pays one LOOKUP RPC that
-// resolves ino and size in the owner's domain.
-func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) {
-	f := c.fsys
-	st := c.st()
-	var size int64
-	haveSize := false
-	if ok {
-		if a, aok := c.cachedAttr(p); aok && a.Ino == ino {
-			size, haveSize = a.Size, true
-		}
-	}
-	if !haveSize {
-		var a fs.Attr
-		var err error
-		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.serviceOp(sp, srv, lookupService, -1, f.readInfo(state, p))
-			state = f.entryState(p) // the charge may have overlapped a split
-			a, err = state.ns.Stat(p)
-			if err == nil {
-				c.fillEntry(sp, p, a)
-			} else {
-				simnet.Defer(sp, clientcache.NegativeFill(st.names, p))
-			}
-		})
-		if cerr != nil {
-			return 0, cerr
-		}
-		if err != nil {
-			return 0, err
-		}
-		ino, size = a.Ino, a.Size
-		st.names.PutDentry(p, ino, a.Type == fs.TypeDirectory)
-	}
-	return c.newHandle(p, f.ownerSlice(p), ino, size), nil
 }
 
 // newHandle allocates a file handle bound to the entry's owning slice.
@@ -1797,13 +1788,11 @@ func (c *client) flush(of *openFile) error {
 		f.revokeOnMutate(sp, c.st(), of.path, false)
 		f.persist(sp, state, srv, fs.OpWrite, metaLogBytes+written)
 		if f.domained() {
-			// The client-side refresh below cannot peek across domains:
+			// The client-side refill below cannot peek across domains:
 			// refill here, at the commit instant. Nothing re-homes an
 			// entry under domains, so the written name resolves on this
 			// server's own slice.
-			if a, serr := f.entryState(of.path).ns.Stat(of.path); serr == nil {
-				c.fillEntry(sp, of.path, a)
-			}
+			c.refill(sp, of.path, false)
 		}
 	})
 	if cerr != nil {
@@ -1816,9 +1805,7 @@ func (c *client) flush(of *openFile) error {
 	of.size = newSize
 	of.Reset()
 	if !f.domained() {
-		if a, serr := f.shards[f.ownerSlice(of.path)].ns.Stat(of.path); serr == nil {
-			c.fillEntry(c.p, of.path, a)
-		}
+		c.refill(c.p, of.path, false)
 	}
 	return nil
 }
@@ -1835,90 +1822,93 @@ func readdirCost(n int) time.Duration {
 		time.Duration(n)*readdirPerEntry
 }
 
-// ReadDir lists a directory from the shard serving its files. Under
-// subtree placement the root spans every shard, so a root listing
-// visits the peers over the interconnect and merges their top-level
-// entries — the namespace-aggregation view of §4.7 at MDS granularity.
-// A split giant directory fans out across its partition slices the
-// same way (splitReadDir). Peers that are down are skipped: the listing
-// degrades the way an aggregated namespace does when one volume server
-// times out, and every degraded merge is surfaced in
-// FS.PartialListings.
+// ReadDir lists a directory through the listing fan-out (list).
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
+	ents, _, err := c.list(p, false)
+	return ents, err
+}
+
+// list serves ReadDir, and with plus the batched ReadDirPlus, through
+// one fan-out. The home slice serves first: the directory's content
+// slice, or the client node's shard for the root under subtree
+// placement, whose top-level entries every shard partitions — the
+// namespace-aggregation view of §4.7 at MDS granularity. The peers are
+// read at service time, so a split landing while the request queues
+// cannot hide the entries it just moved: a split directory's other
+// partition slices, or every other shard for the subtree root. Under
+// hash placement a peer adds files only, since directories are
+// replicated and the home already listed them. Each peer is visited by
+// the visit rule; a down peer is skipped, and the listing degrades the
+// way an aggregated namespace does when one volume server times out,
+// surfaced in FS.PartialListings. With plus, every slice also pays
+// readdirPlusPerEntry per entry and returns the entries' attributes,
+// which fill the client's caches — under CacheLease as a bulk lease
+// grant keyed per entry to its owning slice.
+func (c *client) list(p string, plus bool) ([]fs.DirEntry, []fs.Attr, error) {
 	f := c.fsys
-	if f.splitActive() {
-		// Whenever splitting is possible, list through the fan-out: it
-		// reads the split level at service time, so a split landing
-		// while the request queues cannot hide the just-moved entries
-		// (an unsplit directory is a one-slice fan-out at the same
-		// cost).
-		return c.splitReadDir(p)
-	}
 	c.node.Syscall(c.p)
-	slice := f.contentSlice(p)
-	if slice < 0 {
-		homeSlice := c.node.Index % len(f.shards)
-		var ents []fs.DirEntry
-		var err error
-		cerr := c.call("readdir", p, homeSlice, 130, 260, func(sp *sim.Proc, home, srv *shardSrv) {
-			ents, err = home.ns.ReadDir(p, sp.Now())
-			if err != nil {
-				f.serviceOp(sp, srv, readdirService, -1, scanInfo())
-				return
-			}
-			f.serviceOp(sp, srv, readdirCost(len(ents)), -1, scanInfo())
-			for i := range f.shards {
-				if i == homeSlice {
-					continue
-				}
-				peer := f.srvFor(i)
-				state := f.shards[i]
-				if peer == srv {
-					// A failover made this server serve the peer slice
-					// too: merge locally, no interconnect hop.
-					more, merr := state.ns.ReadDir(p, sp.Now())
-					if merr == nil {
-						f.chargeOp(sp, srv, readdirCost(len(more)), -1, scanInfo())
-						ents = append(ents, more...)
-					}
-					continue
-				}
-				if !peer.up {
-					// The peer's subtrees are unreachable: the merge
-					// degrades to a partial listing, surfaced on the FS
-					// so callers and experiments can see the loss.
-					addI64(&f.PartialListings, 1)
-					continue
-				}
-				f.hop(sp, peer, func(q *sim.Proc) {
-					more, merr := state.ns.ReadDir(p, q.Now())
-					if merr != nil {
-						return
-					}
-					f.chargeOp(q, peer, readdirCost(len(more)), -1, scanInfo())
-					ents = append(ents, more...)
-				})
-			}
-		})
-		if cerr != nil {
-			return nil, cerr
-		}
-		return ents, err
+	op, reqBytes, respBytes, perEntry := "readdir", int64(130), int64(260), time.Duration(0)
+	if plus {
+		op, reqBytes, respBytes, perEntry = "readdirplus", 140, 320, readdirPlusPerEntry
 	}
+	cost := func(n int) time.Duration { return readdirCost(n) + time.Duration(n)*perEntry }
+	home := f.contentSlice(p)
+	root := home < 0
+	if root {
+		home = c.node.Index % len(f.shards)
+	}
+	filesOnly := f.cfg.Placement == PlaceHashDir
 	var ents []fs.DirEntry
+	var attrs []fs.Attr
 	var err error
-	cerr := c.call("readdir", p, slice, 130, 260, func(sp *sim.Proc, state, srv *shardSrv) {
+	cerr := c.call(op, p, home, reqBytes, respBytes, func(sp *sim.Proc, state, srv *shardSrv) {
+		var peers []int
+		switch {
+		case root:
+			peers = make([]int, 0, len(f.shards)-1)
+			for i := range f.shards {
+				if i != home {
+					peers = append(peers, i)
+				}
+			}
+		case f.splitLevel(p) > 0:
+			peers = f.splitSlices(p)[1:]
+		}
 		ents, err = state.ns.ReadDir(p, sp.Now())
 		if err != nil {
 			f.serviceOp(sp, srv, readdirService, -1, scanInfo())
 			return
 		}
-		f.serviceOp(sp, srv, readdirCost(len(ents)), -1, scanInfo())
+		f.serviceOp(sp, srv, cost(len(ents)), -1, scanInfo())
+		if plus {
+			attrs = c.plusAttrs(sp, state, p, ents, make([]fs.Attr, 0, len(ents)))
+		}
+		for _, s := range peers {
+			if !f.visit(sp, srv, s, func(q *sim.Proc, peer *shardSrv) {
+				more, merr := f.shards[s].ns.ReadDir(p, q.Now())
+				if merr != nil {
+					return
+				}
+				f.chargeOp(q, peer, cost(len(more)), -1, scanInfo())
+				if filesOnly {
+					more = filesOf(more)
+				}
+				ents = append(ents, more...)
+				if plus {
+					attrs = c.plusAttrs(q, f.shards[s], p, more, attrs)
+				}
+			}) {
+				addI64(&f.PartialListings, 1)
+			}
+		}
 	})
 	if cerr != nil {
-		return nil, cerr
+		return nil, nil, cerr
 	}
-	return ents, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return ents, attrs, nil
 }
 
 // DropCaches clears the node's name, lease and split-bitmap caches.

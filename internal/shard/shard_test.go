@@ -502,3 +502,44 @@ func TestRmdirOfFileENOTDIR(t *testing.T) {
 		})
 	}
 }
+
+// TestDirRenameAnswersPathErrorsBeforeEXDEV pins the shard model's
+// directory-rename rule under hash placement: once the source directory
+// is found, a rename onto its own name is a no-op, a move into its own
+// subtree and a rename of or onto the root answer EINVAL as POSIX does,
+// and only what remains — including a target whose state POSIX would
+// consult — answers the model's EXDEV.
+func TestDirRenameAnswersPathErrorsBeforeEXDEV(t *testing.T) {
+	k, cl, f := env(t, 1, DefaultConfig(4))
+	drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
+		for _, d := range []string{"/a", "/b", "/b/c"} {
+			if err := c.Mkdir(d); err != nil {
+				t.Fatalf("mkdir %s: %v", d, err)
+			}
+		}
+		for _, tc := range []struct {
+			from, to string
+			want     fs.Errno
+		}{
+			{"/a", "/a", fs.OK},
+			{"/b/c", "/b/c", fs.OK},
+			{"/b", "/b/c/x", fs.EINVAL},
+			{"/", "/a/x", fs.EINVAL},
+			{"/a", "/", fs.EINVAL},
+			{"/a", "/z", fs.EXDEV},
+			{"/a", "/b", fs.EXDEV},
+		} {
+			if got := fs.CodeOf(c.Rename(tc.from, tc.to)); got != tc.want {
+				t.Errorf("rename(%s, %s) = %v, want %v", tc.from, tc.to, got, tc.want)
+			}
+		}
+		// Nothing moved on any replica.
+		for i := 0; i < f.NumShards(); i++ {
+			for _, d := range []string{"/a", "/b", "/b/c"} {
+				if a, err := f.Namespace(i).Stat(d); err != nil || a.Type != fs.TypeDirectory {
+					t.Errorf("shard %d: stat %s = %+v, %v after the renames", i, d, a, err)
+				}
+			}
+		}
+	})
+}

@@ -34,8 +34,9 @@ package shard
 // bitmap rides the directory's lease (revoked by the split itself,
 // epoch-checked across failovers); under the TTL and uncached modes it
 // lives for Config.SplitBitmapTTL. ReadDir and ReadDirPlus of a split
-// directory fan out across the partition slices and merge, with down
-// peers skipped and surfaced in FS.PartialListings.
+// directory fan out across the partition slices and merge (the listing
+// fan-out, shard.go), with down peers skipped and surfaced in
+// FS.PartialListings.
 
 import (
 	"time"
@@ -239,40 +240,31 @@ func (f *FS) splitApply(dir string, ds *dirSplit, mutator *nodeState, now time.D
 }
 
 // splitPay is phase 2 — paid: the triggering server coordinates. Per
-// pair it pays the read-and-pack cost locally and one interconnect hop
-// delivering the batch (unpack, insert, journal log) to the
-// destination; per revoked lease one callback round trip, fanned out
-// in parallel like revokePath. Down destinations got the state
-// logically and recovery replay prices their catch-up.
+// pair the source slice's server pays the read-and-pack cost and
+// delivers the batch (unpack, insert, journal log) to the destination
+// slice by the visit rule: one interconnect hop, or local work when a
+// failover co-located both slices on one server. Per revoked lease it
+// pays one callback round trip, fanned out in parallel like revokePath.
+// Down destinations got the state logically and recovery replay prices
+// their catch-up.
 func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) {
 	for _, b := range batches {
 		cost := time.Duration(b.moved) * splitMovePerEntry
 		logBytes := int64(b.moved) * metaLogBytes
 		srcSrv := f.srvFor(b.src)
-		dstSrv := f.srvFor(b.dst)
-		f.chargeOp(sp, srcSrv, cost, -1, scanInfo())
 		// The destination side is a bulk ingest into the backend: the
 		// backend's move factor scales it (cheap append on an LSM store,
 		// random inserts on a B-tree), computed from the unscaled cost so
 		// the default backend stays byte-identical.
 		dstCost := cost
-		if mf := dstSrv.be.moveFactor(); mf != 1 {
+		if mf := f.srvFor(b.dst).be.moveFactor(); mf != 1 {
 			dstCost = time.Duration(float64(cost) * mf)
 		}
-		switch {
-		case dstSrv.up && dstSrv != srcSrv:
-			dst := dstSrv
-			f.hop(sp, dst, func(q *sim.Proc) {
-				f.charge(q, dst, dstCost, -1)
-				dst.be.log(q, logBytes)
-			})
-		case dstSrv.up:
-			// A failover co-located both slices on one server: the
-			// destination work is local, no interconnect hop — the same
-			// rule as splitFanout's peer==srv branch.
-			f.charge(sp, dstSrv, dstCost, -1)
-			dstSrv.be.log(sp, logBytes)
-		}
+		f.chargeOp(sp, srcSrv, cost, -1, scanInfo())
+		f.visit(sp, srcSrv, b.dst, func(q *sim.Proc, dst *shardSrv) {
+			f.charge(q, dst, dstCost, -1)
+			dst.be.log(q, logBytes)
+		})
 	}
 	if len(victims) > 0 {
 		addI64(&f.Revocations, int64(len(victims)))
@@ -441,129 +433,17 @@ func (f *FS) SplitBitmapStats() (hits, misses, epochDrops int64) {
 	return hits, misses, epochDrops
 }
 
-// mergeFiles appends the non-directory entries of more to ents:
-// directory entries are replicated on every slice and were already
-// listed by the home partition.
-func mergeFiles(ents, more []fs.DirEntry) []fs.DirEntry {
-	for _, e := range more {
+// filesOf filters list in place down to its non-directory entries: a
+// split directory's peer slices hold replicas of its subdirectories,
+// which the home partition already listed.
+func filesOf(list []fs.DirEntry) []fs.DirEntry {
+	out := list[:0]
+	for _, e := range list {
 		if e.Type != fs.TypeDirectory {
-			ents = append(ents, e)
+			out = append(out, e)
 		}
 	}
-	return ents
-}
-
-// splitFanout is the shared listing engine of a split directory: the
-// home partition's slice serves first (its listing includes every
-// replicated subdirectory), then the serving server visits each other
-// partition slice — locally when a failover co-located it, else over
-// the interconnect — and merges. Per slice it charges cost(n) and hands
-// the entries to merge with filesOnly=true for peers (their directory
-// entries are replicas the home already listed). Down peers are skipped
-// and surfaced in FS.PartialListings, like the subtree root merge.
-func (c *client) splitFanout(op, p string, reqBytes, respBytes int64,
-	cost func(n int) time.Duration,
-	merge func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool)) error {
-	f := c.fsys
-	c.node.Syscall(c.p)
-	var err error
-	// The home slice (partition 0) is level-independent, so it can be
-	// addressed up front; the partition list is computed at service
-	// time, so a split that doubles the level while this request sits
-	// in a queue cannot hide the just-moved entries from the merge.
-	cerr := c.call(op, p, f.contentSlice(p), reqBytes, respBytes, func(sp *sim.Proc, home, srv *shardSrv) {
-		slices := f.splitSlices(p)
-		var list []fs.DirEntry
-		list, err = home.ns.ReadDir(p, sp.Now())
-		if err != nil {
-			f.serviceOp(sp, srv, readdirService, -1, scanInfo())
-			return
-		}
-		f.serviceOp(sp, srv, cost(len(list)), -1, scanInfo())
-		merge(sp, home, list, false)
-		for _, s := range slices[1:] {
-			peer := f.srvFor(s)
-			state := f.shards[s]
-			if peer == srv {
-				// A failover made this server serve the peer slice too:
-				// merge locally, no interconnect hop.
-				more, merr := state.ns.ReadDir(p, sp.Now())
-				if merr == nil {
-					f.chargeOp(sp, srv, cost(len(more)), -1, scanInfo())
-					merge(sp, state, more, true)
-				}
-				continue
-			}
-			if !peer.up {
-				addI64(&f.PartialListings, 1)
-				continue
-			}
-			f.hop(sp, peer, func(q *sim.Proc) {
-				more, merr := state.ns.ReadDir(p, q.Now())
-				if merr != nil {
-					return
-				}
-				f.chargeOp(q, peer, cost(len(more)), -1, scanInfo())
-				merge(q, state, more, true)
-			})
-		}
-	})
-	if cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// splitReadDir lists a split directory through the fan-out — the cost
-// E27 prices.
-func (c *client) splitReadDir(p string) ([]fs.DirEntry, error) {
-	var ents []fs.DirEntry
-	err := c.splitFanout("readdir", p, 130, 260,
-		readdirCost,
-		func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool) {
-			if filesOnly {
-				ents = mergeFiles(ents, list)
-			} else {
-				ents = append(ents, list...)
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-	return ents, nil
-}
-
-// splitReadDirPlus is the batched-lookup fan-out over a split
-// directory: every partition slice returns its entries with attributes
-// for readdirPlusPerEntry each, and the merged reply fills the client's
-// caches (a bulk lease grant under CacheLease, keyed per entry to its
-// owning slice).
-func (c *client) splitReadDirPlus(p string) ([]fs.DirEntry, []fs.Attr, error) {
-	var ents []fs.DirEntry
-	var attrs []fs.Attr
-	err := c.splitFanout("readdirplus", p, 140, 320,
-		func(n int) time.Duration {
-			return readdirCost(n) + time.Duration(n)*readdirPlusPerEntry
-		},
-		func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool) {
-			for _, e := range list {
-				if filesOnly && e.Type == fs.TypeDirectory {
-					continue
-				}
-				node := state.ns.Get(e.Ino)
-				if node == nil {
-					continue
-				}
-				a := node.Attr()
-				ents = append(ents, e)
-				attrs = append(attrs, a)
-				c.fillEntry(q, childPath(p, e.Name), a)
-			}
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ents, attrs, nil
+	return out
 }
 
 // hasFileEntries reports whether dir's replica in ns still holds any

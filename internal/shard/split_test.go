@@ -853,3 +853,168 @@ func TestSplitKeepsSideTables(t *testing.T) {
 		}
 	}
 }
+
+// TestColocatedSlicesStayLocal pins the visit rule every cross-shard
+// step of a coordinating server follows: a slice that a failover moved
+// onto the coordinator is served there, charged but without an
+// interconnect hop, and a down slice is skipped, which a listing counts
+// in PartialListings. It covers the subtree-root listing, a split
+// directory's listing and rmdir probes, and a split migration between
+// co-located slices.
+func TestColocatedSlicesStayLocal(t *testing.T) {
+	t.Run("subtree-root", func(t *testing.T) {
+		cfg := DefaultConfig(4)
+		cfg.Placement = PlaceSubtree
+		cfg.Replicate = true
+		cfg.SubtreeAssign = map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
+		k, cl, f := env(t, 1, cfg)
+		drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
+			for _, d := range []string{"/a", "/b", "/c", "/d"} {
+				if err := c.Mkdir(d); err != nil {
+					t.Fatalf("mkdir %s: %v", d, err)
+				}
+			}
+			// Node 0 lists the root from slice 0; shard 3's backup is
+			// shard 0, so after the takeover slice 3 is co-located there.
+			f.Crash(p, 3)
+			p.Sleep(time.Second)
+			if f.ServingShard(3) != 0 {
+				t.Fatalf("slice 3 served by %d, want 0", f.ServingShard(3))
+			}
+			before := f.CrossCount
+			ents, err := c.ReadDir("/")
+			if err != nil || len(ents) != 4 {
+				t.Fatalf("readdir / = %d entries, %v; want 4", len(ents), err)
+			}
+			if d := f.CrossCount - before; d != 2 {
+				t.Errorf("root listing crossed %d times, want 2 (slices 1 and 2 only)", d)
+			}
+			// Slice 1 goes down (its takeover is still pending): skipped.
+			f.Crash(p, 1)
+			before = f.CrossCount
+			ents, err = c.ReadDir("/")
+			if err != nil || len(ents) != 3 {
+				t.Fatalf("readdir / with slice 1 down = %d entries, %v; want 3", len(ents), err)
+			}
+			if d := f.CrossCount - before; d != 1 {
+				t.Errorf("degraded root listing crossed %d times, want 1", d)
+			}
+			if f.PartialListings != 1 {
+				t.Errorf("PartialListings = %d, want 1", f.PartialListings)
+			}
+		})
+	})
+	t.Run("split", func(t *testing.T) {
+		cfg := splitCfg(64)
+		cfg.Replicate = true
+		k, cl, f := env(t, 1, cfg)
+		drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
+			if err := c.Mkdir("/big"); err != nil {
+				t.Fatalf("mkdir: %v", err)
+			}
+			// The home slice's primary crashes: its backup serves the
+			// home slice and partition 1's slice from then on.
+			h := f.ShardOfDir("/big")
+			next := (h + 1) % f.NumShards()
+			f.Crash(p, h)
+			p.Sleep(time.Second)
+			if f.ServingShard(h) != next {
+				t.Fatalf("slice %d served by %d, want %d", h, f.ServingShard(h), next)
+			}
+			before := f.CrossCount
+			files := 0
+			create := func(level int) {
+				for len(f.Splits) < level {
+					if err := c.Create(fmt.Sprintf("/big/f%d", files)); err != nil {
+						t.Fatalf("create: %v", err)
+					}
+					files++
+				}
+			}
+			// The first split moves entries from slice h to slice h+1,
+			// both served by one server.
+			create(1)
+			if f.Splits[0].Moved == 0 {
+				t.Fatal("the first split moved nothing")
+			}
+			if d := f.CrossCount - before; d != 0 {
+				t.Errorf("a co-located split migration crossed %d times, want 0", d)
+			}
+			create(2)
+			// The listing reads partition 1's slice locally and hops to
+			// the other two.
+			before = f.CrossCount
+			ents, err := c.ReadDir("/big")
+			if err != nil || len(ents) != files {
+				t.Fatalf("readdir = %d entries, %v; want %d", len(ents), err, files)
+			}
+			if d := f.CrossCount - before; d != 2 {
+				t.Errorf("split listing crossed %d times, want 2", d)
+			}
+			// Rmdir probes partition 1's slice first, finds its files
+			// and pays that one probe locally.
+			before = f.CrossCount
+			if err := c.Rmdir("/big"); fs.CodeOf(err) != fs.ENOTEMPTY {
+				t.Fatalf("rmdir of a populated split dir: %v, want ENOTEMPTY", err)
+			}
+			if d := f.CrossCount - before; d != 0 {
+				t.Errorf("a co-located rmdir probe crossed %d times, want 0", d)
+			}
+			// Partition 2's slice goes down: the listing skips it.
+			f.Crash(p, (h+2)%f.NumShards())
+			before = f.CrossCount
+			ents, err = c.ReadDir("/big")
+			if err != nil || len(ents) >= files {
+				t.Fatalf("readdir with a down partition = %d entries, %v; want fewer than %d", len(ents), err, files)
+			}
+			if d := f.CrossCount - before; d != 1 {
+				t.Errorf("degraded split listing crossed %d times, want 1", d)
+			}
+			if f.PartialListings != 1 {
+				t.Errorf("PartialListings = %d, want 1", f.PartialListings)
+			}
+		})
+	})
+}
+
+// TestSplitReadDirPlusMatchesReadDirAndStat checks that the batched
+// listing of a split directory answers what ReadDir plus one Stat per
+// entry answer, each from a node with cold caches.
+func TestSplitReadDirPlusMatchesReadDirAndStat(t *testing.T) {
+	k, cl, f := env(t, 3, splitCfg(64))
+	k.Spawn("test", func(p *sim.Proc) {
+		w := f.NewClient(cl.Nodes[0], p)
+		if err := w.Mkdir("/big"); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		for i := 0; i < 300; i++ {
+			if err := w.Create(fmt.Sprintf("/big/f%d", i)); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+		}
+		if f.SplitLevel("/big") < 2 {
+			t.Fatalf("split level %d, want at least 2", f.SplitLevel("/big"))
+		}
+		ents, attrs, err := fs.ReadDirPlus(f.NewClient(cl.Nodes[1], p), "/big")
+		if err != nil {
+			t.Fatalf("readdirplus: %v", err)
+		}
+		want, wantAttrs, err := fs.StatEntries(f.NewClient(cl.Nodes[2], p), "/big")
+		if err != nil {
+			t.Fatalf("readdir and stat: %v", err)
+		}
+		if len(ents) != 300 || len(ents) != len(want) || len(attrs) != len(wantAttrs) {
+			t.Fatalf("readdirplus %d/%d entries, readdir and stat %d/%d, want 300",
+				len(ents), len(attrs), len(want), len(wantAttrs))
+		}
+		for i := range ents {
+			if ents[i] != want[i] || attrs[i] != wantAttrs[i] {
+				t.Fatalf("entry %d: readdirplus %+v %+v, readdir and stat %+v %+v",
+					i, ents[i], attrs[i], want[i], wantAttrs[i])
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
