@@ -69,9 +69,14 @@ type volume struct {
 	server int
 	ns     *namespace.Namespace
 	locks  *sim.Locks
-	// version increments on every modification of a path, breaking
-	// callbacks held by client caches.
+	// version increments on every modification of a path, and of a
+	// directory whose entries change, breaking callbacks held by
+	// client caches.
 	version map[string]int64
+	// moves increments on every rename of a directory, breaking every
+	// callback in the volume: the paths under the old and the new name
+	// have no version of their own that the rename could bump.
+	moves int64
 }
 
 // nodeCache is the persistent AFS client cache of one node.
@@ -81,9 +86,11 @@ type nodeCache struct {
 	miss  int64
 }
 
+// cachedAttr is a cached status with the path's version and the
+// volume's move count when it was fetched; it is valid while both hold.
 type cachedAttr struct {
-	attr    fs.Attr
-	version int64
+	attr           fs.Attr
+	version, moves int64
 }
 
 // New creates an AFS cell with the given number of file servers.
@@ -162,12 +169,18 @@ func (f *FS) cache(n *cluster.Node) *nodeCache {
 	return nc
 }
 
-// bump invalidates client callbacks on a path after modification.
-func (v *volume) bump(sp *sim.Proc, cost time.Duration, paths ...string) {
+// bump invalidates client callbacks on paths after a modification.
+func (v *volume) bump(paths ...string) {
 	for _, p := range paths {
 		v.version[p]++
 	}
-	sp.Sleep(cost)
+}
+
+// breakCallbacks bumps paths and charges the server for breaking the
+// callbacks.
+func (v *volume) breakCallbacks(sp *sim.Proc, paths ...string) {
+	v.bump(paths...)
+	sp.Sleep(callbackBreakCost)
 }
 
 // NewClient binds a client for one process on one node.
@@ -220,7 +233,7 @@ func (c *client) Create(p string) error {
 		if _, e := v.ns.Create(sub, 0o644, sp.Now()); e != nil {
 			return e
 		}
-		v.bump(sp, callbackBreakCost, sub)
+		v.breakCallbacks(sp, sub, fs.ParentDir(sub))
 		return nil
 	})
 	if err != nil {
@@ -228,7 +241,7 @@ func (c *client) Create(p string) error {
 	}
 	v, sub, _ := c.fsys.resolve("create", p)
 	if a, e := v.ns.Stat(sub); e == nil {
-		c.fsys.cache(c.node).attrs[p] = cachedAttr{attr: a, version: v.version[sub]}
+		c.fsys.cache(c.node).attrs[p] = cachedAttr{attr: a, version: v.version[sub], moves: v.moves}
 	}
 	return nil
 }
@@ -259,7 +272,7 @@ func (c *client) Close(h fs.Handle) error {
 		if serr := v.ns.SetSize(node.Ino, node.Size+of.Written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
 			return serr
 		}
-		v.bump(sp, callbackBreakCost, sub)
+		v.breakCallbacks(sp, sub)
 		return nil
 	})
 }
@@ -267,11 +280,7 @@ func (c *client) Close(h fs.Handle) error {
 // Write buffers into the local AFS cache until close.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("write", h)
-	if err == nil {
-		of.Add(n)
-	}
-	return err
+	return fs.WriteBuffered(&c.files, h, n)
 }
 
 // Fsync stores dirty data like close but keeps the handle; the stored
@@ -292,23 +301,32 @@ func (c *client) Fsync(h fs.Handle) error {
 		if serr := v.ns.SetSize(node.Ino, node.Size+written, sp.Now()); fs.CodeOf(serr) == fs.EISDIR {
 			return serr
 		}
-		v.bump(sp, callbackBreakCost, sub)
+		v.breakCallbacks(sp, sub)
 		return nil
 	})
 }
 
-// Mkdir creates a directory on the volume server.
+// Mkdir creates a directory on the volume server. It breaks the
+// callbacks on the name and its parent at no charge.
 func (c *client) Mkdir(p string) error {
 	return c.modify("mkdir", p, mkdirService, func(sp *sim.Proc, v *volume, sub string) error {
 		_, e := v.ns.Mkdir(sub, 0o755, sp.Now())
+		if e == nil {
+			v.bump(sub, fs.ParentDir(sub))
+		}
 		return e
 	})
 }
 
-// Rmdir removes a directory.
+// Rmdir removes a directory. It breaks the callbacks on the name and
+// its parent at no charge.
 func (c *client) Rmdir(p string) error {
 	return c.modify("rmdir", p, removeService, func(sp *sim.Proc, v *volume, sub string) error {
-		return v.ns.Rmdir(sub, sp.Now())
+		e := v.ns.Rmdir(sub, sp.Now())
+		if e == nil {
+			v.bump(sub, fs.ParentDir(sub))
+		}
+		return e
 	})
 }
 
@@ -318,7 +336,7 @@ func (c *client) Unlink(p string) error {
 		if e := v.ns.Unlink(sub, sp.Now()); e != nil {
 			return e
 		}
-		v.bump(sp, callbackBreakCost, sub)
+		v.breakCallbacks(sp, sub, fs.ParentDir(sub))
 		return nil
 	})
 	if err == nil {
@@ -346,7 +364,10 @@ func (c *client) Rename(oldPath, newPath string) error {
 		if e := v.ns.Rename(subOld, subNew, sp.Now()); e != nil {
 			return e
 		}
-		v.bump(sp, callbackBreakCost, subOld, subNew)
+		if moved, err := v.ns.Lookup(subNew); err == nil && moved.Type == fs.TypeDirectory {
+			v.moves++
+		}
+		v.breakCallbacks(sp, subOld, subNew, fs.ParentDir(subOld), fs.ParentDir(subNew))
 		return nil
 	})
 }
@@ -361,7 +382,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 		return fs.Attr{}, err
 	}
 	nc := f.cache(c.node)
-	if e, ok := nc.attrs[p]; ok && e.version == v.version[sub] {
+	if e, ok := nc.attrs[p]; ok && e.version == v.version[sub] && e.moves == v.moves {
 		nc.hits++
 		return e.attr, nil
 	}
@@ -375,7 +396,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if err != nil {
 		return fs.Attr{}, err
 	}
-	nc.attrs[p] = cachedAttr{attr: a, version: v.version[sub]}
+	nc.attrs[p] = cachedAttr{attr: a, version: v.version[sub], moves: v.moves}
 	return a, nil
 }
 

@@ -114,6 +114,31 @@ func TestCallbackBreakOnRemoteModification(t *testing.T) {
 		if attr.Size != 1000 {
 			t.Errorf("node B sees stale size %d after callback break", attr.Size)
 		}
+		// A create, an unlink or a mkdir in a directory breaks the
+		// callback on the directory's own status too.
+		for _, change := range []func() error{
+			func() error { return a.Create("/home/g") },
+			func() error { return a.Unlink("/home/g") },
+			func() error { return a.Mkdir("/home/d") },
+		} {
+			before, _ := b.Stat("/home")
+			if err := change(); err != nil {
+				t.Fatal(err)
+			}
+			if after, _ := b.Stat("/home"); after.Mtime == before.Mtime {
+				t.Errorf("node B sees the directory's stale mtime %v after a change in it", after.Mtime)
+			}
+		}
+		// A directory rename breaks the callbacks under the moved name,
+		// which have no version of their own.
+		a.Create("/home/d/x")
+		b.Stat("/home/d/x")
+		if err := a.Rename("/home/d", "/home/e"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Stat("/home/d/x"); fs.CodeOf(err) != fs.ENOENT {
+			t.Errorf("stat of a name under a moved directory: %v, want ENOENT", err)
+		}
 	})
 }
 

@@ -6,42 +6,52 @@ import (
 	"dmetabench/internal/fs"
 )
 
-// NameCache is a timeout cache that keeps one entry per path holding
-// both the dentry (positive or negative) and the attributes, as a Linux
-// dentry points at the inode that carries NFS's cached attributes. Each
-// half has its own TTL and fetch time, and either half can be refreshed
-// or dropped alone, so the cache answers what a dentry cache and an
-// AttrCache used side by side answer — but a reply fill, an
-// invalidation or a stat hit looks its path up once, not in two maps.
+// NameCache is a client node's one metadata cache: one entry per path
+// holding up to three halves, the dentry (positive or negative), the
+// TTL attributes and the lease (lease.go), as a Linux dentry points at
+// the inode that carries NFS's cached attributes or a callback-held
+// status. Each half has its own lifetime and fetch time, and any half
+// can be refreshed or dropped alone, so the cache answers what a dentry
+// cache, an attribute cache and a lease cache used side by side answer
+// — but a reply fill, an invalidation or a stat hit looks its path up
+// once, not in three maps.
 //
 // The dentry halves live in the slot store's pages, 24 bytes each. The
-// attribute halves live in pages of their own, parallel to those and
-// addressed by the same slot numbers, and each such page is allocated
-// when the first attribute lands in it. A cache filled only with
-// dentries allocates no attribute page at all.
+// attribute and lease halves live in pages of their own, parallel to
+// those and addressed by the same slot numbers, and each such page is
+// allocated when the first half of its kind lands in it. A cache filled
+// only with dentries allocates no attribute or lease page at all.
 type NameCache struct {
 	attrTTL   time.Duration
 	dentryTTL time.Duration
 	now       func() time.Duration
-	entries   slots[nameEntry]
-	// attrPages[p][off] is the attribute half of the slot whose dentry
-	// half is entries.pages[p][off]; a page is nil until an attribute
-	// lands in it.
-	attrPages [][]attrHalf
+	// epochOf reports a granting authority's current epoch for the
+	// lease half and for a SplitMap built on the cache; nil trusts
+	// grants across failovers.
+	epochOf func(authority int) uint64
+	entries slots
+	// attrPages[p][off] and leasePages[p][off] are the attribute and
+	// lease halves of the slot whose dentry half is
+	// entries.pages[p][off]; a page is nil until a half lands in it.
+	attrPages  [][]attrHalf
+	leasePages [][]leaseHalf
 
-	// attrs and dentries count the paths holding each half; hits and
-	// misses count Attr answers.
-	attrs, dentries int
-	hits, misses    int64
+	// attrs, dentries and leases count the paths holding each half.
+	attrs, dentries, leases int
+	// hits and misses count Attr and Lease answers; revoked counts
+	// revocations of a held lease and epochDrops the leases dropped
+	// because their authority's epoch moved on.
+	hits, misses, revoked, epochDrops int64
 }
 
-// nameEntry is one path's dentry half plus the flags of both halves; a
-// half is present when its has flag is set.
+// nameEntry is one path's dentry half plus the flags of all three
+// halves; a half is present when its has flag is set.
 type nameEntry struct {
 	ino       fs.Ino
 	dentryAt  time.Duration
 	hasAttr   bool
 	hasDentry bool
+	hasLease  bool
 	negative  bool
 	// dir reports that a positive dentry names a directory.
 	dir bool
@@ -53,13 +63,29 @@ type attrHalf struct {
 	at   time.Duration
 }
 
-// NewNameCache returns an empty cache using now as its clock.
-func NewNameCache(attrTTL, dentryTTL time.Duration, now func() time.Duration) *NameCache {
-	return &NameCache{attrTTL: attrTTL, dentryTTL: dentryTTL, now: now}
+// NewNameCache returns an empty cache using now as its clock. epochOf
+// reports the current epoch of a granting authority; nil disables
+// epoch checks (leases and split levels survive failovers until they
+// expire or are revoked).
+func NewNameCache(attrTTL, dentryTTL time.Duration, now func() time.Duration, epochOf func(authority int) uint64) *NameCache {
+	return &NameCache{attrTTL: attrTTL, dentryTTL: dentryTTL, now: now, epochOf: epochOf}
+}
+
+// halfAt returns slot i's element of a half's parallel pages,
+// allocating its page when this is the first half in it.
+func halfAt[H any](pages *[][]H, i int32) *H {
+	p, off := pageOf(i)
+	for int(p) >= len(*pages) {
+		*pages = append(*pages, nil)
+	}
+	if (*pages)[p] == nil {
+		(*pages)[p] = make([]H, pageSize(p))
+	}
+	return &(*pages)[p][off]
 }
 
 // Attr returns path's cached attributes if fresh, counting a hit or a
-// miss like AttrCache.Get.
+// miss.
 func (c *NameCache) Attr(path string) (fs.Attr, bool) {
 	if i, e := c.entries.lookup(path); e != nil && e.hasAttr {
 		p, off := pageOf(i)
@@ -102,8 +128,8 @@ func (c *NameCache) freshDentry(path string) *nameEntry {
 	return e
 }
 
-// Put records that path resolves to a.Ino and caches a: both halves
-// become fresh.
+// Put records that path resolves to a.Ino and caches a: both the
+// dentry and the attribute half become fresh.
 func (c *NameCache) Put(path string, a fs.Attr) {
 	now := c.now()
 	i, e := c.entries.put(path)
@@ -111,42 +137,34 @@ func (c *NameCache) Put(path string, a fs.Attr) {
 	c.setDentry(e, a.Ino, false, a.Type == fs.TypeDirectory, now)
 }
 
-// PutAttr caches a as path's attributes and leaves the dentry half as
-// it is.
+// PutAttr caches a as path's attributes and leaves the other halves as
+// they are.
 func (c *NameCache) PutAttr(path string, a fs.Attr) {
 	i, e := c.entries.put(path)
 	c.setAttr(i, e, a, c.now())
 }
 
 // PutDentry records that path resolves to ino, a directory if dir, and
-// leaves the attribute half as it is.
+// leaves the other halves as they are.
 func (c *NameCache) PutDentry(path string, ino fs.Ino, dir bool) {
 	_, e := c.entries.put(path)
 	c.setDentry(e, ino, false, dir, c.now())
 }
 
-// PutNegative records that path does not exist and leaves the attribute
-// half as it is.
+// PutNegative records that path does not exist and leaves the other
+// halves as they are.
 func (c *NameCache) PutNegative(path string) {
 	_, e := c.entries.put(path)
 	c.setDentry(e, 0, true, false, c.now())
 }
 
-// setAttr makes slot i's attribute half a, fetched at now, allocating
-// the slot's attribute page when this is the first attribute in it.
+// setAttr makes slot i's attribute half a, fetched at now.
 func (c *NameCache) setAttr(i int32, e *nameEntry, a fs.Attr, now time.Duration) {
 	if !e.hasAttr {
 		e.hasAttr = true
 		c.attrs++
 	}
-	p, off := pageOf(i)
-	for int(p) >= len(c.attrPages) {
-		c.attrPages = append(c.attrPages, nil)
-	}
-	if c.attrPages[p] == nil {
-		c.attrPages[p] = make([]attrHalf, pageSize(p))
-	}
-	c.attrPages[p][off] = attrHalf{attr: a, at: now}
+	*halfAt(&c.attrPages, i) = attrHalf{attr: a, at: now}
 }
 
 // setDentry makes e's dentry half fresh at now.
@@ -157,7 +175,7 @@ func (c *NameCache) setDentry(e *nameEntry, ino fs.Ino, negative, dir bool, now 
 	e.ino, e.dentryAt, e.hasDentry, e.negative, e.dir = ino, now, true, negative, dir
 }
 
-// Invalidate drops both halves of path's entry.
+// Invalidate drops every half of path's entry.
 func (c *NameCache) Invalidate(path string) {
 	e := c.entries.drop(path)
 	if e == nil {
@@ -169,32 +187,42 @@ func (c *NameCache) Invalidate(path string) {
 	if e.hasDentry {
 		c.dentries--
 	}
-}
-
-// InvalidateDentry drops path's dentry and keeps its attributes.
-func (c *NameCache) InvalidateDentry(path string) {
-	switch e := c.entries.get(path); {
-	case e == nil:
-	case e.hasAttr:
-		if e.hasDentry {
-			c.dentries--
-		}
-		e.hasDentry, e.negative, e.dir, e.ino = false, false, false, 0
-	default:
-		c.Invalidate(path)
+	if e.hasLease {
+		c.leases--
 	}
 }
 
-// Clear drops every entry and resets the attribute hit/miss statistics,
-// as AttrCache.Clear does.
-func (c *NameCache) Clear() {
-	c.entries.reset()
-	c.attrs, c.dentries = 0, 0
-	c.hits, c.misses = 0, 0
+// InvalidateDentry drops path's dentry and keeps its other halves.
+func (c *NameCache) InvalidateDentry(path string) {
+	if e := c.entries.get(path); e != nil && e.hasDentry {
+		c.dentries--
+		e.hasDentry = false
+		c.release(path, e)
+	}
 }
 
-// Stats returns cumulative attribute hits and misses.
-func (c *NameCache) Stats() (hits, misses int64) { return c.hits, c.misses }
+// release frees path's slot once e, its entry, holds no half.
+func (c *NameCache) release(path string, e *nameEntry) {
+	if !e.hasAttr && !e.hasDentry && !e.hasLease {
+		c.entries.drop(path)
+	}
+}
+
+// Clear drops every entry and resets the statistics (drop_caches before
+// a fresh measurement, §3.4.3: a cleared cache's counters must describe
+// only the run that follows).
+func (c *NameCache) Clear() {
+	c.entries.reset()
+	c.attrs, c.dentries, c.leases = 0, 0, 0
+	c.hits, c.misses, c.revoked, c.epochDrops = 0, 0, 0, 0
+}
+
+// Stats returns the cumulative hits and misses of Attr and Lease, the
+// server revocations that dropped a held lease, and the leases dropped
+// by epoch moves (crash-time bulk invalidation).
+func (c *NameCache) Stats() (hits, misses, revoked, epochDrops int64) {
+	return c.hits, c.misses, c.revoked, c.epochDrops
+}
 
 // AttrLen returns the number of paths holding attributes (fresh or
 // stale).
@@ -203,3 +231,7 @@ func (c *NameCache) AttrLen() int { return c.attrs }
 // DentryLen returns the number of paths holding a dentry, positive or
 // negative (fresh or stale).
 func (c *NameCache) DentryLen() int { return c.dentries }
+
+// LeaseLen returns the number of paths holding a lease (live or
+// lapsed).
+func (c *NameCache) LeaseLen() int { return c.leases }

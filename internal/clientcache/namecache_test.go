@@ -49,8 +49,8 @@ func (c *dentryCache) invalidate(path string) { delete(c.entries, path) }
 
 func (c *dentryCache) clear() { c.entries = make(map[string]dentry) }
 
-// TestNameCacheMatchesPair drives a NameCache and an unbounded
-// AttrCache+dentry-cache pair through the same random sequence of
+// TestNameCacheMatchesPair drives a NameCache and a map-backed
+// attribute-cache+dentry-cache pair through the same random sequence of
 // fills, dentry-only puts, invalidations, clears and clock steps that
 // cross both TTLs, and requires every read of every path, the attribute
 // Stats and the count of each half to agree after every step.
@@ -58,8 +58,8 @@ func TestNameCacheMatchesPair(t *testing.T) {
 	const attrTTL, dentryTTL = 3 * time.Second, 30 * time.Second
 	var now time.Duration
 	clock := func() time.Duration { return now }
-	names := NewNameCache(attrTTL, dentryTTL, clock)
-	attrs := NewAttrCache(attrTTL, clock)
+	names := NewNameCache(attrTTL, dentryTTL, clock, nil)
+	attrs := newRefAttrs(attrTTL, clock)
 	dentries := newDentryCache(dentryTTL, clock)
 	paths := []string{"/a", "/a/b", "/c", "/d"}
 	rng := rand.New(rand.NewSource(1))
@@ -81,7 +81,7 @@ func TestNameCacheMatchesPair(t *testing.T) {
 			dentries.putNegative(p)
 		case 3:
 			names.Invalidate(p)
-			attrs.Invalidate(p)
+			delete(attrs.m, p)
 			dentries.invalidate(p)
 		case 4:
 			names.InvalidateDentry(p)
@@ -98,7 +98,7 @@ func TestNameCacheMatchesPair(t *testing.T) {
 		case 7:
 			if rng.Intn(20) == 0 {
 				names.Clear()
-				attrs.Clear()
+				*attrs = *newRefAttrs(attrTTL, clock)
 				dentries.clear()
 			}
 		case 8:
@@ -129,12 +129,11 @@ func TestNameCacheMatchesPair(t *testing.T) {
 					i, q, gdir, gneg, gok, w.dir, w.negative, wok)
 			}
 		}
-		gh, gm := names.Stats()
-		wh, wm := attrs.Stats()
-		if gh != wh || gm != wm {
+		gh, gm, _, _ := names.Stats()
+		if wh, wm := attrs.hits, attrs.misses; gh != wh || gm != wm {
 			t.Fatalf("step %d: Stats = %d/%d; pair gives %d/%d", i, gh, gm, wh, wm)
 		}
-		if g, w := names.AttrLen(), attrs.Len(); g != w {
+		if g, w := names.AttrLen(), len(attrs.m); g != w {
 			t.Fatalf("step %d: AttrLen = %d; pair holds %d", i, g, w)
 		}
 		if g, w := names.DentryLen(), len(dentries.entries); g != w {
@@ -146,7 +145,7 @@ func TestNameCacheMatchesPair(t *testing.T) {
 // TestNameCacheInvalidateDentryKeepsAttrs pins the half-drop that NFS
 // Open's ESTALE path relies on.
 func TestNameCacheInvalidateDentryKeepsAttrs(t *testing.T) {
-	names := NewNameCache(time.Hour, time.Hour, func() time.Duration { return 0 })
+	names := NewNameCache(time.Hour, time.Hour, func() time.Duration { return 0 }, nil)
 	names.Put("/f", fs.Attr{Ino: 7, Size: 3})
 	names.InvalidateDentry("/f")
 	if _, _, ok := names.Dentry("/f"); ok {
@@ -166,10 +165,10 @@ func TestNameCacheInvalidateDentryKeepsAttrs(t *testing.T) {
 // TestNameCacheDentriesOnlyAllocateNoAttrPage pins the layout the
 // sharded MDS's lease and uncached modes rely on: a cache that holds
 // only dentries, across several dentry pages, never allocates an
-// attribute page, and the first attribute allocates exactly the page of
-// its own slot.
+// attribute or a lease page, and the first attribute or lease allocates
+// exactly the page of its own slot.
 func TestNameCacheDentriesOnlyAllocateNoAttrPage(t *testing.T) {
-	names := NewNameCache(time.Hour, time.Hour, func() time.Duration { return 0 })
+	names := NewNameCache(time.Hour, time.Hour, func() time.Duration { return 0 }, nil)
 	for i := 0; i < 3*pageLen; i++ {
 		p := fmt.Sprintf("/d/%d", i)
 		if i%3 == 0 {
@@ -182,22 +181,31 @@ func TestNameCacheDentriesOnlyAllocateNoAttrPage(t *testing.T) {
 	if n := len(names.entries.pages); n < pageShift+3 {
 		t.Fatalf("%d dentry pages; the fill must span several full ones", n)
 	}
-	if len(names.attrPages) != 0 {
-		t.Fatalf("a dentry-only cache holds %d attribute pages, want 0", len(names.attrPages))
+	if len(names.attrPages) != 0 || len(names.leasePages) != 0 {
+		t.Fatalf("a dentry-only cache holds %d attribute and %d lease pages, want 0",
+			len(names.attrPages), len(names.leasePages))
 	}
 	if names.AttrLen() != 0 || names.DentryLen() != 3*pageLen {
 		t.Fatalf("AttrLen, DentryLen = %d, %d; want 0, %d", names.AttrLen(), names.DentryLen(), 3*pageLen)
 	}
 	last := fmt.Sprintf("/d/%d", 3*pageLen-1)
 	names.PutAttr(last, fs.Attr{Ino: 9})
-	allocated := 0
-	for _, pg := range names.attrPages {
+	names.PutLease(last, fs.Attr{Ino: 9}, time.Hour, 0, 0)
+	if n, pages := allocated(names.attrPages); n != 1 || pages[len(pages)-1] == nil {
+		t.Fatalf("one attribute allocated %d attribute pages over %d page numbers; want only its own", n, len(pages))
+	}
+	if n, pages := allocated(names.leasePages); n != 1 || pages[len(pages)-1] == nil {
+		t.Fatalf("one lease allocated %d lease pages over %d page numbers; want only its own", n, len(pages))
+	}
+}
+
+// allocated counts the allocated pages of a half and returns them.
+func allocated[H any](pages [][]H) (int, [][]H) {
+	n := 0
+	for _, pg := range pages {
 		if pg != nil {
-			allocated++
+			n++
 		}
 	}
-	if allocated != 1 || names.attrPages[len(names.attrPages)-1] == nil {
-		t.Fatalf("one attribute allocated %d attribute pages over %d page numbers; want only its own",
-			allocated, len(names.attrPages))
-	}
+	return n, pages
 }

@@ -14,17 +14,16 @@ const (
 	pageShift = 5
 )
 
-// slots is the entry store behind NameCache, AttrCache and LeaseCache:
-// an index from path to slot number, and the entries themselves in
-// pages that are never copied or moved. Growing the index rehashes
-// 4-byte slot numbers instead of whole entries, and each page is
-// allocated once. A dropped path's slot goes on a free list, and the
-// next new path takes it. A cache may keep more pages of its own in
-// parallel, addressed by the same slot numbers (NameCache's attribute
-// halves).
-type slots[E any] struct {
+// slots is NameCache's entry store: an index from path to slot number,
+// and the entries themselves in pages that are never copied or moved.
+// Growing the index rehashes 4-byte slot numbers instead of whole
+// entries, and each page is allocated once. A dropped path's slot goes
+// on a free list, and the next new path takes it. NameCache keeps its
+// attribute and lease halves in more pages, parallel to these and
+// addressed by the same slot numbers.
+type slots struct {
 	index map[string]int32
-	pages [][]E
+	pages [][]nameEntry
 	free  []int32
 	// used counts the slots handed out since the last reset, free or
 	// not: slot used is the next one a page provides.
@@ -52,14 +51,14 @@ func pageOf(i int32) (page, off uint32) {
 }
 
 // get returns path's entry, or nil if the store holds none.
-func (s *slots[E]) get(path string) *E {
+func (s *slots) get(path string) *nameEntry {
 	_, e := s.lookup(path)
 	return e
 }
 
 // lookup returns path's slot number and entry, or -1 and nil if the
 // store holds none.
-func (s *slots[E]) lookup(path string) (int32, *E) {
+func (s *slots) lookup(path string) (int32, *nameEntry) {
 	i, ok := s.index[path]
 	if !ok {
 		return -1, nil
@@ -70,7 +69,7 @@ func (s *slots[E]) lookup(path string) (int32, *E) {
 
 // put returns path's slot number and entry, taking a zeroed slot for a
 // new path.
-func (s *slots[E]) put(path string) (int32, *E) {
+func (s *slots) put(path string) (int32, *nameEntry) {
 	if i, e := s.lookup(path); e != nil {
 		return i, e
 	}
@@ -86,19 +85,18 @@ func (s *slots[E]) put(path string) (int32, *E) {
 	}
 	p, off := pageOf(i)
 	if int(p) == len(s.pages) {
-		s.pages = append(s.pages, make([]E, pageSize(p)))
+		s.pages = append(s.pages, make([]nameEntry, pageSize(p)))
 	}
 	s.index[path] = i
 	e := &s.pages[p][off]
-	var zero E
-	*e = zero
+	*e = nameEntry{}
 	return i, e
 }
 
 // drop frees path's slot and returns its entry, or nil if it held none.
-// The entry stays in its page until put hands the slot out again; no
-// entry type holds a pointer, so it keeps nothing alive.
-func (s *slots[E]) drop(path string) *E {
+// The entry stays in its page until put hands the slot out again; it
+// holds no pointer, so it keeps nothing alive.
+func (s *slots) drop(path string) *nameEntry {
 	i, e := s.lookup(path)
 	if e == nil {
 		return nil
@@ -109,11 +107,11 @@ func (s *slots[E]) drop(path string) *E {
 }
 
 // reset drops every entry and keeps the pages for the next fills.
-func (s *slots[E]) reset() {
+func (s *slots) reset() {
 	clear(s.index)
 	s.free = s.free[:0]
 	s.used = 0
 }
 
 // len returns the number of paths held.
-func (s *slots[E]) len() int { return len(s.index) }
+func (s *slots) len() int { return len(s.index) }

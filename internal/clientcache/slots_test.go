@@ -10,8 +10,8 @@ import (
 )
 
 // The plain-map caches below are the reference the slot store must
-// match answer for answer: each is its cache with the entries in a Go
-// map, as the caches kept them before.
+// match answer for answer: each keeps one or two kinds of half with its
+// entries in a Go map.
 
 // refNameEntry is one path's two halves in one map value, the layout
 // NameCache had before its attribute halves moved to pages of their own.
@@ -99,12 +99,23 @@ func (c *refNames) halves() (attrs, dentries int) {
 	return attrs, dentries
 }
 
+type refAttr struct {
+	attr    fs.Attr
+	fetched time.Duration
+}
+
 type refAttrs struct {
 	ttl          time.Duration
 	now          func() time.Duration
-	m            map[string]attrEntry
+	m            map[string]refAttr
 	hits, misses int64
 }
+
+func newRefAttrs(ttl time.Duration, now func() time.Duration) *refAttrs {
+	return &refAttrs{ttl: ttl, now: now, m: map[string]refAttr{}}
+}
+
+func (c *refAttrs) Put(p string, a fs.Attr) { c.m[p] = refAttr{attr: a, fetched: c.now()} }
 
 func (c *refAttrs) Get(p string) (fs.Attr, bool) {
 	e, ok := c.m[p]
@@ -116,10 +127,17 @@ func (c *refAttrs) Get(p string) (fs.Attr, bool) {
 	return e.attr, true
 }
 
+type refLease struct {
+	attr      fs.Attr
+	expiry    time.Duration
+	authority int
+	epoch     uint64
+}
+
 type refLeases struct {
 	now                               func() time.Duration
 	epochOf                           func(int) uint64
-	m                                 map[string]leaseEntry
+	m                                 map[string]refLease
 	hits, misses, revoked, epochDrops int64
 }
 
@@ -149,15 +167,17 @@ func (c *refLeases) Revoke(p string) bool {
 	return true
 }
 
-// TestSlotCachesMatchMaps drives NameCache, AttrCache and LeaseCache and
-// their plain-map references through one seeded sequence of fills,
-// dentry-only puts, reads, invalidations, revocations and clears, with a
-// clock that lapses both TTLs and the leases and epochs that move, and
-// requires every answer, every Len, every per-half count and every
-// Stats to agree after every step. The path pool is large enough that
-// the stores fill several pages and reuse freed slots, and NameCache's
-// attribute pages, addressed by the dentry pages' slot numbers, must
-// answer through slot reuse.
+// TestSlotCachesMatchMaps drives one NameCache and its plain-map
+// references, refNames for the dentry and attribute halves and
+// refLeases for the lease half, through one seeded sequence of fills,
+// dentry-only puts, lease grants, reads, invalidations, revocations and
+// clears, with a clock that lapses both TTLs and the leases and epochs
+// that move, and requires every answer, every per-half count, the count
+// of paths held and the Stats to agree after every step. A revocation
+// drops the dentry with the lease. The path pool is large enough that
+// the store fills several pages and reuses freed slots, and NameCache's
+// attribute and lease pages, addressed by the dentry pages' slot
+// numbers, must answer through slot reuse.
 func TestSlotCachesMatchMaps(t *testing.T) {
 	const attrTTL, dentryTTL, leaseTTL = 3 * time.Second, 30 * time.Second, 10 * time.Second
 	var now time.Duration
@@ -165,12 +185,9 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 	epochs := make([]uint64, 3)
 	epochOf := func(a int) uint64 { return epochs[a] }
 
-	names := NewNameCache(attrTTL, dentryTTL, clock)
-	attrs := NewAttrCache(attrTTL, clock)
-	leases := NewLeaseCache(clock, epochOf)
+	names := NewNameCache(attrTTL, dentryTTL, clock, epochOf)
 	rNames := &refNames{attrTTL: attrTTL, dentryTTL: dentryTTL, now: clock, m: map[string]refNameEntry{}}
-	rAttrs := &refAttrs{ttl: attrTTL, now: clock, m: map[string]attrEntry{}}
-	rLeases := &refLeases{now: clock, epochOf: epochOf, m: map[string]leaseEntry{}}
+	rLeases := &refLeases{now: clock, epochOf: epochOf, m: map[string]refLease{}}
 
 	paths := make([]string, 700)
 	for i := range paths {
@@ -182,15 +199,14 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 		p := paths[rng.Intn(len(paths))]
 		a := fs.Attr{Ino: fs.Ino(1 + rng.Intn(1000)), Size: int64(step)}
 		switch op := rng.Intn(100); {
-		case op < 30:
+		case op < 20:
 			names.Put(p, a)
 			rNames.Put(p, a)
-			attrs.Put(p, a)
-			rAttrs.m[p] = attrEntry{attr: a, fetched: now}
+		case op < 30:
 			auth := rng.Intn(len(epochs))
 			expiry := now + time.Duration(rng.Int63n(int64(leaseTTL)))
-			leases.Put(p, a, expiry, auth, epochs[auth])
-			rLeases.m[p] = leaseEntry{attr: a, expiry: expiry, authority: auth, epoch: epochs[auth]}
+			names.PutLease(p, a, expiry, auth, epochs[auth])
+			rLeases.m[p] = refLease{attr: a, expiry: expiry, authority: auth, epoch: epochs[auth]}
 		case op < 35:
 			names.PutAttr(p, a)
 			rNames.PutAttr(p, a)
@@ -202,15 +218,10 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 			names.PutNegative(p)
 			rNames.PutNegative(p)
 		case op < 56:
-			ga, gok := attrs.Get(p)
-			wa, wok := rAttrs.Get(p)
+			ga, gok := names.Lease(p)
+			wa, wok := rLeases.Get(p)
 			if ga != wa || gok != wok {
-				t.Fatalf("step %d: AttrCache.Get(%s) = %+v, %v; map gives %+v, %v", step, p, ga, gok, wa, wok)
-			}
-			ga, gok = leases.Get(p)
-			wa, wok = rLeases.Get(p)
-			if ga != wa || gok != wok {
-				t.Fatalf("step %d: LeaseCache.Get(%s) = %+v, %v; map gives %+v, %v", step, p, ga, gok, wa, wok)
+				t.Fatalf("step %d: Lease(%s) = %+v, %v; map gives %+v, %v", step, p, ga, gok, wa, wok)
 			}
 		case op < 66:
 			ga, gok := names.Attr(p)
@@ -226,20 +237,21 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 			if gdir, _, _ := names.DentryDir(p); gdir != wdir {
 				t.Fatalf("step %d: DentryDir(%s) reads dir %v; map gives %v", step, p, gdir, wdir)
 			}
-		case op < 78:
+		case op < 74:
 			names.Invalidate(p)
 			delete(rNames.m, p)
-			attrs.Invalidate(p)
-			delete(rAttrs.m, p)
-			leases.Invalidate(p)
+			delete(rLeases.m, p)
+		case op < 78:
+			names.InvalidateLease(p)
 			delete(rLeases.m, p)
 		case op < 84:
 			names.InvalidateDentry(p)
 			rNames.InvalidateDentry(p)
 		case op < 92:
-			if g, w := leases.Revoke(p), rLeases.Revoke(p); g != w {
+			if g, w := names.Revoke(p), rLeases.Revoke(p); g != w {
 				t.Fatalf("step %d: Revoke(%s) = %v; map gives %v", step, p, g, w)
 			}
+			rNames.InvalidateDentry(p)
 		case op < 96:
 			now += time.Duration(rng.Intn(3)) * attrTTL
 		case op < 99:
@@ -247,45 +259,37 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 		default:
 			if rng.Intn(50) == 0 {
 				names.Clear()
-				clear(rNames.m)
-				rNames.hits, rNames.misses = 0, 0
-				attrs.Clear()
-				rAttrs.m, rAttrs.hits, rAttrs.misses = map[string]attrEntry{}, 0, 0
-				leases.Clear()
-				rLeases.m = map[string]leaseEntry{}
+				rNames.m, rNames.hits, rNames.misses = map[string]refNameEntry{}, 0, 0
+				rLeases.m = map[string]refLease{}
 				rLeases.hits, rLeases.misses, rLeases.revoked, rLeases.epochDrops = 0, 0, 0, 0
 			}
 		}
-		if g, w := names.entries.len(), len(rNames.m); g != w {
-			t.Fatalf("step %d: NameCache holds %d paths; map holds %d", step, g, w)
+		held := len(rNames.m)
+		for q := range rLeases.m {
+			if _, ok := rNames.m[q]; !ok {
+				held++
+			}
 		}
-		if wa, wd := rNames.halves(); names.AttrLen() != wa || names.DentryLen() != wd {
-			t.Fatalf("step %d: AttrLen, DentryLen = %d, %d; map holds %d, %d",
-				step, names.AttrLen(), names.DentryLen(), wa, wd)
+		if g := names.entries.len(); g != held {
+			t.Fatalf("step %d: NameCache holds %d paths; maps hold %d", step, g, held)
 		}
-		if h, m := names.Stats(); h != rNames.hits || m != rNames.misses {
-			t.Fatalf("step %d: NameCache.Stats = %d/%d; map gives %d/%d", step, h, m, rNames.hits, rNames.misses)
+		wa, wd := rNames.halves()
+		if g := [3]int{names.AttrLen(), names.DentryLen(), names.LeaseLen()}; g != [3]int{wa, wd, len(rLeases.m)} {
+			t.Fatalf("step %d: AttrLen, DentryLen, LeaseLen = %v; maps hold %d, %d, %d",
+				step, g, wa, wd, len(rLeases.m))
 		}
-		if g, w := attrs.Len(), len(rAttrs.m); g != w {
-			t.Fatalf("step %d: AttrCache.Len = %d; map holds %d", step, g, w)
-		}
-		if g, w := leases.Len(), len(rLeases.m); g != w {
-			t.Fatalf("step %d: LeaseCache.Len = %d; map holds %d", step, g, w)
-		}
-		if h, m := attrs.Stats(); h != rAttrs.hits || m != rAttrs.misses {
-			t.Fatalf("step %d: AttrCache.Stats = %d/%d; map gives %d/%d", step, h, m, rAttrs.hits, rAttrs.misses)
-		}
-		h, m, r, e := leases.Stats()
-		if h != rLeases.hits || m != rLeases.misses || r != rLeases.revoked || e != rLeases.epochDrops {
-			t.Fatalf("step %d: LeaseCache.Stats = %d/%d/%d/%d; map gives %d/%d/%d/%d", step,
-				h, m, r, e, rLeases.hits, rLeases.misses, rLeases.revoked, rLeases.epochDrops)
+		h, m, r, e := names.Stats()
+		if h != rNames.hits+rLeases.hits || m != rNames.misses+rLeases.misses ||
+			r != rLeases.revoked || e != rLeases.epochDrops {
+			t.Fatalf("step %d: Stats = %d/%d/%d/%d; maps give %d/%d/%d/%d", step, h, m, r, e,
+				rNames.hits+rLeases.hits, rNames.misses+rLeases.misses, rLeases.revoked, rLeases.epochDrops)
 		}
 	}
 	if n := len(names.entries.pages); n < pageShift+3 {
 		t.Fatalf("the name cache grew %d pages; the sequence must fill at least two full ones", n)
 	}
-	if a, d := len(names.attrPages), len(names.entries.pages); a > d {
-		t.Fatalf("the name cache holds %d attribute pages for %d dentry pages", a, d)
+	if a, l, d := len(names.attrPages), len(names.leasePages), len(names.entries.pages); a > d || l > d {
+		t.Fatalf("the name cache holds %d attribute and %d lease pages for %d dentry pages", a, l, d)
 	}
 }
 
@@ -295,7 +299,7 @@ func TestSlotCachesMatchMaps(t *testing.T) {
 func TestSlotPutAllocs(t *testing.T) {
 	clock := func() time.Duration { return 0 }
 	a := fs.Attr{Ino: 3}
-	big := NewNameCache(time.Hour, time.Hour, clock)
+	big := NewNameCache(time.Hour, time.Hour, clock, nil)
 	paths := make([]string, 1000)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/d/%d", i)
@@ -307,7 +311,7 @@ func TestSlotPutAllocs(t *testing.T) {
 	// Eight paths fill the first page exactly, so a new path that did
 	// not take the freed slot would allocate the second. The index stays
 	// within one map group, which a delete and an insert never grow.
-	small := NewNameCache(time.Hour, time.Hour, clock)
+	small := NewNameCache(time.Hour, time.Hour, clock, nil)
 	for _, p := range paths[:firstPage] {
 		small.Put(p, a)
 	}

@@ -14,33 +14,33 @@ import "time"
 // arbitrarily without serving wrong data — only wrong addresses.
 //
 // Entries follow the same three invalidation paths as leases
-// (lease.go): expiry (the bitmap TTL or the lease TTL, depending on the
-// cache mode), revocation (a split revokes the directory's read leases,
-// and the callback drops the holder's bitmap entry with them), and an
-// epoch move of the granting authority (a crash takeover of the
-// directory's home slice discards every bitmap it vouched for).
+// (lease.go), and end by the same rule: expiry (the bitmap TTL or the
+// lease TTL, depending on the cache mode), revocation (a split revokes
+// the directory's read leases, and the callback drops the holder's
+// bitmap entry with them), and an epoch move of the granting authority
+// (a crash takeover of the directory's home slice discards every bitmap
+// it vouched for).
 type SplitMap struct {
-	now     func() time.Duration
-	epochOf func(authority int) uint64
-
+	// names is the node's name cache, whose lease rule ends each entry.
+	names   *NameCache
 	entries map[string]splitEnt
 
 	hits, misses, epochDrops int64
 }
 
 type splitEnt struct {
-	level     int
-	expiry    time.Duration
-	authority int
-	epoch     uint64
+	level int
+	term
 }
 
-// NewSplitMap returns a split-bitmap cache using now as its clock.
-// epochOf reports the current epoch of a granting authority; nil
-// disables epoch checks (bitmaps survive failovers until they expire —
-// still safe, just more bounces).
-func NewSplitMap(now func() time.Duration, epochOf func(authority int) uint64) *SplitMap {
-	return &SplitMap{now: now, epochOf: epochOf, entries: make(map[string]splitEnt)}
+// NewSplitMap returns a split-bitmap cache that ends its entries by the
+// lease rule of names: names' clock, and names' epoch function, where a
+// nil one disables epoch checks (bitmaps survive failovers until they
+// expire — still safe, just more bounces). The map keeps an index of
+// its own, because a split level outlives its directory's dentry and
+// lease in names.
+func NewSplitMap(names *NameCache) *SplitMap {
+	return &SplitMap{names: names, entries: make(map[string]splitEnt)}
 }
 
 // Get returns the cached split level of dir while its entry holds. An
@@ -49,30 +49,25 @@ func NewSplitMap(now func() time.Duration, epochOf func(authority int) uint64) *
 // misses, after which the caller routes as if the directory were
 // unsplit and learns the real level from the bounce.
 func (m *SplitMap) Get(dir string) (int, bool) {
-	e, ok := m.entries[dir]
-	if !ok {
-		m.misses++
-		return 0, false
-	}
-	if m.epochOf != nil && m.epochOf(e.authority) != e.epoch {
+	if e, ok := m.entries[dir]; ok {
+		ended, moved := m.names.ended(e.term)
+		if !ended {
+			m.hits++
+			return e.level, true
+		}
+		if moved {
+			m.epochDrops++
+		}
 		delete(m.entries, dir)
-		m.epochDrops++
-		m.misses++
-		return 0, false
 	}
-	if m.now() > e.expiry {
-		delete(m.entries, dir)
-		m.misses++
-		return 0, false
-	}
-	m.hits++
-	return e.level, true
+	m.misses++
+	return 0, false
 }
 
 // Put records dir's split level as learned from authority at the given
 // epoch, valid through expiry (inclusive).
 func (m *SplitMap) Put(dir string, level int, expiry time.Duration, authority int, epoch uint64) {
-	m.entries[dir] = splitEnt{level: level, expiry: expiry, authority: authority, epoch: epoch}
+	m.entries[dir] = splitEnt{level: level, term: term{expiry: expiry, authority: authority, epoch: epoch}}
 }
 
 // Invalidate removes one directory's entry (a revocation callback on
@@ -80,7 +75,7 @@ func (m *SplitMap) Put(dir string, level int, expiry time.Duration, authority in
 func (m *SplitMap) Invalidate(dir string) { delete(m.entries, dir) }
 
 // Clear drops every entry and resets the statistics (§3.4.3 semantics,
-// like AttrCache.Clear).
+// like NameCache.Clear).
 func (m *SplitMap) Clear() {
 	m.entries = make(map[string]splitEnt)
 	m.hits, m.misses, m.epochDrops = 0, 0, 0

@@ -7,7 +7,7 @@ import (
 
 func TestSplitMapExpiryAndRefresh(t *testing.T) {
 	var now time.Duration
-	m := NewSplitMap(func() time.Duration { return now }, nil)
+	m := NewSplitMap(NewNameCache(0, 0, func() time.Duration { return now }, nil))
 	if _, ok := m.Get("/big"); ok {
 		t.Fatal("empty map served a hit")
 	}
@@ -15,7 +15,7 @@ func TestSplitMapExpiryAndRefresh(t *testing.T) {
 	if lvl, ok := m.Get("/big"); !ok || lvl != 2 {
 		t.Fatalf("Get = (%d, %v), want (2, true)", lvl, ok)
 	}
-	now = 100 * time.Millisecond // expiry is inclusive, like the lease cache
+	now = 100 * time.Millisecond // expiry is inclusive, like a lease
 	if _, ok := m.Get("/big"); !ok {
 		t.Fatal("entry dropped at exact expiry; the boundary is inclusive")
 	}
@@ -37,8 +37,8 @@ func TestSplitMapExpiryAndRefresh(t *testing.T) {
 func TestSplitMapEpochDrop(t *testing.T) {
 	var now time.Duration
 	epochs := map[int]uint64{4: 7}
-	m := NewSplitMap(func() time.Duration { return now },
-		func(authority int) uint64 { return epochs[authority] })
+	m := NewSplitMap(NewNameCache(0, 0, func() time.Duration { return now },
+		func(authority int) uint64 { return epochs[authority] }))
 	m.Put("/big", 1, time.Hour, 4, 7)
 	if _, ok := m.Get("/big"); !ok {
 		t.Fatal("fresh entry missed")
@@ -58,7 +58,7 @@ func TestSplitMapEpochDrop(t *testing.T) {
 
 func TestSplitMapInvalidateAndClear(t *testing.T) {
 	var now time.Duration
-	m := NewSplitMap(func() time.Duration { return now }, nil)
+	m := NewSplitMap(NewNameCache(0, 0, func() time.Duration { return now }, nil))
 	m.Put("/a", 1, time.Hour, 0, 0)
 	m.Put("/b", 2, time.Hour, 0, 0)
 	m.Invalidate("/a")

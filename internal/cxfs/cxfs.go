@@ -45,7 +45,7 @@ type FS struct {
 	conn     *simnet.Conn
 	ns       *namespace.Namespace
 	tokens   map[*cluster.Node]*sim.Mutex
-	attrs    map[*cluster.Node]*clientcache.AttrCache
+	attrs    map[*cluster.Node]*clientcache.NameCache
 	dirLocks *sim.Locks
 	rpcs     int64
 }
@@ -57,7 +57,7 @@ func New(k *sim.Kernel, name string) *FS {
 		conn:     simnet.NewConn(k, simnet.NewServer(k, "cxfs-mds:"+name, mdsThreads), oneWayLatency, 0),
 		ns:       namespace.New(),
 		tokens:   make(map[*cluster.Node]*sim.Mutex),
-		attrs:    make(map[*cluster.Node]*clientcache.AttrCache),
+		attrs:    make(map[*cluster.Node]*clientcache.NameCache),
 		dirLocks: sim.NewLocks(k, "cxfsdir"),
 	}
 }
@@ -80,10 +80,11 @@ func (f *FS) token(n *cluster.Node) *sim.Mutex {
 	return m
 }
 
-func (f *FS) attrCache(n *cluster.Node) *clientcache.AttrCache {
+// attrCache returns n's cache, which holds attributes only.
+func (f *FS) attrCache(n *cluster.Node) *clientcache.NameCache {
 	c, ok := f.attrs[n]
 	if !ok {
-		c = clientcache.NewAttrCache(attrTTL, f.k.Now)
+		c = clientcache.NewNameCache(attrTTL, 0, f.k.Now, nil)
 		f.attrs[n] = c
 	}
 	return c
@@ -138,7 +139,7 @@ func (c *client) Create(p string) error {
 	})
 	if err == nil {
 		if a, e := c.fsys.ns.Stat(p); e == nil {
-			c.fsys.attrCache(c.node).Put(p, a)
+			c.fsys.attrCache(c.node).PutAttr(p, a)
 		}
 	}
 	return err
@@ -228,7 +229,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 func (c *client) Stat(p string) (fs.Attr, error) {
 	c.node.Syscall(c.p)
 	cache := c.fsys.attrCache(c.node)
-	if a, ok := cache.Get(p); ok {
+	if a, ok := cache.Attr(p); ok {
 		return a, nil
 	}
 	var a fs.Attr
@@ -240,7 +241,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if err != nil {
 		return fs.Attr{}, err
 	}
-	cache.Put(p, a)
+	cache.PutAttr(p, a)
 	return a, nil
 }
 

@@ -14,8 +14,8 @@ import (
 )
 
 // The E22–E24 family measures client metadata cache coherence on the
-// sharded MDS (internal/shard coherence.go, internal/clientcache
-// LeaseCache). The thesis shows client-side caching dominating
+// sharded MDS (internal/shard coherence.go, the lease half of
+// internal/clientcache's NameCache). The thesis shows client-side caching dominating
 // perceived metadata performance and contrasts NFS attribute timeouts
 // with AFS-style callbacks (§2.1.2, §4.7.3); MetaFlow and HopsFS show
 // that scaling metadata past one server only pays when clients cache

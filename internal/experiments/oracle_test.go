@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dmetabench/internal/afs"
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/cxfs"
 	"dmetabench/internal/fs"
@@ -13,19 +14,22 @@ import (
 	"dmetabench/internal/namespace"
 	"dmetabench/internal/nfs"
 	"dmetabench/internal/ontapgx"
+	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 )
 
 // FuzzModelsAgainstNamespace is the single-client layer of the semantic
 // oracle. A seeded sequence of metadata operations runs through the NFS
-// model, the synchronous Lustre model, CXFS, the node-local file system
-// and a one-volume Ontap GX cluster, one client each on one kernel, and
-// through a bare namespace.Namespace. The GX client sees every path
-// under its volume's junction /v, and the root as /v itself. Each client
-// drops its node's caches before every operation, so every operation
-// reaches the server. Every errno must match the reference's, and so
-// must every successful Stat's type, size and link count. The committed
-// corpus under testdata/fuzz replays on every go test run.
+// model, the synchronous Lustre model, CXFS, the node-local file system,
+// a one-volume Ontap GX cluster and a one-volume AFS cell, one client
+// each on one kernel, and through a bare namespace.Namespace. The GX and
+// AFS clients see every path under their volume, /v, and the root as /v
+// itself. Each client drops its node's caches before every operation,
+// so every operation reaches the server, except on AFS, whose cache
+// survives drop_caches and answers from callbacks. Every errno must
+// match the reference's, and so must every successful Stat's type, size
+// and link count. The committed corpus under testdata/fuzz replays on
+// every go test run.
 func FuzzModelsAgainstNamespace(f *testing.F) {
 	f.Add(int64(1), uint8(200))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
@@ -38,6 +42,8 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 		localFS := localfs.New(k, cl.Nodes[0])
 		gxFS := ontapgx.New(k, "gx", 1, ontapgx.DefaultConfig())
 		gxFS.AddVolume("v", 0)
+		afsFS := afs.New(k, "cell", 1, afs.DefaultConfig())
+		afsFS.AddVolume("v", 0)
 		ref := namespace.New()
 		k.Spawn("oracle", func(p *sim.Proc) {
 			models := []struct {
@@ -50,6 +56,7 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 				{"cxfs", cxfsFS.NewClient(cl.Nodes[0], p), ""},
 				{"localfs", localFS.NewClient(cl.Nodes[0], p), ""},
 				{"ontapgx", gxFS.NewClient(cl.Nodes[0], p), "/v"},
+				{"afs", afsFS.NewClient(cl.Nodes[0], p), "/v"},
 			}
 			for i, op := range ops {
 				want := op.applyRef(ref, p)
@@ -73,6 +80,72 @@ func FuzzModelsAgainstNamespace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestShardLeaseOracleTwoNodes is the two-client layer of the oracle
+// for lease coherence. Two nodes on a 4-shard CacheLease file system
+// take turns through the oracleOps of seeds 1 to 40, and after each
+// operation the other node stats the operation's path, with no cache
+// drop anywhere, so each node reads through leases the other's
+// mutations must revoke. TrackStaleness compares every cache hit with
+// the path's owner slice, and no hit on a regular file may be stale.
+// Directories are left out only because their hash-placed replicas
+// disagree: creates and unlinks update the content slice's copy of a
+// directory, GETATTR answers from the owner slice's copy, and a
+// mutator's reply caches the content copy (CHANGES.md, FOUND). The
+// test pins the run's totals, so a change to the lease protocol shows
+// here as well.
+func TestShardLeaseOracleTwoNodes(t *testing.T) {
+	var hits, misses, grants, revocations, dirStale int64
+	staleSeeds := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		k := sim.New(seed)
+		cl := cluster.New(k, cluster.DefaultConfig(2))
+		cfg := shard.DefaultConfig(4)
+		cfg.CacheMode = shard.CacheLease
+		cfg.TrackStaleness = true
+		fsys := shard.New(k, "meta", cfg)
+		var seedStale int64
+		k.Spawn("oracle", func(p *sim.Proc) {
+			nodes := []fs.Client{fsys.NewClient(cl.Nodes[0], p), fsys.NewClient(cl.Nodes[1], p)}
+			// stat runs one Stat on c and sorts a stale hit by the type
+			// it answered.
+			stat := func(i int, c fs.Client, path string) {
+				before := fsys.StaleReads
+				a, _ := c.Stat(path)
+				if fsys.StaleReads == before {
+					return
+				}
+				if a.Type != fs.TypeDirectory {
+					t.Errorf("seed %d op %d: stale hit on %s, a %v", seed, i, path, a.Type)
+				}
+				seedStale += fsys.StaleReads - before
+			}
+			for i, op := range oracleOps(seed, 255) {
+				if op.kind == "stat" {
+					stat(i, nodes[i%2], op.p)
+				} else {
+					op.apply(nodes[i%2])
+				}
+				stat(i, nodes[(i+1)%2], op.p)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		h, m, _, _ := fsys.CacheStats()
+		hits, misses, grants, revocations = hits+h, misses+m, grants+fsys.LeaseGrants, revocations+fsys.Revocations
+		dirStale += seedStale
+		if seedStale > 0 {
+			staleSeeds++
+		}
+	}
+	t.Logf("%d hits, %d misses, %d grants, %d revocations, %d stale directory hits in %d seeds",
+		hits, misses, grants, revocations, dirStale, staleSeeds)
+	got := [6]int64{hits, misses, grants, revocations, dirStale, int64(staleSeeds)}
+	if want := [6]int64{4556, 7735, 7056, 1286, 420, 37}; got != want {
+		t.Errorf("hits, misses, grants, revocations, stale directory hits, seeds with one = %v, want %v", got, want)
+	}
 }
 
 // oracleOp is one operation of the sequence: kind on path p, with q the

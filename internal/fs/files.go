@@ -55,3 +55,39 @@ func (b *Buffer) Add(n int64) {
 
 // Reset empties the buffer after a flush.
 func (b *Buffer) Reset() { b.Written, b.Dirty = 0, false }
+
+// buffered is a model's per-file state that embeds a Buffer.
+type buffered interface{ buffer() *Buffer }
+
+func (b *Buffer) buffer() *Buffer { return b }
+
+// WriteBuffered buffers n bytes for the file open under h, or answers
+// EBADF: the Write of a model that sends written bytes on Close or
+// Fsync.
+func WriteBuffered[F buffered](t *Files[F], h Handle, n int64) error {
+	f, err := t.Get("write", h)
+	if err == nil {
+		f.buffer().Add(n)
+	}
+	return err
+}
+
+// CloseBuffered closes h and, when a Write came after the file's last
+// flush, runs the model's flush on it.
+func CloseBuffered[F buffered](t *Files[F], h Handle, flush func(F) error) error {
+	f, err := t.Close(h)
+	if err != nil || !f.buffer().Dirty {
+		return err
+	}
+	return flush(f)
+}
+
+// FsyncBuffered runs the model's flush on the file open under h when a
+// Write came after its last flush.
+func FsyncBuffered[F buffered](t *Files[F], h Handle, flush func(F) error) error {
+	f, err := t.Get("fsync", h)
+	if err != nil || !f.buffer().Dirty {
+		return err
+	}
+	return flush(f)
+}

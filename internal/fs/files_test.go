@@ -59,3 +59,53 @@ func TestBufferDirty(t *testing.T) {
 		t.Fatalf("after Reset: %+v, want empty", b)
 	}
 }
+
+// bufFile is a model's open file as the write-behind helpers see it.
+type bufFile struct {
+	Buffer
+	flushes int
+}
+
+// TestBufferedTrio checks that the write-behind helpers flush on Fsync
+// and Close exactly when a Write came after the last flush, leave the
+// reset to the model's flush, and answer EBADF naming the op for a
+// handle that is not open.
+func TestBufferedTrio(t *testing.T) {
+	var files Files[*bufFile]
+	flush := func(f *bufFile) error {
+		f.flushes++
+		f.Reset()
+		return nil
+	}
+	f := &bufFile{}
+	h := files.Open(f)
+	if err := FsyncBuffered(&files, h, flush); err != nil || f.flushes != 0 {
+		t.Fatalf("Fsync of a clean file: %v, %d flushes; want none", err, f.flushes)
+	}
+	if err := WriteBuffered(&files, h, 0); err != nil || !f.Dirty {
+		t.Fatalf("Write(0): %v, dirty %v; want dirty", err, f.Dirty)
+	}
+	if err := FsyncBuffered(&files, h, flush); err != nil || f.flushes != 1 {
+		t.Fatalf("Fsync after a Write: %v, %d flushes; want 1", err, f.flushes)
+	}
+	if err := CloseBuffered(&files, h, flush); err != nil || f.flushes != 1 {
+		t.Fatalf("Close after Fsync: %v, %d flushes; want still 1", err, f.flushes)
+	}
+	g := &bufFile{}
+	h = files.Open(g)
+	if err := WriteBuffered(&files, h, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := CloseBuffered(&files, h, flush); err != nil || g.flushes != 1 {
+		t.Fatalf("Close of a dirty file: %v, %d flushes; want 1", err, g.flushes)
+	}
+	for op, err := range map[string]error{
+		"write": WriteBuffered(&files, h, 1),
+		"fsync": FsyncBuffered(&files, h, flush),
+		"close": CloseBuffered(&files, h, flush),
+	} {
+		if fe, ok := err.(*Error); !ok || fe.Code != EBADF || fe.Op != op {
+			t.Errorf("%s of a closed handle: %v, want %s: EBADF", op, err, op)
+		}
+	}
+}

@@ -148,7 +148,7 @@ func (f *FS) nodeState(n *cluster.Node) *wbState {
 	s, ok := f.nodes[n]
 	if !ok {
 		s = &wbState{
-			names:     clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now),
+			names:     clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now, nil),
 			pending:   make(map[string]fs.Attr),
 			pendingIn: make(map[string]int),
 		}
@@ -375,31 +375,19 @@ func (c *client) statRPC(p string, cfg *Config) (fs.Attr, error) {
 // the MDS).
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Close(h)
-	if err != nil || !of.Dirty {
-		return err
-	}
-	return c.flushData(of)
+	return fs.CloseBuffered(&c.files, h, c.flushData)
 }
 
 // Write buffers data locally (Lustre client cache).
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("write", h)
-	if err == nil {
-		of.Add(n)
-	}
-	return err
+	return fs.WriteBuffered(&c.files, h, n)
 }
 
 // Fsync forces buffered data out.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("fsync", h)
-	if err != nil || !of.Dirty {
-		return err
-	}
-	return c.flushData(of)
+	return fs.FsyncBuffered(&c.files, h, c.flushData)
 }
 
 // flushData sends dirty file data to the object's OSS. The size update

@@ -123,7 +123,7 @@ func (f *FS) RPCCount() int64 { return f.rpcs }
 func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
 	if !ok {
-		s = clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now)
+		s = clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now, nil)
 		f.nodes[n] = s
 	}
 	return s
@@ -341,32 +341,20 @@ func (c *client) Open(p string) (fs.Handle, error) {
 // to be on the server when close returns).
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Close(h)
-	if err != nil || !of.Dirty {
-		return err
-	}
-	return c.flush(of)
+	return fs.CloseBuffered(&c.files, h, c.flush)
 }
 
 // Write buffers n bytes; the flush happens on Close or Fsync, matching
 // the NFS client write-behind cache.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("write", h)
-	if err == nil {
-		of.Add(n)
-	}
-	return err
+	return fs.WriteBuffered(&c.files, h, n)
 }
 
 // Fsync forces dirty data to the server.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("fsync", h)
-	if err != nil || !of.Dirty {
-		return err
-	}
-	return c.flush(of)
+	return fs.FsyncBuffered(&c.files, h, c.flush)
 }
 
 // flush writes the dirty bytes back; the reply carries the post-write

@@ -155,7 +155,7 @@ func (f *FS) mountFiler(n *cluster.Node) int {
 func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
 	if !ok {
-		s = clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now)
+		s = clientcache.NewNameCache(attrTTL, dentryTTL, f.k.Now, nil)
 		f.nodes[n] = s
 	}
 	return s
@@ -285,31 +285,19 @@ func (c *client) Open(p string) (fs.Handle, error) {
 // Close flushes dirty data (close-to-open, NFS protocol).
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Close(h)
-	if err != nil || !of.Dirty {
-		return err
-	}
-	return c.flush(of)
+	return fs.CloseBuffered(&c.files, h, c.flush)
 }
 
 // Write buffers client-side.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("write", h)
-	if err == nil {
-		of.Add(n)
-	}
-	return err
+	return fs.WriteBuffered(&c.files, h, n)
 }
 
 // Fsync flushes dirty data.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("fsync", h)
-	if err != nil || !of.Dirty {
-		return err
-	}
-	return c.flush(of)
+	return fs.FsyncBuffered(&c.files, h, c.flush)
 }
 
 // flush writes the dirty bytes back to the owning volume. A flush to a

@@ -133,8 +133,7 @@ func (f *FS) cbServer(st *nodeState, n *cluster.Node) {
 // FS.replicate, so a coherent cache can never serve a hit newer
 // mutations already invalidated.
 func (f *FS) callback(p *sim.Proc, st *nodeState, path string) {
-	st.leases.Revoke(path)
-	st.names.InvalidateDentry(path)
+	st.names.Revoke(path)
 	f.cbCost(p, st)
 }
 
@@ -146,14 +145,14 @@ func (f *FS) cbCost(p *sim.Proc, st *nodeState) {
 }
 
 // grant issues (or refreshes) a read lease on path to the node behind
-// st and fills its lease cache: the server records the holder on the
-// path's owner slice, the client trusts the attributes until expiry,
-// revocation or an epoch move. Granting a lease on a directory another
-// node holds a write delegation for recalls the delegation first — the
-// writer loses its private write-back state the moment a second party
-// starts caching the directory. Lease coherence runs on the single-heap
+// st and fills the lease half of its name cache: the server records the
+// holder on the path's owner slice, the client trusts the attributes
+// until expiry, revocation or an epoch move. Granting a lease on a
+// directory another node holds a write delegation for recalls the
+// delegation first — the writer loses its private write-back state the
+// moment a second party starts caching the directory. Lease coherence runs on the single-heap
 // kernel only (Config.Validate), so the server's tables and the
-// client's lease cache are both written in place.
+// client's name cache are both written in place.
 func (f *FS) grant(p *sim.Proc, st *nodeState, path string, a fs.Attr) {
 	if a.Type == fs.TypeDirectory {
 		if cs := f.contentSlice(path); cs >= 0 {
@@ -185,7 +184,7 @@ func (f *FS) grant(p *sim.Proc, st *nodeState, path string, a fs.Attr) {
 		t.read[path] = append(grants, leaseGrant{st: st, expiry: exp})
 	}
 	addI64(&f.LeaseGrants, 1)
-	st.leases.Put(path, a, exp, slice, f.epochs[slice])
+	st.names.PutLease(path, a, exp, slice, f.epochs[slice])
 }
 
 // revokePath drops every read lease on path: one callback per holder
@@ -208,11 +207,10 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 	for _, g := range grants {
 		switch {
 		case g.st == mutator:
-			g.st.leases.Invalidate(path)
+			g.st.names.InvalidateLease(path)
 		case g.expiry < now:
 		default:
-			g.st.leases.Revoke(path)
-			g.st.names.InvalidateDentry(path)
+			g.st.names.Revoke(path)
 			victims = append(victims, g)
 		}
 	}
@@ -341,12 +339,8 @@ func (f *FS) noteStale(p *sim.Proc, path string, a fs.Attr) {
 // two.
 func (f *FS) CacheStats() (hits, misses, revoked, epochDrops int64) {
 	for _, st := range f.nodes {
-		if st.leases != nil {
-			h, m, r, e := st.leases.Stats()
-			hits, misses, revoked, epochDrops = hits+h, misses+m, revoked+r, epochDrops+e
-		}
-		h, m := st.names.Stats()
-		hits, misses = hits+h, misses+m
+		h, m, r, e := st.names.Stats()
+		hits, misses, revoked, epochDrops = hits+h, misses+m, revoked+r, epochDrops+e
 	}
 	return hits, misses, revoked, epochDrops
 }
@@ -362,7 +356,7 @@ func (c *client) cachedAttr(p string) (fs.Attr, bool) {
 	case CacheNone:
 		return fs.Attr{}, false
 	case CacheLease:
-		a, ok = st.leases.Get(p)
+		a, ok = st.names.Lease(p)
 	default:
 		a, ok = st.names.Attr(p)
 	}
@@ -388,13 +382,7 @@ func (c *client) fillEntry(p2 *sim.Proc, p string, a fs.Attr) {
 
 // dropEntry discards the client's cached state for p (local knowledge:
 // the client itself removed or moved the entry).
-func (c *client) dropEntry(p string) {
-	st := c.st()
-	st.names.Invalidate(p)
-	if st.leases != nil {
-		st.leases.Invalidate(p)
-	}
-}
+func (c *client) dropEntry(p string) { c.st().names.Invalidate(p) }
 
 // ReadDirPlus lists a directory and returns each entry's attributes
 // from one RPC (fs.ReadDirPlusser): the listing fan-out (list) pays the

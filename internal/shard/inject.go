@@ -127,9 +127,7 @@ func (f *FS) CapacityStats() CapacityStats {
 	for _, ns := range f.nodes {
 		st.ClientAttrs += ns.names.AttrLen()
 		st.ClientDentries += ns.names.DentryLen()
-		if ns.leases != nil {
-			st.ClientLeases += ns.leases.Len()
-		}
+		st.ClientLeases += ns.names.LeaseLen()
 		if ns.splits != nil {
 			st.ClientSplitDirs += ns.splits.Len()
 		}

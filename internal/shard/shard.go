@@ -446,12 +446,11 @@ type FS struct {
 }
 
 type nodeState struct {
-	// names caches the node's dentries in every mode, and under
-	// CacheTTL their attributes too.
+	// names caches the node's dentries in every mode, under CacheTTL
+	// their attributes too and under CacheLease their leases.
 	names *clientcache.NameCache
-	// leases caches attributes under CacheLease; cb and cbConn are the
-	// node's callback endpoint and the server→client path to it.
-	leases *clientcache.LeaseCache
+	// cb and cbConn are the node's callback endpoint under CacheLease
+	// and the server→client path to it.
 	cb     *simnet.Server
 	cbConn *simnet.Conn
 	// splits is the node's per-directory split-bitmap cache, created
@@ -718,15 +717,12 @@ func (f *FS) srvFor(i int) *shardSrv { return f.shards[f.serving[i]] }
 func (f *FS) nodeState(n *cluster.Node) *nodeState {
 	s, ok := f.nodes[n]
 	if !ok {
-		s = &nodeState{
-			names: clientcache.NewNameCache(f.cfg.AttrTTL, dentryTTL, f.k.Now),
+		var epochOf func(int) uint64
+		if f.cfg.CrashInvalidate {
+			epochOf = func(slice int) uint64 { return f.epochs[slice] }
 		}
+		s = &nodeState{names: clientcache.NewNameCache(f.cfg.AttrTTL, dentryTTL, f.k.Now, epochOf)}
 		if f.cfg.CacheMode == CacheLease {
-			var epochOf func(int) uint64
-			if f.cfg.CrashInvalidate {
-				epochOf = func(slice int) uint64 { return f.epochs[slice] }
-			}
-			s.leases = clientcache.NewLeaseCache(f.k.Now, epochOf)
 			f.cbServer(s, n)
 		}
 		f.nodes[n] = s
@@ -1727,31 +1723,19 @@ func (c *client) newHandle(p string, slice int, ino fs.Ino, size int64) fs.Handl
 // Close flushes dirty data (close-to-open consistency).
 func (c *client) Close(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Close(h)
-	if err != nil || !of.Dirty {
-		return err
-	}
-	return c.flush(of)
+	return fs.CloseBuffered(&c.files, h, c.flush)
 }
 
 // Write buffers n bytes client-side until Close or Fsync.
 func (c *client) Write(h fs.Handle, n int64) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("write", h)
-	if err == nil {
-		of.Add(n)
-	}
-	return err
+	return fs.WriteBuffered(&c.files, h, n)
 }
 
 // Fsync forces dirty data to the serving shard.
 func (c *client) Fsync(h fs.Handle) error {
 	c.node.Syscall(c.p)
-	of, err := c.files.Get("fsync", h)
-	if err != nil || !of.Dirty {
-		return err
-	}
-	return c.flush(of)
+	return fs.FsyncBuffered(&c.files, h, c.flush)
 }
 
 // flush writes the buffered bytes to the entry's serving shard. It
@@ -1911,14 +1895,11 @@ func (c *client) list(p string, plus bool) ([]fs.DirEntry, []fs.Attr, error) {
 	return ents, attrs, nil
 }
 
-// DropCaches clears the node's name, lease and split-bitmap caches.
+// DropCaches clears the node's name and split-bitmap caches.
 func (c *client) DropCaches() {
 	c.node.Syscall(c.p)
 	st := c.st()
 	st.names.Clear()
-	if st.leases != nil {
-		st.leases.Clear()
-	}
 	if st.splits != nil {
 		st.splits.Clear()
 	}

@@ -332,7 +332,7 @@ func (f *FS) splitRevoke(slice int, path string, mutator *nodeState) []*nodeStat
 	var out []*nodeState
 	for _, g := range grants {
 		if g.st == mutator {
-			g.st.leases.Invalidate(path)
+			g.st.names.InvalidateLease(path)
 			if g.st.splits != nil {
 				g.st.splits.Invalidate(path)
 			}
@@ -341,8 +341,7 @@ func (f *FS) splitRevoke(slice int, path string, mutator *nodeState) []*nodeStat
 		if g.expiry < now {
 			continue
 		}
-		g.st.leases.Revoke(path)
-		g.st.names.InvalidateDentry(path)
+		g.st.names.Revoke(path)
 		if g.st.splits != nil {
 			g.st.splits.Invalidate(path)
 		}
@@ -404,11 +403,7 @@ func (c *client) learnSplit(dir string, level int) {
 	}
 	f := c.fsys
 	if st.splits == nil {
-		var epochOf func(int) uint64
-		if f.cfg.CrashInvalidate {
-			epochOf = func(slice int) uint64 { return f.epochs[slice] }
-		}
-		st.splits = clientcache.NewSplitMap(f.k.Now, epochOf)
+		st.splits = clientcache.NewSplitMap(st.names)
 	}
 	ttl := f.cfg.SplitBitmapTTL
 	if f.cfg.CacheMode == CacheLease {

@@ -67,7 +67,7 @@ func TestCrossDomainReplyFill(t *testing.T) {
 	for _, cross := range []bool{false, true} {
 		k, srv := cell(cross, lat, 1)
 		conn := NewConn(k, srv, lat, 0)
-		names := clientcache.NewNameCache(time.Hour, time.Hour, k.Now)
+		names := clientcache.NewNameCache(time.Hour, time.Hour, k.Now, nil)
 		var during, after bool
 		var at time.Duration
 		k.Spawn("client", func(p *sim.Proc) {
@@ -107,7 +107,7 @@ func TestCallInlineAllocFree(t *testing.T) {
 	k := sim.New(1)
 	srv := NewServer(k, "s", 1)
 	conn := NewConn(k, srv, 100*time.Microsecond, 0)
-	names := clientcache.NewNameCache(time.Hour, time.Hour, k.Now)
+	names := clientcache.NewNameCache(time.Hour, time.Hour, k.Now, nil)
 	var allocs float64
 	k.Spawn("client", func(p *sim.Proc) {
 		n := 0
