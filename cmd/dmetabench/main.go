@@ -135,6 +135,20 @@ func main() {
 func runSim(fsKind string, nodes, ppn, cores, shards int, backendName string, latency time.Duration, seed int64,
 	params core.Params, plugins []core.Plugin) (*results.Set, error) {
 
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"nodes", nodes}, {"ppn", ppn}, {"cores", cores}} {
+		if c.v < 1 {
+			return nil, fmt.Errorf("-%s must be at least 1, not %d", c.flag, c.v)
+		}
+	}
+	if strings.HasPrefix(fsKind, "shard") && shards < 1 {
+		return nil, fmt.Errorf("-shards must be at least 1 for -fs %s, not %d", fsKind, shards)
+	}
+	if latency < 0 {
+		return nil, fmt.Errorf("-latency must not be negative: %v", latency)
+	}
 	switch fsKind {
 	case "cxfs", "local":
 		// cxfs's private SAN and the node-local file system keep their

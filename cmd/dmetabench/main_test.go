@@ -54,6 +54,40 @@ func TestLatencyRejectedWithoutNetwork(t *testing.T) {
 	}
 }
 
+// TestBadSizesRejected runs runSim with each size no simulation can
+// take. Each must fail with the flag's error before a kernel is built:
+// -nodes 0 used to panic in the runner, -cores 0 to hang with every rank
+// waiting for a CPU, and the rest to run silently as something else.
+func TestBadSizesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		fs                        string
+		nodes, ppn, cores, shards int
+		latency                   time.Duration
+		want                      string
+	}{
+		{"nfs", 0, 1, 8, 4, 0, "-nodes"},
+		{"nfs", -3, 1, 8, 4, 0, "-nodes"},
+		{"gx", 0, 1, 8, 4, 0, "-nodes"},
+		{"nfs", 2, 0, 8, 4, 0, "-ppn"},
+		{"nfs", 2, 1, 0, 4, 0, "-cores"},
+		{"lustre", 2, 1, 0, 4, 0, "-cores"},
+		{"shard", 2, 1, 8, 0, 0, "-shards"},
+		{"shard-subtree", 2, 1, 8, -1, 0, "-shards"},
+		{"nfs", 2, 1, 8, 4, -time.Millisecond, "-latency"},
+	} {
+		plugins := []core.Plugin{core.MakeFiles{}}
+		params := core.Params{ProblemSize: 10, WorkDir: "/bench"}
+		_, err := runSim(tc.fs, tc.nodes, tc.ppn, tc.cores, tc.shards, "mem", tc.latency, 1, params, plugins)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want+" ") {
+			t.Errorf("%+v: err %v, want one naming %s", tc, err, tc.want)
+		}
+	}
+	// -shards only sizes the shard kinds.
+	if _, err := simulate(t, "nfs", 1, 0, "MakeFiles"); err != nil {
+		t.Errorf("nfs with the default -shards: %v", err)
+	}
+}
+
 func TestLocalRejectsNodes(t *testing.T) {
 	if _, err := run(t, "local", 4, 0); err == nil {
 		t.Error("-fs local accepted -nodes 4")

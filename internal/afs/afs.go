@@ -17,6 +17,7 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/namespace"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/simnet"
 )
@@ -62,7 +63,6 @@ type FS struct {
 	servers []*simnet.Conn
 	volumes map[string]*volume
 	nodes   map[*cluster.Node]*nodeCache
-	rpcs    int64
 }
 
 type volume struct {
@@ -131,7 +131,13 @@ func (f *FS) AddVolume(name string, server int) *volume {
 func (f *FS) NumVolumes() int { return len(f.volumes) }
 
 // RPCCount returns the number of server RPCs.
-func (f *FS) RPCCount() int64 { return f.rpcs }
+func (f *FS) RPCCount() int64 {
+	var n int64
+	for _, c := range f.servers {
+		n += c.Server().Served()
+	}
+	return n
+}
 
 // CacheStats sums cache hits and misses over all nodes.
 func (f *FS) CacheStats() (hits, misses int64) {
@@ -212,15 +218,10 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
 	f.servers[v.server].Call(c.p, 200, 160, func(sp *sim.Proc) {
-		if dir, lerr := v.ns.Lookup(fs.ParentDir(sub)); lerr == nil {
-			lock := v.locks.Get(uint64(dir.Ino))
-			lock.Lock(sp)
-			defer lock.Unlock()
-			sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(v.ns.NumChildren(dir))))
-		} else {
-			sp.Sleep(svc)
-		}
-		f.rpcs++
+		h := v.ns.Parent(sub)
+		lock, n := service.LockParent(sp, v.locks, &h)
+		defer lock.Unlock()
+		sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(n)))
 		err = apply(sp, v, sub)
 	})
 	return err
@@ -390,7 +391,6 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	var a fs.Attr
 	f.servers[v.server].Call(c.p, 150, 170, func(sp *sim.Proc) {
 		sp.Sleep(fetchService)
-		f.rpcs++
 		a, err = v.ns.Stat(sub)
 	})
 	if err != nil {
@@ -412,7 +412,6 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	f.servers[v.server].Call(c.p, 150, 400, func(sp *sim.Proc) {
 		ents, err = v.ns.ReadDir(sub, sp.Now())
 		sp.Sleep(readdirService + time.Duration(len(ents))*time.Microsecond)
-		f.rpcs++
 	})
 	return ents, err
 }

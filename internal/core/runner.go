@@ -51,12 +51,29 @@ type Runner struct {
 	Filter func(Combo) bool
 }
 
+// checkCluster refuses a cluster no rank can run on: one without nodes,
+// or with a node without cores, where a process waits for a CPU forever.
+func checkCluster(c *cluster.Cluster) error {
+	if len(c.Nodes) == 0 {
+		return fmt.Errorf("cluster has no nodes")
+	}
+	for _, n := range c.Nodes {
+		if n.Cores < 1 {
+			return fmt.Errorf("node %s has %d cores", n.Name, n.Cores)
+		}
+	}
+	return nil
+}
+
 // plan performs placement discovery for this runner's cluster/slot
 // configuration and returns the filtered execution plan — the combo
 // list the master loop iterates.
 func (r *Runner) plan() ([]Combo, error) {
 	if len(r.Plugins) == 0 {
 		return nil, fmt.Errorf("dmetabench: no operations selected")
+	}
+	if err := checkCluster(r.Cluster); err != nil {
+		return nil, err
 	}
 	if r.SlotsPerNode < 1 {
 		r.SlotsPerNode = 1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -45,6 +46,46 @@ func TestRunnerNFSSmoke(t *testing.T) {
 	// All test data cleaned up.
 	if n := fsys.Namespace().NumFiles(); n != 0 {
 		t.Fatalf("files left behind: %d", n)
+	}
+}
+
+// TestRunnersRefuseEmptyClusters checks that both runners refuse a
+// cluster without nodes, or with a node without cores, before the
+// kernel runs: a rank on a coreless node would wait for a CPU forever,
+// while the filer's consistency-point task kept the kernel from ever
+// seeing a deadlock.
+func TestRunnersRefuseEmptyClusters(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		nodes, cores int
+		want         string
+	}{
+		{"no nodes", 0, 8, "no nodes"},
+		{"negative nodes", -3, 8, "no nodes"},
+		{"no cores", 2, 0, "0 cores"},
+	} {
+		for _, stage := range []bool{false, true} {
+			k := sim.New(1)
+			cfg := cluster.DefaultConfig(tc.nodes)
+			cfg.Cores = tc.cores
+			cl := cluster.New(k, cfg)
+			fsys := nfs.New(k, "home", nfs.DefaultConfig())
+			var err error
+			if stage {
+				r := &StageRunner{Cluster: cl, FS: fsys, Stages: []Stage{{Name: "a", Duration: time.Second}}}
+				_, err = r.Run()
+			} else {
+				r := &Runner{Cluster: cl, FS: fsys, Params: Params{ProblemSize: 10, WorkDir: "/bench"},
+					Plugins: []Plugin{MakeFiles{}}}
+				_, err = r.Run()
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, stage runner %v: err %v, want one naming %q", tc.name, stage, err, tc.want)
+			}
+			if n := k.Dispatched(); n != 0 {
+				t.Errorf("%s, stage runner %v: the kernel ran %d events", tc.name, stage, n)
+			}
+		}
 	}
 }
 

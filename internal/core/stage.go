@@ -105,6 +105,9 @@ func (r *StageRunner) Run() (*results.Set, error) {
 	if len(r.Stages) == 0 {
 		return nil, fmt.Errorf("stagerunner: no stages")
 	}
+	if err := checkCluster(r.Cluster); err != nil {
+		return nil, fmt.Errorf("stagerunner: %w", err)
+	}
 	k := r.Cluster.Kernel()
 	probes := r.Probes
 	if probes < 1 {

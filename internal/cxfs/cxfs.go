@@ -14,6 +14,7 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/namespace"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/simnet"
 )
@@ -47,7 +48,6 @@ type FS struct {
 	tokens   map[*cluster.Node]*sim.Mutex
 	attrs    map[*cluster.Node]*clientcache.NameCache
 	dirLocks *sim.Locks
-	rpcs     int64
 }
 
 // New creates a CXFS instance.
@@ -69,7 +69,7 @@ func (f *FS) Name() string { return "cxfs" }
 func (f *FS) Namespace() *namespace.Namespace { return f.ns }
 
 // RPCCount returns the number of metadata RPCs served.
-func (f *FS) RPCCount() int64 { return f.rpcs }
+func (f *FS) RPCCount() int64 { return f.conn.Server().Served() }
 
 func (f *FS) token(n *cluster.Node) *sim.Mutex {
 	m, ok := f.tokens[n]
@@ -114,18 +114,13 @@ func (c *client) metaOp(p string, svc time.Duration, useDirCost bool, apply func
 	var err error
 	f.conn.Call(c.p, 180, 150, func(sp *sim.Proc) {
 		if useDirCost {
-			if dir, lerr := f.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := f.dirLocks.Get(uint64(dir.Ino))
-				lock.Lock(sp)
-				defer lock.Unlock()
-				sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(f.ns.NumChildren(dir))))
-			} else {
-				sp.Sleep(svc)
-			}
+			h := f.ns.Parent(p)
+			lock, n := service.LockParent(sp, f.dirLocks, &h)
+			defer lock.Unlock()
+			sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(n)))
 		} else {
 			sp.Sleep(svc)
 		}
-		f.rpcs++
 		err = apply(sp)
 	})
 	return err

@@ -277,3 +277,31 @@ func (k OpKind) String() string {
 
 // NumOpKinds is the number of distinct operation kinds.
 const NumOpKinds = int(opKindCount)
+
+// File is a convenience high-level file object in the style of scripting
+// language runtimes. CreateHighLevel mimics Python's file object
+// construction: it stats the path first (to reject directories) before
+// opening, issuing one extra metadata operation per create — exactly the
+// behaviour §4.2.1 uncovered with dtrace. CreateDirect is the thin
+// wrapper that maps 1:1 onto the API, like Python's os module.
+func CreateHighLevel(c Client, path string) error {
+	if a, err := c.Stat(path); err == nil && a.Type == TypeDirectory {
+		return NewError("open", path, EISDIR)
+	}
+	h, err := c.Open(path)
+	if err != nil {
+		if !IsNotExist(err) {
+			return err
+		}
+		if err := c.Create(path); err != nil {
+			return err
+		}
+		return nil
+	}
+	return c.Close(h)
+}
+
+// CreateDirect creates path with the minimal operation sequence.
+func CreateDirect(c Client, path string) error {
+	return c.Create(path)
+}

@@ -49,12 +49,17 @@ func TestFileTypeNames(t *testing.T) {
 	}
 }
 
-// stubClient counts nothing itself; used to drive CountingClient.
-type stubClient struct{ created map[string]bool }
+// stubClient is an in-memory client that counts the calls it receives
+// by kind, the way dtrace counts system calls (§4.2.1).
+type stubClient struct {
+	created map[string]bool
+	n       [NumOpKinds]int
+}
 
 func newStub() *stubClient { return &stubClient{created: map[string]bool{}} }
 
 func (s *stubClient) Create(p string) error {
+	s.n[OpCreate]++
 	if s.created[p] {
 		return NewError("create", p, EEXIST)
 	}
@@ -62,65 +67,61 @@ func (s *stubClient) Create(p string) error {
 	return nil
 }
 func (s *stubClient) Open(p string) (Handle, error) {
+	s.n[OpOpen]++
 	if !s.created[p] {
 		return 0, NewError("open", p, ENOENT)
 	}
 	return 1, nil
 }
-func (s *stubClient) Close(Handle) error        { return nil }
-func (s *stubClient) Write(Handle, int64) error { return nil }
-func (s *stubClient) Fsync(Handle) error        { return nil }
-func (s *stubClient) Mkdir(string) error        { return nil }
-func (s *stubClient) Rmdir(string) error        { return nil }
-func (s *stubClient) Unlink(string) error       { return nil }
-func (s *stubClient) Rename(_, _ string) error  { return nil }
+func (s *stubClient) Close(Handle) error        { s.n[OpClose]++; return nil }
+func (s *stubClient) Write(Handle, int64) error { s.n[OpWrite]++; return nil }
+func (s *stubClient) Fsync(Handle) error        { s.n[OpFsync]++; return nil }
+func (s *stubClient) Mkdir(string) error        { s.n[OpMkdir]++; return nil }
+func (s *stubClient) Rmdir(string) error        { s.n[OpRmdir]++; return nil }
+func (s *stubClient) Unlink(string) error       { s.n[OpUnlink]++; return nil }
+func (s *stubClient) Rename(_, _ string) error  { s.n[OpRename]++; return nil }
 func (s *stubClient) Stat(p string) (Attr, error) {
+	s.n[OpStat]++
 	if !s.created[p] {
 		return Attr{}, NewError("stat", p, ENOENT)
 	}
 	return Attr{Type: TypeRegular}, nil
 }
-func (s *stubClient) ReadDir(string) ([]DirEntry, error) { return nil, nil }
-func (s *stubClient) DropCaches()                        {}
+func (s *stubClient) ReadDir(string) ([]DirEntry, error) { s.n[OpReadDir]++; return nil, nil }
+func (s *stubClient) DropCaches()                        { s.n[OpDropCaches]++ }
 
-func TestCountingClient(t *testing.T) {
-	c := NewCountingClient(newStub())
-	c.Create("/a")
-	c.Create("/b")
-	c.Stat("/a")
-	c.Unlink("/a")
-	c.DropCaches()
-	if c.N.Get(OpCreate) != 2 || c.N.Get(OpStat) != 1 || c.N.Get(OpUnlink) != 1 {
-		t.Fatalf("counts = %+v", c.N)
+// total returns the calls the stub received.
+func (s *stubClient) total() int {
+	t := 0
+	for _, n := range s.n {
+		t += n
 	}
-	if c.N.Total() != 5 {
-		t.Fatalf("total = %d", c.N.Total())
-	}
+	return t
 }
 
 func TestCreateHighLevelVsDirect(t *testing.T) {
 	// High-level create stats first (like a scripting runtime file
 	// object); direct maps 1:1.
-	hl := NewCountingClient(newStub())
+	hl := newStub()
 	if err := CreateHighLevel(hl, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if hl.N.Get(OpStat) != 1 || hl.N.Get(OpCreate) != 1 {
-		t.Fatalf("high-level counts = %+v", hl.N)
+	if hl.n[OpStat] != 1 || hl.n[OpOpen] != 1 || hl.n[OpCreate] != 1 || hl.total() != 3 {
+		t.Fatalf("high-level counts = %v", hl.n)
 	}
 	// Creating over an existing file opens and closes it instead.
 	if err := CreateHighLevel(hl, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if hl.N.Get(OpClose) != 1 {
-		t.Fatalf("reopen counts = %+v", hl.N)
+	if hl.n[OpClose] != 1 || hl.n[OpCreate] != 1 || hl.total() != 6 {
+		t.Fatalf("reopen counts = %v", hl.n)
 	}
-	d := NewCountingClient(newStub())
+	d := newStub()
 	if err := CreateDirect(d, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if d.N.Total() != 1 {
-		t.Fatalf("direct total = %d", d.N.Total())
+	if d.n[OpCreate] != 1 || d.total() != 1 {
+		t.Fatalf("direct counts = %v", d.n)
 	}
 }
 

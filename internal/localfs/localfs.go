@@ -12,6 +12,7 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/namespace"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 )
 
@@ -68,21 +69,15 @@ type client struct {
 }
 
 // op charges CPU for a directory-touching operation under the kernel's
-// per-directory lock.
+// per-directory lock, scaled by the directory's size once the lock is
+// held.
 func (c *client) op(p string, base time.Duration, apply func(now time.Duration) error) error {
 	f := c.fsys
 	f.node.Syscall(c.p)
-	var lock *sim.Mutex
-	entries := 0
-	if dir, err := f.ns.Lookup(fs.ParentDir(p)); err == nil {
-		lock = f.dirLocks.Get(uint64(dir.Ino))
-		entries = f.ns.NumChildren(dir)
-	}
-	if lock != nil {
-		lock.Lock(c.p)
-		defer lock.Unlock()
-	}
-	f.node.Exec(c.p, time.Duration(float64(base)*dirIndex.EntryCost(entries)))
+	h := f.ns.Parent(p)
+	lock, n := service.LockParent(c.p, f.dirLocks, &h)
+	defer lock.Unlock()
+	f.node.Exec(c.p, time.Duration(float64(base)*dirIndex.EntryCost(n)))
 	return apply(c.p.Now())
 }
 

@@ -15,6 +15,7 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/namespace"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/simnet"
 	"dmetabench/internal/storage"
@@ -92,7 +93,6 @@ type FS struct {
 	nextOSS int
 	// RefillCount counts synchronous OSS refill RPCs (test observability).
 	RefillCount int
-	rpcs        int64
 }
 
 // wbState is per-node client state: the name cache plus the write-back
@@ -142,7 +142,7 @@ func (f *FS) Name() string {
 func (f *FS) Namespace() *namespace.Namespace { return f.ns }
 
 // RPCCount returns the number of MDS RPCs served.
-func (f *FS) RPCCount() int64 { return f.rpcs }
+func (f *FS) RPCCount() int64 { return f.mdsConn.Server().Served() }
 
 func (f *FS) nodeState(n *cluster.Node) *wbState {
 	s, ok := f.nodes[n]
@@ -184,14 +184,9 @@ func (f *FS) allocObject(sp *sim.Proc) {
 // handle on the path, while holding an MDS thread: directory lock,
 // service time, object allocation, journal.
 func (f *FS) mdsCreate(sp *sim.Proc, h *namespace.Parent) error {
-	if dir := h.Dir(); dir != nil {
-		lock := f.dirLocks.Get(uint64(dir.Ino))
-		lock.Lock(sp)
-		defer lock.Unlock()
-	}
-	t := float64(createService) * dirIndex.EntryCost(h.Entries())
-	sp.Sleep(time.Duration(t))
-	f.rpcs++
+	lock, n := service.LockParent(sp, f.dirLocks, h)
+	defer lock.Unlock()
+	sp.Sleep(time.Duration(float64(createService) * dirIndex.EntryCost(n)))
 	if _, err := h.Create(0o644, sp.Now()); err != nil {
 		return err
 	}
@@ -365,7 +360,6 @@ func (c *client) statRPC(p string, cfg *Config) (fs.Attr, error) {
 	var err error
 	c.fsys.mdsConn.Call(c.p, 150, 170, func(sp *sim.Proc) {
 		sp.Sleep(getattrService)
-		c.fsys.rpcs++
 		a, err = c.fsys.ns.Stat(p)
 	})
 	return a, err
@@ -495,14 +489,9 @@ func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc,
 	var err error
 	c.fsys.mdsConn.Call(c.p, 200, 160, func(sp *sim.Proc) {
 		h := c.fsys.ns.Parent(p)
-		if dir := h.Dir(); dir != nil {
-			lock := c.fsys.dirLocks.Get(uint64(dir.Ino))
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		t := float64(svc) * dirIndex.EntryCost(h.Entries())
-		sp.Sleep(time.Duration(t))
-		c.fsys.rpcs++
+		lock, n := service.LockParent(sp, c.fsys.dirLocks, &h)
+		defer lock.Unlock()
+		sp.Sleep(time.Duration(float64(svc) * dirIndex.EntryCost(n)))
 		err = apply(sp, h)
 	})
 	return err
@@ -550,7 +539,6 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 		}
 		sp.Sleep(time.Duration(pages)*readdirService +
 			time.Duration(len(ents))*readdirPerEntry)
-		c.fsys.rpcs++
 	})
 	return ents, err
 }

@@ -83,13 +83,8 @@ type FS struct {
 	// nodes holds per-OS-instance client name caches.
 	nodes map[*cluster.Node]*clientcache.NameCache
 
-	rpcs int64
-
-	// aggOps/aggShed/aggBusy count background demand injected through
-	// AttachAggregate (operations, shed operations, busy nanoseconds).
-	aggOps  int64
-	aggShed int64
-	aggBusy int64
+	// agg counts background demand injected through AttachAggregate.
+	agg service.Counts
 }
 
 // New creates an NFS file system on kernel k.
@@ -118,7 +113,7 @@ func (f *FS) Namespace() *namespace.Namespace { return f.ns }
 func (f *FS) WAFL() *storage.WAFL { return f.wafl }
 
 // RPCCount returns the number of RPCs served so far.
-func (f *FS) RPCCount() int64 { return f.rpcs }
+func (f *FS) RPCCount() int64 { return f.srv.Served() }
 
 func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 	s, ok := f.nodes[n]
@@ -132,9 +127,11 @@ func (f *FS) nodeCache(n *cluster.Node) *clientcache.NameCache {
 // AttachAggregate starts the background injector (internal/service):
 // ServerThreads daemon lanes on the filer's kernel, each drawing
 // src(0, lane, tick) in strict tick order and occupying one server
-// thread for the priced duration — analytically modeled client
-// populations (internal/agg) saturating the single filer without
-// per-client state (E35). Call before the kernel runs.
+// thread for the batch priced at the RPC classes' service times, scaled
+// by the filer's consistency-point factor exactly as foreground RPCs
+// are — analytically modeled client populations (internal/agg)
+// saturating the single filer without per-client state (E35). Call
+// before the kernel runs.
 func (f *FS) AttachAggregate(tick time.Duration, src func(server, lane, tick int) service.Demand) {
 	service.AttachAggregate(service.AggregateConfig{
 		Servers: 1,
@@ -143,48 +140,27 @@ func (f *FS) AttachAggregate(tick time.Duration, src func(server, lane, tick int
 		Kernel:  func(int) *sim.Kernel { return f.k },
 		Pool:    func(int) *sim.Resource { return f.srv.Threads },
 		Source:  src,
-		Price:   func(_ int, d service.Demand) time.Duration { return f.priceAggregate(d) },
-		Ops:     &f.aggOps,
-		Shed:    &f.aggShed,
-		Busy:    &f.aggBusy,
+		Prices: service.PriceTable{
+			Getattr: getattrService,
+			Lookup:  lookupService,
+			Readdir: readdirService,
+			Create:  createService,
+		},
+		Factor: func(int) float64 { return f.wafl.ServiceFactor() },
+		Counts: &f.agg,
 	})
 }
 
 // AggCounts returns injected / shed operation counts and cumulative
 // injected service time.
-func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) {
-	return service.LoadI64(&f.aggOps), service.LoadI64(&f.aggShed),
-		time.Duration(service.LoadI64(&f.aggBusy))
-}
+func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) { return f.agg.Load() }
 
-// priceAggregate converts one demand batch into service time: the base
-// per-class RPC costs scaled by the filer's current consistency-point
-// factor, exactly as foreground RPCs are priced. Directory-index
-// factors are not applied — the analytic stream has no concrete
-// directories — which prices the background conservatively.
-func (f *FS) priceAggregate(d service.Demand) time.Duration {
-	base := service.PriceTable{
-		Getattr: getattrService,
-		Lookup:  lookupService,
-		Readdir: readdirService,
-		Create:  createService,
-	}.Price(d)
-	if base <= 0 {
-		return 0
-	}
-	return time.Duration(float64(base) * f.wafl.ServiceFactor())
-}
-
-// service charges t (scaled by directory-size and CP factors) while
-// holding a server thread; the caller supplies the parent directory size
-// when the op touches a directory index.
+// service charges t, scaled by the CP factor and by the directory index
+// at dirEntries entries (-1, like 0, scales by 1), while holding a
+// server thread; the caller supplies the parent directory size when the
+// op touches a directory index.
 func (f *FS) service(p *sim.Proc, base time.Duration, dirEntries int) {
-	cost := float64(base) * f.wafl.ServiceFactor()
-	if dirEntries >= 0 {
-		cost *= f.cfg.DirIndex.EntryCost(dirEntries)
-	}
-	p.Sleep(time.Duration(cost))
-	f.rpcs++
+	p.Sleep(time.Duration(float64(base) * f.wafl.ServiceFactor() * f.cfg.DirIndex.EntryCost(dirEntries)))
 }
 
 // NewClient binds a client for one process on one node. It satisfies the
@@ -275,12 +251,9 @@ func (c *client) Create(p string) error {
 	found := false
 	c.fsys.conn.Call(c.p, 160, 160, func(sp *sim.Proc) {
 		h := c.fsys.ns.Parent(p)
-		if dir := h.Dir(); dir != nil {
-			lock := c.fsys.dirLocks.Get(uint64(dir.Ino))
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		c.fsys.service(sp, createService, h.Entries())
+		lock, n := service.LockParent(sp, c.fsys.dirLocks, &h)
+		defer lock.Unlock()
+		c.fsys.service(sp, createService, n)
 		_, err = h.Create(0o644, sp.Now())
 		if err == nil {
 			c.fsys.wafl.LogMetadata(sp, metaLogBytes)
@@ -465,12 +438,9 @@ func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.P
 	var err error
 	c.fsys.conn.Call(c.p, 150, 140, func(sp *sim.Proc) {
 		h := c.fsys.ns.Parent(p)
-		if dir := h.Dir(); dir != nil {
-			lock := c.fsys.dirLocks.Get(uint64(dir.Ino))
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		c.fsys.service(sp, svc, h.Entries())
+		lock, n := service.LockParent(sp, c.fsys.dirLocks, &h)
+		defer lock.Unlock()
+		c.fsys.service(sp, svc, n)
 		err = apply(sp, h)
 		if err == nil {
 			c.fsys.wafl.LogMetadata(sp, metaLogBytes)

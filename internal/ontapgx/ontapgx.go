@@ -19,6 +19,7 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/namespace"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/simnet"
 	"dmetabench/internal/storage"
@@ -69,7 +70,6 @@ type FS struct {
 	volumes map[string]*volume // VLDB: volume name -> owner
 	nodes   map[*cluster.Node]*clientcache.NameCache
 	mounts  map[*cluster.Node]int // node -> filer index it mounts through
-	rpcs    int64
 	// ForwardCount counts requests that crossed the cluster interconnect.
 	ForwardCount int64
 }
@@ -141,7 +141,13 @@ func (f *FS) MountThrough(n *cluster.Node, filerIndex int) {
 }
 
 // RPCCount returns the number of requests served.
-func (f *FS) RPCCount() int64 { return f.rpcs }
+func (f *FS) RPCCount() int64 {
+	var n int64
+	for _, fl := range f.filers {
+		n += fl.srv.Served()
+	}
+	return n
+}
 
 func (f *FS) mountFiler(n *cluster.Node) int {
 	idx, ok := f.mounts[n]
@@ -187,7 +193,6 @@ func (f *FS) dispatch(p *sim.Proc, n *cluster.Node, v *volume, service func(sp *
 	entry := f.mountFiler(n)
 	f.filers[entry].conn.Call(p, 180, 160, func(sp *sim.Proc) {
 		sp.Sleep(nbladeService)
-		f.rpcs++
 		if v.owner == entry {
 			service(sp)
 			return
@@ -236,15 +241,16 @@ func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc
 	defer imutex.Unlock()
 	owner := f.filers[v.owner]
 	f.dispatch(c.p, c.node, v, func(sp *sim.Proc) {
-		if dir, lerr := v.ns.Lookup(fs.ParentDir(sub)); lerr == nil {
-			lock := v.locks.Get(uint64(dir.Ino))
-			lock.Lock(sp)
-			defer lock.Unlock()
-			t := float64(svc) * dirIndex.EntryCost(v.ns.NumChildren(dir)) * owner.wafl.ServiceFactor()
-			sp.Sleep(time.Duration(t))
-		} else {
-			sp.Sleep(svc)
+		h := v.ns.Parent(sub)
+		lock, n := service.LockParent(sp, v.locks, &h)
+		defer lock.Unlock()
+		t := float64(svc) * dirIndex.EntryCost(n)
+		if lock != nil {
+			// No CP factor where the parent does not resolve: the
+			// factor draws from the kernel's random source.
+			t *= owner.wafl.ServiceFactor()
 		}
+		sp.Sleep(time.Duration(t))
 		err = apply(sp, v, sub)
 		if err == nil {
 			owner.wafl.LogMetadata(sp, 320)

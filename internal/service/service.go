@@ -1,5 +1,10 @@
-// Package service holds the server-side pieces the FS models (shard and
-// nfs) share:
+// Package service holds the server-side pieces every server model
+// (nfs, lustre, cxfs, afs, ontapgx, localfs and the sharded MDS) shares:
+//
+//   - The parent-directory step (LockParent): a namespace-changing
+//     service body resolves the parent of the path it changes, takes
+//     that directory's lock in the server's table and reads the entry
+//     count its directory index charges for, once the lock is held.
 //
 //   - Per-class op pricing (PriceTable): the base service times the
 //     cost models charge per operation class, shared between foreground
@@ -12,16 +17,17 @@
 //     lanes run as daemon tasks (sim.Kernel.SpawnTask: no carrier, the
 //     dispatch loop calls each wake-up directly) on the server's own
 //     kernel; each tick every lane draws its slice of the server's
-//     arrival batch, prices it through the model's hook, then occupies
-//     one server thread for that long. Foreground clients queue FIFO
-//     behind the injected holds, so they observe genuine contention —
-//     queueing delay, diurnal swell, flash-crowd saturation — from a
-//     load that costs no per-client state.
+//     arrival batch, prices it at the model's base rates times the
+//     model's dynamic factor, counts it, then occupies one server
+//     thread for that long. Foreground clients queue FIFO behind the
+//     injected holds, so they observe genuine contention — queueing
+//     delay, diurnal swell, flash-crowd saturation — from a load that
+//     costs no per-client state.
 //
 // The sharded MDS can run its shards in separate kernel domains
 // (internal/shard domain.go), so injector lanes of different servers
-// may run concurrently: the counters they bump are atomics (AddI64,
-// LoadI64) whose sums are order-independent.
+// may run concurrently: the Counts they bump are atomics whose sums are
+// order-independent.
 package service
 
 import (
@@ -29,8 +35,26 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmetabench/internal/namespace"
 	"dmetabench/internal/sim"
 )
+
+// LockParent is a service body's parent-directory step on the path
+// behind h: it resolves h.Dir(), takes that directory's lock in locks
+// for sp and returns the held lock with the directory's entry count,
+// read once the lock is held, the size the directory index charges for.
+// Where the parent does not resolve it takes no lock and returns nil and
+// -1. The caller releases with Unlock, which does nothing on nil, so a
+// body that holds the lock to its end writes defer lock.Unlock().
+func LockParent(sp *sim.Proc, locks *sim.Locks, h *namespace.Parent) (*sim.Mutex, int) {
+	dir := h.Dir()
+	if dir == nil {
+		return nil, -1
+	}
+	lock := locks.Get(uint64(dir.Ino))
+	lock.Lock(sp)
+	return lock, h.Entries()
+}
 
 // Demand is one tick's background arrivals for one injector lane, by
 // operation class. The classes map onto the priced service kinds of the
@@ -46,9 +70,9 @@ type Demand struct {
 func (d Demand) Total() int64 { return d.Getattr + d.Lookup + d.Readdir + d.Create }
 
 // PriceTable holds the base per-class service times a server charges.
-// Price converts a demand batch into unscaled service time; models
-// layer their dynamic factors (WAFL consistency points, journal
-// pressure) on top.
+// Price converts a demand batch into unscaled service time; the
+// injector scales it by the model's dynamic factor (AggregateConfig.
+// Factor: a WAFL consistency point, say).
 type PriceTable struct {
 	Getattr time.Duration
 	Lookup  time.Duration
@@ -87,14 +111,43 @@ type AggregateConfig struct {
 	// must not be shared across servers (internal/agg's
 	// replicated-stream design).
 	Source func(server, lane, tick int) Demand
-	// Price converts one batch into service time, including any
-	// dynamic model factor sampled at injection time.
-	Price func(server int, d Demand) time.Duration
-	// Ops, Shed and Busy are the model's counters: injected operations,
-	// operations shed under overload, and cumulative injected service
-	// time (as int64 nanoseconds). They are bumped atomically — lanes
-	// in different domains run concurrently.
-	Ops, Shed, Busy *int64
+	// Prices are the base per-class service times, the ones the
+	// model's foreground RPCs pay.
+	Prices PriceTable
+	// Factor returns server i's dynamic cost factor, sampled once per
+	// batch that has a price. Directory-index factors are not applied — the analytic
+	// stream has no concrete directories — which prices the background
+	// conservatively.
+	Factor func(server int) float64
+	// Counts tallies what the lanes inject, shed and occupy.
+	Counts *Counts
+}
+
+// Counts is the tally of one model's injector lanes: operations
+// injected, operations shed under overload, and cumulative injected
+// service time in nanoseconds. Lanes in different domains run
+// concurrently, so each field is atomic; the sums are
+// order-independent.
+type Counts struct {
+	ops, shed, busy atomic.Int64
+}
+
+// Load returns the injected and shed operation counts and the
+// cumulative injected service time. It is safe mid-run from any
+// domain, while lanes in other domains advance.
+func (c *Counts) Load() (ops, shed int64, busy time.Duration) {
+	return c.ops.Load(), c.shed.Load(), time.Duration(c.busy.Load())
+}
+
+// price converts server's batch d into service time: the base prices
+// scaled by the server's factor. A batch without a base price costs 0
+// and samples no factor.
+func (cfg *AggregateConfig) price(server int, d Demand) time.Duration {
+	base := cfg.Prices.Price(d)
+	if base <= 0 {
+		return 0
+	}
+	return time.Duration(float64(base) * cfg.Factor(server))
 }
 
 // AttachAggregate starts the background injector: Lanes injector lanes
@@ -105,13 +158,13 @@ type AggregateConfig struct {
 // once Run returns.
 //
 // Overload is open-loop: a lane that cannot finish a tick's hold before
-// later ticks begin shedding the ticks it slept through (Shed). The
+// later ticks begin shedding the ticks it slept through (Counts). The
 // pool therefore saturates at 100% utilization instead of building an
 // unbounded virtual queue, which is the admission-control behavior a
 // real front end would enforce.
 //
 // Determinism: lanes touch only their own server's pool and the atomic
-// counters, and each (server, lane) draws from a private source stream
+// Counts, and each (server, lane) draws from a private source stream
 // in strict tick order, so runs are byte-identical at any
 // Domains/worker count.
 func AttachAggregate(cfg AggregateConfig) {
@@ -201,7 +254,7 @@ func (l *lane) inject(p *sim.Proc, i int) bool {
 	for l.next < i {
 		d := cfg.Source(l.srv, l.lane, l.next)
 		if n := d.Total(); n > 0 {
-			AddI64(cfg.Shed, n)
+			cfg.Counts.shed.Add(n)
 		}
 		l.next++
 	}
@@ -211,9 +264,9 @@ func (l *lane) inject(p *sim.Proc, i int) bool {
 	if n == 0 {
 		return false
 	}
-	cost := cfg.Price(l.srv, d)
-	AddI64(cfg.Ops, n)
-	AddI64(cfg.Busy, int64(cost))
+	cost := cfg.price(l.srv, d)
+	cfg.Counts.ops.Add(n)
+	cfg.Counts.busy.Add(int64(cost))
 	if cost <= 0 {
 		return false
 	}
@@ -236,11 +289,3 @@ func (l *lane) hold(p *sim.Proc) bool {
 	l.pool.Release()
 	return false
 }
-
-// AddI64 bumps a counter that service bodies increment from several
-// domains concurrently. Sums are order-independent, so the totals stay
-// deterministic; undomained the atomic op is just an add.
-func AddI64(ctr *int64, d int64) { atomic.AddInt64(ctr, d) }
-
-// LoadI64 reads such a counter (safe during a run from any domain).
-func LoadI64(ctr *int64) int64 { return atomic.LoadInt64(ctr) }

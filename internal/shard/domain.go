@@ -107,6 +107,3 @@ func (f *FS) recordCompaction(ev CompactionEvent) {
 // domains concurrently. Sums are order-independent, so the totals stay
 // deterministic; undomained the atomic op is just an add.
 func addI64(ctr *int64, d int64) { atomic.AddInt64(ctr, d) }
-
-// loadI64 reads such a counter (safe during a run from any domain).
-func loadI64(ctr *int64) int64 { return atomic.LoadInt64(ctr) }

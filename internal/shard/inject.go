@@ -11,7 +11,7 @@ package shard
 // consistency-point factor.
 //
 // Determinism: lanes touch only their own shard's pool and the atomic
-// FS counters, and each (shard, lane) draws from a private source
+// injector counts, and each (shard, lane) draws from a private source
 // stream in strict tick order, so runs are byte-identical at any
 // Domains/worker count (domain_test.go's aggregate case pins this).
 
@@ -25,7 +25,10 @@ import (
 // AttachAggregate starts the background injector: ShardThreads daemon
 // lanes per shard, each calling src(shard, lane, tick) once per tick in
 // strictly increasing tick order and occupying one server of the
-// shard's pool for the priced duration. Call before the kernel runs;
+// shard's pool for the batch priced at the base per-class costs, scaled
+// by the shard's current WAFL service factor (sampled once per batch)
+// so background load slows through consistency points exactly as
+// foreground RPCs do. Call before the kernel runs;
 // the lanes are daemons, so they never keep a finished simulation
 // alive. src runs on the shard's kernel domain: with Domains > 1 it is
 // called concurrently for shards in different domains, so per-(shard,
@@ -39,47 +42,21 @@ func (f *FS) AttachAggregate(tick time.Duration, src func(shard, lane, tick int)
 		Kernel:  f.kFor,
 		Pool:    func(i int) *sim.Resource { return f.shards[i].srv.Threads },
 		Source:  src,
-		Price:   func(i int, d service.Demand) time.Duration { return f.priceAggregate(f.shards[i], d) },
-		Ops:     &f.AggOps,
-		Shed:    &f.AggShedOps,
-		Busy:    &f.AggBusy,
+		Prices: service.PriceTable{
+			Getattr: getattrService,
+			Lookup:  lookupService,
+			Readdir: readdirService,
+			Create:  createService,
+		},
+		Factor: func(i int) float64 { return f.shards[i].wafl.ServiceFactor() },
+		Counts: &f.agg,
 	})
 }
 
 // AggCounts returns the injected / shed operation counts and the
-// cumulative injected service time. Unlike reading the FS fields
-// directly, it is safe mid-run from any domain, while lanes in other
-// domains advance.
-func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) {
-	return loadI64(&f.AggOps), loadI64(&f.AggShedOps),
-		time.Duration(loadI64(&f.AggBusy))
-}
-
-// priceAggregate converts one demand batch into service time: the base
-// per-class costs of the config, scaled by the shard's current WAFL
-// service factor (sampled once per batch) so background load slows
-// through consistency points exactly as foreground RPCs do. Per-entry
-// directory-index and backend factors are deliberately not applied —
-// the analytic stream has no concrete directories — which prices the
-// background conservatively.
-func (f *FS) priceAggregate(sh *shardSrv, d service.Demand) time.Duration {
-	base := f.priceTable().Price(d)
-	if base <= 0 {
-		return 0
-	}
-	return time.Duration(float64(base) * sh.wafl.ServiceFactor())
-}
-
-// priceTable exposes the config's base per-class service times in the
-// shared runtime's form.
-func (f *FS) priceTable() service.PriceTable {
-	return service.PriceTable{
-		Getattr: getattrService,
-		Lookup:  lookupService,
-		Readdir: readdirService,
-		Create:  createService,
-	}
-}
+// cumulative injected service time. It is safe mid-run from any domain,
+// while lanes in other domains advance.
+func (f *FS) AggCounts() (ops, shed int64, busy time.Duration) { return f.agg.Load() }
 
 // CapacityStats is a point-in-time census of the state that grows with
 // scale: server-side lease tables and journals, split bookkeeping, and

@@ -79,29 +79,6 @@ func TestAggregateInjectSheds(t *testing.T) {
 	}
 }
 
-// TestPriceAggregate pins the batch pricing: per-class base costs, zero
-// for an empty batch, and linear in the demand (the WAFL factor is
-// sampled once per batch, so two batches priced at the same instant
-// scale by the same factor).
-func TestPriceAggregate(t *testing.T) {
-	cfg := DefaultConfig(1)
-	k := sim.New(5)
-	f := New(k, "price", cfg)
-	sh := f.shards[0]
-	if got := f.priceAggregate(sh, service.Demand{}); got != 0 {
-		t.Errorf("empty batch priced at %v, want 0", got)
-	}
-	one := f.priceAggregate(sh, service.Demand{Getattr: 1, Lookup: 1, Readdir: 1, Create: 1})
-	base := getattrService + lookupService + readdirService + createService
-	if one < base {
-		t.Errorf("mixed batch priced at %v, below base %v (WAFL factor must be >= 1)", one, base)
-	}
-	ten := f.priceAggregate(sh, service.Demand{Getattr: 10, Lookup: 10, Readdir: 10, Create: 10})
-	if diff := ten - 10*one; diff < -time.Microsecond || diff > time.Microsecond {
-		t.Errorf("pricing not linear: 10x batch = %v, 10 x 1x batch = %v", ten, 10*one)
-	}
-}
-
 // TestAggregateDaemonsExitWithSim pins the daemon contract: an FS with
 // only injector lanes attached never keeps the kernel alive past the
 // last real process.

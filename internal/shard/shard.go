@@ -78,6 +78,7 @@ import (
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/namespace"
+	"dmetabench/internal/service"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/simnet"
 	"dmetabench/internal/storage"
@@ -313,7 +314,6 @@ type shardSrv struct {
 	wafl  *storage.WAFL
 	ns    *namespace.Namespace
 	locks *sim.Locks
-	ops   int64
 
 	// be prices this shard's storage work (backend.go); gc is the open
 	// group-commit batch, nil when none (Config.GroupCommitWindow).
@@ -373,7 +373,6 @@ type FS struct {
 	serving []int
 	nodes   map[*cluster.Node]*nodeState
 
-	rpcs int64
 	// CrossCount counts operations that crossed the MDS interconnect
 	// (migrating renames, peer readdirs, one per broadcast replica).
 	CrossCount int64
@@ -437,12 +436,9 @@ type FS struct {
 	// mutations — the collapse E30 measures.
 	GroupCommits, GroupCommitOps int64
 
-	// Aggregate-arrival counters (inject.go, E31–E33). AggOps counts
-	// background operations injected and served, AggShedOps those shed
-	// because the thread pool could not absorb their tick before the
-	// next one (open-loop overload admission control), and AggBusy the
-	// cumulative service time the injected load occupied (ns).
-	AggOps, AggShedOps, AggBusy int64
+	// agg counts the aggregate arrivals injected through
+	// AttachAggregate (inject.go, E31–E33).
+	agg service.Counts
 }
 
 type nodeState struct {
@@ -519,14 +515,20 @@ func (f *FS) Name() string {
 func (f *FS) NumShards() int { return len(f.shards) }
 
 // RPCCount returns the number of client RPCs served.
-func (f *FS) RPCCount() int64 { return loadI64(&f.rpcs) }
+func (f *FS) RPCCount() int64 {
+	var n int64
+	for _, sh := range f.shards {
+		n += sh.srv.Served()
+	}
+	return n
+}
 
 // ShardOps returns the per-shard count of client operations served,
 // the load-balance view the skew experiments report.
 func (f *FS) ShardOps() []int64 {
 	out := make([]int64, len(f.shards))
 	for i, sh := range f.shards {
-		out[i] = loadI64(&sh.ops)
+		out[i] = sh.srv.Served()
 	}
 	return out
 }
@@ -730,19 +732,15 @@ func (f *FS) nodeState(n *cluster.Node) *nodeState {
 	return s
 }
 
-// charge sleeps the service cost of one operation at sh: the base time
-// scaled by the shard's consistency-point factor and, when dirEntries is
-// non-negative, by the directory-index entry cost. Unclassified work —
-// the backend's factor only contributes an active compaction stall.
-func (f *FS) charge(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries int) {
-	f.chargeOp(p, sh, base, dirEntries, opInfo{dirSize: -1})
-}
-
-// chargeOp is charge with a backend op classification: the backend's
-// cost factor for the classified operation multiplies the charge after
-// the consistency-point and directory-index factors. The default
-// backend returns exactly 1, and the guard skips the multiply, so the
-// float math of the pre-backend cost model is preserved bit for bit.
+// chargeOp sleeps the service cost of one operation at sh: the base time
+// scaled by the shard's consistency-point factor, when dirEntries is
+// non-negative by the directory-index entry cost, and then by the
+// backend's cost factor for the operation info classifies (unclassified
+// work, opInfo{dirSize: -1}, pays only an active compaction stall). The
+// default backend returns exactly 1, and the guard skips the multiply,
+// so the float math of the pre-backend cost model is preserved bit for
+// bit. A client RPC's charge is counted where it is served, by its
+// simnet server.
 func (f *FS) chargeOp(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries int, info opInfo) {
 	cost := float64(base) * sh.wafl.ServiceFactor()
 	if dirEntries >= 0 {
@@ -752,15 +750,6 @@ func (f *FS) chargeOp(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries 
 		cost *= bf
 	}
 	p.Sleep(time.Duration(cost))
-}
-
-// serviceOp is chargeOp plus client-RPC accounting. The counters are
-// atomic: under kernel domains service bodies run concurrently, and
-// order-independent sums stay deterministic (domain.go).
-func (f *FS) serviceOp(p *sim.Proc, sh *shardSrv, base time.Duration, dirEntries int, info opInfo) {
-	f.chargeOp(p, sh, base, dirEntries, info)
-	addI64(&f.rpcs, 1)
-	addI64(&sh.ops, 1)
 }
 
 // readInfo prices one point lookup at p for the configured backend: a
@@ -1111,7 +1100,7 @@ func (c *client) resolveParents(p string) error {
 		}
 		var err error
 		cerr := c.call("lookup", prefix, f.ownerSlice(prefix), 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.serviceOp(sp, srv, lookupService, -1, f.readInfo(state, prefix))
+			f.chargeOp(sp, srv, lookupService, -1, f.readInfo(state, prefix))
 			var a fs.Attr
 			a, err = state.ns.Stat(prefix)
 			if err == nil {
@@ -1179,31 +1168,18 @@ func (c *client) captureEntry(q *sim.Proc, p string) {
 	}
 }
 
-// lockParent is a mutation's parent-directory step on slice state: it
-// takes the parent's lock in the slice's table and charges svc on srv by
-// the parent's entry count, read once the lock is held. It returns the
-// held lock, or nil after an unscaled charge when the parent does not
-// resolve on the slice. A body that holds the lock to its end writes
-// defer unlock(f.lockParent(...)): the step runs at once, the release
+// lockParent is a mutation's parent-directory step on slice state
+// (service.LockParent in the slice's lock table) followed by the charge
+// of svc on srv by the parent's entry count. It returns the held lock,
+// or nil after an unscaled charge when the parent does not resolve on
+// the slice. A body that holds the lock to its end writes
+// defer f.lockParent(...).Unlock(): the step runs at once, the release
 // when the body returns.
 func (f *FS) lockParent(sp *sim.Proc, state, srv *shardSrv, p string, svc time.Duration) *sim.Mutex {
-	dir, err := state.ns.Lookup(fs.ParentDir(p))
-	if err != nil {
-		f.serviceOp(sp, srv, svc, -1, writeInfo(p, -1))
-		return nil
-	}
-	lock := state.locks.Get(uint64(dir.Ino))
-	lock.Lock(sp)
-	n := state.ns.NumChildren(dir)
-	f.serviceOp(sp, srv, svc, n, writeInfo(p, n))
+	h := state.ns.Parent(p)
+	lock, n := service.LockParent(sp, state.locks, &h)
+	f.chargeOp(sp, srv, svc, n, writeInfo(p, n))
 	return lock
-}
-
-// unlock releases a lock lockParent returned, if it took one.
-func unlock(lock *sim.Mutex) {
-	if lock != nil {
-		lock.Unlock()
-	}
 }
 
 // Create issues one CREATE RPC to the shard serving the parent
@@ -1220,7 +1196,7 @@ func (c *client) Create(p string) error {
 
 	var err error
 	cerr := c.callEntry("create", p, 160, 160, func(sp *sim.Proc, state, srv *shardSrv) {
-		defer unlock(f.lockParent(sp, state, srv, p, createService))
+		defer f.lockParent(sp, state, srv, p, createService).Unlock()
 		// Commit-instant re-resolution: the lock and charge waits above
 		// may have overlapped a split of the parent.
 		state2 := f.entryState(p)
@@ -1263,7 +1239,7 @@ func (c *client) Mkdir(p string) error {
 
 	var err error
 	cerr := c.call("mkdir", p, f.ownerSlice(p), 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		unlock(f.lockParent(sp, state, srv, p, mkdirService))
+		f.lockParent(sp, state, srv, p, mkdirService).Unlock()
 		_, err = state.ns.Mkdir(p, 0o755, sp.Now())
 		if err == nil {
 			// The broadcast applies the replicas at this same instant;
@@ -1314,7 +1290,7 @@ func (c *client) Rmdir(p string) error {
 	}
 	var err error
 	cerr := c.call("rmdir", p, slice, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.serviceOp(sp, srv, removeService, -1, writeInfo(p, -1))
+		f.chargeOp(sp, srv, removeService, -1, writeInfo(p, -1))
 		// A split directory is empty only when every partition slice
 		// agrees: the peer replicas are checked logically before the
 		// removal commits (no time may pass between check and apply),
@@ -1379,7 +1355,7 @@ func (c *client) Unlink(p string) error {
 
 	var err error
 	cerr := c.callEntry("unlink", p, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		defer unlock(f.lockParent(sp, state, srv, p, removeService))
+		defer f.lockParent(sp, state, srv, p, removeService).Unlock()
 		state2 := f.entryState(p) // the waits above may have overlapped a split
 		err = state2.ns.Unlink(p, sp.Now())
 		if err == nil {
@@ -1439,7 +1415,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 			// request queued or waited can re-home either name; renaming
 			// on a pinned slice would strand the new entry where the
 			// split-aware routing never looks.
-			defer unlock(f.lockParent(sp, f.entryState(oldPath), srv, oldPath, renameService))
+			defer f.lockParent(sp, f.entryState(oldPath), srv, oldPath, renameService).Unlock()
 			// Commit-instant re-resolution; no virtual time passes from
 			// here to ns.Rename. When a mid-flight split separated the
 			// two names' partitions, the rename surfaces a transient
@@ -1519,7 +1495,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 				// re-homed either entry.
 				srcState := f.entryState(oldPath)
 				srcN := dirEntries(srcState.ns, oldPath)
-				f.serviceOp(sp, srv, renameService, srcN, writeInfo(oldPath, srcN))
+				f.chargeOp(sp, srv, renameService, srcN, writeInfo(oldPath, srcN))
 				srcState = f.entryState(oldPath) // the charge may have overlapped a split
 				var a fs.Attr
 				a, err = srcState.ns.Stat(oldPath)
@@ -1628,7 +1604,7 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	var a fs.Attr
 	var err error
 	cerr := c.callEntry("stat", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.serviceOp(sp, srv, getattrService, -1, f.readInfo(state, p))
+		f.chargeOp(sp, srv, getattrService, -1, f.readInfo(state, p))
 		state = f.entryState(p) // the charge may have overlapped a split
 		a, err = state.ns.Stat(p)
 		if err == nil {
@@ -1673,7 +1649,7 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		var a fs.Attr
 		var err error
 		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.serviceOp(sp, srv, lookupService, -1, f.readInfo(state, p))
+			f.chargeOp(sp, srv, lookupService, -1, f.readInfo(state, p))
 			state = f.entryState(p) // the charge may have overlapped a split
 			a, err = state.ns.Stat(p)
 			if err == nil {
@@ -1749,7 +1725,7 @@ func (c *client) flush(of *openFile) error {
 	id := entryID{of.slice, of.ino}
 	cerr := c.callEntry("write", of.path, 120+written, 140, func(sp *sim.Proc, state, srv *shardSrv) {
 		t := time.Duration(float64(writeServicePerKB) * float64(written) / 1024)
-		f.serviceOp(sp, srv, t, -1, opInfo{cls: opWrite, dirSize: -1})
+		f.chargeOp(sp, srv, t, -1, opInfo{cls: opWrite, dirSize: -1})
 		// Chase the handle's incarnation across split migrations, then
 		// write through the inode, wherever its name has gone: a rename
 		// keeps the inode alive (the write must land, POSIX fd
@@ -1860,10 +1836,10 @@ func (c *client) list(p string, plus bool) ([]fs.DirEntry, []fs.Attr, error) {
 		}
 		ents, err = state.ns.ReadDir(p, sp.Now())
 		if err != nil {
-			f.serviceOp(sp, srv, readdirService, -1, scanInfo())
+			f.chargeOp(sp, srv, readdirService, -1, scanInfo())
 			return
 		}
-		f.serviceOp(sp, srv, cost(len(ents)), -1, scanInfo())
+		f.chargeOp(sp, srv, cost(len(ents)), -1, scanInfo())
 		if plus {
 			attrs = c.plusAttrs(sp, state, p, ents, make([]fs.Attr, 0, len(ents)))
 		}

@@ -262,7 +262,7 @@ func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) 
 		}
 		f.chargeOp(sp, srcSrv, cost, -1, scanInfo())
 		f.visit(sp, srcSrv, b.dst, func(q *sim.Proc, dst *shardSrv) {
-			f.charge(q, dst, dstCost, -1)
+			f.chargeOp(q, dst, dstCost, -1, opInfo{dirSize: -1})
 			dst.be.log(q, logBytes)
 		})
 	}
@@ -383,7 +383,7 @@ func (c *client) routeEntry(p string) {
 		f.Bounces++
 		srv := f.srvFor(guess)
 		srv.conn.TryCall(c.p, 120, 90, func(sp *sim.Proc) {
-			f.serviceOp(sp, srv, lookupService, -1, opInfo{cls: opRead, dirSize: -1})
+			f.chargeOp(sp, srv, lookupService, -1, opInfo{cls: opRead, dirSize: -1})
 		})
 	}
 	c.learnSplit(dir, authLevel)

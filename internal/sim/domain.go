@@ -30,6 +30,12 @@
 // with a dynamic horizon clamp guarding against arrivals the extended
 // window itself provokes. The schedule is byte-identical to fixed
 // windows; only the window count drops.
+//
+// The causality checks are always on: every cross-domain send must
+// carry at least the lookahead (migrate), and no domain may be past an
+// in-flight message's arrival time when it is delivered (deliver). Both
+// are cheap compares; a violation is a protocol bug and panics with a
+// diagnostic.
 package sim
 
 import (
@@ -95,13 +101,6 @@ type DomainGroup struct {
 	// adaptive just reaches the same schedule in fewer, fuller windows.
 	Adaptive bool
 
-	// CheckCausality enables the invariant checker: every cross-domain
-	// send must carry at least the lookahead, and no domain may be past
-	// an in-flight message's arrival time when it is delivered. The
-	// checks are cheap compares, so they default on; a violation is a
-	// protocol bug and panics with a diagnostic.
-	CheckCausality bool
-
 	windows int64  // completed windows, for stats/tests
 	ends    []Time // per-domain window ends, reused across windows
 }
@@ -136,7 +135,7 @@ func AddDomains(k *Kernel, n int, lookahead Time) *DomainGroup {
 	if n < 1 {
 		panic("sim: AddDomains needs at least one extra domain")
 	}
-	g := &DomainGroup{lookahead: lookahead, CheckCausality: true, Adaptive: true}
+	g := &DomainGroup{lookahead: lookahead, Adaptive: true}
 	attach := func(kn *Kernel) {
 		d := &Domain{id: len(g.domains), k: kn, g: g}
 		kn.dom = d
@@ -214,7 +213,7 @@ func (p *Proc) migrate(dst *Kernel, delay Time, name string) {
 	if g != dst.dom.g {
 		panic("sim: Call across unrelated domain groups")
 	}
-	if g.CheckCausality && delay < g.lookahead {
+	if delay < g.lookahead {
 		panic(fmt.Sprintf("sim: causality violation: %s calls %s with delay %v < lookahead %v",
 			src.dom.label(), name, delay, g.lookahead))
 	}
@@ -250,7 +249,7 @@ func (g *DomainGroup) deliver() {
 			continue
 		}
 		for _, m := range msgs {
-			if g.CheckCausality && m.at < d.k.now {
+			if m.at < d.k.now {
 				panic(fmt.Sprintf("sim: causality violation: %s at %v receives message %q stamped %v from domain %d",
 					d.label(), d.k.now, m.name, m.at, m.src))
 			}

@@ -141,8 +141,14 @@ func NewMutex(k *Kernel, name string) *Mutex {
 // Lock acquires the mutex for p.
 func (m *Mutex) Lock(p *Proc) { m.s.Acquire(p, 1) }
 
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.s.Release(1) }
+// Unlock releases the mutex. On a nil mutex it does nothing, so a body
+// that takes a lock only where one exists can defer the release
+// unconditionally.
+func (m *Mutex) Unlock() {
+	if m != nil {
+		m.s.Release(1)
+	}
+}
 
 // Locks is a table of mutexes, one per id, each made on first use and
 // named prefix:id: a file server's per-directory locks, keyed by the

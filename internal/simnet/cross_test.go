@@ -23,7 +23,8 @@ func cell(cross bool, latency time.Duration, threads int) (*sim.Kernel, *Server)
 
 // TestCrossDomainCallTiming checks that Call and TryCall from another
 // domain cost exactly the virtual time of the inline path: transfers,
-// both one-way latencies and the service body.
+// both one-way latencies and the service body. Either way the server
+// counts each call once.
 func TestCrossDomainCallTiming(t *testing.T) {
 	const lat = 100 * time.Microsecond
 	// 1000 B out and 500 B back at 1 MB/s, 300us of service.
@@ -50,6 +51,9 @@ func TestCrossDomainCallTiming(t *testing.T) {
 		}
 		if call != want || try != want || err != nil {
 			t.Errorf("cross=%v: Call %v, TryCall %v (err %v), want %v each", cross, call, try, err, want)
+		}
+		if srv.Served() != 2 {
+			t.Errorf("cross=%v: Served() = %d after a Call and a TryCall, want 2", cross, srv.Served())
 		}
 		if ran != srv.k {
 			t.Errorf("cross=%v: body ran on domain %d, want the server's %d",

@@ -13,6 +13,12 @@
 // a Conn.TryCall against a down server burns the client-observed RPC
 // timeout and returns ErrDown instead of executing its service body.
 //
+// A server counts the requests it serves (Served): every Call, and every
+// TryCall that passed both down checks, on the inline and on the
+// cross-domain path alike, once its service body starts. That count is
+// each model's RPC count (RPCCount, the shard model's ShardOps), so no
+// model keeps a counter of its own.
+//
 // Connections are direction-agnostic: a Server can just as well stand
 // for a client node's callback endpoint, with the metadata servers
 // holding Conns to it. The lease-coherence protocol (internal/shard
@@ -55,6 +61,9 @@ type Server struct {
 	rpcName string // "rpc:"+Name, the name of a cross-domain call
 	down    bool
 	downs   int64
+	// served is only touched in the server's own domain: a
+	// cross-domain request counts inside its migrated body.
+	served int64
 }
 
 // NewServer returns a server with the given number of worker threads.
@@ -83,6 +92,11 @@ func (s *Server) SetUp() { s.down = false }
 // Downs returns the number of times the server has gone down.
 func (s *Server) Downs() int64 { return s.downs }
 
+// Served returns the number of requests whose service body has run (or
+// is running) on the server. Under a domain group read it once the
+// group has stopped.
+func (s *Server) Served() int64 { return s.served }
+
 // Conn is a client's path to a server: one-way latency plus a bandwidth
 // limit shared by all users of the connection.
 type Conn struct {
@@ -108,6 +122,9 @@ func NewConn(k *sim.Kernel, srv *Server, latency time.Duration, bandwidth int64)
 	}
 	return c
 }
+
+// Server returns the server the connection leads to.
+func (c *Conn) Server() *Server { return c.srv }
 
 // transferTime returns the serialization delay for n bytes.
 func (c *Conn) transferTime(n int64) time.Duration {
@@ -170,6 +187,7 @@ func (c *Conn) Call(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.
 	}
 	c.send(p, reqBytes)
 	c.srv.Threads.Acquire(p)
+	c.srv.served++
 	service(p)
 	c.srv.Threads.Release()
 	c.send(p, respBytes)
@@ -193,6 +211,7 @@ func (c *Conn) callCross(p *sim.Proc, reqBytes, respBytes int64, service func(p 
 	srv := c.srv
 	sim.Call(p, srv.k, c.Latency, srv.rpcName, func(q *sim.Proc) {
 		srv.Threads.Acquire(q)
+		srv.served++
 		service(q)
 		srv.Threads.Release()
 	})
@@ -242,6 +261,7 @@ func (c *Conn) TryCall(p *sim.Proc, reqBytes, respBytes int64, service func(p *s
 		p.Sleep(c.failTimeout())
 		return ErrDown
 	}
+	c.srv.served++
 	service(p)
 	c.srv.Threads.Release()
 	c.send(p, respBytes)

@@ -104,6 +104,9 @@ func TestTryCallOnDownServer(t *testing.T) {
 	if srv.Downs() != 1 {
 		t.Fatalf("Downs() = %d, want 1", srv.Downs())
 	}
+	if srv.Served() != 1 {
+		t.Fatalf("Served() = %d, want 1: the refused call is not served", srv.Served())
+	}
 }
 
 func TestTryCallQueuedAtCrash(t *testing.T) {
@@ -131,5 +134,8 @@ func TestTryCallQueuedAtCrash(t *testing.T) {
 	}
 	if queuedErr != ErrDown || queuedServed {
 		t.Fatalf("queued call: err=%v served=%v, want ErrDown/false", queuedErr, queuedServed)
+	}
+	if srv.Served() != 1 {
+		t.Fatalf("Served() = %d, want 1: only the holder's call was served", srv.Served())
 	}
 }
